@@ -1,0 +1,709 @@
+//! The database: ties memtables, WAL, levels, caches, background jobs,
+//! and the hardware model together.
+//!
+//! # Execution model
+//!
+//! One engine, two execution modes, selected once at [`Db::builder`] from
+//! the environment's clock. Both modes share the commit pipeline
+//! (`write`) and the background-job lifecycle (`jobs`): a job is
+//! *claimed* under the state lock, *run* (the table build), and
+//! *installed* (version edit, manifest, input retirement). The mode
+//! decides only two things:
+//!
+//! - **When a job's result is installed.** With a simulated
+//!   [`hw_sim::Clock`] the foreground thread runs the build eagerly,
+//!   charges its modeled cost (CPU, device queueing) to the shared
+//!   hardware model, and queues the install for the virtual instant the
+//!   model says the job finishes — so background pressure shows up as
+//!   foreground tail latency, the phenomenon LSM tuning fights. With a
+//!   wall clock a pool of OS threads honoring `max_background_jobs`
+//!   claims jobs and installs each result as soon as its build returns.
+//! - **How a foreground thread waits for background progress.** Sim
+//!   advances the virtual clock to the next queued install; real wakes
+//!   the pool and sleeps on a condition variable.
+//!
+//! Real mode additionally coalesces concurrent writers through a
+//! group-commit queue (one leader appends and syncs the WAL for the whole
+//! group); a sim write is a group of one. Reads traverse immutable
+//! snapshots (`Arc`ed memtables and versions) without holding the state
+//! mutex for the lookup in either mode.
+
+mod jobs;
+mod maintenance;
+mod open;
+mod read;
+mod report;
+mod scan;
+mod write;
+
+use std::collections::{BTreeMap, BinaryHeap};
+use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::time::Duration;
+
+use hw_sim::{HardwareEnv, MemoryUser, SimDuration, SimTime};
+use parking_lot::{Mutex, RwLock};
+
+use crate::cache::{BlockCache, CacheStats, TableCache};
+use crate::filter::{split_ttl_value, ttl_expired, FilterContext, TtlFilter};
+use crate::listener::{EventListener, StallConditionsChanged};
+use crate::memtable::MemTable;
+use crate::options::Options;
+use crate::runtime::Runtime;
+use crate::sstable::table::{TableConfig, TableReader};
+use crate::stats::{Statistics, Ticker, TickerSnapshot};
+use crate::types::{FileNumber, SequenceNumber};
+use crate::version::{FileMetadata, Version};
+use crate::vfs::Vfs;
+use crate::wal::WalWriter;
+use crate::write_controller::{WriteController, WritePressure, WriteRegime};
+
+pub use open::DbBuilder;
+
+/// Encodes a [`WriteRegime`] for the atomic transition tracker.
+fn regime_code(r: WriteRegime) -> u8 {
+    match r {
+        WriteRegime::Normal => 0,
+        WriteRegime::Delayed => 1,
+        WriteRegime::Stopped => 2,
+    }
+}
+
+fn regime_from_code(code: u8) -> WriteRegime {
+    match code {
+        1 => WriteRegime::Delayed,
+        2 => WriteRegime::Stopped,
+        _ => WriteRegime::Normal,
+    }
+}
+
+fn wal_file_name(number: u64) -> String {
+    format!("{number:06}.log")
+}
+
+/// Foreground/background cost constants (reference-core nanoseconds).
+///
+/// These calibrate the simulation to `db_bench`-like magnitudes; they are
+/// deliberately public so experiments can ablate them.
+#[derive(Debug, Clone)]
+pub struct CostModel {
+    /// Fixed CPU per write operation.
+    pub write_base_cpu: SimDuration,
+    /// CPU per byte inserted into the memtable.
+    pub write_per_byte_cpu_ns: f64,
+    /// Fixed CPU per WAL record plus per-byte cost.
+    pub wal_record_cpu: SimDuration,
+    /// CPU per byte appended to the WAL buffer.
+    pub wal_per_byte_cpu_ns: f64,
+    /// Fixed CPU per read operation.
+    pub get_base_cpu: SimDuration,
+    /// CPU per memtable probed.
+    pub memtable_probe_cpu: SimDuration,
+    /// CPU per bloom filter check.
+    pub bloom_check_cpu: SimDuration,
+    /// CPU per index-block seek.
+    pub index_seek_cpu: SimDuration,
+    /// CPU per block-cache hit (hash + seek in block).
+    pub cache_hit_cpu: SimDuration,
+    /// CPU per entry stepped during scans.
+    pub scan_entry_cpu: SimDuration,
+    /// Flush throughput at reference speed (bytes/sec of raw data).
+    pub flush_cpu_bps: f64,
+    /// Compaction merge throughput (bytes/sec of raw data).
+    pub compaction_cpu_bps: f64,
+    /// CPU per entry merged in compaction.
+    pub compaction_entry_cpu: SimDuration,
+    /// Dirty-page threshold that triggers an OS writeback burst when
+    /// `bytes_per_sync`/`wal_bytes_per_sync` are zero.
+    pub os_writeback_burst: u64,
+}
+
+impl Default for CostModel {
+    fn default() -> Self {
+        CostModel {
+            write_base_cpu: SimDuration::from_nanos(900),
+            write_per_byte_cpu_ns: 1.2,
+            wal_record_cpu: SimDuration::from_nanos(250),
+            wal_per_byte_cpu_ns: 0.3,
+            get_base_cpu: SimDuration::from_nanos(500),
+            memtable_probe_cpu: SimDuration::from_nanos(300),
+            bloom_check_cpu: SimDuration::from_nanos(120),
+            index_seek_cpu: SimDuration::from_nanos(200),
+            cache_hit_cpu: SimDuration::from_nanos(250),
+            scan_entry_cpu: SimDuration::from_nanos(180),
+            flush_cpu_bps: 350e6,
+            compaction_cpu_bps: 300e6,
+            compaction_entry_cpu: SimDuration::from_nanos(100),
+            os_writeback_burst: 64 << 20,
+        }
+    }
+}
+
+struct ImmEntry {
+    mem: Arc<MemTable>,
+    wal_number: u64,
+    flushing: bool,
+}
+
+struct DbState {
+    mem: Arc<MemTable>,
+    mem_wal_number: u64,
+    imm: Vec<ImmEntry>,
+    version: Arc<Version>,
+    wal: Option<WalWriter>,
+    wals_on_disk: Vec<u64>,
+    manifest: WalWriter,
+    next_file: u64,
+    last_seq: SequenceNumber,
+    /// Sim mode: jobs that ran, ordered by the virtual instant their
+    /// result is installed. Always empty in real mode.
+    events: BinaryHeap<jobs::Event>,
+    event_seq: u64,
+    running_flushes: usize,
+    running_compactions: usize,
+    pending_compaction_bytes: u64,
+    /// Sim mode: unsynced WAL bytes the modeled OS has yet to write back.
+    dirty_wal_bytes: u64,
+    writes_since_account: u64,
+    /// Input SSTs replaced by a compaction but possibly still referenced
+    /// by readers holding an older `Arc<Version>`. Physically deleted
+    /// once their only remaining reference is this list.
+    obsolete_files: Vec<Arc<FileMetadata>>,
+}
+
+impl DbState {
+    fn new(
+        mem: MemTable,
+        wal_number: u64,
+        version: Version,
+        wal: Option<WalWriter>,
+        manifest: WalWriter,
+        next_file: u64,
+        last_seq: SequenceNumber,
+    ) -> DbState {
+        DbState {
+            mem: Arc::new(mem),
+            mem_wal_number: wal_number,
+            imm: Vec::new(),
+            version: Arc::new(version),
+            wal,
+            wals_on_disk: vec![wal_number],
+            manifest,
+            next_file,
+            last_seq,
+            events: BinaryHeap::new(),
+            event_seq: 0,
+            running_flushes: 0,
+            running_compactions: 0,
+            pending_compaction_bytes: 0,
+            dirty_wal_bytes: 0,
+            writes_since_account: 0,
+            obsolete_files: Vec::new(),
+        }
+    }
+
+    fn imm_bytes(&self) -> u64 {
+        self.imm
+            .iter()
+            .map(|e| e.mem.approximate_memory_usage() as u64)
+            .sum()
+    }
+
+    /// No flush or compaction is in flight.
+    fn jobs_idle(&self) -> bool {
+        self.running_flushes == 0 && self.running_compactions == 0
+    }
+
+    fn alloc_file_number(&mut self) -> FileNumber {
+        let n = self.next_file;
+        self.next_file += 1;
+        FileNumber(n)
+    }
+}
+
+/// Aggregate statistics exposed for prompts, reports, and tests.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DbStats {
+    /// Ticker counters.
+    pub tickers: TickerSnapshot,
+    /// `(files, bytes)` per level.
+    pub levels: Vec<(usize, u64)>,
+    /// Current memtable + immutable memtable bytes.
+    pub memtable_bytes: u64,
+    /// Immutable memtables waiting to flush.
+    pub immutable_memtables: usize,
+    /// Block cache statistics.
+    pub block_cache: CacheStats,
+    /// Block cache capacity in bytes.
+    pub block_cache_capacity: u64,
+    /// Estimated pending compaction debt in bytes.
+    pub pending_compaction_bytes: u64,
+    /// Background jobs currently in flight.
+    pub running_background_jobs: usize,
+    /// Last sequence number assigned.
+    pub last_sequence: SequenceNumber,
+    /// Background jobs that hit a transient error and were retried
+    /// instead of aborting.
+    pub background_retries: u64,
+    /// WAL files rotated after a transient append failure.
+    pub wal_rotations: u64,
+    /// Manifest append/sync operations re-driven after a transient error.
+    pub manifest_resyncs: u64,
+    /// WAL syncs re-driven after a transient error.
+    pub wal_sync_retries: u64,
+}
+
+impl DbStats {
+    /// Write amplification so far: total bytes written by flush+compaction
+    /// per byte of user data written.
+    pub fn write_amplification(&self) -> f64 {
+        let user = self.tickers.get(Ticker::BytesWritten).max(1);
+        let physical = self.tickers.get(Ticker::FlushBytesWritten)
+            + self.tickers.get(Ticker::CompactionBytesWritten);
+        physical as f64 / user as f64
+    }
+}
+
+/// One key/value pair returned by a scan.
+pub type ScanResult = Vec<(Vec<u8>, Vec<u8>)>;
+
+/// Per-write durability options (RocksDB `WriteOptions` analog).
+#[derive(Debug, Clone, Default)]
+pub struct WriteOptions {
+    /// Block until the WAL is durably synced before acknowledging the
+    /// write. In real-concurrency mode the sync is amortized across the
+    /// whole commit group, which is where multi-threaded write
+    /// throughput comes from.
+    pub sync: bool,
+}
+
+impl WriteOptions {
+    /// Options requesting a durable (synced) write.
+    pub fn synced() -> Self {
+        WriteOptions { sync: true }
+    }
+}
+
+/// Per-read options (RocksDB `ReadOptions` analog), consumed by
+/// [`Db::get_opt`] and [`Db::scan_opt`]. Plain [`Db::get`]/[`Db::scan`]
+/// use the defaults.
+#[derive(Debug, Clone, Copy)]
+pub struct ReadOptions {
+    /// Verify block checksums on every read that misses the block cache.
+    /// Disabling trades integrity checking for CPU.
+    pub verify_checksums: bool,
+    /// Insert blocks read on a cache miss into the block cache. Disable
+    /// for one-off scans that would wipe the working set.
+    pub fill_cache: bool,
+    /// Read as of this sequence number instead of the latest visible
+    /// one. Clamped to the currently visible watermark; `None` reads the
+    /// newest visible state.
+    pub snapshot_seq: Option<SequenceNumber>,
+}
+
+impl Default for ReadOptions {
+    fn default() -> Self {
+        ReadOptions {
+            verify_checksums: true,
+            fill_cache: true,
+            snapshot_seq: None,
+        }
+    }
+}
+
+/// Upper bound on batches coalesced into one commit group.
+const MAX_GROUP_BATCHES: usize = 128;
+
+/// How long (wall time) a stopped writer waits before giving up.
+const STALL_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// Wait slice for real-mode foreground threads blocked on background
+/// progress.
+const WAIT_SLICE: Duration = Duration::from_millis(20);
+
+/// Longest single real-mode sleep of a delayed writer.
+const MAX_WRITE_DELAY: Duration = Duration::from_millis(100);
+
+/// Bounded retries for manifest append/sync on transient errors.
+const MANIFEST_RETRIES: u32 = 5;
+
+/// Bounded re-sync attempts for an acknowledged-append WAL sync.
+const WAL_SYNC_RETRIES: u32 = 3;
+
+struct DbInner {
+    /// Current effective options. Swapped wholesale (never mutated in
+    /// place) by [`Db::set_options`]; readers grab an `Arc` snapshot so a
+    /// concurrent retune can never show them a half-applied config.
+    opts: RwLock<Arc<Options>>,
+    cost: CostModel,
+    env: HardwareEnv,
+    vfs: Arc<dyn Vfs>,
+    state: Mutex<DbState>,
+    /// `Some` when this tree is one shard of a [`ShardedDb`](crate::ShardedDb):
+    /// shared block cache, global job budget, cross-shard stall debt.
+    shard: Option<crate::shard::ShardCtx>,
+    block_cache: Option<Arc<BlockCache>>,
+    table_cache: TableCache<TableReader>,
+    stats: Statistics,
+    listeners: Vec<Arc<dyn EventListener>>,
+    /// Last stall regime reported to listeners (encoded via
+    /// [`regime_code`]); transitions are deduplicated on this value.
+    last_regime: AtomicU8,
+    /// Clock position when the database was opened (drives uptime).
+    opened_at: SimTime,
+    /// Rebuilt from the new options by [`Db::set_options`] so stall
+    /// decisions follow the tuned triggers without reopen.
+    controller: RwLock<WriteController>,
+    /// `Some` in real-concurrency (wall clock) mode, `None` in simulation.
+    runtime: Option<Runtime>,
+    /// Largest sequence number visible to readers. Published under the
+    /// state lock once a commit group is in the memtable, read by
+    /// `get`/`scan` instead of `last_seq` (which also covers a group
+    /// still committing and ranges abandoned by failed groups).
+    visible_seq: AtomicU64,
+    /// Number of live user-facing [`Db`] handles (workers hold `Weak`s).
+    handles: AtomicUsize,
+    /// Background jobs retried (parked, not aborted) on transient errors.
+    bg_retries: AtomicU64,
+    /// WAL rotations after transient append failures.
+    wal_rotations: AtomicU64,
+    /// Manifest append/sync attempts re-driven on transient errors.
+    manifest_resyncs: AtomicU64,
+    /// Acknowledged-append WAL syncs re-driven on transient errors.
+    wal_sync_retries: AtomicU64,
+    /// `Some` when a replication layer observes committed WAL groups.
+    wal_sink: Option<Arc<dyn WalSink>>,
+    /// Pinned snapshot sequences (seq -> pin count). Flush and
+    /// compaction consult these so no version a [`SnapshotPin`] can
+    /// still see is dropped or filtered away.
+    pins: Mutex<BTreeMap<SequenceNumber, usize>>,
+}
+
+impl Drop for DbInner {
+    fn drop(&mut self) {
+        // Backstop: `Db::drop` normally joined the pool already; this
+        // covers panics that skipped it.
+        if let Some(rt) = &self.runtime {
+            rt.shutdown_and_join();
+        }
+    }
+}
+
+impl std::fmt::Debug for DbInner {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("DbInner").field("opts", &"..").finish_non_exhaustive()
+    }
+}
+
+impl DbInner {
+    /// A consistent snapshot of the effective options. Cheap (one `Arc`
+    /// clone under a read lock); callers that read several fields in one
+    /// decision should take one snapshot rather than re-reading, so a
+    /// concurrent [`Db::set_options`] cannot interleave configs.
+    fn opts(&self) -> Arc<Options> {
+        Arc::clone(&self.opts.read())
+    }
+
+    /// The current time in seconds for TTL stamping and expiry checks.
+    ///
+    /// Simulation uses the virtual clock (so TTL behavior is
+    /// deterministic and the table5 gate holds); real mode uses UNIX
+    /// epoch seconds so stamps stay meaningful across process restarts.
+    fn now_secs(&self) -> u64 {
+        if self.env.clock().is_sim() {
+            self.env.clock().now().as_nanos() / 1_000_000_000
+        } else {
+            std::time::SystemTime::now()
+                .duration_since(std::time::UNIX_EPOCH)
+                .map(|d| d.as_secs())
+                .unwrap_or(0)
+        }
+    }
+
+    /// The filter + pins handed to one flush or compaction job: the
+    /// built-in TTL filter (when `ttl_seconds > 0`) frozen at the
+    /// current clock, plus the pinned snapshot sequences (sorted
+    /// ascending). With TTL off and no pins this is the empty context —
+    /// merges behave byte-identically to the unfiltered engine.
+    fn filter_context(&self) -> FilterContext {
+        let ttl = self.opts().ttl_seconds;
+        FilterContext {
+            filter: if ttl > 0 {
+                Some(Arc::new(TtlFilter::new(self.now_secs(), ttl)))
+            } else {
+                None
+            },
+            pins: self.pins.lock().keys().copied().collect(),
+        }
+    }
+
+    /// Resolves a [`ValueType::TtlValue`](crate::ValueType) payload read
+    /// from the tree: strips the stamp and applies expiry under the
+    /// *current* `ttl_seconds` (an online change governs existing stamps
+    /// too). Returns `None` when the entry is expired.
+    fn resolve_ttl(&self, stamped: &[u8]) -> Option<Vec<u8>> {
+        let (value, written) = split_ttl_value(stamped);
+        match written {
+            Some(w) if ttl_expired(w, self.now_secs(), self.opts().ttl_seconds) => None,
+            _ => Some(value.to_vec()),
+        }
+    }
+
+    /// Publishes a new reader-visible sequence watermark.
+    fn publish_visible(&self, seq: SequenceNumber) {
+        self.visible_seq.store(seq, Ordering::Release);
+    }
+
+    /// Latches `err` as the database's sticky fatal error. Only real
+    /// mode has other threads that must be kept from acknowledging
+    /// writes after it; sim hands the error to its single caller.
+    fn latch_fatal(&self, err: &crate::Error) {
+        if let Some(rt) = &self.runtime {
+            rt.set_fatal(err.clone());
+        }
+    }
+
+    /// Records the current write regime and fires
+    /// `on_stall_conditions_changed` exactly once per transition.
+    fn note_regime(&self, current: WriteRegime) {
+        let code = regime_code(current);
+        let prev = self.last_regime.swap(code, Ordering::Relaxed);
+        if prev != code {
+            let info = StallConditionsChanged {
+                previous: regime_from_code(prev),
+                current,
+            };
+            for l in &self.listeners {
+                l.on_stall_conditions_changed(&info);
+            }
+        }
+    }
+
+    fn table_config(&self) -> TableConfig {
+        let opts = self.opts();
+        let prefix_len = opts.prefix_extractor_len as usize;
+        TableConfig {
+            block_size: opts.block_size as usize,
+            restart_interval: opts.block_restart_interval.max(1) as usize,
+            compression: opts.compression,
+            // A filter is built when either key form is enabled; with
+            // whole-key filtering off and no prefix extractor there is
+            // nothing to add, matching the historical behavior.
+            bloom_bits_per_key: if opts.whole_key_filtering || prefix_len > 0 {
+                opts.bloom_filter_bits_per_key
+            } else {
+                0.0
+            },
+            whole_key_filtering: opts.whole_key_filtering,
+            prefix_len,
+            index_two_level: opts.index_type == crate::options::IndexType::TwoLevel,
+            metadata_block_size: opts.metadata_block_size as usize,
+        }
+    }
+
+    fn bottom_table_config(&self) -> TableConfig {
+        let mut c = self.table_config();
+        c.compression = self.opts().effective_bottommost_compression();
+        if self.opts().optimize_filters_for_hits {
+            c.bloom_bits_per_key = 0.0;
+        }
+        c
+    }
+
+    /// Slowdown applied to foreground CPU when background jobs occupy
+    /// cores.
+    fn foreground_contention(&self, now: SimTime) -> f64 {
+        let cores = self.env.cpu().num_cores().max(1);
+        let busy = self.env.cpu().busy_cores(now).min(cores);
+        1.0 + 0.6 * busy as f64 / cores as f64
+    }
+
+    fn pressure(&self, state: &DbState) -> WritePressure {
+        let mut pending = state.pending_compaction_bytes;
+        if let Some(ctx) = &self.shard {
+            // Publish this shard's compaction debt and charge everyone
+            // else's back, so one hot shard slows all writers instead of
+            // racing ahead of the shared background budget.
+            let mut local = pending;
+            let limit = self.opts().shard_bytes_soft_limit;
+            if limit > 0 {
+                local = local.saturating_add(state.version.total_bytes().saturating_sub(limit));
+            }
+            pending = pending.saturating_add(ctx.publish_debt_and_sum_peers(local));
+        }
+        WritePressure {
+            l0_files: state.version.files(0).len(),
+            immutable_memtables: state.imm.len(),
+            total_memtables: state.imm.len() + 1,
+            pending_compaction_bytes: pending,
+        }
+    }
+
+    fn account_memory(&self, state: &DbState) {
+        let mem_bytes = state.mem.approximate_memory_usage() as u64 + state.imm_bytes();
+        self.env.memory().set_usage(MemoryUser::Memtables, mem_bytes);
+        if let Some(c) = &self.block_cache {
+            self.env.memory().set_usage(MemoryUser::BlockCache, c.used_bytes());
+        }
+    }
+}
+
+/// RAII guard pinning a snapshot sequence: while alive, no version of
+/// any key visible at the pinned sequence is dropped or filtered away by
+/// flush or compaction. Obtained from [`Db::pin_snapshot`]; pass the
+/// [`SnapshotPin::sequence`] as [`ReadOptions::snapshot_seq`] to read at
+/// the pin.
+#[derive(Debug)]
+pub struct SnapshotPin {
+    inner: Arc<DbInner>,
+    seq: SequenceNumber,
+}
+
+impl SnapshotPin {
+    /// The pinned sequence number.
+    pub fn sequence(&self) -> SequenceNumber {
+        self.seq
+    }
+}
+
+impl Drop for SnapshotPin {
+    fn drop(&mut self) {
+        let mut pins = self.inner.pins.lock();
+        if let Some(n) = pins.get_mut(&self.seq) {
+            *n -= 1;
+            if *n == 0 {
+                pins.remove(&self.seq);
+            }
+        }
+    }
+}
+
+/// An LSM-tree key-value store.
+///
+/// See the crate docs for an end-to-end example.
+#[derive(Debug)]
+pub struct Db {
+    inner: Arc<DbInner>,
+}
+
+impl Clone for Db {
+    fn clone(&self) -> Db {
+        self.inner.handles.fetch_add(1, Ordering::AcqRel);
+        Db {
+            inner: Arc::clone(&self.inner),
+        }
+    }
+}
+
+impl Drop for Db {
+    fn drop(&mut self) {
+        // When the last user handle goes away in real mode, stop and
+        // join the worker pool *before* returning: a worker may hold a
+        // transient strong reference, and letting it drop `DbInner`
+        // later would race a caller that immediately reopens the path
+        // (the buffered manifest tail would still be in flight).
+        if let Some(rt) = &self.inner.runtime {
+            if self.inner.handles.fetch_sub(1, Ordering::AcqRel) == 1 {
+                rt.shutdown_and_join();
+            }
+        }
+    }
+}
+
+/// Observer of committed WAL groups, the hook a replication layer hangs
+/// off the write path (see [`DbBuilder::wal_sink`]).
+///
+/// The engine calls [`ship`](Self::ship) after a group's records were
+/// appended to the local WAL, *while still holding the commit critical
+/// section* — so ship order equals sequence order and implementations
+/// must only enqueue, never block. For a group written with
+/// `WriteOptions { sync: true }` the engine then calls
+/// [`wait_durable`](Self::wait_durable) after the local fsync and before
+/// the group's writers are released, so an implementation can hold the
+/// ack until replicas confirm durability (bounded — a sink must time out
+/// and demote a dead replica rather than stall writers forever).
+pub trait WalSink: Send + Sync {
+    /// One committed group: WAL record payloads covering sequences
+    /// `first_seq..=last_seq`, in commit order.
+    fn ship(&self, first_seq: u64, last_seq: u64, sync: bool, records: &[&[u8]]);
+    /// Blocks (bounded) until the group ending at `last_seq` is durable
+    /// on every replica the sink still considers live.
+    fn wait_durable(&self, last_seq: u64);
+}
+
+impl Db {
+    /// The newest sequence number visible to readers right now. Pass it
+    /// as [`ReadOptions::snapshot_seq`] to pin a consistent snapshot;
+    /// cross-shard scans capture one per shard before reading any.
+    pub fn snapshot_seq(&self) -> u64 {
+        self.inner.visible_seq.load(Ordering::Acquire)
+    }
+
+    /// Pins the current snapshot: until the returned guard drops, flush
+    /// and compaction keep every version visible at this sequence (and
+    /// the compaction filter never touches them). Read at the pin via
+    /// [`ReadOptions::snapshot_seq`].
+    pub fn pin_snapshot(&self) -> SnapshotPin {
+        let inner = &*self.inner;
+        // Register under the pins lock using a sequence captured inside
+        // it, so a background job that read the pin set cannot have
+        // missed a pin at a sequence it had yet to observe.
+        let mut pins = inner.pins.lock();
+        let seq = self.snapshot_seq();
+        *pins.entry(seq).or_insert(0) += 1;
+        drop(pins);
+        SnapshotPin { inner: Arc::clone(&self.inner), seq }
+    }
+
+    /// The VFS this database stores its files in — for sidecar files
+    /// (e.g. the replication bootstrap marker) that must live and die
+    /// with the database directory.
+    pub fn vfs(&self) -> Arc<dyn Vfs> {
+        Arc::clone(&self.inner.vfs)
+    }
+
+    /// The worker-pool signal handle, for cross-shard fairness kicks.
+    pub(crate) fn bg_shared(&self) -> Option<Arc<crate::runtime::BgShared>> {
+        self.inner.runtime.as_ref().map(|rt| Arc::clone(&rt.bg))
+    }
+
+    /// A snapshot of the options this database currently runs with.
+    ///
+    /// Returned by value: [`set_options`](Db::set_options) can swap the
+    /// effective config at any time, so there is no stable reference to
+    /// hand out.
+    pub fn options(&self) -> Options {
+        (*self.inner.opts()).clone()
+    }
+
+    /// The current ini rendering of the options (what tuning feeds the
+    /// LLM).
+    pub fn options_ini(&self) -> String {
+        crate::options::ini::to_ini(&self.inner.opts())
+    }
+}
+
+/// Fixtures shared by the per-module unit tests.
+#[cfg(test)]
+mod testutil {
+    use super::*;
+    use hw_sim::DeviceModel;
+
+    pub fn env() -> HardwareEnv {
+        HardwareEnv::builder()
+            .cores(4)
+            .memory_gib(8)
+            .device(DeviceModel::nvme_ssd())
+            .build_sim()
+    }
+
+    /// Tiny buffers and files, to exercise flush/compaction.
+    pub fn small_opts() -> Options {
+        Options {
+            write_buffer_size: 64 << 10,
+            target_file_size_base: 64 << 10,
+            max_bytes_for_level_base: 256 << 10,
+            ..Options::default()
+        }
+    }
+}

@@ -40,6 +40,7 @@ pub mod wal;
 mod batch;
 mod cache;
 mod db;
+mod engine;
 mod compaction;
 mod error;
 mod flush;
@@ -64,7 +65,8 @@ pub use db::{
 };
 pub use error::{Error, ErrorKind, Result};
 pub use filter::{CompactionFilter, FilterContext, FilterDecision, TtlFilter};
-pub use shard::{KvEngine, ShardedDb, ShardedDbBuilder};
+pub use engine::KvEngine;
+pub use shard::{ShardedDb, ShardedDbBuilder};
 pub use fault::{FaultConfig, FaultInjectionVfs, TearStyle};
 pub use listener::{CompactionJobInfo, EventListener, FlushJobInfo, StallConditionsChanged};
 pub use memtable::{MemTable, MemTableCursor, MemTableGet};

@@ -92,11 +92,6 @@ pub struct MemTable {
     /// appliers agree on the smallest sequence.
     first_seq: AtomicU64,
     last_seq: AtomicU64,
-    /// Commit groups currently applying outside the engine's state lock
-    /// (pipelined apply). The memtable may not be retired to the
-    /// immutable list until this drains to zero, or a flush could
-    /// snapshot the table mid-apply and silently drop entries.
-    pending_applies: AtomicUsize,
 }
 
 struct MemTableBloom {
@@ -183,7 +178,6 @@ impl MemTable {
             approximate_bytes: AtomicUsize::new(0),
             first_seq: AtomicU64::new(u64::MAX),
             last_seq: AtomicU64::new(0),
-            pending_applies: AtomicUsize::new(0),
         }
     }
 
@@ -193,33 +187,6 @@ impl MemTable {
             Rep::BTree(_) => MemtableRep::BTreeMap,
             Rep::Skip(_) => MemtableRep::SkipList,
         }
-    }
-
-    /// Whether inserts may run concurrently with each other (and with
-    /// readers) without an external lock. True for the skiplist; the map
-    /// representation serializes writers on its internal `RwLock`, so
-    /// applying commit groups outside the engine lock buys it nothing.
-    pub fn concurrent_apply_safe(&self) -> bool {
-        matches!(self.rep, Rep::Skip(_))
-    }
-
-    /// Registers an apply running outside the engine's state lock. Must
-    /// be called while the state lock is still held (so it cannot race
-    /// with memtable retirement) and paired with [`end_apply`].
-    ///
-    /// [`end_apply`]: MemTable::end_apply
-    pub(crate) fn begin_apply(&self) {
-        self.pending_applies.fetch_add(1, AtomicOrdering::AcqRel);
-    }
-
-    /// Marks an out-of-lock apply finished.
-    pub(crate) fn end_apply(&self) {
-        self.pending_applies.fetch_sub(1, AtomicOrdering::AcqRel);
-    }
-
-    /// Number of out-of-lock applies still in flight.
-    pub(crate) fn applies_in_flight(&self) -> usize {
-        self.pending_applies.load(AtomicOrdering::Acquire)
     }
 
     fn bloom_add(&self, user_key: &[u8]) {

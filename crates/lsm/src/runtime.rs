@@ -10,9 +10,9 @@
 //! foreground path.
 //!
 //! The types here are deliberately free of engine logic: the commit
-//! protocol and the job claim/install steps live in `db.rs` where the
-//! engine state is. This module owns the queueing, signalling, and
-//! lifecycle (worker spawn/join) mechanics.
+//! pipeline and the job claim/run/install steps live in `db/` where the
+//! engine state is, shared by both modes. This module owns the queueing,
+//! signalling, and lifecycle (worker spawn/join) mechanics.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -59,6 +59,9 @@ pub(crate) struct PreparedWrite {
     pub count: u64,
     /// Total user key + value bytes (ticker accounting).
     pub payload_bytes: u64,
+    /// [`WriteBatch::approximate_bytes`], what the write controller's
+    /// delay is computed from.
+    pub approximate_bytes: u64,
     /// Whether this write requested a durable WAL sync.
     pub sync: bool,
 }
@@ -95,6 +98,7 @@ impl PreparedWrite {
             first_seq: 0,
             count: batch.len() as u64,
             payload_bytes,
+            approximate_bytes: batch.approximate_bytes() as u64,
             sync,
         }
     }
@@ -286,108 +290,24 @@ pub(crate) struct Runtime {
     pub done_cv: Condvar,
     /// Worker-pool signalling.
     pub bg: Arc<BgShared>,
-    /// Largest sequence number visible to readers. Published at the end
-    /// of each commit, read lock-free by `get`/`scan`.
-    visible_seq: AtomicU64,
     /// Sticky fatal error (WAL append or background job failure). Once
     /// set, writes and maintenance calls fail with a clone of it rather
     /// than risk acknowledging writes that recovery would drop.
     fatal: Mutex<Option<Error>>,
     workers: Mutex<Vec<JoinHandle<()>>>,
-    /// Highest sequence whose group has finished its memtable apply (or
-    /// abandoned its reserved range on failure). Groups that apply
-    /// outside the state lock — the concurrent-memtable pipeline — wait
-    /// here for their predecessor so visibility and completion advance
-    /// strictly in sequence order.
-    applied: Mutex<SequenceNumber>,
-    applied_cv: Condvar,
-    /// Batches committed through the pipelined path since the last
-    /// post-commit (switch-trigger) check. Pipelined groups skip the
-    /// second state-lock acquisition while this stays small and the
-    /// memtable is comfortably below its switch threshold.
-    pub pipelined_batches: AtomicU64,
-    /// Whether commit groups may apply to a concurrent memtable outside
-    /// the state lock. The pipeline trades two extra thread wake-ups per
-    /// group for overlapping the next group's WAL append with this
-    /// group's inserts — a win only when the host can actually run both
-    /// at once, so single-core hosts keep the serial path.
-    /// `LSM_PIPELINED_APPLY=1|0` overrides the detection (CI hook, so
-    /// the protocol is exercised even on single-core runners).
-    pipelined_apply: bool,
 }
 
 impl Runtime {
-    /// Creates the runtime with reader visibility starting at `last_seq`.
-    pub fn new(last_seq: SequenceNumber) -> Self {
+    /// Creates the runtime of one database.
+    pub fn new() -> Self {
         Runtime {
             commit: Mutex::new(CommitQueue::new()),
             commit_cv: Condvar::new(),
             done_cv: Condvar::new(),
             bg: Arc::new(BgShared::new()),
-            visible_seq: AtomicU64::new(last_seq),
             fatal: Mutex::new(None),
             workers: Mutex::new(Vec::new()),
-            applied: Mutex::new(last_seq),
-            applied_cv: Condvar::new(),
-            pipelined_batches: AtomicU64::new(0),
-            pipelined_apply: match std::env::var("LSM_PIPELINED_APPLY").ok().as_deref() {
-                Some("1") | Some("true") => true,
-                Some("0") | Some("false") => false,
-                _ => std::thread::available_parallelism().map_or(1, |n| n.get()) >= 2,
-            },
         }
-    }
-
-    /// Whether the pipelined (outside-the-state-lock) memtable apply is
-    /// worth using on this host. See the field docs.
-    pub fn pipelined_apply_enabled(&self) -> bool {
-        self.pipelined_apply
-    }
-
-    /// Blocks until every group before `first_seq` has finished applying,
-    /// then marks `[first_seq, last_seq]` applied and wakes successors.
-    /// With `publish`, the reader-visible watermark is raised inside the
-    /// same critical section, so passing the gate also guarantees every
-    /// predecessor already published — successors may then release their
-    /// own writers without re-checking older groups.
-    ///
-    /// Every group that reserves a sequence range MUST call this exactly
-    /// once before its writers are released, even on failure (a failed
-    /// group publishes nothing; readers simply skip the abandoned range).
-    pub fn advance_applied(
-        &self,
-        first_seq: SequenceNumber,
-        last_seq: SequenceNumber,
-        publish: bool,
-    ) {
-        // With the pipeline globally off every apply happens in commit
-        // order under the state lock, no thread ever waits on the gate,
-        // and the watermark mutex would be pure per-group overhead.
-        if !self.pipelined_apply {
-            if publish {
-                self.publish_visible(last_seq);
-            }
-            return;
-        }
-        let mut applied = self.applied.lock();
-        while *applied != first_seq - 1 {
-            self.applied_cv.wait(&mut applied);
-        }
-        if publish {
-            self.publish_visible(last_seq);
-        }
-        *applied = last_seq;
-        self.applied_cv.notify_all();
-    }
-
-    /// Largest sequence visible to readers.
-    pub fn visible_seq(&self) -> SequenceNumber {
-        self.visible_seq.load(Ordering::Acquire)
-    }
-
-    /// Publishes a new reader-visible sequence watermark.
-    pub fn publish_visible(&self, seq: SequenceNumber) {
-        self.visible_seq.store(seq, Ordering::Release);
     }
 
     /// Returns the sticky fatal error, if any.

@@ -13,7 +13,7 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use hw_sim::HardwareEnv;
-use lsm_kvs::options::Options;
+use lsm_kvs::options::{MemtableRep, Options};
 use lsm_kvs::vfs::StdVfs;
 use lsm_kvs::{Db, ShardedDb, WriteBatch, WriteOptions};
 
@@ -64,58 +64,72 @@ fn concurrent_writers_and_readers_no_lost_updates() {
     const READERS: usize = 2;
     const PER: usize = 300;
 
-    let dir = TempDir::new("stress");
-    let db = open_real(&dir, small_opts());
+    // The default row, and the serial-visibility commit order over the
+    // concurrent skiplist (what the expert model recommends below four
+    // cores).
+    let rows = [
+        small_opts(),
+        Options {
+            memtable_factory: MemtableRep::SkipList,
+            enable_pipelined_write: false,
+            allow_concurrent_memtable_write: true,
+            ..small_opts()
+        },
+    ];
+    for opts in rows {
+        let dir = TempDir::new("stress");
+        let db = open_real(&dir, opts);
 
-    let value_of = |t: usize, i: usize| -> Vec<u8> {
-        let mut v = vec![0u8; 512];
-        v[..8].copy_from_slice(&((t * PER + i) as u64).to_le_bytes());
-        v
-    };
+        let value_of = |t: usize, i: usize| -> Vec<u8> {
+            let mut v = vec![0u8; 512];
+            v[..8].copy_from_slice(&((t * PER + i) as u64).to_le_bytes());
+            v
+        };
 
-    std::thread::scope(|scope| {
-        for t in 0..WRITERS {
-            let db = db.clone();
-            scope.spawn(move || {
-                for i in 0..PER {
-                    let key = format!("stress-{t}-{i:04}");
-                    let mut batch = WriteBatch::with_capacity(1);
-                    batch.put(key.as_bytes(), &value_of(t, i));
-                    // A sprinkle of synced writes keeps the group-commit
-                    // leader path and the fast path both exercised.
-                    let wo = if i % 64 == 0 {
-                        WriteOptions::synced()
-                    } else {
-                        WriteOptions::default()
-                    };
-                    db.write_opt(&wo, batch).unwrap();
-                }
-            });
-        }
-        for r in 0..READERS {
-            let db = db.clone();
-            scope.spawn(move || {
-                // Readers race the writers: any value observed must be
-                // complete (no torn 512-byte payloads).
-                for i in 0..PER {
-                    let t = (r + i) % WRITERS;
-                    let key = format!("stress-{t}-{i:04}");
-                    if let Some(v) = db.get(key.as_bytes()).unwrap() {
-                        assert_eq!(v, value_of(t, i), "torn read of {key}");
+        std::thread::scope(|scope| {
+            for t in 0..WRITERS {
+                let db = db.clone();
+                scope.spawn(move || {
+                    for i in 0..PER {
+                        let key = format!("stress-{t}-{i:04}");
+                        let mut batch = WriteBatch::with_capacity(1);
+                        batch.put(key.as_bytes(), &value_of(t, i));
+                        // A sprinkle of synced writes keeps the group-commit
+                        // leader path and the fast path both exercised.
+                        let wo = if i % 64 == 0 {
+                            WriteOptions::synced()
+                        } else {
+                            WriteOptions::default()
+                        };
+                        db.write_opt(&wo, batch).unwrap();
                     }
-                }
-            });
-        }
-    });
+                });
+            }
+            for r in 0..READERS {
+                let db = db.clone();
+                scope.spawn(move || {
+                    // Readers race the writers: any value observed must be
+                    // complete (no torn 512-byte payloads).
+                    for i in 0..PER {
+                        let t = (r + i) % WRITERS;
+                        let key = format!("stress-{t}-{i:04}");
+                        if let Some(v) = db.get(key.as_bytes()).unwrap() {
+                            assert_eq!(v, value_of(t, i), "torn read of {key}");
+                        }
+                    }
+                });
+            }
+        });
 
-    // Sequence numbers were handed out contiguously: one per operation.
-    assert_eq!(db.stats().last_sequence, (WRITERS * PER) as u64);
+        // Sequence numbers were handed out contiguously: one per operation.
+        assert_eq!(db.stats().last_sequence, (WRITERS * PER) as u64);
 
-    // Every write that was acknowledged is visible: no lost updates.
-    for t in 0..WRITERS {
-        for i in 0..PER {
-            let key = format!("stress-{t}-{i:04}");
-            assert_eq!(db.get(key.as_bytes()).unwrap(), Some(value_of(t, i)), "{key}");
+        // Every write that was acknowledged is visible: no lost updates.
+        for t in 0..WRITERS {
+            for i in 0..PER {
+                let key = format!("stress-{t}-{i:04}");
+                assert_eq!(db.get(key.as_bytes()).unwrap(), Some(value_of(t, i)), "{key}");
+            }
         }
     }
 }

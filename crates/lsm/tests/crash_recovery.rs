@@ -15,8 +15,8 @@ use std::sync::Arc;
 use hw_sim::HardwareEnv;
 use lsm_kvs::options::Options;
 use lsm_kvs::{
-    Db, FaultConfig, FaultInjectionVfs, KvEngine, MemVfs, ShardedDb, TearStyle, Vfs, WriteBatch,
-    WriteOptions,
+    Db, EventListener, FaultConfig, FaultInjectionVfs, FlushJobInfo, KvEngine, MemVfs, ShardedDb,
+    TearStyle, Vfs, WriteBatch, WriteOptions,
 };
 
 /// xorshift64* — deterministic randomness for the harness.
@@ -454,4 +454,82 @@ fn real_mode_power_cut_preserves_synced_groups() {
             TearStyle::TearTail { seed: rng.next() }
         });
     }
+}
+
+/// Records, for every flush that completes before the first (large)
+/// memtable's own flush, whether that memtable's WAL still exists.
+struct WalWatcher {
+    vfs: Arc<MemVfs>,
+    first_wal: &'static str,
+    first_flush_done: std::sync::atomic::AtomicBool,
+    wal_present_at_earlier_completions: std::sync::Mutex<Vec<bool>>,
+}
+
+impl EventListener for WalWatcher {
+    fn on_flush_completed(&self, info: &FlushJobInfo) {
+        use std::sync::atomic::Ordering::Relaxed;
+        if info.num_entries > 10_000 {
+            self.first_flush_done.store(true, Relaxed);
+        } else if !self.first_flush_done.load(Relaxed) {
+            self.wal_present_at_earlier_completions
+                .lock()
+                .unwrap()
+                .push(self.vfs.exists(self.first_wal));
+        }
+    }
+}
+
+/// Two flushes in flight, the later and smaller one finishing first: its
+/// install must detach *its own* memtable, not the oldest flushing one —
+/// otherwise acknowledged keys of the big memtable vanish from reads and
+/// its WAL is deleted before its SST reaches the manifest.
+#[test]
+fn out_of_order_flush_completion_installs_its_own_memtable() {
+    let env = HardwareEnv::builder().cores(8).build_sim();
+    let vfs = Arc::new(MemVfs::new());
+    let watcher = Arc::new(WalWatcher {
+        vfs: Arc::clone(&vfs),
+        first_wal: "000002.log",
+        first_flush_done: false.into(),
+        wal_present_at_earlier_completions: Default::default(),
+    });
+    let opts = Options {
+        write_buffer_size: 8 << 20,
+        max_background_flushes: 2,
+        disable_auto_compactions: true,
+        ..Options::default()
+    };
+    let db = Db::builder(opts)
+        .env(&env)
+        .vfs(Arc::clone(&vfs) as Arc<dyn Vfs>)
+        .listener(Arc::clone(&watcher) as Arc<dyn EventListener>)
+        .open()
+        .unwrap();
+
+    // Fill until the first memtable switch puts an 8 MiB flush in flight.
+    let first_key = b"fill-000000".to_vec();
+    let mut i = 0u64;
+    while db.stats().immutable_memtables == 0 {
+        db.put(format!("fill-{i:06}").as_bytes(), &[7u8; 100]).unwrap();
+        i += 1;
+    }
+    assert!(vfs.exists(watcher.first_wal), "first memtable logs to the first WAL");
+
+    // Small memtables from here on: their flushes overtake the big one.
+    db.set_options(&[("write_buffer_size", "65536")]).unwrap();
+    let mut misses = 0;
+    for j in 0..3_000u64 {
+        db.put(format!("more-{j:06}").as_bytes(), &[9u8; 100]).unwrap();
+        if db.get(&first_key).unwrap().is_none() {
+            misses += 1;
+        }
+    }
+    assert_eq!(misses, 0, "acknowledged key vanished while its flush was in flight");
+
+    let seen = watcher.wal_present_at_earlier_completions.lock().unwrap();
+    assert!(!seen.is_empty(), "no flush overtook the first one: the test exercised nothing");
+    assert!(
+        seen.iter().all(|present| *present),
+        "the first memtable's WAL was deleted before its SST was installed: {seen:?}"
+    );
 }
