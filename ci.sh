@@ -250,11 +250,13 @@ trap 'rm -rf "$CRASH_DIR" "$SERVE_DIR" "$RETUNE_DIR" "$CL_A" "$CL_AR" "$CL_B" \
      "$YCSB_DIR" "$CKPT_DIR"' EXIT
 rm -f /tmp/ci-ckpt.txt
 
-echo "==> determinism gate: repro table5 must be byte-identical run-to-run"
-./target/release/repro table5 > /tmp/ci-table5-a.txt
-./target/release/repro table5 > /tmp/ci-table5-b.txt
-diff /tmp/ci-table5-a.txt /tmp/ci-table5-b.txt
-rm -f /tmp/ci-table5-a.txt /tmp/ci-table5-b.txt
+echo "==> golden gate: sim output must match results/golden (determinism and no drift at once)"
+# A change that means to move sim output regenerates the golden with the
+# same command, in the same commit, and says why.
+./target/release/repro table5 | diff results/golden/table5.txt -
+./target/release/db_bench --benchmarks fillrandom,readrandom --num 20000 \
+    | diff results/golden/db_bench_fill_read_20000.txt -
+./target/release/db_bench --ycsb all --scale 0.002 | diff results/golden/ycsb_all_0.002.txt -
 
 echo "==> perf gate: the benchmark harness builds against the crates, passes its tests, smoke-runs"
 # Read-only use: nothing under perf/ or BENCHMARK.json changes here.
