@@ -1,22 +1,22 @@
-//! Compaction job execution: k-way merge of input tables into output
-//! tables.
+//! Compaction job execution: the shared merge (`merge.rs`) over input
+//! tables, plus the rule for when a merge counts as bottommost.
 //!
 //! Execution is *logical*: the merge runs eagerly over the immutable
-//! input files, while the I/O and CPU the job would occupy are accounted
-//! by the scheduler in `db.rs` from the byte/entry totals returned here.
+//! input files, read directly, while the I/O and CPU the job would occupy
+//! are accounted by the scheduler in `db/jobs.rs` from the byte/entry
+//! totals returned here.
 
-use std::cmp::Ordering;
 use std::sync::Arc;
 
 use hw_sim::SimDuration;
 
 use crate::compaction::picker::{CompactionInputs, CompactionReason};
 use crate::error::Result;
-use crate::filter::{FilterContext, FilterDecision};
+use crate::filter::FilterContext;
 use crate::flush::sst_file_name;
-use crate::sstable::block::Block;
-use crate::sstable::table::{BlockHandle, FinishedTable, TableBuilder, TableConfig, TableReader};
-use crate::types::{internal_key_cmp, FileNumber, ValueType};
+use crate::merge::{write_tables, Cursor};
+use crate::sstable::table::{direct_cursor, FinishedTable, TableConfig, TableReader};
+use crate::types::FileNumber;
 use crate::version::{FileMetadata, Version};
 use crate::vfs::Vfs;
 
@@ -35,58 +35,6 @@ pub struct CompactionJobOutput {
     pub entries_written: u64,
     /// CPU spent compressing output blocks.
     pub compression_cpu: SimDuration,
-}
-
-/// A cursor over one input table, decoding one block at a time.
-struct TableCursor {
-    reader: TableReader,
-    handles: Vec<BlockHandle>,
-    next_block: usize,
-    entries: Vec<(Vec<u8>, Vec<u8>)>,
-    pos: usize,
-}
-
-impl TableCursor {
-    fn open(vfs: &dyn Vfs, file: &FileMetadata) -> Result<TableCursor> {
-        let (reader, _) = TableReader::open(vfs.open(&sst_file_name(file.number))?)?;
-        let handles = reader.block_handles()?;
-        let mut c = TableCursor {
-            reader,
-            handles,
-            next_block: 0,
-            entries: Vec::new(),
-            pos: 0,
-        };
-        c.load_next_block()?;
-        Ok(c)
-    }
-
-    fn load_next_block(&mut self) -> Result<()> {
-        self.entries.clear();
-        self.pos = 0;
-        while self.entries.is_empty() && self.next_block < self.handles.len() {
-            let fetch = self.reader.read_block(self.handles[self.next_block])?;
-            self.next_block += 1;
-            let block = Block::parse(fetch.data)?;
-            let mut it = block.iter();
-            while it.advance()? {
-                self.entries.push((it.key().to_vec(), it.value().to_vec()));
-            }
-        }
-        Ok(())
-    }
-
-    fn peek(&self) -> Option<&(Vec<u8>, Vec<u8>)> {
-        self.entries.get(self.pos)
-    }
-
-    fn advance(&mut self) -> Result<()> {
-        self.pos += 1;
-        if self.pos >= self.entries.len() {
-            self.load_next_block()?;
-        }
-        Ok(())
-    }
 }
 
 /// Whether a merge may drop tombstones: nothing deeper than the output
@@ -122,12 +70,10 @@ pub fn can_drop_tombstones(version: &Version, c: &CompactionInputs) -> bool {
 /// Runs the merge: reads `inputs`, writes up to `target_file_size`-sized
 /// outputs via `alloc_file` (which hands out fresh file numbers).
 ///
-/// `bottommost` enables tombstone elimination (safe only when no deeper
-/// level can hold older versions of the merged key range). `ctx` carries
-/// the optional compaction filter and the pinned snapshot sequences; the
-/// merge keeps every version a pin still resolves to, never lets the
-/// filter touch a pinned entry, and converts filtered entries into
-/// tombstones except when the merge is bottommost and no pin exists.
+/// `bottommost` says nothing deeper than the output level can hold older
+/// versions of the merged key range; `ctx` carries the optional
+/// compaction filter and the pinned snapshot sequences. What survives is
+/// decided by [`write_tables`].
 ///
 /// # Errors
 ///
@@ -140,130 +86,35 @@ pub fn run_compaction(
     target_file_size: u64,
     table_config: &TableConfig,
     ctx: &FilterContext,
-    mut alloc_file: impl FnMut() -> FileNumber,
+    alloc_file: impl FnMut() -> FileNumber,
 ) -> Result<CompactionJobOutput> {
-    let mut cursors = Vec::with_capacity(inputs.len());
-    let mut bytes_read = 0u64;
+    let mut sources: Vec<Box<dyn Cursor>> = Vec::with_capacity(inputs.len());
     for f in inputs {
-        bytes_read += f.size;
-        cursors.push(TableCursor::open(vfs, f)?);
+        let (reader, _) = TableReader::open(vfs.open(&sst_file_name(f.number))?)?;
+        sources.push(Box::new(direct_cursor(reader)?));
     }
-
-    let mut out = CompactionJobOutput {
-        files: Vec::new(),
-        bytes_read,
-        bytes_written: 0,
-        entries_read: 0,
-        entries_written: 0,
-        compression_cpu: SimDuration::ZERO,
-    };
-
-    let mut builder: Option<(FileNumber, TableBuilder)> = None;
-    let mut last_user_key: Option<Vec<u8>> = None;
-    let mut prev_seq: u64 = 0;
-
-    loop {
-        // Find the cursor with the smallest current internal key.
-        let mut best: Option<usize> = None;
-        for (i, c) in cursors.iter().enumerate() {
-            if let Some((k, _)) = c.peek() {
-                match best {
-                    None => best = Some(i),
-                    Some(b) => {
-                        let (bk, _) = cursors[b].peek().expect("best cursor valid");
-                        if internal_key_cmp(k, bk) == Ordering::Less {
-                            best = Some(i);
-                        }
-                    }
-                }
-            }
-        }
-        let Some(idx) = best else { break };
-        let (mut key, mut value) = cursors[idx].peek().expect("peeked").clone();
-        cursors[idx].advance()?;
-        out.entries_read += 1;
-
-        let tag = u64::from_le_bytes(key[key.len() - 8..].try_into().expect("8-byte tag"));
-        let seq = tag >> 8;
-        if last_user_key.as_deref() == Some(&key[..key.len() - 8]) {
-            // Shadowed older version: survives only while some pinned
-            // snapshot still resolves to it (prev_seq holds the
-            // next-newer version's sequence).
-            let keep = ctx.pin_in(seq, prev_seq);
-            prev_seq = seq;
-            if !keep {
-                continue;
-            }
-        } else {
-            last_user_key = Some(key[..key.len() - 8].to_vec());
-            prev_seq = seq;
-
-            let is_deletion = (tag & 0xff) == ValueType::Deletion as u64;
-            if is_deletion {
-                // Newest version is a tombstone: drop it at the bottom,
-                // but only once every pinned snapshot already sees the
-                // deletion — a retained older version would otherwise be
-                // resurrected for unpinned readers.
-                if bottommost && ctx.visible_to_all_pins(seq) {
-                    continue;
-                }
-            } else if let Some(f) = ctx.filter.as_deref() {
-                let ty = ValueType::from_u8((tag & 0xff) as u8);
-                if ty.is_some_and(ValueType::is_value) && ctx.unpinned(seq) {
-                    let decision = {
-                        let user_key = &key[..key.len() - 8];
-                        f.filter(user_key, ty.expect("checked"), &value)
-                    };
-                    if decision == FilterDecision::Remove {
-                        if bottommost && ctx.visible_to_all_pins(seq) {
-                            continue; // nothing deeper, no pins: drop outright
-                        }
-                        // Convert in place to a tombstone so older
-                        // versions in deeper levels stay shadowed.
-                        let n = key.len();
-                        key[n - 8..].copy_from_slice(
-                            &((seq << 8) | ValueType::Deletion as u64).to_le_bytes(),
-                        );
-                        value.clear();
-                    }
-                }
-            }
-        }
-
-        if builder.is_none() {
-            let number = alloc_file();
-            let file = vfs.create(&sst_file_name(number))?;
-            builder = Some((number, TableBuilder::new(file, table_config.clone())));
-        }
-        let (_, b) = builder.as_mut().expect("builder exists");
-        b.add(&key, &value)?;
-        out.entries_written += 1;
-
-        if b.raw_bytes() >= target_file_size {
-            let (number, b) = builder.take().expect("builder exists");
-            let finished = b.finish()?;
-            out.bytes_written += finished.file_size;
-            out.compression_cpu += finished.compression_cpu;
-            out.files.push((number, finished));
-        }
-    }
-
-    if let Some((number, b)) = builder.take() {
-        if b.num_entries() > 0 {
-            let finished = b.finish()?;
-            out.bytes_written += finished.file_size;
-            out.compression_cpu += finished.compression_cpu;
-            out.files.push((number, finished));
-        }
-    }
-    Ok(out)
+    let merged =
+        write_tables(vfs, sources, bottommost, target_file_size, table_config, ctx, alloc_file)?;
+    Ok(CompactionJobOutput {
+        bytes_read: inputs.iter().map(|f| f.size).sum(),
+        bytes_written: merged.files.iter().map(|(_, t)| t.file_size).sum(),
+        entries_read: merged.entries_read,
+        entries_written: merged.entries_written,
+        compression_cpu: merged
+            .files
+            .iter()
+            .fold(SimDuration::ZERO, |cpu, (_, t)| cpu + t.compression_cpu),
+        files: merged.files,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::filter::FilterDecision;
     use crate::memtable::MemTable;
-    use crate::types::InternalKey;
+    use crate::sstable::table::table_entries;
+    use crate::types::{InternalKey, ValueType};
     use crate::vfs::MemVfs;
 
     fn make_table(
@@ -279,7 +130,7 @@ mod tests {
             vfs,
             FileNumber(number),
             &[Arc::new(mt)],
-            TableConfig::default(),
+            &TableConfig::default(),
             &FilterContext::default(),
         )
         .unwrap()
@@ -294,21 +145,17 @@ mod tests {
     }
 
     fn read_user_entries(vfs: &MemVfs, number: FileNumber) -> Vec<(String, String)> {
-        let (reader, _) = TableReader::open(vfs.open(&sst_file_name(number)).unwrap()).unwrap();
-        let mut out = Vec::new();
-        for h in reader.block_handles().unwrap() {
-            let fetch = reader.read_block(h).unwrap();
-            let block = Block::parse(fetch.data).unwrap();
-            let mut it = block.iter();
-            while it.advance().unwrap() {
-                let ik = InternalKey::decode(it.key()).unwrap();
-                out.push((
-                    String::from_utf8(ik.user_key().to_vec()).unwrap(),
-                    String::from_utf8(it.value().to_vec()).unwrap(),
-                ));
-            }
-        }
-        out
+        table_entries(vfs, number)
+            .into_iter()
+            .map(|(k, _, _, v)| (String::from_utf8(k).unwrap(), String::from_utf8(v).unwrap()))
+            .collect()
+    }
+
+    fn read_typed_entries(vfs: &MemVfs, number: FileNumber) -> Vec<(String, u64, ValueType)> {
+        table_entries(vfs, number)
+            .into_iter()
+            .map(|(k, seq, ty, _)| (String::from_utf8(k).unwrap(), seq, ty))
+            .collect()
     }
 
     #[test]
@@ -515,25 +362,6 @@ mod tests {
         }
     }
 
-    fn read_typed_entries(vfs: &MemVfs, number: FileNumber) -> Vec<(String, u64, ValueType)> {
-        let (reader, _) = TableReader::open(vfs.open(&sst_file_name(number)).unwrap()).unwrap();
-        let mut out = Vec::new();
-        for h in reader.block_handles().unwrap() {
-            let fetch = reader.read_block(h).unwrap();
-            let block = Block::parse(fetch.data).unwrap();
-            let mut it = block.iter();
-            while it.advance().unwrap() {
-                let ik = InternalKey::decode(it.key()).unwrap();
-                out.push((
-                    String::from_utf8(ik.user_key().to_vec()).unwrap(),
-                    ik.sequence(),
-                    ik.value_type(),
-                ));
-            }
-        }
-        out
-    }
-
     #[test]
     fn filter_converts_to_tombstone_off_bottom_and_drops_at_bottom() {
         let vfs = MemVfs::new();
@@ -679,7 +507,7 @@ mod tests {
             &vfs,
             FileNumber(1),
             &[Arc::new(mt)],
-            TableConfig::default(),
+            &TableConfig::default(),
             &FilterContext::default(),
         )
         .unwrap()

@@ -290,7 +290,7 @@ impl DbInner {
             Job::Flush { file_number, mems } => {
                 let ctx = self.filter_context();
                 let built =
-                    build_l0_table(self.vfs.as_ref(), file_number, &mems, self.table_config(), &ctx);
+                    build_l0_table(self.vfs.as_ref(), file_number, &mems, &self.table_config(), &ctx);
                 match built {
                     Ok(out) => {
                         t.inc(Ticker::FlushJobs);

@@ -1,5 +1,6 @@
-//! Range scans: a k-way merge over one stepping cursor per memtable,
-//! per L0 file, and per deeper level.
+//! Range scans: the shared k-way merge over one stepping cursor per
+//! memtable, per L0 file, and per deeper level, with the user-visible
+//! filtering (snapshot bound, dedup, tombstones, TTL) on top.
 
 use std::sync::Arc;
 
@@ -9,11 +10,11 @@ use super::read::ReadView;
 use super::{Db, DbInner, ReadOptions, ScanResult};
 use crate::error::Result;
 use crate::filter::{split_ttl_value, ttl_expired};
-use crate::memtable::{MemTable, MemTableCursor};
-use crate::sstable::block::OwnedBlockIter;
-use crate::sstable::table::{BlockHandle, TableReader};
+use crate::memtable::MemTableCursor;
+use crate::merge::{split_internal_key, Cursor, MergingCursor};
+use crate::sstable::table::TableCursor;
 use crate::stats::Ticker;
-use crate::types::{internal_key_cmp, ValueType};
+use crate::types::ValueType;
 use crate::version::FileMetadata;
 
 impl Db {
@@ -37,19 +38,13 @@ impl Db {
         let ReadView { mem, imm, version, snapshot } = inner.read_view(ropts)?;
 
         let target = crate::types::lookup_key(start, snapshot);
-        let mut cursors: Vec<Box<dyn ScanCursor>> = Vec::new();
-        cursors.push(Box::new(MemCursor::new(mem, target.encoded())));
-        for m in imm {
-            cursors.push(Box::new(MemCursor::new(m, target.encoded())));
+        let mut sources: Vec<Box<dyn Cursor + '_>> = Vec::new();
+        for m in std::iter::once(mem).chain(imm) {
+            sources.push(Box::new(MemTableCursor::seek(m, target.encoded())));
         }
         for f in version.files(0) {
             if f.largest.user_key() >= start {
-                cursors.push(Box::new(FileCursor::open(
-                    inner,
-                    Arc::clone(f),
-                    target.encoded(),
-                    *ropts,
-                )?));
+                sources.push(inner.file_cursor(f, target.encoded(), *ropts)?);
             }
         }
         for level in 1..version.num_levels() {
@@ -60,14 +55,19 @@ impl Db {
                 .cloned()
                 .collect();
             if !files.is_empty() {
-                cursors.push(Box::new(LevelCursor::open(
+                let mut cursor = LevelCursor {
                     inner,
                     files,
-                    target.encoded(),
-                    *ropts,
-                )?));
+                    next_file: 0,
+                    current: None,
+                    target: target.encoded().to_vec(),
+                    ropts: *ropts,
+                };
+                cursor.open_next()?;
+                sources.push(Box::new(cursor));
             }
         }
+        let mut merged = MergingCursor::new(sources);
 
         let mut out = Vec::with_capacity(count.min(4096));
         // Reused dedup buffer: per-entry cost is the two owned result
@@ -80,59 +80,32 @@ impl Db {
         let ttl_seconds = inner.opts().ttl_seconds;
         let scan_now_secs = inner.now_secs();
         while out.len() < count {
-            // Pick the smallest current key across cursors.
-            let mut best: Option<usize> = None;
-            for (i, c) in cursors.iter().enumerate() {
-                if let Some(k) = c.key() {
-                    match best {
-                        None => best = Some(i),
-                        Some(b) => {
-                            let bk = cursors[b].key().expect("best cursor valid");
-                            if internal_key_cmp(k, bk) == std::cmp::Ordering::Less {
-                                best = Some(i);
-                            }
-                        }
-                    }
-                }
-            }
-            let Some(idx) = best else { break };
-            let key = cursors[idx].key().expect("valid").to_vec();
-            let value = cursors[idx].value().expect("valid").to_vec();
-            cursors[idx].advance(inner)?;
+            let Some(key) = merged.key() else { break };
             cpu += inner.cost.scan_entry_cpu;
-
-            let user_len = key.len() - 8;
-            let user_key = &key[..user_len];
-            let tag = u64::from_le_bytes(key[user_len..].try_into().expect("tag"));
-            if (tag >> 8) > snapshot {
-                // The seek target only bounds the first key; entries for
-                // later keys can carry sequences past our read snapshot
-                // (e.g. a group commit applying concurrently). Skipping
-                // them keeps scans atomic with respect to batches.
-                continue;
-            }
-            if have_last && last_user.as_slice() == user_key {
-                continue; // shadowed
-            }
-            last_user.clear();
-            last_user.extend_from_slice(user_key);
-            have_last = true;
-            if (tag & 0xff) == ValueType::Deletion as u64 {
-                continue; // tombstone
-            }
-            let mut value = value;
-            if (tag & 0xff) == ValueType::TtlValue as u64 {
-                let (v, written) = split_ttl_value(&value);
-                if written.is_some_and(|w| ttl_expired(w, scan_now_secs, ttl_seconds)) {
-                    continue; // expired: reads as absent
+            let (user_key, seq, ty) = split_internal_key(key);
+            // The seek target only bounds the first key; entries for
+            // later keys can carry sequences past our read snapshot
+            // (e.g. a group commit applying concurrently). Skipping
+            // them keeps scans atomic with respect to batches.
+            let shadowed = have_last && last_user.as_slice() == user_key;
+            if seq <= snapshot && !shadowed {
+                last_user.clear();
+                last_user.extend_from_slice(user_key);
+                have_last = true;
+                let value = merged.value();
+                if ty == ValueType::TtlValue as u8 {
+                    let (v, written) = split_ttl_value(value);
+                    // Expired entries read as absent.
+                    if !written.is_some_and(|w| ttl_expired(w, scan_now_secs, ttl_seconds)) {
+                        out.push((user_key.to_vec(), v.to_vec()));
+                    }
+                } else if ty != ValueType::Deletion as u8 {
+                    out.push((user_key.to_vec(), value.to_vec()));
                 }
-                let keep = v.len();
-                value.truncate(keep);
             }
-            // The key buffer becomes the result row's user key in place.
-            let mut row_key = key;
-            row_key.truncate(user_len);
-            out.push((row_key, value));
+            // Stepping past the last row too keeps the charged block
+            // fetches what they have always been.
+            merged.advance()?;
         }
         let factor =
             inner.foreground_contention(inner.env.clock().now()) * inner.env.memory().penalty_factor();
@@ -142,183 +115,73 @@ impl Db {
     }
 }
 
-trait ScanCursor {
-    fn key(&self) -> Option<&[u8]>;
-    fn value(&self) -> Option<&[u8]>;
-    fn advance(&mut self, inner: &DbInner) -> Result<()>;
-}
-
-/// Scan cursor over one memtable (active or immutable): a real stepping
-/// cursor, not a re-seek per entry. On the skiplist rep a step is one
-/// atomic pointer load; on the `BTreeMap` rep the cursor falls back to
-/// bounded range queries internally.
-struct MemCursor {
-    cur: MemTableCursor,
-}
-
-impl MemCursor {
-    fn new(mem: Arc<MemTable>, target: &[u8]) -> Self {
-        MemCursor {
-            cur: MemTableCursor::seek(mem, target),
-        }
-    }
-}
-
-impl ScanCursor for MemCursor {
-    fn key(&self) -> Option<&[u8]> {
-        self.cur.key()
-    }
-    fn value(&self) -> Option<&[u8]> {
-        self.cur.value()
-    }
-    fn advance(&mut self, _inner: &DbInner) -> Result<()> {
-        self.cur.advance();
-        Ok(())
-    }
-}
-
-/// Scan cursor over one SST file. Blocks come out of the block cache as
-/// shared `Arc<Block>`s and are walked in place by an [`OwnedBlockIter`];
-/// nothing is copied until an entry is emitted into the scan result.
-struct FileCursor {
-    file: Arc<FileMetadata>,
-    reader: Arc<TableReader>,
-    handles: Vec<BlockHandle>,
-    next_block: usize,
-    iter: Option<OwnedBlockIter>,
-    ropts: ReadOptions,
-}
-
-impl FileCursor {
-    fn open(
-        inner: &DbInner,
-        file: Arc<FileMetadata>,
+impl DbInner {
+    /// Opens a cursor over `file` positioned at `target`. Blocks come out
+    /// of the block cache as shared `Arc<Block>`s and are walked in
+    /// place; nothing is copied until an entry is emitted into the scan
+    /// result.
+    fn file_cursor<'a>(
+        &'a self,
+        file: &FileMetadata,
         target: &[u8],
         ropts: ReadOptions,
-    ) -> Result<FileCursor> {
+    ) -> Result<Box<dyn Cursor + 'a>> {
         let mut cpu = SimDuration::ZERO;
-        let reader = inner.open_table(&file, &ropts, &mut cpu)?;
+        let reader = self.open_table(file, &ropts, &mut cpu)?;
         let handles = reader.block_handles()?;
-        inner.env.clock().advance(cpu);
-        let mut c = FileCursor {
-            file,
-            reader,
-            handles,
-            next_block: 0,
-            iter: None,
-            ropts,
+        self.env.clock().advance(cpu);
+        let number = file.number;
+        let fetch = move |handle| {
+            let mut cpu = SimDuration::ZERO;
+            let block = self.fetch_block(&reader, number, handle, &ropts, &mut cpu)?;
+            self.env.clock().advance(cpu);
+            Ok(block)
         };
-        // Skip blocks wholly before the target using the index order.
-        c.load_until(inner, target)?;
-        Ok(c)
-    }
-
-    fn load_until(&mut self, inner: &DbInner, target: &[u8]) -> Result<()> {
-        loop {
-            self.load_next_block(inner)?;
-            let Some(it) = self.iter.as_mut() else {
-                return Ok(()); // exhausted
-            };
-            if it.seek(target)? {
-                return Ok(());
-            }
-            // Every key in this block was < target; try the next one.
-        }
-    }
-
-    fn load_next_block(&mut self, inner: &DbInner) -> Result<()> {
-        self.iter = None;
-        let mut cpu = SimDuration::ZERO;
-        while self.next_block < self.handles.len() {
-            let block = inner.fetch_block(
-                &self.reader,
-                self.file.number,
-                self.handles[self.next_block],
-                &self.ropts,
-                &mut cpu,
-            )?;
-            self.next_block += 1;
-            let mut it = OwnedBlockIter::new(block);
-            if it.advance()? {
-                self.iter = Some(it);
-                break;
-            }
-        }
-        inner.env.clock().advance(cpu);
-        Ok(())
+        Ok(Box::new(TableCursor::open(handles, fetch, Some(target))?))
     }
 }
 
-impl ScanCursor for FileCursor {
-    fn key(&self) -> Option<&[u8]> {
-        self.iter.as_ref().filter(|it| it.valid()).map(|it| it.key())
-    }
-    fn value(&self) -> Option<&[u8]> {
-        self.iter.as_ref().filter(|it| it.valid()).map(|it| it.value())
-    }
-    fn advance(&mut self, inner: &DbInner) -> Result<()> {
-        if let Some(it) = self.iter.as_mut() {
-            if !it.advance()? {
-                self.load_next_block(inner)?;
-            }
-        }
-        Ok(())
-    }
-}
-
-struct LevelCursor {
+/// The files of one sorted level, end to end; each is opened when the
+/// one before it runs out.
+struct LevelCursor<'a> {
+    inner: &'a DbInner,
     files: Vec<Arc<FileMetadata>>,
     next_file: usize,
-    current: Option<FileCursor>,
+    current: Option<Box<dyn Cursor + 'a>>,
     target: Vec<u8>,
     ropts: ReadOptions,
 }
 
-impl LevelCursor {
-    fn open(
-        inner: &DbInner,
-        files: Vec<Arc<FileMetadata>>,
-        target: &[u8],
-        ropts: ReadOptions,
-    ) -> Result<LevelCursor> {
-        let mut c = LevelCursor {
-            files,
-            next_file: 0,
-            current: None,
-            target: target.to_vec(),
-            ropts,
-        };
-        c.open_next(inner)?;
-        Ok(c)
-    }
-
-    fn open_next(&mut self, inner: &DbInner) -> Result<()> {
+impl LevelCursor<'_> {
+    fn open_next(&mut self) -> Result<()> {
         self.current = None;
         while self.next_file < self.files.len() {
-            let file = Arc::clone(&self.files[self.next_file]);
+            let file = &self.files[self.next_file];
             self.next_file += 1;
-            let cursor = FileCursor::open(inner, file, &self.target, self.ropts)?;
+            let cursor = self.inner.file_cursor(file, &self.target, self.ropts)?;
             if cursor.key().is_some() {
                 self.current = Some(cursor);
-                return Ok(());
+                break;
             }
         }
         Ok(())
     }
 }
 
-impl ScanCursor for LevelCursor {
+impl Cursor for LevelCursor<'_> {
     fn key(&self) -> Option<&[u8]> {
         self.current.as_ref().and_then(|c| c.key())
     }
-    fn value(&self) -> Option<&[u8]> {
-        self.current.as_ref().and_then(|c| c.value())
+
+    fn value(&self) -> &[u8] {
+        self.current.as_ref().map_or(&[], |c| c.value())
     }
-    fn advance(&mut self, inner: &DbInner) -> Result<()> {
+
+    fn advance(&mut self) -> Result<()> {
         if let Some(c) = &mut self.current {
-            c.advance(inner)?;
+            c.advance()?;
             if c.key().is_none() {
-                self.open_next(inner)?;
+                self.open_next()?;
             }
         }
         Ok(())

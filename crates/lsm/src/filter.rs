@@ -5,8 +5,9 @@
 //! # Snapshot safety
 //!
 //! A [`FilterContext`] bundles the filter with the sequence numbers of
-//! every pinned snapshot (see `Db::pin_snapshot`). The merge loops in
-//! `flush.rs` and `compaction/job.rs` consult the pins before acting:
+//! every pinned snapshot (see `Db::pin_snapshot`). The one merge that
+//! writes tables (`merge.rs`, for flush and compaction alike) consults the
+//! pins before acting:
 //!
 //! - A filter may only drop the newest version of a key when **no** pin
 //!   can see it (every pinned sequence is below the entry's sequence).

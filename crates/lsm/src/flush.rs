@@ -1,13 +1,13 @@
 //! Flush: merging immutable memtables into one L0 table file.
 
-use std::cmp::Ordering;
 use std::sync::Arc;
 
-use crate::error::Result;
-use crate::filter::{FilterContext, FilterDecision};
+use crate::error::{Error, Result};
+use crate::filter::FilterContext;
 use crate::memtable::MemTable;
-use crate::sstable::table::{FinishedTable, TableBuilder, TableConfig};
-use crate::types::{internal_key_cmp, FileNumber, SequenceNumber, ValueType};
+use crate::merge::{write_tables, Cursor};
+use crate::sstable::table::{FinishedTable, TableConfig};
+use crate::types::FileNumber;
 use crate::vfs::Vfs;
 
 /// Name of an SST file on the VFS.
@@ -24,14 +24,11 @@ pub struct FlushOutput {
     pub entries_dropped: u64,
 }
 
-/// Merges `mems` (newest last) into a single L0 table.
-///
-/// Shadowed versions of a user key are dropped unless a pinned snapshot
-/// in `ctx` still resolves to them; tombstones are always kept because
-/// older versions may exist in deeper levels. A [`FilterContext`] filter
-/// is consulted for the newest version of each key (when no pin can see
-/// it) and a filtered entry is rewritten into a tombstone rather than
-/// removed, so deeper versions are never resurrected.
+/// Merges `mems` into a single L0 table, under the retention rules of
+/// [`write_tables`]. L0 is never bottommost (older versions may exist in
+/// deeper levels), so tombstones are always kept and a filtered entry
+/// becomes a tombstone; the only entries dropped are shadowed versions
+/// no pinned snapshot resolves to.
 ///
 /// # Errors
 ///
@@ -41,103 +38,28 @@ pub fn build_l0_table(
     vfs: &dyn Vfs,
     number: FileNumber,
     mems: &[Arc<MemTable>],
-    config: TableConfig,
+    config: &TableConfig,
     ctx: &FilterContext,
 ) -> Result<FlushOutput> {
-    let file = vfs.create(&sst_file_name(number))?;
-    let mut builder = TableBuilder::new(file, config);
-
-    // K-way merge over the memtables' sorted iterators. Ties on user key
-    // are impossible at the internal-key level (sequence numbers are
-    // unique), and internal-key order puts the newest version first.
     let views: Vec<_> = mems.iter().map(|m| m.view()).collect();
-    let mut iters: Vec<_> = views.iter().map(|v| v.iter().peekable()).collect();
-    let mut last_user_key: Option<Vec<u8>> = None;
-    let mut prev_seq: SequenceNumber = 0;
-    let mut entries_dropped = 0u64;
-    loop {
-        let mut best: Option<(usize, &[u8])> = None;
-        for (i, it) in iters.iter_mut().enumerate() {
-            if let Some((k, _)) = it.peek() {
-                match best {
-                    None => best = Some((i, k)),
-                    Some((_, bk)) if internal_key_cmp(k, bk) == Ordering::Less => {
-                        best = Some((i, k))
-                    }
-                    _ => {}
-                }
-            }
-        }
-        let Some((idx, _)) = best else { break };
-        let (key, value) = iters[idx].next().expect("peeked entry exists");
-        let user_key = &key[..key.len() - 8];
-        let tag = u64::from_le_bytes(key[key.len() - 8..].try_into().expect("8-byte tag"));
-        let seq = tag >> 8;
-        if last_user_key.as_deref() == Some(user_key) {
-            // Shadowed older version: survives only while some pinned
-            // snapshot still resolves to it (prev_seq holds the
-            // next-newer version's sequence).
-            if ctx.pin_in(seq, prev_seq) {
-                builder.add(key, value)?;
-            } else {
-                entries_dropped += 1;
-            }
-            prev_seq = seq;
-            continue;
-        }
-        last_user_key = Some(user_key.to_vec());
-        prev_seq = seq;
-        if let Some(f) = ctx.filter.as_deref() {
-            let ty = ValueType::from_u8((tag & 0xff) as u8);
-            if ty.is_some_and(ValueType::is_value)
-                && ctx.unpinned(seq)
-                && f.filter(user_key, ty.expect("checked"), value) == FilterDecision::Remove
-            {
-                // L0 is never bottommost, so a filtered entry becomes a
-                // tombstone to keep shadowing deeper versions.
-                let mut tomb = key.to_vec();
-                let n = tomb.len();
-                tomb[n - 8..]
-                    .copy_from_slice(&((seq << 8) | ValueType::Deletion as u64).to_le_bytes());
-                builder.add(&tomb, b"")?;
-                continue;
-            }
-        }
-        builder.add(key, value)?;
-    }
+    let sources = views.iter().map(|v| Box::new(v.cursor()) as Box<dyn Cursor + '_>).collect();
+    let mut merged = write_tables(vfs, sources, false, u64::MAX, config, ctx, || number)?;
+    let (_, table) = merged
+        .files
+        .pop()
+        .ok_or_else(|| Error::invalid_argument("cannot finish an empty table"))?;
     Ok(FlushOutput {
-        table: builder.finish()?,
-        entries_dropped,
+        table,
+        entries_dropped: merged.entries_read - merged.entries_written,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sstable::block::Block;
-    use crate::sstable::table::TableReader;
-    use crate::types::{InternalKey, ValueType};
+    use crate::sstable::table::table_entries;
+    use crate::types::ValueType;
     use crate::vfs::MemVfs;
-
-    fn read_all_entries(vfs: &MemVfs, number: FileNumber) -> Vec<(Vec<u8>, u64, ValueType, Vec<u8>)> {
-        let (reader, _) = TableReader::open(vfs.open(&sst_file_name(number)).unwrap()).unwrap();
-        let mut out = Vec::new();
-        for h in reader.block_handles().unwrap() {
-            let fetch = reader.read_block(h).unwrap();
-            let block = Block::parse(fetch.data).unwrap();
-            let mut it = block.iter();
-            while it.advance().unwrap() {
-                let ik = InternalKey::decode(it.key()).unwrap();
-                out.push((
-                    ik.user_key().to_vec(),
-                    ik.sequence(),
-                    ik.value_type(),
-                    it.value().to_vec(),
-                ));
-            }
-        }
-        out
-    }
 
     #[test]
     fn single_memtable_flush() {
@@ -150,13 +72,13 @@ mod tests {
             &vfs,
             FileNumber(1),
             &[Arc::new(mt)],
-            TableConfig::default(),
+            &TableConfig::default(),
             &FilterContext::default(),
         )
         .unwrap();
         assert_eq!(out.table.properties.num_entries, 100);
         assert_eq!(out.entries_dropped, 0);
-        let entries = read_all_entries(&vfs, FileNumber(1));
+        let entries = table_entries(&vfs, FileNumber(1));
         assert_eq!(entries.len(), 100);
         assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
     }
@@ -174,13 +96,13 @@ mod tests {
             &vfs,
             FileNumber(2),
             &[Arc::new(old), Arc::new(new)],
-            TableConfig::default(),
+            &TableConfig::default(),
             &FilterContext::default(),
         )
         .unwrap();
         assert_eq!(out.table.properties.num_entries, 3, "shadowed dup dropped");
         assert_eq!(out.entries_dropped, 1);
-        let entries = read_all_entries(&vfs, FileNumber(2));
+        let entries = table_entries(&vfs, FileNumber(2));
         let dup = entries.iter().find(|e| e.0 == b"dup").unwrap();
         assert_eq!(dup.3, b"new");
         assert_eq!(dup.1, 10);
@@ -196,11 +118,11 @@ mod tests {
             &vfs,
             FileNumber(3),
             &[Arc::new(mt)],
-            TableConfig::default(),
+            &TableConfig::default(),
             &FilterContext::default(),
         )
         .unwrap();
-        let entries = read_all_entries(&vfs, FileNumber(3));
+        let entries = table_entries(&vfs, FileNumber(3));
         assert_eq!(entries.len(), 1);
         assert_eq!(entries[0].2, ValueType::Deletion);
     }
@@ -217,12 +139,12 @@ mod tests {
             &vfs,
             FileNumber(5),
             &[Arc::new(mt)],
-            TableConfig::default(),
+            &TableConfig::default(),
             &ctx,
         )
         .unwrap();
         assert_eq!(out.entries_dropped, 0);
-        let entries = read_all_entries(&vfs, FileNumber(5));
+        let entries = table_entries(&vfs, FileNumber(5));
         assert_eq!(entries.len(), 2, "both versions survive");
         assert_eq!(entries[0].1, 7, "newest first");
         assert_eq!(entries[1].1, 3);
@@ -251,11 +173,11 @@ mod tests {
             &vfs,
             FileNumber(6),
             &[Arc::new(mt)],
-            TableConfig::default(),
+            &TableConfig::default(),
             &ctx,
         )
         .unwrap();
-        let entries = read_all_entries(&vfs, FileNumber(6));
+        let entries = table_entries(&vfs, FileNumber(6));
         assert_eq!(entries.len(), 2);
         assert_eq!(entries[0].2, ValueType::Deletion, "filtered value became a tombstone");
         assert_eq!(entries[0].1, 1, "sequence preserved");
@@ -286,11 +208,11 @@ mod tests {
             &vfs,
             FileNumber(7),
             &[Arc::new(mt)],
-            TableConfig::default(),
+            &TableConfig::default(),
             &ctx,
         )
         .unwrap();
-        let entries = read_all_entries(&vfs, FileNumber(7));
+        let entries = table_entries(&vfs, FileNumber(7));
         assert_eq!(entries.len(), 1);
         assert_eq!(entries[0].2, ValueType::Value);
         assert_eq!(entries[0].3, b"v");
@@ -308,7 +230,7 @@ mod tests {
             &vfs,
             FileNumber(4),
             &[Arc::new(a), Arc::new(b)],
-            TableConfig::default(),
+            &TableConfig::default(),
             &FilterContext::default(),
         )
         .unwrap()

@@ -46,6 +46,7 @@ mod error;
 mod flush;
 mod listener;
 mod memtable;
+mod merge;
 mod runtime;
 mod shard;
 mod stats;

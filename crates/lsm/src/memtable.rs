@@ -28,6 +28,8 @@ use std::sync::Arc;
 
 use parking_lot::{RwLock, RwLockReadGuard};
 
+use crate::error::Result;
+use crate::merge::Cursor;
 use crate::options::MemtableRep;
 use crate::sstable::bloom::{BloomBuilder, BloomFilter};
 use crate::types::{internal_key_cmp, InternalKey, SequenceNumber, ValueType};
@@ -334,46 +336,15 @@ impl MemTable {
     /// A stable iteration view over the entries, in internal-key order.
     ///
     /// For the map representation the view holds the read lock for its
-    /// lifetime; for the skiplist it is lock-free. Used by flush to feed
-    /// the k-way merge.
+    /// lifetime; for the skiplist it is lock-free. This is the full pass
+    /// flush makes over an immutable memtable: nothing contends for the
+    /// lock, and the map is walked in place instead of re-seeking and
+    /// cloning per entry as [`MemTableCursor`] must.
     pub fn view(&self) -> MemTableView<'_> {
         MemTableView(match &self.rep {
             Rep::BTree(map) => ViewInner::BTree(map.read()),
             Rep::Skip(list) => ViewInner::Skip(list),
         })
-    }
-
-    /// Returns the first entry with internal key >= `target` (or strictly
-    /// greater when `exclusive`), as owned `(encoded_key, value)`.
-    ///
-    /// This is the re-seek primitive the map-backed scan cursor falls back
-    /// to; skiplist scans step through [`MemTableCursor`] instead.
-    pub fn next_at_or_after(&self, target: &[u8], exclusive: bool) -> Option<(Vec<u8>, Vec<u8>)> {
-        match &self.rep {
-            Rep::BTree(map) => {
-                let bound = if exclusive {
-                    Bound::Excluded(OrderedKey(target.to_vec()))
-                } else {
-                    Bound::Included(OrderedKey(target.to_vec()))
-                };
-                map.read()
-                    .range((bound, Bound::Unbounded))
-                    .next()
-                    .map(|(k, v)| (k.0.clone(), v.clone()))
-            }
-            Rep::Skip(list) => {
-                let mut node = list.seek(target);
-                // SAFETY: non-null nodes are valid for the list's lifetime.
-                if exclusive && !node.is_null() && unsafe { (*node).key() } == target {
-                    node = unsafe { list.next(node) };
-                }
-                if node.is_null() {
-                    None
-                } else {
-                    unsafe { Some(((*node).key().to_vec(), (*node).value().to_vec())) }
-                }
-            }
-        }
     }
 
     /// Builds an optional SST-style bloom filter over the distinct user
@@ -430,6 +401,32 @@ impl MemTableView<'_> {
             ViewInner::Skip(list) => IterInner::Skip(list.iter()),
         })
     }
+
+    /// The view as a merge source, positioned at its first entry.
+    pub(crate) fn cursor(&self) -> impl Cursor + '_ {
+        let mut iter = self.iter();
+        ViewCursor { current: iter.next(), iter }
+    }
+}
+
+struct ViewCursor<'a> {
+    iter: MemViewIter<'a>,
+    current: Option<(&'a [u8], &'a [u8])>,
+}
+
+impl Cursor for ViewCursor<'_> {
+    fn key(&self) -> Option<&[u8]> {
+        self.current.map(|(k, _)| k)
+    }
+
+    fn value(&self) -> &[u8] {
+        self.current.map_or(&[], |(_, v)| v)
+    }
+
+    fn advance(&mut self) -> Result<()> {
+        self.current = self.iter.next();
+        Ok(())
+    }
 }
 
 enum IterInner<'a> {
@@ -464,10 +461,12 @@ enum CursorState {
 /// target and advanced entry by entry.
 ///
 /// Over the skiplist this is a true cursor: each step is one atomic load,
-/// no lock, no allocation. Over the map it falls back to a re-seek per
-/// step (the historical behavior). The cursor shares ownership of the
-/// memtable, so it stays valid after the memtable is rotated out of the
-/// active slot or scheduled for flush.
+/// no lock, no allocation. Over the map it re-seeks per step and owns a
+/// copy of the current entry, so no lock is held between steps. That is
+/// what scans need over the live memtable, where a [`MemTable::view`]
+/// would block writers for as long as the scan waits on table reads.
+/// The cursor shares ownership of the memtable, so it stays valid after
+/// the memtable is rotated out of the active slot or scheduled for flush.
 pub struct MemTableCursor {
     mem: Arc<MemTable>,
     state: CursorState,
@@ -479,7 +478,7 @@ impl MemTableCursor {
     pub fn seek(mem: Arc<MemTable>, target: &[u8]) -> Self {
         let state = match &mem.rep {
             Rep::Skip(list) => CursorState::Skip(list.seek(target)),
-            Rep::BTree(_) => CursorState::BTree(mem.next_at_or_after(target, false)),
+            Rep::BTree(map) => CursorState::BTree(btree_entry_from(map, Bound::Included(target))),
         };
         MemTableCursor { mem, state }
     }
@@ -520,12 +519,42 @@ impl MemTableCursor {
                 }
             }
             CursorState::BTree(cur) => {
-                *cur = match cur.take() {
-                    Some((k, _)) => self.mem.next_at_or_after(&k, true),
-                    None => None,
-                };
+                if let Some((k, _)) = cur.take() {
+                    let Rep::BTree(map) = &self.mem.rep else {
+                        unreachable!("map cursor over non-map memtable")
+                    };
+                    *cur = btree_entry_from(map, Bound::Excluded(&k));
+                }
             }
         }
+    }
+}
+
+/// The first map entry within `from`, copied out under a momentary read
+/// lock.
+fn btree_entry_from(
+    map: &RwLock<BTreeMap<OrderedKey, Vec<u8>>>,
+    from: Bound<&[u8]>,
+) -> Option<(Vec<u8>, Vec<u8>)> {
+    let from = from.map(|k| OrderedKey(k.to_vec()));
+    map.read()
+        .range((from, Bound::Unbounded))
+        .next()
+        .map(|(k, v)| (k.0.clone(), v.clone()))
+}
+
+impl Cursor for MemTableCursor {
+    fn key(&self) -> Option<&[u8]> {
+        MemTableCursor::key(self)
+    }
+
+    fn value(&self) -> &[u8] {
+        MemTableCursor::value(self).unwrap_or(&[])
+    }
+
+    fn advance(&mut self) -> Result<()> {
+        MemTableCursor::advance(self);
+        Ok(())
     }
 }
 

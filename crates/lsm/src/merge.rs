@@ -1,0 +1,189 @@
+//! Ordered cursors over encoded internal keys, the one k-way merge built
+//! on them, and the one routine that writes a merged stream to tables.
+//!
+//! Scans, flushes and compactions all read their sources through
+//! [`Cursor`] and merge them with [`MergingCursor`]. Flushes and
+//! compactions then hand the merged stream to [`write_tables`], which is
+//! the only place that knows which versions of a key may be dropped; a
+//! flush is simply a merge of memtable sources that is never bottommost
+//! and never cuts its output.
+
+use crate::error::Result;
+use crate::filter::{FilterContext, FilterDecision};
+use crate::flush::sst_file_name;
+use crate::sstable::table::{FinishedTable, TableBuilder, TableConfig};
+use crate::types::{internal_key_cmp, FileNumber, SequenceNumber, ValueType};
+use crate::vfs::Vfs;
+
+/// A forward cursor over entries in internal-key order (user key
+/// ascending, sequence descending).
+pub(crate) trait Cursor {
+    /// The current entry's encoded internal key; `None` once exhausted.
+    fn key(&self) -> Option<&[u8]>;
+    /// The current entry's value. Meaningful only while [`key`](Self::key)
+    /// is `Some`.
+    fn value(&self) -> &[u8];
+    /// Steps to the next entry.
+    fn advance(&mut self) -> Result<()>;
+}
+
+/// Merges several cursors into one, smallest internal key first.
+///
+/// Sequence numbers are unique, so two sources never hold the same
+/// internal key; the newest version of a user key always comes out first.
+pub(crate) struct MergingCursor<'a> {
+    sources: Vec<Box<dyn Cursor + 'a>>,
+    /// Index of the source holding the smallest current key.
+    current: Option<usize>,
+}
+
+impl<'a> MergingCursor<'a> {
+    pub(crate) fn new(sources: Vec<Box<dyn Cursor + 'a>>) -> Self {
+        let mut merged = MergingCursor { sources, current: None };
+        merged.pick();
+        merged
+    }
+
+    fn pick(&mut self) {
+        let mut best: Option<(usize, &[u8])> = None;
+        for (i, source) in self.sources.iter().enumerate() {
+            if let Some(key) = source.key() {
+                if best.is_none_or(|(_, smallest)| internal_key_cmp(key, smallest).is_lt()) {
+                    best = Some((i, key));
+                }
+            }
+        }
+        self.current = best.map(|(i, _)| i);
+    }
+}
+
+impl Cursor for MergingCursor<'_> {
+    fn key(&self) -> Option<&[u8]> {
+        self.current.and_then(|i| self.sources[i].key())
+    }
+
+    fn value(&self) -> &[u8] {
+        self.current.map_or(&[], |i| self.sources[i].value())
+    }
+
+    fn advance(&mut self) -> Result<()> {
+        if let Some(i) = self.current {
+            self.sources[i].advance()?;
+            self.pick();
+        }
+        Ok(())
+    }
+}
+
+/// Splits an encoded internal key into user key, sequence and raw type
+/// byte.
+pub(crate) fn split_internal_key(key: &[u8]) -> (&[u8], SequenceNumber, u8) {
+    let (user_key, tag) = key.split_at(key.len() - 8);
+    let tag = u64::from_le_bytes(tag.try_into().expect("8-byte tag"));
+    (user_key, tag >> 8, tag as u8)
+}
+
+/// The tables a merge wrote, with its entry accounting.
+#[derive(Debug)]
+pub(crate) struct MergeOutput {
+    /// Output files in key order.
+    pub files: Vec<(FileNumber, FinishedTable)>,
+    /// Entries examined.
+    pub entries_read: u64,
+    /// Entries emitted.
+    pub entries_written: u64,
+}
+
+/// Merges `sources` and writes the surviving entries to tables of up to
+/// `target_file_size` uncompressed bytes each, numbered by `alloc_file`.
+///
+/// This is the retention policy of the engine, in one place:
+///
+/// - A shadowed (older) version of a user key is dropped unless a pinned
+///   snapshot in `ctx` still resolves to it.
+/// - The filter in `ctx` is consulted for the newest version of each key,
+///   for values only, and only when no pin can see that version.
+/// - A tombstone, or a value the filter removed, is dropped outright only
+///   when the merge is `bottommost` (nothing deeper can hold an older
+///   version of the key) and every pin already sees it; otherwise the
+///   tombstone is kept, and the filtered value is rewritten into a
+///   tombstone at the same sequence, so deeper versions stay shadowed.
+///
+/// # Errors
+///
+/// Returns I/O or corruption errors from reading sources or writing
+/// outputs; the caller cleans up partial output files.
+pub(crate) fn write_tables(
+    vfs: &dyn Vfs,
+    sources: Vec<Box<dyn Cursor + '_>>,
+    bottommost: bool,
+    target_file_size: u64,
+    config: &TableConfig,
+    ctx: &FilterContext,
+    mut alloc_file: impl FnMut() -> FileNumber,
+) -> Result<MergeOutput> {
+    let mut merged = MergingCursor::new(sources);
+    let mut out = MergeOutput { files: Vec::new(), entries_read: 0, entries_written: 0 };
+    let mut builder: Option<(FileNumber, TableBuilder)> = None;
+    let mut last_user_key: Option<Vec<u8>> = None;
+    // Sequence of the next-newer version of the current user key.
+    let mut newer_seq: SequenceNumber = 0;
+    let mut tombstone: Vec<u8> = Vec::new();
+
+    while let Some(key) = merged.key() {
+        out.entries_read += 1;
+        let (user_key, seq, ty) = split_internal_key(key);
+        let mut entry = Some((key, merged.value()));
+        if last_user_key.as_deref() == Some(user_key) {
+            if !ctx.pin_in(seq, newer_seq) {
+                entry = None;
+            }
+        } else {
+            let last = last_user_key.get_or_insert_with(Vec::new);
+            last.clear();
+            last.extend_from_slice(user_key);
+            let is_tombstone = ty == ValueType::Deletion as u8;
+            let filtered = !is_tombstone
+                && ctx.filter.as_deref().is_some_and(|f| {
+                    ValueType::from_u8(ty).is_some_and(|ty| {
+                        ctx.unpinned(seq)
+                            && f.filter(user_key, ty, merged.value()) == FilterDecision::Remove
+                    })
+                });
+            if is_tombstone || filtered {
+                if bottommost && ctx.visible_to_all_pins(seq) {
+                    entry = None;
+                } else if filtered {
+                    tombstone.clear();
+                    tombstone.extend_from_slice(user_key);
+                    tombstone
+                        .extend_from_slice(&((seq << 8) | ValueType::Deletion as u64).to_le_bytes());
+                    entry = Some((tombstone.as_slice(), &[][..]));
+                }
+            }
+        }
+        newer_seq = seq;
+
+        if let Some((key, value)) = entry {
+            let (_, table) = match &mut builder {
+                Some(open) => open,
+                None => {
+                    let number = alloc_file();
+                    let file = vfs.create(&sst_file_name(number))?;
+                    builder.insert((number, TableBuilder::new(file, config.clone())))
+                }
+            };
+            table.add(key, value)?;
+            out.entries_written += 1;
+            if table.raw_bytes() >= target_file_size {
+                let (number, table) = builder.take().expect("builder exists");
+                out.files.push((number, table.finish()?));
+            }
+        }
+        merged.advance()?;
+    }
+    if let Some((number, table)) = builder {
+        out.files.push((number, table.finish()?));
+    }
+    Ok(out)
+}

@@ -11,7 +11,7 @@
 //! Keys are *encoded internal keys*; ordering uses the internal-key
 //! comparator.
 
-use std::sync::Arc;
+use std::ops::Deref;
 
 use crate::error::{Error, Result};
 use crate::types::internal_key_cmp;
@@ -169,14 +169,8 @@ impl Block {
     }
 
     /// Returns an iterator positioned before the first entry.
-    pub fn iter(&self) -> BlockIter<'_> {
-        BlockIter {
-            block: self,
-            offset: 0,
-            key: Vec::new(),
-            value_range: (0, 0),
-            valid: false,
-        }
+    pub fn iter(&self) -> BlockIter<&Block> {
+        BlockIter::new(self)
     }
 
     /// Finds the first entry with internal key >= `target`; returns its
@@ -252,92 +246,26 @@ impl Block {
     }
 }
 
-/// Forward iterator over a [`Block`].
-#[derive(Debug)]
-pub struct BlockIter<'a> {
-    block: &'a Block,
-    offset: usize,
-    key: Vec<u8>,
-    value_range: (usize, usize),
-    valid: bool,
-}
-
-impl<'a> BlockIter<'a> {
-    /// Advances to the next entry; returns `false` at the end.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ErrorKind::Corruption`](crate::ErrorKind) on malformed entries.
-    pub fn advance(&mut self) -> Result<bool> {
-        match self.block.decode_entry_at(self.offset, &mut self.key)? {
-            Some((next, range)) => {
-                self.value_range = range;
-                self.offset = next;
-                self.valid = true;
-                Ok(true)
-            }
-            None => {
-                self.valid = false;
-                Ok(false)
-            }
-        }
-    }
-
-    /// Repositions at the first entry with internal key >= `target`;
-    /// returns `false` when every entry is smaller.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ErrorKind::Corruption`](crate::ErrorKind) on malformed entries.
-    pub fn seek(&mut self, target: &[u8]) -> Result<bool> {
-        self.offset = self.block.restart_offset_before(target)?;
-        self.key.clear();
-        self.valid = false;
-        while self.advance()? {
-            if internal_key_cmp(self.key(), target) != std::cmp::Ordering::Less {
-                return Ok(true);
-            }
-        }
-        Ok(false)
-    }
-
-    /// The current entry's encoded internal key.
-    ///
-    /// Only meaningful after [`advance`](Self::advance) returned `true`.
-    pub fn key(&self) -> &[u8] {
-        &self.key
-    }
-
-    /// The current entry's value.
-    pub fn value(&self) -> &[u8] {
-        &self.block.data[self.value_range.0..self.value_range.1]
-    }
-
-    /// Whether the iterator is positioned at an entry.
-    pub fn valid(&self) -> bool {
-        self.valid
-    }
-}
-
-/// Forward iterator that shares ownership of its block.
+/// Forward iterator over a [`Block`], generic over how the block is held.
 ///
-/// This is the zero-copy handoff for cached blocks: scans and probes hold
-/// the `Arc<Block>` straight out of the block cache and read values as
-/// slices into it, instead of re-parsing the payload or copying every
-/// entry out of the block.
+/// `BlockIter<&Block>` (from [`Block::iter`]) borrows; `BlockIter<Arc<Block>>`
+/// shares ownership, which is the zero-copy handoff for cached blocks:
+/// cursors hold the `Arc<Block>` straight out of the block cache and read
+/// values as slices into it, instead of re-parsing the payload or copying
+/// every entry out of the block.
 #[derive(Debug)]
-pub struct OwnedBlockIter {
-    block: Arc<Block>,
+pub struct BlockIter<B> {
+    block: B,
     offset: usize,
     key: Vec<u8>,
     value_range: (usize, usize),
     valid: bool,
 }
 
-impl OwnedBlockIter {
+impl<B: Deref<Target = Block>> BlockIter<B> {
     /// Creates an iterator positioned before the first entry.
-    pub fn new(block: Arc<Block>) -> Self {
-        OwnedBlockIter {
+    pub fn new(block: B) -> Self {
+        BlockIter {
             block,
             offset: 0,
             key: Vec::new(),
@@ -385,11 +313,13 @@ impl OwnedBlockIter {
     }
 
     /// The current entry's encoded internal key.
+    ///
+    /// Only meaningful after [`advance`](Self::advance) returned `true`.
     pub fn key(&self) -> &[u8] {
         &self.key
     }
 
-    /// The current entry's value, as a slice into the shared block.
+    /// The current entry's value, as a slice into the block.
     pub fn value(&self) -> &[u8] {
         &self.block.data[self.value_range.0..self.value_range.1]
     }
@@ -497,9 +427,11 @@ mod tests {
 
     #[test]
     fn owned_iter_seeks_and_scans_shared_block() {
+        use std::sync::Arc;
+
         let entries = [("aa", "1"), ("bb", "2"), ("dd", "3")];
         let block = Arc::new(build(&entries, 2));
-        let mut it = OwnedBlockIter::new(Arc::clone(&block));
+        let mut it = BlockIter::new(Arc::clone(&block));
         let target = crate::types::lookup_key(b"bb", u64::MAX);
         assert!(it.seek(target.encoded()).unwrap());
         assert_eq!(InternalKey::decode(it.key()).unwrap().user_key(), b"bb");

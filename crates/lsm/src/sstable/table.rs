@@ -21,7 +21,8 @@ use std::sync::Arc;
 
 use crate::error::{Error, Result};
 use crate::options::CompressionType;
-use crate::sstable::block::{Block, BlockBuilder};
+use crate::merge::Cursor;
+use crate::sstable::block::{Block, BlockBuilder, BlockIter};
 use crate::sstable::bloom::{BloomBuilder, BloomFilter};
 use crate::sstable::compress;
 use crate::types::InternalKey;
@@ -725,6 +726,102 @@ pub struct BlockFetch {
     pub io_bytes: u64,
     /// Whether decompression ran (for CPU cost accounting).
     pub was_compressed: bool,
+}
+
+/// A cursor over the entries of one table, walking each parsed block in
+/// place. The only thing that varies between callers is how a block is
+/// fetched: scans go through the block cache and charge device time,
+/// background jobs read directly (see [`direct_cursor`]).
+pub(crate) struct TableCursor<F> {
+    handles: Vec<BlockHandle>,
+    next_block: usize,
+    fetch: F,
+    /// Positioned at an entry, or `None` once the table is exhausted.
+    iter: Option<BlockIter<Arc<Block>>>,
+}
+
+impl<F: FnMut(BlockHandle) -> Result<Arc<Block>>> TableCursor<F> {
+    /// Positions a cursor over the data blocks `handles` at the first
+    /// entry with internal key >= `target` (the first entry when `None`).
+    /// Blocks are fetched front to back until one holds such an entry.
+    ///
+    /// # Errors
+    ///
+    /// Propagates `fetch` failures and block corruption.
+    pub(crate) fn open(handles: Vec<BlockHandle>, fetch: F, target: Option<&[u8]>) -> Result<Self> {
+        let mut cursor = TableCursor { handles, next_block: 0, fetch, iter: None };
+        cursor.next_block(target)?;
+        Ok(cursor)
+    }
+
+    fn next_block(&mut self, target: Option<&[u8]>) -> Result<()> {
+        self.iter = None;
+        while self.next_block < self.handles.len() {
+            let block = (self.fetch)(self.handles[self.next_block])?;
+            self.next_block += 1;
+            let mut it = BlockIter::new(block);
+            let positioned = match target {
+                Some(target) => it.seek(target)?,
+                None => it.advance()?,
+            };
+            if positioned {
+                self.iter = Some(it);
+                break;
+            }
+        }
+        Ok(())
+    }
+}
+
+impl<F: FnMut(BlockHandle) -> Result<Arc<Block>>> Cursor for TableCursor<F> {
+    fn key(&self) -> Option<&[u8]> {
+        self.iter.as_ref().map(|it| it.key())
+    }
+
+    fn value(&self) -> &[u8] {
+        self.iter.as_ref().map_or(&[], |it| it.value())
+    }
+
+    fn advance(&mut self) -> Result<()> {
+        if let Some(it) = &mut self.iter {
+            if !it.advance()? {
+                self.next_block(None)?;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// A cursor over every entry of `reader` that reads blocks straight from
+/// the file: uncached and uncharged, which is what flush and compaction
+/// want (their cost is modelled from byte and entry totals).
+///
+/// # Errors
+///
+/// Propagates read failures and corruption.
+pub(crate) fn direct_cursor(
+    reader: TableReader,
+) -> Result<TableCursor<impl FnMut(BlockHandle) -> Result<Arc<Block>>>> {
+    let handles = reader.block_handles()?;
+    let fetch = move |handle| Ok(Arc::new(Block::parse(reader.read_block(handle)?.data)?));
+    TableCursor::open(handles, fetch, None)
+}
+
+/// Test helper: every entry of table `number`, decoded.
+#[cfg(test)]
+pub(crate) fn table_entries(
+    vfs: &dyn crate::vfs::Vfs,
+    number: crate::types::FileNumber,
+) -> Vec<(Vec<u8>, u64, crate::types::ValueType, Vec<u8>)> {
+    let file = vfs.open(&crate::flush::sst_file_name(number)).unwrap();
+    let mut cursor = direct_cursor(TableReader::open(file).unwrap().0).unwrap();
+    let mut out = Vec::new();
+    while let Some(key) = cursor.key() {
+        let ik = InternalKey::decode(key).unwrap();
+        out.push((ik.user_key().to_vec(), ik.sequence(), ik.value_type(), cursor.value().to_vec()));
+        cursor.advance().unwrap();
+    }
+    out
 }
 
 fn read_verified_block(file: &dyn RandomAccessFile, handle: BlockHandle) -> Result<Vec<u8>> {
