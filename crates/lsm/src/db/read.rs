@@ -88,7 +88,8 @@ impl Db {
             MemTableGet::NotFound => {}
         }
         if found.is_none() {
-            for m in &imm {
+            // Newest first: the first memtable holding the key decides.
+            for m in imm.iter().rev() {
                 cpu += inner.cost.memtable_probe_cpu;
                 match m.get(key, snapshot) {
                     MemTableGet::Found(v) => {
@@ -203,7 +204,7 @@ impl Db {
                 MemTableGet::NotFound => {}
             }
         }
-        for m in &imm {
+        for m in imm.iter().rev() {
             if results.iter().all(Option::is_some) {
                 break;
             }
@@ -739,6 +740,32 @@ mod tests {
                     + without.tickers.get(Ticker::BlockCacheHit),
             "bloom avoids block fetches"
         );
+    }
+
+    #[test]
+    fn newest_immutable_memtable_wins_on_every_read_path() {
+        let env = env();
+        let mut opts = small_opts();
+        // Hold flushes back so several immutable memtables pile up.
+        opts.max_write_buffer_number = 6;
+        opts.min_write_buffer_number_to_merge = 4;
+        let db = Db::builder(opts).env(&env).open().unwrap();
+        for round in 1..=3 {
+            db.put(b"k", format!("v{round}").as_bytes()).unwrap();
+            let mut filler = 0;
+            while db.stats().immutable_memtables < round {
+                db.put(format!("fill-{round}-{filler:05}").as_bytes(), &[0u8; 100]).unwrap();
+                filler += 1;
+            }
+        }
+        let stats = db.stats();
+        assert_eq!(stats.immutable_memtables, 3);
+        assert_eq!(stats.tickers.get(Ticker::FlushJobs), 0, "nothing flushed yet");
+
+        let newest = Some(b"v3".to_vec());
+        assert_eq!(db.get(b"k").unwrap(), newest);
+        assert_eq!(db.multi_get(&[b"k".to_vec()]).unwrap(), vec![newest.clone()]);
+        assert_eq!(db.scan(b"k", 1).unwrap(), vec![(b"k".to_vec(), b"v3".to_vec())]);
     }
 
     #[test]
