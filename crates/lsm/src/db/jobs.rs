@@ -169,9 +169,11 @@ impl DbInner {
                 .filter(|(_, e)| !e.flushing)
                 .map(|(i, _)| i)
                 .collect();
-            // Flush when enough memtables accumulated, or when the write
-            // path is blocked on memtable count (can't wait for more).
-            let forced = state.imm.len() + 1 > opts.max_write_buffer_number as usize;
+            // Flush when enough memtables accumulated, when the write path
+            // is blocked on memtable count (can't wait for more), or when
+            // a manual flush is waiting on one of them.
+            let forced = state.imm.len() + 1 > opts.max_write_buffer_number as usize
+                || waiting.iter().any(|&i| state.imm[i].flush_requested);
             if !waiting.is_empty() && (waiting.len() >= min_merge || forced) {
                 return Some(Pick::Flush(waiting.into_iter().take(min_merge).collect()));
             }

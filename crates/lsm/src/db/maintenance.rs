@@ -16,7 +16,9 @@ use crate::wal::WalWriter;
 use crate::write_controller::WriteController;
 
 impl Db {
-    /// Flushes the active memtable and waits for all pending flushes.
+    /// Flushes the active memtable and waits until it and every memtable
+    /// already waiting have reached L0. The request overrides
+    /// `min_write_buffer_number_to_merge`, as RocksDB's manual flush does.
     ///
     /// # Errors
     ///
@@ -25,7 +27,10 @@ impl Db {
         let inner = &*self.inner;
         let mut state = inner.state.lock();
         inner.switch_memtable(&mut state)?;
-        inner.drive_until(&mut state, |s| s.imm.is_empty() && s.running_flushes == 0)
+        for entry in &mut state.imm {
+            entry.flush_requested = true;
+        }
+        inner.drive_until(&mut state, |s| !s.imm.iter().any(|e| e.flush_requested))
     }
 
     /// Runs compactions until the tree is quiescent (no picks pending).
@@ -347,6 +352,23 @@ mod tests {
     use super::*;
     use crate::options::Options;
     use crate::stats::Ticker;
+
+    #[test]
+    fn manual_flush_claims_fewer_memtables_than_min_merge() {
+        let env = HardwareEnv::builder().build_sim();
+        let opts = Options {
+            min_write_buffer_number_to_merge: 2,
+            max_write_buffer_number: 4,
+            ..Options::default()
+        };
+        let db = Db::builder(opts).env(&env).open().unwrap();
+        db.put(b"k", b"v").unwrap();
+        db.flush().unwrap();
+        let stats = db.stats();
+        assert_eq!(stats.immutable_memtables, 0);
+        assert_eq!(stats.tickers.get(Ticker::FlushJobs), 1);
+        assert_eq!(stats.levels[0].0, 1, "the lone memtable reached L0");
+    }
 
     #[test]
     fn compact_range_pushes_data_down() {

@@ -143,6 +143,9 @@ struct ImmEntry {
     mem: Arc<MemTable>,
     wal_number: u64,
     flushing: bool,
+    /// A manual [`Db::flush`] is waiting on this memtable: claim it even
+    /// below `min_write_buffer_number_to_merge`.
+    flush_requested: bool,
 }
 
 struct DbState {

@@ -436,6 +436,7 @@ impl DbInner {
             mem: old,
             wal_number: state.mem_wal_number,
             flushing: false,
+            flush_requested: false,
         });
         if !opts.disable_wal {
             state.mem_wal_number = self.start_wal(state)?;

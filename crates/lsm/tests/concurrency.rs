@@ -173,6 +173,32 @@ fn batches_are_atomic_under_concurrent_scans() {
 }
 
 #[test]
+fn manual_flush_claims_fewer_memtables_than_min_merge() {
+    let dir = TempDir::new("manual-flush");
+    let opts = Options {
+        min_write_buffer_number_to_merge: 2,
+        max_write_buffer_number: 4,
+        ..small_opts()
+    };
+    let db = Arc::new(open_real(&dir, opts));
+    db.put(b"k", b"v").unwrap();
+    // One immutable memtable is below the merge threshold and the write
+    // path is not blocked; only the manual request makes it claimable.
+    let (tx, rx) = std::sync::mpsc::channel();
+    let flusher = Arc::clone(&db);
+    std::thread::spawn(move || {
+        let _ = tx.send(flusher.flush());
+    });
+    rx.recv_timeout(std::time::Duration::from_secs(20))
+        .expect("Db::flush() never returned")
+        .unwrap();
+    let stats = db.stats();
+    assert_eq!(stats.immutable_memtables, 0);
+    assert_eq!(stats.levels[0].0, 1, "the lone memtable reached L0");
+    assert_eq!(db.get(b"k").unwrap(), Some(b"v".to_vec()));
+}
+
+#[test]
 fn recovery_after_drop_with_background_work_in_flight() {
     const KEYS: usize = 1500;
 
