@@ -187,3 +187,98 @@ pub(crate) fn write_tables(
     }
     Ok(out)
 }
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    use super::*;
+    use crate::compaction::run_compaction;
+    use crate::filter::CompactionFilter;
+    use crate::flush::build_l0_table;
+    use crate::memtable::MemTable;
+    use crate::sstable::table::table_entries;
+    use crate::version::FileMetadata;
+    use crate::vfs::MemVfs;
+
+    /// Removes every value whose first byte is even.
+    struct DropEvenValues;
+    impl CompactionFilter for DropEvenValues {
+        fn name(&self) -> &str {
+            "drop-even"
+        }
+        fn filter(&self, _k: &[u8], _ty: ValueType, v: &[u8]) -> FilterDecision {
+            if v.first().is_some_and(|b| b % 2 == 0) {
+                FilterDecision::Remove
+            } else {
+                FilterDecision::Keep
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Flush is a non-bottommost merge: flushing N memtables at once
+        /// leaves exactly the entries that flushing them one by one and
+        /// then merging the N tables off-bottom leaves, whatever the
+        /// history, the pinned snapshots and the filter.
+        #[test]
+        fn flushing_at_once_equals_flushing_one_by_one_then_merging(
+            ops in vec((0u8..6, any::<u8>(), 0u8..4, 0u8..8), 1..120),
+            pins in vec(0u64..130, 0..4),
+            use_filter in any::<bool>(),
+        ) {
+            // One op per sequence number; `cut == 0` rotates the memtable.
+            let mut mems = vec![MemTable::new(0)];
+            for (i, (key, value, kind, cut)) in ops.iter().enumerate() {
+                let (ty, value) = if *kind == 0 {
+                    (ValueType::Deletion, &[][..])
+                } else {
+                    (ValueType::Value, std::slice::from_ref(value))
+                };
+                let mem = mems.last().expect("never empty");
+                mem.add(i as u64 + 1, ty, &[b'k', *key], value);
+                if *cut == 0 {
+                    mems.push(MemTable::new(0));
+                }
+            }
+            let mems: Vec<Arc<MemTable>> =
+                mems.into_iter().filter(|m| !m.is_empty()).map(Arc::new).collect();
+            let mut pins = pins;
+            pins.sort_unstable();
+            pins.dedup();
+            let filter: Option<Arc<dyn CompactionFilter>> =
+                use_filter.then(|| Arc::new(DropEvenValues) as Arc<dyn CompactionFilter>);
+            let ctx = FilterContext { filter, pins };
+            let config = TableConfig::default();
+            let vfs = MemVfs::new();
+
+            build_l0_table(&vfs, FileNumber(1), &mems, &config, &ctx).unwrap();
+            let at_once = table_entries(&vfs, FileNumber(1));
+
+            let mut tables = Vec::new();
+            for (i, mem) in mems.iter().enumerate() {
+                let number = FileNumber(10 + i as u64);
+                let t = build_l0_table(&vfs, number, std::slice::from_ref(mem), &config, &ctx)
+                    .unwrap()
+                    .table;
+                tables.push(Arc::new(FileMetadata::new(
+                    number,
+                    t.file_size,
+                    t.smallest,
+                    t.largest,
+                    t.properties.num_entries,
+                )));
+            }
+            let merged =
+                run_compaction(&vfs, &tables, false, u64::MAX, &config, &ctx, || FileNumber(1000))
+                    .unwrap();
+            prop_assert_eq!(merged.files.len(), 1, "an off-bottom merge keeps every newest version");
+            prop_assert_eq!(table_entries(&vfs, FileNumber(1000)), at_once);
+        }
+    }
+}

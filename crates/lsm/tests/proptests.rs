@@ -10,7 +10,7 @@ use lsm_kvs::options::{CompressionType, Options};
 use lsm_kvs::sstable::block::{Block, BlockBuilder};
 use lsm_kvs::sstable::compress;
 use lsm_kvs::vfs::{MemVfs, Vfs};
-use lsm_kvs::{Db, InternalKey, MemTable, MemTableGet, ValueType, WriteBatch};
+use lsm_kvs::{Db, InternalKey, MemTable, MemTableGet, ReadOptions, ValueType, WriteBatch};
 
 fn key_strategy() -> impl Strategy<Value = Vec<u8>> {
     vec(any::<u8>(), 1..24)
@@ -184,5 +184,83 @@ proptest! {
             .collect();
         let scanned = db.scan(b"", live.len() + 10).unwrap();
         prop_assert_eq!(scanned, live);
+    }
+}
+
+/// `get`, `multi_get` and `scan` under `ropts` all return what `model`
+/// holds for the key space `key-0000..key-0150`.
+fn check_reads(
+    db: &Db,
+    ropts: &ReadOptions,
+    model: &BTreeMap<Vec<u8>, Vec<u8>>,
+) -> Result<(), TestCaseError> {
+    let keys: Vec<Vec<u8>> = (0..150).map(|k| format!("key-{k:04}").into_bytes()).collect();
+    let expected: Vec<Option<Vec<u8>>> = keys.iter().map(|k| model.get(k).cloned()).collect();
+    for (k, want) in keys.iter().zip(&expected) {
+        prop_assert_eq!(&db.get_opt(ropts, k).unwrap(), want, "get {:?}", k);
+    }
+    prop_assert_eq!(db.multi_get_opt(ropts, &keys).unwrap(), expected);
+    let live: Vec<(Vec<u8>, Vec<u8>)> = model.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
+    prop_assert_eq!(&db.scan_opt(ropts, b"", live.len() + 10).unwrap(), &live);
+    let from = &keys[keys.len() / 2];
+    let tail: Vec<_> = live.iter().filter(|(k, _)| k >= from).take(20).cloned().collect();
+    prop_assert_eq!(db.scan_opt(ropts, from, 20).unwrap(), tail);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Every read path resolves a key the same way wherever its versions
+    /// sit: the live memtable, several immutable memtables (flushes wait
+    /// for three), L0 and deeper levels; at the latest sequence and at an
+    /// explicit, pinned `snapshot_seq`.
+    #[test]
+    fn reads_agree_with_model_across_every_source(
+        ops in vec((0u16..150, vec(any::<u8>(), 0..80), 0u8..5), 700..1400),
+        pin_at in any::<u16>(),
+    ) {
+        let env = hw_sim::HardwareEnv::builder().build_sim();
+        let opts = Options {
+            write_buffer_size: 4 << 10,
+            max_write_buffer_number: 6,
+            min_write_buffer_number_to_merge: 3,
+            target_file_size_base: 8 << 10,
+            max_bytes_for_level_base: 32 << 10,
+            ..Options::default()
+        };
+        let db = Db::builder(opts).env(&env).open().unwrap();
+        let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+        let pin_at = pin_at as usize % ops.len();
+        let mut pinned = None;
+        for (i, (key, value, kind)) in ops.iter().enumerate() {
+            let key = format!("key-{key:04}").into_bytes();
+            if *kind == 0 {
+                db.delete(&key).unwrap();
+                model.remove(&key);
+            } else {
+                db.put(&key, value).unwrap();
+                model.insert(key, value.clone());
+            }
+            if i == pin_at {
+                pinned = Some((db.pin_snapshot(), model.clone()));
+            }
+        }
+        // Overwrite until at least two immutable memtables are waiting.
+        let mut extra = 0u32;
+        while db.stats().immutable_memtables < 2 {
+            let key = format!("key-{:04}", extra % 150).into_bytes();
+            let value = extra.to_le_bytes().to_vec();
+            db.put(&key, &value).unwrap();
+            model.insert(key, value);
+            extra += 1;
+        }
+        let levels = db.stats().levels;
+        prop_assert!(levels[1..].iter().any(|l| l.0 > 0), "deeper levels hold data: {:?}", levels);
+
+        let (pin, model_at_pin) = pinned.expect("pin_at < ops.len()");
+        check_reads(&db, &ReadOptions::default(), &model)?;
+        let at_pin = ReadOptions { snapshot_seq: Some(pin.sequence()), ..ReadOptions::default() };
+        check_reads(&db, &at_pin, &model_at_pin)?;
     }
 }
