@@ -370,19 +370,6 @@ impl<'m> TuningSession<'m> {
         self
     }
 
-    /// Runs the feedback loop starting from `start` options.
-    ///
-    /// Deprecated alias for [`run_offline`](Self::run_offline), kept so
-    /// existing callers keep compiling.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SessionError`] on engine or LLM failure.
-    #[deprecated(since = "0.7.0", note = "use run_offline, or run_with for a custom TuneTarget")]
-    pub fn run(self, start: Options) -> Result<TuningReport, SessionError> {
-        self.run_offline(start)
-    }
-
     /// Runs the feedback loop against fresh benchmark runs (the paper's
     /// open/bench/close methodology).
     ///
@@ -640,8 +627,7 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_run_still_delegates_to_run_offline() {
+    fn zero_iterations_report_only_the_baseline() {
         let mut model = ScriptedModel::new(vec![]);
         let config = TuningConfig {
             iterations: 0,
@@ -649,7 +635,7 @@ mod tests {
         };
         let report = TuningSession::new(hdd_env(), small_fr_spec(), &mut model)
             .with_config(config)
-            .run(Options::default())
+            .run_offline(Options::default())
             .unwrap();
         assert!(report.records.is_empty());
         assert!(report.baseline.ops_per_sec > 0.0);

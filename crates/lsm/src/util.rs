@@ -111,25 +111,6 @@ pub fn fnv1a(data: &[u8]) -> u64 {
     h
 }
 
-/// Formats a byte count using binary units ("64 MiB").
-#[allow(dead_code)] // used by tests and kept for diagnostics
-pub fn format_bytes(bytes: u64) -> String {
-    const UNITS: [&str; 5] = ["B", "KiB", "MiB", "GiB", "TiB"];
-    let mut value = bytes as f64;
-    let mut unit = 0;
-    while value >= 1024.0 && unit < UNITS.len() - 1 {
-        value /= 1024.0;
-        unit += 1;
-    }
-    if unit == 0 {
-        format!("{bytes} B")
-    } else if (value - value.round()).abs() < 1e-9 {
-        format!("{:.0} {}", value, UNITS[unit])
-    } else {
-        format!("{:.2} {}", value, UNITS[unit])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,12 +170,5 @@ mod tests {
         let a = fnv1a(b"key-1");
         let b = fnv1a(b"key-2");
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn format_bytes_picks_units() {
-        assert_eq!(format_bytes(512), "512 B");
-        assert_eq!(format_bytes(64 << 20), "64 MiB");
-        assert_eq!(format_bytes(1536), "1.50 KiB");
     }
 }

@@ -6,8 +6,8 @@
 //! timing is charged separately by the engine's I/O timer, which knows
 //! whether an access is foreground or background — see `db.rs`.
 //!
-//! [`MemVfs`] supports fault injection for crash/recovery and error-path
-//! tests.
+//! Faults (failed appends and syncs, power cuts, torn tails) are injected
+//! by wrapping any `Vfs` in [`crate::fault::FaultInjectionVfs`].
 
 use std::collections::HashMap;
 use std::fmt;
@@ -139,22 +139,9 @@ pub trait Vfs: Send + Sync + fmt::Debug {
 // In-memory VFS
 // ---------------------------------------------------------------------------
 
-/// Fault-injection knobs for [`MemVfs`].
-#[derive(Debug, Default)]
-struct FaultState {
-    /// Fail every append after this many more bytes have been written
-    /// (simulates a full disk / torn write).
-    fail_appends_after_bytes: Option<u64>,
-    /// Fail every sync.
-    fail_syncs: bool,
-    /// Bytes appended since fault arming.
-    appended: u64,
-}
-
 #[derive(Debug, Default)]
 struct MemVfsInner {
     files: HashMap<String, Arc<Vec<u8>>>,
-    faults: FaultState,
 }
 
 /// An in-memory file system.
@@ -172,23 +159,6 @@ impl MemVfs {
     /// Creates an empty in-memory file system.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Arms a fault: appends fail after `bytes` more bytes are written.
-    pub fn fail_appends_after(&self, bytes: u64) {
-        let mut inner = self.inner.lock();
-        inner.faults.fail_appends_after_bytes = Some(bytes);
-        inner.faults.appended = 0;
-    }
-
-    /// Arms or clears sync failures.
-    pub fn set_fail_syncs(&self, fail: bool) {
-        self.inner.lock().faults.fail_syncs = fail;
-    }
-
-    /// Clears all armed faults.
-    pub fn clear_faults(&self) {
-        self.inner.lock().faults = FaultState::default();
     }
 
     /// Drops the tail of a file to `keep` bytes — simulates a crash that
@@ -225,7 +195,6 @@ impl MemVfs {
         MemVfs {
             inner: Arc::new(Mutex::new(MemVfsInner {
                 files: inner.files.clone(),
-                faults: FaultState::default(),
             })),
         }
     }
@@ -247,15 +216,6 @@ impl MemWritableFile {
 
 impl WritableFile for MemWritableFile {
     fn append(&mut self, data: &[u8]) -> Result<()> {
-        {
-            let mut inner = self.vfs.inner.lock();
-            if let Some(limit) = inner.faults.fail_appends_after_bytes {
-                inner.faults.appended += data.len() as u64;
-                if inner.faults.appended > limit {
-                    return Err(Error::io("injected append failure (disk full)"));
-                }
-            }
-        }
         self.buf.extend_from_slice(data);
         // The shared view is refreshed on sync/finish/drop rather than on
         // every append (publishing clones the buffer). A dropped-without-
@@ -265,9 +225,6 @@ impl WritableFile for MemWritableFile {
     }
 
     fn sync(&mut self) -> Result<()> {
-        if self.vfs.inner.lock().faults.fail_syncs {
-            return Err(Error::io("injected sync failure"));
-        }
         self.publish();
         Ok(())
     }
@@ -744,20 +701,6 @@ mod tests {
             // dropped without finish(): simulates a crash
         }
         assert_eq!(vfs.read_all("wal.log").unwrap(), b"record-1");
-    }
-
-    #[test]
-    fn mem_vfs_fault_injection() {
-        let vfs = MemVfs::new();
-        vfs.fail_appends_after(4);
-        let mut f = vfs.create("f").unwrap();
-        assert!(f.append(b"1234").is_ok());
-        assert!(f.append(b"5").is_err());
-        vfs.clear_faults();
-        assert!(f.append(b"5").is_ok());
-
-        vfs.set_fail_syncs(true);
-        assert!(f.sync().is_err());
     }
 
     #[test]
