@@ -11,10 +11,10 @@ use super::{Db, DbInner, ReadOptions, ScanResult};
 use crate::error::Result;
 use crate::filter::{split_ttl_value, ttl_expired};
 use crate::memtable::MemTableCursor;
-use crate::merge::{split_internal_key, Cursor, MergingCursor};
+use crate::merge::{Cursor, MergingCursor};
 use crate::sstable::table::TableCursor;
 use crate::stats::Ticker;
-use crate::types::ValueType;
+use crate::types::{split_tag, ValueType};
 use crate::version::FileMetadata;
 
 impl Db {
@@ -82,7 +82,8 @@ impl Db {
         while out.len() < count {
             let Some(key) = merged.key() else { break };
             cpu += inner.cost.scan_entry_cpu;
-            let (user_key, seq, ty) = split_internal_key(key);
+            let (user_key, tag) = split_tag(key);
+            let (seq, ty) = (tag >> 8, tag as u8);
             // The seek target only bounds the first key; entries for
             // later keys can carry sequences past our read snapshot
             // (e.g. a group commit applying concurrently). Skipping

@@ -12,7 +12,7 @@ use crate::error::Result;
 use crate::filter::{FilterContext, FilterDecision};
 use crate::flush::sst_file_name;
 use crate::sstable::table::{FinishedTable, TableBuilder, TableConfig};
-use crate::types::{internal_key_cmp, FileNumber, SequenceNumber, ValueType};
+use crate::types::{internal_key_cmp, split_tag, FileNumber, SequenceNumber, ValueType};
 use crate::vfs::Vfs;
 
 /// A forward cursor over entries in internal-key order (user key
@@ -75,14 +75,6 @@ impl Cursor for MergingCursor<'_> {
     }
 }
 
-/// Splits an encoded internal key into user key, sequence and raw type
-/// byte.
-pub(crate) fn split_internal_key(key: &[u8]) -> (&[u8], SequenceNumber, u8) {
-    let (user_key, tag) = key.split_at(key.len() - 8);
-    let tag = u64::from_le_bytes(tag.try_into().expect("8-byte tag"));
-    (user_key, tag >> 8, tag as u8)
-}
-
 /// The tables a merge wrote, with its entry accounting.
 #[derive(Debug)]
 pub(crate) struct MergeOutput {
@@ -132,7 +124,8 @@ pub(crate) fn write_tables(
 
     while let Some(key) = merged.key() {
         out.entries_read += 1;
-        let (user_key, seq, ty) = split_internal_key(key);
+        let (user_key, tag) = split_tag(key);
+        let (seq, ty) = (tag >> 8, tag as u8);
         let mut entry = Some((key, merged.value()));
         if last_user_key.as_deref() == Some(user_key) {
             if !ctx.pin_in(seq, newer_seq) {

@@ -750,11 +750,12 @@ impl<F: FnMut(BlockHandle) -> Result<Arc<Block>>> TableCursor<F> {
     /// Propagates `fetch` failures and block corruption.
     pub(crate) fn open(handles: Vec<BlockHandle>, fetch: F, target: Option<&[u8]>) -> Result<Self> {
         let mut cursor = TableCursor { handles, next_block: 0, fetch, iter: None };
-        cursor.next_block(target)?;
+        cursor.load_block(target)?;
         Ok(cursor)
     }
 
-    fn next_block(&mut self, target: Option<&[u8]>) -> Result<()> {
+    /// Fetches blocks until one holds an entry at or after `target`.
+    fn load_block(&mut self, target: Option<&[u8]>) -> Result<()> {
         self.iter = None;
         while self.next_block < self.handles.len() {
             let block = (self.fetch)(self.handles[self.next_block])?;
@@ -785,7 +786,7 @@ impl<F: FnMut(BlockHandle) -> Result<Arc<Block>>> Cursor for TableCursor<F> {
     fn advance(&mut self) -> Result<()> {
         if let Some(it) = &mut self.iter {
             if !it.advance()? {
-                self.next_block(None)?;
+                self.load_block(None)?;
             }
         }
         Ok(())

@@ -123,7 +123,9 @@ pub fn internal_key_cmp(a: &[u8], b: &[u8]) -> std::cmp::Ordering {
     }
 }
 
-fn split_tag(encoded: &[u8]) -> (&[u8], u64) {
+/// Splits an encoded internal key into its user key and its tag
+/// (`seq << 8 | type`).
+pub(crate) fn split_tag(encoded: &[u8]) -> (&[u8], u64) {
     let n = encoded.len();
     debug_assert!(n >= 8, "internal key must carry an 8-byte tag");
     let tag = u64::from_le_bytes(encoded[n - 8..].try_into().expect("8-byte tag"));
