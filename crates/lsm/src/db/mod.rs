@@ -45,7 +45,7 @@ use hw_sim::{HardwareEnv, MemoryUser, SimDuration, SimTime};
 use parking_lot::{Mutex, RwLock};
 
 use crate::cache::{BlockCache, CacheStats, TableCache};
-use crate::filter::{split_ttl_value, ttl_expired, FilterContext, TtlFilter};
+use crate::filter::{FilterContext, TtlFilter};
 use crate::listener::{EventListener, StallConditionsChanged};
 use crate::memtable::MemTable;
 use crate::options::Options;
@@ -437,18 +437,6 @@ impl DbInner {
                 None
             },
             pins: self.pins.lock().keys().copied().collect(),
-        }
-    }
-
-    /// Resolves a [`ValueType::TtlValue`](crate::ValueType) payload read
-    /// from the tree: strips the stamp and applies expiry under the
-    /// *current* `ttl_seconds` (an online change governs existing stamps
-    /// too). Returns `None` when the entry is expired.
-    fn resolve_ttl(&self, stamped: &[u8]) -> Option<Vec<u8>> {
-        let (value, written) = split_ttl_value(stamped);
-        match written {
-            Some(w) if ttl_expired(w, self.now_secs(), self.opts().ttl_seconds) => None,
-            _ => Some(value.to_vec()),
         }
     }
 

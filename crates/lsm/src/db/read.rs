@@ -1,6 +1,7 @@
-//! The read path: point lookups (`get`, `multi_get`) over an immutable
-//! snapshot of memtables + version, and timed table access (table cache,
-//! block cache, bloom filters) shared with the scan cursors.
+//! The read path: the one point lookup (`get` is a `multi_get` of one
+//! key) over an immutable snapshot of memtables + version, and timed
+//! table access (table cache, block cache, bloom filters) shared with
+//! the scan cursors.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -10,20 +11,22 @@ use hw_sim::{AccessPattern, MemoryUser, SimDuration};
 use super::{Db, DbInner, ReadOptions};
 use crate::cache::BlockKey;
 use crate::error::Result;
+use crate::filter::live_value;
 use crate::flush::sst_file_name;
-use crate::memtable::{MemTable, MemTableGet};
+use crate::memtable::MemTable;
 use crate::sstable::block::Block;
 use crate::sstable::compress::decompress_cpu_cost;
 use crate::sstable::table::{BlockHandle, TableReader};
 use crate::stats::{HistogramKind, Ticker};
-use crate::types::{FileNumber, InternalKey, SequenceNumber, ValueType};
+use crate::types::{split_tag, write_lookup_key, FileNumber, SequenceNumber};
 use crate::version::{FileMetadata, Version};
 
 /// What one read operation looks at: the memtables and version current
 /// when it started, and the newest sequence it may observe.
 pub(super) struct ReadView {
     pub mem: Arc<MemTable>,
-    /// Immutable memtables, oldest first.
+    /// Immutable memtables, newest first: the order a point lookup must
+    /// probe them in, since the first one holding a key decides.
     pub imm: Vec<Arc<MemTable>>,
     pub version: Arc<Version>,
     pub snapshot: SequenceNumber,
@@ -39,7 +42,7 @@ impl DbInner {
         let visible = self.visible_seq.load(Ordering::Acquire);
         Ok(ReadView {
             mem: Arc::clone(&state.mem),
-            imm: state.imm.iter().map(|e| Arc::clone(&e.mem)).collect(),
+            imm: state.imm.iter().rev().map(|e| Arc::clone(&e.mem)).collect(),
             version: Arc::clone(&state.version),
             // An explicit snapshot can only look backwards: clamp it to
             // the visible watermark so a stale handle never reads
@@ -59,84 +62,17 @@ impl Db {
         self.get_opt(&ReadOptions::default(), key)
     }
 
-    /// Reads the newest value for `key` under explicit [`ReadOptions`].
+    /// Reads the newest value for `key` under explicit [`ReadOptions`]:
+    /// a batch of one, on the stack.
     ///
     /// # Errors
     ///
     /// Propagates I/O and corruption errors from table reads.
     pub fn get_opt(&self, ropts: &ReadOptions, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        let inner = &*self.inner;
-        let started = inner.env.clock().now();
-        let ReadView { mem, imm, version, snapshot } = inner.read_view(ropts)?;
-
-        let mut cpu = inner.cost.get_base_cpu + inner.cost.memtable_probe_cpu;
-        let mut found: Option<Option<Vec<u8>>> = None;
-
-        match mem.get(key, snapshot) {
-            MemTableGet::Found(v) => {
-                inner.stats.tickers().inc(Ticker::MemtableHit);
-                found = Some(Some(v));
-            }
-            MemTableGet::FoundTtl(v) => {
-                inner.stats.tickers().inc(Ticker::MemtableHit);
-                found = Some(inner.resolve_ttl(&v));
-            }
-            MemTableGet::Deleted => {
-                inner.stats.tickers().inc(Ticker::MemtableHit);
-                found = Some(None);
-            }
-            MemTableGet::NotFound => {}
-        }
-        if found.is_none() {
-            // Newest first: the first memtable holding the key decides.
-            for m in imm.iter().rev() {
-                cpu += inner.cost.memtable_probe_cpu;
-                match m.get(key, snapshot) {
-                    MemTableGet::Found(v) => {
-                        found = Some(Some(v));
-                        break;
-                    }
-                    MemTableGet::FoundTtl(v) => {
-                        found = Some(inner.resolve_ttl(&v));
-                        break;
-                    }
-                    MemTableGet::Deleted => {
-                        found = Some(None);
-                        break;
-                    }
-                    MemTableGet::NotFound => {}
-                }
-            }
-        }
-        if found.is_none() {
-            inner.stats.tickers().inc(Ticker::MemtableMiss);
-            found = inner.search_tables(&version, key, snapshot, ropts, &mut cpu)?;
-        }
-
-        let mut factor = inner.foreground_contention(inner.env.clock().now());
-        if inner.opts().paranoid_checks {
-            factor *= 1.08;
-        }
-        if inner.opts().use_direct_reads {
-            factor *= 1.05;
-        }
-        factor *= inner.env.memory().penalty_factor();
-        inner.env.clock().advance(cpu.mul_f64(factor));
-
-        inner.stats.tickers().inc(Ticker::KeysRead);
-        inner
-            .stats
-            .record(HistogramKind::DbGet, inner.env.clock().now().saturating_since(started));
-        match found {
-            Some(Some(v)) => {
-                inner.stats.tickers().inc(Ticker::GetHit);
-                Ok(Some(v))
-            }
-            _ => {
-                inner.stats.tickers().inc(Ticker::GetMiss);
-                Ok(None)
-            }
-        }
+        let mut slot = [None];
+        self.inner.lookup(ropts, &[key], &mut slot, &mut [0], HistogramKind::DbGet)?;
+        let [value] = slot;
+        Ok(value.flatten())
     }
 
     /// Reads the newest values for a batch of keys in one pass.
@@ -169,110 +105,137 @@ impl Db {
         ropts: &ReadOptions,
         keys: &[K],
     ) -> Result<Vec<Option<Vec<u8>>>> {
-        let inner = &*self.inner;
-        if keys.is_empty() {
-            inner.stats.tickers().inc(Ticker::MultiGetBatches);
-            return Ok(Vec::new());
+        let tickers = self.inner.stats.tickers();
+        let mut slots = vec![None; keys.len()];
+        if !keys.is_empty() {
+            let mut order = vec![0; keys.len()];
+            self.inner
+                .lookup(ropts, keys, &mut slots, &mut order, HistogramKind::DbMultiGet)?;
+            tickers.add(Ticker::MultiGetKeysRead, keys.len() as u64);
         }
-        let started = inner.env.clock().now();
-        let ReadView { mem, imm, version, snapshot } = inner.read_view(ropts)?;
+        tickers.inc(Ticker::MultiGetBatches);
+        Ok(slots.into_iter().map(Option::flatten).collect())
+    }
+}
 
-        // The per-op base CPU is paid once for the whole batch; that is
-        // the first half of the amortization (the other half is shared
-        // table handles and blocks below).
-        let mut cpu = inner.cost.get_base_cpu;
-        // `None` = unresolved, `Some(None)` = definitively deleted/absent
-        // at some layer, `Some(Some(v))` = found.
-        let mut results: Vec<Option<Option<Vec<u8>>>> = vec![None; keys.len()];
+/// One key's outcome while a lookup runs: `None` = no layer probed so
+/// far holds the key, `Some(None)` = the newest layer holding it says
+/// deleted or expired, `Some(Some(v))` = live.
+type Slot = Option<Option<Vec<u8>>>;
 
-        // The live memtable is probed lock-free for the whole batch.
-        for (i, key) in keys.iter().enumerate() {
-            cpu += inner.cost.memtable_probe_cpu;
-            match mem.get(key.as_ref(), snapshot) {
-                MemTableGet::Found(v) => {
-                    inner.stats.tickers().inc(Ticker::MemtableHit);
-                    results[i] = Some(Some(v));
-                }
-                MemTableGet::FoundTtl(v) => {
-                    inner.stats.tickers().inc(Ticker::MemtableHit);
-                    results[i] = Some(inner.resolve_ttl(&v));
-                }
-                MemTableGet::Deleted => {
-                    inner.stats.tickers().inc(Ticker::MemtableHit);
-                    results[i] = Some(None);
-                }
-                MemTableGet::NotFound => {}
-            }
-        }
-        for m in imm.iter().rev() {
-            if results.iter().all(Option::is_some) {
-                break;
-            }
+/// The state one point lookup carries from layer to layer.
+struct Lookup<'a, K> {
+    keys: &'a [K],
+    slots: &'a mut [Slot],
+    /// How many slots are still unresolved.
+    pending: usize,
+    snapshot: SequenceNumber,
+    ropts: &'a ReadOptions,
+    /// CPU charged so far; applied to the clock once, at the end.
+    cpu: SimDuration,
+    /// The clock reading and TTL the whole lookup judges stamps by.
+    now_secs: u64,
+    ttl_seconds: u64,
+    /// Reused seek target: `user_key ++ tag` of the key being probed.
+    target: Vec<u8>,
+}
+
+impl<K> Lookup<'_, K> {
+    /// Settles `keys[i]` with the newest entry found for it.
+    fn resolve(&mut self, i: usize, ty: u8, mut stored: Vec<u8>) {
+        let live = live_value(ty, &stored, self.now_secs, self.ttl_seconds).map(<[u8]>::len);
+        self.slots[i] = Some(live.map(|n| {
+            stored.truncate(n);
+            stored
+        }));
+        self.pending -= 1;
+    }
+}
+
+/// CPU of locating a key's file in a sorted level (range binary search).
+const LEVEL_SEARCH_CPU: SimDuration = SimDuration::from_nanos(60);
+
+impl DbInner {
+    /// The point lookup behind [`Db::get_opt`] and [`Db::multi_get_opt`]:
+    /// the outcome for `keys[i]` lands in `slots[i]` (all `None` on
+    /// entry). `order` is scratch of the same length for the table
+    /// search's visit order. A one-key call charges the clock and the
+    /// tickers exactly what each key of a larger batch is charged, minus
+    /// what the batch shares: the base CPU, table handles and blocks.
+    fn lookup<K: AsRef<[u8]>>(
+        &self,
+        ropts: &ReadOptions,
+        keys: &[K],
+        slots: &mut [Slot],
+        order: &mut [usize],
+        histogram: HistogramKind,
+    ) -> Result<()> {
+        let started = self.env.clock().now();
+        let view = self.read_view(ropts)?;
+        let opts = self.opts();
+        let tickers = self.stats.tickers();
+        let mut q = Lookup {
+            keys,
+            slots,
+            pending: keys.len(),
+            snapshot: view.snapshot,
+            ropts,
+            // Paid once for the whole batch.
+            cpu: self.cost.get_base_cpu,
+            now_secs: self.now_secs(),
+            ttl_seconds: opts.ttl_seconds,
+            target: Vec::new(),
+        };
+
+        // The live memtable, then the immutable ones newest first; a
+        // key settled by a newer memtable is skipped in older ones.
+        for (age, mem) in std::iter::once(&view.mem).chain(&view.imm).enumerate() {
             for (i, key) in keys.iter().enumerate() {
-                if results[i].is_some() {
+                if q.slots[i].is_some() {
                     continue;
                 }
-                cpu += inner.cost.memtable_probe_cpu;
-                match m.get(key.as_ref(), snapshot) {
-                    MemTableGet::Found(v) => results[i] = Some(Some(v)),
-                    MemTableGet::FoundTtl(v) => results[i] = Some(inner.resolve_ttl(&v)),
-                    MemTableGet::Deleted => results[i] = Some(None),
-                    MemTableGet::NotFound => {}
+                q.cpu += self.cost.memtable_probe_cpu;
+                if let Some((ty, stored)) = mem.get(key.as_ref(), q.snapshot) {
+                    // Only the live memtable counts as a memtable hit.
+                    if age == 0 {
+                        tickers.inc(Ticker::MemtableHit);
+                    }
+                    q.resolve(i, ty as u8, stored);
                 }
+            }
+            if q.pending == 0 {
+                break;
             }
         }
 
-        // Sorted visit order for the table search: unresolved keys only,
-        // sorted so each level's files are walked once, front to back.
-        let mut unresolved: Vec<usize> = (0..keys.len())
-            .filter(|&i| results[i].is_none())
-            .collect();
-        for _ in &unresolved {
-            inner.stats.tickers().inc(Ticker::MemtableMiss);
-        }
-        unresolved.sort_by(|&a, &b| keys[a].as_ref().cmp(keys[b].as_ref()));
-        if !unresolved.is_empty() {
-            inner.multi_search_tables(
-                &version,
-                keys,
-                &mut unresolved,
-                snapshot,
-                ropts,
-                &mut cpu,
-                &mut results,
-            )?;
+        if q.pending > 0 {
+            tickers.add(Ticker::MemtableMiss, q.pending as u64);
+            // Unresolved keys only, sorted so each level's files are
+            // walked once, front to back (equal keys by batch position).
+            let order = &mut order[..q.pending];
+            let unresolved = (0..keys.len()).filter(|&i| q.slots[i].is_none());
+            order.iter_mut().zip(unresolved).for_each(|(o, i)| *o = i);
+            order.sort_unstable_by(|&a, &b| keys[a].as_ref().cmp(keys[b].as_ref()).then(a.cmp(&b)));
+            self.search_tables(&view.version, &mut q, order)?;
         }
 
-        let mut factor = inner.foreground_contention(inner.env.clock().now());
-        if inner.opts().paranoid_checks {
+        let mut factor = self.foreground_contention(self.env.clock().now());
+        if opts.paranoid_checks {
             factor *= 1.08;
         }
-        if inner.opts().use_direct_reads {
+        if opts.use_direct_reads {
             factor *= 1.05;
         }
-        factor *= inner.env.memory().penalty_factor();
-        inner.env.clock().advance(cpu.mul_f64(factor));
+        factor *= self.env.memory().penalty_factor();
+        self.env.clock().advance(q.cpu.mul_f64(factor));
 
-        let n = keys.len() as u64;
-        inner.stats.tickers().add(Ticker::KeysRead, n);
-        inner.stats.tickers().add(Ticker::MultiGetKeysRead, n);
-        inner.stats.tickers().inc(Ticker::MultiGetBatches);
-        inner.stats.record(
-            HistogramKind::DbMultiGet,
-            inner.env.clock().now().saturating_since(started),
-        );
-        Ok(results
-            .into_iter()
-            .map(|r| {
-                let value = r.flatten();
-                inner.stats.tickers().inc(if value.is_some() {
-                    Ticker::GetHit
-                } else {
-                    Ticker::GetMiss
-                });
-                value
-            })
-            .collect())
+        let hits = q.slots.iter().filter(|s| matches!(s, Some(Some(_)))).count() as u64;
+        tickers.add(Ticker::KeysRead, keys.len() as u64);
+        tickers.add(Ticker::GetHit, hits);
+        tickers.add(Ticker::GetMiss, keys.len() as u64 - hits);
+        self.stats
+            .record(histogram, self.env.clock().now().saturating_since(started));
+        Ok(())
     }
 }
 
@@ -474,210 +437,96 @@ impl DbInner {
         true
     }
 
-    fn search_tables(
+    /// Searches the tables for the keys `order` lists: unresolved, sorted
+    /// by key. Each file is opened and probed at most once.
+    fn search_tables<K: AsRef<[u8]>>(
         &self,
         version: &Version,
-        key: &[u8],
-        snapshot: SequenceNumber,
-        ropts: &ReadOptions,
-        cpu: &mut SimDuration,
-    ) -> Result<Option<Option<Vec<u8>>>> {
-        let target = crate::types::lookup_key(key, snapshot);
-        // L0: newest first, ranges may overlap.
-        for f in version.files(0) {
-            if key < f.smallest.user_key() || key > f.largest.user_key() {
-                continue;
-            }
-            if let Some(result) = self.probe_table(f, key, &target, ropts, cpu)? {
-                return Ok(Some(result));
-            }
-        }
-        // Deeper levels: at most one file can contain the key.
-        for level in 1..version.num_levels() {
-            let files = version.files(level);
-            if files.is_empty() {
-                continue;
-            }
-            // Binary search by largest user key.
-            let idx = files.partition_point(|f| f.largest.user_key() < key);
-            if idx >= files.len() {
-                continue;
-            }
-            let f = &files[idx];
-            if key < f.smallest.user_key() {
-                continue;
-            }
-            *cpu += SimDuration::from_nanos(60); // range binary search
-            if let Some(result) = self.probe_table(f, key, &target, ropts, cpu)? {
-                return Ok(Some(result));
-            }
-        }
-        Ok(None)
-    }
-
-    /// Batched table search for [`Db::multi_get_opt`]. `unresolved`
-    /// holds batch indices sorted by key; resolved entries are written
-    /// into `results` and removed. Each L0 file and each deeper-level
-    /// file is probed at most once for the whole batch.
-    #[allow(clippy::too_many_arguments)]
-    fn multi_search_tables<K: AsRef<[u8]>>(
-        &self,
-        version: &Version,
-        keys: &[K],
-        unresolved: &mut Vec<usize>,
-        snapshot: SequenceNumber,
-        ropts: &ReadOptions,
-        cpu: &mut SimDuration,
-        results: &mut [Option<Option<Vec<u8>>>],
+        q: &mut Lookup<'_, K>,
+        order: &[usize],
     ) -> Result<()> {
-        // L0: files newest first, whole batch against each file before
-        // moving on — equivalent to per-key newest-first probing, since
-        // a key resolved by a newer file is skipped in older ones.
-        for f in version.files(0) {
-            if unresolved.is_empty() {
+        // L0: files newest first, ranges may overlap. The whole batch
+        // goes against each file before moving on — equivalent to per-key
+        // newest-first probing, since a key resolved by a newer file is
+        // skipped in older ones.
+        for file in version.files(0) {
+            if q.pending == 0 {
                 return Ok(());
             }
-            self.probe_file_batch(f, keys, unresolved, snapshot, ropts, cpu, results)?;
-            unresolved.retain(|&i| results[i].is_none());
+            self.probe_file(file, q, order, SimDuration::ZERO)?;
         }
-        // Deeper levels: at most one file can contain each key. Group
-        // the (sorted) keys by containing file so each file is opened
-        // and probed once.
+        // Deeper levels: files are disjoint and sorted, and so are the
+        // keys, so each file takes one run of `order` — the keys up to
+        // its largest — and at most one file can hold each key.
         for level in 1..version.num_levels() {
-            if unresolved.is_empty() {
-                return Ok(());
-            }
             let files = version.files(level);
-            if files.is_empty() {
-                continue;
+            let mut rest = order;
+            while q.pending > 0 && !rest.is_empty() {
+                let first = q.keys[rest[0]].as_ref();
+                let at = files.partition_point(|f| f.largest.user_key() < first);
+                let Some(file) = files.get(at) else { break };
+                let run = rest.partition_point(|&i| q.keys[i].as_ref() <= file.largest.user_key());
+                self.probe_file(file, q, &rest[..run], LEVEL_SEARCH_CPU)?;
+                rest = &rest[run..];
             }
-            let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
-            for &i in unresolved.iter() {
-                let key = keys[i].as_ref();
-                let idx = files.partition_point(|f| f.largest.user_key() < key);
-                if idx >= files.len() || key < files[idx].smallest.user_key() {
-                    continue;
-                }
-                *cpu += SimDuration::from_nanos(60); // range binary search
-                match groups.last_mut() {
-                    Some((fi, g)) if *fi == idx => g.push(i),
-                    _ => groups.push((idx, vec![i])),
-                }
-            }
-            for (fi, g) in groups {
-                self.probe_file_batch(&files[fi], keys, &g, snapshot, ropts, cpu, results)?;
-            }
-            unresolved.retain(|&i| results[i].is_none());
         }
         Ok(())
     }
 
-    /// Probes one table for every still-unresolved key in `idxs`
-    /// (batch indices sorted by key). The table handle is opened once
-    /// for the whole group, and consecutive keys landing in the same
-    /// data block reuse the fetched + parsed block instead of paying a
-    /// cache lookup and parse each — the core MultiGet saving.
-    #[allow(clippy::too_many_arguments)]
-    fn probe_file_batch<K: AsRef<[u8]>>(
+    /// Probes one table for the keys of `run` (sorted by key) that are
+    /// still unresolved and inside the file's range, charging `locate_cpu`
+    /// for each. The table handle is opened once for the whole run, and
+    /// consecutive keys landing in the same data block reuse the fetched
+    /// and parsed block instead of paying a cache lookup and parse each —
+    /// the core MultiGet saving.
+    fn probe_file<K: AsRef<[u8]>>(
         &self,
         file: &FileMetadata,
-        keys: &[K],
-        idxs: &[usize],
-        snapshot: SequenceNumber,
-        ropts: &ReadOptions,
-        cpu: &mut SimDuration,
-        results: &mut [Option<Option<Vec<u8>>>],
+        q: &mut Lookup<'_, K>,
+        run: &[usize],
+        locate_cpu: SimDuration,
     ) -> Result<()> {
-        let in_range: Vec<usize> = idxs
-            .iter()
-            .copied()
-            .filter(|&i| results[i].is_none())
-            .filter(|&i| {
-                let k = keys[i].as_ref();
-                k >= file.smallest.user_key() && k <= file.largest.user_key()
-            })
-            .collect();
-        if in_range.is_empty() {
-            return Ok(());
-        }
-        let reader = self.open_table(file, ropts, cpu)?;
+        let mut reader: Option<Arc<TableReader>> = None;
         let mut last_block: Option<(u64, Arc<Block>)> = None;
-        for &i in &in_range {
-            let user_key = keys[i].as_ref();
-            if !self.check_filters(&reader, user_key, cpu) {
+        for &i in run {
+            let user_key = q.keys[i].as_ref();
+            if q.slots[i].is_some()
+                || user_key < file.smallest.user_key()
+                || user_key > file.largest.user_key()
+            {
                 continue;
             }
-            let target = crate::types::lookup_key(user_key, snapshot);
-            *cpu += self.cost.index_seek_cpu;
-            let Some(handle) = self.find_data_block(&reader, file.number, target.encoded(), ropts, cpu)?
+            q.cpu += locate_cpu;
+            if reader.is_none() {
+                reader = Some(self.open_table(file, q.ropts, &mut q.cpu)?);
+            }
+            let reader = reader.as_ref().expect("opened above");
+            if !self.check_filters(reader, user_key, &mut q.cpu) {
+                continue;
+            }
+            write_lookup_key(&mut q.target, user_key, q.snapshot);
+            q.cpu += self.cost.index_seek_cpu;
+            let Some(handle) = self.find_data_block(reader, file.number, &q.target, q.ropts, &mut q.cpu)?
             else {
                 continue;
             };
-            let reuse = last_block
-                .as_ref()
-                .is_some_and(|(off, _)| *off == handle.offset);
-            if reuse {
-                *cpu += SimDuration::from_nanos(100); // re-seek in parsed block
+            if last_block.as_ref().is_some_and(|(off, _)| *off == handle.offset) {
+                q.cpu += SimDuration::from_nanos(100); // re-seek in parsed block
             } else {
-                let block = self.fetch_block(&reader, file.number, handle, ropts, cpu)?;
-                *cpu += SimDuration::from_nanos(300); // parse + binary search
+                let block = self.fetch_block(reader, file.number, handle, q.ropts, &mut q.cpu)?;
+                q.cpu += SimDuration::from_nanos(300); // parse + binary search
                 last_block = Some((handle.offset, block));
             }
             let (_, block) = last_block.as_ref().expect("block just set");
-            if let Some((k, v)) = block.seek(target.encoded())? {
-                let found_user = &k[..k.len() - 8];
-                if found_user != user_key {
-                    continue;
+            let mut entry = block.iter();
+            if entry.seek(&q.target)? {
+                let (found_user, tag) = split_tag(entry.key());
+                if found_user == user_key {
+                    q.resolve(i, tag as u8, entry.value().to_vec());
                 }
-                let tag = u64::from_le_bytes(k[k.len() - 8..].try_into().expect("tag"));
-                results[i] = if (tag & 0xff) == ValueType::Deletion as u64 {
-                    Some(None)
-                } else if (tag & 0xff) == ValueType::TtlValue as u64 {
-                    Some(self.resolve_ttl(&v))
-                } else {
-                    Some(Some(v))
-                };
             }
         }
         Ok(())
-    }
-
-    fn probe_table(
-        &self,
-        file: &FileMetadata,
-        user_key: &[u8],
-        target: &InternalKey,
-        ropts: &ReadOptions,
-        cpu: &mut SimDuration,
-    ) -> Result<Option<Option<Vec<u8>>>> {
-        let reader = self.open_table(file, ropts, cpu)?;
-        if !self.check_filters(&reader, user_key, cpu) {
-            return Ok(None);
-        }
-        *cpu += self.cost.index_seek_cpu;
-        let Some(handle) = self.find_data_block(&reader, file.number, target.encoded(), ropts, cpu)?
-        else {
-            return Ok(None);
-        };
-        let block = self.fetch_block(&reader, file.number, handle, ropts, cpu)?;
-        *cpu += SimDuration::from_nanos(300); // block binary search + scan
-        match block.seek(target.encoded())? {
-            Some((k, v)) => {
-                let found_user = &k[..k.len() - 8];
-                if found_user != user_key {
-                    return Ok(None);
-                }
-                let tag = u64::from_le_bytes(k[k.len() - 8..].try_into().expect("tag"));
-                if (tag & 0xff) == ValueType::Deletion as u64 {
-                    Ok(Some(None))
-                } else if (tag & 0xff) == ValueType::TtlValue as u64 {
-                    Ok(Some(self.resolve_ttl(&v)))
-                } else {
-                    Ok(Some(Some(v)))
-                }
-            }
-            None => Ok(None),
-        }
     }
 }
 

@@ -9,12 +9,12 @@ use hw_sim::SimDuration;
 use super::read::ReadView;
 use super::{Db, DbInner, ReadOptions, ScanResult};
 use crate::error::Result;
-use crate::filter::{split_ttl_value, ttl_expired};
+use crate::filter::live_value;
 use crate::memtable::MemTableCursor;
 use crate::merge::{Cursor, MergingCursor};
 use crate::sstable::table::TableCursor;
 use crate::stats::Ticker;
-use crate::types::{split_tag, ValueType};
+use crate::types::split_tag;
 use crate::version::FileMetadata;
 
 impl Db {
@@ -93,14 +93,7 @@ impl Db {
                 last_user.clear();
                 last_user.extend_from_slice(user_key);
                 have_last = true;
-                let value = merged.value();
-                if ty == ValueType::TtlValue as u8 {
-                    let (v, written) = split_ttl_value(value);
-                    // Expired entries read as absent.
-                    if !written.is_some_and(|w| ttl_expired(w, scan_now_secs, ttl_seconds)) {
-                        out.push((user_key.to_vec(), v.to_vec()));
-                    }
-                } else if ty != ValueType::Deletion as u8 {
+                if let Some(value) = live_value(ty, merged.value(), scan_now_secs, ttl_seconds) {
                     out.push((user_key.to_vec(), value.to_vec()));
                 }
             }

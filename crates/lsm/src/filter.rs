@@ -101,6 +101,24 @@ pub fn ttl_expired(written_secs: u64, now_secs: u64, ttl_seconds: u64) -> bool {
     ttl_seconds > 0 && now_secs >= written_secs.saturating_add(ttl_seconds)
 }
 
+/// What a stored entry means to a reader: the user's bytes when it is
+/// live, `None` when it is a tombstone or a stamped value expired at
+/// `now_secs` under `ttl_seconds`. `ty` is the low byte of the entry's
+/// tag. Lookups and scans both read entries through this; a pass takes
+/// one clock reading and one `ttl_seconds` and applies them throughout.
+pub(crate) fn live_value(ty: u8, stored: &[u8], now_secs: u64, ttl_seconds: u64) -> Option<&[u8]> {
+    if ty == ValueType::Deletion as u8 {
+        return None;
+    }
+    if ty != ValueType::TtlValue as u8 {
+        return Some(stored);
+    }
+    match split_ttl_value(stored) {
+        (_, Some(written)) if ttl_expired(written, now_secs, ttl_seconds) => None,
+        (value, _) => Some(value),
+    }
+}
+
 /// Filter + snapshot pins handed to one flush or compaction job.
 ///
 /// The pins are the sequences of every snapshot pinned at job-claim

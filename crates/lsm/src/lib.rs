@@ -70,7 +70,7 @@ pub use engine::KvEngine;
 pub use shard::{ShardedDb, ShardedDbBuilder};
 pub use fault::{FaultConfig, FaultInjectionVfs, TearStyle};
 pub use listener::{CompactionJobInfo, EventListener, FlushJobInfo, StallConditionsChanged};
-pub use memtable::{MemTable, MemTableCursor, MemTableGet};
+pub use memtable::{MemTable, MemTableCursor};
 pub use sstable::block::Block;
 pub use stats::{
     Histogram, HistogramKind, HistogramSnapshot, LevelIo, Statistics, Ticker, TickerSnapshot,

@@ -32,7 +32,7 @@ use crate::error::Result;
 use crate::merge::Cursor;
 use crate::options::MemtableRep;
 use crate::sstable::bloom::{BloomBuilder, BloomFilter};
-use crate::types::{internal_key_cmp, InternalKey, SequenceNumber, ValueType};
+use crate::types::{internal_key_cmp, split_tag, InternalKey, SequenceNumber, ValueType};
 
 use skiplist::{Node, SkipIter, SkipList};
 
@@ -50,22 +50,6 @@ impl Ord for OrderedKey {
     fn cmp(&self, other: &Self) -> Ordering {
         internal_key_cmp(&self.0, &other.0)
     }
-}
-
-/// Result of a memtable lookup.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MemTableGet {
-    /// The key has a live value.
-    Found(Vec<u8>),
-    /// The key has a live TTL-stamped value: user bytes followed by the
-    /// 8-byte little-endian write timestamp. The caller strips the stamp
-    /// and applies expiry (the memtable knows neither the clock nor the
-    /// configured TTL).
-    FoundTtl(Vec<u8>),
-    /// The key is deleted at this snapshot.
-    Deleted,
-    /// The memtable holds no entry for the key.
-    NotFound,
 }
 
 enum Rep {
@@ -248,46 +232,43 @@ impl MemTable {
         self.note_entry(charged, seq);
     }
 
-    /// Looks up the newest entry for `user_key` visible at `snapshot`.
-    pub fn get(&self, user_key: &[u8], snapshot: SequenceNumber) -> MemTableGet {
+    /// Looks up the newest entry for `user_key` visible at `snapshot`: its
+    /// type and stored bytes (for [`ValueType::TtlValue`], the user bytes
+    /// followed by the 8-byte write stamp). What the entry means to a
+    /// reader is the caller's business; the memtable knows neither the
+    /// clock nor the configured TTL.
+    pub fn get(&self, user_key: &[u8], snapshot: SequenceNumber) -> Option<(ValueType, Vec<u8>)> {
         if let Some(bloom) = &self.bloom {
             if !bloom.may_contain(user_key) {
-                return MemTableGet::NotFound;
+                return None;
             }
         }
         let lookup = crate::types::lookup_key(user_key, snapshot);
         // Entries are newest-first per user key; the first one at or
         // below the snapshot decides.
+        let entry_of = |encoded_key: &[u8], value: &[u8]| {
+            let (found_user, tag) = split_tag(encoded_key);
+            (found_user == user_key).then(|| {
+                let ty = ValueType::from_u8(tag as u8).expect("memtable keys are valid");
+                (ty, value.to_vec())
+            })
+        };
         match &self.rep {
             Rep::BTree(map) => {
                 let map = map.read();
                 let start = Bound::Included(OrderedKey(lookup.encoded().to_vec()));
-                match map.range((start, Bound::Unbounded)).next() {
-                    Some((k, v)) => Self::resolve_entry(&k.0, v, user_key),
-                    None => MemTableGet::NotFound,
-                }
+                let (k, v) = map.range((start, Bound::Unbounded)).next()?;
+                entry_of(&k.0, v)
             }
             Rep::Skip(list) => {
                 let node = list.seek(lookup.encoded());
                 if node.is_null() {
-                    return MemTableGet::NotFound;
+                    return None;
                 }
                 // SAFETY: non-null nodes are valid for the list's lifetime.
                 let (k, v) = unsafe { ((*node).key(), (*node).value()) };
-                Self::resolve_entry(k, v, user_key)
+                entry_of(k, v)
             }
-        }
-    }
-
-    fn resolve_entry(encoded_key: &[u8], value: &[u8], user_key: &[u8]) -> MemTableGet {
-        let ik = InternalKey::decode(encoded_key).expect("memtable keys are valid");
-        if ik.user_key() != user_key {
-            return MemTableGet::NotFound;
-        }
-        match ik.value_type() {
-            ValueType::Value => MemTableGet::Found(value.to_vec()),
-            ValueType::TtlValue => MemTableGet::FoundTtl(value.to_vec()),
-            ValueType::Deletion => MemTableGet::Deleted,
         }
     }
 
@@ -581,8 +562,8 @@ mod tests {
             let mt = mt_with(rep);
             mt.add(1, ValueType::Value, b"alpha", b"1");
             mt.add(2, ValueType::Value, b"beta", b"2");
-            assert_eq!(mt.get(b"alpha", 100), MemTableGet::Found(b"1".to_vec()));
-            assert_eq!(mt.get(b"gamma", 100), MemTableGet::NotFound);
+            assert_eq!(mt.get(b"alpha", 100), Some((ValueType::Value, b"1".to_vec())));
+            assert_eq!(mt.get(b"gamma", 100), None);
         }
     }
 
@@ -592,9 +573,9 @@ mod tests {
             let mt = mt_with(rep);
             mt.add(1, ValueType::Value, b"k", b"old");
             mt.add(5, ValueType::Value, b"k", b"new");
-            assert_eq!(mt.get(b"k", 100), MemTableGet::Found(b"new".to_vec()));
+            assert_eq!(mt.get(b"k", 100), Some((ValueType::Value, b"new".to_vec())));
             // Snapshot between versions sees the old value.
-            assert_eq!(mt.get(b"k", 3), MemTableGet::Found(b"old".to_vec()));
+            assert_eq!(mt.get(b"k", 3), Some((ValueType::Value, b"old".to_vec())));
         }
     }
 
@@ -604,8 +585,8 @@ mod tests {
             let mt = mt_with(rep);
             mt.add(1, ValueType::Value, b"k", b"v");
             mt.add(2, ValueType::Deletion, b"k", b"");
-            assert_eq!(mt.get(b"k", 100), MemTableGet::Deleted);
-            assert_eq!(mt.get(b"k", 1), MemTableGet::Found(b"v".to_vec()));
+            assert_eq!(mt.get(b"k", 100), Some((ValueType::Deletion, Vec::new())));
+            assert_eq!(mt.get(b"k", 1), Some((ValueType::Value, b"v".to_vec())));
         }
     }
 
@@ -614,7 +595,7 @@ mod tests {
         for rep in both_reps() {
             let mt = mt_with(rep);
             mt.add(10, ValueType::Value, b"k", b"v");
-            assert_eq!(mt.get(b"k", 5), MemTableGet::NotFound);
+            assert_eq!(mt.get(b"k", 5), None);
         }
     }
 
@@ -665,11 +646,11 @@ mod tests {
             for i in 0..100 {
                 mt.add(i + 1, ValueType::Value, format!("key-{i}").as_bytes(), b"v");
             }
-            assert_eq!(mt.get(b"key-42", 1000), MemTableGet::Found(b"v".to_vec()));
+            assert_eq!(mt.get(b"key-42", 1000), Some((ValueType::Value, b"v".to_vec())));
             // Bloom short-circuits most absent lookups; correctness-wise all
             // must return NotFound.
             for i in 200..300 {
-                assert_eq!(mt.get(format!("key-{i}").as_bytes(), 1000), MemTableGet::NotFound);
+                assert_eq!(mt.get(format!("key-{i}").as_bytes(), 1000), None);
             }
         }
     }
@@ -732,7 +713,7 @@ mod tests {
             // Wrong-length probes never reject.
             assert!(mt.may_contain_prefix(b"abc"));
             // Whole-key gets still work.
-            assert_eq!(mt.get(b"abc00001", 1000), MemTableGet::Found(b"v".to_vec()));
+            assert_eq!(mt.get(b"abc00001", 1000), Some((ValueType::Value, b"v".to_vec())));
         }
     }
 

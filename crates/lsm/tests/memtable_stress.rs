@@ -15,7 +15,7 @@ use proptest::prelude::*;
 use hw_sim::HardwareEnv;
 use lsm_kvs::options::{MemtableRep, Options};
 use lsm_kvs::vfs::StdVfs;
-use lsm_kvs::{Db, MemTable, MemTableGet, ReadOptions};
+use lsm_kvs::{Db, MemTable, ReadOptions, ValueType};
 
 /// Unique scratch directory, removed on drop.
 struct TempDir {
@@ -294,9 +294,9 @@ proptest! {
 fn facade_reports_deletions_for_both_reps() {
     for rep in REPS {
         let mt = MemTable::with_config(rep, 0, 0, 0);
-        mt.add(1, lsm_kvs::ValueType::Value, b"k", b"v");
-        mt.add(2, lsm_kvs::ValueType::Deletion, b"k", b"");
-        assert_eq!(mt.get(b"k", 10), MemTableGet::Deleted);
-        assert_eq!(mt.get(b"k", 1), MemTableGet::Found(b"v".to_vec()));
+        mt.add(1, ValueType::Value, b"k", b"v");
+        mt.add(2, ValueType::Deletion, b"k", b"");
+        assert_eq!(mt.get(b"k", 10), Some((ValueType::Deletion, Vec::new())));
+        assert_eq!(mt.get(b"k", 1), Some((ValueType::Value, b"v".to_vec())));
     }
 }

@@ -88,6 +88,109 @@ fn multi_get_accounting() {
     assert!(text.contains("db.multiget.micros"), "histogram missing: {text}");
 }
 
+/// `get` is a batch of one: on two identically built databases whose
+/// keys are spread over the live memtable, two immutable memtables, L0
+/// and a deeper level — overwrites, tombstones, TTL-expired values and
+/// never-written keys among them, block cache cold — a loop of `get`s
+/// and a loop of one-key `multi_get`s return the same values, move the
+/// simulated clock by the same amount and tick every counter alike,
+/// except the ones that name the entry point.
+#[test]
+fn get_and_one_key_multi_get_charge_alike() {
+    let build = || {
+        let env = sim_env();
+        let opts = Options {
+            write_buffer_size: 64 << 10,
+            target_file_size_base: 64 << 10,
+            max_bytes_for_level_base: 256 << 10,
+            bloom_filter_bits_per_key: 10.0,
+            ttl_seconds: 1_000,
+            // Hold flushes back so immutable memtables pile up.
+            max_write_buffer_number: 6,
+            min_write_buffer_number_to_merge: 4,
+            ..Options::default()
+        };
+        let db = Db::builder(opts).env(&env).open().unwrap();
+        // Deeper level: by the time of the reads the first half's stamps
+        // are past the TTL, the second half's are not.
+        let age = || env.clock().advance(hw_sim::SimDuration::from_secs_f64(600.0));
+        for i in 0..3_000u32 {
+            if i == 1_500 {
+                age();
+            }
+            db.put(&key(i), &value(i)).unwrap();
+        }
+        db.flush().unwrap();
+        db.compact_range(b"", b"\xff").unwrap();
+        db.wait_background_idle().unwrap();
+        age();
+        // L0: fresh values and tombstones over a slice of the old keys.
+        for i in (0..3_000u32).step_by(5) {
+            db.put(&key(i), b"fresh-in-l0").unwrap();
+        }
+        for i in (1..3_000u32).step_by(30) {
+            db.delete(&key(i)).unwrap();
+        }
+        db.flush().unwrap();
+        db.wait_background_idle().unwrap();
+        // Two immutable memtables, each shadowing a little of what is
+        // below and padded with keys the reads never ask for.
+        for round in 1..=2u32 {
+            for i in (round * 2..3_000).step_by(120) {
+                db.put(&key(i), format!("imm-{round}").as_bytes()).unwrap();
+                db.delete(&key(i + 2)).unwrap();
+            }
+            let mut pad = 0;
+            while db.stats().immutable_memtables < round as usize {
+                db.put(format!("pad-{round}-{pad:05}").as_bytes(), &[0u8; 100]).unwrap();
+                pad += 1;
+            }
+        }
+        // Live memtable.
+        for i in (0..3_000u32).step_by(44) {
+            db.put(&key(i), b"live").unwrap();
+        }
+        let stats = db.stats();
+        assert_eq!(stats.immutable_memtables, 2);
+        assert!(stats.levels[0].0 > 0, "L0 populated: {:?}", stats.levels);
+        assert!(stats.levels[1..].iter().any(|l| l.0 > 0), "deeper level populated: {:?}", stats.levels);
+        (env, db)
+    };
+    // Every fourth key of the written range plus keys never written.
+    let keys: Vec<Vec<u8>> = (0..3_400u32).step_by(4).map(key).collect();
+
+    let (env_get, db_get) = build();
+    let (env_multi, db_multi) = build();
+    assert_eq!(env_get.clock().now(), env_multi.clock().now(), "identical builds");
+    let before_get = db_get.stats().tickers;
+    let before_multi = db_multi.stats().tickers;
+
+    let via_get: Vec<_> = keys.iter().map(|k| db_get.get(k).unwrap()).collect();
+    let via_multi: Vec<_> = keys
+        .iter()
+        .map(|k| db_multi.multi_get(std::slice::from_ref(k)).unwrap().remove(0))
+        .collect();
+
+    assert_eq!(via_get, via_multi);
+    let live = via_get.iter().flatten().count();
+    assert!(live > 100 && live < keys.len() - 100, "hits and misses both: {live} of {}", keys.len());
+    assert_eq!(env_get.clock().now(), env_multi.clock().now(), "same simulated cost");
+
+    let d_get = db_get.stats().tickers.delta_since(&before_get);
+    let mut d_multi = db_multi.stats().tickers.delta_since(&before_multi);
+    let n = keys.len() as u64;
+    assert_eq!(d_multi.get(Ticker::MultiGetBatches), n);
+    assert_eq!(d_multi.get(Ticker::MultiGetKeysRead), n);
+    for t in [Ticker::MultiGetBatches, Ticker::MultiGetKeysRead] {
+        assert_eq!(d_get.get(t), 0, "get leaves {t:?} alone");
+        d_multi.values[t as usize] = 0;
+    }
+    assert_eq!(d_get, d_multi, "every other ticker moves alike");
+    for t in [Ticker::MemtableHit, Ticker::BloomUseful, Ticker::BlockCacheMiss, Ticker::GetMiss] {
+        assert!(d_get.get(t) > 0, "{t:?} exercised");
+    }
+}
+
 /// The point of the whole exercise: on a preloaded, cache-warm store, a
 /// batch of N keys must cost measurably less simulated time than N
 /// individual `get`s. The margin is generous (≤80%) so cost-model tweaks

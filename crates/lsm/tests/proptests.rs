@@ -10,7 +10,7 @@ use lsm_kvs::options::{CompressionType, Options};
 use lsm_kvs::sstable::block::{Block, BlockBuilder};
 use lsm_kvs::sstable::compress;
 use lsm_kvs::vfs::{MemVfs, Vfs};
-use lsm_kvs::{Db, InternalKey, MemTable, MemTableGet, ReadOptions, ValueType, WriteBatch};
+use lsm_kvs::{Db, InternalKey, MemTable, ReadOptions, ValueType, WriteBatch};
 
 fn key_strategy() -> impl Strategy<Value = Vec<u8>> {
     vec(any::<u8>(), 1..24)
@@ -84,8 +84,8 @@ proptest! {
         for (k, expected) in &model {
             let got = mt.get(k, u64::MAX >> 8);
             match expected {
-                Some(v) => prop_assert_eq!(got, MemTableGet::Found(v.clone())),
-                None => prop_assert_eq!(got, MemTableGet::Deleted),
+                Some(v) => prop_assert_eq!(got, Some((ValueType::Value, v.clone()))),
+                None => prop_assert_eq!(got, Some((ValueType::Deletion, Vec::new()))),
             }
         }
     }
