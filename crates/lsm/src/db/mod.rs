@@ -265,6 +265,32 @@ impl DbStats {
             + self.tickers.get(Ticker::CompactionBytesWritten);
         physical as f64 / user as f64
     }
+
+    /// Folds in the statistics of another database serving a different
+    /// key range: counters, level shapes and debt sum, `last_sequence`
+    /// takes the larger. The block-cache fields are left alone — shards
+    /// share one cache, which `self` already counts; an aggregate over
+    /// databases with a cache each adds those on top.
+    pub fn merge(&mut self, other: &DbStats) {
+        self.tickers.merge(&other.tickers);
+        if self.levels.len() < other.levels.len() {
+            self.levels.resize(other.levels.len(), (0, 0));
+        }
+        for (mine, (files, bytes)) in self.levels.iter_mut().zip(&other.levels) {
+            mine.0 += files;
+            mine.1 += bytes;
+        }
+        self.memtable_bytes += other.memtable_bytes;
+        self.immutable_memtables += other.immutable_memtables;
+        self.pending_compaction_bytes =
+            self.pending_compaction_bytes.saturating_add(other.pending_compaction_bytes);
+        self.running_background_jobs += other.running_background_jobs;
+        self.last_sequence = self.last_sequence.max(other.last_sequence);
+        self.background_retries += other.background_retries;
+        self.wal_rotations += other.wal_rotations;
+        self.manifest_resyncs += other.manifest_resyncs;
+        self.wal_sync_retries += other.wal_sync_retries;
+    }
 }
 
 /// One key/value pair returned by a scan.

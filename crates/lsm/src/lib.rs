@@ -67,7 +67,7 @@ pub use db::{
 pub use error::{Error, ErrorKind, Result};
 pub use filter::{CompactionFilter, FilterContext, FilterDecision, TtlFilter};
 pub use engine::KvEngine;
-pub use shard::{ShardedDb, ShardedDbBuilder};
+pub use shard::{KeyRanges, ShardedDb, ShardedDbBuilder};
 pub use fault::{FaultConfig, FaultInjectionVfs, TearStyle};
 pub use listener::{CompactionJobInfo, EventListener, FlushJobInfo, StallConditionsChanged};
 pub use memtable::{MemTable, MemTableCursor};

@@ -39,13 +39,79 @@ use crate::error::{Error, Result};
 use crate::options::Options;
 use crate::runtime::{BgShared, JobBudget};
 use crate::write_controller::WriteRegime;
-use crate::types::ValueType;
 use crate::vfs::{MemVfs, NamespaceVfs, Vfs};
 
 /// Marker file in the base directory recording the shard count, so a
 /// database cannot be reopened with a different partitioning (keys would
 /// silently land in the wrong tree).
 const SHARDS_MARKER: &str = "SHARDS";
+
+/// A key space cut into contiguous ranges by strictly increasing,
+/// non-empty split points: range `i` owns keys in
+/// `[split[i-1], split[i])`, open-ended at both ends. The routing table
+/// of [`ShardedDb`] and of any client that partitions keys the same way
+/// across servers.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct KeyRanges {
+    split_points: Vec<Vec<u8>>,
+}
+
+impl KeyRanges {
+    /// Checks that `split_points` cut the key space into `n` ranges.
+    ///
+    /// # Errors
+    ///
+    /// Rejects lists that would misroute keys: wrong count, an empty
+    /// split point (indistinguishable from the open left end), or any
+    /// pair out of strict order.
+    pub fn new(split_points: Vec<Vec<u8>>, n: usize) -> Result<KeyRanges> {
+        if split_points.len() + 1 != n {
+            return Err(Error::invalid_argument(format!(
+                "{n} key ranges need {} split points, got {}",
+                n.saturating_sub(1),
+                split_points.len()
+            )));
+        }
+        for (i, p) in split_points.iter().enumerate() {
+            if p.is_empty() {
+                return Err(Error::invalid_argument("empty split point"));
+            }
+            if i > 0 && split_points[i - 1] >= *p {
+                return Err(Error::invalid_argument(format!(
+                    "split points must be strictly increasing (point {i} is not)"
+                )));
+            }
+        }
+        Ok(KeyRanges { split_points })
+    }
+
+    /// Number of ranges.
+    pub fn len(&self) -> usize {
+        self.split_points.len() + 1
+    }
+
+    /// Never: even without split points there is one range.
+    pub fn is_empty(&self) -> bool {
+        false
+    }
+
+    /// The range that owns `key`; a key equal to a split point belongs to
+    /// the range on its right.
+    pub fn route(&self, key: &[u8]) -> usize {
+        self.split_points.partition_point(|p| p.as_slice() <= key)
+    }
+
+    /// Splits a batch's entries by owning range, one batch per range
+    /// (possibly empty), keeping the order within each.
+    pub fn split_batch(&self, batch: &WriteBatch) -> Vec<WriteBatch> {
+        let mut parts = vec![WriteBatch::new(); self.len()];
+        for (ty, key, value) in batch.iter() {
+            // Stamped entries keep their stamp verbatim.
+            parts[self.route(key)].push_raw(ty, key, value);
+        }
+        parts
+    }
+}
 
 /// State shared by all shards of one [`ShardedDb`].
 pub(crate) struct ShardShared {
@@ -201,11 +267,10 @@ impl ShardedDbBuilder {
 #[derive(Clone)]
 pub struct ShardedDb {
     shards: Vec<Db>,
-    /// `num_shards - 1` increasing boundaries; shard `i` owns keys in
-    /// `[split[i-1], split[i])` with the usual open ends. Two-byte
-    /// big-endian by default, caller-supplied via
-    /// [`ShardedDbBuilder::split_points`] otherwise.
-    split_points: Vec<Vec<u8>>,
+    /// Which shard owns which keys. Two-byte big-endian boundaries by
+    /// default, caller-supplied via [`ShardedDbBuilder::split_points`]
+    /// otherwise.
+    ranges: KeyRanges,
     /// Cross-shard shared state, kept so [`set_options`](Self::set_options)
     /// can resize the global job budget when `max_background_jobs` moves.
     shared: Arc<ShardShared>,
@@ -237,14 +302,12 @@ impl ShardedDb {
     ) -> Result<ShardedDb> {
         opts.validate()?;
         let n = opts.num_shards as usize;
-        if let Some(p) = &custom_splits {
-            validate_split_points(p, n)?;
-        }
+        let custom = custom_splits.map(|p| KeyRanges::new(p, n)).transpose()?;
         // The partitioning is a persistent property of the database: an
         // existing marker's boundaries win on reopen (callers need not
         // re-supply them), but an *explicit* request that conflicts with
         // them is an error — honouring it would misroute every key.
-        let splits = match read_marker(&*vfs)? {
+        let ranges = match read_marker(&*vfs)? {
             Some((stored_n, stored)) => {
                 if stored_n != n {
                     return Err(Error::invalid_argument(format!(
@@ -252,19 +315,21 @@ impl ShardedDb {
                     )));
                 }
                 let stored = if stored.is_empty() { split_points(n) } else { stored };
-                if let Some(p) = custom_splits {
-                    if p != stored {
-                        return Err(Error::invalid_argument(
-                            "database was created with different shard split points",
-                        ));
-                    }
+                let stored = KeyRanges::new(stored, n)?;
+                if custom.is_some_and(|c| c != stored) {
+                    return Err(Error::invalid_argument(
+                        "database was created with different shard split points",
+                    ));
                 }
                 stored
             }
             None => {
-                let splits = custom_splits.unwrap_or_else(|| split_points(n));
-                write_marker(&*vfs, n, &splits)?;
-                splits
+                let ranges = match custom {
+                    Some(c) => c,
+                    None => KeyRanges::new(split_points(n), n)?,
+                };
+                write_marker(&*vfs, &ranges)?;
+                ranges
             }
         };
 
@@ -316,7 +381,7 @@ impl ShardedDb {
         }
         Ok(ShardedDb {
             shards,
-            split_points: splits,
+            ranges,
             shared,
             base_vfs: vfs,
         })
@@ -332,18 +397,13 @@ impl ShardedDb {
         &self.shards[i]
     }
 
-    fn shard_for(&self, key: &[u8]) -> usize {
-        self.split_points
-            .partition_point(|b| b.as_slice() <= key)
-    }
-
     /// Stores `value` under `key`.
     ///
     /// # Errors
     ///
     /// See [`Db::put`].
     pub fn put(&self, key: &[u8], value: &[u8]) -> Result<()> {
-        self.shards[self.shard_for(key)].put(key, value)
+        self.shards[self.ranges.route(key)].put(key, value)
     }
 
     /// Deletes a key (writes a tombstone).
@@ -352,7 +412,7 @@ impl ShardedDb {
     ///
     /// See [`Db::delete`].
     pub fn delete(&self, key: &[u8]) -> Result<()> {
-        self.shards[self.shard_for(key)].delete(key)
+        self.shards[self.ranges.route(key)].delete(key)
     }
 
     /// Reads the newest value for `key`.
@@ -361,7 +421,7 @@ impl ShardedDb {
     ///
     /// See [`Db::get`].
     pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        self.shards[self.shard_for(key)].get(key)
+        self.shards[self.ranges.route(key)].get(key)
     }
 
     /// Reads the newest value for `key` under explicit [`ReadOptions`].
@@ -373,7 +433,7 @@ impl ShardedDb {
     /// [`check_explicit_snapshot`](Self::check_explicit_snapshot)).
     pub fn get_opt(&self, ropts: &ReadOptions, key: &[u8]) -> Result<Option<Vec<u8>>> {
         self.check_explicit_snapshot(ropts)?;
-        self.shards[self.shard_for(key)].get_opt(ropts, key)
+        self.shards[self.ranges.route(key)].get_opt(ropts, key)
     }
 
     /// Reads the newest values for a batch of keys, in input order.
@@ -414,7 +474,7 @@ impl ShardedDb {
         let pins: Vec<u64> = self.shards.iter().map(Db::snapshot_seq).collect();
         let mut groups: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
         for (i, key) in keys.iter().enumerate() {
-            groups[self.shard_for(key.as_ref())].push(i);
+            groups[self.ranges.route(key.as_ref())].push(i);
         }
         let mut results: Vec<Option<Vec<u8>>> = vec![None; keys.len()];
         for (s, group) in groups.iter().enumerate() {
@@ -475,17 +535,7 @@ impl ShardedDb {
         if self.shards.len() == 1 {
             return self.shards[0].write_opt(wopts, batch);
         }
-        let mut parts: Vec<WriteBatch> = vec![WriteBatch::new(); self.shards.len()];
-        for (ty, key, value) in batch.iter() {
-            let part = &mut parts[self.shard_for(key)];
-            match ty {
-                ValueType::Value => part.put(key, value),
-                ValueType::Deletion => part.delete(key),
-                // Forwarded stamped entries keep their stamp verbatim.
-                ValueType::TtlValue => part.push_raw(ty, key, value),
-            };
-        }
-        for (i, part) in parts.into_iter().enumerate() {
+        for (i, part) in self.ranges.split_batch(&batch).into_iter().enumerate() {
             if !part.is_empty() {
                 self.shards[i].write_opt(wopts, part)?;
             }
@@ -507,7 +557,7 @@ impl ShardedDb {
         self.check_explicit_snapshot(ropts)?;
         let pins: Vec<u64> = self.shards.iter().map(Db::snapshot_seq).collect();
         let mut out = ScanResult::new();
-        let first = self.shard_for(start);
+        let first = self.ranges.route(start);
         for (i, shard) in self.shards.iter().enumerate().skip(first) {
             if out.len() >= count {
                 break;
@@ -648,8 +698,7 @@ impl ShardedDb {
         // as the sharded checkpoint's completion record.
         write_marker(
             &NamespaceVfs::new(Arc::clone(&self.base_vfs), format!("{dir}/")),
-            self.shards.len(),
-            &self.split_points,
+            &self.ranges,
         )
     }
 
@@ -682,26 +731,7 @@ impl ShardedDb {
     pub fn stats(&self) -> DbStats {
         let mut agg = self.shards[0].stats();
         for db in &self.shards[1..] {
-            let s = db.stats();
-            agg.tickers.merge(&s.tickers);
-            if agg.levels.len() < s.levels.len() {
-                agg.levels.resize(s.levels.len(), (0, 0));
-            }
-            for (l, (files, bytes)) in s.levels.iter().enumerate() {
-                agg.levels[l].0 += files;
-                agg.levels[l].1 += bytes;
-            }
-            agg.memtable_bytes += s.memtable_bytes;
-            agg.immutable_memtables += s.immutable_memtables;
-            agg.pending_compaction_bytes =
-                agg.pending_compaction_bytes.saturating_add(s.pending_compaction_bytes);
-            agg.running_background_jobs += s.running_background_jobs;
-            agg.last_sequence = agg.last_sequence.max(s.last_sequence);
-            agg.background_retries += s.background_retries;
-            agg.wal_rotations += s.wal_rotations;
-            agg.manifest_resyncs += s.manifest_resyncs;
-            agg.wal_sync_retries += s.wal_sync_retries;
-            // block_cache / block_cache_capacity: shared, already counted.
+            agg.merge(&db.stats());
         }
         agg
     }
@@ -749,30 +779,6 @@ fn split_points(n: usize) -> Vec<Vec<u8>> {
         .collect()
 }
 
-/// Rejects boundary lists that would misroute keys: wrong count, empty
-/// boundaries (indistinguishable from the open left end), or any pair
-/// out of strict order.
-fn validate_split_points(points: &[Vec<u8>], n: usize) -> Result<()> {
-    if points.len() + 1 != n {
-        return Err(Error::invalid_argument(format!(
-            "{n} shards need {} split points, got {}",
-            n - 1,
-            points.len()
-        )));
-    }
-    for (i, p) in points.iter().enumerate() {
-        if p.is_empty() {
-            return Err(Error::invalid_argument("empty split point"));
-        }
-        if i > 0 && points[i - 1].as_slice() >= p.as_slice() {
-            return Err(Error::invalid_argument(format!(
-                "split points must be strictly increasing (point {i} is not)"
-            )));
-        }
-    }
-    Ok(())
-}
-
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
@@ -811,10 +817,10 @@ fn read_marker(vfs: &dyn Vfs) -> Result<Option<(usize, Vec<Vec<u8>>)>> {
 
 /// Writes the marker recording the partitioning: the shard count on the
 /// first line, then one hex-encoded boundary per line.
-fn write_marker(vfs: &dyn Vfs, n: usize, splits: &[Vec<u8>]) -> Result<()> {
+fn write_marker(vfs: &dyn Vfs, ranges: &KeyRanges) -> Result<()> {
     let mut f = vfs.create(SHARDS_MARKER)?;
-    let mut body = format!("{n}\n");
-    for p in splits {
+    let mut body = format!("{}\n", ranges.len());
+    for p in &ranges.split_points {
         body.push_str(&hex(p));
         body.push('\n');
     }
@@ -843,12 +849,12 @@ mod tests {
         .env(&sim_env())
         .open()
         .unwrap();
-        assert_eq!(db.shard_for(b""), 0);
-        assert_eq!(db.shard_for(&[0x3f, 0xff]), 0);
-        assert_eq!(db.shard_for(&[0x40]), 0); // shorter than the boundary
-        assert_eq!(db.shard_for(&[0x40, 0x00]), 1);
-        assert_eq!(db.shard_for(&[0x80, 0x00, 0x01]), 2);
-        assert_eq!(db.shard_for(&[0xff, 0xff]), 3);
+        assert_eq!(db.ranges.route(b""), 0);
+        assert_eq!(db.ranges.route(&[0x3f, 0xff]), 0);
+        assert_eq!(db.ranges.route(&[0x40]), 0); // shorter than the boundary
+        assert_eq!(db.ranges.route(&[0x40, 0x00]), 1);
+        assert_eq!(db.ranges.route(&[0x80, 0x00, 0x01]), 2);
+        assert_eq!(db.ranges.route(&[0xff, 0xff]), 3);
     }
 
     #[test]
@@ -1149,10 +1155,10 @@ mod tests {
             .open()
             .unwrap();
         db.put(b"zz", b"v").unwrap();
-        assert_eq!(db.shard_for(b"zz"), 1);
+        assert_eq!(db.ranges.route(b"zz"), 1);
         drop(db);
         let db = ShardedDb::builder(opts).env(&env).vfs(vfs).open().unwrap();
-        assert_eq!(db.shard_for(b"zz"), 1, "reopen ignored stored boundaries");
+        assert_eq!(db.ranges.route(b"zz"), 1, "reopen ignored stored boundaries");
         assert_eq!(db.get(b"zz").unwrap(), Some(b"v".to_vec()));
     }
 }

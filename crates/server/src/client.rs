@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use lsm_kvs::{DbStats, Error, ErrorKind, KvEngine, Result, ScanResult, WriteBatch, WriteOptions};
 use parking_lot::{Condvar, Mutex};
 
-use crate::protocol::{frame, Request, Response, MAX_FRAME_LEN};
+use crate::protocol::{frame, unframe, Request, Response, Unframed};
 
 fn io_err(e: io::Error) -> Error {
     Error::io(format!("connection error: {e}")).retryable(true)
@@ -67,17 +67,17 @@ impl Conn {
     /// Transport failures, oversized frames, or undecodable responses.
     pub fn receive(&mut self, req: &Request) -> Result<Response> {
         loop {
-            if self.pending.len() >= 4 {
-                let len = u32::from_le_bytes(self.pending[..4].try_into().expect("4 bytes"));
-                if len > MAX_FRAME_LEN {
-                    return Err(Error::corruption(format!("server sent {len}-byte frame")));
-                }
-                let total = 4 + len as usize;
-                if self.pending.len() >= total {
-                    let resp = Response::decode(req, &self.pending[4..total]);
+            match unframe(&self.pending) {
+                Unframed::Frame(payload) => {
+                    let total = 4 + payload.len();
+                    let resp = Response::decode(req, payload);
                     self.pending.drain(..total);
                     return resp;
                 }
+                Unframed::Oversized(len) => {
+                    return Err(Error::corruption(format!("server sent {len}-byte frame")));
+                }
+                Unframed::NeedMore(_) => {}
             }
             let mut chunk = [0u8; 16 * 1024];
             match self.stream.read(&mut chunk) {

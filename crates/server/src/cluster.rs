@@ -22,7 +22,7 @@
 use std::sync::Arc;
 
 use lsm_kvs::{
-    DbStats, Error, ErrorKind, KvEngine, Result, ScanResult, WriteBatch, WriteOptions,
+    DbStats, Error, ErrorKind, KeyRanges, KvEngine, Result, ScanResult, WriteBatch, WriteOptions,
 };
 use parking_lot::Mutex;
 
@@ -51,7 +51,7 @@ struct Node {
 /// A range-routing, failover-capable client over many servers.
 pub struct ClusterClient {
     nodes: Vec<Node>,
-    split_points: Vec<Vec<u8>>,
+    ranges: KeyRanges,
 }
 
 impl ClusterClient {
@@ -81,23 +81,8 @@ impl ClusterClient {
         if nodes.is_empty() {
             return Err(Error::invalid_argument("cluster spec names no nodes"));
         }
-        if split_points.len() + 1 != nodes.len() {
-            return Err(Error::invalid_argument(format!(
-                "{} nodes need {} split points, got {}",
-                nodes.len(),
-                nodes.len() - 1,
-                split_points.len()
-            )));
-        }
-        for (i, p) in split_points.iter().enumerate() {
-            if p.is_empty() {
-                return Err(Error::invalid_argument("empty split point"));
-            }
-            if i > 0 && split_points[i - 1].as_slice() >= p.as_slice() {
-                return Err(Error::invalid_argument("split points out of order"));
-            }
-        }
-        Ok(ClusterClient { nodes, split_points })
+        let ranges = KeyRanges::new(split_points, nodes.len())?;
+        Ok(ClusterClient { nodes, ranges })
     }
 
     /// Number of nodes (ranges).
@@ -108,11 +93,6 @@ impl ClusterClient {
     /// The configured leader address of node `idx`.
     pub fn node_addr(&self, idx: usize) -> &str {
         &self.nodes[idx].addr
-    }
-
-    /// Which node owns `key`.
-    fn node_for(&self, key: &[u8]) -> usize {
-        self.split_points.partition_point(|p| p.as_slice() <= key)
     }
 
     fn primary(&self, idx: usize) -> Arc<RemoteDb> {
@@ -169,33 +149,19 @@ impl ClusterClient {
             other => other,
         }
     }
-
-    /// Splits a batch's ops by owning node, preserving in-node order.
-    fn split_batch(&self, batch: &WriteBatch) -> Vec<WriteBatch> {
-        let mut per_node: Vec<WriteBatch> = (0..self.nodes.len()).map(|_| WriteBatch::new()).collect();
-        for (ty, key, value) in batch.iter() {
-            let idx = self.node_for(key);
-            if ty == lsm_kvs::ValueType::Deletion {
-                per_node[idx].delete(key);
-            } else {
-                per_node[idx].put(key, value);
-            }
-        }
-        per_node
-    }
 }
 
 impl KvEngine for ClusterClient {
     fn put(&self, key: &[u8], value: &[u8]) -> Result<()> {
-        self.with_node(self.node_for(key), false, |db| db.put(key, value))
+        self.with_node(self.ranges.route(key), false, |db| db.put(key, value))
     }
 
     fn delete(&self, key: &[u8]) -> Result<()> {
-        self.with_node(self.node_for(key), false, |db| db.delete(key))
+        self.with_node(self.ranges.route(key), false, |db| db.delete(key))
     }
 
     fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        self.with_node(self.node_for(key), true, |db| db.get(key))
+        self.with_node(self.ranges.route(key), true, |db| db.get(key))
     }
 
     fn multi_get(&self, keys: &[Vec<u8>]) -> Result<Vec<Option<Vec<u8>>>> {
@@ -203,7 +169,7 @@ impl KvEngine for ClusterClient {
         let mut per_node: Vec<(Vec<usize>, Vec<Vec<u8>>)> =
             (0..self.nodes.len()).map(|_| (Vec::new(), Vec::new())).collect();
         for (slot, key) in keys.iter().enumerate() {
-            let idx = self.node_for(key);
+            let idx = self.ranges.route(key);
             per_node[idx].0.push(slot);
             per_node[idx].1.push(key.clone());
         }
@@ -222,22 +188,12 @@ impl KvEngine for ClusterClient {
     }
 
     fn write_opt(&self, wopts: &WriteOptions, batch: WriteBatch) -> Result<()> {
-        for (idx, node_batch) in self.split_batch(&batch).into_iter().enumerate() {
+        for (idx, node_batch) in self.ranges.split_batch(&batch).into_iter().enumerate() {
             if node_batch.is_empty() {
                 continue;
             }
             // Atomic per node, like the sharded engine's contract.
-            self.with_node(idx, false, |db| {
-                let mut b = WriteBatch::new();
-                for (ty, k, v) in node_batch.iter() {
-                    if ty == lsm_kvs::ValueType::Deletion {
-                        b.delete(k);
-                    } else {
-                        b.put(k, v);
-                    }
-                }
-                db.write_opt(wopts, b)
-            })?;
+            self.with_node(idx, false, |db| db.write_opt(wopts, node_batch.clone()))?;
         }
         Ok(())
     }
@@ -247,7 +203,7 @@ impl KvEngine for ClusterClient {
         // globally sorted results; every node's keys past the first are
         // all > start, so the same start key works everywhere.
         let mut entries = Vec::new();
-        for idx in self.node_for(start)..self.nodes.len() {
+        for idx in self.ranges.route(start)..self.nodes.len() {
             let remaining = count - entries.len();
             if remaining == 0 {
                 break;
@@ -284,37 +240,20 @@ impl KvEngine for ClusterClient {
     }
 
     fn stats_checked(&self) -> Result<DbStats> {
-        // Unlike shards, nodes do not share a block cache: everything
-        // sums, last_sequence reports the max.
+        // Unlike shards, nodes do not share a block cache: its counters
+        // sum on top of what `DbStats::merge` folds in.
         let mut agg: Option<DbStats> = None;
         for idx in 0..self.nodes.len() {
             let s = self.with_node(idx, true, |db| db.stats_checked())?;
             agg = Some(match agg {
                 None => s,
                 Some(mut a) => {
-                    a.tickers.merge(&s.tickers);
-                    if a.levels.len() < s.levels.len() {
-                        a.levels.resize(s.levels.len(), (0, 0));
-                    }
-                    for (l, (files, bytes)) in s.levels.iter().enumerate() {
-                        a.levels[l].0 += files;
-                        a.levels[l].1 += bytes;
-                    }
-                    a.memtable_bytes += s.memtable_bytes;
-                    a.immutable_memtables += s.immutable_memtables;
+                    a.merge(&s);
                     a.block_cache.hits += s.block_cache.hits;
                     a.block_cache.misses += s.block_cache.misses;
                     a.block_cache.inserts += s.block_cache.inserts;
                     a.block_cache.evictions += s.block_cache.evictions;
                     a.block_cache_capacity += s.block_cache_capacity;
-                    a.pending_compaction_bytes =
-                        a.pending_compaction_bytes.saturating_add(s.pending_compaction_bytes);
-                    a.running_background_jobs += s.running_background_jobs;
-                    a.last_sequence = a.last_sequence.max(s.last_sequence);
-                    a.background_retries += s.background_retries;
-                    a.wal_rotations += s.wal_rotations;
-                    a.manifest_resyncs += s.manifest_resyncs;
-                    a.wal_sync_retries += s.wal_sync_retries;
                     a
                 }
             });
@@ -361,11 +300,8 @@ mod tests {
 
     #[test]
     fn routing_boundaries() {
-        // Build the routing table without dialing: exercise node_for via
-        // a hand-built client is impossible without sockets, so check
-        // the partition_point contract directly.
-        let split_points = [b"m".to_vec(), b"t".to_vec()];
-        let route = |key: &[u8]| split_points.partition_point(|p| p.as_slice() <= key);
+        let ranges = KeyRanges::new(vec![b"m".to_vec(), b"t".to_vec()], 3).unwrap();
+        let route = |key: &[u8]| ranges.route(key);
         assert_eq!(route(b"a"), 0);
         assert_eq!(route(b"lzz"), 0);
         assert_eq!(route(b"m"), 1); // boundary key goes right

@@ -816,9 +816,52 @@ pub fn frame(payload: &[u8]) -> Vec<u8> {
     out
 }
 
+/// What [`unframe`] finds at the front of a receive buffer.
+#[derive(Debug, PartialEq, Eq)]
+pub enum Unframed<'a> {
+    /// A whole frame: its payload. The frame occupies the first
+    /// `4 + payload.len()` bytes of the buffer.
+    Frame(&'a [u8]),
+    /// No whole frame yet; at least this many more bytes are needed.
+    NeedMore(usize),
+    /// The length prefix announces more than [`MAX_FRAME_LEN`] bytes. The
+    /// stream cannot be resynchronised; what to tell the peer is the
+    /// caller's business.
+    Oversized(u32),
+}
+
+/// The reader-side twin of [`frame`]: splits the first frame off `buf`.
+pub fn unframe(buf: &[u8]) -> Unframed<'_> {
+    let Some((prefix, rest)) = buf.split_first_chunk::<4>() else {
+        return Unframed::NeedMore(4 - buf.len());
+    };
+    let len = u32::from_le_bytes(*prefix);
+    if len > MAX_FRAME_LEN {
+        return Unframed::Oversized(len);
+    }
+    match rest.get(..len as usize) {
+        Some(payload) => Unframed::Frame(payload),
+        None => Unframed::NeedMore(len as usize - rest.len()),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn unframe_splits_what_frame_joined() {
+        let mut buf = frame(b"abc");
+        buf.extend_from_slice(&frame(b""));
+        assert_eq!(unframe(&buf), Unframed::Frame(b"abc"));
+        assert_eq!(unframe(&buf[7..]), Unframed::Frame(b""));
+        assert_eq!(unframe(&buf[..6]), Unframed::NeedMore(1));
+        assert_eq!(unframe(&buf[..2]), Unframed::NeedMore(2));
+        assert_eq!(unframe(&[]), Unframed::NeedMore(4));
+        let too_long = (MAX_FRAME_LEN + 1).to_le_bytes();
+        assert_eq!(unframe(&too_long), Unframed::Oversized(MAX_FRAME_LEN + 1));
+        assert_eq!(unframe(&MAX_FRAME_LEN.to_le_bytes()), Unframed::NeedMore(MAX_FRAME_LEN as usize));
+    }
 
     fn roundtrip_req(req: Request) {
         let enc = req.encode();

@@ -59,7 +59,7 @@ use std::time::{Duration, Instant};
 use lsm_kvs::{Db, ReadOptions, Vfs, WalSink, WriteBatch, WriteOptions};
 use parking_lot::{Condvar, Mutex};
 
-use crate::protocol::{frame, Request, MAX_FRAME_LEN};
+use crate::protocol::{frame, unframe, Request, Unframed};
 
 /// Marker file a follower keeps in its database directory from the
 /// first applied checkpoint chunk until the bootstrap is durably
@@ -79,7 +79,7 @@ const RING_MAX_BYTES: usize = 16 << 20;
 const SESSION_MAX_BYTES: usize = 64 << 20;
 
 /// Checkpoint chunk bounds: entries per frame and payload bytes per
-/// frame (staying far under [`MAX_FRAME_LEN`]).
+/// frame (staying far under [`crate::MAX_FRAME_LEN`]).
 const SNAPSHOT_CHUNK_ENTRIES: usize = 256;
 const SNAPSHOT_CHUNK_BYTES: usize = 1 << 20;
 
@@ -423,17 +423,26 @@ pub fn serve_replicas(
     })
 }
 
-/// Reads one length-prefixed frame with a blocking `read_exact` pair.
+/// Reads one length-prefixed frame with blocking `read_exact`s: the
+/// prefix, then exactly the bytes it announces.
 fn read_frame(stream: &mut TcpStream) -> io::Result<Vec<u8>> {
-    let mut len = [0u8; 4];
-    stream.read_exact(&mut len)?;
-    let len = u32::from_le_bytes(len);
-    if len > MAX_FRAME_LEN {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "oversized frame"));
+    let mut buf = Vec::new();
+    loop {
+        match unframe(&buf) {
+            Unframed::Frame(_) => {
+                buf.drain(..4);
+                return Ok(buf);
+            }
+            Unframed::NeedMore(n) => {
+                let have = buf.len();
+                buf.resize(have + n, 0);
+                stream.read_exact(&mut buf[have..])?;
+            }
+            Unframed::Oversized(_) => {
+                return Err(io::Error::new(io::ErrorKind::InvalidData, "oversized frame"));
+            }
+        }
     }
-    let mut payload = vec![0u8; len as usize];
-    stream.read_exact(&mut payload)?;
-    Ok(payload)
 }
 
 /// One follower connection on the leader: handshake, optional
@@ -800,19 +809,17 @@ fn follow_stream(
         // but never past a stop request: a node promoted to leader must
         // not apply stale buffered groups underneath its own new writes,
         // so buffered frames are discarded once stop is set.
-        while buf.len() >= 4 {
+        loop {
             if stop.load(Ordering::SeqCst) {
                 return StreamEnd::Clean;
             }
-            let len = u32::from_le_bytes(buf[..4].try_into().expect("4 bytes"));
-            if len > MAX_FRAME_LEN {
-                return fail(in_bootstrap);
-            }
-            let total = 4 + len as usize;
-            if buf.len() < total {
-                break;
-            }
-            let end = match Request::decode(&buf[4..total]) {
+            let payload = match unframe(&buf) {
+                Unframed::Frame(payload) => payload,
+                Unframed::NeedMore(_) => break,
+                Unframed::Oversized(_) => return fail(in_bootstrap),
+            };
+            let total = 4 + payload.len();
+            let end = match Request::decode(payload) {
                 Ok(req) => {
                     apply_frame(db, vfs, stream, req, &mut applied, &mut in_bootstrap, status)
                 }

@@ -45,7 +45,8 @@ use lsm_kvs::{KvEngine, WriteOptions, WriteRegime};
 use parking_lot::{Condvar, Mutex};
 
 use crate::protocol::{
-    frame, op, ops_to_batch, Request, Response, MAX_FRAME_LEN, SCAN_CHUNK_MAX_ENTRIES,
+    frame, op, ops_to_batch, unframe, Request, Response, Unframed, MAX_FRAME_LEN,
+    SCAN_CHUNK_MAX_ENTRIES,
 };
 use crate::sys;
 
@@ -575,22 +576,20 @@ fn read_conn(shared: &Arc<Shared>, conn: &Arc<ConnState>, ep: &sys::Epoll, drain
         }
     }
     // Split off every complete frame.
-    while inner.buf.len() >= 4 {
-        let len = u32::from_le_bytes(inner.buf[..4].try_into().expect("4 bytes"));
-        if len > MAX_FRAME_LEN {
-            inner.queue.push_back(Work::ProtoError(format!(
-                "frame of {len} bytes exceeds {MAX_FRAME_LEN}"
-            )));
-            inner.no_more_reads = true;
-            inner.buf.clear();
-            break;
-        }
-        let total = 4 + len as usize;
-        if inner.buf.len() < total {
-            break;
-        }
-        let payload = inner.buf[4..total].to_vec();
-        inner.buf.drain(..total);
+    loop {
+        let payload = match unframe(&inner.buf) {
+            Unframed::Frame(payload) => payload.to_vec(),
+            Unframed::NeedMore(_) => break,
+            Unframed::Oversized(len) => {
+                inner.queue.push_back(Work::ProtoError(format!(
+                    "frame of {len} bytes exceeds {MAX_FRAME_LEN}"
+                )));
+                inner.no_more_reads = true;
+                inner.buf.clear();
+                break;
+            }
+        };
+        inner.buf.drain(..4 + payload.len());
         shared
             .stats
             .bytes_received

@@ -8,7 +8,9 @@
 //! multi-threaded runs deterministic and seed-reproducible.
 
 use hw_sim::{HardwareEnv, SimDuration, SimTime, UtilizationSample};
-use lsm_kvs::{Histogram, KvEngine, Result};
+use lsm_kvs::{
+    DbStats, Histogram, KvEngine, Result, TickerSnapshot, WriteBatch, WriteOptions,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -48,20 +50,16 @@ pub fn run_benchmark<E: KvEngine + ?Sized>(
         .map(|t| ThreadState::new(spec, t as u64, start))
         .collect();
 
-    let mut write_hist = Histogram::new();
-    let mut read_hist = Histogram::new();
-    let mut scan_hist = Histogram::new();
-    let mut rmw_hist = Histogram::new();
+    let write_opts = WriteOptions::default();
+    let mut totals = Totals::default();
     let mut samples = Vec::new();
     let mut aborted = false;
 
     let interval = SimDuration::from_millis(spec.report_interval_ms.max(1));
     let mut next_sample = start + interval;
     let mut ops_at_last_sample = 0u64;
-    let mut total_ops = 0u64;
-    let mut found = 0u64;
 
-    while total_ops < spec.num_ops {
+    while totals.ops < spec.num_ops {
         // Pick the thread with the smallest virtual time.
         let idx = threads
             .iter()
@@ -73,8 +71,8 @@ pub fn run_benchmark<E: KvEngine + ?Sized>(
 
         // Monitor sampling happens on the global (min) timeline.
         if thread_time >= next_sample {
-            let interval_ops = total_ops - ops_at_last_sample;
-            ops_at_last_sample = total_ops;
+            let interval_ops = totals.ops - ops_at_last_sample;
+            ops_at_last_sample = totals.ops;
             let util = UtilizationSample::capture(env, thread_time, interval_ops);
             let sample = MonitorSample {
                 at_secs: thread_time.saturating_since(start).as_secs_f64(),
@@ -96,44 +94,8 @@ pub fn run_benchmark<E: KvEngine + ?Sized>(
 
         env.clock().set(thread_time);
         let op = threads[idx].next_op(spec);
-        let weight = op.weight();
         let before = env.clock().now();
-        match op {
-            Op::Put(key, value) => {
-                db.put(&key, &value)?;
-                let latency = env.clock().now() - before;
-                write_hist.record(latency);
-            }
-            Op::Get(key) => {
-                if db.get(&key)?.is_some() {
-                    found += 1;
-                }
-                let latency = env.clock().now() - before;
-                read_hist.record(latency);
-            }
-            Op::MultiGet(keys) => {
-                found += db.multi_get(&keys)?.iter().filter(|v| v.is_some()).count() as u64;
-                // One histogram entry per batch: the recorded latency is
-                // what a caller of the batched API actually waits.
-                let latency = env.clock().now() - before;
-                read_hist.record(latency);
-            }
-            Op::Scan(start_key, len) => {
-                found += db.scan(&start_key, len)?.len() as u64;
-                let latency = env.clock().now() - before;
-                scan_hist.record(latency);
-            }
-            Op::ReadModifyWrite(key, value) => {
-                if db.get(&key)?.is_some() {
-                    found += 1;
-                }
-                db.put(&key, &value)?;
-                // One entry for the whole read+write cycle: that is the
-                // latency a YCSB F client observes per RMW.
-                let latency = env.clock().now() - before;
-                rmw_hist.record(latency);
-            }
-        }
+        issue(db, &write_opts, op, || env.clock().now() - before, &mut totals)?;
         let mut after = env.clock().now();
         // Mixgraph QPS pacing: space requests along a sine wave.
         if let Some(gap) = threads[idx].pacing_gap(spec, after.saturating_since(start)) {
@@ -143,7 +105,6 @@ pub fn run_benchmark<E: KvEngine + ?Sized>(
             }
         }
         threads[idx].time = after;
-        total_ops += weight;
     }
 
     // Settle the clock at the max thread time for the duration figure.
@@ -151,26 +112,7 @@ pub fn run_benchmark<E: KvEngine + ?Sized>(
     env.clock().advance_to(end);
     let duration = end.saturating_since(start);
 
-    let stats = db.stats();
-    let tickers = stats.tickers.delta_since(&tickers_before);
-    let ops_per_sec = total_ops as f64 / duration.as_secs_f64().max(1e-9);
-    Ok(BenchReport {
-        workload: spec.workload.name().to_string(),
-        short_name: spec.workload.short_name().to_string(),
-        ops: total_ops,
-        found,
-        duration,
-        ops_per_sec,
-        micros_per_op: duration.as_micros_f64() / total_ops.max(1) as f64,
-        write_latency: (write_hist.count() > 0).then(|| write_hist.snapshot()),
-        read_latency: (read_hist.count() > 0).then(|| read_hist.snapshot()),
-        scan_latency: (scan_hist.count() > 0).then(|| scan_hist.snapshot()),
-        rmw_latency: (rmw_hist.count() > 0).then(|| rmw_hist.snapshot()),
-        tickers,
-        levels: stats.levels,
-        samples,
-        aborted,
-    })
+    Ok(totals.into_report(spec, duration, db.stats(), &tickers_before, samples, aborted))
 }
 
 /// Runs `spec` against `db` on real OS threads with wall-clock timing.
@@ -197,8 +139,6 @@ pub fn run_benchmark_real<E: KvEngine + ?Sized>(
     threads: usize,
     sync: bool,
 ) -> Result<BenchReport> {
-    use lsm_kvs::{WriteBatch, WriteOptions};
-
     if spec.preload_keys > 0 {
         preload(db, spec)?;
     }
@@ -211,82 +151,23 @@ pub fn run_benchmark_real<E: KvEngine + ?Sized>(
         WriteOptions::default()
     };
 
-    struct ThreadTotals {
-        write_hist: Histogram,
-        read_hist: Histogram,
-        scan_hist: Histogram,
-        rmw_hist: Histogram,
-        found: u64,
-        done: u64,
-    }
-
     let start = std::time::Instant::now();
-    let per_thread: Vec<Result<ThreadTotals>> = std::thread::scope(|scope| {
+    let per_thread: Vec<Result<Totals>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|t| {
-                let write_opts = write_opts.clone();
+                let write_opts = &write_opts;
                 let ops = spec.num_ops / threads as u64
                     + u64::from((t as u64) < spec.num_ops % threads as u64);
-                scope.spawn(move || -> Result<ThreadTotals> {
+                scope.spawn(move || -> Result<Totals> {
                     let mut state = ThreadState::new(spec, t as u64, SimTime::ZERO);
-                    let mut totals = ThreadTotals {
-                        write_hist: Histogram::new(),
-                        read_hist: Histogram::new(),
-                        scan_hist: Histogram::new(),
-                        rmw_hist: Histogram::new(),
-                        found: 0,
-                        done: 0,
-                    };
+                    let mut totals = Totals::default();
                     // `ops` counts keys; a MultiGet batch covers several
                     // per iteration.
-                    while totals.done < ops {
+                    while totals.ops < ops {
                         let op = state.next_op(spec);
-                        totals.done += op.weight();
-                        match op {
-                            Op::Put(key, value) => {
-                                let mut batch = WriteBatch::with_capacity(1);
-                                batch.put(&key, &value);
-                                let before = std::time::Instant::now();
-                                db.write_opt(&write_opts, batch)?;
-                                totals.write_hist
-                                    .record(SimDuration::from_secs_f64(before.elapsed().as_secs_f64()));
-                            }
-                            Op::Get(key) => {
-                                let before = std::time::Instant::now();
-                                if db.get(&key)?.is_some() {
-                                    totals.found += 1;
-                                }
-                                totals.read_hist
-                                    .record(SimDuration::from_secs_f64(before.elapsed().as_secs_f64()));
-                            }
-                            Op::MultiGet(keys) => {
-                                let before = std::time::Instant::now();
-                                totals.found += db
-                                    .multi_get(&keys)?
-                                    .iter()
-                                    .filter(|v| v.is_some())
-                                    .count() as u64;
-                                totals.read_hist
-                                    .record(SimDuration::from_secs_f64(before.elapsed().as_secs_f64()));
-                            }
-                            Op::Scan(start_key, len) => {
-                                let before = std::time::Instant::now();
-                                totals.found += db.scan(&start_key, len)?.len() as u64;
-                                totals.scan_hist
-                                    .record(SimDuration::from_secs_f64(before.elapsed().as_secs_f64()));
-                            }
-                            Op::ReadModifyWrite(key, value) => {
-                                let before = std::time::Instant::now();
-                                if db.get(&key)?.is_some() {
-                                    totals.found += 1;
-                                }
-                                let mut batch = WriteBatch::with_capacity(1);
-                                batch.put(&key, &value);
-                                db.write_opt(&write_opts, batch)?;
-                                totals.rmw_hist
-                                    .record(SimDuration::from_secs_f64(before.elapsed().as_secs_f64()));
-                            }
-                        }
+                        let before = std::time::Instant::now();
+                        let elapsed = || SimDuration::from_secs_f64(before.elapsed().as_secs_f64());
+                        issue(db, write_opts, op, elapsed, &mut totals)?;
                     }
                     Ok(totals)
                 })
@@ -299,41 +180,110 @@ pub fn run_benchmark_real<E: KvEngine + ?Sized>(
     });
     let duration = SimDuration::from_secs_f64(start.elapsed().as_secs_f64());
 
-    let mut write_hist = Histogram::new();
-    let mut read_hist = Histogram::new();
-    let mut scan_hist = Histogram::new();
-    let mut rmw_hist = Histogram::new();
-    let mut found = 0u64;
-    let mut total_ops = 0u64;
-    for r in per_thread {
-        let t = r?;
-        write_hist.merge(&t.write_hist);
-        read_hist.merge(&t.read_hist);
-        scan_hist.merge(&t.scan_hist);
-        rmw_hist.merge(&t.rmw_hist);
-        found += t.found;
-        total_ops += t.done;
+    let mut totals = Totals::default();
+    for t in per_thread {
+        totals.merge(&t?);
+    }
+    Ok(totals.into_report(spec, duration, db.stats(), &tickers_before, Vec::new(), false))
+}
+
+/// What a run, or one thread of it, has measured so far.
+#[derive(Default)]
+struct Totals {
+    write: Histogram,
+    read: Histogram,
+    scan: Histogram,
+    rmw: Histogram,
+    found: u64,
+    /// Logical operations (keys) issued.
+    ops: u64,
+}
+
+impl Totals {
+    fn merge(&mut self, other: &Totals) {
+        self.write.merge(&other.write);
+        self.read.merge(&other.read);
+        self.scan.merge(&other.scan);
+        self.rmw.merge(&other.rmw);
+        self.found += other.found;
+        self.ops += other.ops;
     }
 
-    let stats = db.stats();
-    let tickers = stats.tickers.delta_since(&tickers_before);
-    Ok(BenchReport {
-        workload: spec.workload.name().to_string(),
-        short_name: spec.workload.short_name().to_string(),
-        ops: total_ops,
-        found,
-        duration,
-        ops_per_sec: total_ops as f64 / duration.as_secs_f64().max(1e-9),
-        micros_per_op: duration.as_micros_f64() / total_ops.max(1) as f64,
-        write_latency: (write_hist.count() > 0).then(|| write_hist.snapshot()),
-        read_latency: (read_hist.count() > 0).then(|| read_hist.snapshot()),
-        scan_latency: (scan_hist.count() > 0).then(|| scan_hist.snapshot()),
-        rmw_latency: (rmw_hist.count() > 0).then(|| rmw_hist.snapshot()),
-        tickers,
-        levels: stats.levels,
-        samples: Vec::new(),
-        aborted: false,
-    })
+    fn into_report(
+        self,
+        spec: &BenchmarkSpec,
+        duration: SimDuration,
+        stats: DbStats,
+        tickers_before: &TickerSnapshot,
+        samples: Vec<MonitorSample>,
+        aborted: bool,
+    ) -> BenchReport {
+        let latency = |h: &Histogram| (h.count() > 0).then(|| h.snapshot());
+        BenchReport {
+            workload: spec.workload.name().to_string(),
+            short_name: spec.workload.short_name().to_string(),
+            ops: self.ops,
+            found: self.found,
+            duration,
+            ops_per_sec: self.ops as f64 / duration.as_secs_f64().max(1e-9),
+            micros_per_op: duration.as_micros_f64() / self.ops.max(1) as f64,
+            write_latency: latency(&self.write),
+            read_latency: latency(&self.read),
+            scan_latency: latency(&self.scan),
+            rmw_latency: latency(&self.rmw),
+            tickers: stats.tickers.delta_since(tickers_before),
+            levels: stats.levels,
+            samples,
+            aborted,
+        }
+    }
+}
+
+/// Issues one operation and records its latency — `elapsed()` once it
+/// has completed — and what it found into `totals`. Both schedulers (the
+/// min-clock virtual threads and the OS threads) run every op through
+/// here; they differ only in what `elapsed` reads.
+fn issue<E: KvEngine + ?Sized>(
+    db: &E,
+    write_opts: &WriteOptions,
+    op: Op,
+    elapsed: impl Fn() -> SimDuration,
+    totals: &mut Totals,
+) -> Result<()> {
+    let put = |key: &[u8], value: &[u8]| {
+        let mut batch = WriteBatch::with_capacity(1);
+        batch.put(key, value);
+        db.write_opt(write_opts, batch)
+    };
+    totals.ops += op.weight();
+    match op {
+        Op::Put(key, value) => {
+            put(&key, &value)?;
+            totals.write.record(elapsed());
+        }
+        Op::Get(key) => {
+            totals.found += u64::from(db.get(&key)?.is_some());
+            totals.read.record(elapsed());
+        }
+        Op::MultiGet(keys) => {
+            totals.found += db.multi_get(&keys)?.iter().flatten().count() as u64;
+            // One histogram entry per batch: the recorded latency is
+            // what a caller of the batched API actually waits.
+            totals.read.record(elapsed());
+        }
+        Op::Scan(start_key, len) => {
+            totals.found += db.scan(&start_key, len)?.len() as u64;
+            totals.scan.record(elapsed());
+        }
+        Op::ReadModifyWrite(key, value) => {
+            totals.found += u64::from(db.get(&key)?.is_some());
+            put(&key, &value)?;
+            // One entry for the whole read+write cycle: that is the
+            // latency a YCSB F client observes per RMW.
+            totals.rmw.record(elapsed());
+        }
+    }
+    Ok(())
 }
 
 /// Fills the database with `spec.preload_keys` keys in pseudo-random
