@@ -67,9 +67,6 @@ pub struct OptionMeta {
     /// Whether safeguards protect this option from LLM modification by
     /// default (paper: "disallow of journaling or logging").
     pub protected_by_default: bool,
-    /// Whether this option changes simulated performance (`true`) or is
-    /// accepted for compatibility but modeled as neutral (`false`).
-    pub performance_relevant: bool,
     /// One-line description used in documentation and prompts.
     pub description: &'static str,
     /// Reads the current value as a canonical string.
@@ -184,7 +181,7 @@ fn check_range(name: &str, v: f64, range: Option<(f64, f64)>) -> Result<()> {
 }
 
 macro_rules! opt_bool {
-    ($field:ident, $section:expr, $mutable:expr, $protected:expr, $perf:expr, $desc:expr) => {
+    ($field:ident, $section:expr, $mutable:expr, $protected:expr, $desc:expr) => {
         OptionMeta {
             name: stringify!($field),
             aliases: &[],
@@ -193,7 +190,6 @@ macro_rules! opt_bool {
             range: None,
             mutable_online: $mutable,
             protected_by_default: $protected,
-            performance_relevant: $perf,
             description: $desc,
             get: |o| o.$field.to_string(),
             set: |o, v| {
@@ -210,7 +206,7 @@ macro_rules! opt_bool {
 }
 
 macro_rules! opt_int {
-    ($field:ident, $section:expr, $range:expr, $mutable:expr, $perf:expr, $desc:expr) => {
+    ($field:ident, $section:expr, $range:expr, $mutable:expr, $desc:expr) => {
         OptionMeta {
             name: stringify!($field),
             aliases: &[],
@@ -219,7 +215,6 @@ macro_rules! opt_int {
             range: Some($range),
             mutable_online: $mutable,
             protected_by_default: false,
-            performance_relevant: $perf,
             description: $desc,
             get: |o| o.$field.to_string(),
             set: |o, v| {
@@ -238,10 +233,10 @@ macro_rules! opt_int {
 }
 
 macro_rules! opt_size {
-    ($field:ident, $section:expr, $range:expr, $mutable:expr, $perf:expr, $desc:expr) => {
-        opt_size!($field, &[], $section, $range, $mutable, $perf, $desc)
+    ($field:ident, $section:expr, $range:expr, $mutable:expr, $desc:expr) => {
+        opt_size!($field, &[], $section, $range, $mutable, $desc)
     };
-    ($field:ident, $aliases:expr, $section:expr, $range:expr, $mutable:expr, $perf:expr, $desc:expr) => {
+    ($field:ident, $aliases:expr, $section:expr, $range:expr, $mutable:expr, $desc:expr) => {
         OptionMeta {
             name: stringify!($field),
             aliases: $aliases,
@@ -250,7 +245,6 @@ macro_rules! opt_size {
             range: Some($range),
             mutable_online: $mutable,
             protected_by_default: false,
-            performance_relevant: $perf,
             description: $desc,
             get: |o| o.$field.to_string(),
             set: |o, v| {
@@ -269,7 +263,7 @@ macro_rules! opt_size {
 }
 
 macro_rules! opt_double {
-    ($field:ident, $section:expr, $range:expr, $mutable:expr, $perf:expr, $desc:expr) => {
+    ($field:ident, $section:expr, $range:expr, $mutable:expr, $desc:expr) => {
         OptionMeta {
             name: stringify!($field),
             aliases: &[],
@@ -278,7 +272,6 @@ macro_rules! opt_double {
             range: Some($range),
             mutable_online: $mutable,
             protected_by_default: false,
-            performance_relevant: $perf,
             description: $desc,
             get: |o| format!("{}", o.$field),
             set: |o, v| {
@@ -297,7 +290,7 @@ macro_rules! opt_double {
 }
 
 macro_rules! opt_compression {
-    ($field:ident, $section:expr, $perf:expr, $desc:expr) => {
+    ($field:ident, $section:expr, $desc:expr) => {
         OptionMeta {
             name: stringify!($field),
             aliases: &[],
@@ -306,7 +299,6 @@ macro_rules! opt_compression {
             range: None,
             mutable_online: true,
             protected_by_default: false,
-            performance_relevant: $perf,
             description: $desc,
             get: |o| o.$field.to_string(),
             set: |o, v| {
@@ -329,55 +321,55 @@ fn build_registry() -> Vec<OptionMeta> {
     use Section::{Cf, Db, Table};
     vec![
         // ---------------- DBOptions ----------------
-        opt_int!(max_background_jobs, Db, (1.0, 64.0), true, true,
+        opt_int!(max_background_jobs, Db, (1.0, 64.0), true,
             "Total budget for concurrent background flush and compaction jobs"),
-        opt_int!(max_background_compactions, Db, (-1.0, 64.0), true, true,
+        opt_int!(max_background_compactions, Db, (-1.0, 64.0), true,
             "Concurrent compaction jobs; -1 derives ~3/4 of max_background_jobs"),
-        opt_int!(max_background_flushes, Db, (-1.0, 64.0), true, true,
+        opt_int!(max_background_flushes, Db, (-1.0, 64.0), true,
             "Concurrent flush jobs; -1 derives ~1/4 of max_background_jobs"),
-        opt_int!(max_subcompactions, Db, (1.0, 32.0), true, true,
+        opt_int!(max_subcompactions, Db, (1.0, 32.0), true,
             "Threads one compaction may split key ranges across"),
-        opt_size!(bytes_per_sync, Db, (0.0, GIB64), true, true,
+        opt_size!(bytes_per_sync, Db, (0.0, GIB64), true,
             "Sync SST file data incrementally every N bytes (0 = leave to OS writeback)"),
-        opt_size!(wal_bytes_per_sync, Db, (0.0, GIB64), true, true,
+        opt_size!(wal_bytes_per_sync, Db, (0.0, GIB64), true,
             "Sync WAL data incrementally every N bytes (0 = leave to OS writeback)"),
-        opt_bool!(strict_bytes_per_sync, Db, true, false, true,
+        opt_bool!(strict_bytes_per_sync, Db, true, false,
             "Block writers until incremental syncs complete (bounds dirty data, adds write latency)"),
-        opt_size!(delayed_write_rate, Db, (1024.0, GIB64), true, true,
+        opt_size!(delayed_write_rate, Db, (1024.0, GIB64), true,
             "Write throughput cap while the write controller is in the slowdown regime"),
-        opt_bool!(enable_pipelined_write, Db, false, false, true,
+        opt_bool!(enable_pipelined_write, Db, false, false,
             "Pipeline WAL append and memtable insert stages of the write path \
              (real mode: group applies to the memtable before the WAL sync returns)"),
-        opt_bool!(allow_concurrent_memtable_write, Db, false, false, true,
+        opt_bool!(allow_concurrent_memtable_write, Db, false, false,
             "Allow multiple writers to insert into the memtable concurrently \
              (real mode: off caps commit groups at a single batch)"),
-        opt_bool!(use_direct_reads, Db, false, false, true,
+        opt_bool!(use_direct_reads, Db, false, false,
             "Bypass the OS page cache for user reads"),
-        opt_bool!(use_direct_io_for_flush_and_compaction, Db, false, false, true,
+        opt_bool!(use_direct_io_for_flush_and_compaction, Db, false, false,
             "Bypass the OS page cache for background I/O"),
-        opt_size!(compaction_readahead_size, Db, (0.0, (256u64 << 20) as f64), true, true,
+        opt_size!(compaction_readahead_size, Db, (0.0, (256u64 << 20) as f64), true,
             "Read compaction inputs in sequential chunks of this size (critical on HDDs)"),
         // NOT mutable online: the TableCache's reader capacity is fixed
         // when the cache is constructed at open; a new value would not
         // resize it until the next reopen.
-        opt_int!(max_open_files, Db, (-1.0, 1_000_000.0), false, true,
+        opt_int!(max_open_files, Db, (-1.0, 1_000_000.0), false,
             "Table files kept open; -1 = all (avoids reopen cost on reads)"),
-        opt_size!(max_total_wal_size, Db, (0.0, TIB), true, true,
+        opt_size!(max_total_wal_size, Db, (0.0, TIB), true,
             "Force memtable switch once live WALs exceed this (0 = 4x write buffers)"),
-        opt_size!(db_write_buffer_size, Db, (0.0, TIB), true, true,
+        opt_size!(db_write_buffer_size, Db, (0.0, TIB), true,
             "Global memtable budget across all column families (0 = unlimited)"),
-        opt_bool!(dump_malloc_stats, Db, true, false, false,
+        opt_bool!(dump_malloc_stats, Db, true, false,
             "Dump allocator statistics to the info log (observability only)"),
-        opt_int!(stats_dump_period_sec, Db, (0.0, 86_400.0), true, false,
+        opt_int!(stats_dump_period_sec, Db, (0.0, 86_400.0), true,
             "Seconds between statistics dumps to the info log"),
-        opt_size!(rate_limiter_bytes_per_sec, Db, (0.0, GIB64), true, true,
+        opt_size!(rate_limiter_bytes_per_sec, Db, (0.0, GIB64), true,
             "Cap background I/O rate to smooth foreground latency (0 = unlimited)"),
-        opt_size!(ttl_seconds, Db, (0.0, 3_153_600_000.0), true, true,
+        opt_size!(ttl_seconds, Db, (0.0, 3_153_600_000.0), true,
             "Expire values this many seconds after write via the TTL compaction \
              filter (0 = never; online changes apply to existing data)"),
-        opt_bool!(paranoid_checks, Db, false, false, true,
+        opt_bool!(paranoid_checks, Db, false, false,
             "Verify checksums aggressively on every read"),
-        opt_bool!(use_fsync, Db, false, false, true,
+        opt_bool!(use_fsync, Db, false, false,
             "Use fsync instead of fdatasync at durability points"),
         OptionMeta {
             name: "disable_wal",
@@ -387,7 +379,6 @@ fn build_registry() -> Vec<OptionMeta> {
             range: None,
             mutable_online: false,
             protected_by_default: true,
-            performance_relevant: true,
             description: "Disable the write-ahead log (unsafe: loses durability; protected)",
             get: |o| o.disable_wal.to_string(),
             set: |o, v| {
@@ -396,52 +387,52 @@ fn build_registry() -> Vec<OptionMeta> {
                 Ok(())
             },
         },
-        opt_bool!(manual_wal_flush, Db, false, true, true,
+        opt_bool!(manual_wal_flush, Db, false, true,
             "Flush WAL only on explicit request (unsafe: loses durability; protected)"),
-        opt_int!(table_cache_numshardbits, Db, (0.0, 19.0), false, false,
+        opt_int!(table_cache_numshardbits, Db, (0.0, 19.0), false,
             "Shards (log2) in the table-reader cache"),
-        opt_bool!(avoid_flush_during_shutdown, Db, false, true, true,
+        opt_bool!(avoid_flush_during_shutdown, Db, false, true,
             "Skip flushing memtables at shutdown (unsafe: loses recent writes; protected)"),
-        opt_bool!(avoid_flush_during_recovery, Db, false, false, false,
+        opt_bool!(avoid_flush_during_recovery, Db, false, false,
             "Skip flushing replayed memtables right after recovery"),
-        opt_int!(recycle_log_file_num, Db, (0.0, 64.0), false, false,
+        opt_int!(recycle_log_file_num, Db, (0.0, 64.0), false,
             "Recycle this many WAL files instead of deleting them"),
-        opt_size!(writable_file_max_buffer_size, Db, (4096.0, (64u64 << 20) as f64), false, true,
+        opt_size!(writable_file_max_buffer_size, Db, (4096.0, (64u64 << 20) as f64), false,
             "Write buffer size for file appends before hitting the device"),
-        opt_int!(max_file_opening_threads, Db, (1.0, 64.0), false, false,
+        opt_int!(max_file_opening_threads, Db, (1.0, 64.0), false,
             "Threads used to open table files at DB open"),
-        opt_bool!(enable_write_thread_adaptive_yield, Db, false, false, false,
+        opt_bool!(enable_write_thread_adaptive_yield, Db, false, false,
             "Spin briefly before blocking when joining the write group"),
-        opt_compression!(wal_compression, Db, false,
+        opt_compression!(wal_compression, Db,
             "Compress WAL records (accepted; modeled as neutral)"),
-        opt_int!(num_shards, Db, (1.0, 64.0), false, true,
+        opt_int!(num_shards, Db, (1.0, 64.0), false,
             "Key-range shards, each an independent LSM tree behind one facade (1 = unsharded)"),
-        opt_size!(shard_bytes_soft_limit, Db, (0.0, TIB), true, true,
+        opt_size!(shard_bytes_soft_limit, Db, (0.0, TIB), true,
             "Per-shard size beyond which extra compaction pressure is charged (0 = disabled)"),
         // ---------------- CFOptions ----------------
-        opt_size!(write_buffer_size, Cf, (65_536.0, GIB64), true, true,
+        opt_size!(write_buffer_size, Cf, (65_536.0, GIB64), true,
             "Memtable size that triggers a flush; bigger absorbs more writes but uses RAM"),
-        opt_int!(max_write_buffer_number, Cf, (1.0, 64.0), true, true,
+        opt_int!(max_write_buffer_number, Cf, (1.0, 64.0), true,
             "Memtables (active+immutable) kept before writes stall"),
-        opt_int!(min_write_buffer_number_to_merge, Cf, (1.0, 16.0), true, true,
+        opt_int!(min_write_buffer_number_to_merge, Cf, (1.0, 16.0), true,
             "Immutable memtables merged into one L0 file per flush"),
-        opt_int!(level0_file_num_compaction_trigger, Cf, (1.0, 1000.0), true, true,
+        opt_int!(level0_file_num_compaction_trigger, Cf, (1.0, 1000.0), true,
             "L0 file count that triggers L0->L1 compaction"),
-        opt_int!(level0_slowdown_writes_trigger, Cf, (1.0, 10_000.0), true, true,
+        opt_int!(level0_slowdown_writes_trigger, Cf, (1.0, 10_000.0), true,
             "L0 file count at which writes are throttled"),
-        opt_int!(level0_stop_writes_trigger, Cf, (1.0, 10_000.0), true, true,
+        opt_int!(level0_stop_writes_trigger, Cf, (1.0, 10_000.0), true,
             "L0 file count at which writes stop entirely"),
-        opt_int!(num_levels, Cf, (2.0, 12.0), false, true,
+        opt_int!(num_levels, Cf, (2.0, 12.0), false,
             "Number of LSM levels"),
-        opt_size!(target_file_size_base, Cf, (65_536.0, GIB64), true, true,
+        opt_size!(target_file_size_base, Cf, (65_536.0, GIB64), true,
             "Target SST file size at L1"),
-        opt_int!(target_file_size_multiplier, Cf, (1.0, 100.0), true, true,
+        opt_int!(target_file_size_multiplier, Cf, (1.0, 100.0), true,
             "Per-level multiplier applied to target_file_size_base"),
-        opt_size!(max_bytes_for_level_base, Cf, (1_048_576.0, TIB), true, true,
+        opt_size!(max_bytes_for_level_base, Cf, (1_048_576.0, TIB), true,
             "Target total bytes at L1"),
-        opt_double!(max_bytes_for_level_multiplier, Cf, (1.0, 100.0), true, true,
+        opt_double!(max_bytes_for_level_multiplier, Cf, (1.0, 100.0), true,
             "Growth factor between consecutive level targets"),
-        opt_bool!(level_compaction_dynamic_level_bytes, Cf, false, false, true,
+        opt_bool!(level_compaction_dynamic_level_bytes, Cf, false, false,
             "Size levels dynamically from the last level upward (lower space amplification)"),
         OptionMeta {
             name: "compaction_style",
@@ -451,7 +442,6 @@ fn build_registry() -> Vec<OptionMeta> {
             range: None,
             mutable_online: false,
             protected_by_default: false,
-            performance_relevant: true,
             description: "Compaction strategy: leveled, universal (size-tiered), or FIFO",
             get: |o| o.compaction_style.to_string(),
             set: |o, v| {
@@ -461,13 +451,13 @@ fn build_registry() -> Vec<OptionMeta> {
                 Ok(())
             },
         },
-        opt_compression!(compression, Cf, true,
+        opt_compression!(compression, Cf,
             "Block compression: trades CPU for smaller files and less write I/O"),
-        opt_compression!(bottommost_compression, Cf, true,
+        opt_compression!(bottommost_compression, Cf,
             "Compression override for the bottommost level"),
-        opt_bool!(disable_auto_compactions, Cf, true, false, true,
+        opt_bool!(disable_auto_compactions, Cf, true, false,
             "Disable automatic compactions (manual compaction only)"),
-        opt_double!(memtable_prefix_bloom_size_ratio, Cf, (0.0, 0.25), true, true,
+        opt_double!(memtable_prefix_bloom_size_ratio, Cf, (0.0, 0.25), true,
             "Memtable bloom filter size as a fraction of write_buffer_size"),
         // Mutable online: the representation is picked when a fresh
         // memtable is allocated, so the active memtable keeps its rep
@@ -480,7 +470,6 @@ fn build_registry() -> Vec<OptionMeta> {
             range: None,
             mutable_online: true,
             protected_by_default: false,
-            performance_relevant: true,
             description: "Memtable representation: locked btree (deterministic default) or \
                           concurrent skiplist (lock-free reads, CAS inserts)",
             get: |o| o.memtable_factory.to_string(),
@@ -494,53 +483,53 @@ fn build_registry() -> Vec<OptionMeta> {
         // Mutable online: consulted when filters are built (memtable
         // allocation, table build) — existing filters keep the prefix
         // length they were built with (self-describing in the footer).
-        opt_int!(prefix_extractor_len, Cf, (0.0, 64.0), true, true,
+        opt_int!(prefix_extractor_len, Cf, (0.0, 64.0), true,
             "Fixed-length prefix extractor: build prefix bloom filters over the first N key \
              bytes (0 disables)"),
-        opt_bool!(optimize_filters_for_hits, Cf, false, false, true,
+        opt_bool!(optimize_filters_for_hits, Cf, false, false,
             "Skip bloom filters on the last level to save memory when most reads hit"),
-        opt_size!(soft_pending_compaction_bytes_limit, Cf, (0.0, TIB), true, true,
+        opt_size!(soft_pending_compaction_bytes_limit, Cf, (0.0, TIB), true,
             "Pending compaction debt that triggers write slowdown"),
-        opt_size!(hard_pending_compaction_bytes_limit, Cf, (0.0, TIB), true, true,
+        opt_size!(hard_pending_compaction_bytes_limit, Cf, (0.0, TIB), true,
             "Pending compaction debt that stops writes"),
-        opt_size!(max_compaction_bytes, Cf, (1_048_576.0, TIB), true, true,
+        opt_size!(max_compaction_bytes, Cf, (1_048_576.0, TIB), true,
             "Maximum bytes one compaction may span"),
-        opt_bool!(report_bg_io_stats, Cf, true, false, false,
+        opt_bool!(report_bg_io_stats, Cf, true, false,
             "Collect per-job background I/O statistics"),
-        opt_int!(universal_max_size_amplification_percent, Cf, (1.0, 10_000.0), true, true,
+        opt_int!(universal_max_size_amplification_percent, Cf, (1.0, 10_000.0), true,
             "Universal compaction: allowed space amplification percent"),
-        opt_int!(universal_size_ratio, Cf, (0.0, 100.0), true, true,
+        opt_int!(universal_size_ratio, Cf, (0.0, 100.0), true,
             "Universal compaction: size-ratio tolerance percent for merging runs"),
-        opt_int!(universal_min_merge_width, Cf, (2.0, 64.0), true, true,
+        opt_int!(universal_min_merge_width, Cf, (2.0, 64.0), true,
             "Universal compaction: minimum runs merged at once"),
-        opt_int!(universal_max_merge_width, Cf, (2.0, 1024.0), true, true,
+        opt_int!(universal_max_merge_width, Cf, (2.0, 1024.0), true,
             "Universal compaction: maximum runs merged at once"),
-        opt_size!(fifo_max_table_files_size, Cf, (1_048_576.0, TIB), true, true,
+        opt_size!(fifo_max_table_files_size, Cf, (1_048_576.0, TIB), true,
             "FIFO compaction: total size budget before oldest files are dropped"),
-        opt_int!(periodic_compaction_seconds, Cf, (0.0, 31_536_000.0), true, false,
+        opt_int!(periodic_compaction_seconds, Cf, (0.0, 31_536_000.0), true,
             "Rewrite files older than this (accepted; modeled as neutral)"),
         // ---------------- BlockBasedTableOptions ----------------
         // Mutable online: the table-build configuration is snapshotted
         // from the live options at job-claim time, so SSTs built after a
         // change use the new value. Files already on disk keep the format
         // they were written with (self-describing), same as compression.
-        opt_size!(block_size, Table, (256.0, (64u64 << 20) as f64), true, true,
+        opt_size!(block_size, Table, (256.0, (64u64 << 20) as f64), true,
             "Uncompressed data block size; smaller favours point reads, larger favours scans"),
-        opt_int!(block_restart_interval, Table, (1.0, 256.0), true, true,
+        opt_int!(block_restart_interval, Table, (1.0, 256.0), true,
             "Keys between restart points inside a block"),
-        opt_double!(bloom_filter_bits_per_key, Table, (0.0, 40.0), true, true,
+        opt_double!(bloom_filter_bits_per_key, Table, (0.0, 40.0), true,
             "Bloom filter bits per key (0 disables; ~10 gives ~1% false positives)"),
-        opt_bool!(whole_key_filtering, Table, true, false, true,
+        opt_bool!(whole_key_filtering, Table, true, false,
             "Add whole keys to the bloom filter"),
         // Mutable online: consulted on every block access, not baked into
         // any structure at open.
-        opt_bool!(cache_index_and_filter_blocks, Table, true, false, true,
+        opt_bool!(cache_index_and_filter_blocks, Table, true, false,
             "Charge index/filter blocks to the block cache instead of pinning them"),
-        opt_bool!(pin_l0_filter_and_index_blocks_in_cache, Table, false, false, true,
+        opt_bool!(pin_l0_filter_and_index_blocks_in_cache, Table, false, false,
             "Pin L0 index/filter blocks in cache even when charged to it"),
-        opt_size!(block_cache_size, &["cache_size"], Table, (0.0, TIB), false, true,
+        opt_size!(block_cache_size, &["cache_size"], Table, (0.0, TIB), false,
             "Block cache capacity for uncompressed data blocks"),
-        opt_bool!(no_block_cache, Table, false, false, true,
+        opt_bool!(no_block_cache, Table, false, false,
             "Disable the block cache entirely"),
         OptionMeta {
             name: "index_type",
@@ -550,7 +539,6 @@ fn build_registry() -> Vec<OptionMeta> {
             range: None,
             mutable_online: true,
             protected_by_default: false,
-            performance_relevant: true,
             description: "SST index layout: one resident index block, or a partitioned \
                           two-level index loaded through the block cache on demand",
             get: |o| o.index_type.to_string(),
@@ -561,7 +549,7 @@ fn build_registry() -> Vec<OptionMeta> {
                 Ok(())
             },
         },
-        opt_size!(metadata_block_size, Table, (256.0, (1u64 << 20) as f64), true, true,
+        opt_size!(metadata_block_size, Table, (256.0, (1u64 << 20) as f64), true,
             "Target size of each index partition when index_type=two_level"),
     ]
 }
