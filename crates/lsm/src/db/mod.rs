@@ -449,6 +449,15 @@ impl DbInner {
         }
     }
 
+    /// The clock reading and `ttl_seconds` one read pass hands to
+    /// [`live_value`](crate::filter::live_value) for every entry it
+    /// meets. The clock is left unread while TTL is off: nothing can
+    /// expire then, and a point lookup is short enough to notice.
+    fn expiry_clock(&self, opts: &Options) -> (u64, u64) {
+        let ttl_seconds = opts.ttl_seconds;
+        (if ttl_seconds > 0 { self.now_secs() } else { 0 }, ttl_seconds)
+    }
+
     /// The filter + pins handed to one flush or compaction job: the
     /// built-in TTL filter (when `ttl_seconds > 0`) frozen at the
     /// current clock, plus the pinned snapshot sequences (sorted

@@ -173,6 +173,7 @@ impl DbInner {
         let started = self.env.clock().now();
         let view = self.read_view(ropts)?;
         let opts = self.opts();
+        let (now_secs, ttl_seconds) = self.expiry_clock(&opts);
         let tickers = self.stats.tickers();
         let mut q = Lookup {
             keys,
@@ -182,8 +183,8 @@ impl DbInner {
             ropts,
             // Paid once for the whole batch.
             cpu: self.cost.get_base_cpu,
-            now_secs: self.now_secs(),
-            ttl_seconds: opts.ttl_seconds,
+            now_secs,
+            ttl_seconds,
             target: Vec::new(),
         };
 

@@ -77,8 +77,7 @@ impl Db {
         let mut cpu = inner.cost.get_base_cpu;
         // TTL expiry is evaluated once per scan against a single clock
         // reading so one pass applies one consistent policy.
-        let ttl_seconds = inner.opts().ttl_seconds;
-        let scan_now_secs = inner.now_secs();
+        let (scan_now_secs, ttl_seconds) = inner.expiry_clock(&inner.opts());
         while out.len() < count {
             let Some(key) = merged.key() else { break };
             cpu += inner.cost.scan_entry_cpu;

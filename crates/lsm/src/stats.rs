@@ -109,9 +109,13 @@ impl Tickers {
         Self::default()
     }
 
-    /// Adds `delta` to a ticker.
+    /// Adds `delta` to a ticker. Adding zero touches nothing: callers sum
+    /// what a pass found without a branch, and a read-modify-write on a
+    /// line every client thread shares is not free.
     pub fn add(&self, t: Ticker, delta: u64) {
-        self.values[ticker_index(t)].fetch_add(delta, Ordering::Relaxed);
+        if delta > 0 {
+            self.values[ticker_index(t)].fetch_add(delta, Ordering::Relaxed);
+        }
     }
 
     /// Increments a ticker by one.
