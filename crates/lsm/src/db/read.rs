@@ -215,7 +215,9 @@ impl DbInner {
             // walked once, front to back (equal keys by batch position).
             let order = &mut order[..q.pending];
             let unresolved = (0..keys.len()).filter(|&i| q.slots[i].is_none());
-            order.iter_mut().zip(unresolved).for_each(|(o, i)| *o = i);
+            for (slot, i) in order.iter_mut().zip(unresolved) {
+                *slot = i;
+            }
             order.sort_unstable_by(|&a, &b| keys[a].as_ref().cmp(keys[b].as_ref()).then(a.cmp(&b)));
             self.search_tables(&view.version, &mut q, order)?;
         }
@@ -498,10 +500,10 @@ impl DbInner {
                 continue;
             }
             q.cpu += locate_cpu;
-            if reader.is_none() {
-                reader = Some(self.open_table(file, q.ropts, &mut q.cpu)?);
-            }
-            let reader = reader.as_ref().expect("opened above");
+            let reader = match &reader {
+                Some(opened) => opened,
+                None => reader.insert(self.open_table(file, q.ropts, &mut q.cpu)?),
+            };
             if !self.check_filters(reader, user_key, &mut q.cpu) {
                 continue;
             }

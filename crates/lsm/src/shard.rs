@@ -85,14 +85,9 @@ impl KeyRanges {
         Ok(KeyRanges { split_points })
     }
 
-    /// Number of ranges.
-    pub fn len(&self) -> usize {
+    /// Number of ranges (at least one).
+    pub fn num_ranges(&self) -> usize {
         self.split_points.len() + 1
-    }
-
-    /// Never: even without split points there is one range.
-    pub fn is_empty(&self) -> bool {
-        false
     }
 
     /// The range that owns `key`; a key equal to a split point belongs to
@@ -104,7 +99,7 @@ impl KeyRanges {
     /// Splits a batch's entries by owning range, one batch per range
     /// (possibly empty), keeping the order within each.
     pub fn split_batch(&self, batch: &WriteBatch) -> Vec<WriteBatch> {
-        let mut parts = vec![WriteBatch::new(); self.len()];
+        let mut parts = vec![WriteBatch::new(); self.num_ranges()];
         for (ty, key, value) in batch.iter() {
             // Stamped entries keep their stamp verbatim.
             parts[self.route(key)].push_raw(ty, key, value);
@@ -819,7 +814,7 @@ fn read_marker(vfs: &dyn Vfs) -> Result<Option<(usize, Vec<Vec<u8>>)>> {
 /// first line, then one hex-encoded boundary per line.
 fn write_marker(vfs: &dyn Vfs, ranges: &KeyRanges) -> Result<()> {
     let mut f = vfs.create(SHARDS_MARKER)?;
-    let mut body = format!("{}\n", ranges.len());
+    let mut body = format!("{}\n", ranges.num_ranges());
     for p in &ranges.split_points {
         body.push_str(&hex(p));
         body.push('\n');
