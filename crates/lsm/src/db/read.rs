@@ -18,7 +18,7 @@ use crate::sstable::block::Block;
 use crate::sstable::compress::decompress_cpu_cost;
 use crate::sstable::table::{BlockHandle, TableReader};
 use crate::stats::{HistogramKind, Ticker};
-use crate::types::{split_tag, write_lookup_key, FileNumber, SequenceNumber};
+use crate::types::{lookup_key, split_tag, FileNumber, SequenceNumber};
 use crate::version::{FileMetadata, Version};
 
 /// What one read operation looks at: the memtables and version current
@@ -136,8 +136,6 @@ struct Lookup<'a, K> {
     /// The clock reading and TTL the whole lookup judges stamps by.
     now_secs: u64,
     ttl_seconds: u64,
-    /// Reused seek target: `user_key ++ tag` of the key being probed.
-    target: Vec<u8>,
 }
 
 impl<K> Lookup<'_, K> {
@@ -185,7 +183,6 @@ impl DbInner {
             cpu: self.cost.get_base_cpu,
             now_secs,
             ttl_seconds,
-            target: Vec::new(),
         };
 
         // The live memtable, then the immutable ones newest first; a
@@ -507,9 +504,10 @@ impl DbInner {
             if !self.check_filters(reader, user_key, &mut q.cpu) {
                 continue;
             }
-            write_lookup_key(&mut q.target, user_key, q.snapshot);
+            let target = lookup_key(user_key, q.snapshot);
             q.cpu += self.cost.index_seek_cpu;
-            let Some(handle) = self.find_data_block(reader, file.number, &q.target, q.ropts, &mut q.cpu)?
+            let Some(handle) =
+                self.find_data_block(reader, file.number, target.encoded(), q.ropts, &mut q.cpu)?
             else {
                 continue;
             };
@@ -522,7 +520,7 @@ impl DbInner {
             }
             let (_, block) = last_block.as_ref().expect("block just set");
             let mut entry = block.iter();
-            if entry.seek(&q.target)? {
+            if entry.seek(target.encoded())? {
                 let (found_user, tag) = split_tag(entry.key());
                 if found_user == user_key {
                     q.resolve(i, tag as u8, entry.value().to_vec());

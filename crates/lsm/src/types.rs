@@ -139,19 +139,7 @@ pub const MAX_SEQUENCE: SequenceNumber = (1 << 56) - 1;
 /// A lookup key for point reads: the newest possible internal key for a
 /// user key at a snapshot sequence.
 pub fn lookup_key(user_key: &[u8], snapshot: SequenceNumber) -> InternalKey {
-    let mut buf = Vec::new();
-    write_lookup_key(&mut buf, user_key, snapshot);
-    InternalKey(buf)
-}
-
-/// Encodes a [`lookup_key`] into `buf`, which a lookup reuses from one
-/// probed table to the next.
-pub(crate) fn write_lookup_key(buf: &mut Vec<u8>, user_key: &[u8], snapshot: SequenceNumber) {
-    let tag = (snapshot.min(MAX_SEQUENCE) << 8) | VALUE_TYPE_FOR_SEEK as u64;
-    buf.clear();
-    buf.reserve(user_key.len() + 8);
-    buf.extend_from_slice(user_key);
-    buf.extend_from_slice(&tag.to_le_bytes());
+    InternalKey::new(user_key, snapshot.min(MAX_SEQUENCE), VALUE_TYPE_FOR_SEEK)
 }
 
 #[cfg(test)]
