@@ -212,11 +212,11 @@ impl DbInner {
             // walked once, front to back (equal keys by batch position).
             let order = &mut order[..q.pending];
             let unresolved = (0..keys.len()).filter(|&i| q.slots[i].is_none());
-            for (slot, i) in order.iter_mut().zip(unresolved) {
-                *slot = i;
+            for (place, i) in order.iter_mut().zip(unresolved) {
+                *place = i;
             }
             order.sort_unstable_by(|&a, &b| keys[a].as_ref().cmp(keys[b].as_ref()).then(a.cmp(&b)));
-            self.search_tables(&view.version, &mut q, order)?;
+            self.search_files(&view.version, &mut q, order)?;
         }
 
         let mut factor = self.foreground_contention(self.env.clock().now());
@@ -439,7 +439,7 @@ impl DbInner {
 
     /// Searches the tables for the keys `order` lists: unresolved, sorted
     /// by key. Each file is opened and probed at most once.
-    fn search_tables<K: AsRef<[u8]>>(
+    fn search_files<K: AsRef<[u8]>>(
         &self,
         version: &Version,
         q: &mut Lookup<'_, K>,
