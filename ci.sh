@@ -30,7 +30,6 @@ echo "==> memtable gate: --memtable skiplist db_bench smoke (write + read back)"
 ./target/release/db_bench --benchmarks fillrandom,readrandom --num 20000 \
     --real-time --threads 4 --sync false --memtable skiplist \
     --option enable_pipelined_write=false \
-    --option prefix_extractor_len=8 --option index_type=two_level \
     > /tmp/ci-skiplist.txt
 grep -q "^fillrandom" /tmp/ci-skiplist.txt
 grep -q "^readrandom" /tmp/ci-skiplist.txt

@@ -328,6 +328,9 @@ mod tests {
         );
         assert_eq!(out.violations[0].kind, ViolationKind::UnknownOption);
         assert!(out.violations[0].to_feedback_line().contains("hallucinated"));
+        // Our own spelling of a retired knob is as unknown as an invented one.
+        let out = vet(&base, &[change("prefix_extractor_len", "8")], &SafeguardPolicy::default());
+        assert_eq!(out.violations[0].kind, ViolationKind::UnknownOption);
     }
 
     #[test]
@@ -338,9 +341,18 @@ mod tests {
         assert_eq!(out.options.max_background_compactions, 3, "remapped");
         assert_eq!(out.violations[0].kind, ViolationKind::Deprecated);
 
-        let out = vet(&base, &[change("soft_rate_limit", "0.5")], &policy);
-        assert_eq!(out.applied.len(), 0, "no remap target: rejected");
-        assert_eq!(out.violations[0].kind, ViolationKind::Deprecated);
+        // Real RocksDB names with no remap target: rejected, and called
+        // retired rather than hallucinated.
+        for (name, value) in [
+            ("soft_rate_limit", "0.5"),
+            ("index_type", "kTwoLevelIndexSearch"),
+            ("metadata_block_size", "4096"),
+        ] {
+            let out = vet(&base, &[change(name, value)], &policy);
+            assert_eq!(out.applied.len(), 0, "{name}: no remap target, rejected");
+            assert_eq!(out.violations[0].kind, ViolationKind::Deprecated, "{name}");
+            assert_eq!(out.options, base, "{name}");
+        }
     }
 
     #[test]

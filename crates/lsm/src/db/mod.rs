@@ -507,23 +507,17 @@ impl DbInner {
 
     fn table_config(&self) -> TableConfig {
         let opts = self.opts();
-        let prefix_len = opts.prefix_extractor_len as usize;
         TableConfig {
             block_size: opts.block_size as usize,
             restart_interval: opts.block_restart_interval.max(1) as usize,
             compression: opts.compression,
-            // A filter is built when either key form is enabled; with
-            // whole-key filtering off and no prefix extractor there is
-            // nothing to add, matching the historical behavior.
-            bloom_bits_per_key: if opts.whole_key_filtering || prefix_len > 0 {
+            // Whole keys are the only thing the filter holds, so turning
+            // them off means no filter.
+            bloom_bits_per_key: if opts.whole_key_filtering {
                 opts.bloom_filter_bits_per_key
             } else {
                 0.0
             },
-            whole_key_filtering: opts.whole_key_filtering,
-            prefix_len,
-            index_two_level: opts.index_type == crate::options::IndexType::TwoLevel,
-            metadata_block_size: opts.metadata_block_size as usize,
         }
     }
 

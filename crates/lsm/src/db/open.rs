@@ -57,15 +57,15 @@ pub(super) fn write_options_file(vfs: &dyn Vfs, opts: &Options) -> Result<()> {
 }
 
 /// Builds a fresh active memtable from the current options: chosen
-/// representation, bloom sized off the write buffer, and the configured
-/// bloom prefix length. Entry count is estimated at ~128 bytes/entry so
-/// the derived probe count tracks the actual bits-per-key budget.
+/// representation and bloom sized off the write buffer. Entry count is
+/// estimated at ~128 bytes/entry so the derived probe count tracks the
+/// actual bits-per-key budget.
 pub(super) fn new_memtable(opts: &Options) -> MemTable {
     MemTable::with_config(
         opts.memtable_factory,
         (opts.write_buffer_size as f64 * opts.memtable_prefix_bloom_size_ratio) as usize,
         (opts.write_buffer_size / 128).max(16) as usize,
-        opts.prefix_extractor_len as usize,
+        0,
     )
 }
 

@@ -391,45 +391,14 @@ impl DbInner {
         Ok(block)
     }
 
-    /// Resolves the data-block handle for `target`, going through the
-    /// block cache for index partitions when the table has a two-level
-    /// index (a flat index is resident and needs no fetch).
-    fn find_data_block(
-        &self,
-        reader: &TableReader,
-        file: FileNumber,
-        target: &[u8],
-        ropts: &ReadOptions,
-        cpu: &mut SimDuration,
-    ) -> Result<Option<BlockHandle>> {
-        if !reader.is_two_level() {
-            return reader.find_block(target);
-        }
-        let Some(ph) = reader.find_index_partition(target)? else {
-            return Ok(None);
-        };
-        let partition = self.fetch_block(reader, file, ph, ropts, cpu)?;
-        *cpu += self.cost.index_seek_cpu; // second-level seek
-        TableReader::find_block_in(&partition, target)
-    }
-
-    /// Runs `user_key` through the table's bloom filters, maintaining the
-    /// whole-key and prefix ticker families. Returns `false` when the key
-    /// is definitively absent and the probe can stop here.
+    /// Runs `user_key` through the table's bloom filter. Returns `false`
+    /// when the key is definitively absent and the probe can stop here.
     fn check_filters(&self, reader: &TableReader, user_key: &[u8], cpu: &mut SimDuration) -> bool {
         if !reader.has_filter() {
             return true;
         }
         self.stats.tickers().inc(Ticker::BloomChecked);
         *cpu += self.cost.bloom_check_cpu;
-        if reader.prefix_len() > 0 {
-            self.stats.tickers().inc(Ticker::BloomPrefixChecked);
-            if reader.prefix_rejects(user_key) {
-                self.stats.tickers().inc(Ticker::BloomPrefixUseful);
-                self.stats.tickers().inc(Ticker::BloomUseful);
-                return false;
-            }
-        }
         if !reader.may_contain(user_key) {
             self.stats.tickers().inc(Ticker::BloomUseful);
             return false;
@@ -506,9 +475,7 @@ impl DbInner {
             }
             let target = lookup_key(user_key, q.snapshot);
             q.cpu += self.cost.index_seek_cpu;
-            let Some(handle) =
-                self.find_data_block(reader, file.number, target.encoded(), q.ropts, &mut q.cpu)?
-            else {
+            let Some(handle) = reader.find_block(target.encoded())? else {
                 continue;
             };
             if last_block.as_ref().is_some_and(|(off, _)| *off == handle.offset) {

@@ -68,11 +68,9 @@ enum Rep {
 /// overhead), mirroring how RocksDB charges its arena.
 pub struct MemTable {
     rep: Rep,
-    /// Optional bloom filter over user keys (and key prefixes when
-    /// `prefix_len > 0`), enabled by `memtable_prefix_bloom_size_ratio > 0`.
+    /// Optional bloom filter over user keys, enabled by
+    /// `memtable_prefix_bloom_size_ratio > 0`.
     bloom: Option<MemTableBloom>,
-    /// Fixed prefix length added to the bloom alongside whole keys.
-    prefix_len: usize,
     approximate_bytes: AtomicUsize,
     /// `u64::MAX` = no entry yet; kept with `fetch_min` so concurrent
     /// appliers agree on the smallest sequence.
@@ -141,14 +139,14 @@ impl MemTable {
         Self::with_config(MemtableRep::BTreeMap, bloom_bytes, bloom_bytes, 0)
     }
 
-    /// Creates an empty memtable with an explicit representation, bloom
-    /// sizing (`bloom_bytes` of filter for roughly `expected_entries`
-    /// keys), and bloom prefix length (0 = whole keys only).
+    /// Creates an empty memtable with an explicit representation and bloom
+    /// sizing (`bloom_bytes` of filter for roughly `expected_entries` keys).
     pub fn with_config(
         rep: MemtableRep,
         bloom_bytes: usize,
         expected_entries: usize,
-        prefix_len: usize,
+        // Unused: `perf/src/ladder.rs` passes four arguments and is frozen.
+        _unused: usize,
     ) -> Self {
         MemTable {
             rep: match rep {
@@ -160,7 +158,6 @@ impl MemTable {
             } else {
                 None
             },
-            prefix_len,
             approximate_bytes: AtomicUsize::new(0),
             first_seq: AtomicU64::new(u64::MAX),
             last_seq: AtomicU64::new(0),
@@ -178,9 +175,6 @@ impl MemTable {
     fn bloom_add(&self, user_key: &[u8]) {
         if let Some(bloom) = &self.bloom {
             bloom.add(user_key);
-            if self.prefix_len > 0 && user_key.len() >= self.prefix_len {
-                bloom.add(&user_key[..self.prefix_len]);
-            }
         }
     }
 
@@ -269,18 +263,6 @@ impl MemTable {
                 let (k, v) = unsafe { ((*node).key(), (*node).value()) };
                 entry_of(k, v)
             }
-        }
-    }
-
-    /// Whether a key with this fixed-length prefix may exist. Always true
-    /// when no bloom or no prefix extractor is configured.
-    pub fn may_contain_prefix(&self, prefix: &[u8]) -> bool {
-        if self.prefix_len == 0 || prefix.len() != self.prefix_len {
-            return true;
-        }
-        match &self.bloom {
-            Some(bloom) => bloom.may_contain(prefix),
-            None => true,
         }
     }
 
@@ -695,26 +677,6 @@ mod tests {
             .count();
         let rate = fp as f64 / 5000.0;
         assert!(rate < 0.02, "roomy filter: fp rate {rate}");
-    }
-
-    #[test]
-    fn prefix_bloom_rejects_absent_prefixes() {
-        for rep in both_reps() {
-            let mt = MemTable::with_config(rep, 4096, 4096, 4);
-            for i in 0..50 {
-                mt.add(i + 1, ValueType::Value, format!("abc{i:05}").as_bytes(), b"v");
-            }
-            // "abc0..." prefixes are 4 bytes: "abc0", "abc1", ...
-            assert!(mt.may_contain_prefix(b"abc0"));
-            let rejected = (0..100)
-                .filter(|i| !mt.may_contain_prefix(format!("zz{i:02}").as_bytes()))
-                .count();
-            assert!(rejected > 50, "prefix bloom rejected only {rejected}/100");
-            // Wrong-length probes never reject.
-            assert!(mt.may_contain_prefix(b"abc"));
-            // Whole-key gets still work.
-            assert_eq!(mt.get(b"abc00001", 1000), Some((ValueType::Value, b"v".to_vec())));
-        }
     }
 
     #[test]

@@ -75,8 +75,9 @@ pub fn apply_ini(opts: &mut Options, text: &str) -> IniParseOutcome {
 }
 
 /// Parses ini text into `opts`, applying only options tagged
-/// `mutable_online` in the registry and silently skipping everything
-/// else.
+/// `mutable_online` in the registry and silently skipping the immutable
+/// ones. A name this build does not register (an option retired since the
+/// file was written) is reported in `rejected`, never applied.
 ///
 /// This is the open-time overlay for a persisted `OPTIONS` file (see
 /// `DbBuilder::load_options_file`): live retuning can only ever have
@@ -96,7 +97,15 @@ pub fn apply_mutable_ini(opts: &mut Options, text: &str) -> IniParseOutcome {
         };
         let key = key.trim();
         let value = value.trim().trim_matches('"');
-        if !find_option(key).is_some_and(|m| m.mutable_online) {
+        let Some(meta) = find_option(key) else {
+            outcome.rejected.push((
+                key.to_string(),
+                value.to_string(),
+                format!("not an option of this build: {key}"),
+            ));
+            continue;
+        };
+        if !meta.mutable_online {
             continue;
         }
         match opts.set_by_name(key, value) {

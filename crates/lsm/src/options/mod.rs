@@ -141,45 +141,6 @@ impl fmt::Display for MemtableRep {
     }
 }
 
-/// SST index layout (`index_type`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum IndexType {
-    /// One monolithic index block, fully resident while the table is open.
-    #[default]
-    BinarySearch,
-    /// Partitioned index: a small resident top-level index points at
-    /// per-partition index blocks that are loaded through the block cache
-    /// on demand (RocksDB `kTwoLevelIndexSearch`).
-    TwoLevel,
-}
-
-impl IndexType {
-    /// Canonical lowercase name.
-    pub fn name(self) -> &'static str {
-        match self {
-            IndexType::BinarySearch => "binary_search",
-            IndexType::TwoLevel => "two_level",
-        }
-    }
-
-    /// Parses RocksDB-style (`kTwoLevelIndexSearch`) or plain names.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "binary_search" | "kbinarysearch" | "0" => Some(IndexType::BinarySearch),
-            "two_level" | "twolevel" | "two_level_index_search" | "ktwolevelindexsearch" | "2" => {
-                Some(IndexType::TwoLevel)
-            }
-            _ => None,
-        }
-    }
-}
-
-impl fmt::Display for IndexType {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 /// Full engine configuration with RocksDB-compatible field names.
 ///
 /// Defaults match the `db_bench` baseline the paper tunes against
@@ -308,9 +269,6 @@ pub struct Options {
     /// Memtable representation. Applies to memtables created after the
     /// change (each memtable snapshots its configuration at creation).
     pub memtable_factory: MemtableRep,
-    /// Fixed prefix length for prefix bloom filters (0 = whole keys only).
-    /// Baked into each memtable and SST at build time.
-    pub prefix_extractor_len: i64,
     /// Skip filters on the last level (saves memory for hit-heavy loads).
     pub optimize_filters_for_hits: bool,
     /// Pending-compaction bytes that slow writes.
@@ -341,13 +299,8 @@ pub struct Options {
     pub block_restart_interval: i64,
     /// Bloom filter bits per key (0 = no filter).
     pub bloom_filter_bits_per_key: f64,
-    /// Include whole keys in the filter.
+    /// Include whole keys in the filter (`false` = build no filter).
     pub whole_key_filtering: bool,
-    /// SST index layout; `two_level` loads index partitions through the
-    /// block cache on demand. Applies to tables built after the change.
-    pub index_type: IndexType,
-    /// Target size of each index partition when `index_type = two_level`.
-    pub metadata_block_size: u64,
     /// Charge index/filter blocks to the block cache.
     pub cache_index_and_filter_blocks: bool,
     /// Keep L0 index/filter blocks pinned in cache.
@@ -419,7 +372,6 @@ impl Default for Options {
             disable_auto_compactions: false,
             memtable_prefix_bloom_size_ratio: 0.0,
             memtable_factory: MemtableRep::BTreeMap,
-            prefix_extractor_len: 0,
             optimize_filters_for_hits: false,
             soft_pending_compaction_bytes_limit: 64 << 30,
             hard_pending_compaction_bytes_limit: 256 << 30,
@@ -436,8 +388,6 @@ impl Default for Options {
             block_restart_interval: 16,
             bloom_filter_bits_per_key: 0.0,
             whole_key_filtering: true,
-            index_type: IndexType::BinarySearch,
-            metadata_block_size: 4096,
             cache_index_and_filter_blocks: false,
             pin_l0_filter_and_index_blocks_in_cache: false,
             block_cache_size: 8 << 20,
@@ -566,16 +516,6 @@ impl Options {
         if self.num_shards < 1 || self.num_shards > 64 {
             return Err(Error::invalid_argument("num_shards must be between 1 and 64"));
         }
-        if self.prefix_extractor_len < 0 || self.prefix_extractor_len > 64 {
-            return Err(Error::invalid_argument(
-                "prefix_extractor_len must be between 0 and 64",
-            ));
-        }
-        if self.metadata_block_size < 256 || self.metadata_block_size > (1 << 20) {
-            return Err(Error::invalid_argument(
-                "metadata_block_size must be between 256B and 1MB",
-            ));
-        }
         Ok(())
     }
 }
@@ -684,27 +624,6 @@ mod tests {
         assert_eq!(MemtableRep::parse("skiplist"), Some(MemtableRep::SkipList));
         assert_eq!(MemtableRep::parse("btree"), Some(MemtableRep::BTreeMap));
         assert_eq!(MemtableRep::parse("vector"), None);
-    }
-
-    #[test]
-    fn index_type_parsing() {
-        assert_eq!(IndexType::parse("kTwoLevelIndexSearch"), Some(IndexType::TwoLevel));
-        assert_eq!(IndexType::parse("two_level"), Some(IndexType::TwoLevel));
-        assert_eq!(IndexType::parse("kBinarySearch"), Some(IndexType::BinarySearch));
-        assert_eq!(IndexType::parse("hash"), None);
-    }
-
-    #[test]
-    fn validate_rejects_bad_prefix_and_partition_sizes() {
-        assert!(Options { prefix_extractor_len: -1, ..Options::default() }.validate().is_err());
-        assert!(Options { prefix_extractor_len: 65, ..Options::default() }.validate().is_err());
-        assert!(Options { metadata_block_size: 128, ..Options::default() }.validate().is_err());
-        assert!(
-            Options { metadata_block_size: 2 << 20, ..Options::default() }.validate().is_err()
-        );
-        Options { prefix_extractor_len: 8, metadata_block_size: 1024, ..Options::default() }
-            .validate()
-            .unwrap();
     }
 
     #[test]

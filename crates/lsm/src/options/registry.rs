@@ -11,7 +11,7 @@ use std::cmp::Ordering;
 use std::sync::OnceLock;
 
 use crate::error::{Error, Result};
-use crate::options::{CompactionStyle, CompressionType, IndexType, MemtableRep, Options};
+use crate::options::{CompactionStyle, CompressionType, MemtableRep, Options};
 
 /// The ini-file section an option belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -480,12 +480,6 @@ fn build_registry() -> Vec<OptionMeta> {
                 Ok(())
             },
         },
-        // Mutable online: consulted when filters are built (memtable
-        // allocation, table build) — existing filters keep the prefix
-        // length they were built with (self-describing in the footer).
-        opt_int!(prefix_extractor_len, Cf, (0.0, 64.0), true,
-            "Fixed-length prefix extractor: build prefix bloom filters over the first N key \
-             bytes (0 disables)"),
         opt_bool!(optimize_filters_for_hits, Cf, false, false,
             "Skip bloom filters on the last level to save memory when most reads hit"),
         opt_size!(soft_pending_compaction_bytes_limit, Cf, (0.0, TIB), true,
@@ -531,32 +525,13 @@ fn build_registry() -> Vec<OptionMeta> {
             "Block cache capacity for uncompressed data blocks"),
         opt_bool!(no_block_cache, Table, false, false,
             "Disable the block cache entirely"),
-        OptionMeta {
-            name: "index_type",
-            aliases: &[],
-            section: Table,
-            kind: OptionKind::Enum(&["binary_search", "two_level"]),
-            range: None,
-            mutable_online: true,
-            protected_by_default: false,
-            description: "SST index layout: one resident index block, or a partitioned \
-                          two-level index loaded through the block cache on demand",
-            get: |o| o.index_type.to_string(),
-            set: |o, v| {
-                o.index_type = IndexType::parse(v).ok_or_else(|| {
-                    Error::invalid_argument(format!("index_type={v} is not an index type"))
-                })?;
-                Ok(())
-            },
-        },
-        opt_size!(metadata_block_size, Table, (256.0, (1u64 << 20) as f64), true,
-            "Target size of each index partition when index_type=two_level"),
     ]
 }
 
-/// Options retired by upstream RocksDB that the framework still
-/// recognizes — the paper notes LLMs "can unnecessarily focus" on
-/// deprecated options, so these must parse and be reported, not crash.
+/// Real RocksDB names the framework recognizes but does not take — retired
+/// upstream, or naming something this engine does not model. The paper
+/// notes LLMs "can unnecessarily focus" on such options, so these must
+/// parse and be reported, not crash.
 pub const DEPRECATED_OPTIONS: &[DeprecatedOption] = &[
     DeprecatedOption {
         name: "base_background_compactions",
@@ -597,6 +572,16 @@ pub const DEPRECATED_OPTIONS: &[DeprecatedOption] = &[
         name: "db_log_dir",
         remap_to: None,
         note: "info-log placement is not modeled",
+    },
+    DeprecatedOption {
+        name: "index_type",
+        remap_to: None,
+        note: "partitioned index is not modelled; every table has one flat index block",
+    },
+    DeprecatedOption {
+        name: "metadata_block_size",
+        remap_to: None,
+        note: "partitioned index is not modelled; every table has one flat index block",
     },
 ];
 
@@ -807,23 +792,12 @@ mod tests {
         assert_eq!(opts.compaction_style, CompactionStyle::Universal);
         opts.set_by_name("memtable_factory", "SkipListFactory").unwrap();
         assert_eq!(opts.memtable_factory, crate::options::MemtableRep::SkipList);
-        opts.set_by_name("index_type", "kTwoLevelIndexSearch").unwrap();
-        assert_eq!(opts.index_type, crate::options::IndexType::TwoLevel);
     }
 
     #[test]
-    fn hot_path_options_register_and_reject_garbage() {
+    fn memtable_factory_registers_and_rejects_garbage() {
         let mut opts = Options::default();
-        opts.set_by_name("prefix_extractor_len", "8").unwrap();
-        assert_eq!(opts.prefix_extractor_len, 8);
-        opts.set_by_name("metadata_block_size", "16384").unwrap();
-        assert_eq!(opts.metadata_block_size, 16384);
         assert!(opts.set_by_name("memtable_factory", "vector").is_err());
-        assert!(opts.set_by_name("index_type", "hash_search").is_err());
-        assert!(opts.set_by_name("prefix_extractor_len", "100").is_err());
-        for name in ["memtable_factory", "prefix_extractor_len", "index_type", "metadata_block_size"]
-        {
-            assert!(find_option(name).unwrap().mutable_online, "{name} should be mutable");
-        }
+        assert!(find_option("memtable_factory").unwrap().mutable_online);
     }
 }

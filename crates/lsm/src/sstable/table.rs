@@ -4,18 +4,19 @@
 //!
 //! ```text
 //! [data block]*      each: payload | u8 compression flag | fixed32 crc32c
-//! [filter block]     optional bloom filter (raw, crc-protected)
-//! [index partition]* only with a two-level index
+//! [filter block]     optional whole-key bloom filter (raw, crc-protected)
 //! [index block]      block format; value = BlockHandle of the data block
-//!                    (two-level: of an index partition)
 //! [properties]       fixed-size counters
-//! footer             handles to filter/index/properties + magic + flags
+//! footer             handles to filter/index/properties + magic + reserved
 //! ```
 //!
-//! The footer's final fixed64 was historically written as zero ("reserved").
-//! It now carries feature flags; zero still decodes as the legacy layout
-//! (whole-key filter, single-level index), so files built with default
-//! options are byte-identical to the seed format and old files read fine.
+//! The footer's final fixed64 is reserved and must be zero. Earlier builds
+//! used it as a flag word for a partitioned index and a prefix filter; a
+//! table with any of it set is refused at [`TableReader::open`] rather than
+//! misread (its top index would hand out partition handles as data blocks,
+//! and a prefix-only filter probed with whole keys gives false negatives).
+//! The footer's three handles carry no checksum, so each is bounds-checked
+//! against the file length before anything is read through it.
 
 use std::sync::Arc;
 
@@ -30,14 +31,9 @@ use crate::util::{crc32c, get_fixed32, get_fixed64, put_fixed32, put_fixed64};
 use crate::vfs::{RandomAccessFile, WritableFile};
 
 const FOOTER_MAGIC: u64 = 0x4c53_4d5f_5349_4d31; // "LSM_SIM1"
-const FOOTER_SIZE: usize = 6 * 8 + 8 + 8; // 3 handles + magic + flags
-
-// Footer flag word (the former reserved fixed64). Zero = legacy layout.
-const FOOTER_FLAG_EXTENDED: u64 = 1 << 0;
-const FOOTER_FLAG_WHOLE_KEYS: u64 = 1 << 1;
-const FOOTER_FLAG_TWO_LEVEL_INDEX: u64 = 1 << 2;
-const FOOTER_PREFIX_LEN_SHIFT: u64 = 8;
-const FOOTER_PREFIX_LEN_MASK: u64 = 0xff;
+const FOOTER_SIZE: usize = 6 * 8 + 8 + 8; // 3 handles + magic + reserved
+/// Flag byte plus crc32c after every block payload.
+const BLOCK_TRAILER_SIZE: u64 = 5;
 
 const COMPRESSION_FLAG_NONE: u8 = 0;
 const COMPRESSION_FLAG_SIMZIP: u8 = 1;
@@ -68,7 +64,7 @@ impl BlockHandle {
 
     /// Total on-disk footprint including the 5-byte trailer.
     pub fn stored_len(&self) -> u64 {
-        self.size + 5
+        self.size + BLOCK_TRAILER_SIZE
     }
 }
 
@@ -143,15 +139,6 @@ pub struct TableConfig {
     pub compression: CompressionType,
     /// Bloom bits per key (0 disables the filter).
     pub bloom_bits_per_key: f64,
-    /// Include whole user keys in the filter.
-    pub whole_key_filtering: bool,
-    /// Fixed prefix length also added to the filter (0 = none).
-    pub prefix_len: usize,
-    /// Build a two-level (partitioned) index instead of one monolithic
-    /// index block.
-    pub index_two_level: bool,
-    /// Target serialized size of each index partition.
-    pub metadata_block_size: usize,
 }
 
 impl Default for TableConfig {
@@ -161,10 +148,6 @@ impl Default for TableConfig {
             restart_interval: 16,
             compression: CompressionType::None,
             bloom_bits_per_key: 0.0,
-            whole_key_filtering: true,
-            prefix_len: 0,
-            index_two_level: false,
-            metadata_block_size: 4096,
         }
     }
 }
@@ -174,14 +157,7 @@ pub struct TableBuilder {
     file: Box<dyn WritableFile>,
     config: TableConfig,
     data_block: BlockBuilder,
-    /// Index under construction: the whole index when single-level, the
-    /// current partition when two-level.
     index_block: BlockBuilder,
-    /// Finished `(last_key, serialized_partition)` pairs, written out at
-    /// finish so data blocks stay contiguous (two-level only).
-    finished_partitions: Vec<(Vec<u8>, Vec<u8>)>,
-    /// Last key added to the current index partition.
-    index_partition_last_key: Vec<u8>,
     offset: u64,
     smallest: Option<InternalKey>,
     last_key: Vec<u8>,
@@ -190,8 +166,6 @@ pub struct TableBuilder {
     filter: Option<BloomBuilder>,
     filter_last_user: Vec<u8>,
     filter_has_last: bool,
-    filter_last_prefix: Vec<u8>,
-    filter_has_prefix: bool,
     props: TableProperties,
     compression_cpu: hw_sim::SimDuration,
     pending_index: Option<(Vec<u8>, BlockHandle)>,
@@ -210,52 +184,33 @@ impl TableBuilder {
     /// Starts building into `file`.
     pub fn new(file: Box<dyn WritableFile>, config: TableConfig) -> Self {
         let restart = config.restart_interval;
-        let filter = (config.bloom_bits_per_key > 0.0
-            && (config.whole_key_filtering || config.prefix_len > 0))
+        let filter = (config.bloom_bits_per_key > 0.0)
             .then(|| BloomBuilder::new(config.bloom_bits_per_key));
         TableBuilder {
             file,
             config,
             data_block: BlockBuilder::new(restart),
             index_block: BlockBuilder::new(1),
-            finished_partitions: Vec::new(),
-            index_partition_last_key: Vec::new(),
             offset: 0,
             smallest: None,
             last_key: Vec::new(),
             filter,
             filter_last_user: Vec::new(),
             filter_has_last: false,
-            filter_last_prefix: Vec::new(),
-            filter_has_prefix: false,
             props: TableProperties::default(),
             compression_cpu: hw_sim::SimDuration::ZERO,
             pending_index: None,
         }
     }
 
-    /// Feeds one (distinct-deduped) user key into the streaming filter:
-    /// the whole key when `whole_key_filtering`, plus its fixed-length
-    /// prefix when a prefix extractor is configured. Keys arrive sorted,
-    /// so one remembered key/prefix suffices to dedup runs.
+    /// Feeds one user key into the streaming filter. Keys arrive sorted,
+    /// so one remembered key suffices to dedup runs of versions.
     fn note_filter_key(&mut self, user: &[u8]) {
         let Some(filter) = self.filter.as_mut() else { return };
         if self.filter_has_last && self.filter_last_user == user {
             return;
         }
-        if self.config.whole_key_filtering {
-            filter.add_key(user);
-        }
-        let plen = self.config.prefix_len;
-        if plen > 0 && user.len() >= plen {
-            let prefix = &user[..plen];
-            if !self.filter_has_prefix || self.filter_last_prefix != prefix {
-                filter.add_key(prefix);
-                self.filter_last_prefix.clear();
-                self.filter_last_prefix.extend_from_slice(prefix);
-                self.filter_has_prefix = true;
-            }
-        }
+        filter.add_key(user);
         self.filter_last_user.clear();
         self.filter_last_user.extend_from_slice(user);
         self.filter_has_last = true;
@@ -318,50 +273,21 @@ impl TableBuilder {
             filter_handle = self.write_raw_block(&encoded)?;
         }
 
-        // Index. Two-level: write the buffered partitions, then a top
-        // index over them; `index_bytes` records only the resident top
-        // index so table-cache accounting matches what actually stays in
-        // memory. Single-level: one monolithic block, as ever.
-        let index_handle = if self.config.index_two_level {
-            self.cut_index_partition();
-            let mut top = BlockBuilder::new(1);
-            for (last_key, data) in std::mem::take(&mut self.finished_partitions) {
-                let handle = self.write_raw_block(&data)?;
-                top.add(&last_key, &handle.encode());
-            }
-            let top_data = top.finish();
-            self.props.index_bytes = top_data.len() as u64;
-            self.write_raw_block(&top_data)?
-        } else {
-            let index_data = self.index_block.finish();
-            self.props.index_bytes = index_data.len() as u64;
-            self.write_raw_block(&index_data)?
-        };
+        // Index.
+        let index_data = self.index_block.finish();
+        self.props.index_bytes = index_data.len() as u64;
+        let index_handle = self.write_raw_block(&index_data)?;
 
         // Properties.
         let props_handle = self.write_raw_block(&self.props.encode())?;
 
-        // Footer. The flag word stays zero for the default configuration
-        // so default-built files remain byte-identical to the legacy
-        // format.
-        let mut flags = 0u64;
-        if self.config.index_two_level || self.config.prefix_len > 0 {
-            flags |= FOOTER_FLAG_EXTENDED;
-            if self.config.whole_key_filtering {
-                flags |= FOOTER_FLAG_WHOLE_KEYS;
-            }
-            if self.config.index_two_level {
-                flags |= FOOTER_FLAG_TWO_LEVEL_INDEX;
-            }
-            flags |= (self.config.prefix_len as u64 & FOOTER_PREFIX_LEN_MASK)
-                << FOOTER_PREFIX_LEN_SHIFT;
-        }
+        // Footer; the last word is reserved and written as zero.
         let mut footer = Vec::with_capacity(FOOTER_SIZE);
         footer.extend_from_slice(&filter_handle.encode());
         footer.extend_from_slice(&index_handle.encode());
         footer.extend_from_slice(&props_handle.encode());
         put_fixed64(&mut footer, FOOTER_MAGIC);
-        put_fixed64(&mut footer, flags);
+        put_fixed64(&mut footer, 0);
         self.file.append(&footer)?;
         self.offset += footer.len() as u64;
         // Durability barrier: the table must be on stable media *before*
@@ -401,24 +327,7 @@ impl TableBuilder {
     fn flush_pending_index(&mut self) {
         if let Some((key, handle)) = self.pending_index.take() {
             self.index_block.add(&key, &handle.encode());
-            if self.config.index_two_level {
-                self.index_partition_last_key = key;
-                if self.index_block.size_estimate() >= self.config.metadata_block_size {
-                    self.cut_index_partition();
-                }
-            }
         }
-    }
-
-    /// Seals the current index partition (two-level only); its bytes are
-    /// buffered until `finish` so data blocks stay contiguous on disk.
-    fn cut_index_partition(&mut self) {
-        if self.index_block.is_empty() {
-            return;
-        }
-        let data = self.index_block.finish();
-        self.finished_partitions
-            .push((std::mem::take(&mut self.index_partition_last_key), data));
     }
 
     fn write_block_payload(&mut self, payload: &[u8], flag: u8) -> Result<BlockHandle> {
@@ -448,14 +357,9 @@ impl TableBuilder {
 /// are fetched on demand (typically through the block cache).
 pub struct TableReader {
     file: Arc<dyn RandomAccessFile>,
-    /// Single-level: the whole index. Two-level: the top index whose
-    /// values are handles of index partitions.
     index: Block,
     filter: Option<BloomFilter>,
     properties: TableProperties,
-    two_level: bool,
-    whole_key_filtering: bool,
-    prefix_len: usize,
 }
 
 impl std::fmt::Debug for TableReader {
@@ -474,7 +378,9 @@ impl TableReader {
     ///
     /// # Errors
     ///
-    /// Returns [`ErrorKind::Corruption`](crate::ErrorKind) on format violations.
+    /// Returns [`ErrorKind::Corruption`](crate::ErrorKind) on format
+    /// violations, and [`ErrorKind::NotSupported`](crate::ErrorKind) for a
+    /// table written with the retired partitioned index or prefix filter.
     pub fn open(file: Arc<dyn RandomAccessFile>) -> Result<(TableReader, u64)> {
         let len = file.len();
         if (len as usize) < FOOTER_SIZE {
@@ -485,17 +391,13 @@ impl TableReader {
         if magic != FOOTER_MAGIC {
             return Err(Error::corruption("bad table magic"));
         }
-        let flags = get_fixed64(&footer, 56).ok_or_else(|| Error::corruption("short footer"))?;
-        let (two_level, whole_key_filtering, prefix_len) = if flags & FOOTER_FLAG_EXTENDED != 0 {
-            (
-                flags & FOOTER_FLAG_TWO_LEVEL_INDEX != 0,
-                flags & FOOTER_FLAG_WHOLE_KEYS != 0,
-                ((flags >> FOOTER_PREFIX_LEN_SHIFT) & FOOTER_PREFIX_LEN_MASK) as usize,
-            )
-        } else {
-            // Legacy files wrote zero here: whole-key filter, flat index.
-            (false, true, 0)
-        };
+        let reserved = get_fixed64(&footer, 56).ok_or_else(|| Error::corruption("short footer"))?;
+        if reserved != 0 {
+            return Err(Error::not_supported(format!(
+                "table footer flag word {reserved:#x}: partitioned index / prefix filter \
+                 tables are no longer readable (see RELEASE_NOTES.md)"
+            )));
+        }
         let filter_handle =
             BlockHandle::decode(&footer[0..16]).ok_or_else(|| Error::corruption("bad handle"))?;
         let index_handle =
@@ -504,35 +406,23 @@ impl TableReader {
             BlockHandle::decode(&footer[32..48]).ok_or_else(|| Error::corruption("bad handle"))?;
 
         let mut bytes_read = FOOTER_SIZE as u64;
-        let index_raw = read_verified_block(file.as_ref(), index_handle)?;
+        let index = Block::parse(fetch_block(file.as_ref(), index_handle, true)?.data)?;
         bytes_read += index_handle.stored_len();
-        let index = Block::parse(index_raw)?;
 
-        let props_raw = read_verified_block(file.as_ref(), props_handle)?;
+        let props_raw = fetch_block(file.as_ref(), props_handle, true)?.data;
         bytes_read += props_handle.stored_len();
         let properties = TableProperties::decode(&props_raw)
             .ok_or_else(|| Error::corruption("bad properties block"))?;
 
         let filter = if filter_handle.size > 0 {
-            let raw = read_verified_block(file.as_ref(), filter_handle)?;
+            let raw = fetch_block(file.as_ref(), filter_handle, true)?.data;
             bytes_read += filter_handle.stored_len();
             Some(BloomFilter::decode(&raw).ok_or_else(|| Error::corruption("bad filter block"))?)
         } else {
             None
         };
 
-        Ok((
-            TableReader {
-                file,
-                index,
-                filter,
-                properties,
-                two_level,
-                whole_key_filtering,
-                prefix_len,
-            },
-            bytes_read,
-        ))
+        Ok((TableReader { file, index, filter, properties }, bytes_read))
     }
 
     /// Table counters.
@@ -541,48 +431,14 @@ impl TableReader {
     }
 
     /// Whether the table may contain `user_key` (always `true` without a
-    /// filter). Consults the prefix filter first (cheaper to rule out a
-    /// whole prefix), then the whole-key filter when one was built.
+    /// filter).
     pub fn may_contain(&self, user_key: &[u8]) -> bool {
-        let Some(filter) = self.filter.as_ref() else {
-            return true;
-        };
-        if self.prefix_rejects(user_key) {
-            return false;
-        }
-        !self.whole_key_filtering || filter.may_contain(user_key)
-    }
-
-    /// Whether the prefix bloom filter definitively rules out `user_key`'s
-    /// prefix. `false` when no prefix filter exists or the key is shorter
-    /// than the configured prefix length.
-    pub fn prefix_rejects(&self, user_key: &[u8]) -> bool {
-        let Some(filter) = self.filter.as_ref() else {
-            return false;
-        };
-        self.prefix_len > 0
-            && user_key.len() >= self.prefix_len
-            && !filter.may_contain(&user_key[..self.prefix_len])
+        self.filter.as_ref().is_none_or(|f| f.may_contain(user_key))
     }
 
     /// Whether the table carries a bloom filter.
     pub fn has_filter(&self) -> bool {
         self.filter.is_some()
-    }
-
-    /// Whether the table has a prefix bloom filter, and for what prefix
-    /// length (0 = none).
-    pub fn prefix_len(&self) -> usize {
-        if self.filter.is_some() {
-            self.prefix_len
-        } else {
-            0
-        }
-    }
-
-    /// Whether the index is two-level (partitioned).
-    pub fn is_two_level(&self) -> bool {
-        self.two_level
     }
 
     /// Resident memory used by index + filter (charged to the table cache).
@@ -593,45 +449,11 @@ impl TableReader {
     /// Finds the handle of the data block that could contain `target`
     /// (first block whose largest key is >= target).
     ///
-    /// With a two-level index this reads the relevant partition from the
-    /// file directly; callers with a block cache should prefer
-    /// [`find_index_partition`](Self::find_index_partition) +
-    /// [`find_block_in`](Self::find_block_in) so partitions come out of
-    /// the cache.
-    ///
     /// # Errors
     ///
-    /// Returns [`ErrorKind::Corruption`](crate::ErrorKind) if an index block is malformed.
+    /// Returns [`ErrorKind::Corruption`](crate::ErrorKind) if the index block is malformed.
     pub fn find_block(&self, target: &[u8]) -> Result<Option<BlockHandle>> {
-        if !self.two_level {
-            return Self::find_block_in(&self.index, target);
-        }
-        let Some(ph) = self.find_index_partition(target)? else {
-            return Ok(None);
-        };
-        let partition = Block::parse(read_verified_block(self.file.as_ref(), ph)?)?;
-        Self::find_block_in(&partition, target)
-    }
-
-    /// Finds the handle of the index partition covering `target` (two-level
-    /// only; `None` past the last partition).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ErrorKind::Corruption`](crate::ErrorKind) if the top index is malformed.
-    pub fn find_index_partition(&self, target: &[u8]) -> Result<Option<BlockHandle>> {
-        Self::find_block_in(&self.index, target)
-    }
-
-    /// Seeks `index` for the first entry at or after `target` and decodes
-    /// its value as a [`BlockHandle`]. Works on the flat index, a top
-    /// index, or an index partition — they share one format.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ErrorKind::Corruption`](crate::ErrorKind) if the block is malformed.
-    pub fn find_block_in(index: &Block, target: &[u8]) -> Result<Option<BlockHandle>> {
-        match index.seek(target)? {
+        match self.index.seek(target)? {
             Some((_, value)) => Ok(Some(
                 BlockHandle::decode(&value).ok_or_else(|| Error::corruption("bad index value"))?,
             )),
@@ -639,30 +461,19 @@ impl TableReader {
         }
     }
 
-    /// All data block handles in key order. Two-level: walks every
-    /// partition (direct reads, uncached — used by scans and tooling).
+    /// All data block handles in key order.
     ///
     /// # Errors
     ///
-    /// Returns [`ErrorKind::Corruption`](crate::ErrorKind) if an index block is malformed.
+    /// Returns [`ErrorKind::Corruption`](crate::ErrorKind) if the index block is malformed.
     pub fn block_handles(&self) -> Result<Vec<BlockHandle>> {
         let mut out = Vec::new();
         let mut it = self.index.iter();
         while it.advance()? {
-            let handle = BlockHandle::decode(it.value())
-                .ok_or_else(|| Error::corruption("bad index value"))?;
-            if !self.two_level {
-                out.push(handle);
-                continue;
-            }
-            let partition = Block::parse(read_verified_block(self.file.as_ref(), handle)?)?;
-            let mut pit = partition.iter();
-            while pit.advance()? {
-                out.push(
-                    BlockHandle::decode(pit.value())
-                        .ok_or_else(|| Error::corruption("bad index value"))?,
-                );
-            }
+            out.push(
+                BlockHandle::decode(it.value())
+                    .ok_or_else(|| Error::corruption("bad index value"))?,
+            );
         }
         Ok(out)
     }
@@ -682,39 +493,57 @@ impl TableReader {
 
     /// Like [`read_block`](Self::read_block), but checksum verification
     /// can be skipped (`ReadOptions::verify_checksums = false`). Structural
-    /// validation (length, compression flag, decode) still runs.
+    /// validation (bounds, length, compression flag, decode) still runs.
     ///
     /// # Errors
     ///
     /// Returns [`ErrorKind::Corruption`](crate::ErrorKind) on checksum (when
     /// verifying) or decode failures.
     pub fn read_block_with(&self, handle: BlockHandle, verify_checksums: bool) -> Result<BlockFetch> {
-        let stored = self.file.read_at(handle.offset, handle.size as usize + 5)?;
-        if stored.len() != handle.size as usize + 5 {
-            return Err(Error::corruption("short block read"));
-        }
-        let (payload, trailer) = stored.split_at(handle.size as usize);
-        let flag = trailer[0];
-        let crc_stored = get_fixed32(trailer, 1).ok_or_else(|| Error::corruption("short crc"))?;
-        if verify_checksums {
-            let mut crc_input = Vec::with_capacity(payload.len() + 1);
-            crc_input.extend_from_slice(payload);
-            crc_input.push(flag);
-            if crc32c(&crc_input) != crc_stored {
-                return Err(Error::corruption("block checksum mismatch"));
-            }
-        }
-        let (data, was_compressed) = match flag {
-            COMPRESSION_FLAG_NONE => (payload.to_vec(), false),
-            COMPRESSION_FLAG_SIMZIP => (compress::decompress(payload)?, true),
-            other => return Err(Error::corruption(format!("unknown compression flag {other}"))),
-        };
-        Ok(BlockFetch {
-            data,
-            io_bytes: handle.stored_len(),
-            was_compressed,
-        })
+        fetch_block(self.file.as_ref(), handle, verify_checksums)
     }
+}
+
+/// The one block read: bounds → read → split trailer → CRC → decompress by
+/// flag. Serves the footer's three handles at open and every data block
+/// after. A handle that does not lie wholly before the footer is refused
+/// before any byte is read or allocated for it: footer handles carry no
+/// checksum of their own, so a flipped bit there must not size a buffer.
+fn fetch_block(
+    file: &dyn RandomAccessFile,
+    handle: BlockHandle,
+    verify_checksums: bool,
+) -> Result<BlockFetch> {
+    let blocks_end = file.len().saturating_sub(FOOTER_SIZE as u64);
+    let end = handle
+        .size
+        .checked_add(BLOCK_TRAILER_SIZE)
+        .and_then(|stored| handle.offset.checked_add(stored));
+    if end.is_none_or(|end| end > blocks_end) {
+        return Err(Error::corruption("block handle points outside the table"));
+    }
+    let stored_len = handle.stored_len();
+    let stored = file.read_at(handle.offset, stored_len as usize)?;
+    if stored.len() as u64 != stored_len {
+        return Err(Error::corruption("short block read"));
+    }
+    let (payload, trailer) = stored.split_at(handle.size as usize);
+    let flag = trailer[0];
+    let crc_stored = get_fixed32(trailer, 1).ok_or_else(|| Error::corruption("short crc"))?;
+    if verify_checksums {
+        let mut crc_input = Vec::with_capacity(payload.len() + 1);
+        crc_input.extend_from_slice(payload);
+        crc_input.push(flag);
+        if crc32c(&crc_input) != crc_stored {
+            return Err(Error::corruption("block checksum mismatch"));
+        }
+    }
+    let (data, was_compressed) = match flag {
+        COMPRESSION_FLAG_NONE => (payload.to_vec(), false),
+        COMPRESSION_FLAG_SIMZIP => (compress::decompress(payload)?, true),
+        other => return Err(Error::corruption(format!("unknown compression flag {other}"))),
+    };
+    Ok(BlockFetch { data, io_bytes: stored_len, was_compressed })
 }
 
 /// A data block fetched from storage.
@@ -825,27 +654,6 @@ pub(crate) fn table_entries(
     out
 }
 
-fn read_verified_block(file: &dyn RandomAccessFile, handle: BlockHandle) -> Result<Vec<u8>> {
-    let stored = file.read_at(handle.offset, handle.size as usize + 5)?;
-    if stored.len() != handle.size as usize + 5 {
-        return Err(Error::corruption("short block read"));
-    }
-    let (payload, trailer) = stored.split_at(handle.size as usize);
-    let flag = trailer[0];
-    let crc_stored = get_fixed32(trailer, 1).ok_or_else(|| Error::corruption("short crc"))?;
-    let mut crc_input = Vec::with_capacity(payload.len() + 1);
-    crc_input.extend_from_slice(payload);
-    crc_input.push(flag);
-    if crc32c(&crc_input) != crc_stored {
-        return Err(Error::corruption("block checksum mismatch"));
-    }
-    match flag {
-        COMPRESSION_FLAG_NONE => Ok(payload.to_vec()),
-        COMPRESSION_FLAG_SIMZIP => compress::decompress(payload),
-        other => Err(Error::corruption(format!("unknown compression flag {other}"))),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -881,6 +689,15 @@ mod tests {
         let (k, v) = block.seek(target.encoded()).unwrap()?;
         let ik = InternalKey::decode(&k).unwrap();
         (ik.user_key() == user_key).then_some(v)
+    }
+
+    /// Rewrites `name` with `patch` applied to its bytes.
+    fn patch_file(vfs: &MemVfs, name: &str, patch: impl FnOnce(&mut Vec<u8>)) {
+        let mut contents = vfs.read_all(name).unwrap();
+        patch(&mut contents);
+        let mut f = vfs.create(name).unwrap();
+        f.append(&contents).unwrap();
+        f.finish().unwrap();
     }
 
     #[test]
@@ -964,11 +781,7 @@ mod tests {
         let es = entries(100);
         build_table(&vfs, "t.sst", &es, TableConfig::default());
         // Flip a byte in the middle of the file (a data block).
-        let mut contents = vfs.read_all("t.sst").unwrap();
-        contents[100] ^= 0xff;
-        let mut f = vfs.create("t.sst").unwrap();
-        f.append(&contents).unwrap();
-        f.finish().unwrap();
+        patch_file(&vfs, "t.sst", |contents| contents[100] ^= 0xff);
         let (reader, _) = TableReader::open(vfs.open("t.sst").unwrap()).unwrap();
         let handles = reader.block_handles().unwrap();
         let err = reader.read_block(handles[0]).unwrap_err();
@@ -990,121 +803,85 @@ mod tests {
         build_table(&vfs, "t.sst", &entries(200), TableConfig::default());
         let contents = vfs.read_all("t.sst").unwrap();
         let flags = get_fixed64(&contents, contents.len() - 8).unwrap();
-        assert_eq!(flags, 0, "default-built tables must keep the legacy footer");
+        assert_eq!(flags, 0, "the reserved footer word is written as zero");
+    }
+
+    /// A file that fails the test if asked for bytes it does not have:
+    /// how a test sees "allocates more than the file's length".
+    struct NoReadPastEnd(Arc<dyn RandomAccessFile>);
+
+    impl RandomAccessFile for NoReadPastEnd {
+        fn read_at(&self, offset: u64, len: usize) -> Result<Vec<u8>> {
+            let end = offset.checked_add(len as u64).expect("read range overflows");
+            assert!(end <= self.0.len(), "read of {len} bytes at {offset} passes the end");
+            self.0.read_at(offset, len)
+        }
+
+        fn len(&self) -> u64 {
+            self.0.len()
+        }
+    }
+
+    fn open_guarded(vfs: &MemVfs, name: &str) -> Result<(TableReader, u64)> {
+        TableReader::open(Arc::new(NoReadPastEnd(vfs.open(name).unwrap())))
     }
 
     #[test]
-    fn two_level_index_reads_back_every_key() {
+    fn retired_footer_flag_words_are_refused() {
         let vfs = MemVfs::new();
-        let es = entries(2_000);
-        let config = TableConfig {
-            index_two_level: true,
-            metadata_block_size: 256, // force many partitions
-            ..TableConfig::default()
-        };
-        let fin = build_table(&vfs, "t.sst", &es, config);
-        let (reader, _) = TableReader::open(vfs.open("t.sst").unwrap()).unwrap();
-        assert!(reader.is_two_level());
-        for (k, v) in &es {
-            assert_eq!(get(&reader, k.as_bytes()).unwrap(), v.as_bytes());
+        let config = TableConfig { bloom_bits_per_key: 10.0, ..TableConfig::default() };
+        build_table(&vfs, "t.sst", &entries(200), config);
+        open_guarded(&vfs, "t.sst").unwrap();
+        // What the parent wrote for: a partitioned index without whole
+        // keys, one with them, and an 8-byte prefix-only filter.
+        for word in [0b001u64, 0b111, 0b001 | 8 << 8] {
+            patch_file(&vfs, "t.sst", |bytes| {
+                let at = bytes.len() - 8;
+                bytes[at..].copy_from_slice(&word.to_le_bytes());
+            });
+            let err = open_guarded(&vfs, "t.sst").unwrap_err();
+            assert_eq!(err.kind(), crate::ErrorKind::NotSupported, "word {word:#x}: {err}");
         }
-        assert!(get(&reader, b"absent-key").is_none());
-        assert!(get(&reader, b"zzzz-past-the-end").is_none());
-        // block_handles walks partitions and still sees every data block.
-        let mut total = 0;
-        for h in reader.block_handles().unwrap() {
-            let fetch = reader.read_block(h).unwrap();
-            let block = Block::parse(fetch.data).unwrap();
-            let mut it = block.iter();
-            while it.advance().unwrap() {
-                total += 1;
+    }
+
+    #[test]
+    fn footer_handles_outside_the_file_are_corruption() {
+        let vfs = MemVfs::new();
+        let config = TableConfig { bloom_bits_per_key: 10.0, ..TableConfig::default() };
+        build_table(&vfs, "good.sst", &entries(200), config);
+        let good = vfs.read_all("good.sst").unwrap();
+        let footer_at = good.len() - FOOTER_SIZE;
+        // Each handle's offset and size field in turn.
+        for field in 0..6 {
+            for value in [u64::MAX, 1 << 46, good.len() as u64, footer_at as u64 - 4] {
+                patch_file(&vfs, "good.sst", |bytes| {
+                    bytes.copy_from_slice(&good);
+                    let at = footer_at + field * 8;
+                    bytes[at..at + 8].copy_from_slice(&value.to_le_bytes());
+                });
+                let err = open_guarded(&vfs, "good.sst").unwrap_err();
+                assert!(err.is_corruption(), "field {field} = {value:#x}: {err}");
             }
         }
-        assert_eq!(total, 2_000);
-        assert_eq!(fin.properties.num_entries, 2_000);
     }
 
     #[test]
-    fn two_level_index_bytes_count_only_the_top_index() {
+    fn no_footer_byte_flip_panics_or_reads_past_the_end() {
         let vfs = MemVfs::new();
-        let es = entries(2_000);
-        let flat = build_table(&vfs, "flat.sst", &es, TableConfig::default());
-        let two = build_table(
-            &vfs,
-            "two.sst",
-            &es,
-            TableConfig {
-                index_two_level: true,
-                metadata_block_size: 256,
-                ..TableConfig::default()
-            },
-        );
-        assert!(
-            two.properties.index_bytes * 4 < flat.properties.index_bytes,
-            "top index ({}) should be far smaller than the flat index ({})",
-            two.properties.index_bytes,
-            flat.properties.index_bytes
-        );
-        let (reader, _) = TableReader::open(vfs.open("two.sst").unwrap()).unwrap();
-        assert_eq!(reader.resident_bytes(), two.properties.index_bytes);
-    }
-
-    #[test]
-    fn prefix_bloom_rejects_absent_prefixes() {
-        let vfs = MemVfs::new();
-        // Keys share 4-byte prefixes "p00:", "p01:", ... "p09:".
-        let es: Vec<_> = (0..1_000)
-            .map(|i| (format!("p{:02}:{:05}", i % 10, i), format!("v{i}")))
-            .collect();
-        let mut sorted = es.clone();
-        sorted.sort();
-        let config = TableConfig {
-            bloom_bits_per_key: 10.0,
-            whole_key_filtering: false,
-            prefix_len: 4,
-            ..TableConfig::default()
-        };
-        build_table(&vfs, "t.sst", &sorted, config);
-        let (reader, _) = TableReader::open(vfs.open("t.sst").unwrap()).unwrap();
-        assert_eq!(reader.prefix_len(), 4);
-        // Present prefixes always pass.
-        for (k, _) in &sorted {
-            assert!(!reader.prefix_rejects(k.as_bytes()));
-            assert!(reader.may_contain(k.as_bytes()));
+        let config = TableConfig { bloom_bits_per_key: 10.0, ..TableConfig::default() };
+        build_table(&vfs, "t.sst", &entries(200), config);
+        let good = vfs.read_all("t.sst").unwrap();
+        for at in good.len() - FOOTER_SIZE..good.len() {
+            for mask in [0x01u8, 0x80, 0xff] {
+                patch_file(&vfs, "t.sst", |bytes| {
+                    bytes.copy_from_slice(&good);
+                    bytes[at] ^= mask;
+                });
+                // Ok (a flip that still lands on a whole block) or Err;
+                // never a panic, never a read the file cannot serve.
+                let _ = open_guarded(&vfs, "t.sst");
+            }
         }
-        // Absent prefixes are mostly rejected.
-        let passed = (10..1000)
-            .filter(|i| !reader.prefix_rejects(format!("q{i:02}:xxxxx").as_bytes()))
-            .count();
-        assert!(passed < 100, "prefix bloom let through {passed} of 990");
-        // Keys shorter than the prefix cannot be filtered.
-        assert!(!reader.prefix_rejects(b"q"));
-    }
-
-    #[test]
-    fn prefix_and_whole_key_filters_combine() {
-        let vfs = MemVfs::new();
-        let es: Vec<_> = (0..500)
-            .map(|i| (format!("aa:{i:05}"), format!("v{i}")))
-            .collect();
-        let mut sorted = es.clone();
-        sorted.sort();
-        let config = TableConfig {
-            bloom_bits_per_key: 10.0,
-            whole_key_filtering: true,
-            prefix_len: 3,
-            ..TableConfig::default()
-        };
-        build_table(&vfs, "t.sst", &sorted, config);
-        let (reader, _) = TableReader::open(vfs.open("t.sst").unwrap()).unwrap();
-        for (k, _) in &sorted {
-            assert!(reader.may_contain(k.as_bytes()));
-        }
-        // Same prefix, absent key: whole-key filter still screens it.
-        let misses = (0..1000)
-            .filter(|i| reader.may_contain(format!("aa:absent-{i}").as_bytes()))
-            .count();
-        assert!(misses < 50, "whole-key filter let through {misses} of 1000");
     }
 
     #[test]

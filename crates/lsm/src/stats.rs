@@ -44,11 +44,9 @@ pub enum Ticker {
     CompactionKeyDropped,
     MultiGetKeysRead,
     MultiGetBatches,
-    BloomPrefixChecked,
-    BloomPrefixUseful,
 }
 
-const NUM_TICKERS: usize = 33;
+const NUM_TICKERS: usize = 31;
 
 fn ticker_index(t: Ticker) -> usize {
     t as usize
@@ -87,8 +85,6 @@ pub const TICKER_NAMES: [&str; NUM_TICKERS] = [
     "compaction_key_dropped",
     "multiget_keys_read",
     "multiget_batches",
-    "bloom_prefix_checked",
-    "bloom_prefix_useful",
 ];
 
 /// Thread-safe ticker array.

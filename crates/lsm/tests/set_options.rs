@@ -202,6 +202,38 @@ fn set_options_survives_reopen_via_options_file() {
     );
 }
 
+/// An `OPTIONS` file written before the partitioned index and the prefix
+/// bloom were retired (fixture: written by PR 14's `db_bench --db` with
+/// several `--option`s) names three options this build no longer has.
+/// Reopen reports exactly those three and applies every other mutable line.
+#[test]
+fn options_file_naming_retired_options_still_reopens() {
+    let text = include_str!("fixtures/OPTIONS.pr14");
+    let mut overlaid = Options::default();
+    let outcome = ini::apply_mutable_ini(&mut overlaid, text);
+    let mut rejected: Vec<&str> = outcome.rejected.iter().map(|(name, _, _)| name.as_str()).collect();
+    rejected.sort_unstable();
+    assert_eq!(rejected, ["index_type", "metadata_block_size", "prefix_extractor_len"]);
+    let mutable = all_options().iter().filter(|m| m.mutable_online).count();
+    assert_eq!(outcome.applied.len(), mutable, "every mutable option of this build applied");
+
+    let vfs: Arc<dyn Vfs> = Arc::new(MemVfs::new());
+    let mut file = vfs.create(OPTIONS_FILE).unwrap();
+    file.append(text.as_bytes()).unwrap();
+    file.finish().unwrap();
+    let db = Db::builder(Options::default())
+        .env(&sim_env())
+        .vfs(vfs)
+        .load_options_file(true)
+        .open()
+        .unwrap();
+    assert_eq!(db.options(), overlaid);
+    assert_eq!(db.options().write_buffer_size, 32 << 20);
+    assert_eq!(db.options().block_size, 8192);
+    assert_eq!(db.options().level0_file_num_compaction_trigger, 6);
+    assert_eq!(db.options().bloom_filter_bits_per_key, 10.0);
+}
+
 /// Crash-during-set_options sweep: arm a one-shot fault at every operation
 /// offset of the OPTIONS rewrite (create/append/sync/rename). On failure
 /// the in-memory configuration must be unchanged; after a power cut the

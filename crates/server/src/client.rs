@@ -1,19 +1,13 @@
 //! Client library: a single-connection [`Conn`] plus [`RemoteDb`], a
 //! pooled client that implements [`KvEngine`] so every in-process tool
 //! (`db_bench`, the tuning loop) runs unchanged against a live server.
-//!
-//! With [`RemoteDb::set_auto_batching`] enabled, concurrent `get`
-//! callers coalesce group-commit style: the first caller to find no
-//! leader takes every queued key, ships one `MultiGet` frame, and
-//! distributes the answers — N threads pay one RPC instead of N.
 
-use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use lsm_kvs::{DbStats, Error, ErrorKind, KvEngine, Result, ScanResult, WriteBatch, WriteOptions};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use crate::protocol::{frame, unframe, Request, Response, Unframed};
 
@@ -113,8 +107,6 @@ impl Conn {
 pub struct RemoteDb {
     addr: String,
     pool: Mutex<Vec<Conn>>,
-    auto_batch: AtomicBool,
-    batcher: Batcher,
     /// Last successfully fetched stats snapshot, served when the Stats
     /// RPC fails so ticker-delta consumers never diff against zeros.
     last_stats: Mutex<Option<DbStats>>,
@@ -135,8 +127,6 @@ impl RemoteDb {
         Ok(RemoteDb {
             addr: addr.to_string(),
             pool: Mutex::new(vec![probe]),
-            auto_batch: AtomicBool::new(false),
-            batcher: Batcher::default(),
             last_stats: Mutex::new(None),
             stats_stale: AtomicBool::new(false),
         })
@@ -145,15 +135,6 @@ impl RemoteDb {
     /// The server address this client talks to.
     pub fn addr(&self) -> &str {
         &self.addr
-    }
-
-    /// Turns automatic `get` coalescing on or off (off by default).
-    ///
-    /// When on, `get` calls that overlap in time ride one `MultiGet`
-    /// frame. Single-threaded callers are unaffected: a lone caller
-    /// becomes leader of a batch of one immediately, adding no latency.
-    pub fn set_auto_batching(&self, enabled: bool) {
-        self.auto_batch.store(enabled, Ordering::Relaxed);
     }
 
     fn checkout(&self) -> Result<Conn> {
@@ -285,89 +266,6 @@ impl RemoteDb {
         self.pool.lock().push(conn);
         Ok(entries)
     }
-
-    /// One `MultiGet` round trip.
-    fn multi_get_rpc(&self, keys: Vec<Vec<u8>>) -> Result<Vec<Option<Vec<u8>>>> {
-        let n = keys.len();
-        match self.call_idempotent(&Request::MultiGet { keys })? {
-            Response::Values(values) if values.len() == n => Ok(values),
-            Response::Values(values) => Err(Error::corruption(format!(
-                "server answered {} values for {} keys",
-                values.len(),
-                n
-            ))),
-            other => Err(Error::corruption(format!("unexpected response {other:?}"))),
-        }
-    }
-
-    /// Group-commit path for `get`: enqueue the key, then either lead a
-    /// batch (one `MultiGet` for every queued key) or wait for the
-    /// current leader to deliver the answer.
-    fn batched_get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        let my_id = {
-            let mut inner = self.batcher.inner.lock();
-            let id = inner.next_id;
-            inner.next_id += 1;
-            inner.queue.push((id, key.to_vec()));
-            id
-        };
-        loop {
-            let batch = {
-                let mut inner = self.batcher.inner.lock();
-                if let Some(r) = inner.results.remove(&my_id) {
-                    return r;
-                }
-                if inner.leader_active {
-                    self.batcher.cv.wait(&mut inner);
-                    continue;
-                }
-                // No leader: this caller leads, taking everything
-                // queued so far (including its own key).
-                inner.leader_active = true;
-                std::mem::take(&mut inner.queue)
-            };
-            let (ids, keys): (Vec<u64>, Vec<Vec<u8>>) = batch.into_iter().unzip();
-            let outcome = self.multi_get_rpc(keys);
-            let mut inner = self.batcher.inner.lock();
-            match outcome {
-                Ok(values) => {
-                    for (id, v) in ids.into_iter().zip(values) {
-                        inner.results.insert(id, Ok(v));
-                    }
-                }
-                Err(e) => {
-                    for id in ids {
-                        inner.results.insert(id, Err(e.clone()));
-                    }
-                }
-            }
-            inner.leader_active = false;
-            self.batcher.cv.notify_all();
-            if let Some(r) = inner.results.remove(&my_id) {
-                return r;
-            }
-            // Not in this batch (another leader raced our enqueue away
-            // — impossible with one queue, but loop defensively).
-        }
-    }
-}
-
-/// Shared state for group-commit `get` coalescing.
-#[derive(Default)]
-struct Batcher {
-    inner: Mutex<BatcherInner>,
-    cv: Condvar,
-}
-
-#[derive(Default)]
-struct BatcherInner {
-    next_id: u64,
-    /// Keys waiting for the next leader, in arrival order.
-    queue: Vec<(u64, Vec<u8>)>,
-    /// Finished answers awaiting pickup by their callers.
-    results: HashMap<u64, Result<Option<Vec<u8>>>>,
-    /// A leader is on the wire; new arrivals queue for the next batch.
-    leader_active: bool,
 }
 
 impl KvEngine for RemoteDb {
@@ -384,9 +282,6 @@ impl KvEngine for RemoteDb {
     }
 
     fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        if self.auto_batch.load(Ordering::Relaxed) {
-            return self.batched_get(key);
-        }
         match self.call_idempotent(&Request::Get { key: key.to_vec() })? {
             Response::Value(v) => Ok(Some(v)),
             Response::NotFound => Ok(None),
@@ -395,7 +290,16 @@ impl KvEngine for RemoteDb {
     }
 
     fn multi_get(&self, keys: &[Vec<u8>]) -> Result<Vec<Option<Vec<u8>>>> {
-        self.multi_get_rpc(keys.to_vec())
+        let n = keys.len();
+        match self.call_idempotent(&Request::MultiGet { keys: keys.to_vec() })? {
+            Response::Values(values) if values.len() == n => Ok(values),
+            Response::Values(values) => Err(Error::corruption(format!(
+                "server answered {} values for {} keys",
+                values.len(),
+                n
+            ))),
+            other => Err(Error::corruption(format!("unexpected response {other:?}"))),
+        }
     }
 
     fn write_opt(&self, wopts: &WriteOptions, batch: WriteBatch) -> Result<()> {

@@ -684,54 +684,23 @@ fn slow_reader_does_not_stall_other_connections() {
     drop(handle);
 }
 
-/// Auto-batching: concurrent `get`s coalesce into MultiGet frames. Every
-/// caller still gets the right answer, and the engine-side ticker ratio
-/// proves coalescing happened (batches strictly fewer than keys).
+/// A retired option name in a SetOptions batch refuses the whole batch:
+/// the valid change riding with it must not be applied.
 #[test]
-fn auto_batched_gets_coalesce() {
-    let env = wall_env();
-    let db = Arc::new(
-        Db::builder(Options::default())
-            .env(&env)
-            .vfs(Arc::new(MemVfs::new()))
-            .open()
-            .unwrap(),
-    );
-    let handle = serve(Arc::clone(&db) as Arc<dyn KvEngine>, "127.0.0.1:0").unwrap();
-    let client = Arc::new(RemoteDb::connect(&handle.local_addr().to_string()).unwrap());
-    for i in 0..64u32 {
-        client.put(format!("ab{i:03}").as_bytes(), format!("v{i}").as_bytes()).unwrap();
-    }
-    client.set_auto_batching(true);
-
-    let threads = 8;
-    let per_thread = 40u32;
-    let mut joins = Vec::new();
-    for t in 0..threads {
-        let client = Arc::clone(&client);
-        joins.push(std::thread::spawn(move || {
-            for i in 0..per_thread {
-                let k = (t * 7 + i) % 64;
-                let got = client.get(format!("ab{k:03}").as_bytes()).unwrap();
-                assert_eq!(got, Some(format!("v{k}").into_bytes()));
-                // A miss through the batched path answers None.
-                assert_eq!(client.get(b"ab-nope").unwrap(), None);
-            }
-        }));
-    }
-    for j in joins {
-        j.join().unwrap();
-    }
-
-    let tickers = db.stats().tickers;
-    let total_keys = u64::from(threads * per_thread * 2);
-    assert_eq!(tickers.get(lsm_kvs::Ticker::MultiGetKeysRead), total_keys);
-    let batches = tickers.get(lsm_kvs::Ticker::MultiGetBatches);
-    assert!(batches >= 1 && batches <= total_keys);
-    assert!(
-        batches < total_keys,
-        "8 threads × {per_thread} gets never coalesced: {batches} batches for {total_keys} keys"
-    );
+fn set_options_rpc_refuses_a_retired_name_all_or_nothing() {
+    let (handle, addr) = start_db_server(Options::default(), Arc::new(MemVfs::new()));
+    let client = RemoteDb::connect(&addr).unwrap();
+    let before = client.options_ini().unwrap();
+    let err = client
+        .set_options(&[
+            ("write_buffer_size".to_string(), "33554432".to_string()),
+            ("index_type".to_string(), "kTwoLevelIndexSearch".to_string()),
+        ])
+        .expect_err("index_type is retired");
+    assert_eq!(err.kind(), lsm_kvs::ErrorKind::InvalidArgument);
+    assert!(err.to_string().contains("index_type"), "{err}");
+    assert_eq!(client.options_ini().unwrap(), before, "all-or-nothing was violated");
+    client.ping().unwrap();
     drop(handle);
 }
 
