@@ -232,6 +232,20 @@ echo "==> golden gate: sim output must match results/golden (determinism and no 
 ./target/release/db_bench --benchmarks fillrandom,readrandom --num 20000 \
     | diff results/golden/db_bench_fill_read_20000.txt -
 ./target/release/db_bench --ycsb all --scale 0.002 | diff results/golden/ycsb_all_0.002.txt -
+# The paper reproduction at the one scale EXPERIMENTS.md reports, the
+# default --scale 0.04: every "ours" number there comes from these two
+# goldens (tests/experiments_doc.rs holds the doc to them). The two runs
+# share nothing, so they run side by side: this gate adds about 14 minutes
+# on 2 vCPUs (`all` takes 14 on its own, `ablate` 6).
+REPRO_DIR="$(mktemp -d)"
+./target/release/repro ablate > "$REPRO_DIR/ablate.txt" &
+ABLATE_PID=$!
+trap 'kill "$ABLATE_PID" 2>/dev/null; rm -rf "$CRASH_DIR" "$SERVE_DIR" "$RETUNE_DIR" \
+     "$CL_A" "$CL_AR" "$CL_B" "$YCSB_DIR" "$CKPT_DIR" "$REPRO_DIR"' EXIT
+./target/release/repro all --out "$REPRO_DIR" | diff results/golden/repro_all.txt -
+for csv in results/*.csv; do diff "$csv" "$REPRO_DIR/$(basename "$csv")"; done
+wait "$ABLATE_PID"
+diff results/golden/repro_ablate.txt "$REPRO_DIR/ablate.txt"
 
 echo "==> perf gate: the benchmark harness builds against the crates, passes its tests, smoke-runs"
 # Read-only use: nothing under perf/ or BENCHMARK.json changes here.

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use super::open::{manifest_file_name, write_current, write_options_file};
 use super::{Db, DbState};
 use crate::compaction::{pick_compaction, CompactionInputs, CompactionReason};
-use crate::error::{Error, Result};
+use crate::error::Result;
 use crate::flush::sst_file_name;
 use crate::types::SequenceNumber;
 use crate::version::{FileMetadata, Version, VersionEdit};
@@ -234,7 +234,6 @@ impl Db {
     /// options file fails. On any error the running configuration is
     /// unchanged.
     pub fn set_options<K: AsRef<str>, V: AsRef<str>>(&self, changes: &[(K, V)]) -> Result<()> {
-        use crate::options::registry::find_option;
         if changes.is_empty() {
             return Ok(());
         }
@@ -242,22 +241,8 @@ impl Db {
         // Hold the write lock across persist + swap so concurrent
         // retunes serialize and the file never goes backwards.
         let mut guard = inner.opts.write();
-        let current = Arc::clone(&guard);
-        let mut next = (*current).clone();
-        for (name, value) in changes {
-            let (name, value) = (name.as_ref(), value.as_ref());
-            let meta = find_option(name)
-                .ok_or_else(|| Error::invalid_argument(format!("unknown option: {name}")))?;
-            if !meta.mutable_online {
-                return Err(Error::invalid_argument(format!(
-                    "option {} is not mutable online; it requires a reopen",
-                    meta.name
-                )));
-            }
-            (meta.set)(&mut next, value)?;
-        }
-        next.validate()?;
-        if next == *current {
+        let next = guard.with_online_changes(changes)?;
+        if next == **guard {
             return Ok(());
         }
         // Persist before swapping: a crash between the two leaves the new

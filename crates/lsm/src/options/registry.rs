@@ -615,6 +615,23 @@ pub fn find_deprecated(name: &str) -> Option<&'static DeprecatedOption> {
         .find(|d| d.name.eq_ignore_ascii_case(needle))
 }
 
+/// The registered option a name stands for: its own entry, or the remap
+/// target of a deprecated name. A deprecated name without a remap and an
+/// unknown name are both `InvalidArgument`, worded differently.
+fn resolve(name: &str) -> Result<&'static OptionMeta> {
+    if let Some(meta) = find_option(name) {
+        return Ok(meta);
+    }
+    match find_deprecated(name) {
+        Some(DeprecatedOption { remap_to: Some(target), .. }) => resolve(target),
+        Some(dep) => Err(Error::invalid_argument(format!(
+            "option {name} is deprecated: {}",
+            dep.note
+        ))),
+        None => Err(Error::invalid_argument(format!("unknown option: {name}"))),
+    }
+}
+
 impl Options {
     /// Reads an option's current value as its canonical string.
     pub fn get_by_name(&self, name: &str) -> Option<String> {
@@ -628,19 +645,36 @@ impl Options {
     /// [`ErrorKind::InvalidArgument`](crate::ErrorKind) if the option is unknown, deprecated
     /// without a remap, fails to parse, or is out of range.
     pub fn set_by_name(&mut self, name: &str, value: &str) -> Result<()> {
-        if let Some(meta) = find_option(name) {
-            return (meta.set)(self, value);
-        }
-        if let Some(dep) = find_deprecated(name) {
-            if let Some(target) = dep.remap_to {
-                return self.set_by_name(target, value);
+        (resolve(name)?.set)(self, value)
+    }
+
+    /// This configuration with `changes` applied the way a running
+    /// database takes them (`Db::set_options`, `ShardedDb::set_options`
+    /// and through them the SetOptions RPC): names resolve as in
+    /// [`set_by_name`](Self::set_by_name), every target must be
+    /// `mutable_online`, and the result must pass [`Options::validate`].
+    ///
+    /// # Errors
+    ///
+    /// [`ErrorKind::InvalidArgument`](crate::ErrorKind) naming the
+    /// offending option; `self` is untouched either way.
+    pub fn with_online_changes<K: AsRef<str>, V: AsRef<str>>(
+        &self,
+        changes: &[(K, V)],
+    ) -> Result<Options> {
+        let mut next = self.clone();
+        for (name, value) in changes {
+            let meta = resolve(name.as_ref())?;
+            if !meta.mutable_online {
+                return Err(Error::invalid_argument(format!(
+                    "option {} is not mutable online; it requires a reopen",
+                    meta.name
+                )));
             }
-            return Err(Error::invalid_argument(format!(
-                "option {name} is deprecated: {}",
-                dep.note
-            )));
+            (meta.set)(&mut next, value.as_ref())?;
         }
-        Err(Error::invalid_argument(format!("unknown option: {name}")))
+        next.validate()?;
+        Ok(next)
     }
 
     /// Lists `(name, from, to)` for every option that differs from `other`.

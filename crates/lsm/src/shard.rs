@@ -621,24 +621,10 @@ impl ShardedDb {
     ///
     /// See [`Db::set_options`].
     pub fn set_options<K: AsRef<str>, V: AsRef<str>>(&self, changes: &[(K, V)]) -> Result<()> {
-        use crate::options::registry::find_option;
         if changes.is_empty() {
             return Ok(());
         }
-        let mut trial = self.shards[0].options();
-        for (name, value) in changes {
-            let (name, value) = (name.as_ref(), value.as_ref());
-            let meta = find_option(name)
-                .ok_or_else(|| Error::invalid_argument(format!("unknown option: {name}")))?;
-            if !meta.mutable_online {
-                return Err(Error::invalid_argument(format!(
-                    "option {} is not mutable online; it requires a reopen",
-                    meta.name
-                )));
-            }
-            (meta.set)(&mut trial, value)?;
-        }
-        trial.validate()?;
+        let trial = self.shards[0].options().with_online_changes(changes)?;
         for db in &self.shards {
             db.set_options(changes)?;
         }

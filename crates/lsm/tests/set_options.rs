@@ -149,6 +149,44 @@ fn mixed_batch_with_immutable_entry_applies_nothing() {
     assert_eq!(before, db.options());
 }
 
+/// A name means the same thing to `set_options` as to
+/// `Options::set_by_name`: retired names are refused with the registry's
+/// own sentence, and the one retired name with a remap lands on its
+/// target. The `RemoteDb` leg of this table is
+/// `set_options_rpc_refuses_a_retired_name_all_or_nothing` in
+/// `crates/server/tests/server.rs` (this crate cannot see the server).
+#[test]
+fn set_options_answers_deprecated_names_like_set_by_name() {
+    let db = Db::builder(Options::default()).env(&sim_env()).open().unwrap();
+    let sharded = ShardedDb::builder(Options { num_shards: 4, ..Options::default() })
+        .env(&sim_env())
+        .open()
+        .unwrap();
+    type Set<'a> = &'a dyn Fn(&[(&str, &str)]) -> lsm_kvs::Result<()>;
+    let engines: [(&str, Set, &dyn Fn() -> String); 2] = [
+        ("Db", &|c| db.set_options(c), &|| db.options_ini()),
+        ("ShardedDb", &|c| sharded.set_options(c), &|| sharded.options_ini()),
+    ];
+    for (engine, set, ini) in engines {
+        let before = ini();
+        for (name, value) in [
+            ("index_type", "kTwoLevelIndexSearch"),
+            ("metadata_block_size", "1024"),
+            ("db_log_dir", "/var/log"),
+        ] {
+            let want = Options::default().set_by_name(name, value).unwrap_err().to_string();
+            assert!(want.contains("deprecated"), "{want}");
+            let err = set(&[("write_buffer_size", "32MB"), (name, value)])
+                .expect_err("a retired name without a remap is refused");
+            assert_eq!(err.kind(), ErrorKind::InvalidArgument, "{engine} {name}");
+            assert_eq!(err.to_string(), want, "{engine} {name}");
+            assert_eq!(ini(), before, "{engine} {name}: all-or-nothing was violated");
+        }
+        set(&[("base_background_compactions", "3")]).unwrap();
+        assert!(ini().contains("max_background_compactions=3"), "{engine}: {}", ini());
+    }
+}
+
 #[test]
 fn cross_field_validation_rejects_inconsistent_batches() {
     let db = Db::builder(Options::default()).env(&sim_env()).open().unwrap();

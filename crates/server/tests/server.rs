@@ -686,20 +686,35 @@ fn slow_reader_does_not_stall_other_connections() {
 
 /// A retired option name in a SetOptions batch refuses the whole batch:
 /// the valid change riding with it must not be applied.
+/// Also the `RemoteDb` leg of lsm-kvs's
+/// `set_options_answers_deprecated_names_like_set_by_name`: the RPC gives
+/// the registry's own answer for a retired name, remap included.
 #[test]
 fn set_options_rpc_refuses_a_retired_name_all_or_nothing() {
     let (handle, addr) = start_db_server(Options::default(), Arc::new(MemVfs::new()));
     let client = RemoteDb::connect(&addr).unwrap();
     let before = client.options_ini().unwrap();
-    let err = client
-        .set_options(&[
-            ("write_buffer_size".to_string(), "33554432".to_string()),
-            ("index_type".to_string(), "kTwoLevelIndexSearch".to_string()),
-        ])
-        .expect_err("index_type is retired");
-    assert_eq!(err.kind(), lsm_kvs::ErrorKind::InvalidArgument);
-    assert!(err.to_string().contains("index_type"), "{err}");
-    assert_eq!(client.options_ini().unwrap(), before, "all-or-nothing was violated");
+    for (name, value) in [
+        ("index_type", "kTwoLevelIndexSearch"),
+        ("metadata_block_size", "1024"),
+        ("db_log_dir", "/var/log"),
+    ] {
+        let want = Options::default().set_by_name(name, value).unwrap_err().to_string();
+        let err = client
+            .set_options(&[
+                ("write_buffer_size".to_string(), "33554432".to_string()),
+                (name.to_string(), value.to_string()),
+            ])
+            .expect_err("a retired name without a remap is refused");
+        assert_eq!(err.kind(), lsm_kvs::ErrorKind::InvalidArgument, "{name}");
+        assert_eq!(err.to_string(), want, "{name}");
+        assert_eq!(client.options_ini().unwrap(), before, "{name}: all-or-nothing was violated");
+    }
+    client
+        .set_options(&[("base_background_compactions".to_string(), "3".to_string())])
+        .unwrap();
+    let after = client.options_ini().unwrap();
+    assert!(after.contains("max_background_compactions=3"), "{after}");
     client.ping().unwrap();
     drop(handle);
 }
