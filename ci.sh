@@ -235,8 +235,8 @@ echo "==> golden gate: sim output must match results/golden (determinism and no 
 # The paper reproduction at the one scale EXPERIMENTS.md reports, the
 # default --scale 0.04: every "ours" number there comes from these two
 # goldens (tests/experiments_doc.rs holds the doc to them). The two runs
-# share nothing, so they run side by side: this gate adds about 14 minutes
-# on 2 vCPUs (`all` takes 14 on its own, `ablate` 6).
+# share nothing, so they run side by side: this gate adds about 13 minutes
+# on 2 vCPUs (`all` takes 13-14 on its own, `ablate` 6).
 REPRO_DIR="$(mktemp -d)"
 ./target/release/repro ablate > "$REPRO_DIR/ablate.txt" &
 ABLATE_PID=$!
@@ -245,6 +245,8 @@ trap 'kill "$ABLATE_PID" 2>/dev/null; rm -rf "$CRASH_DIR" "$SERVE_DIR" "$RETUNE_
 ./target/release/repro all --out "$REPRO_DIR" | diff results/golden/repro_all.txt -
 for csv in results/*.csv; do diff "$csv" "$REPRO_DIR/$(basename "$csv")"; done
 wait "$ABLATE_PID"
+trap 'rm -rf "$CRASH_DIR" "$SERVE_DIR" "$RETUNE_DIR" "$CL_A" "$CL_AR" "$CL_B" \
+     "$YCSB_DIR" "$CKPT_DIR" "$REPRO_DIR"' EXIT
 diff results/golden/repro_ablate.txt "$REPRO_DIR/ablate.txt"
 
 echo "==> perf gate: the benchmark harness builds against the crates, passes its tests, smoke-runs"
