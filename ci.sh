@@ -5,6 +5,27 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# One exit handler for the whole script: every background process is
+# appended to PIDS when it starts and every temp dir to DIRS when it is
+# made. `reap` waits for jobs and forgets them, so the handler never
+# signals a pid the shell has already collected.
+PIDS=()
+DIRS=()
+cleanup() {
+    local pid
+    for pid in "${PIDS[@]}"; do kill "$pid" 2>/dev/null || true; done
+    rm -rf "${DIRS[@]}"
+}
+trap cleanup EXIT
+reap() {
+    local pid keep=()
+    for pid in "$@"; do wait "$pid"; done
+    for pid in "${PIDS[@]}"; do
+        [[ " $* " == *" $pid "* ]] || keep+=("$pid")
+    done
+    PIDS=("${keep[@]}")
+}
+
 echo "==> cargo build --release --workspace"
 # --workspace: the gates below run db_bench, kv_server and repro, which a
 # root-package build alone leaves stale.
@@ -26,25 +47,14 @@ echo "==> sharding gate: --shards 1 must be byte-identical to no flag"
 diff /tmp/ci-noshard.txt /tmp/ci-shard1.txt
 rm -f /tmp/ci-noshard.txt /tmp/ci-shard1.txt
 
-echo "==> memtable gate: --memtable skiplist db_bench smoke (write + read back)"
-./target/release/db_bench --benchmarks fillrandom,readrandom --num 20000 \
-    --real-time --threads 4 --sync false --memtable skiplist \
-    --option enable_pipelined_write=false \
-    > /tmp/ci-skiplist.txt
-grep -q "^fillrandom" /tmp/ci-skiplist.txt
-grep -q "^readrandom" /tmp/ci-skiplist.txt
-rm -f /tmp/ci-skiplist.txt
-
 echo "==> crash-recovery gate: 25 wall-clock power-cut cycles (120s timeout)"
-CRASH_DIR="$(mktemp -d)"
-trap 'rm -rf "$CRASH_DIR"' EXIT
+CRASH_DIR="$(mktemp -d)"; DIRS+=("$CRASH_DIR")
 timeout 120 ./target/release/db_bench --crash-loop 25 --db "$CRASH_DIR"
 
 echo "==> serving gate: kv_server end-to-end (remote bench, stats RPC, clean shutdown)"
-SERVE_DIR="$(mktemp -d)"
+SERVE_DIR="$(mktemp -d)"; DIRS+=("$SERVE_DIR")
 ./target/release/kv_server --db "$SERVE_DIR" --listen 127.0.0.1:7491 &
-SERVER_PID=$!
-trap 'kill "$SERVER_PID" 2>/dev/null; rm -rf "$CRASH_DIR" "$SERVE_DIR"' EXIT
+SERVER_PID=$!; PIDS+=("$SERVER_PID")
 sleep 1
 timeout 120 ./target/release/db_bench --benchmarks fillrandom --num 5000 \
     --remote 127.0.0.1:7491 --threads 4 > /tmp/ci-remote.txt
@@ -66,23 +76,21 @@ grep -q "\*\* DB Stats \*\*" /tmp/ci-remote.txt
 grep -q "\*\* Server Stats \*\*" /tmp/ci-remote.txt
 grep -q "requests_ok" /tmp/ci-remote.txt
 timeout 30 ./target/release/kv_server --shutdown 127.0.0.1:7491
-wait "$SERVER_PID"
-trap 'rm -rf "$CRASH_DIR" "$SERVE_DIR"' EXIT
+reap "$SERVER_PID"
 rm -f /tmp/ci-remote.txt
 
 echo "==> live-retune gate: SetOptions mid-load, no reopen, tuned config survives restart"
-RETUNE_DIR="$(mktemp -d)"
+RETUNE_DIR="$(mktemp -d)"; DIRS+=("$RETUNE_DIR")
 ./target/release/kv_server --db "$RETUNE_DIR" --listen 127.0.0.1:7492 --load-options-file &
-RETUNE_PID=$!
-trap 'kill "$RETUNE_PID" 2>/dev/null; rm -rf "$CRASH_DIR" "$SERVE_DIR" "$RETUNE_DIR"' EXIT
+RETUNE_PID=$!; PIDS+=("$RETUNE_PID")
 sleep 1
 timeout 120 ./target/release/db_bench --benchmarks fillrandom --num 20000 \
     --remote 127.0.0.1:7492 --threads 2 > /tmp/ci-retune-bench.txt &
-BENCH_PID=$!
+BENCH_PID=$!; PIDS+=("$BENCH_PID")
 timeout 30 ./target/release/kv_server --set-remote 127.0.0.1:7492 \
     --option max_background_jobs=6 --option level0_slowdown_writes_trigger=30 \
     > /tmp/ci-retune-set.txt
-wait "$BENCH_PID"
+reap "$BENCH_PID"
 grep -q "^fillrandom" /tmp/ci-retune-bench.txt
 # The dump returned by --set-remote reflects the new values...
 grep -q "max_background_jobs=6" /tmp/ci-retune-set.txt
@@ -100,32 +108,30 @@ timeout 120 ./target/release/db_bench --benchmarks readrandom --num 1000 \
     --remote 127.0.0.1:7492 --stats_dump > /tmp/ci-retune-stats.txt
 grep -q "protocol_errors: 0" /tmp/ci-retune-stats.txt
 timeout 30 ./target/release/kv_server --shutdown 127.0.0.1:7492
-wait "$RETUNE_PID"
+reap "$RETUNE_PID"
 # Restart over the same directory: --load-options-file must resume the
 # tuned configuration from the persisted OPTIONS file.
 ./target/release/kv_server --db "$RETUNE_DIR" --listen 127.0.0.1:7492 --load-options-file &
-RETUNE_PID=$!
+RETUNE_PID=$!; PIDS+=("$RETUNE_PID")
 sleep 1
 timeout 30 ./target/release/kv_server --get-remote 127.0.0.1:7492 > /tmp/ci-retune-resume.txt
 grep -q "max_background_jobs=6" /tmp/ci-retune-resume.txt
 timeout 30 ./target/release/kv_server --shutdown 127.0.0.1:7492
-wait "$RETUNE_PID"
-trap 'rm -rf "$CRASH_DIR" "$SERVE_DIR" "$RETUNE_DIR"' EXIT
+reap "$RETUNE_PID"
 rm -f /tmp/ci-retune-bench.txt /tmp/ci-retune-set.txt /tmp/ci-retune-get.txt \
       /tmp/ci-retune-stats.txt /tmp/ci-retune-resume.txt
 
 echo "==> cluster gate: range routing, WAL-shipping replication, leader-kill failover"
 CL_A="$(mktemp -d)"; CL_AR="$(mktemp -d)"; CL_B="$(mktemp -d)"
+DIRS+=("$CL_A" "$CL_AR" "$CL_B")
 ./target/release/kv_server --db "$CL_A" --listen 127.0.0.1:7493 \
     --replica-listen 127.0.0.1:7495 &
-CL_A_PID=$!
+CL_A_PID=$!; PIDS+=("$CL_A_PID")
 ./target/release/kv_server --db "$CL_AR" --listen 127.0.0.1:7494 \
     --follower-of 127.0.0.1:7495 &
-CL_AR_PID=$!
+CL_AR_PID=$!; PIDS+=("$CL_AR_PID")
 ./target/release/kv_server --db "$CL_B" --listen 127.0.0.1:7496 &
-CL_B_PID=$!
-trap 'kill "$CL_A_PID" "$CL_AR_PID" "$CL_B_PID" 2>/dev/null; \
-      rm -rf "$CRASH_DIR" "$SERVE_DIR" "$RETUNE_DIR" "$CL_A" "$CL_AR" "$CL_B"' EXIT
+CL_B_PID=$!; PIDS+=("$CL_B_PID")
 sleep 1
 # Healthy fleet: fill both ranges and read them back through the
 # range-routing client (replication riding along on range A).
@@ -143,10 +149,10 @@ grep -Eq "^readrandom.*\([0-9]+ of [0-9]+ found\)" /tmp/ci-cluster.txt
 timeout 120 ./target/release/db_bench --benchmarks fillrandom --num 400000 \
     --cluster '127.0.0.1:7493~127.0.0.1:7494,127.0.0.1:7496' --threads 4 \
     > /tmp/ci-cluster-kill.txt 2>&1 &
-CL_BENCH_PID=$!
+CL_BENCH_PID=$!; PIDS+=("$CL_BENCH_PID")
 sleep 2
 kill -9 "$CL_A_PID"
-wait "$CL_BENCH_PID" || true
+reap "$CL_A_PID" "$CL_BENCH_PID" || true
 # Failover read-back: the promoted follower now leads range A. This
 # run only succeeds if it accepts writes (readrandom preloads), i.e.
 # if the Promote actually happened.
@@ -162,8 +168,7 @@ fi
 grep -q "protocol_errors: 0" /tmp/ci-cluster-failover.txt
 timeout 30 ./target/release/kv_server --shutdown 127.0.0.1:7494
 timeout 30 ./target/release/kv_server --shutdown 127.0.0.1:7496
-wait "$CL_AR_PID" "$CL_B_PID"
-trap 'rm -rf "$CRASH_DIR" "$SERVE_DIR" "$RETUNE_DIR" "$CL_A" "$CL_AR" "$CL_B"' EXIT
+reap "$CL_AR_PID" "$CL_B_PID"
 rm -f /tmp/ci-cluster.txt /tmp/ci-cluster-kill.txt /tmp/ci-cluster-failover.txt
 
 echo "==> YCSB gate: all six mixes in sim with per-op histograms, deterministic"
@@ -176,11 +181,9 @@ grep -q "Microseconds per read-modify-write:" /tmp/ci-ycsb.txt
 rm -f /tmp/ci-ycsb.txt /tmp/ci-ycsb-a2.txt
 
 echo "==> YCSB gate: mix E against a live server (chunked scans over the wire)"
-YCSB_DIR="$(mktemp -d)"
+YCSB_DIR="$(mktemp -d)"; DIRS+=("$YCSB_DIR")
 ./target/release/kv_server --db "$YCSB_DIR" --listen 127.0.0.1:7498 &
-YCSB_PID=$!
-trap 'kill "$YCSB_PID" 2>/dev/null; \
-     rm -rf "$CRASH_DIR" "$SERVE_DIR" "$RETUNE_DIR" "$CL_A" "$CL_AR" "$CL_B" "$YCSB_DIR"' EXIT
+YCSB_PID=$!; PIDS+=("$YCSB_PID")
 sleep 1
 timeout 120 ./target/release/db_bench --ycsb e --scale 0.001 \
     --remote 127.0.0.1:7498 --threads 2 --stats_dump > /tmp/ci-ycsb-remote.txt
@@ -189,40 +192,35 @@ grep -q "Microseconds per scan:" /tmp/ci-ycsb-remote.txt
 grep -q "Microseconds per write:" /tmp/ci-ycsb-remote.txt
 grep -q "protocol_errors: 0" /tmp/ci-ycsb-remote.txt
 timeout 30 ./target/release/kv_server --shutdown 127.0.0.1:7498
-wait "$YCSB_PID"
-trap 'rm -rf "$CRASH_DIR" "$SERVE_DIR" "$RETUNE_DIR" "$CL_A" "$CL_AR" "$CL_B" "$YCSB_DIR"' EXIT
+reap "$YCSB_PID"
 rm -f /tmp/ci-ycsb-remote.txt
 
 echo "==> checkpoint gate: online backup/restore over RPC"
-CKPT_DIR="$(mktemp -d)"
+CKPT_DIR="$(mktemp -d)"; DIRS+=("$CKPT_DIR")
 ./target/release/kv_server --db "$CKPT_DIR" --listen 127.0.0.1:7499 &
-CKPT_PID=$!
-trap 'kill "$CKPT_PID" 2>/dev/null; rm -rf "$CRASH_DIR" "$SERVE_DIR" "$RETUNE_DIR" \
-     "$CL_A" "$CL_AR" "$CL_B" "$YCSB_DIR" "$CKPT_DIR"' EXIT
+CKPT_PID=$!; PIDS+=("$CKPT_PID")
 sleep 1
 # Checkpoint while a write stream is in flight, then restore by opening
 # the checkpoint directory as a database of its own.
 timeout 120 ./target/release/db_bench --benchmarks fillrandom --num 30000 \
     --remote 127.0.0.1:7499 --threads 2 --sync false > /dev/null &
-CKPT_BENCH_PID=$!
+CKPT_BENCH_PID=$!; PIDS+=("$CKPT_BENCH_PID")
 sleep 1
 timeout 30 ./target/release/kv_server --checkpoint-remote 127.0.0.1:7499 \
     --checkpoint-dir backups/ci-ckpt
-wait "$CKPT_BENCH_PID"
+reap "$CKPT_BENCH_PID"
 timeout 30 ./target/release/kv_server --shutdown 127.0.0.1:7499
-wait "$CKPT_PID"
+reap "$CKPT_PID"
 test -f "$CKPT_DIR/backups/ci-ckpt/CURRENT"
 ./target/release/kv_server --db "$CKPT_DIR/backups/ci-ckpt" --listen 127.0.0.1:7499 &
-CKPT_PID=$!
+CKPT_PID=$!; PIDS+=("$CKPT_PID")
 sleep 1
 timeout 120 ./target/release/db_bench --benchmarks readrandom --num 5000 \
     --remote 127.0.0.1:7499 --stats_dump > /tmp/ci-ckpt.txt
 grep -Eq "^readrandom.*\(5000 of 5000 found\)" /tmp/ci-ckpt.txt
 grep -q "protocol_errors: 0" /tmp/ci-ckpt.txt
 timeout 30 ./target/release/kv_server --shutdown 127.0.0.1:7499
-wait "$CKPT_PID"
-trap 'rm -rf "$CRASH_DIR" "$SERVE_DIR" "$RETUNE_DIR" "$CL_A" "$CL_AR" "$CL_B" \
-     "$YCSB_DIR" "$CKPT_DIR"' EXIT
+reap "$CKPT_PID"
 rm -f /tmp/ci-ckpt.txt
 
 echo "==> golden gate: sim output must match results/golden (determinism and no drift at once)"
@@ -237,16 +235,12 @@ echo "==> golden gate: sim output must match results/golden (determinism and no 
 # goldens (tests/experiments_doc.rs holds the doc to them). The two runs
 # share nothing, so they run side by side: this gate adds about 13 minutes
 # on 2 vCPUs (`all` takes 13-14 on its own, `ablate` 6).
-REPRO_DIR="$(mktemp -d)"
+REPRO_DIR="$(mktemp -d)"; DIRS+=("$REPRO_DIR")
 ./target/release/repro ablate > "$REPRO_DIR/ablate.txt" &
-ABLATE_PID=$!
-trap 'kill "$ABLATE_PID" 2>/dev/null; rm -rf "$CRASH_DIR" "$SERVE_DIR" "$RETUNE_DIR" \
-     "$CL_A" "$CL_AR" "$CL_B" "$YCSB_DIR" "$CKPT_DIR" "$REPRO_DIR"' EXIT
+ABLATE_PID=$!; PIDS+=("$ABLATE_PID")
 ./target/release/repro all --out "$REPRO_DIR" | diff results/golden/repro_all.txt -
 for csv in results/*.csv; do diff "$csv" "$REPRO_DIR/$(basename "$csv")"; done
-wait "$ABLATE_PID"
-trap 'rm -rf "$CRASH_DIR" "$SERVE_DIR" "$RETUNE_DIR" "$CL_A" "$CL_AR" "$CL_B" \
-     "$YCSB_DIR" "$CKPT_DIR" "$REPRO_DIR"' EXIT
+reap "$ABLATE_PID"
 diff results/golden/repro_ablate.txt "$REPRO_DIR/ablate.txt"
 
 echo "==> perf gate: the benchmark harness builds against the crates, passes its tests, smoke-runs"

@@ -15,7 +15,7 @@ use crate::compaction::pending_compaction_bytes;
 use crate::error::{Error, Result};
 use crate::listener::EventListener;
 use crate::memtable::MemTable;
-use crate::options::{ini, Options};
+use crate::options::{ini, MemtableRep, Options};
 use crate::runtime::Runtime;
 use crate::stats::Statistics;
 use crate::version::{Version, VersionEdit};
@@ -56,13 +56,12 @@ pub(super) fn write_options_file(vfs: &dyn Vfs, opts: &Options) -> Result<()> {
     vfs.rename(OPTIONS_TMP_FILE, OPTIONS_FILE)
 }
 
-/// Builds a fresh active memtable from the current options: chosen
-/// representation and bloom sized off the write buffer. Entry count is
-/// estimated at ~128 bytes/entry so the derived probe count tracks the
-/// actual bits-per-key budget.
+/// Builds a fresh active memtable from the current options: bloom sized
+/// off the write buffer. Entry count is estimated at ~128 bytes/entry so
+/// the derived probe count tracks the actual bits-per-key budget.
 pub(super) fn new_memtable(opts: &Options) -> MemTable {
     MemTable::with_config(
-        opts.memtable_factory,
+        MemtableRep::default(),
         (opts.write_buffer_size as f64 * opts.memtable_prefix_bloom_size_ratio) as usize,
         (opts.write_buffer_size / 128).max(16) as usize,
         0,

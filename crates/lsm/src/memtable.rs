@@ -4,20 +4,10 @@
 //! descending) so lookups find the newest visible version first and
 //! flushes emit sorted runs directly.
 //!
-//! Two representations sit behind one `&self` facade:
-//!
-//! - [`MemtableRep::BTreeMap`] (default): a `BTreeMap` behind a
-//!   reader-writer lock. Single-threaded (sim) runs are byte-identical
-//!   with it, which is what keeps `repro table5` deterministic.
-//! - [`MemtableRep::SkipList`]: a lock-free concurrent skiplist
-//!   ([`skiplist`]); readers never block and group-commit appliers link
-//!   entries with CAS instead of serializing on one write lock.
-//!
-//! Accounting (approximate bytes, first/last sequence) lives on the facade
-//! as atomics with the same arithmetic for both reps, so flush thresholds
-//! behave identically regardless of representation.
-
-mod skiplist;
+//! There is one representation: a `BTreeMap` behind a reader-writer lock,
+//! mutated through `&self`. Accounting (approximate bytes, first/last
+//! sequence) sits beside it as atomics. `memtable_factory` is still a
+//! recognised option, but nothing here reads it.
 
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
@@ -33,8 +23,6 @@ use crate::merge::Cursor;
 use crate::options::MemtableRep;
 use crate::sstable::bloom::{BloomBuilder, BloomFilter};
 use crate::types::{internal_key_cmp, split_tag, InternalKey, SequenceNumber, ValueType};
-
-use skiplist::{Node, SkipIter, SkipList};
 
 /// A byte key ordered by the internal-key comparator.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -52,22 +40,18 @@ impl Ord for OrderedKey {
     }
 }
 
-enum Rep {
-    BTree(RwLock<BTreeMap<OrderedKey, Vec<u8>>>),
-    Skip(SkipList),
-}
+type Map = BTreeMap<OrderedKey, Vec<u8>>;
 
 /// An ordered in-memory buffer of recent writes.
 ///
-/// All mutation goes through `&self`: the map representation locks
-/// internally and the skiplist representation is lock-free, so the
+/// All mutation goes through `&self`: the map locks internally, so the
 /// surrounding `Db` can share one `Arc<MemTable>` between writers,
 /// readers, cursors, and flush without an outer lock.
 ///
 /// Memory accounting is approximate (key + value + fixed per-entry
 /// overhead), mirroring how RocksDB charges its arena.
 pub struct MemTable {
-    rep: Rep,
+    map: RwLock<Map>,
     /// Optional bloom filter over user keys, enabled by
     /// `memtable_prefix_bloom_size_ratio > 0`.
     bloom: Option<MemTableBloom>,
@@ -131,28 +115,25 @@ fn bloom_hashes(key: &[u8]) -> (u64, u64) {
 const ENTRY_OVERHEAD: usize = 48;
 
 impl MemTable {
-    /// Creates an empty memtable with the default (`BTreeMap`)
-    /// representation. `bloom_bytes > 0` enables the in-memory bloom
-    /// filter at roughly that size, sized for ~1 entry per filter byte
-    /// (which lands on the historical 6 probes).
+    /// Creates an empty memtable. `bloom_bytes > 0` enables the in-memory
+    /// bloom filter at roughly that size, sized for ~1 entry per filter
+    /// byte (which lands on the historical 6 probes).
     pub fn new(bloom_bytes: usize) -> Self {
-        Self::with_config(MemtableRep::BTreeMap, bloom_bytes, bloom_bytes, 0)
+        Self::with_config(MemtableRep::default(), bloom_bytes, bloom_bytes, 0)
     }
 
-    /// Creates an empty memtable with an explicit representation and bloom
-    /// sizing (`bloom_bytes` of filter for roughly `expected_entries` keys).
+    /// Creates an empty memtable with explicit bloom sizing (`bloom_bytes`
+    /// of filter for roughly `expected_entries` keys). The first and last
+    /// parameters are ignored: `perf/src/ladder.rs` passes four arguments
+    /// and is frozen.
     pub fn with_config(
-        rep: MemtableRep,
+        _rep: MemtableRep,
         bloom_bytes: usize,
         expected_entries: usize,
-        // Unused: `perf/src/ladder.rs` passes four arguments and is frozen.
         _unused: usize,
     ) -> Self {
         MemTable {
-            rep: match rep {
-                MemtableRep::BTreeMap => Rep::BTree(RwLock::new(BTreeMap::new())),
-                MemtableRep::SkipList => Rep::Skip(SkipList::new()),
-            },
+            map: RwLock::new(BTreeMap::new()),
             bloom: if bloom_bytes > 0 {
                 Some(MemTableBloom::new(bloom_bytes, expected_entries))
             } else {
@@ -164,66 +145,30 @@ impl MemTable {
         }
     }
 
-    /// Which representation this memtable uses.
-    pub fn rep_kind(&self) -> MemtableRep {
-        match &self.rep {
-            Rep::BTree(_) => MemtableRep::BTreeMap,
-            Rep::Skip(_) => MemtableRep::SkipList,
-        }
-    }
-
-    fn bloom_add(&self, user_key: &[u8]) {
-        if let Some(bloom) = &self.bloom {
-            bloom.add(user_key);
-        }
-    }
-
-    fn note_entry(&self, charged: usize, seq: SequenceNumber) {
-        self.approximate_bytes.fetch_add(charged, AtomicOrdering::Relaxed);
-        self.first_seq.fetch_min(seq, AtomicOrdering::Relaxed);
-        self.last_seq.fetch_max(seq, AtomicOrdering::Relaxed);
-    }
-
     /// Inserts a value or tombstone.
     pub fn add(&self, seq: SequenceNumber, ty: ValueType, user_key: &[u8], value: &[u8]) {
-        let ikey = InternalKey::new(user_key, seq, ty);
-        let charged = ikey.encoded().len() + value.len() + ENTRY_OVERHEAD;
-        self.bloom_add(user_key);
-        match &self.rep {
-            Rep::BTree(map) => {
-                map.write().insert(OrderedKey(ikey.encoded().to_vec()), value.to_vec());
-            }
-            Rep::Skip(list) => {
-                list.insert(ikey.encoded(), value);
-            }
-        }
-        self.note_entry(charged, seq);
+        self.apply_encoded(InternalKey::new(user_key, seq, ty).encoded(), value);
     }
 
     /// Inserts an entry whose internal key was encoded by the caller
     /// (`user_key ++ fixed64(seq << 8 | ty)`), borrowed.
     ///
     /// Group commit replays entries straight out of the WAL record
-    /// through this: the skiplist copies both slices into its arena and
-    /// the whole apply is allocation-free, while the map representation
-    /// materializes its owned copies here. The caller must pass a
-    /// well-formed internal key (at least 8 bytes of tag).
+    /// through this; the owned key and value the map stores are the only
+    /// two allocations an entry costs. The caller must pass a well-formed
+    /// internal key (at least 8 bytes of tag).
     pub fn apply_encoded(&self, encoded_key: &[u8], value: &[u8]) {
         debug_assert!(encoded_key.len() >= 8, "internal key must carry a tag");
-        let tag_at = encoded_key.len() - 8;
-        let tag = u64::from_le_bytes(encoded_key[tag_at..].try_into().expect("8-byte tag"));
+        let (user_key, tag) = split_tag(encoded_key);
         let seq = tag >> 8;
-        let charged = encoded_key.len() + value.len() + ENTRY_OVERHEAD;
-        self.bloom_add(&encoded_key[..tag_at]);
-        match &self.rep {
-            Rep::BTree(map) => {
-                map.write().insert(OrderedKey(encoded_key.to_vec()), value.to_vec());
-            }
-            Rep::Skip(list) => {
-                list.insert(encoded_key, value);
-            }
+        if let Some(bloom) = &self.bloom {
+            bloom.add(user_key);
         }
-        self.note_entry(charged, seq);
+        self.map.write().insert(OrderedKey(encoded_key.to_vec()), value.to_vec());
+        let charged = encoded_key.len() + value.len() + ENTRY_OVERHEAD;
+        self.approximate_bytes.fetch_add(charged, AtomicOrdering::Relaxed);
+        self.first_seq.fetch_min(seq, AtomicOrdering::Relaxed);
+        self.last_seq.fetch_max(seq, AtomicOrdering::Relaxed);
     }
 
     /// Looks up the newest entry for `user_key` visible at `snapshot`: its
@@ -240,30 +185,14 @@ impl MemTable {
         let lookup = crate::types::lookup_key(user_key, snapshot);
         // Entries are newest-first per user key; the first one at or
         // below the snapshot decides.
-        let entry_of = |encoded_key: &[u8], value: &[u8]| {
-            let (found_user, tag) = split_tag(encoded_key);
-            (found_user == user_key).then(|| {
-                let ty = ValueType::from_u8(tag as u8).expect("memtable keys are valid");
-                (ty, value.to_vec())
-            })
-        };
-        match &self.rep {
-            Rep::BTree(map) => {
-                let map = map.read();
-                let start = Bound::Included(OrderedKey(lookup.encoded().to_vec()));
-                let (k, v) = map.range((start, Bound::Unbounded)).next()?;
-                entry_of(&k.0, v)
-            }
-            Rep::Skip(list) => {
-                let node = list.seek(lookup.encoded());
-                if node.is_null() {
-                    return None;
-                }
-                // SAFETY: non-null nodes are valid for the list's lifetime.
-                let (k, v) = unsafe { ((*node).key(), (*node).value()) };
-                entry_of(k, v)
-            }
-        }
+        let map = self.map.read();
+        let start = Bound::Included(OrderedKey(lookup.encoded().to_vec()));
+        let (k, v) = map.range((start, Bound::Unbounded)).next()?;
+        let (found_user, tag) = split_tag(&k.0);
+        (found_user == user_key).then(|| {
+            let ty = ValueType::from_u8(tag as u8).expect("memtable keys are valid");
+            (ty, v.clone())
+        })
     }
 
     /// Approximate memory footprint in bytes.
@@ -274,10 +203,7 @@ impl MemTable {
 
     /// Number of entries (including tombstones and shadowed versions).
     pub fn len(&self) -> usize {
-        match &self.rep {
-            Rep::BTree(map) => map.read().len(),
-            Rep::Skip(list) => list.len(),
-        }
+        self.map.read().len()
     }
 
     /// Whether the memtable holds no entries.
@@ -298,16 +224,23 @@ impl MemTable {
 
     /// A stable iteration view over the entries, in internal-key order.
     ///
-    /// For the map representation the view holds the read lock for its
-    /// lifetime; for the skiplist it is lock-free. This is the full pass
-    /// flush makes over an immutable memtable: nothing contends for the
-    /// lock, and the map is walked in place instead of re-seeking and
+    /// The view holds the read lock for its lifetime. This is the full
+    /// pass flush makes over an immutable memtable: nothing contends for
+    /// the lock, and the map is walked in place instead of re-seeking and
     /// cloning per entry as [`MemTableCursor`] must.
     pub fn view(&self) -> MemTableView<'_> {
-        MemTableView(match &self.rep {
-            Rep::BTree(map) => ViewInner::BTree(map.read()),
-            Rep::Skip(list) => ViewInner::Skip(list),
-        })
+        MemTableView(self.map.read())
+    }
+
+    /// The first entry within `from`, copied out under a momentary read
+    /// lock.
+    fn entry_from(&self, from: Bound<&[u8]>) -> Option<(Vec<u8>, Vec<u8>)> {
+        let from = from.map(|k| OrderedKey(k.to_vec()));
+        self.map
+            .read()
+            .range((from, Bound::Unbounded))
+            .next()
+            .map(|(k, v)| (k.0.clone(), v.clone()))
     }
 
     /// Builds an optional SST-style bloom filter over the distinct user
@@ -340,29 +273,20 @@ impl MemTable {
 impl fmt::Debug for MemTable {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("MemTable")
-            .field("rep", &self.rep_kind())
             .field("len", &self.len())
             .field("approximate_bytes", &self.approximate_bytes.load(AtomicOrdering::Relaxed))
             .finish()
     }
 }
 
-enum ViewInner<'a> {
-    BTree(RwLockReadGuard<'a, BTreeMap<OrderedKey, Vec<u8>>>),
-    Skip(&'a SkipList),
-}
-
 /// A borrowed, ordered view of a memtable's entries; see
 /// [`MemTable::view`].
-pub struct MemTableView<'a>(ViewInner<'a>);
+pub struct MemTableView<'a>(RwLockReadGuard<'a, Map>);
 
 impl MemTableView<'_> {
     /// Iterates entries in internal-key order as `(encoded_key, value)`.
     pub fn iter(&self) -> MemViewIter<'_> {
-        MemViewIter(match &self.0 {
-            ViewInner::BTree(map) => IterInner::BTree(map.iter()),
-            ViewInner::Skip(list) => IterInner::Skip(list.iter()),
-        })
+        MemViewIter(self.0.iter())
     }
 
     /// The view as a merge source, positioned at its first entry.
@@ -392,118 +316,55 @@ impl Cursor for ViewCursor<'_> {
     }
 }
 
-enum IterInner<'a> {
-    BTree(std::collections::btree_map::Iter<'a, OrderedKey, Vec<u8>>),
-    Skip(SkipIter<'a>),
-}
-
 /// Iterator over a [`MemTableView`].
-pub struct MemViewIter<'a>(IterInner<'a>);
+pub struct MemViewIter<'a>(std::collections::btree_map::Iter<'a, OrderedKey, Vec<u8>>);
 
 impl<'a> Iterator for MemViewIter<'a> {
     type Item = (&'a [u8], &'a [u8]);
 
     fn next(&mut self) -> Option<Self::Item> {
-        match &mut self.0 {
-            IterInner::BTree(it) => it.next().map(|(k, v)| (k.0.as_slice(), v.as_slice())),
-            IterInner::Skip(it) => it.next(),
-        }
+        self.0.next().map(|(k, v)| (k.0.as_slice(), v.as_slice()))
     }
-}
-
-enum CursorState {
-    /// Current skiplist node (null = exhausted); valid while the owning
-    /// `Arc<MemTable>` below is alive.
-    Skip(*const Node),
-    /// Owned current entry for the map representation, advanced by
-    /// re-seeking past the held key.
-    BTree(Option<(Vec<u8>, Vec<u8>)>),
 }
 
 /// A stepping cursor over one memtable, positioned at or after a seek
 /// target and advanced entry by entry.
 ///
-/// Over the skiplist this is a true cursor: each step is one atomic load,
-/// no lock, no allocation. Over the map it re-seeks per step and owns a
-/// copy of the current entry, so no lock is held between steps. That is
-/// what scans need over the live memtable, where a [`MemTable::view`]
-/// would block writers for as long as the scan waits on table reads.
-/// The cursor shares ownership of the memtable, so it stays valid after
-/// the memtable is rotated out of the active slot or scheduled for flush.
+/// It owns a copy of the current entry and re-seeks past it on each step,
+/// so no lock is held between steps. That is what scans need over the
+/// live memtable, where a [`MemTable::view`] would block writers for as
+/// long as the scan waits on table reads. The cursor shares ownership of
+/// the memtable, so it stays valid after the memtable is rotated out of
+/// the active slot or scheduled for flush.
 pub struct MemTableCursor {
     mem: Arc<MemTable>,
-    state: CursorState,
+    current: Option<(Vec<u8>, Vec<u8>)>,
 }
 
 impl MemTableCursor {
     /// Positions a cursor at the first entry with internal key >=
     /// `target`.
     pub fn seek(mem: Arc<MemTable>, target: &[u8]) -> Self {
-        let state = match &mem.rep {
-            Rep::Skip(list) => CursorState::Skip(list.seek(target)),
-            Rep::BTree(map) => CursorState::BTree(btree_entry_from(map, Bound::Included(target))),
-        };
-        MemTableCursor { mem, state }
+        let current = mem.entry_from(Bound::Included(target));
+        MemTableCursor { mem, current }
     }
 
     /// Current internal key, or `None` when exhausted.
     pub fn key(&self) -> Option<&[u8]> {
-        match &self.state {
-            // SAFETY: the node comes from `self.mem`'s list, which `self`
-            // keeps alive; nodes are immutable once published.
-            CursorState::Skip(node) => {
-                (!node.is_null()).then(|| unsafe { (**node).key() })
-            }
-            CursorState::BTree(cur) => cur.as_ref().map(|(k, _)| k.as_slice()),
-        }
+        self.current.as_ref().map(|(k, _)| k.as_slice())
     }
 
     /// Current value, or `None` when exhausted.
     pub fn value(&self) -> Option<&[u8]> {
-        match &self.state {
-            // SAFETY: as in `key`.
-            CursorState::Skip(node) => {
-                (!node.is_null()).then(|| unsafe { (**node).value() })
-            }
-            CursorState::BTree(cur) => cur.as_ref().map(|(_, v)| v.as_slice()),
-        }
+        self.current.as_ref().map(|(_, v)| v.as_slice())
     }
 
     /// Advances to the next entry in internal-key order.
     pub fn advance(&mut self) {
-        match &mut self.state {
-            CursorState::Skip(node) => {
-                if !node.is_null() {
-                    let Rep::Skip(list) = &self.mem.rep else {
-                        unreachable!("skip cursor over non-skip memtable")
-                    };
-                    // SAFETY: node is from this list and the list is alive.
-                    *node = unsafe { list.next(*node) };
-                }
-            }
-            CursorState::BTree(cur) => {
-                if let Some((k, _)) = cur.take() {
-                    let Rep::BTree(map) = &self.mem.rep else {
-                        unreachable!("map cursor over non-map memtable")
-                    };
-                    *cur = btree_entry_from(map, Bound::Excluded(&k));
-                }
-            }
+        if let Some((k, _)) = self.current.take() {
+            self.current = self.mem.entry_from(Bound::Excluded(&k));
         }
     }
-}
-
-/// The first map entry within `from`, copied out under a momentary read
-/// lock.
-fn btree_entry_from(
-    map: &RwLock<BTreeMap<OrderedKey, Vec<u8>>>,
-    from: Bound<&[u8]>,
-) -> Option<(Vec<u8>, Vec<u8>)> {
-    let from = from.map(|k| OrderedKey(k.to_vec()));
-    map.read()
-        .range((from, Bound::Unbounded))
-        .next()
-        .map(|(k, v)| (k.0.clone(), v.clone()))
 }
 
 impl Cursor for MemTableCursor {
@@ -521,119 +382,78 @@ impl Cursor for MemTableCursor {
     }
 }
 
-// SAFETY: the raw node pointer is only dereferenced through the list owned
-// by the `Arc<MemTable>` carried alongside it; nodes are immutable once
-// published and live as long as the list.
-unsafe impl Send for MemTableCursor {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn both_reps() -> [MemtableRep; 2] {
-        [MemtableRep::BTreeMap, MemtableRep::SkipList]
-    }
-
-    fn mt_with(rep: MemtableRep) -> MemTable {
-        MemTable::with_config(rep, 0, 0, 0)
-    }
-
     #[test]
     fn put_then_get() {
-        for rep in both_reps() {
-            let mt = mt_with(rep);
-            mt.add(1, ValueType::Value, b"alpha", b"1");
-            mt.add(2, ValueType::Value, b"beta", b"2");
-            assert_eq!(mt.get(b"alpha", 100), Some((ValueType::Value, b"1".to_vec())));
-            assert_eq!(mt.get(b"gamma", 100), None);
-        }
+        let mt = MemTable::new(0);
+        mt.add(1, ValueType::Value, b"alpha", b"1");
+        mt.add(2, ValueType::Value, b"beta", b"2");
+        assert_eq!(mt.get(b"alpha", 100), Some((ValueType::Value, b"1".to_vec())));
+        assert_eq!(mt.get(b"gamma", 100), None);
     }
 
     #[test]
     fn newer_version_shadows_older() {
-        for rep in both_reps() {
-            let mt = mt_with(rep);
-            mt.add(1, ValueType::Value, b"k", b"old");
-            mt.add(5, ValueType::Value, b"k", b"new");
-            assert_eq!(mt.get(b"k", 100), Some((ValueType::Value, b"new".to_vec())));
-            // Snapshot between versions sees the old value.
-            assert_eq!(mt.get(b"k", 3), Some((ValueType::Value, b"old".to_vec())));
-        }
+        let mt = MemTable::new(0);
+        mt.add(1, ValueType::Value, b"k", b"old");
+        mt.add(5, ValueType::Value, b"k", b"new");
+        assert_eq!(mt.get(b"k", 100), Some((ValueType::Value, b"new".to_vec())));
+        // Snapshot between versions sees the old value.
+        assert_eq!(mt.get(b"k", 3), Some((ValueType::Value, b"old".to_vec())));
     }
 
     #[test]
     fn deletion_is_visible() {
-        for rep in both_reps() {
-            let mt = mt_with(rep);
-            mt.add(1, ValueType::Value, b"k", b"v");
-            mt.add(2, ValueType::Deletion, b"k", b"");
-            assert_eq!(mt.get(b"k", 100), Some((ValueType::Deletion, Vec::new())));
-            assert_eq!(mt.get(b"k", 1), Some((ValueType::Value, b"v".to_vec())));
-        }
+        let mt = MemTable::new(0);
+        mt.add(1, ValueType::Value, b"k", b"v");
+        mt.add(2, ValueType::Deletion, b"k", b"");
+        assert_eq!(mt.get(b"k", 100), Some((ValueType::Deletion, Vec::new())));
+        assert_eq!(mt.get(b"k", 1), Some((ValueType::Value, b"v".to_vec())));
     }
 
     #[test]
     fn snapshot_before_any_version_sees_nothing() {
-        for rep in both_reps() {
-            let mt = mt_with(rep);
-            mt.add(10, ValueType::Value, b"k", b"v");
-            assert_eq!(mt.get(b"k", 5), None);
-        }
+        let mt = MemTable::new(0);
+        mt.add(10, ValueType::Value, b"k", b"v");
+        assert_eq!(mt.get(b"k", 5), None);
     }
 
     #[test]
     fn iteration_is_sorted_by_user_key() {
-        for rep in both_reps() {
-            let mt = mt_with(rep);
-            mt.add(1, ValueType::Value, b"c", b"");
-            mt.add(2, ValueType::Value, b"a", b"");
-            mt.add(3, ValueType::Value, b"b", b"");
-            let view = mt.view();
-            let keys: Vec<Vec<u8>> = view
-                .iter()
-                .map(|(k, _)| InternalKey::decode(k).unwrap().user_key().to_vec())
-                .collect();
-            assert_eq!(keys, vec![b"a".to_vec(), b"b".to_vec(), b"c".to_vec()]);
-        }
+        let mt = MemTable::new(0);
+        mt.add(1, ValueType::Value, b"c", b"");
+        mt.add(2, ValueType::Value, b"a", b"");
+        mt.add(3, ValueType::Value, b"b", b"");
+        let view = mt.view();
+        let keys: Vec<Vec<u8>> = view
+            .iter()
+            .map(|(k, _)| InternalKey::decode(k).unwrap().user_key().to_vec())
+            .collect();
+        assert_eq!(keys, vec![b"a".to_vec(), b"b".to_vec(), b"c".to_vec()]);
     }
 
     #[test]
     fn memory_usage_grows() {
-        for rep in both_reps() {
-            let mt = mt_with(rep);
-            let before = mt.approximate_memory_usage();
-            mt.add(1, ValueType::Value, b"key", &[0u8; 100]);
-            assert!(mt.approximate_memory_usage() >= before + 100);
-        }
-    }
-
-    #[test]
-    fn both_reps_charge_identical_bytes() {
-        // Flush thresholds must not move when the representation changes.
-        let a = mt_with(MemtableRep::BTreeMap);
-        let b = mt_with(MemtableRep::SkipList);
-        for (i, mt) in [&a, &b].into_iter().enumerate() {
-            let _ = i;
-            for j in 0..50u64 {
-                mt.add(j + 1, ValueType::Value, format!("key-{j:03}").as_bytes(), &[7u8; 33]);
-            }
-        }
-        assert_eq!(a.approximate_memory_usage(), b.approximate_memory_usage());
+        let mt = MemTable::new(0);
+        let before = mt.approximate_memory_usage();
+        mt.add(1, ValueType::Value, b"key", &[0u8; 100]);
+        assert!(mt.approximate_memory_usage() >= before + 100);
     }
 
     #[test]
     fn bloom_filters_absent_keys() {
-        for rep in both_reps() {
-            let mt = MemTable::with_config(rep, 4096, 4096, 0);
-            for i in 0..100 {
-                mt.add(i + 1, ValueType::Value, format!("key-{i}").as_bytes(), b"v");
-            }
-            assert_eq!(mt.get(b"key-42", 1000), Some((ValueType::Value, b"v".to_vec())));
-            // Bloom short-circuits most absent lookups; correctness-wise all
-            // must return NotFound.
-            for i in 200..300 {
-                assert_eq!(mt.get(format!("key-{i}").as_bytes(), 1000), None);
-            }
+        let mt = MemTable::new(4096);
+        for i in 0..100 {
+            mt.add(i + 1, ValueType::Value, format!("key-{i}").as_bytes(), b"v");
+        }
+        assert_eq!(mt.get(b"key-42", 1000), Some((ValueType::Value, b"v".to_vec())));
+        // Bloom short-circuits most absent lookups; correctness-wise all
+        // must return NotFound.
+        for i in 200..300 {
+            assert_eq!(mt.get(format!("key-{i}").as_bytes(), 1000), None);
         }
     }
 
@@ -681,75 +501,51 @@ mod tests {
 
     #[test]
     fn sequences_tracked() {
-        for rep in both_reps() {
-            let mt = mt_with(rep);
-            assert_eq!(mt.first_sequence(), None);
-            mt.add(7, ValueType::Value, b"a", b"");
-            mt.add(9, ValueType::Value, b"b", b"");
-            assert_eq!(mt.first_sequence(), Some(7));
-            assert_eq!(mt.last_sequence(), 9);
-        }
+        let mt = MemTable::new(0);
+        assert_eq!(mt.first_sequence(), None);
+        mt.add(7, ValueType::Value, b"a", b"");
+        mt.add(9, ValueType::Value, b"b", b"");
+        assert_eq!(mt.first_sequence(), Some(7));
+        assert_eq!(mt.last_sequence(), 9);
     }
 
     #[test]
     fn table_bloom_built_over_distinct_user_keys() {
-        for rep in both_reps() {
-            let mt = mt_with(rep);
-            mt.add(1, ValueType::Value, b"k", b"v1");
-            mt.add(2, ValueType::Value, b"k", b"v2");
-            mt.add(3, ValueType::Value, b"other", b"v");
-            let bloom = mt.build_table_bloom(10.0).unwrap();
-            assert!(bloom.may_contain(b"k"));
-            assert!(bloom.may_contain(b"other"));
-            assert!(mt.build_table_bloom(0.0).is_none());
-        }
-    }
-
-    #[test]
-    fn table_bloom_identical_across_reps() {
-        // The streaming construction must see the same distinct-user-key
-        // sequence from both representations.
-        let a = mt_with(MemtableRep::BTreeMap);
-        let b = mt_with(MemtableRep::SkipList);
-        for mt in [&a, &b] {
-            for i in 0..500u64 {
-                let key = format!("key-{:04}", i % 200);
-                mt.add(i + 1, ValueType::Value, key.as_bytes(), b"v");
-            }
-        }
-        assert_eq!(
-            a.build_table_bloom(10.0).unwrap().encode(),
-            b.build_table_bloom(10.0).unwrap().encode()
-        );
+        let mt = MemTable::new(0);
+        mt.add(1, ValueType::Value, b"k", b"v1");
+        mt.add(2, ValueType::Value, b"k", b"v2");
+        mt.add(3, ValueType::Value, b"other", b"v");
+        let bloom = mt.build_table_bloom(10.0).unwrap();
+        assert!(bloom.may_contain(b"k"));
+        assert!(bloom.may_contain(b"other"));
+        assert!(mt.build_table_bloom(0.0).is_none());
     }
 
     #[test]
     fn cursor_steps_in_order() {
-        for rep in both_reps() {
-            let mt = Arc::new(mt_with(rep));
-            for i in 0..100u64 {
-                mt.add(i + 1, ValueType::Value, format!("k{:03}", 99 - i).as_bytes(), b"v");
-            }
-            let start = crate::types::lookup_key(b"k010", crate::types::MAX_SEQUENCE);
-            let mut cursor = MemTableCursor::seek(Arc::clone(&mt), start.encoded());
-            let mut seen = Vec::new();
-            while let Some(k) = cursor.key() {
-                seen.push(InternalKey::decode(k).unwrap().user_key().to_vec());
-                assert!(cursor.value().is_some());
-                cursor.advance();
-            }
-            assert_eq!(seen.len(), 90);
-            assert_eq!(seen.first().unwrap(), b"k010");
-            assert_eq!(seen.last().unwrap(), b"k099");
-            let mut sorted = seen.clone();
-            sorted.sort();
-            assert_eq!(seen, sorted);
+        let mt = Arc::new(MemTable::new(0));
+        for i in 0..100u64 {
+            mt.add(i + 1, ValueType::Value, format!("k{:03}", 99 - i).as_bytes(), b"v");
         }
+        let start = crate::types::lookup_key(b"k010", crate::types::MAX_SEQUENCE);
+        let mut cursor = MemTableCursor::seek(Arc::clone(&mt), start.encoded());
+        let mut seen = Vec::new();
+        while let Some(k) = cursor.key() {
+            seen.push(InternalKey::decode(k).unwrap().user_key().to_vec());
+            assert!(cursor.value().is_some());
+            cursor.advance();
+        }
+        assert_eq!(seen.len(), 90);
+        assert_eq!(seen.first().unwrap(), b"k010");
+        assert_eq!(seen.last().unwrap(), b"k099");
+        let mut sorted = seen.clone();
+        sorted.sort();
+        assert_eq!(seen, sorted);
     }
 
     #[test]
     fn cursor_survives_concurrent_inserts() {
-        let mt = Arc::new(mt_with(MemtableRep::SkipList));
+        let mt = Arc::new(MemTable::new(0));
         for i in 0..1000u64 {
             mt.add(i + 1, ValueType::Value, format!("k{:06}", i * 2).as_bytes(), b"v");
         }

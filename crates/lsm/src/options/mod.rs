@@ -103,16 +103,16 @@ impl fmt::Display for CompressionType {
     }
 }
 
-/// Memtable representation (`memtable_factory`).
+/// Value of `memtable_factory`. The engine has one memtable (an ordered
+/// map behind a reader-writer lock) and reads this nowhere; both names are
+/// kept so RocksDB option files, which say `SkipListFactory`, still load
+/// and echo what they set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum MemtableRep {
-    /// Ordered map behind a reader-writer lock. The historical default:
-    /// single-threaded (sim) runs are byte-identical with it, at the cost
-    /// of serializing concurrent writers and readers.
+    /// `btree`, the default string.
     #[default]
     BTreeMap,
-    /// Concurrent skiplist: lock-free readers, CAS-linked writers, stepping
-    /// cursors. The RocksDB-equivalent choice for real multi-threaded runs.
+    /// `skiplist` / `SkipListFactory`.
     SkipList,
 }
 
@@ -266,8 +266,8 @@ pub struct Options {
     pub disable_auto_compactions: bool,
     /// Memtable bloom filter size as a fraction of `write_buffer_size`.
     pub memtable_prefix_bloom_size_ratio: f64,
-    /// Memtable representation. Applies to memtables created after the
-    /// change (each memtable snapshots its configuration at creation).
+    /// Accepted for option-file compatibility and echoed back; the engine
+    /// has one memtable and does not read this.
     pub memtable_factory: MemtableRep,
     /// Skip filters on the last level (saves memory for hit-heavy loads).
     pub optimize_filters_for_hits: bool,

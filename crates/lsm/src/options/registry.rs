@@ -459,9 +459,8 @@ fn build_registry() -> Vec<OptionMeta> {
             "Disable automatic compactions (manual compaction only)"),
         opt_double!(memtable_prefix_bloom_size_ratio, Cf, (0.0, 0.25), true,
             "Memtable bloom filter size as a fraction of write_buffer_size"),
-        // Mutable online: the representation is picked when a fresh
-        // memtable is allocated, so the active memtable keeps its rep
-        // until the next switch and new memtables use the new value.
+        // Recognised so the safeguard can tell RocksDB's own
+        // `memtable_factory=SkipListFactory` from a hallucinated name.
         OptionMeta {
             name: "memtable_factory",
             aliases: &["memtablerep"],
@@ -470,8 +469,8 @@ fn build_registry() -> Vec<OptionMeta> {
             range: None,
             mutable_online: true,
             protected_by_default: false,
-            description: "Memtable representation: locked btree (deterministic default) or \
-                          concurrent skiplist (lock-free reads, CAS inserts)",
+            description: "Memtable representation: accepted for option-file compatibility; \
+                          the engine has one memtable",
             get: |o| o.memtable_factory.to_string(),
             set: |o, v| {
                 o.memtable_factory = MemtableRep::parse(v).ok_or_else(|| {

@@ -46,8 +46,8 @@ pub(crate) struct EntrySpan {
 /// first-sequence header, and each operation's key/value position inside
 /// the record is captured as an [`EntrySpan`]. The group leader only
 /// patches the record's sequence header and replays the spans into the
-/// memtable — no per-entry allocation or free anywhere in the commit
-/// path, which matters most for the arena-copying skiplist memtable.
+/// memtable: the only per-entry allocations in the commit path are the
+/// owned key and value the memtable stores.
 pub(crate) struct PreparedWrite {
     /// WAL record (batch encoding) with `first_seq = 0` placeholder.
     pub record: Vec<u8>,
@@ -112,8 +112,8 @@ impl PreparedWrite {
     }
 
     /// Replays the batch into `mem`, building each internal key in
-    /// `scratch` (reused across entries, so a warm buffer makes the whole
-    /// group allocation-free on the skiplist representation).
+    /// `scratch` (reused across entries, so a warm buffer costs the group
+    /// no allocation of its own).
     ///
     /// Must run after [`patch_seq`](Self::patch_seq).
     pub fn apply_to(&self, mem: &MemTable, scratch: &mut Vec<u8>) {

@@ -13,7 +13,7 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use hw_sim::HardwareEnv;
-use lsm_kvs::options::{MemtableRep, Options};
+use lsm_kvs::options::Options;
 use lsm_kvs::vfs::StdVfs;
 use lsm_kvs::{Db, ShardedDb, WriteBatch, WriteOptions};
 
@@ -64,13 +64,11 @@ fn concurrent_writers_and_readers_no_lost_updates() {
     const READERS: usize = 2;
     const PER: usize = 300;
 
-    // The default row, and the serial-visibility commit order over the
-    // concurrent skiplist (what the expert model recommends below four
-    // cores).
+    // The default row, and the serial-visibility commit order (what the
+    // expert model recommends below four cores).
     let rows = [
         small_opts(),
         Options {
-            memtable_factory: MemtableRep::SkipList,
             enable_pipelined_write: false,
             allow_concurrent_memtable_write: true,
             ..small_opts()

@@ -1,11 +1,14 @@
 //! Retired features stay retired: tables written with the partitioned
-//! index or the prefix filter are refused through the whole read path, and
-//! no document or CI gate still passes a knob the registry dropped.
+//! index or the prefix filter are refused through the whole read path, no
+//! document or CI gate still passes a knob the registry dropped, and the
+//! documented list of options the engine ignores is the true one.
 
+use std::collections::BTreeSet;
+use std::path::Path;
 use std::sync::Arc;
 
 use hw_sim::HardwareEnv;
-use lsm_kvs::options::registry::find_option;
+use lsm_kvs::options::registry::{all_options, find_option};
 use lsm_kvs::options::Options;
 use lsm_kvs::{Db, ErrorKind, MemVfs, Vfs};
 
@@ -60,4 +63,70 @@ fn documented_and_gated_options_are_registered() {
             assert!(find_option(name).is_some(), "{file} passes --option {name}=, not registered");
         }
     }
+}
+
+/// Non-test source of every file under `dir` (each cut at its
+/// `#[cfg(test)]`), skipping the `options/` directory.
+fn engine_sources(dir: &Path, out: &mut Vec<String>) {
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            if path.file_name().unwrap() != "options" {
+                engine_sources(&path, out);
+            }
+        } else if path.extension().is_some_and(|ext| ext == "rs") {
+            let text = std::fs::read_to_string(&path).unwrap();
+            out.push(text.split("#[cfg(test)]").next().unwrap().to_string());
+        }
+    }
+}
+
+/// DESIGN.md's "Options the engine does not read" names exactly the
+/// registered options whose `Options` field no engine source mentions as
+/// `.name`, directly or through an `Options::effective_*` accessor it
+/// calls: an option that loses its last reader joins the list in the same
+/// change, and one that gains a reader leaves it.
+#[test]
+fn documented_unread_options_are_exactly_the_unread_ones() {
+    let design = include_str!("../../../DESIGN.md");
+    let (_, section) = design
+        .split_once("\n## Options the engine does not read\n")
+        .expect("DESIGN.md lost its 'Options the engine does not read' section");
+    let section = section.split("\n## ").next().unwrap();
+    // Back-ticked bare identifiers; `all_options()` and the like drop out.
+    let documented: BTreeSet<&str> = section
+        .split('`')
+        .skip(1)
+        .step_by(2)
+        .filter(|word| word.bytes().all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'_'))
+        .collect();
+
+    let mut sources = Vec::new();
+    engine_sources(&Path::new(env!("CARGO_MANIFEST_DIR")).join("src"), &mut sources);
+    // Four options are read only as `self.name` inside an accessor of
+    // `options/mod.rs`; the body of each accessor the engine calls counts.
+    let options_mod = include_str!("../src/options/mod.rs").split("#[cfg(test)]").next().unwrap();
+    for accessor in options_mod.split("pub fn ").skip(1).filter(|f| f.starts_with("effective_")) {
+        let (name, rest) = accessor.split_once('(').unwrap();
+        let call = format!(".{name}(");
+        if sources.iter().any(|text| text.contains(&call)) {
+            sources.push(rest.split("\n    }\n").next().unwrap().to_string());
+        }
+    }
+    let is_ident = |b: u8| b.is_ascii_alphanumeric() || b == b'_';
+    let is_read = |name: &str| {
+        let field = format!(".{name}");
+        sources.iter().any(|text| {
+            text.match_indices(&field)
+                .any(|(at, _)| !text.as_bytes().get(at + field.len()).is_some_and(|&b| is_ident(b)))
+        })
+    };
+    let unread: BTreeSet<&str> =
+        all_options().iter().map(|meta| meta.name).filter(|name| !is_read(name)).collect();
+
+    assert_eq!(documented, unread, "DESIGN.md (left) vs options no engine source reads (right)");
+    let registered = all_options().len();
+    let counts =
+        format!("registers {registered} options; the engine reads {}.", registered - unread.len());
+    assert!(section.contains(&counts), "DESIGN.md does not say: {counts}");
 }

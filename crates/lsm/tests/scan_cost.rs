@@ -1,12 +1,11 @@
 //! Allocation cost of long scans, measured with a counting global
 //! allocator.
 //!
-//! The historical memtable scan cursor took the map lock and re-seeked
-//! from the root on every step, cloning the key and value each time —
-//! several heap allocations per scanned entry before the result row was
-//! even built. The skiplist cursor steps with one atomic load and zero
-//! allocations, so a long scan's allocation count collapses to roughly
-//! the cost of materializing the result rows.
+//! The memtable scan cursor takes the map lock per step, re-seeks past
+//! the key it holds and copies the next entry out (a bound key, a key and
+//! a value: three allocations), and the scan then builds the owned result
+//! row (two more). The test pins that count as an upper bound and prints
+//! the measured figure; ROADMAP 3(a) is the item that lowers it.
 //!
 //! This file holds exactly one test so nothing else in the binary
 //! pollutes the allocator counters (integration tests in one binary run
@@ -42,54 +41,40 @@ fn allocs() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
 }
 
-/// Long memtable scans must not pay per-step re-seek allocations: with
-/// the skiplist representation, a scan's allocations are dominated by
-/// the owned result rows (2 per entry), not cursor bookkeeping.
+/// A long memtable scan costs a bounded number of allocations per entry:
+/// the re-seek cursor's three plus the owned result row's two.
 #[test]
 fn long_scan_allocations_are_bounded_per_entry() {
     use hw_sim::HardwareEnv;
-    use lsm_kvs::options::{MemtableRep, Options};
+    use lsm_kvs::options::Options;
     use lsm_kvs::Db;
 
     const N: usize = 4_000;
 
-    let per_entry = |rep: MemtableRep| -> f64 {
-        let env = HardwareEnv::builder().build_sim();
-        let opts = Options {
-            memtable_factory: rep,
-            // Everything stays in the memtable: the measurement is the
-            // cursor, not block I/O.
-            write_buffer_size: 64 << 20,
-            ..Options::default()
-        };
-        let db = Db::builder(opts).env(&env).open().unwrap();
-        for i in 0..N {
-            db.put(format!("key-{i:08}").as_bytes(), b"twelve bytes").unwrap();
-        }
-        // Warm up allocator pools and any lazy init.
-        let warm = db.scan(b"", N).unwrap();
-        assert_eq!(warm.len(), N);
-        drop(warm);
-
-        let before = allocs();
-        let entries = db.scan(b"", N).unwrap();
-        let spent = allocs() - before;
-        assert_eq!(entries.len(), N);
-        spent as f64 / N as f64
+    let env = HardwareEnv::builder().build_sim();
+    let opts = Options {
+        // Everything stays in the memtable: the measurement is the
+        // cursor, not block I/O.
+        write_buffer_size: 64 << 20,
+        ..Options::default()
     };
+    let db = Db::builder(opts).env(&env).open().unwrap();
+    for i in 0..N {
+        db.put(format!("key-{i:08}").as_bytes(), b"twelve bytes").unwrap();
+    }
+    // Warm up allocator pools and any lazy init.
+    let warm = db.scan(b"", N).unwrap();
+    assert_eq!(warm.len(), N);
+    drop(warm);
 
-    let skip = per_entry(MemtableRep::SkipList);
-    let btree = per_entry(MemtableRep::BTreeMap);
+    let before = allocs();
+    let entries = db.scan(b"", N).unwrap();
+    let spent = allocs() - before;
+    assert_eq!(entries.len(), N);
+    let per_entry = spent as f64 / N as f64;
 
-    // Result rows cost 2 allocations each (key + value); give generous
-    // headroom for the result vec's growth and merge bookkeeping. The
-    // historical re-seek path costs 3 extra allocations per step and
-    // fails this bound.
-    assert!(skip < 4.0, "skiplist scan: {skip:.2} allocations/entry");
-    // And stepping must be strictly cheaper than the map fallback's
-    // clone-per-step re-seek.
-    assert!(
-        skip < btree,
-        "skiplist scan ({skip:.2}/entry) not cheaper than btree re-seek ({btree:.2}/entry)"
-    );
+    println!("memtable scan: {per_entry:.2} allocations per scanned entry");
+    // Headroom over 5 for the result vec's growth and merge bookkeeping;
+    // one more allocation per step fails this.
+    assert!(per_entry < 5.5, "memtable scan: {per_entry:.2} allocations/entry");
 }

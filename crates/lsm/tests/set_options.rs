@@ -403,4 +403,40 @@ fn options_ini_dump_tracks_live_changes() {
     // The dump is real ini: it parses back to the live configuration.
     let (parsed, _) = ini::from_ini(&after).unwrap();
     assert_eq!(parsed, db.options());
+
+    // An option the engine accepts but reads nowhere is still set, echoed
+    // and refused like any other, by every route: `set_by_name`, a live
+    // `set_options`, and an options file.
+    for (value, echoed) in [
+        ("btree", Some("  memtable_factory=btree\n")),
+        ("skiplist", Some("  memtable_factory=skiplist\n")),
+        ("SkipListFactory", Some("  memtable_factory=skiplist\n")),
+        ("vector", None),
+    ] {
+        let live_before = db.options_ini();
+        let mut named = Options::default();
+        let by_name = named.set_by_name("memtable_factory", value);
+        let live = db.set_options(&[("memtable_factory", value)]);
+        let mut filed = Options::default();
+        let text = format!("[CFOptions \"default\"]\n  memtable_factory={value}\n");
+        let outcome = ini::apply_ini(&mut filed, &text);
+        match echoed {
+            Some(line) => {
+                by_name.unwrap();
+                live.unwrap();
+                assert_eq!(outcome.rejected, [], "{value}");
+                for dump in [ini::to_ini(&named), db.options_ini(), ini::to_ini(&filed)] {
+                    assert!(dump.contains(line), "{value}: {dump}");
+                }
+            }
+            None => {
+                by_name.unwrap_err();
+                assert_eq!(live.unwrap_err().kind(), ErrorKind::InvalidArgument);
+                assert_eq!(outcome.applied, [], "{value}");
+                assert_eq!(named, Options::default());
+                assert_eq!(db.options_ini(), live_before);
+                assert_eq!(filed, Options::default());
+            }
+        }
+    }
 }

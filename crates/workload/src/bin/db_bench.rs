@@ -134,10 +134,6 @@ fn run(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
                     .ok_or_else(|| format!("--option wants name=value, got {kv}"))?;
                 opts.set_by_name(k, v)?;
             }
-            "--memtable" => {
-                let v = take(&mut i)?;
-                opts.set_by_name("memtable_factory", &v)?;
-            }
             "--options-file" => options_file = Some(take(&mut i)?),
             "--real-time" => real_time = true,
             "--threads" => threads = Some(take(&mut i)?.parse()?),
@@ -159,7 +155,6 @@ fn run(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
                     "usage: db_bench [--benchmarks list] [--ycsb a,b,..|all] \
                      [--num N | --scale F] [--cores N] \
                      [--mem-gib N] [--device nvme|ssd|hdd] [--option k=v]... [--options-file f] \
-                     [--memtable btree|skiplist] \
                      [--stats_dump] [--shards N] [--multiget_batch N] \
                      [--real-time [--threads N] [--sync true|false] [--db dir]] \
                      [--remote host:port [--threads N] [--sync true|false]] \
