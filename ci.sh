@@ -46,6 +46,9 @@ echo "==> sharding gate: --shards 1 must be byte-identical to no flag"
 ./target/release/db_bench --benchmarks fillrandom --num 20000 --shards 1 > /tmp/ci-shard1.txt
 diff /tmp/ci-noshard.txt /tmp/ci-shard1.txt
 rm -f /tmp/ci-noshard.txt /tmp/ci-shard1.txt
+echo "==> sharding gate: four shards on the virtual clock must match their golden"
+./target/release/db_bench --benchmarks fillrandom,readrandom --num 20000 --shards 4 \
+    | diff results/golden/db_bench_shards4_20000.txt -
 
 echo "==> crash-recovery gate: 25 wall-clock power-cut cycles (120s timeout)"
 CRASH_DIR="$(mktemp -d)"; DIRS+=("$CRASH_DIR")

@@ -341,12 +341,13 @@ mod tests {
         assert_eq!(out.options.max_background_compactions, 3, "remapped");
         assert_eq!(out.violations[0].kind, ViolationKind::Deprecated);
 
-        // Real RocksDB names with no remap target: rejected, and called
+        // Retired names with no remap target: rejected, and called
         // retired rather than hallucinated.
         for (name, value) in [
             ("soft_rate_limit", "0.5"),
             ("index_type", "kTwoLevelIndexSearch"),
             ("metadata_block_size", "4096"),
+            ("shard_bytes_soft_limit", "67108864"),
         ] {
             let out = vet(&base, &[change(name, value)], &policy);
             assert_eq!(out.applied.len(), 0, "{name}: no remap target, rejected");

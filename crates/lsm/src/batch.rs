@@ -56,7 +56,7 @@ impl WriteBatch {
     }
 
     /// Adds an entry with an explicit type, preserving value bytes
-    /// verbatim — used by WAL replay and the sharded facade so stamped
+    /// verbatim — used by WAL replay and `KeyRanges::split_batch` so stamped
     /// [`ValueType::TtlValue`] entries survive a decode/re-split cycle.
     pub(crate) fn push_raw(&mut self, ty: ValueType, key: &[u8], value: &[u8]) -> &mut Self {
         self.approximate_bytes += key.len() + value.len() + 13;

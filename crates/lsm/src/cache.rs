@@ -29,6 +29,14 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
+    /// Adds another cache's counters to these.
+    pub fn merge(&mut self, other: &CacheStats) {
+        self.hits += other.hits;
+        self.misses += other.misses;
+        self.inserts += other.inserts;
+        self.evictions += other.evictions;
+    }
+
     /// Hit ratio in `[0, 1]`; zero when no lookups happened.
     pub fn hit_ratio(&self) -> f64 {
         let total = self.hits + self.misses;
@@ -276,10 +284,7 @@ impl BlockCache {
         };
         for s in &self.shards {
             let shard = s.lock();
-            snap.stats.hits += shard.stats.hits;
-            snap.stats.misses += shard.stats.misses;
-            snap.stats.inserts += shard.stats.inserts;
-            snap.stats.evictions += shard.stats.evictions;
+            snap.stats.merge(&shard.stats);
             snap.used_bytes += shard.used_bytes;
         }
         snap

@@ -697,26 +697,24 @@ impl DbInner {
             if rt.fatal_error().is_some() {
                 break;
             }
-            // Sharded databases share one global job budget: take a permit
-            // before claiming so N shards respect one `max_background_jobs`
-            // limit, and hand it back (kicking a peer) once the job lands.
-            if let Some(ctx) = &self.shard {
-                if !ctx.try_acquire_job() {
-                    break;
-                }
+            // A budget shared with other databases: take a permit before
+            // claiming and hand it back once the job lands.
+            let budget = self.job_budget.as_deref();
+            if budget.is_some_and(|b| !b.try_acquire()) {
+                break;
             }
             let job = self.claim(&mut self.state.lock());
             let Some(job) = job else {
-                // Quiet release: nothing ran, so waking peers for this
-                // permit would only restart their own empty claims.
-                if let Some(ctx) = &self.shard {
-                    ctx.release_job(false);
+                // Quiet release: nothing ran, so waking the other holders
+                // for this permit would only restart their empty claims.
+                if let Some(b) = budget {
+                    b.release(false, &rt.bg);
                 }
                 break;
             };
             let result = self.run_and_install(job);
-            if let Some(ctx) = &self.shard {
-                ctx.release_job(true);
+            if let Some(b) = budget {
+                b.release(true, &rt.bg);
             }
             match result {
                 Ok(()) => consecutive_failures = 0,

@@ -110,7 +110,7 @@ impl Db {
         self.checkpoint_via(vfs, "", &format!("{dir}/"))
     }
 
-    /// Checkpoint body shared with the sharded fan-out: links every live
+    /// Checkpoint body shared with `ShardedDb::checkpoint`: links every live
     /// SST from `src_prefix` to `dst_prefix` on `base` and writes a fresh
     /// manifest + OPTIONS + CURRENT under `dst_prefix`.
     pub(crate) fn checkpoint_via(

@@ -49,7 +49,7 @@ use crate::filter::{FilterContext, TtlFilter};
 use crate::listener::{EventListener, StallConditionsChanged};
 use crate::memtable::MemTable;
 use crate::options::Options;
-use crate::runtime::Runtime;
+use crate::runtime::{JobBudget, Runtime};
 use crate::sstable::table::{TableConfig, TableReader};
 use crate::stats::{Statistics, Ticker, TickerSnapshot};
 use crate::types::{FileNumber, SequenceNumber};
@@ -267,12 +267,12 @@ impl DbStats {
     }
 
     /// Folds in the statistics of another database serving a different
-    /// key range: counters, level shapes and debt sum, `last_sequence`
-    /// takes the larger. The block-cache fields are left alone — shards
-    /// share one cache, which `self` already counts; an aggregate over
-    /// databases with a cache each adds those on top.
+    /// key range: counters, level shapes, debt and block cache (each
+    /// database has its own) sum, `last_sequence` takes the larger.
     pub fn merge(&mut self, other: &DbStats) {
         self.tickers.merge(&other.tickers);
+        self.block_cache.merge(&other.block_cache);
+        self.block_cache_capacity += other.block_cache_capacity;
         if self.levels.len() < other.levels.len() {
             self.levels.resize(other.levels.len(), (0, 0));
         }
@@ -368,9 +368,13 @@ struct DbInner {
     env: HardwareEnv,
     vfs: Arc<dyn Vfs>,
     state: Mutex<DbState>,
-    /// `Some` when this tree is one shard of a [`ShardedDb`](crate::ShardedDb):
-    /// shared block cache, global job budget, cross-shard stall debt.
-    shard: Option<crate::shard::ShardCtx>,
+    /// Memtable and block-cache bytes last reported to `env.memory()`;
+    /// written under the state lock.
+    reported_memtable_bytes: AtomicU64,
+    reported_cache_bytes: AtomicU64,
+    /// `Some` when background jobs draw on a permit budget shared with
+    /// other databases (see [`DbBuilder::job_budget`]).
+    job_budget: Option<Arc<JobBudget>>,
     block_cache: Option<Arc<BlockCache>>,
     table_cache: TableCache<TableReader>,
     stats: Statistics,
@@ -415,6 +419,9 @@ impl Drop for DbInner {
         if let Some(rt) = &self.runtime {
             rt.shutdown_and_join();
         }
+        // A closed database holds no memtable and no cache.
+        self.report_memory(MemoryUser::Memtables, &self.reported_memtable_bytes, 0);
+        self.report_memory(MemoryUser::BlockCache, &self.reported_cache_bytes, 0);
     }
 }
 
@@ -539,32 +546,29 @@ impl DbInner {
     }
 
     fn pressure(&self, state: &DbState) -> WritePressure {
-        let mut pending = state.pending_compaction_bytes;
-        if let Some(ctx) = &self.shard {
-            // Publish this shard's compaction debt and charge everyone
-            // else's back, so one hot shard slows all writers instead of
-            // racing ahead of the shared background budget.
-            let mut local = pending;
-            let limit = self.opts().shard_bytes_soft_limit;
-            if limit > 0 {
-                local = local.saturating_add(state.version.total_bytes().saturating_sub(limit));
-            }
-            pending = pending.saturating_add(ctx.publish_debt_and_sum_peers(local));
-        }
         WritePressure {
             l0_files: state.version.files(0).len(),
             immutable_memtables: state.imm.len(),
             total_memtables: state.imm.len() + 1,
-            pending_compaction_bytes: pending,
+            pending_compaction_bytes: state.pending_compaction_bytes,
         }
     }
 
+    /// Reports memory use to the environment's model as a change against
+    /// what this database reported last, so several databases on one
+    /// environment add up instead of overwriting each other.
     fn account_memory(&self, state: &DbState) {
         let mem_bytes = state.mem.approximate_memory_usage() as u64 + state.imm_bytes();
-        self.env.memory().set_usage(MemoryUser::Memtables, mem_bytes);
+        self.report_memory(MemoryUser::Memtables, &self.reported_memtable_bytes, mem_bytes);
         if let Some(c) = &self.block_cache {
-            self.env.memory().set_usage(MemoryUser::BlockCache, c.used_bytes());
+            self.report_memory(MemoryUser::BlockCache, &self.reported_cache_bytes, c.used_bytes());
         }
+    }
+
+    fn report_memory(&self, user: MemoryUser, reported: &AtomicU64, now: u64) {
+        let before = reported.swap(now, Ordering::Relaxed);
+        self.env.memory().reserve(user, now.saturating_sub(before));
+        self.env.memory().release(user, before.saturating_sub(now));
     }
 }
 
@@ -653,8 +657,7 @@ pub trait WalSink: Send + Sync {
 
 impl Db {
     /// The newest sequence number visible to readers right now. Pass it
-    /// as [`ReadOptions::snapshot_seq`] to pin a consistent snapshot;
-    /// cross-shard scans capture one per shard before reading any.
+    /// as [`ReadOptions::snapshot_seq`] to pin a consistent snapshot.
     pub fn snapshot_seq(&self) -> u64 {
         self.inner.visible_seq.load(Ordering::Acquire)
     }
@@ -680,11 +683,6 @@ impl Db {
     /// with the database directory.
     pub fn vfs(&self) -> Arc<dyn Vfs> {
         Arc::clone(&self.inner.vfs)
-    }
-
-    /// The worker-pool signal handle, for cross-shard fairness kicks.
-    pub(crate) fn bg_shared(&self) -> Option<Arc<crate::runtime::BgShared>> {
-        self.inner.runtime.as_ref().map(|rt| Arc::clone(&rt.bg))
     }
 
     /// A snapshot of the options this database currently runs with.

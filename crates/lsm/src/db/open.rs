@@ -16,7 +16,7 @@ use crate::error::{Error, Result};
 use crate::listener::EventListener;
 use crate::memtable::MemTable;
 use crate::options::{ini, MemtableRep, Options};
-use crate::runtime::Runtime;
+use crate::runtime::{JobBudget, Runtime};
 use crate::stats::Statistics;
 use crate::version::{Version, VersionEdit};
 use crate::vfs::{MemVfs, Vfs};
@@ -90,7 +90,7 @@ pub struct DbBuilder {
     vfs: Option<Arc<dyn Vfs>>,
     fault: Option<crate::fault::FaultInjectionVfs>,
     listeners: Vec<Arc<dyn EventListener>>,
-    shard: Option<crate::shard::ShardCtx>,
+    job_budget: Option<Arc<JobBudget>>,
     load_options_file: bool,
     wal_sink: Option<Arc<dyn WalSink>>,
 }
@@ -154,10 +154,11 @@ impl DbBuilder {
         self
     }
 
-    /// Marks this database as one shard of a [`ShardedDb`](crate::ShardedDb),
-    /// wiring it to the shared block cache, job budget, and stall debt.
-    pub(crate) fn shard_context(mut self, ctx: crate::shard::ShardCtx) -> Self {
-        self.shard = Some(ctx);
+    /// Makes this database take a permit from `budget` for every
+    /// background job it runs (real mode), so the databases given one
+    /// budget together stay within one `max_background_jobs`.
+    pub(crate) fn job_budget(mut self, budget: Arc<JobBudget>) -> Self {
+        self.job_budget = Some(budget);
         self
     }
 
@@ -207,10 +208,7 @@ impl DbBuilder {
         }
         opts.validate()?;
         let controller = WriteController::from_options(&opts);
-        let block_cache = if let Some(ctx) = &self.shard {
-            // Shards share one cache sized once by the facade.
-            ctx.shared_block_cache()
-        } else if opts.no_block_cache {
+        let block_cache = if opts.no_block_cache {
             None
         } else {
             Some(Arc::new(BlockCache::new(opts.block_cache_size.max(1), 4)))
@@ -237,7 +235,9 @@ impl DbBuilder {
                 vfs,
                 visible_seq: AtomicU64::new(state.last_seq),
                 state: Mutex::new(state),
-                shard: self.shard,
+                reported_memtable_bytes: AtomicU64::new(0),
+                reported_cache_bytes: AtomicU64::new(0),
+                job_budget: self.job_budget,
                 block_cache,
                 table_cache,
                 stats: Statistics::new(),
@@ -256,6 +256,9 @@ impl DbBuilder {
                 opts: RwLock::new(Arc::new(opts)),
             }),
         };
+        if let (Some(budget), Some(rt)) = (&db.inner.job_budget, &db.inner.runtime) {
+            budget.attach(&rt.bg);
+        }
         db.grow_worker_pool()?;
         Ok(db)
     }
@@ -270,7 +273,7 @@ impl Db {
             vfs: None,
             fault: None,
             listeners: Vec::new(),
-            shard: None,
+            job_budget: None,
             load_options_file: false,
             wal_sink: None,
         }
@@ -279,13 +282,17 @@ impl Db {
     /// Real mode: spawns background workers until the pool matches the
     /// current `max_background_jobs` (shrink needs no action — claims
     /// read the live effective limits, so surplus workers just idle),
-    /// then wakes the pool. No-op in sim mode, where the foreground
-    /// thread runs the jobs.
+    /// sizes a shared job budget to the same number, then wakes the
+    /// pool. No-op in sim mode, where the foreground thread runs the
+    /// jobs.
     pub(super) fn grow_worker_pool(&self) -> Result<()> {
         let Some(rt) = &self.inner.runtime else {
             return Ok(());
         };
         let want = self.inner.opts().max_background_jobs.clamp(1, 16) as usize;
+        if let Some(budget) = &self.inner.job_budget {
+            budget.set_capacity(want);
+        }
         for i in rt.worker_count()..want {
             // Workers hold only a Weak handle: dropping the last Db
             // must shut the pool down, not leak it.

@@ -94,8 +94,7 @@ impl Db {
     /// [`multi_get`](Self::multi_get).
     ///
     /// Generic over the key representation so callers holding borrowed
-    /// slices (e.g. the sharded facade regrouping another batch's keys)
-    /// do not have to clone every key into a fresh `Vec`.
+    /// slices do not have to clone every key into a fresh `Vec`.
     ///
     /// # Errors
     ///
@@ -240,16 +239,6 @@ impl DbInner {
 }
 
 impl DbInner {
-    /// File id used in block-cache keys. Shards of a [`crate::ShardedDb`]
-    /// share one cache but allocate file numbers independently, so each
-    /// shard tags its keys in the (otherwise unreachable) high bits.
-    fn cache_file_id(&self, file: FileNumber) -> FileNumber {
-        match &self.shard {
-            Some(ctx) => FileNumber(file.0 | ctx.cache_tag()),
-            None => file,
-        }
-    }
-
     pub(super) fn open_table(
         &self,
         file: &FileMetadata,
@@ -265,7 +254,7 @@ impl DbInner {
             if self.opts().cache_index_and_filter_blocks {
                 if let Some(cache) = &self.block_cache {
                     let key = BlockKey {
-                        file: self.cache_file_id(file.number),
+                        file: file.number,
                         offset: u64::MAX,
                     };
                     if cache.get(&key).is_none() {
@@ -311,7 +300,7 @@ impl DbInner {
                 if ropts.fill_cache {
                     cache.insert(
                         BlockKey {
-                            file: self.cache_file_id(file.number),
+                            file: file.number,
                             offset: u64::MAX,
                         },
                         Arc::new(Block::sentinel(reader.resident_bytes() as usize)),
@@ -358,7 +347,7 @@ impl DbInner {
         cpu: &mut SimDuration,
     ) -> Result<Arc<Block>> {
         let key = BlockKey {
-            file: self.cache_file_id(file),
+            file,
             offset: handle.offset,
         };
         if let Some(cache) = &self.block_cache {

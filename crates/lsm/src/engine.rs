@@ -1,14 +1,14 @@
 //! [`KvEngine`]: the one interface benchmark drivers, servers and tuning
-//! tools program against, implemented by [`Db`] and [`ShardedDb`].
+//! tools program against, implemented by [`Db`] and by anything that is a
+//! [`RangeFanout`](crate::RangeFanout) over engines.
 
 use crate::batch::WriteBatch;
 use crate::db::{Db, DbStats, ScanResult, WriteOptions};
 use crate::error::{Error, Result};
-use crate::shard::ShardedDb;
 use crate::write_controller::WriteRegime;
 
-/// One database abstraction over [`Db`] and [`ShardedDb`], so benchmark
-/// drivers and tools run unchanged against either.
+/// One database abstraction over a [`Db`], a sharded database and a
+/// remote one, so benchmark drivers and tools run unchanged against any.
 pub trait KvEngine: Send + Sync {
     /// Stores `value` under `key`.
     ///
@@ -39,7 +39,7 @@ pub trait KvEngine: Send + Sync {
     fn multi_get(&self, keys: &[Vec<u8>]) -> Result<Vec<Option<Vec<u8>>>> {
         keys.iter().map(|k| self.get(k)).collect()
     }
-    /// Applies a batch (atomic per shard for sharded engines).
+    /// Applies a batch (atomic per part for range-partitioned engines).
     ///
     /// # Errors
     ///
@@ -161,50 +161,5 @@ impl KvEngine for Db {
     }
     fn checkpoint(&self, dir: &str) -> Result<()> {
         Db::checkpoint(self, dir)
-    }
-}
-
-impl KvEngine for ShardedDb {
-    fn put(&self, key: &[u8], value: &[u8]) -> Result<()> {
-        ShardedDb::put(self, key, value)
-    }
-    fn delete(&self, key: &[u8]) -> Result<()> {
-        ShardedDb::delete(self, key)
-    }
-    fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        ShardedDb::get(self, key)
-    }
-    fn multi_get(&self, keys: &[Vec<u8>]) -> Result<Vec<Option<Vec<u8>>>> {
-        ShardedDb::multi_get(self, keys)
-    }
-    fn write_opt(&self, wopts: &WriteOptions, batch: WriteBatch) -> Result<()> {
-        ShardedDb::write_opt(self, wopts, batch)
-    }
-    fn scan(&self, start: &[u8], count: usize) -> Result<ScanResult> {
-        ShardedDb::scan(self, start, count)
-    }
-    fn flush(&self) -> Result<()> {
-        ShardedDb::flush(self)
-    }
-    fn wait_background_idle(&self) -> Result<()> {
-        ShardedDb::wait_background_idle(self)
-    }
-    fn stats(&self) -> DbStats {
-        ShardedDb::stats(self)
-    }
-    fn stats_text(&self) -> String {
-        ShardedDb::stats_text(self)
-    }
-    fn write_regime(&self) -> WriteRegime {
-        ShardedDb::write_regime(self)
-    }
-    fn set_options(&self, changes: &[(String, String)]) -> Result<()> {
-        ShardedDb::set_options(self, changes)
-    }
-    fn options_ini(&self) -> Result<String> {
-        Ok(ShardedDb::options_ini(self))
-    }
-    fn checkpoint(&self, dir: &str) -> Result<()> {
-        ShardedDb::checkpoint(self, dir)
     }
 }

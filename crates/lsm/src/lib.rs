@@ -48,6 +48,7 @@ mod flush;
 mod listener;
 mod memtable;
 mod merge;
+mod ranges;
 mod runtime;
 mod shard;
 mod stats;
@@ -68,7 +69,8 @@ pub use db::{
 pub use error::{Error, ErrorKind, Result};
 pub use filter::{CompactionFilter, FilterContext, FilterDecision, TtlFilter};
 pub use engine::KvEngine;
-pub use shard::{KeyRanges, ShardedDb, ShardedDbBuilder};
+pub use ranges::{KeyRanges, RangeFanout};
+pub use shard::{ShardedDb, ShardedDbBuilder};
 pub use fault::{FaultConfig, FaultInjectionVfs, TearStyle};
 pub use listener::{CompactionJobInfo, EventListener, FlushJobInfo, StallConditionsChanged};
 pub use memtable::{MemTable, MemTableCursor};

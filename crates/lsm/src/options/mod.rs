@@ -313,9 +313,6 @@ pub struct Options {
     // ---- Sharding ----
     /// Number of key-range shards (1 = plain single-tree DB).
     pub num_shards: i64,
-    /// Per-shard size above which extra compaction pressure is charged
-    /// to the shared write controller (0 = disabled).
-    pub shard_bytes_soft_limit: u64,
 }
 
 impl Default for Options {
@@ -394,7 +391,6 @@ impl Default for Options {
             no_block_cache: false,
 
             num_shards: 1,
-            shard_bytes_soft_limit: 0,
         }
     }
 }

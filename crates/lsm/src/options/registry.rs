@@ -407,8 +407,6 @@ fn build_registry() -> Vec<OptionMeta> {
             "Compress WAL records (accepted; modeled as neutral)"),
         opt_int!(num_shards, Db, (1.0, 64.0), false,
             "Key-range shards, each an independent LSM tree behind one facade (1 = unsharded)"),
-        opt_size!(shard_bytes_soft_limit, Db, (0.0, TIB), true,
-            "Per-shard size beyond which extra compaction pressure is charged (0 = disabled)"),
         // ---------------- CFOptions ----------------
         opt_size!(write_buffer_size, Cf, (65_536.0, GIB64), true,
             "Memtable size that triggers a flush; bigger absorbs more writes but uses RAM"),
@@ -527,10 +525,11 @@ fn build_registry() -> Vec<OptionMeta> {
     ]
 }
 
-/// Real RocksDB names the framework recognizes but does not take — retired
-/// upstream, or naming something this engine does not model. The paper
-/// notes LLMs "can unnecessarily focus" on such options, so these must
-/// parse and be reported, not crash.
+/// Names the framework recognizes but does not take: real RocksDB names
+/// retired upstream or naming something this engine does not model, and
+/// `shard_bytes_soft_limit`, which earlier option files of this engine
+/// carry. The paper notes LLMs "can unnecessarily focus" on such options,
+/// so these must parse and be reported, not crash.
 pub const DEPRECATED_OPTIONS: &[DeprecatedOption] = &[
     DeprecatedOption {
         name: "base_background_compactions",
@@ -576,6 +575,11 @@ pub const DEPRECATED_OPTIONS: &[DeprecatedOption] = &[
         name: "index_type",
         remap_to: None,
         note: "partitioned index is not modelled; every table has one flat index block",
+    },
+    DeprecatedOption {
+        name: "shard_bytes_soft_limit",
+        remap_to: None,
+        note: "shards no longer charge each other's compaction debt; each stalls on its own",
     },
     DeprecatedOption {
         name: "metadata_block_size",

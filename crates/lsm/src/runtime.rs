@@ -16,7 +16,7 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -228,53 +228,88 @@ impl BgShared {
     }
 }
 
-/// A counting permit budget for background jobs, shared by the shards of
-/// a sharded database so N independent trees respect one global
-/// `max_background_jobs` limit instead of N times it.
+/// A counting permit budget for background jobs that several databases
+/// can be given ([`DbBuilder::job_budget`](crate::db::DbBuilder)), so
+/// that together they run `max_background_jobs` jobs at once instead of
+/// that many each. Each database keeps the capacity at its own effective
+/// `max_background_jobs` (at open and on every retune); the holders run
+/// one configuration, so they agree.
 ///
-/// Fairness comes from permit granularity: a worker takes one permit per
-/// job and releases it when the job installs, so no shard can hold the
-/// whole budget longer than its currently running jobs.
+/// A worker takes one permit per job and returns it when the job has
+/// installed, so no holder keeps the budget longer than its running
+/// jobs. A holder that found the budget empty is woken by the next
+/// release instead of waiting out its poll interval.
 ///
 /// The budget is tracked as `capacity` minus `in_use` (rather than one
 /// free-permit counter) so live retuning can resize it: shrinking a
 /// free-counter below the permits currently out would underflow, whereas
 /// a capacity store simply stops new acquires until enough jobs finish.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct JobBudget {
     capacity: AtomicU64,
     in_use: AtomicU64,
+    /// Set when an acquire failed; the next release after a finished job
+    /// wakes the pools. Waking only on real starvation matters: an
+    /// unconditional wake-on-release livelocks — every woken worker that
+    /// finds no job would wake the other pools in turn.
+    starved: AtomicBool,
+    /// Worker pools of the databases holding this budget. `Weak`, so the
+    /// budget never keeps a closed database's pool alive.
+    pools: Mutex<Vec<Weak<BgShared>>>,
 }
 
 impl JobBudget {
-    /// Creates a budget with `permits` concurrent job slots.
-    pub fn new(permits: usize) -> Self {
-        JobBudget {
-            capacity: AtomicU64::new(permits as u64),
-            in_use: AtomicU64::new(0),
-        }
+    /// Registers a holder's worker pool for wake-ups.
+    pub fn attach(&self, pool: &Arc<BgShared>) {
+        self.pools.lock().push(Arc::downgrade(pool));
     }
 
     /// Takes one permit; `false` when the budget is exhausted.
     pub fn try_acquire(&self) -> bool {
         let cap = self.capacity.load(Ordering::Acquire);
-        self.in_use
+        let got = self
+            .in_use
             .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| {
                 (n < cap).then_some(n + 1)
             })
-            .is_ok()
+            .is_ok();
+        if !got {
+            self.starved.store(true, Ordering::Release);
+        }
+        got
     }
 
-    /// Returns one permit.
-    pub fn release(&self) {
+    /// Returns one permit taken by a worker of pool `from`. Only a
+    /// release that follows a *completed job* (`ran_job`) may wake starved
+    /// holders: a permit freed by an empty claim was never scarce, and
+    /// waking on it lets idle workers wake each other in a storm — every
+    /// woken worker finds no job, releases, and re-wakes. The other pools
+    /// are woken in attach order starting after `from`, so the one woken
+    /// first (which tends to win the permit) is not always the same.
+    pub fn release(&self, ran_job: bool, from: &BgShared) {
         self.in_use.fetch_sub(1, Ordering::AcqRel);
+        if !ran_job || !self.starved.swap(false, Ordering::AcqRel) {
+            return;
+        }
+        let pools = self.pools.lock();
+        let me = pools.iter().position(|p| std::ptr::eq(p.as_ptr(), from)).unwrap_or(0);
+        for off in 1..pools.len() {
+            if let Some(pool) = pools[(me + off) % pools.len()].upgrade() {
+                pool.kick();
+            }
+        }
     }
 
     /// Resizes the budget (live retuning of `max_background_jobs`). Jobs
     /// already running are never cancelled; a shrink just blocks new
-    /// acquires until `in_use` drains below the new capacity.
+    /// acquires until `in_use` drains below the new capacity, and a
+    /// raise wakes the pools: claims that failed a moment ago can succeed.
     pub fn set_capacity(&self, permits: usize) {
-        self.capacity.store(permits as u64, Ordering::Release);
+        if self.capacity.swap(permits as u64, Ordering::AcqRel) < permits as u64 {
+            for pool in self.pools.lock().iter().filter_map(Weak::upgrade) {
+                pool.kick();
+            }
+        }
     }
 }
 

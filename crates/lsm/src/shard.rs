@@ -1,4 +1,4 @@
-//! Key-range sharded database: N independent LSM trees behind one facade.
+//! Key-range sharded database: N independent LSM trees behind one engine.
 //!
 //! A [`ShardedDb`] partitions the key space into `num_shards` contiguous
 //! ranges, each owned by a full [`Db`] (its own memtable, WAL, and SST
@@ -7,184 +7,30 @@
 //! disjoint ranges never contend on a memtable or WAL mutex — the point
 //! of sharding on multi-core hardware.
 //!
-//! What the shards *share*:
-//!
-//! - **Block cache**: one cache sized once by `block_cache_size`, handed
-//!   to every shard, so memory budget does not multiply by shard count.
-//! - **Background job budget**: a [`JobBudget`] with `max_background_jobs`
-//!   permits gates every shard's job claims, so N trees respect one
-//!   global limit. Fairness comes from permit granularity plus
-//!   cross-shard kicks on release.
-//! - **Write-controller debt**: each shard publishes its pending
-//!   compaction bytes (plus any excess over `shard_bytes_soft_limit`)
-//!   into a shared slot array; every shard's stall decision charges the
-//!   others' debt, so one hot shard slows all writers rather than racing
-//!   ahead of the shared budget.
-//!
-//! Cross-shard scans capture a per-shard snapshot sequence up front and
-//! concatenate per-shard scans in shard order — range partitioning means
-//! no k-way merge is needed. Batch writes are atomic per shard, not
-//! across shards (documented on [`ShardedDb::write`]).
+//! The routing itself — every [`KvEngine`](crate::KvEngine) operation —
+//! is the [`RangeFanout`] blanket impl in `ranges.rs`; a shard is an
+//! ordinary [`Db`] that does not know it has siblings. What this module
+//! owns is where shards live (the `SHARDS` marker, the `s{i}_`
+//! namespaces), the checkpoint that spans them, and the one resource
+//! they are handed in common: a [`JobBudget`] of `max_background_jobs`
+//! permits, so N worker pools run as many jobs at once as one database
+//! would.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 
 use hw_sim::HardwareEnv;
-use parking_lot::Mutex;
 
-use crate::batch::WriteBatch;
-use crate::cache::BlockCache;
-use crate::db::{Db, DbStats, ReadOptions, ScanResult, WriteOptions};
+use crate::db::Db;
 use crate::error::{Error, Result};
 use crate::options::Options;
-use crate::runtime::{BgShared, JobBudget};
-use crate::write_controller::WriteRegime;
+use crate::ranges::{KeyRanges, RangeFanout};
+use crate::runtime::JobBudget;
 use crate::vfs::{MemVfs, NamespaceVfs, Vfs};
 
 /// Marker file in the base directory recording the shard count, so a
 /// database cannot be reopened with a different partitioning (keys would
 /// silently land in the wrong tree).
 const SHARDS_MARKER: &str = "SHARDS";
-
-/// A key space cut into contiguous ranges by strictly increasing,
-/// non-empty split points: range `i` owns keys in
-/// `[split[i-1], split[i])`, open-ended at both ends. The routing table
-/// of [`ShardedDb`] and of any client that partitions keys the same way
-/// across servers.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct KeyRanges {
-    split_points: Vec<Vec<u8>>,
-}
-
-impl KeyRanges {
-    /// Checks that `split_points` cut the key space into `n` ranges.
-    ///
-    /// # Errors
-    ///
-    /// Rejects lists that would misroute keys: wrong count, an empty
-    /// split point (indistinguishable from the open left end), or any
-    /// pair out of strict order.
-    pub fn new(split_points: Vec<Vec<u8>>, n: usize) -> Result<KeyRanges> {
-        if split_points.len() + 1 != n {
-            return Err(Error::invalid_argument(format!(
-                "{n} key ranges need {} split points, got {}",
-                n.saturating_sub(1),
-                split_points.len()
-            )));
-        }
-        for (i, p) in split_points.iter().enumerate() {
-            if p.is_empty() {
-                return Err(Error::invalid_argument("empty split point"));
-            }
-            if i > 0 && split_points[i - 1] >= *p {
-                return Err(Error::invalid_argument(format!(
-                    "split points must be strictly increasing (point {i} is not)"
-                )));
-            }
-        }
-        Ok(KeyRanges { split_points })
-    }
-
-    /// Number of ranges (at least one).
-    pub fn num_ranges(&self) -> usize {
-        self.split_points.len() + 1
-    }
-
-    /// The range that owns `key`; a key equal to a split point belongs to
-    /// the range on its right.
-    pub fn route(&self, key: &[u8]) -> usize {
-        self.split_points.partition_point(|p| p.as_slice() <= key)
-    }
-
-    /// Splits a batch's entries by owning range, one batch per range
-    /// (possibly empty), keeping the order within each.
-    pub fn split_batch(&self, batch: &WriteBatch) -> Vec<WriteBatch> {
-        let mut parts = vec![WriteBatch::new(); self.num_ranges()];
-        for (ty, key, value) in batch.iter() {
-            // Stamped entries keep their stamp verbatim.
-            parts[self.route(key)].push_raw(ty, key, value);
-        }
-        parts
-    }
-}
-
-/// State shared by all shards of one [`ShardedDb`].
-pub(crate) struct ShardShared {
-    block_cache: Option<Arc<BlockCache>>,
-    budget: JobBudget,
-    /// Set when some shard failed to take a permit; the next release
-    /// kicks the peers. Gating kicks on real starvation matters: an
-    /// unconditional kick-on-release livelocks — every woken worker that
-    /// finds no job would wake the other shards' workers in turn.
-    starved: AtomicBool,
-    /// Per-shard published compaction debt, indexed by shard.
-    debt: Vec<AtomicU64>,
-    /// Worker-pool handles of every shard, for cross-shard kicks when a
-    /// budget permit frees up. `Weak` so the pool never outlives its Db.
-    peers: Mutex<Vec<Weak<BgShared>>>,
-}
-
-/// One shard's view of the shared state.
-#[derive(Clone)]
-pub(crate) struct ShardCtx {
-    shared: Arc<ShardShared>,
-    index: usize,
-}
-
-impl ShardCtx {
-    /// The cache all shards share (sized once by the facade).
-    pub fn shared_block_cache(&self) -> Option<Arc<BlockCache>> {
-        self.shared.block_cache.clone()
-    }
-
-    /// High-bit tag mixed into block-cache file ids so shards (whose
-    /// file numbers overlap) never alias each other's blocks.
-    pub fn cache_tag(&self) -> u64 {
-        (self.index as u64 + 1) << 56
-    }
-
-    /// Publishes this shard's compaction debt and returns the sum of
-    /// every *other* shard's published debt, saturating.
-    pub fn publish_debt_and_sum_peers(&self, local: u64) -> u64 {
-        self.shared.debt[self.index].store(local, Ordering::Relaxed);
-        self.shared
-            .debt
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| *i != self.index)
-            .map(|(_, d)| d.load(Ordering::Relaxed))
-            .fold(0u64, u64::saturating_add)
-    }
-
-    /// Takes one permit from the global job budget. A failure records
-    /// starvation so the next release wakes the backed-off shards.
-    pub fn try_acquire_job(&self) -> bool {
-        let got = self.shared.budget.try_acquire();
-        if !got {
-            self.shared.starved.store(true, Ordering::Release);
-        }
-        got
-    }
-
-    /// Returns a permit. Only a release that follows a *completed job*
-    /// (`ran_job`) may kick starved peers: a permit freed by an empty
-    /// claim was never scarce, and kicking on it lets idle workers wake
-    /// each other in a storm — every woken worker finds no job, releases,
-    /// and re-kicks, saturating a small machine with context switches.
-    pub fn release_job(&self, ran_job: bool) {
-        self.shared.budget.release();
-        if !ran_job || !self.shared.starved.swap(false, Ordering::AcqRel) {
-            return;
-        }
-        let peers = self.shared.peers.lock();
-        let n = peers.len();
-        for off in 1..n {
-            if let Some(bg) = peers[(self.index + off) % n].upgrade() {
-                bg.kick();
-            }
-        }
-    }
-}
 
 /// Builder for [`ShardedDb`], mirroring [`Db::builder`].
 pub struct ShardedDbBuilder {
@@ -226,7 +72,7 @@ impl ShardedDbBuilder {
 
     /// Overlays each shard's persisted `OPTIONS` file (mutable options
     /// only) on top of the supplied options at open, so a configuration
-    /// tuned live via [`ShardedDb::set_options`] survives a restart. See
+    /// tuned live via `set_options` survives a restart. See
     /// [`DbBuilder::load_options_file`](crate::db::DbBuilder::load_options_file).
     #[must_use]
     pub fn load_options_file(mut self, load: bool) -> Self {
@@ -253,12 +99,11 @@ impl ShardedDbBuilder {
 }
 
 /// A key-range partitioned database: `num_shards` independent LSM trees
-/// behind a [`Db`]-compatible facade. See the module docs for what is
-/// shared (block cache, job budget, stall debt) and what is per-shard
-/// (memtable, WAL, SST tree, group commit).
+/// serving one key space. Use it through [`KvEngine`](crate::KvEngine);
+/// see the module docs for what is per shard and what is shared.
 ///
 /// Like [`Db`], cloning is cheap (shared handles) and every method takes
-/// `&self`, so one facade can be shared across threads.
+/// `&self`, so one handle can be shared across threads.
 #[derive(Clone)]
 pub struct ShardedDb {
     shards: Vec<Db>,
@@ -266,13 +111,34 @@ pub struct ShardedDb {
     /// default, caller-supplied via [`ShardedDbBuilder::split_points`]
     /// otherwise.
     ranges: KeyRanges,
-    /// Cross-shard shared state, kept so [`set_options`](Self::set_options)
-    /// can resize the global job budget when `max_background_jobs` moves.
-    shared: Arc<ShardShared>,
     /// The un-prefixed VFS all shards live on, kept so
     /// [`checkpoint`](Self::checkpoint) can hard-link across shard
     /// namespaces into one checkpoint directory.
     base_vfs: Arc<dyn Vfs>,
+}
+
+impl RangeFanout for ShardedDb {
+    type Part = Db;
+
+    fn ranges(&self) -> &KeyRanges {
+        &self.ranges
+    }
+
+    fn part(&self, idx: usize) -> impl std::ops::Deref<Target = Db> {
+        &self.shards[idx]
+    }
+
+    fn title(&self) -> String {
+        format!("Aggregate across {} shards", self.shards.len())
+    }
+
+    fn part_title(&self, idx: usize) -> String {
+        format!("Shard {idx}")
+    }
+
+    fn checkpoint_parts(&self, dir: &str) -> Result<()> {
+        self.checkpoint(dir)
+    }
 }
 
 impl ShardedDb {
@@ -328,21 +194,12 @@ impl ShardedDb {
             }
         };
 
-        let block_cache = if opts.no_block_cache {
-            None
-        } else {
-            Some(Arc::new(BlockCache::new(opts.block_cache_size.max(1), 4)))
-        };
-        let shared = Arc::new(ShardShared {
-            block_cache,
-            budget: JobBudget::new(opts.max_background_jobs.clamp(1, 16) as usize),
-            starved: AtomicBool::new(false),
-            debt: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            peers: Mutex::new(Vec::with_capacity(n)),
-        });
-
+        // Every shard runs the caller's configuration (`num_shards`
+        // included, so any one of them can answer `options_ini`) with an
+        // equal share of the block cache, so memory does not multiply.
         let mut shard_opts = opts;
-        shard_opts.num_shards = 1;
+        shard_opts.block_cache_size /= n as u64;
+        let budget = Arc::new(JobBudget::default());
         let mut shards = Vec::with_capacity(n);
         for i in 0..n {
             let ns = Arc::new(NamespaceVfs::new(Arc::clone(&vfs), format!("s{i}_")));
@@ -350,34 +207,13 @@ impl ShardedDb {
                 .env(env)
                 .vfs(ns)
                 .load_options_file(load_options_file)
-                .shard_context(ShardCtx {
-                    shared: Arc::clone(&shared),
-                    index: i,
-                })
+                .job_budget(Arc::clone(&budget))
                 .open()?;
             shards.push(db);
-        }
-        // Register worker pools only once every shard is open; a kick to
-        // a not-yet-listed peer is harmless (workers poll on a timeout).
-        {
-            let mut peers = shared.peers.lock();
-            for db in &shards {
-                peers.push(
-                    db.bg_shared()
-                        .map_or_else(Weak::new, |bg| Arc::downgrade(&bg)),
-                );
-            }
-        }
-        // A persisted OPTIONS overlay may have changed max_background_jobs
-        // after the budget was sized from the caller's options.
-        if load_options_file {
-            let effective = shards[0].options().max_background_jobs.clamp(1, 16);
-            shared.budget.set_capacity(effective as usize);
         }
         Ok(ShardedDb {
             shards,
             ranges,
-            shared,
             base_vfs: vfs,
         })
     }
@@ -392,273 +228,13 @@ impl ShardedDb {
         &self.shards[i]
     }
 
-    /// Stores `value` under `key`.
-    ///
-    /// # Errors
-    ///
-    /// See [`Db::put`].
-    pub fn put(&self, key: &[u8], value: &[u8]) -> Result<()> {
-        self.shards[self.ranges.route(key)].put(key, value)
-    }
-
-    /// Deletes a key (writes a tombstone).
-    ///
-    /// # Errors
-    ///
-    /// See [`Db::delete`].
-    pub fn delete(&self, key: &[u8]) -> Result<()> {
-        self.shards[self.ranges.route(key)].delete(key)
-    }
-
-    /// Reads the newest value for `key`.
-    ///
-    /// # Errors
-    ///
-    /// See [`Db::get`].
-    pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        self.shards[self.ranges.route(key)].get(key)
-    }
-
-    /// Reads the newest value for `key` under explicit [`ReadOptions`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Db::get_opt`]. Additionally rejects an explicit
-    /// `snapshot_seq` when more than one shard exists (see
-    /// [`check_explicit_snapshot`](Self::check_explicit_snapshot)).
-    pub fn get_opt(&self, ropts: &ReadOptions, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        self.check_explicit_snapshot(ropts)?;
-        self.shards[self.ranges.route(key)].get_opt(ropts, key)
-    }
-
-    /// Reads the newest values for a batch of keys, in input order.
-    ///
-    /// Keys are routed to their shards and each shard serves its whole
-    /// group with one [`Db::multi_get_opt`] call, so the batch
-    /// amortization survives sharding. Like [`scan_opt`](Self::scan_opt),
-    /// a per-shard snapshot sequence is pinned before any shard is read:
-    /// each shard's answers are coherent at its pinned point even while
-    /// writers run (there is no cross-shard transaction to be coherent
-    /// against — see [`write`](Self::write)).
-    ///
-    /// # Errors
-    ///
-    /// See [`Db::multi_get`].
-    pub fn multi_get(&self, keys: &[Vec<u8>]) -> Result<Vec<Option<Vec<u8>>>> {
-        self.multi_get_opt(&ReadOptions::default(), keys)
-    }
-
-    /// Reads a batch of keys under explicit [`ReadOptions`]; see
-    /// [`multi_get`](Self::multi_get).
-    ///
-    /// # Errors
-    ///
-    /// See [`Db::multi_get_opt`]. Additionally rejects an explicit
-    /// `snapshot_seq` when more than one shard exists (see
-    /// [`check_explicit_snapshot`](Self::check_explicit_snapshot)).
-    pub fn multi_get_opt<K: AsRef<[u8]>>(
-        &self,
-        ropts: &ReadOptions,
-        keys: &[K],
-    ) -> Result<Vec<Option<Vec<u8>>>> {
-        self.check_explicit_snapshot(ropts)?;
-        if self.shards.len() == 1 {
-            return self.shards[0].multi_get_opt(ropts, keys);
-        }
-        // Pin every shard's sequence before reading any of them.
-        let pins: Vec<u64> = self.shards.iter().map(Db::snapshot_seq).collect();
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
-        for (i, key) in keys.iter().enumerate() {
-            groups[self.ranges.route(key.as_ref())].push(i);
-        }
-        let mut results: Vec<Option<Vec<u8>>> = vec![None; keys.len()];
-        for (s, group) in groups.iter().enumerate() {
-            if group.is_empty() {
-                continue;
-            }
-            // Borrowed regrouping: the per-shard call reuses the
-            // caller's key bytes instead of cloning each one.
-            let shard_keys: Vec<&[u8]> = group.iter().map(|&i| keys[i].as_ref()).collect();
-            let shard_ropts = ReadOptions {
-                snapshot_seq: Some(pins[s]),
-                ..*ropts
-            };
-            let got = self.shards[s].multi_get_opt(&shard_ropts, &shard_keys)?;
-            for (&i, v) in group.iter().zip(got) {
-                results[i] = v;
-            }
-        }
-        Ok(results)
-    }
-
-    /// Rejects a caller-provided `snapshot_seq` on the sharded facade.
-    ///
-    /// Each shard runs its own sequence domain, so one number cannot
-    /// name a consistent point across shards: forwarding it verbatim
-    /// would pin wildly different moments in time per shard (or be out
-    /// of range entirely). With a single shard the domains coincide and
-    /// the option passes through.
-    fn check_explicit_snapshot(&self, ropts: &ReadOptions) -> Result<()> {
-        if self.shards.len() > 1 && ropts.snapshot_seq.is_some() {
-            return Err(Error::invalid_argument(
-                "explicit snapshot_seq is not meaningful across shards: \
-                 each shard has an independent sequence domain",
-            ));
-        }
-        Ok(())
-    }
-
-    /// Applies a batch with default write options. Atomic *per shard*:
-    /// the batch is split by key range and each sub-batch commits
-    /// atomically in its shard, but there is no cross-shard transaction —
-    /// a reader may observe one shard's part before another's.
-    ///
-    /// # Errors
-    ///
-    /// See [`Db::write`].
-    pub fn write(&self, batch: WriteBatch) -> Result<()> {
-        self.write_opt(&WriteOptions::default(), batch)
-    }
-
-    /// Applies a batch under explicit [`WriteOptions`]; atomic per shard
-    /// (see [`write`](Self::write)).
-    ///
-    /// # Errors
-    ///
-    /// See [`Db::write_opt`].
-    pub fn write_opt(&self, wopts: &WriteOptions, batch: WriteBatch) -> Result<()> {
-        if self.shards.len() == 1 {
-            return self.shards[0].write_opt(wopts, batch);
-        }
-        for (i, part) in self.ranges.split_batch(&batch).into_iter().enumerate() {
-            if !part.is_empty() {
-                self.shards[i].write_opt(wopts, part)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Scans forward from `start`, returning up to `count` live entries
-    /// across all shards in key order. Per-shard snapshot sequences are
-    /// captured before any shard is read, so entries already visible when
-    /// the scan starts are seen consistently even while writers run.
-    ///
-    /// # Errors
-    ///
-    /// See [`Db::scan_opt`]. Additionally rejects an explicit
-    /// `snapshot_seq` when more than one shard exists (see
-    /// [`check_explicit_snapshot`](Self::check_explicit_snapshot)).
-    pub fn scan_opt(&self, ropts: &ReadOptions, start: &[u8], count: usize) -> Result<ScanResult> {
-        self.check_explicit_snapshot(ropts)?;
-        let pins: Vec<u64> = self.shards.iter().map(Db::snapshot_seq).collect();
-        let mut out = ScanResult::new();
-        let first = self.ranges.route(start);
-        for (i, shard) in self.shards.iter().enumerate().skip(first) {
-            if out.len() >= count {
-                break;
-            }
-            let mut shard_ropts = *ropts;
-            if shard_ropts.snapshot_seq.is_none() {
-                shard_ropts.snapshot_seq = Some(pins[i]);
-            }
-            let from = if i == first { start } else { b"" as &[u8] };
-            out.extend(shard.scan_opt(&shard_ropts, from, count - out.len())?);
-        }
-        Ok(out)
-    }
-
-    /// Scans forward from `start` with default read options.
-    ///
-    /// # Errors
-    ///
-    /// See [`Db::scan`].
-    pub fn scan(&self, start: &[u8], count: usize) -> Result<ScanResult> {
-        self.scan_opt(&ReadOptions::default(), start, count)
-    }
-
-    /// Flushes every shard's memtable.
-    ///
-    /// # Errors
-    ///
-    /// See [`Db::flush`].
-    pub fn flush(&self) -> Result<()> {
-        for db in &self.shards {
-            db.flush()?;
-        }
-        Ok(())
-    }
-
-    /// The most severe write regime across all shards: a server gating
-    /// intake on stalls must back off as soon as *any* shard is stopped,
-    /// because a batch may touch every shard.
-    pub fn write_regime(&self) -> WriteRegime {
-        let mut worst = WriteRegime::Normal;
-        for db in &self.shards {
-            match db.write_regime() {
-                WriteRegime::Stopped => return WriteRegime::Stopped,
-                WriteRegime::Delayed => worst = WriteRegime::Delayed,
-                WriteRegime::Normal => {}
-            }
-        }
-        worst
-    }
-
-    /// Applies dynamic option changes to every shard; see
-    /// [`Db::set_options`].
-    ///
-    /// The changes are validated once up front (against shard 0's current
-    /// options), so unknown names, immutable options, and out-of-range or
-    /// inconsistent values are rejected before any shard is touched. The
-    /// fan-out itself is not transactional across shards: an I/O failure
-    /// persisting one shard's `OPTIONS` file can leave earlier shards on
-    /// the new configuration — the error is returned and a retry
-    /// converges (per-shard application is idempotent).
-    ///
-    /// A change to `max_background_jobs` also resizes the *shared* job
-    /// budget that gates all shards' background claims.
-    ///
-    /// # Errors
-    ///
-    /// See [`Db::set_options`].
-    pub fn set_options<K: AsRef<str>, V: AsRef<str>>(&self, changes: &[(K, V)]) -> Result<()> {
-        if changes.is_empty() {
-            return Ok(());
-        }
-        let trial = self.shards[0].options().with_online_changes(changes)?;
-        for db in &self.shards {
-            db.set_options(changes)?;
-        }
-        self.shared
-            .budget
-            .set_capacity(trial.max_background_jobs.clamp(1, 16) as usize);
-        // Wake every shard's workers: a raised budget means claims that
-        // failed a moment ago can succeed now.
-        for bg in self.shared.peers.lock().iter() {
-            if let Some(bg) = bg.upgrade() {
-                bg.kick();
-            }
-        }
-        Ok(())
-    }
-
-    /// The effective configuration serialized as RocksDB-style ini text.
-    ///
-    /// Shards always share one configuration (`set_options` fans out to
-    /// all of them), so this reports shard 0's options with the facade's
-    /// real shard count restored.
-    pub fn options_ini(&self) -> String {
-        let mut opts = self.shards[0].options();
-        opts.num_shards = self.shards.len() as i64;
-        crate::options::ini::to_ini(&opts)
-    }
-
     /// Takes an online checkpoint of every shard under `dir/` on the base
     /// VFS, preserving the `s{i}_` shard layout plus the `SHARDS` marker,
     /// so the checkpoint reopens with a `ShardedDb` builder pointed at a
     /// [`NamespaceVfs`] prefixed `"{dir}/"`. Each shard checkpoints at
     /// its own point in time (there is no cross-shard transaction to cut
-    /// consistently — see [`write`](Self::write)); per shard the same
-    /// guarantee as [`Db::checkpoint`] holds.
+    /// consistently); per shard the same guarantee as [`Db::checkpoint`]
+    /// holds.
     ///
     /// The marker is written *last*: a crash mid-fan-out leaves a
     /// directory without `SHARDS`, which a restore harness treats as
@@ -689,63 +265,7 @@ impl ShardedDb {
     ///
     /// See [`Db::compact_all`].
     pub fn compact_all(&self) -> Result<()> {
-        for db in &self.shards {
-            db.compact_all()?;
-        }
-        Ok(())
-    }
-
-    /// Blocks until every shard's background work is drained.
-    ///
-    /// # Errors
-    ///
-    /// See [`Db::wait_background_idle`].
-    pub fn wait_background_idle(&self) -> Result<()> {
-        for db in &self.shards {
-            db.wait_background_idle()?;
-        }
-        Ok(())
-    }
-
-    /// Aggregated statistics across all shards. Tickers, level shapes,
-    /// and debt sum; the shared block cache is counted once.
-    pub fn stats(&self) -> DbStats {
-        let mut agg = self.shards[0].stats();
-        for db in &self.shards[1..] {
-            agg.merge(&db.stats());
-        }
-        agg
-    }
-
-    /// Human-readable statistics: an aggregated summary followed by one
-    /// section per shard.
-    pub fn stats_text(&self) -> String {
-        use std::fmt::Write as _;
-        if self.shards.len() == 1 {
-            return self.shards[0].stats_text();
-        }
-        let agg = self.stats();
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "** Aggregate across {} shards **",
-            self.shards.len()
-        );
-        let _ = writeln!(
-            out,
-            "last_sequence: {}  pending_compaction_bytes: {}  running_bg_jobs: {}",
-            agg.last_sequence, agg.pending_compaction_bytes, agg.running_background_jobs
-        );
-        for (l, (files, bytes)) in agg.levels.iter().enumerate() {
-            if *files > 0 {
-                let _ = writeln!(out, "  L{l}: {files} files, {bytes} bytes");
-            }
-        }
-        for (i, db) in self.shards.iter().enumerate() {
-            let _ = writeln!(out, "\n** Shard {i} **");
-            out.push_str(&db.stats_text());
-        }
-        out
+        self.shards.iter().try_for_each(Db::compact_all)
     }
 }
 
@@ -801,7 +321,7 @@ fn read_marker(vfs: &dyn Vfs) -> Result<Option<(usize, Vec<Vec<u8>>)>> {
 fn write_marker(vfs: &dyn Vfs, ranges: &KeyRanges) -> Result<()> {
     let mut f = vfs.create(SHARDS_MARKER)?;
     let mut body = format!("{}\n", ranges.num_ranges());
-    for p in &ranges.split_points {
+    for p in ranges.split_points() {
         body.push_str(&hex(p));
         body.push('\n');
     }
@@ -813,7 +333,10 @@ fn write_marker(vfs: &dyn Vfs, ranges: &KeyRanges) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::WriteBatch;
+    use crate::db::WriteOptions;
     use crate::stats::Ticker;
+    use crate::KvEngine;
 
     fn sim_env() -> HardwareEnv {
         HardwareEnv::builder().build_sim()
@@ -836,48 +359,6 @@ mod tests {
         assert_eq!(db.ranges.route(&[0x40, 0x00]), 1);
         assert_eq!(db.ranges.route(&[0x80, 0x00, 0x01]), 2);
         assert_eq!(db.ranges.route(&[0xff, 0xff]), 3);
-    }
-
-    #[test]
-    fn explicit_snapshot_rejected_across_shards() {
-        let db = ShardedDb::builder(Options {
-            num_shards: 4,
-            ..Options::default()
-        })
-        .env(&sim_env())
-        .open()
-        .unwrap();
-        db.put(b"abc", b"v").unwrap();
-        let ropts = ReadOptions {
-            snapshot_seq: Some(1),
-            ..ReadOptions::default()
-        };
-        let get_err = db.get_opt(&ropts, b"abc").unwrap_err();
-        assert_eq!(get_err.kind(), crate::ErrorKind::InvalidArgument);
-        let scan_err = db.scan_opt(&ropts, b"", 10).unwrap_err();
-        assert_eq!(scan_err.kind(), crate::ErrorKind::InvalidArgument);
-        // Implicit snapshots (scan pinning) still work.
-        assert_eq!(db.get_opt(&ReadOptions::default(), b"abc").unwrap(), Some(b"v".to_vec()));
-        assert_eq!(db.scan(b"", 10).unwrap().len(), 1);
-    }
-
-    #[test]
-    fn explicit_snapshot_passes_through_single_shard() {
-        let db = ShardedDb::builder(Options {
-            num_shards: 1,
-            ..Options::default()
-        })
-        .env(&sim_env())
-        .open()
-        .unwrap();
-        db.put(b"k", b"v1").unwrap();
-        let pin = db.shards[0].snapshot_seq();
-        db.put(b"k", b"v2").unwrap();
-        let ropts = ReadOptions {
-            snapshot_seq: Some(pin),
-            ..ReadOptions::default()
-        };
-        assert_eq!(db.get_opt(&ropts, b"k").unwrap(), Some(b"v1".to_vec()));
     }
 
     #[test]
@@ -920,7 +401,7 @@ mod tests {
         batch.put(&[0x10], b"low");
         batch.put(&[0xf0], b"high");
         batch.delete(&[0x11]);
-        db.write(batch).unwrap();
+        db.write_opt(&WriteOptions::default(), batch).unwrap();
         assert_eq!(db.get(&[0x10]).unwrap(), Some(b"low".to_vec()));
         assert_eq!(db.get(&[0xf0]).unwrap(), Some(b"high".to_vec()));
         assert_eq!(db.get(&[0x11]).unwrap(), None);
@@ -951,14 +432,13 @@ mod tests {
     }
 
     #[test]
-    fn shards_share_one_block_cache() {
-        let db = ShardedDb::builder(Options {
+    fn each_shard_has_its_own_share_of_the_block_cache() {
+        let opts = Options {
             num_shards: 4,
             ..Options::default()
-        })
-        .env(&sim_env())
-        .open()
-        .unwrap();
+        };
+        let total = opts.block_cache_size;
+        let db = ShardedDb::builder(opts).env(&sim_env()).open().unwrap();
         for b in 0..=255u8 {
             db.put(&[b, b], &[b; 64]).unwrap();
         }
@@ -966,13 +446,51 @@ mod tests {
         for b in 0..=255u8 {
             assert_eq!(db.get(&[b, b]).unwrap(), Some(vec![b; 64]));
         }
+        // Four caches of a quarter each, so memory does not multiply by
+        // the shard count; the aggregate counts all four.
+        let per_shard: Vec<_> = (0..4).map(|i| db.shard(i).stats()).collect();
         let agg = db.stats();
-        // All four shards report the SAME shared cache, and it served
-        // inserts from every shard's reads.
-        let c0 = db.shard(0).stats().block_cache;
-        let c3 = db.shard(3).stats().block_cache;
-        assert_eq!(c0.inserts, c3.inserts);
-        assert!(agg.block_cache.inserts >= 4, "cache unused: {:?}", agg.block_cache);
+        for (i, s) in per_shard.iter().enumerate() {
+            assert_eq!(s.block_cache_capacity, total / 4, "shard {i}");
+            assert!(s.block_cache.inserts >= 1, "shard {i} cache unused: {:?}", s.block_cache);
+        }
+        assert_eq!(agg.block_cache_capacity, total);
+        assert_eq!(
+            agg.block_cache.inserts,
+            per_shard.iter().map(|s| s.block_cache.inserts).sum::<u64>()
+        );
+    }
+
+    /// Four shards on one simulated machine: its memory model must hold
+    /// the sum of their memtables, not whichever shard reported last.
+    #[test]
+    fn sim_memory_model_sums_every_shards_memtables() {
+        let env = sim_env();
+        let db = ShardedDb::builder(Options {
+            num_shards: 4,
+            ..Options::default()
+        })
+        .env(&env)
+        .open()
+        .unwrap();
+        // A database reports its usage on every 1024th write, so after
+        // exactly 1024 puts per shard every report is current.
+        for i in 0..1024u16 {
+            for prefix in [0x00, 0x40, 0x80, 0xc0] {
+                let [hi, lo] = i.to_be_bytes();
+                db.put(&[prefix, hi, lo], &[prefix; 64]).unwrap();
+            }
+        }
+        let per_shard: Vec<u64> = (0..4).map(|i| db.shard(i).stats().memtable_bytes).collect();
+        assert!(per_shard.iter().all(|&bytes| bytes > 64 * 1024), "{per_shard:?}");
+        assert_eq!(
+            env.memory().used_by(hw_sim::MemoryUser::Memtables),
+            per_shard.iter().sum::<u64>(),
+            "per shard: {per_shard:?}"
+        );
+        // A closed database holds no memtable.
+        drop(db);
+        assert_eq!(env.memory().used_by(hw_sim::MemoryUser::Memtables), 0);
     }
 
     #[test]

@@ -18,7 +18,7 @@ use std::sync::Arc;
 use hw_sim::HardwareEnv;
 use lsm_kvs::options::Options;
 use lsm_kvs::{
-    Db, FaultConfig, FaultInjectionVfs, MemVfs, NamespaceVfs, ShardedDb, TearStyle, Vfs,
+    Db, FaultConfig, FaultInjectionVfs, KvEngine, MemVfs, NamespaceVfs, ShardedDb, TearStyle, Vfs,
     WriteBatch, WriteOptions,
 };
 

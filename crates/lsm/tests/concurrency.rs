@@ -15,7 +15,7 @@ use proptest::prelude::*;
 use hw_sim::HardwareEnv;
 use lsm_kvs::options::Options;
 use lsm_kvs::vfs::StdVfs;
-use lsm_kvs::{Db, ShardedDb, WriteBatch, WriteOptions};
+use lsm_kvs::{Db, KvEngine, ShardedDb, WriteBatch, WriteOptions};
 
 /// Unique scratch directory, removed on drop.
 struct TempDir {
@@ -232,7 +232,7 @@ fn recovery_after_drop_with_background_work_in_flight() {
 /// one pinned snapshot, so a marker pair written atomically in one batch
 /// must never be observed torn; the full cross-shard scan must always be
 /// in strict key order; and after the storm every acknowledged write is
-/// present — shards drop nothing while sharing one job budget and cache.
+/// present — shards drop nothing while sharing one job budget.
 #[test]
 fn sharded_disjoint_writers_with_cross_shard_scans() {
     const PER: u32 = 400;
@@ -266,7 +266,7 @@ fn sharded_disjoint_writers_with_cross_shard_scans() {
                     batch.put(&unique_key(p, i), &i.to_le_bytes());
                     batch.put(&[p, 0, b'a'], &i.to_le_bytes());
                     batch.put(&[p, 0, b'b'], &i.to_le_bytes());
-                    db.write(batch).unwrap();
+                    db.write_opt(&WriteOptions::default(), batch).unwrap();
                 }
             });
         }
@@ -417,7 +417,9 @@ fn cache_snapshot_invariant_holds_under_concurrent_inserts() {
             let stop = Arc::clone(&stop);
             scope.spawn(move || {
                 let mut observations = 0u64;
-                while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                // Observe before checking `stop`: on a busy two-core host
+                // the writers can finish before this thread first runs.
+                loop {
                     let snap = cache.snapshot();
                     assert_eq!(
                         snap.used_bytes,
@@ -427,6 +429,9 @@ fn cache_snapshot_invariant_holds_under_concurrent_inserts() {
                     );
                     assert!(snap.used_bytes <= snap.capacity);
                     observations += 1;
+                    if stop.load(std::sync::atomic::Ordering::Relaxed) {
+                        break;
+                    }
                 }
                 observations
             })

@@ -233,8 +233,8 @@ fn multi_get_beats_loop_of_gets() {
     );
 }
 
-/// Keys spanning shards come back in input order, each shard's answers
-/// coherent at its pinned snapshot, with the batch amortization intact
+/// Keys spanning shards come back in input order, each shard answering
+/// its keys at one snapshot, with the batch amortization intact
 /// (one MultiGetBatches tick per touched shard, not per key).
 #[test]
 fn multi_get_spans_shards_coherently() {
@@ -275,7 +275,7 @@ fn multi_get_spans_shards_coherently() {
 }
 
 /// The trait surface: a `&dyn KvEngine` batch read works for both
-/// engine shapes (the sharded facade overrides the default loop).
+/// engine shapes (the range fan-out regroups instead of looping).
 #[test]
 fn kv_engine_multi_get_dispatches() {
     let engines: Vec<Box<dyn KvEngine>> = vec![

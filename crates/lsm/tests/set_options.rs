@@ -17,9 +17,14 @@ use hw_sim::HardwareEnv;
 use lsm_kvs::options::ini;
 use lsm_kvs::options::registry::{all_options, OptionKind, OptionMeta};
 use lsm_kvs::options::Options;
-use lsm_kvs::{Db, ErrorKind, FaultInjectionVfs, MemVfs, ShardedDb, TearStyle, Vfs};
+use lsm_kvs::{Db, ErrorKind, FaultInjectionVfs, KvEngine, MemVfs, ShardedDb, TearStyle, Vfs};
 
 const OPTIONS_FILE: &str = "OPTIONS";
+
+/// `KvEngine::set_options` takes owned pairs.
+fn owned(changes: &[(&str, &str)]) -> Vec<(String, String)> {
+    changes.iter().map(|(name, value)| (name.to_string(), value.to_string())).collect()
+}
 
 fn sim_env() -> HardwareEnv {
     HardwareEnv::builder().build_sim()
@@ -165,7 +170,7 @@ fn set_options_answers_deprecated_names_like_set_by_name() {
     type Set<'a> = &'a dyn Fn(&[(&str, &str)]) -> lsm_kvs::Result<()>;
     let engines: [(&str, Set, &dyn Fn() -> String); 2] = [
         ("Db", &|c| db.set_options(c), &|| db.options_ini()),
-        ("ShardedDb", &|c| sharded.set_options(c), &|| sharded.options_ini()),
+        ("ShardedDb", &|c| sharded.set_options(&owned(c)), &|| sharded.options_ini().unwrap()),
     ];
     for (engine, set, ini) in engines {
         let before = ini();
@@ -173,6 +178,7 @@ fn set_options_answers_deprecated_names_like_set_by_name() {
             ("index_type", "kTwoLevelIndexSearch"),
             ("metadata_block_size", "1024"),
             ("db_log_dir", "/var/log"),
+            ("shard_bytes_soft_limit", "64MB"),
         ] {
             let want = Options::default().set_by_name(name, value).unwrap_err().to_string();
             assert!(want.contains("deprecated"), "{want}");
@@ -242,8 +248,8 @@ fn set_options_survives_reopen_via_options_file() {
 
 /// An `OPTIONS` file written before the partitioned index and the prefix
 /// bloom were retired (fixture: written by PR 14's `db_bench --db` with
-/// several `--option`s) names three options this build no longer has.
-/// Reopen reports exactly those three and applies every other mutable line.
+/// several `--option`s) names four options this build no longer has.
+/// Reopen reports exactly those four and applies every other mutable line.
 #[test]
 fn options_file_naming_retired_options_still_reopens() {
     let text = include_str!("fixtures/OPTIONS.pr14");
@@ -251,7 +257,10 @@ fn options_file_naming_retired_options_still_reopens() {
     let outcome = ini::apply_mutable_ini(&mut overlaid, text);
     let mut rejected: Vec<&str> = outcome.rejected.iter().map(|(name, _, _)| name.as_str()).collect();
     rejected.sort_unstable();
-    assert_eq!(rejected, ["index_type", "metadata_block_size", "prefix_extractor_len"]);
+    assert_eq!(
+        rejected,
+        ["index_type", "metadata_block_size", "prefix_extractor_len", "shard_bytes_soft_limit"]
+    );
     let mutable = all_options().iter().filter(|m| m.mutable_online).count();
     assert_eq!(outcome.applied.len(), mutable, "every mutable option of this build applied");
 
@@ -338,10 +347,10 @@ fn sharded_set_options_fans_out_to_every_shard() {
         .vfs(Arc::new(vfs.clone()))
         .open()
         .unwrap();
-    db.set_options(&[
+    db.set_options(&owned(&[
         ("write_buffer_size", "33554432"),
         ("level0_slowdown_writes_trigger", "24"),
-    ])
+    ]))
     .unwrap();
     for i in 0..4 {
         let shard_opts = db.shard(i).options();
@@ -351,11 +360,11 @@ fn sharded_set_options_fans_out_to_every_shard() {
             String::from_utf8(vfs.read_all(&format!("s{i}_OPTIONS")).unwrap()).unwrap();
         assert!(on_disk.contains("write_buffer_size=33554432"), "shard {i}");
     }
-    assert!(db.options_ini().contains("write_buffer_size=33554432"));
-    assert!(db.options_ini().contains("num_shards=4"));
+    assert!(db.options_ini().unwrap().contains("write_buffer_size=33554432"));
+    assert!(db.options_ini().unwrap().contains("num_shards=4"));
     // Rejection happens before any shard is touched.
     let err = db
-        .set_options(&[("write_buffer_size", "16MB"), ("num_shards", "8")])
+        .set_options(&owned(&[("write_buffer_size", "16MB"), ("num_shards", "8")]))
         .expect_err("num_shards is immutable");
     assert!(err.to_string().contains("num_shards"));
     for i in 0..4 {
@@ -378,7 +387,7 @@ fn sharded_tuned_options_survive_reopen() {
             .unwrap();
         db.put(b"a", b"1").unwrap();
         db.put(b"\xff\xffz", b"2").unwrap();
-        db.set_options(&[("max_background_jobs", "4")]).unwrap();
+        db.set_options(&owned(&[("max_background_jobs", "4")])).unwrap();
     }
     let db = ShardedDb::builder(opts)
         .env(&sim_env())

@@ -1,14 +1,13 @@
-//! [`ClusterClient`]: one [`KvEngine`] over many `kv_server` processes.
+//! [`ClusterClient`]: one engine over many `kv_server` processes.
 //!
-//! The key space is partitioned by the same split-point machinery the
-//! sharded engine uses: `n` nodes need `n - 1` strictly increasing,
-//! non-empty boundaries, node `i` owning keys in
-//! `[boundary[i-1], boundary[i])` (open-ended at both ends). Every
-//! operation routes by range: point ops to one node, `multi_get` and
-//! batch writes fanned out per node with answers re-assembled in input
-//! order, scans walked node by node in key order, stats merged across
-//! the fleet. Because it implements [`KvEngine`], `db_bench --cluster`
-//! and the live-tuning loop drive a whole fleet unchanged.
+//! The key space is partitioned by the same [`KeyRanges`] the sharded
+//! engine uses: `n` nodes need `n - 1` strictly increasing, non-empty
+//! boundaries, node `i` owning keys in `[boundary[i-1], boundary[i])`
+//! (open-ended at both ends). The routing is not here: the client is a
+//! [`RangeFanout`] over [`RemoteDb`]s, and `lsm_kvs`'s blanket impl
+//! makes that a [`KvEngine`](lsm_kvs::KvEngine), so `db_bench --cluster`
+//! and the live-tuning loop drive a whole fleet unchanged. What this
+//! module adds is connecting, and what to do when a node dies.
 //!
 //! Failover: a node spec may name a replica (`leader~follower`). When
 //! an operation fails with a transport error — after [`RemoteDb`]'s own
@@ -19,11 +18,10 @@
 //! committed on the dead leader), but the swap still happens so later
 //! writes land on the promoted node.
 
+use std::ops::Deref;
 use std::sync::Arc;
 
-use lsm_kvs::{
-    DbStats, Error, ErrorKind, KeyRanges, KvEngine, Result, ScanResult, WriteBatch, WriteOptions,
-};
+use lsm_kvs::{Error, ErrorKind, KeyRanges, RangeFanout, Result};
 use parking_lot::Mutex;
 
 use crate::client::RemoteDb;
@@ -151,139 +149,32 @@ impl ClusterClient {
     }
 }
 
-impl KvEngine for ClusterClient {
-    fn put(&self, key: &[u8], value: &[u8]) -> Result<()> {
-        self.with_node(self.ranges.route(key), false, |db| db.put(key, value))
+impl RangeFanout for ClusterClient {
+    type Part = RemoteDb;
+
+    fn ranges(&self) -> &KeyRanges {
+        &self.ranges
     }
 
-    fn delete(&self, key: &[u8]) -> Result<()> {
-        self.with_node(self.ranges.route(key), false, |db| db.delete(key))
+    fn part(&self, idx: usize) -> impl Deref<Target = RemoteDb> {
+        self.primary(idx)
     }
 
-    fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        self.with_node(self.ranges.route(key), true, |db| db.get(key))
+    fn with_part<T>(
+        &self,
+        idx: usize,
+        idempotent: bool,
+        op: impl Fn(&RemoteDb) -> Result<T>,
+    ) -> Result<T> {
+        self.with_node(idx, idempotent, op)
     }
 
-    fn multi_get(&self, keys: &[Vec<u8>]) -> Result<Vec<Option<Vec<u8>>>> {
-        // Group by owning node, keeping each key's original slot.
-        let mut per_node: Vec<(Vec<usize>, Vec<Vec<u8>>)> =
-            (0..self.nodes.len()).map(|_| (Vec::new(), Vec::new())).collect();
-        for (slot, key) in keys.iter().enumerate() {
-            let idx = self.ranges.route(key);
-            per_node[idx].0.push(slot);
-            per_node[idx].1.push(key.clone());
-        }
-        let mut out = vec![None; keys.len()];
-        for (idx, (slots, node_keys)) in per_node.into_iter().enumerate() {
-            if node_keys.is_empty() {
-                continue;
-            }
-            let values =
-                self.with_node(idx, true, |db| db.multi_get(&node_keys))?;
-            for (slot, value) in slots.into_iter().zip(values) {
-                out[slot] = value;
-            }
-        }
-        Ok(out)
+    fn title(&self) -> String {
+        format!("Cluster: {} nodes", self.nodes.len())
     }
 
-    fn write_opt(&self, wopts: &WriteOptions, batch: WriteBatch) -> Result<()> {
-        for (idx, node_batch) in self.ranges.split_batch(&batch).into_iter().enumerate() {
-            if node_batch.is_empty() {
-                continue;
-            }
-            // Atomic per node, like the sharded engine's contract.
-            self.with_node(idx, false, |db| db.write_opt(wopts, node_batch.clone()))?;
-        }
-        Ok(())
-    }
-
-    fn scan(&self, start: &[u8], count: usize) -> Result<ScanResult> {
-        // Nodes are ordered by range, so walking them in order yields
-        // globally sorted results; every node's keys past the first are
-        // all > start, so the same start key works everywhere.
-        let mut entries = Vec::new();
-        for idx in self.ranges.route(start)..self.nodes.len() {
-            let remaining = count - entries.len();
-            if remaining == 0 {
-                break;
-            }
-            let chunk = self.with_node(idx, true, |db| db.scan(start, remaining))?;
-            // Never trust a node to honor the limit: an over-answer
-            // would make `remaining` underflow on the next node.
-            entries.extend(chunk.into_iter().take(remaining));
-        }
-        Ok(entries)
-    }
-
-    fn flush(&self) -> Result<()> {
-        for idx in 0..self.nodes.len() {
-            self.with_node(idx, false, |db| db.flush())?;
-        }
-        Ok(())
-    }
-
-    fn wait_background_idle(&self) -> Result<()> {
-        for idx in 0..self.nodes.len() {
-            self.with_node(idx, true, |db| db.wait_background_idle())?;
-        }
-        Ok(())
-    }
-
-    fn stats(&self) -> DbStats {
-        match self.stats_checked() {
-            Ok(s) => s,
-            // Per-node clients already substitute their last good
-            // snapshot, so this only happens before any fetch worked.
-            Err(_) => self.primary(0).stats(),
-        }
-    }
-
-    fn stats_checked(&self) -> Result<DbStats> {
-        // Unlike shards, nodes do not share a block cache: its counters
-        // sum on top of what `DbStats::merge` folds in.
-        let mut agg: Option<DbStats> = None;
-        for idx in 0..self.nodes.len() {
-            let s = self.with_node(idx, true, |db| db.stats_checked())?;
-            agg = Some(match agg {
-                None => s,
-                Some(mut a) => {
-                    a.merge(&s);
-                    a.block_cache.hits += s.block_cache.hits;
-                    a.block_cache.misses += s.block_cache.misses;
-                    a.block_cache.inserts += s.block_cache.inserts;
-                    a.block_cache.evictions += s.block_cache.evictions;
-                    a.block_cache_capacity += s.block_cache_capacity;
-                    a
-                }
-            });
-        }
-        agg.ok_or_else(|| Error::invalid_argument("cluster has no nodes"))
-    }
-
-    fn stats_text(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(out, "** Cluster: {} nodes **", self.nodes.len());
-        for (i, node) in self.nodes.iter().enumerate() {
-            let db = self.primary(i);
-            let _ = writeln!(out, "\n** Node {i} ({}) **", node.addr);
-            out.push_str(&db.stats_text());
-        }
-        out
-    }
-
-    fn set_options(&self, changes: &[(String, String)]) -> Result<()> {
-        for idx in 0..self.nodes.len() {
-            self.with_node(idx, false, |db| db.set_options(changes))?;
-        }
-        Ok(())
-    }
-
-    fn options_ini(&self) -> Result<String> {
-        // Nodes run one logical configuration (set_options fans out);
-        // report node 0's view, like the sharded facade does.
-        self.with_node(0, true, |db| db.options_ini())
+    fn part_title(&self, idx: usize) -> String {
+        format!("Node {idx} ({})", self.nodes[idx].addr)
     }
 }
 

@@ -698,6 +698,7 @@ fn set_options_rpc_refuses_a_retired_name_all_or_nothing() {
         ("index_type", "kTwoLevelIndexSearch"),
         ("metadata_block_size", "1024"),
         ("db_log_dir", "/var/log"),
+        ("shard_bytes_soft_limit", "64MB"),
     ] {
         let want = Options::default().set_by_name(name, value).unwrap_err().to_string();
         let err = client

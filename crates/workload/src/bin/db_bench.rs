@@ -34,7 +34,7 @@ use lsm_kvs::{Db, KvEngine, ShardedDb};
 use lsm_server::{ClusterClient, RemoteDb};
 
 /// Opens either a plain [`Db`] (`--shards 1`, the default) or a
-/// [`ShardedDb`] facade. The unsharded path stays exactly the plain
+/// [`ShardedDb`]. The unsharded path stays exactly the plain
 /// `Db::builder` path so single-shard runs are byte-identical.
 ///
 /// Benchmark keys are zero-padded decimal, so the engine's default
