@@ -8,7 +8,8 @@ cd "$(dirname "$0")"
 # One exit handler for the whole script: every background process is
 # appended to PIDS when it starts and every temp dir to DIRS when it is
 # made. `reap` waits for jobs and forgets them, so the handler never
-# signals a pid the shell has already collected.
+# signals a pid the shell has already collected; `reap_server` is `reap`
+# with a bound, for the kv_server processes.
 PIDS=()
 DIRS=()
 cleanup() {
@@ -24,6 +25,23 @@ reap() {
         [[ " $* " == *" $pid "* ]] || keep+=("$pid")
     done
     PIDS=("${keep[@]}")
+}
+# `reap` for kv_server processes that have been told to go (a Shutdown
+# ack, a kill): a server whose drain deadlocks fails the gate, named,
+# instead of hanging the pipeline on a bare `wait`.
+reap_server() {
+    local gate="$1" pid waited; shift
+    for pid in "$@"; do
+        waited=0
+        while kill -0 "$pid" 2>/dev/null; do
+            if (( waited >= 300 )); then
+                echo "$gate: kv_server (pid $pid) has not exited 30 s after it was told to"
+                exit 1
+            fi
+            sleep 0.1; waited=$((waited + 1))
+        done
+    done
+    reap "$@"
 }
 
 echo "==> cargo build --release --workspace"
@@ -79,7 +97,7 @@ grep -q "\*\* DB Stats \*\*" /tmp/ci-remote.txt
 grep -q "\*\* Server Stats \*\*" /tmp/ci-remote.txt
 grep -q "requests_ok" /tmp/ci-remote.txt
 timeout 30 ./target/release/kv_server --shutdown 127.0.0.1:7491
-reap "$SERVER_PID"
+reap_server "serving gate" "$SERVER_PID"
 rm -f /tmp/ci-remote.txt
 
 echo "==> live-retune gate: SetOptions mid-load, no reopen, tuned config survives restart"
@@ -111,7 +129,7 @@ timeout 120 ./target/release/db_bench --benchmarks readrandom --num 1000 \
     --remote 127.0.0.1:7492 --stats_dump > /tmp/ci-retune-stats.txt
 grep -q "protocol_errors: 0" /tmp/ci-retune-stats.txt
 timeout 30 ./target/release/kv_server --shutdown 127.0.0.1:7492
-reap "$RETUNE_PID"
+reap_server "live-retune gate" "$RETUNE_PID"
 # Restart over the same directory: --load-options-file must resume the
 # tuned configuration from the persisted OPTIONS file.
 ./target/release/kv_server --db "$RETUNE_DIR" --listen 127.0.0.1:7492 --load-options-file &
@@ -120,7 +138,7 @@ sleep 1
 timeout 30 ./target/release/kv_server --get-remote 127.0.0.1:7492 > /tmp/ci-retune-resume.txt
 grep -q "max_background_jobs=6" /tmp/ci-retune-resume.txt
 timeout 30 ./target/release/kv_server --shutdown 127.0.0.1:7492
-reap "$RETUNE_PID"
+reap_server "live-retune gate (restart)" "$RETUNE_PID"
 rm -f /tmp/ci-retune-bench.txt /tmp/ci-retune-set.txt /tmp/ci-retune-get.txt \
       /tmp/ci-retune-stats.txt /tmp/ci-retune-resume.txt
 
@@ -155,7 +173,8 @@ timeout 120 ./target/release/db_bench --benchmarks fillrandom --num 400000 \
 CL_BENCH_PID=$!; PIDS+=("$CL_BENCH_PID")
 sleep 2
 kill -9 "$CL_A_PID"
-reap "$CL_A_PID" "$CL_BENCH_PID" || true
+reap_server "cluster gate (killed leader)" "$CL_A_PID" || true
+reap "$CL_BENCH_PID" || true
 # Failover read-back: the promoted follower now leads range A. This
 # run only succeeds if it accepts writes (readrandom preloads), i.e.
 # if the Promote actually happened.
@@ -171,7 +190,7 @@ fi
 grep -q "protocol_errors: 0" /tmp/ci-cluster-failover.txt
 timeout 30 ./target/release/kv_server --shutdown 127.0.0.1:7494
 timeout 30 ./target/release/kv_server --shutdown 127.0.0.1:7496
-reap "$CL_AR_PID" "$CL_B_PID"
+reap_server "cluster gate" "$CL_AR_PID" "$CL_B_PID"
 rm -f /tmp/ci-cluster.txt /tmp/ci-cluster-kill.txt /tmp/ci-cluster-failover.txt
 
 echo "==> YCSB gate: all six mixes in sim with per-op histograms, deterministic"
@@ -195,7 +214,7 @@ grep -q "Microseconds per scan:" /tmp/ci-ycsb-remote.txt
 grep -q "Microseconds per write:" /tmp/ci-ycsb-remote.txt
 grep -q "protocol_errors: 0" /tmp/ci-ycsb-remote.txt
 timeout 30 ./target/release/kv_server --shutdown 127.0.0.1:7498
-reap "$YCSB_PID"
+reap_server "YCSB gate" "$YCSB_PID"
 rm -f /tmp/ci-ycsb-remote.txt
 
 echo "==> checkpoint gate: online backup/restore over RPC"
@@ -213,7 +232,7 @@ timeout 30 ./target/release/kv_server --checkpoint-remote 127.0.0.1:7499 \
     --checkpoint-dir backups/ci-ckpt
 reap "$CKPT_BENCH_PID"
 timeout 30 ./target/release/kv_server --shutdown 127.0.0.1:7499
-reap "$CKPT_PID"
+reap_server "checkpoint gate" "$CKPT_PID"
 test -f "$CKPT_DIR/backups/ci-ckpt/CURRENT"
 ./target/release/kv_server --db "$CKPT_DIR/backups/ci-ckpt" --listen 127.0.0.1:7499 &
 CKPT_PID=$!; PIDS+=("$CKPT_PID")
@@ -223,7 +242,7 @@ timeout 120 ./target/release/db_bench --benchmarks readrandom --num 5000 \
 grep -Eq "^readrandom.*\(5000 of 5000 found\)" /tmp/ci-ckpt.txt
 grep -q "protocol_errors: 0" /tmp/ci-ckpt.txt
 timeout 30 ./target/release/kv_server --shutdown 127.0.0.1:7499
-reap "$CKPT_PID"
+reap_server "checkpoint gate (restore)" "$CKPT_PID"
 rm -f /tmp/ci-ckpt.txt
 
 echo "==> golden gate: sim output must match results/golden (determinism and no drift at once)"

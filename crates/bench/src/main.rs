@@ -25,6 +25,8 @@
 //! simulated substrate; EXPERIMENTS.md records how the *shapes* compare
 //! with the paper.
 
+#![forbid(unsafe_code)]
+
 use std::collections::HashMap;
 use std::io::Write;
 use std::path::PathBuf;

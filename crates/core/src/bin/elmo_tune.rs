@@ -9,6 +9,8 @@
 //!           [--out tuned_options.ini]
 //! ```
 
+#![forbid(unsafe_code)]
+
 use db_bench::BenchmarkSpec;
 use elmo_tune::{EnvSpec, TuningConfig, TuningSession};
 use hw_sim::DeviceModel;

@@ -15,6 +15,7 @@
 //! All three implement [`LanguageModel`].
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod api;
 pub mod expert;

@@ -36,6 +36,8 @@
 //! configuration persisted in the database's `OPTIONS` file instead of
 //! the command-line defaults.
 
+#![forbid(unsafe_code)]
+
 use std::sync::Arc;
 
 use hw_sim::HardwareEnv;

@@ -2,33 +2,31 @@
 //! pooled client that implements [`KvEngine`] so every in-process tool
 //! (`db_bench`, the tuning loop) runs unchanged against a live server.
 
-use std::io::{self, Read, Write};
+use std::io;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use lsm_kvs::{DbStats, Error, ErrorKind, KvEngine, Result, ScanResult, WriteBatch, WriteOptions};
 use parking_lot::Mutex;
 
-use crate::protocol::{frame, unframe, Request, Response, Unframed};
+use crate::protocol::{write_frame, FrameError, FrameReader, Request, Response};
 
 fn io_err(e: io::Error) -> Error {
     Error::io(format!("connection error: {e}")).retryable(true)
 }
 
 /// A failure of the connection itself (dial, send, receive), as opposed
-/// to an error the server answered with. Only these make a retry on a
-/// fresh connection worthwhile — and only for idempotent requests.
-fn is_transport(e: &Error) -> bool {
+/// to an error the server answered with — including a retryable `Busy`,
+/// which means the node is alive. Only these make a retry on a fresh
+/// connection, or a failover, worthwhile.
+pub(crate) fn is_transport(e: &Error) -> bool {
     e.kind() == ErrorKind::Io && e.is_retryable()
 }
 
 /// One blocking protocol connection.
 pub struct Conn {
-    stream: TcpStream,
-    /// Bytes read off the socket but not yet consumed as frames; lets
-    /// a response's header and payload (and pipelined responses that
-    /// arrived in the same segment) come out of one `read(2)`.
-    pending: Vec<u8>,
+    /// Reads responses; its source is also the way to write requests.
+    reader: FrameReader<TcpStream>,
 }
 
 impl Conn {
@@ -40,7 +38,7 @@ impl Conn {
     pub fn connect(addr: &str) -> Result<Conn> {
         let stream = TcpStream::connect(addr).map_err(io_err)?;
         stream.set_nodelay(true).ok();
-        Ok(Conn { stream, pending: Vec::new() })
+        Ok(Conn { reader: FrameReader::new(stream) })
     }
 
     /// Sends one request frame without waiting for the response —
@@ -51,7 +49,7 @@ impl Conn {
     ///
     /// Transport failures.
     pub fn send(&mut self, req: &Request) -> Result<()> {
-        self.stream.write_all(&frame(&req.encode())).map_err(io_err)
+        write_frame(&mut self.reader.get_ref(), &req.encode()).map_err(io_err)
     }
 
     /// Reads the next response frame; `req` gives the body shape.
@@ -60,31 +58,16 @@ impl Conn {
     ///
     /// Transport failures, oversized frames, or undecodable responses.
     pub fn receive(&mut self, req: &Request) -> Result<Response> {
-        loop {
-            match unframe(&self.pending) {
-                Unframed::Frame(payload) => {
-                    let total = 4 + payload.len();
-                    let resp = Response::decode(req, payload);
-                    self.pending.drain(..total);
-                    return resp;
-                }
-                Unframed::Oversized(len) => {
-                    return Err(Error::corruption(format!("server sent {len}-byte frame")));
-                }
-                Unframed::NeedMore(_) => {}
+        match self.reader.next_frame() {
+            Ok(Some(payload)) => Response::decode(req, payload),
+            Ok(None) => Err(io_err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "server closed mid-response",
+            ))),
+            Err(FrameError::Oversized(len)) => {
+                Err(Error::corruption(format!("server sent {len}-byte frame")))
             }
-            let mut chunk = [0u8; 16 * 1024];
-            match self.stream.read(&mut chunk) {
-                Ok(0) => {
-                    return Err(io_err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "server closed mid-response",
-                    )))
-                }
-                Ok(n) => self.pending.extend_from_slice(&chunk[..n]),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(io_err(e)),
-            }
+            Err(e) => Err(io_err(e.into())),
         }
     }
 

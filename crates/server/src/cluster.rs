@@ -21,17 +21,10 @@
 use std::ops::Deref;
 use std::sync::Arc;
 
-use lsm_kvs::{Error, ErrorKind, KeyRanges, RangeFanout, Result};
+use lsm_kvs::{Error, KeyRanges, RangeFanout, Result};
 use parking_lot::Mutex;
 
-use crate::client::RemoteDb;
-
-/// A connection-level failure (dial, send, receive) — the only errors
-/// worth a failover. Server-answered errors (including retryable `Busy`)
-/// mean the node is alive.
-fn is_transport(e: &Error) -> bool {
-    e.kind() == ErrorKind::Io && e.is_retryable()
-}
+use crate::client::{is_transport, RemoteDb};
 
 /// One range's serving state.
 struct Node {

@@ -19,6 +19,8 @@
 //! closes that connection (only that one — framing corruption never
 //! leaks across connections).
 
+use std::io::{self, Read, Write};
+
 use lsm_kvs::{
     CacheStats, DbStats, Error, ErrorKind, Result, TickerSnapshot, WriteBatch, TICKER_NAMES,
 };
@@ -816,6 +818,18 @@ pub fn frame(payload: &[u8]) -> Vec<u8> {
     out
 }
 
+/// Sends one payload as one frame — the only way `lsm-server` writes to
+/// a peer. Whatever bounds the write (a socket timeout, a deadline) is
+/// the writer's business.
+///
+/// # Errors
+///
+/// The writer's error; the frame may have been partly written, so the
+/// stream is no longer usable.
+pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
+    w.write_all(&frame(payload))
+}
+
 /// What [`unframe`] finds at the front of a receive buffer.
 #[derive(Debug, PartialEq, Eq)]
 pub enum Unframed<'a> {
@@ -845,6 +859,109 @@ pub fn unframe(buf: &[u8]) -> Unframed<'_> {
     }
 }
 
+/// Why [`FrameReader::next_frame`] has no frame to give. Only
+/// [`TimedOut`](Self::TimedOut) leaves the reader usable.
+#[derive(Debug)]
+pub enum FrameError {
+    /// The peer closed the stream part-way through a frame.
+    Truncated,
+    /// The length prefix announces this many bytes, more than
+    /// [`MAX_FRAME_LEN`]; the stream cannot be resynchronised.
+    Oversized(u32),
+    /// The source's read timeout expired. Everything received so far is
+    /// still buffered: look at a stop flag or a deadline, then call
+    /// again.
+    TimedOut,
+    /// Any other read error.
+    Io(io::Error),
+}
+
+impl From<FrameError> for io::Error {
+    fn from(e: FrameError) -> io::Error {
+        match e {
+            FrameError::Truncated => {
+                io::Error::new(io::ErrorKind::UnexpectedEof, "peer closed mid-frame")
+            }
+            FrameError::Oversized(len) => io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("frame of {len} bytes exceeds {MAX_FRAME_LEN}"),
+            ),
+            FrameError::TimedOut => io::Error::new(io::ErrorKind::TimedOut, "read timed out"),
+            FrameError::Io(e) => e,
+        }
+    }
+}
+
+/// How much one `read` asks the source for: a frame's prefix and payload
+/// — and any pipelined frames behind it — usually arrive in one call.
+const READ_CHUNK: usize = 16 * 1024;
+
+/// The only way `lsm-server` reads from a peer: a buffered reader that
+/// hands out one whole payload at a time. Each user keeps only its own
+/// reaction to the ways a stream can end.
+pub struct FrameReader<R> {
+    src: R,
+    /// Bytes read off the source; `buf[start..]` is not yet handed out.
+    buf: Vec<u8>,
+    start: usize,
+}
+
+impl<R: Read> FrameReader<R> {
+    /// A reader with nothing buffered.
+    pub fn new(src: R) -> FrameReader<R> {
+        FrameReader { src, buf: Vec::new(), start: 0 }
+    }
+
+    /// The underlying source (a `&TcpStream` is also the way to write).
+    pub fn get_ref(&self) -> &R {
+        &self.src
+    }
+
+    /// Whether every byte received so far has been handed out as part of
+    /// a whole frame — the only point at which the stream may end, or be
+    /// abandoned, without losing a request.
+    pub fn at_boundary(&self) -> bool {
+        self.start == self.buf.len()
+    }
+
+    /// The next whole payload, reading the source only when the buffer
+    /// does not already hold one. `Ok(None)` is a clean end: the peer
+    /// closed the stream at a frame boundary.
+    ///
+    /// # Errors
+    ///
+    /// See [`FrameError`].
+    pub fn next_frame(&mut self) -> std::result::Result<Option<&[u8]>, FrameError> {
+        let len = loop {
+            match unframe(&self.buf[self.start..]) {
+                Unframed::Frame(payload) => break payload.len(),
+                Unframed::Oversized(len) => return Err(FrameError::Oversized(len)),
+                Unframed::NeedMore(need) => {
+                    self.buf.drain(..self.start);
+                    self.start = 0;
+                    self.buf.reserve(need);
+                }
+            }
+            let mut chunk = [0u8; READ_CHUNK];
+            match self.src.read(&mut chunk) {
+                Ok(0) if self.at_boundary() => return Ok(None),
+                Ok(0) => return Err(FrameError::Truncated),
+                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e)
+                    if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) =>
+                {
+                    return Err(FrameError::TimedOut)
+                }
+                Err(e) => return Err(FrameError::Io(e)),
+            }
+        };
+        let payload = self.start + 4..self.start + 4 + len;
+        self.start = payload.end;
+        Ok(Some(&self.buf[payload]))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -861,6 +978,64 @@ mod tests {
         let too_long = (MAX_FRAME_LEN + 1).to_le_bytes();
         assert_eq!(unframe(&too_long), Unframed::Oversized(MAX_FRAME_LEN + 1));
         assert_eq!(unframe(&MAX_FRAME_LEN.to_le_bytes()), Unframed::NeedMore(MAX_FRAME_LEN as usize));
+    }
+
+    /// A source that plays back a script of `read` results; an empty
+    /// script reads as EOF.
+    struct Script(std::collections::VecDeque<io::Result<Vec<u8>>>);
+
+    impl Read for Script {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            match self.0.pop_front() {
+                Some(Ok(bytes)) => {
+                    buf[..bytes.len()].copy_from_slice(&bytes);
+                    Ok(bytes.len())
+                }
+                Some(Err(e)) => Err(e),
+                None => Ok(0),
+            }
+        }
+    }
+
+    fn reader(script: Vec<io::Result<Vec<u8>>>) -> FrameReader<Script> {
+        FrameReader::new(Script(script.into()))
+    }
+
+    #[test]
+    fn frame_reader_tells_apart_every_way_a_stream_ends() {
+        // Two frames and the first bytes of a third in one read, the
+        // rest after a timeout that must lose nothing, then a clean EOF.
+        let mut bytes = frame(b"one");
+        bytes.extend_from_slice(&frame(b""));
+        let third = frame(b"three");
+        bytes.extend_from_slice(&third[..5]);
+        let timeout = || Err(io::Error::from(io::ErrorKind::WouldBlock));
+        let mut r = reader(vec![Ok(bytes), timeout(), Ok(third[5..].to_vec())]);
+        assert!(r.at_boundary());
+        assert_eq!(r.next_frame().unwrap(), Some(&b"one"[..]));
+        assert!(!r.at_boundary(), "a whole frame is still buffered");
+        assert_eq!(r.next_frame().unwrap(), Some(&b""[..]));
+        assert!(matches!(r.next_frame(), Err(FrameError::TimedOut)));
+        assert!(!r.at_boundary(), "half a frame is buffered");
+        assert_eq!(r.next_frame().unwrap(), Some(&b"three"[..]));
+        assert!(r.at_boundary());
+        assert_eq!(r.next_frame().unwrap(), None, "EOF at a boundary is clean");
+
+        let mut r = reader(vec![Ok(frame(b"cut short")[..7].to_vec())]);
+        assert!(matches!(r.next_frame(), Err(FrameError::Truncated)));
+
+        let mut whole_then_lie = frame(b"ok");
+        whole_then_lie.extend_from_slice(&(MAX_FRAME_LEN + 1).to_le_bytes());
+        let mut r = reader(vec![Ok(whole_then_lie)]);
+        assert_eq!(r.next_frame().unwrap(), Some(&b"ok"[..]), "the frame ahead of the lie is owed");
+        assert!(matches!(r.next_frame(), Err(FrameError::Oversized(len)) if len == MAX_FRAME_LEN + 1));
+
+        let mut r = reader(vec![Err(io::Error::from(io::ErrorKind::ConnectionReset))]);
+        assert!(matches!(r.next_frame(), Err(FrameError::Io(e)) if e.kind() == io::ErrorKind::ConnectionReset));
+
+        let mut sent = Vec::new();
+        write_frame(&mut sent, b"abc").unwrap();
+        assert_eq!(sent, frame(b"abc"));
     }
 
     fn roundtrip_req(req: Request) {

@@ -49,8 +49,8 @@
 //! connection rather than applying out of order.
 
 use std::collections::VecDeque;
-use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::io;
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -59,7 +59,8 @@ use std::time::{Duration, Instant};
 use lsm_kvs::{Db, ReadOptions, Vfs, WalSink, WriteBatch, WriteOptions};
 use parking_lot::{Condvar, Mutex};
 
-use crate::protocol::{frame, unframe, Request, Unframed};
+use crate::protocol::{write_frame, FrameError, FrameReader, Request};
+use crate::server::{Acceptor, WRITE_TIMEOUT};
 
 /// Marker file a follower keeps in its database directory from the
 /// first applied checkpoint chunk until the bootstrap is durably
@@ -347,19 +348,19 @@ impl WalSink for ReplicationHub {
     }
 }
 
-/// A running replica listener; dropping it stops accepting and tears
-/// down every follower session.
+/// A running replica listener; dropping it stops accepting, tears down
+/// every follower session and joins their threads, so nothing it started
+/// still holds the database afterwards.
 pub struct ReplicaListenerHandle {
     hub: Arc<ReplicationHub>,
     stop: Arc<AtomicBool>,
-    local_addr: std::net::SocketAddr,
-    accept_thread: Option<JoinHandle<()>>,
+    acceptor: Acceptor,
 }
 
 impl ReplicaListenerHandle {
     /// The address followers dial (useful with port 0).
     pub fn local_addr(&self) -> std::net::SocketAddr {
-        self.local_addr
+        self.acceptor.local_addr()
     }
 }
 
@@ -367,9 +368,7 @@ impl Drop for ReplicaListenerHandle {
     fn drop(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
         self.hub.stop();
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
+        self.acceptor.stop_and_join();
     }
 }
 
@@ -384,65 +383,17 @@ pub fn serve_replicas(
     db: Arc<Db>,
     addr: &str,
 ) -> io::Result<ReplicaListenerHandle> {
-    let listener = TcpListener::bind(addr)?;
-    let local_addr = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
     // A restarted leader has committed state the (empty) ring knows
     // nothing about; without this seed, register would accept any
     // have_seq and the session would gap-break on the first shipped
     // group, forever.
     hub.note_committed(db.snapshot_seq());
     let stop = Arc::new(AtomicBool::new(false));
-    let accept_stop = Arc::clone(&stop);
-    let accept_hub = Arc::clone(&hub);
-    let accept_thread = std::thread::Builder::new()
-        .name("kv-replica-accept".into())
-        .spawn(move || {
-            while !accept_stop.load(Ordering::SeqCst) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        let hub = Arc::clone(&accept_hub);
-                        let db = Arc::clone(&db);
-                        let stop = Arc::clone(&accept_stop);
-                        let _ = std::thread::Builder::new()
-                            .name("kv-replica-send".into())
-                            .spawn(move || serve_one_follower(&hub, &db, stream, &stop));
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(10));
-                    }
-                    Err(_) => break,
-                }
-            }
-        })?;
-    Ok(ReplicaListenerHandle {
-        hub,
-        stop,
-        local_addr,
-        accept_thread: Some(accept_thread),
-    })
-}
-
-/// Reads one length-prefixed frame with blocking `read_exact`s: the
-/// prefix, then exactly the bytes it announces.
-fn read_frame(stream: &mut TcpStream) -> io::Result<Vec<u8>> {
-    let mut buf = Vec::new();
-    loop {
-        match unframe(&buf) {
-            Unframed::Frame(_) => {
-                buf.drain(..4);
-                return Ok(buf);
-            }
-            Unframed::NeedMore(n) => {
-                let have = buf.len();
-                buf.resize(have + n, 0);
-                stream.read_exact(&mut buf[have..])?;
-            }
-            Unframed::Oversized(_) => {
-                return Err(io::Error::new(io::ErrorKind::InvalidData, "oversized frame"));
-            }
-        }
-    }
+    let (peer_hub, peer_stop) = (Arc::clone(&hub), Arc::clone(&stop));
+    let acceptor = Acceptor::bind(addr, "kv-replica", move |stream| {
+        serve_one_follower(&peer_hub, &db, stream, &peer_stop)
+    })?;
+    Ok(ReplicaListenerHandle { hub, stop, acceptor })
 }
 
 /// One follower connection on the leader: handshake, optional
@@ -450,50 +401,61 @@ fn read_frame(stream: &mut TcpStream) -> io::Result<Vec<u8>> {
 /// hub's durability waits.
 fn serve_one_follower(
     hub: &Arc<ReplicationHub>,
-    db: &Arc<Db>,
-    mut stream: TcpStream,
-    stop: &Arc<AtomicBool>,
+    db: &Db,
+    stream: TcpStream,
+    stop: &AtomicBool,
 ) {
     stream.set_nodelay(true).ok();
-    let payload = match read_frame(&mut stream) {
-        Ok(p) => p,
-        Err(_) => return,
-    };
-    let have_seq = match Request::decode(&payload) {
-        Ok(Request::ReplicaHello { have_seq }) => have_seq,
-        _ => return, // anything else is a protocol violation: hang up
+    // Reads tick so both halves keep looking at their flags; writes are
+    // bounded so a follower that stops reading cannot pin the sender
+    // (and with it, the listener's drop) forever.
+    if stream.set_read_timeout(Some(READ_TICK)).is_err()
+        || stream.set_write_timeout(Some(WRITE_TIMEOUT)).is_err()
+    {
+        return;
+    }
+    let Ok(read_half) = stream.try_clone() else { return };
+    let mut reader = FrameReader::new(read_half);
+    let have_seq = loop {
+        match reader.next_frame() {
+            Ok(Some(payload)) => match Request::decode(payload) {
+                Ok(Request::ReplicaHello { have_seq }) => break have_seq,
+                _ => return, // anything else is a protocol violation: hang up
+            },
+            Err(FrameError::TimedOut) if !stop.load(Ordering::SeqCst) => {}
+            _ => return,
+        }
     };
     let Some(session) = hub.register(have_seq) else {
         // Unservable have_seq (diverged, or behind a ring that no longer
         // reaches it). Say so explicitly: the follower marks its state
         // for a wipe and re-bootstraps empty on its next start, instead
         // of redialing the same doomed hello forever.
-        let _ = stream.write_all(&frame(&Request::ReplicaReject.encode()));
+        let _ = write_frame(&mut &stream, &Request::ReplicaReject.encode());
         let _ = stream.shutdown(std::net::Shutdown::Both);
         return;
     };
 
-    // Ack reader: the only frames a follower sends after the hello.
+    // Ack reader: the only frames a follower sends after the hello. It
+    // carries on with the hello's reader, so nothing buffered is lost.
     let ack_session = Arc::clone(&session);
     let ack_hub = Arc::clone(hub);
-    let mut ack_stream = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => {
-            session.demote();
-            return;
-        }
-    };
     let ack_thread = std::thread::Builder::new()
         .name("kv-replica-ack".into())
         .spawn(move || {
-            while let Ok(payload) = read_frame(&mut ack_stream) {
-                match Request::decode(&payload) {
-                    Ok(Request::ReplicaAck { seq }) => {
-                        ack_session.acked.fetch_max(seq, Ordering::SeqCst);
-                        // Wake writers waiting in wait_durable.
-                        let _ = ack_hub.inner.lock();
-                        ack_hub.ack_cv.notify_all();
-                    }
+            loop {
+                match reader.next_frame() {
+                    Ok(Some(payload)) => match Request::decode(payload) {
+                        Ok(Request::ReplicaAck { seq }) => {
+                            ack_session.acked.fetch_max(seq, Ordering::SeqCst);
+                            // Wake writers waiting in wait_durable.
+                            let _ = ack_hub.inner.lock();
+                            ack_hub.ack_cv.notify_all();
+                        }
+                        _ => break,
+                    },
+                    // Quiet between acks; a demoted session is done.
+                    Err(FrameError::TimedOut) if ack_session.live.load(Ordering::SeqCst) => {}
                     _ => break,
                 }
             }
@@ -501,33 +463,24 @@ fn serve_one_follower(
             let _ = ack_hub.inner.lock();
             ack_hub.ack_cv.notify_all();
         });
+    let Ok(ack_thread) = ack_thread else {
+        session.demote();
+        return;
+    };
 
     // Checkpoint bootstrap for an empty follower: a chunked scan pinned
     // at S0, so the follower lands on exactly the state covered by
     // sequences 1..=S0, then the stream delivers everything after S0.
-    let cutoff = if have_seq == 0 {
-        let s0 = db.snapshot_seq();
-        if s0 > 0 && !send_checkpoint(db, &mut stream, s0) {
-            session.demote();
-            if let Ok(t) = ack_thread {
-                let _ = stream.shutdown(std::net::Shutdown::Both);
-                let _ = t.join();
-            }
-            return;
-        }
-        s0
-    } else {
-        have_seq
-    };
-    // From here on this follower counts toward synced-write durability.
-    session.acked.fetch_max(cutoff, Ordering::SeqCst);
-    session.streaming.store(true, Ordering::SeqCst);
+    let cutoff = if have_seq == 0 { db.snapshot_seq() } else { have_seq };
+    let bootstrapped = have_seq != 0 || cutoff == 0 || send_checkpoint(db, &stream, cutoff);
+    if bootstrapped {
+        // From here on this follower counts toward synced-write durability.
+        session.acked.fetch_max(cutoff, Ordering::SeqCst);
+        session.streaming.store(true, Ordering::SeqCst);
+    }
 
     // Live stream: pop groups, skip anything at or before the cutoff.
-    loop {
-        if stop.load(Ordering::SeqCst) || !session.live.load(Ordering::SeqCst) {
-            break;
-        }
+    while bootstrapped && !stop.load(Ordering::SeqCst) && session.live.load(Ordering::SeqCst) {
         let group = {
             let mut q = session.queue.lock();
             loop {
@@ -553,15 +506,13 @@ fn serve_one_follower(
             sync: group.sync,
             records: group.records.as_ref().clone(),
         };
-        if stream.write_all(&frame(&req.encode())).is_err() {
+        if write_frame(&mut &stream, &req.encode()).is_err() {
             break;
         }
     }
     session.demote();
     let _ = stream.shutdown(std::net::Shutdown::Both);
-    if let Ok(t) = ack_thread {
-        let _ = t.join();
-    }
+    let _ = ack_thread.join();
     let mut inner = hub.inner.lock();
     ReplicationHub::sweep_dead(&mut inner);
     drop(inner);
@@ -571,7 +522,7 @@ fn serve_one_follower(
 /// Streams the pinned checkpoint: `SnapshotChunk` frames then
 /// `SnapshotDone { seq: s0 }`. Returns false on any transport or scan
 /// error.
-fn send_checkpoint(db: &Db, stream: &mut TcpStream, s0: u64) -> bool {
+fn send_checkpoint(db: &Db, mut stream: &TcpStream, s0: u64) -> bool {
     let ropts = ReadOptions { snapshot_seq: Some(s0), ..ReadOptions::default() };
     let mut start: Vec<u8> = Vec::new();
     loop {
@@ -593,7 +544,7 @@ fn send_checkpoint(db: &Db, stream: &mut TcpStream, s0: u64) -> bool {
             entries.push((k, v));
             if bytes >= SNAPSHOT_CHUNK_BYTES {
                 let req = Request::SnapshotChunk { entries: std::mem::take(&mut entries) };
-                if stream.write_all(&frame(&req.encode())).is_err() {
+                if write_frame(&mut stream, &req.encode()).is_err() {
                     return false;
                 }
                 bytes = 0;
@@ -601,7 +552,7 @@ fn send_checkpoint(db: &Db, stream: &mut TcpStream, s0: u64) -> bool {
         }
         if !entries.is_empty() {
             let req = Request::SnapshotChunk { entries };
-            if stream.write_all(&frame(&req.encode())).is_err() {
+            if write_frame(&mut stream, &req.encode()).is_err() {
                 return false;
             }
         }
@@ -610,7 +561,7 @@ fn send_checkpoint(db: &Db, stream: &mut TcpStream, s0: u64) -> bool {
         }
     }
     let done = Request::SnapshotDone { seq: s0 };
-    stream.write_all(&frame(&done.encode())).is_ok()
+    write_frame(&mut stream, &done.encode()).is_ok()
 }
 
 // ---------------------------------------------------------------------------
@@ -740,7 +691,7 @@ fn follower_loop(db: &Db, leader: &str, stop: &AtomicBool, status: &FollowerStat
         return;
     }
     while !stop.load(Ordering::SeqCst) {
-        let mut stream = match connect(leader) {
+        let stream = match connect(leader) {
             Ok(s) => s,
             Err(_) => {
                 status.connected.store(false, Ordering::SeqCst);
@@ -753,12 +704,12 @@ fn follower_loop(db: &Db, leader: &str, stop: &AtomicBool, status: &FollowerStat
         stream.set_read_timeout(Some(READ_TICK)).ok();
         let have_seq = db.snapshot_seq();
         let hello = Request::ReplicaHello { have_seq };
-        if stream.write_all(&frame(&hello.encode())).is_err() {
+        if write_frame(&mut &stream, &hello.encode()).is_err() {
             std::thread::sleep(RECONNECT_DELAY);
             continue;
         }
         status.connected.store(true, Ordering::SeqCst);
-        let end = follow_stream(db, vfs.as_ref(), &mut stream, stop, status);
+        let end = follow_stream(db, vfs.as_ref(), &stream, stop, status);
         status.connected.store(false, Ordering::SeqCst);
         match end {
             StreamEnd::Clean => {}
@@ -796,56 +747,40 @@ fn connect(leader: &str) -> io::Result<TcpStream> {
 fn follow_stream(
     db: &Db,
     vfs: &dyn Vfs,
-    stream: &mut TcpStream,
+    stream: &TcpStream,
     stop: &AtomicBool,
     status: &FollowerStatus,
 ) -> StreamEnd {
     let mut applied = db.snapshot_seq();
     let mut in_bootstrap = false;
-    let mut buf: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 64 * 1024];
+    let mut reader = FrameReader::new(stream);
     loop {
-        // Drain every complete frame in the buffer before reading more —
-        // but never past a stop request: a node promoted to leader must
+        // Never apply past a stop request: a node promoted to leader must
         // not apply stale buffered groups underneath its own new writes,
         // so buffered frames are discarded once stop is set.
-        loop {
-            if stop.load(Ordering::SeqCst) {
-                return StreamEnd::Clean;
-            }
-            let payload = match unframe(&buf) {
-                Unframed::Frame(payload) => payload,
-                Unframed::NeedMore(_) => break,
-                Unframed::Oversized(_) => return fail(in_bootstrap),
-            };
-            let total = 4 + payload.len();
-            let end = match Request::decode(payload) {
-                Ok(req) => {
-                    apply_frame(db, vfs, stream, req, &mut applied, &mut in_bootstrap, status)
-                }
-                Err(_) => FrameOutcome::Failed,
-            };
-            buf.drain(..total);
-            match end {
-                FrameOutcome::Applied => {}
-                FrameOutcome::Failed => return fail(in_bootstrap),
-                FrameOutcome::Fatal => return StreamEnd::Fatal,
-            }
-        }
         if stop.load(Ordering::SeqCst) {
             return StreamEnd::Clean;
         }
-        match stream.read(&mut chunk) {
-            // EOF mid-bootstrap means the checkpoint is a partial
-            // prefix — reconnecting with the local (bogus) sequence
-            // would diverge, so park instead.
-            Ok(0) => return if in_bootstrap { StreamEnd::Fatal } else { StreamEnd::Clean },
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock
-                    || e.kind() == io::ErrorKind::TimedOut
-                    || e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => return fail(in_bootstrap),
+        let req = match reader.next_frame() {
+            Ok(Some(payload)) => Request::decode(payload),
+            // The read slice ran out; look at the stop flag again.
+            Err(FrameError::TimedOut) => continue,
+            // The leader hung up. Mid-bootstrap the checkpoint is a
+            // partial prefix — reconnecting with the local (bogus)
+            // sequence would diverge, so park instead.
+            Ok(None) | Err(FrameError::Truncated) => {
+                return if in_bootstrap { StreamEnd::Fatal } else { StreamEnd::Clean }
+            }
+            Err(FrameError::Oversized(_) | FrameError::Io(_)) => return fail(in_bootstrap),
+        };
+        let outcome = match req {
+            Ok(req) => apply_frame(db, vfs, stream, req, &mut applied, &mut in_bootstrap, status),
+            Err(_) => FrameOutcome::Failed,
+        };
+        match outcome {
+            FrameOutcome::Applied => {}
+            FrameOutcome::Failed => return fail(in_bootstrap),
+            FrameOutcome::Fatal => return StreamEnd::Fatal,
         }
     }
 }
@@ -885,7 +820,7 @@ fn write_marker(vfs: &dyn Vfs) -> bool {
 fn apply_frame(
     db: &Db,
     vfs: &dyn Vfs,
-    stream: &mut TcpStream,
+    stream: &TcpStream,
     req: Request,
     applied: &mut u64,
     in_bootstrap: &mut bool,
@@ -982,7 +917,7 @@ fn apply_frame(
     }
 }
 
-fn send_ack(stream: &mut TcpStream, seq: u64) -> bool {
+fn send_ack(mut stream: &TcpStream, seq: u64) -> bool {
     let ack = Request::ReplicaAck { seq };
-    stream.write_all(&frame(&ack.encode())).is_ok()
+    write_frame(&mut stream, &ack.encode()).is_ok()
 }

@@ -1,63 +1,55 @@
-//! The TCP server: an epoll readiness loop plus a small worker pool
-//! over a [`KvEngine`] — thousands of connections do not need
-//! thousands of threads.
+//! The TCP server: one blocking thread per connection over a
+//! [`KvEngine`].
 //!
-//! One event-loop thread owns the listener, the epoll instance, and
-//! every connection's read buffer: it accepts, reads, splits the byte
-//! stream into frames, and queues complete request payloads on the
-//! connection. A fixed pool of workers executes requests and writes
-//! responses. At most one request per connection is in flight at a
-//! time and its queue is FIFO, so pipelined clients get responses in
-//! request order while *different* connections execute in parallel.
-//! As a latency fast path, a lone `Get`/`Ping` on an otherwise idle
-//! connection is served inline by the loop itself — skipping the
-//! worker hand-off, which costs two scheduler wake-ups per request.
-//! The inline write never blocks: response bytes the socket will not
-//! take immediately are handed to the pool as a flush job, so a slow
-//! reader cannot stall the loop.
+//! An accept thread gives every accepted socket its own thread, which
+//! loops *read a frame → decode → execute → write the response(s)*
+//! until the peer closes or the server shuts down. One thread and one
+//! socket make pipelining trivially FIFO — responses go out in request
+//! order — while different connections execute in parallel. A framing
+//! violation or an undecodable payload is answered with an error frame,
+//! after the responses already owed, and closes that connection only.
+//! What this costs is a thread per connection; nothing here tries to
+//! hold thousands of idle sockets.
 //!
-//! Backpressure: before reading sockets the loop consults the engine's
-//! live write regime (cached for [`REGIME_RECHECK`]). While the write
-//! controller reports `Stopped`, the loop simply stops draining
-//! sockets. The kernel receive buffers fill, TCP advertises a zero
-//! window, and the stall propagates to clients instead of ballooning
-//! server memory.
+//! Backpressure: before reading its next request a connection consults
+//! the engine's live write regime (trusted for [`REGIME_RECHECK`]).
+//! While the write controller reports `Stopped`, the connection stops
+//! reading its socket. The kernel receive buffer fills, TCP advertises
+//! a zero window, and the stall propagates to the client instead of
+//! ballooning server memory.
 //!
-//! Shutdown is graceful: the listener closes, queued and in-flight
-//! requests finish (and ack), connections caught mid-frame get
-//! [`DRAIN_GRACE`] for the rest of the frame to arrive and be served,
-//! and only then are the threads joined and the engine released.
-//! Because a write is acked only after `write_opt` returns, nothing is
-//! ever acked that the engine has not committed under the request's
-//! durability flag.
+//! Shutdown is graceful: a connection between frames closes, whole
+//! frames already received are still served (and acked), a connection
+//! caught mid-frame gets [`DRAIN_GRACE`] for the rest of the frame to
+//! arrive and be served, and only then are the threads joined and the
+//! engine released. Because a write is acked only after `write_opt`
+//! returns, nothing is ever acked that the engine has not committed
+//! under the request's durability flag. A response is held to one
+//! [`WRITE_TIMEOUT`] as a whole, so a client that stops reading pins
+//! its own thread for that long and nobody else's.
 
-use std::collections::{HashMap, VecDeque};
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::os::unix::io::AsRawFd;
-use std::os::unix::net::UnixStream;
+use std::io::{self, Write};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use lsm_kvs::{KvEngine, WriteOptions, WriteRegime};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use crate::protocol::{
-    frame, op, ops_to_batch, unframe, Request, Response, Unframed, MAX_FRAME_LEN,
-    SCAN_CHUNK_MAX_ENTRIES,
+    ops_to_batch, write_frame, FrameError, FrameReader, Request, Response, SCAN_CHUNK_MAX_ENTRIES,
 };
-use crate::sys;
 
-/// Idle epoll timeout: bounds how long a quiet loop goes between
-/// shutdown-flag checks (the wake pipe usually preempts it).
+/// Socket read timeout: bounds how long a quiet connection goes between
+/// looks at the shutdown flag and the write regime.
 const POLL_INTERVAL: Duration = Duration::from_millis(50);
 
 /// Sleep slice while the engine reports a stopped write regime.
 const STALL_BACKOFF: Duration = Duration::from_millis(2);
 
-/// How long the loop trusts its cached write-regime reading before
+/// How long a connection trusts its last write-regime reading before
 /// consulting the engine again (the check takes the engine state lock).
 const REGIME_RECHECK: Duration = Duration::from_millis(1);
 
@@ -66,20 +58,14 @@ const REGIME_RECHECK: Duration = Duration::from_millis(1);
 /// half a frame and went silent.
 const DRAIN_GRACE: Duration = Duration::from_secs(1);
 
-/// Epoll timeout while draining: sweeps run at this cadence so the loop
-/// notices workers finishing the last queued requests.
-const DRAIN_POLL: Duration = Duration::from_millis(5);
+/// Upper bound on writing one response, and on one write to a follower.
+/// A peer that stops reading cannot pin its thread (and with it,
+/// shutdown) forever.
+pub(crate) const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// Upper bound on one response write. A client that stops reading
-/// cannot pin a worker (and with it, shutdown) forever.
-const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
-
-/// Epoll token of the listener.
-const TOKEN_LISTENER: u64 = 0;
-/// Epoll token of the wake pipe's read end.
-const TOKEN_WAKE: u64 = 1;
-/// First token handed to a connection.
-const TOKEN_FIRST_CONN: u64 = 2;
+/// Pause after a failed `accept` (fd exhaustion, typically) so the
+/// accept thread does not spin on an error that will not clear by itself.
+const ACCEPT_RETRY: Duration = Duration::from_millis(10);
 
 /// Per-server counters, rendered as a `** Server Stats **` section that
 /// the Stats RPC appends to the engine's `stats_text()` dump.
@@ -95,7 +81,7 @@ pub struct ServerStats {
     pub requests_err: AtomicU64,
     /// Protocol violations that closed a connection.
     pub protocol_errors: AtomicU64,
-    /// Times the event loop paused socket intake because the engine
+    /// Times a connection paused reading its socket because the engine
     /// reported a stopped write regime.
     pub backpressure_stalls: AtomicU64,
     /// Payload bytes received (excluding length prefixes).
@@ -181,73 +167,92 @@ impl ServerRole {
     }
 }
 
-/// One unit of per-connection work, queued in request order.
-enum Work {
-    /// A complete request frame payload.
-    Frame(Vec<u8>),
-    /// A framing violation detected by the event loop; the worker sends
-    /// the error response (in order, after earlier responses) and
-    /// closes the connection.
-    ProtoError(String),
-    /// Response bytes the event loop's inline fast path could not
-    /// finish writing without blocking; a worker flushes the rest with
-    /// the usual write timeout.
-    Flush {
-        /// Framed bytes still to write (already counted in `bytes_sent`).
-        bytes: Vec<u8>,
-        /// Close the connection once flushed (the inline request was a
-        /// decode error).
-        close_after: bool,
-    },
+/// The shape both ports share: bind, accept on one thread, give every
+/// peer a thread of its own, and on the way out join them all — so
+/// whatever the per-peer closure holds (the engine) is let go of by the
+/// time [`stop_and_join`](Self::stop_and_join) returns.
+pub(crate) struct Acceptor {
+    local_addr: SocketAddr,
+    stop: Arc<AtomicBool>,
+    thread: Option<JoinHandle<()>>,
 }
 
-struct ConnInner {
-    /// Parsed-but-unserved work, FIFO.
-    queue: VecDeque<Work>,
-    /// A worker currently owns this connection's front-of-queue. At
-    /// most one at a time — this is what keeps pipelining in order.
-    in_flight: bool,
-    /// The event loop must not read this socket again (EOF, protocol
-    /// error queued, or a shutdown boundary was reached). Queued work
-    /// still completes before the sweep closes the connection.
-    no_more_reads: bool,
-    /// A worker finished closing the connection (after an error
-    /// response or the Shutdown ack); the sweep removes it.
-    closed: bool,
-    /// Unparsed bytes read off the socket (at most one partial frame
-    /// plus whatever arrived behind it).
-    buf: Vec<u8>,
-    /// During shutdown, how long a mid-frame connection keeps being
-    /// read before it is declared dead.
-    drain_deadline: Option<Instant>,
-}
-
-struct ConnState {
-    stream: TcpStream,
-    inner: Mutex<ConnInner>,
-}
-
-impl ConnState {
-    fn new(stream: TcpStream) -> ConnState {
-        ConnState {
-            stream,
-            inner: Mutex::new(ConnInner {
-                queue: VecDeque::new(),
-                in_flight: false,
-                no_more_reads: false,
-                closed: false,
-                buf: Vec::new(),
-                drain_deadline: None,
-            }),
-        }
+impl Acceptor {
+    /// Binds `addr` and starts accepting; each accepted stream runs
+    /// `per_peer` on a thread named `name`.
+    pub(crate) fn bind(
+        addr: &str,
+        name: &'static str,
+        per_peer: impl Fn(TcpStream) + Send + Sync + 'static,
+    ) -> io::Result<Acceptor> {
+        let listener = TcpListener::bind(addr)?;
+        let local_addr = listener.local_addr()?;
+        let stop = Arc::new(AtomicBool::new(false));
+        let accept_stop = Arc::clone(&stop);
+        let thread = std::thread::Builder::new()
+            .name(format!("{name}-accept"))
+            .spawn(move || {
+                let per_peer = Arc::new(per_peer);
+                let mut peers: Vec<JoinHandle<()>> = Vec::new();
+                for stream in listener.incoming() {
+                    if accept_stop.load(Ordering::SeqCst) {
+                        break;
+                    }
+                    // Reap as we go: a long-lived server must not
+                    // collect a handle per connection it ever served.
+                    let mut i = 0;
+                    while i < peers.len() {
+                        if peers[i].is_finished() {
+                            let _ = peers.swap_remove(i).join();
+                        } else {
+                            i += 1;
+                        }
+                    }
+                    let Ok(stream) = stream else {
+                        std::thread::sleep(ACCEPT_RETRY);
+                        continue;
+                    };
+                    let per_peer = Arc::clone(&per_peer);
+                    // Out of threads: the stream drops and the peer
+                    // sees a close; the server keeps serving the rest.
+                    if let Ok(peer) = std::thread::Builder::new()
+                        .name(name.into())
+                        .spawn(move || per_peer(stream))
+                    {
+                        peers.push(peer);
+                    }
+                }
+                // Stop listening before waiting for the peers: a connect
+                // during the drain is refused, not queued behind it.
+                drop(listener);
+                for peer in peers {
+                    let _ = peer.join();
+                }
+            })?;
+        Ok(Acceptor { local_addr, stop, thread: Some(thread) })
     }
-}
 
-/// The worker pool's job queue: each entry is a connection whose
-/// front-of-queue work item should be served next.
-struct Jobs {
-    queue: Mutex<VecDeque<Arc<ConnState>>>,
-    cv: Condvar,
+    pub(crate) fn local_addr(&self) -> SocketAddr {
+        self.local_addr
+    }
+
+    /// Stops accepting and joins the accept thread, which joins every
+    /// peer thread first. The caller has already told the peers to
+    /// finish (a flag their loops look at). Idempotent.
+    pub(crate) fn stop_and_join(&mut self) {
+        let Some(thread) = self.thread.take() else { return };
+        self.stop.store(true, Ordering::SeqCst);
+        // `accept` has no timeout; a throwaway connection wakes it.
+        let mut wake = self.local_addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let _ = TcpStream::connect(wake);
+        let _ = thread.join();
+    }
 }
 
 struct Shared {
@@ -255,30 +260,19 @@ struct Shared {
     role: Arc<ServerRole>,
     stats: ServerStats,
     shutdown: AtomicBool,
-    stop_workers: AtomicBool,
-    jobs: Jobs,
-    /// Write end of the wake pipe; one byte nudges the event loop out
-    /// of `epoll_wait` (shutdown requests, sweeps during drain).
-    wake: UnixStream,
-}
-
-fn wake(shared: &Shared) {
-    let _ = (&shared.wake).write(&[1u8]);
 }
 
 /// A running server; dropping it (or calling [`shutdown`](Self::shutdown))
 /// drains and stops it.
 pub struct ServerHandle {
     shared: Arc<Shared>,
-    local_addr: SocketAddr,
-    event_thread: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    acceptor: Acceptor,
 }
 
 impl ServerHandle {
     /// The address the server is listening on (useful with port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.acceptor.local_addr()
     }
 
     /// Whether shutdown has been requested (e.g. via the Shutdown RPC).
@@ -299,21 +293,11 @@ impl ServerHandle {
         &self.shared.stats
     }
 
-    /// Stops accepting, drains queued and in-flight requests, and joins
-    /// the event loop and every worker. Idempotent.
+    /// Stops accepting, lets every connection drain, and joins the
+    /// accept thread and every connection thread. Idempotent.
     pub fn shutdown(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        wake(&self.shared);
-        // The event loop exits only after every connection has drained
-        // and closed, so by the time it joins there is no queued work.
-        if let Some(t) = self.event_thread.take() {
-            let _ = t.join();
-        }
-        self.shared.stop_workers.store(true, Ordering::SeqCst);
-        self.shared.jobs.cv.notify_all();
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
+        self.acceptor.stop_and_join();
     }
 }
 
@@ -327,8 +311,7 @@ impl Drop for ServerHandle {
 ///
 /// # Errors
 ///
-/// Returns the bind error if the address is unavailable, or the error
-/// from setting up the epoll instance / wake pipe.
+/// Returns the bind error if the address is unavailable.
 pub fn serve(engine: Arc<dyn KvEngine>, addr: &str) -> io::Result<ServerHandle> {
     serve_with_role(engine, addr, ServerRole::leader())
 }
@@ -344,479 +327,149 @@ pub fn serve_with_role(
     addr: &str,
     role: Arc<ServerRole>,
 ) -> io::Result<ServerHandle> {
-    let listener = TcpListener::bind(addr)?;
-    let local_addr = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
-    let (wake_tx, wake_rx) = UnixStream::pair()?;
-    wake_tx.set_nonblocking(true)?;
-    wake_rx.set_nonblocking(true)?;
-    let ep = sys::Epoll::new()?;
-    ep.add(listener.as_raw_fd(), sys::EPOLLIN, TOKEN_LISTENER)?;
-    ep.add(wake_rx.as_raw_fd(), sys::EPOLLIN, TOKEN_WAKE)?;
-
     let shared = Arc::new(Shared {
         engine,
         role,
         stats: ServerStats::default(),
         shutdown: AtomicBool::new(false),
-        stop_workers: AtomicBool::new(false),
-        jobs: Jobs { queue: Mutex::new(VecDeque::new()), cv: Condvar::new() },
-        wake: wake_tx,
     });
-
-    // Small fixed pool: enough to overlap slow requests (WaitIdle, a
-    // stalled write) across connections without a thread per socket.
-    let n_workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(2)
-        .clamp(2, 8);
-    let mut workers = Vec::with_capacity(n_workers);
-    for i in 0..n_workers {
-        let s = Arc::clone(&shared);
-        workers.push(
-            std::thread::Builder::new()
-                .name(format!("kv-worker-{i}"))
-                .spawn(move || worker_loop(&s))?,
-        );
-    }
-
-    let loop_shared = Arc::clone(&shared);
-    let event_thread = std::thread::Builder::new()
-        .name("kv-event".into())
-        .spawn(move || event_loop(&loop_shared, &ep, &listener, &wake_rx))?;
-
-    Ok(ServerHandle {
-        shared,
-        local_addr,
-        event_thread: Some(event_thread),
-        workers,
-    })
+    let conn_shared = Arc::clone(&shared);
+    let acceptor = Acceptor::bind(addr, "kv-conn", move |stream| {
+        let stats = &conn_shared.stats;
+        stats.connections_accepted.fetch_add(1, Ordering::Relaxed);
+        stats.connections_active.fetch_add(1, Ordering::Relaxed);
+        // A transport error ends the connection; there is no one to tell.
+        let _ = serve_connection(&conn_shared, &stream);
+        stats.connections_active.fetch_sub(1, Ordering::Relaxed);
+    })?;
+    Ok(ServerHandle { shared, acceptor })
 }
 
-// ---------------------------------------------------------------------------
-// Event loop
-// ---------------------------------------------------------------------------
-
-fn event_loop(
-    shared: &Arc<Shared>,
-    ep: &sys::Epoll,
-    listener: &TcpListener,
-    wake_rx: &UnixStream,
-) {
-    let mut conns: HashMap<u64, Arc<ConnState>> = HashMap::new();
-    let mut next_token = TOKEN_FIRST_CONN;
-    let mut events = [sys::EpollEvent::zeroed(); 64];
-    let mut regime = shared.engine.write_regime();
-    let mut regime_at = Instant::now();
-    let mut stalled = false;
-    let mut draining = false;
-
+/// One connection, start to finish. Returns when the peer closes at a
+/// frame boundary, after a protocol error has been answered, after the
+/// Shutdown ack, when shutdown finds the connection drained, or with
+/// the transport error that broke it.
+fn serve_connection(shared: &Shared, stream: &TcpStream) -> io::Result<()> {
+    stream.set_nodelay(true).ok();
+    stream.set_read_timeout(Some(POLL_INTERVAL))?;
+    stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
+    let mut reader = FrameReader::new(stream);
+    let mut regime_checked: Option<Instant> = None;
+    let mut drain_deadline: Option<Instant> = None;
     loop {
-        // Entering drain mode: stop accepting, freeze each connection's
-        // read side — a connection at a frame boundary is done reading,
-        // one caught mid-frame gets DRAIN_GRACE for the rest to arrive.
-        if !draining && shared.shutdown.load(Ordering::SeqCst) {
-            draining = true;
-            stalled = false;
-            let _ = ep.del(listener.as_raw_fd());
-            let deadline = Instant::now() + DRAIN_GRACE;
-            for conn in conns.values() {
-                let mut inner = conn.inner.lock();
-                if inner.buf.is_empty() {
-                    inner.no_more_reads = true;
-                    let _ = ep.del(conn.stream.as_raw_fd());
-                } else {
-                    inner.drain_deadline = Some(deadline);
-                }
-            }
+        let draining = shared.shutdown.load(Ordering::SeqCst);
+        if draining && reader.at_boundary() {
+            return Ok(());
         }
-        if draining {
-            // Expire mid-frame grace periods.
-            let now = Instant::now();
-            for conn in conns.values() {
-                let mut inner = conn.inner.lock();
-                if !inner.no_more_reads
-                    && inner.drain_deadline.is_some_and(|d| now >= d)
+        // Backpressure: while the engine is stopped, leave the socket
+        // alone. Shutdown lets go — what is already here is served.
+        if !draining && regime_checked.is_none_or(|at| at.elapsed() >= REGIME_RECHECK) {
+            if shared.engine.write_regime() == WriteRegime::Stopped {
+                shared.stats.backpressure_stalls.fetch_add(1, Ordering::Relaxed);
+                while shared.engine.write_regime() == WriteRegime::Stopped
+                    && !shared.shutdown.load(Ordering::SeqCst)
                 {
-                    inner.no_more_reads = true;
-                    let _ = ep.del(conn.stream.as_raw_fd());
-                    inner
-                        .queue
-                        .push_back(Work::ProtoError(
-                            "connection idle mid-frame during shutdown".into(),
-                        ));
-                    maybe_submit(shared, conn, &mut inner);
+                    std::thread::sleep(STALL_BACKOFF);
                 }
             }
+            regime_checked = Some(Instant::now());
         }
-
-        // Sweep: drop connections that are fully done — closed by a
-        // worker, or read-side finished with nothing left to serve.
-        conns.retain(|_, conn| {
-            let inner = conn.inner.lock();
-            let done = inner.closed
-                || (inner.no_more_reads && inner.queue.is_empty() && !inner.in_flight);
-            if done {
-                let _ = ep.del(conn.stream.as_raw_fd());
-                let _ = conn.stream.shutdown(std::net::Shutdown::Both);
-                shared.stats.connections_active.fetch_sub(1, Ordering::Relaxed);
-            }
-            !done
-        });
-        if draining && conns.is_empty() {
-            return;
-        }
-
-        // Backpressure: while the engine is stopped, skip the sockets
-        // entirely (no epoll call — the readable fds would make it
-        // return instantly and spin). Level-triggered epoll re-reports
-        // everything pending once the stall clears.
-        if !draining {
-            if stalled || regime_at.elapsed() >= REGIME_RECHECK {
-                regime = shared.engine.write_regime();
-                regime_at = Instant::now();
-            }
-            if regime == WriteRegime::Stopped {
-                if !stalled {
-                    stalled = true;
-                    shared.stats.backpressure_stalls.fetch_add(1, Ordering::Relaxed);
-                }
-                std::thread::sleep(STALL_BACKOFF);
-                continue;
-            }
-            stalled = false;
-        }
-
-        let timeout = if draining { DRAIN_POLL } else { POLL_INTERVAL };
-        let n = match ep.wait(&mut events, timeout.as_millis() as i32) {
-            Ok(n) => n,
-            Err(_) => continue,
-        };
-        for ev in &events[..n] {
-            let token = ev.data; // copy out of the packed struct
-            match token {
-                TOKEN_LISTENER => {
-                    if !draining {
-                        accept_all(shared, ep, listener, &mut conns, &mut next_token);
-                    }
-                }
-                TOKEN_WAKE => {
-                    let mut sink = [0u8; 256];
-                    while matches!((&*wake_rx).read(&mut sink), Ok(n) if n > 0) {}
-                }
-                token => {
-                    if let Some(conn) = conns.get(&token) {
-                        read_conn(shared, conn, ep, draining);
-                    }
-                }
-            }
-        }
-    }
-}
-
-fn accept_all(
-    shared: &Arc<Shared>,
-    ep: &sys::Epoll,
-    listener: &TcpListener,
-    conns: &mut HashMap<u64, Arc<ConnState>>,
-    next_token: &mut u64,
-) {
-    loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                stream.set_nodelay(true).ok();
-                if stream.set_nonblocking(true).is_err() {
+        let payload = match reader.next_frame() {
+            Ok(Some(payload)) => payload,
+            // Clean EOF: the peer closed between frames.
+            Ok(None) => return Ok(()),
+            // A quiet socket is fine while serving.
+            Err(FrameError::TimedOut) if !draining => continue,
+            // During shutdown a half-received frame gets DRAIN_GRACE to
+            // arrive — a silent client must not pin the drain forever.
+            Err(FrameError::TimedOut) => {
+                let deadline = *drain_deadline.get_or_insert_with(|| Instant::now() + DRAIN_GRACE);
+                if Instant::now() < deadline {
                     continue;
                 }
-                let token = *next_token;
-                *next_token += 1;
-                if ep.add(stream.as_raw_fd(), sys::EPOLLIN, token).is_err() {
-                    continue;
-                }
-                shared.stats.connections_accepted.fetch_add(1, Ordering::Relaxed);
-                shared.stats.connections_active.fetch_add(1, Ordering::Relaxed);
-                conns.insert(token, Arc::new(ConnState::new(stream)));
+                let idle = lsm_kvs::Error::corruption("connection idle mid-frame during shutdown");
+                return refuse(shared, stream, idle);
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => return,
-        }
-    }
-}
-
-/// Drains the socket's readable bytes, splits them into frames, and
-/// queues complete payloads. Framing violations (oversized frame, EOF
-/// mid-frame) queue a `ProtoError` *behind* already-parsed requests so
-/// the error response arrives in order.
-fn read_conn(shared: &Arc<Shared>, conn: &Arc<ConnState>, ep: &sys::Epoll, draining: bool) {
-    let mut inner = conn.inner.lock();
-    if inner.no_more_reads || inner.closed {
-        return;
-    }
-    let mut eof = false;
-    let mut chunk = [0u8; 16 * 1024];
-    loop {
-        match (&conn.stream).read(&mut chunk) {
-            Ok(0) => {
-                // EOF is classified below, *after* the split loop: the
-                // buffered bytes may hold complete frames whose FIN
-                // simply arrived in the same drain.
-                eof = true;
-                break;
-            }
-            Ok(n) => inner.buf.extend_from_slice(&chunk[..n]),
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => {
-                // Transport failure: stop reading; queued work still
-                // completes (its response writes will fail harmlessly).
-                inner.no_more_reads = true;
-                break;
-            }
-        }
-    }
-    // Split off every complete frame.
-    loop {
-        let payload = match unframe(&inner.buf) {
-            Unframed::Frame(payload) => payload.to_vec(),
-            Unframed::NeedMore(_) => break,
-            Unframed::Oversized(len) => {
-                inner.queue.push_back(Work::ProtoError(format!(
-                    "frame of {len} bytes exceeds {MAX_FRAME_LEN}"
-                )));
-                inner.no_more_reads = true;
-                inner.buf.clear();
-                break;
+            Err(FrameError::Io(e)) => return Err(e),
+            // Whole frames ahead of the violation were served on earlier
+            // turns of this loop, so the error arrives in order.
+            Err(violation @ (FrameError::Truncated | FrameError::Oversized(_))) => {
+                let msg = io::Error::from(violation).to_string();
+                return refuse(shared, stream, lsm_kvs::Error::corruption(msg));
             }
         };
-        inner.buf.drain(..4 + payload.len());
-        shared
-            .stats
-            .bytes_received
-            .fetch_add(payload.len() as u64, Ordering::Relaxed);
-        inner.queue.push_back(Work::Frame(payload));
-    }
-    if eof {
-        // Clean EOF is only clean at a frame boundary. Residual bytes
-        // after every complete frame was split off are a frame the peer
-        // abandoned; the error queues *behind* the parsed requests so
-        // their responses still go out first, in order.
-        inner.no_more_reads = true;
-        if !inner.buf.is_empty() {
-            inner.queue.push_back(Work::ProtoError("peer closed mid-frame".into()));
-            inner.buf.clear();
-        }
-    }
-    // During drain, reaching a frame boundary ends the read side: the
-    // half-frame this connection was granted grace for has been served.
-    if draining && inner.buf.is_empty() {
-        inner.no_more_reads = true;
-    }
-    // A finished read side stops generating readiness events now:
-    // level-triggered EPOLLIN on an EOF'd fd would otherwise spin the
-    // loop at full CPU until queued work drains and the sweep runs.
-    // (The sweep's own del then fails harmlessly.)
-    if inner.no_more_reads {
-        let _ = ep.del(conn.stream.as_raw_fd());
-    }
-    // Fast path: a lone Get or Ping on an otherwise idle connection is
-    // served right here instead of hopping through the worker pool —
-    // that hand-off costs two scheduler wake-ups per request, which
-    // dominates small-op RTT on few-core hosts. Anything pipelined
-    // (more than one frame queued), already owned by a worker, or
-    // potentially blocking (writes, scans, flushes) takes the pool.
-    if !inner.in_flight
-        && !inner.closed
-        && inner.queue.len() == 1
-        && matches!(
-            inner.queue.front(),
-            Some(Work::Frame(p)) if matches!(p.first(), Some(&op::GET) | Some(&op::PING))
-        )
-    {
-        let Some(Work::Frame(payload)) = inner.queue.pop_front() else {
-            unreachable!("front checked above")
+        shared.stats.bytes_received.fetch_add(payload.len() as u64, Ordering::Relaxed);
+        let req = match Request::decode(payload) {
+            Ok(req) => req,
+            // Malformed payload: after garbage we cannot trust the framing.
+            Err(e) => return refuse(shared, stream, e),
         };
-        drop(inner);
-        serve_inline(shared, conn, &payload);
-        return;
-    }
-    maybe_submit(shared, conn, &mut inner);
-}
-
-/// Hands the connection to the worker pool if it has work and no worker
-/// already owns it.
-fn maybe_submit(shared: &Shared, conn: &Arc<ConnState>, inner: &mut ConnInner) {
-    if !inner.in_flight && !inner.queue.is_empty() && !inner.closed {
-        inner.in_flight = true;
-        shared.jobs.queue.lock().push_back(Arc::clone(conn));
-        shared.jobs.cv.notify_one();
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Workers
-// ---------------------------------------------------------------------------
-
-fn worker_loop(shared: &Arc<Shared>) {
-    loop {
-        let conn = {
-            let mut q = shared.jobs.queue.lock();
-            loop {
-                if let Some(c) = q.pop_front() {
-                    break c;
-                }
-                if shared.stop_workers.load(Ordering::SeqCst) {
-                    return;
-                }
-                shared.jobs.cv.wait(&mut q);
-            }
-        };
-        serve_one(shared, &conn);
-    }
-}
-
-/// Serves the front work item of one connection: execute, write the
-/// response frame(s), then either resubmit the connection (more queued
-/// work) or release it.
-fn serve_one(shared: &Arc<Shared>, conn: &Arc<ConnState>) {
-    let work = {
-        let mut inner = conn.inner.lock();
-        match inner.queue.pop_front() {
-            Some(w) => w,
-            None => {
-                inner.in_flight = false;
-                return;
-            }
+        let is_shutdown_req = matches!(req, Request::Shutdown);
+        send_response(shared, stream, &execute_frames(shared, req))?;
+        if is_shutdown_req {
+            // Flag set only after the ack was written, so the
+            // requesting client always sees its Ok.
+            shared.shutdown.store(true, Ordering::SeqCst);
+            return Ok(());
         }
-    };
-    let close_after = run_work(shared, conn, work);
-
-    let resubmit = {
-        let mut inner = conn.inner.lock();
-        if close_after {
-            inner.closed = true;
-            inner.queue.clear();
-            inner.in_flight = false;
-            let _ = conn.stream.shutdown(std::net::Shutdown::Both);
-            false
-        } else if inner.queue.is_empty() {
-            inner.in_flight = false;
-            false
-        } else {
-            true // keep in_flight: this worker's claim passes on
-        }
-    };
-    if resubmit {
-        shared.jobs.queue.lock().push_back(Arc::clone(conn));
-        shared.jobs.cv.notify_one();
-    } else if close_after || shared.shutdown.load(Ordering::SeqCst) {
-        // Nudge the event loop only when it has collection to do: a
-        // closed socket to sweep, or a drain waiting on this response.
-        // The steady-state path must not pay a wake syscall per request.
-        wake(shared);
     }
 }
 
-/// Event-loop fast path: executes a lone non-blocking request without a
-/// worker hand-off. The caller guarantees the queue is empty and no
-/// worker owns the connection — and since this *is* the event loop, a
-/// close needs no wake either (the next sweep collects it).
-///
-/// The response is written only as far as the socket accepts without
-/// blocking: if the client's receive window is full, the residue is
-/// queued as a [`Work::Flush`] for the worker pool. The loop thread
-/// never waits for writability, so one client that stops reading
-/// cannot stall accepts and reads for every other connection.
-fn serve_inline(shared: &Arc<Shared>, conn: &Arc<ConnState>, payload: &[u8]) {
-    let (frames, close_after) = match Request::decode(payload) {
-        Ok(req) => (execute_frames(shared, req), false),
-        Err(e) => {
-            // Malformed payload: answer with the decode error and
-            // close — after garbage we cannot trust the framing.
-            shared.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-            (vec![Response::Err(e).encode()], true)
-        }
-    };
-    let mut bytes = Vec::new();
-    for payload in &frames {
+/// Answers a protocol violation with an error frame; the caller closes
+/// the connection by returning.
+fn refuse(shared: &Shared, stream: &TcpStream, e: lsm_kvs::Error) -> io::Result<()> {
+    shared.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
+    let _ = send_response(shared, stream, &[Response::Err(e).encode()]);
+    Ok(())
+}
+
+/// Writes one response — one frame for most requests, a chunk sequence
+/// for Scan — under one [`WRITE_TIMEOUT`] deadline.
+fn send_response(shared: &Shared, stream: &TcpStream, payloads: &[Vec<u8>]) -> io::Result<()> {
+    let mut out = ByDeadline { stream, deadline: Instant::now() + WRITE_TIMEOUT, writes: 0 };
+    let sent = payloads.iter().try_for_each(|payload| {
         shared.stats.bytes_sent.fetch_add(payload.len() as u64, Ordering::Relaxed);
-        bytes.extend_from_slice(&frame(payload));
+        write_frame(&mut out, payload)
+    });
+    if out.writes > 1 {
+        stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
     }
-    match write_some(conn, &bytes) {
-        Ok(n) if n == bytes.len() => {
-            if close_after {
-                close_conn(conn);
-            }
-        }
-        Ok(n) => {
-            // Send buffer full: hand the residue to the pool, which may
-            // block (with the usual timeout). The queue was empty and
-            // no worker owned the connection, so the flush stays ahead
-            // of any frame parsed later.
-            bytes.drain(..n);
-            let mut inner = conn.inner.lock();
-            inner.queue.push_back(Work::Flush { bytes, close_after });
-            maybe_submit(shared, conn, &mut inner);
-        }
-        Err(_) => close_conn(conn),
-    }
+    sent
 }
 
-/// Marks the connection closed and shuts the socket down; the event
-/// loop's next sweep removes it.
-fn close_conn(conn: &ConnState) {
-    let mut inner = conn.inner.lock();
-    inner.closed = true;
-    inner.queue.clear();
-    let _ = conn.stream.shutdown(std::net::Shutdown::Both);
+/// A socket whose writes share one deadline. The socket's own timeout
+/// bounds a single `write(2)`, so by itself it would let a client that
+/// trickles its reads stretch one response forever.
+struct ByDeadline<'a> {
+    stream: &'a TcpStream,
+    deadline: Instant,
+    writes: u32,
 }
 
-/// Executes one work item and writes its response frame(s). Returns
-/// whether the connection must close afterwards.
-fn run_work(shared: &Arc<Shared>, conn: &Arc<ConnState>, work: Work) -> bool {
-    let mut close_after = false;
-    match work {
-        Work::ProtoError(msg) => {
-            shared.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-            let resp = Response::Err(lsm_kvs::Error::corruption(msg));
-            let _ = send_frames(shared, conn, &[resp.encode()]);
-            close_after = true;
-        }
-        Work::Flush { bytes, close_after: close } => {
-            // Residue of an inline response (already counted in
-            // bytes_sent); here on a worker, blocking is allowed.
-            let deadline = Instant::now() + WRITE_TIMEOUT;
-            close_after = write_deadline(conn, &bytes, deadline).is_err() || close;
-        }
-        Work::Frame(payload) => match Request::decode(&payload) {
-            Err(e) => {
-                // Malformed payload: answer with the decode error and
-                // close — after garbage we cannot trust the framing.
-                shared.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                let _ = send_frames(shared, conn, &[Response::Err(e).encode()]);
-                close_after = true;
+impl Write for ByDeadline<'_> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        // The first write runs under the socket's standing timeout, which
+        // is the whole allowance; every later one gets what is left of
+        // it. Small responses, one write each, never pay the setsockopt.
+        if self.writes > 0 {
+            let left = self.deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return Err(io::Error::new(io::ErrorKind::TimedOut, "client not reading responses"));
             }
-            Ok(req) => {
-                let is_shutdown_req = matches!(req, Request::Shutdown);
-                let frames = execute_frames(shared, req);
-                if send_frames(shared, conn, &frames).is_err() {
-                    close_after = true;
-                }
-                if is_shutdown_req {
-                    // Flag set only after the ack was written, so the
-                    // requesting client always sees its Ok.
-                    shared.shutdown.store(true, Ordering::SeqCst);
-                    close_after = true;
-                }
-            }
-        },
+            self.stream.set_write_timeout(Some(left))?;
+        }
+        self.writes += 1;
+        self.stream.write(buf)
     }
-    close_after
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
 }
 
 /// Executes one request and returns the response frame payload(s) —
 /// one for most requests, a chunk sequence for Scan.
-fn execute_frames(shared: &Arc<Shared>, req: Request) -> Vec<Vec<u8>> {
+fn execute_frames(shared: &Shared, req: Request) -> Vec<Vec<u8>> {
     let engine = shared.engine.as_ref();
     // Replication frames carry raw engine state and belong on the
     // replica port's dedicated stream, never the client port.
@@ -941,59 +594,3 @@ fn ack(r: lsm_kvs::Result<()>) -> Response {
     }
 }
 
-/// Writes response payloads to the (nonblocking) socket, polling for
-/// writability on short stalls and giving up after [`WRITE_TIMEOUT`].
-fn send_frames(shared: &Shared, conn: &ConnState, payloads: &[Vec<u8>]) -> io::Result<()> {
-    let deadline = Instant::now() + WRITE_TIMEOUT;
-    for payload in payloads {
-        shared
-            .stats
-            .bytes_sent
-            .fetch_add(payload.len() as u64, Ordering::Relaxed);
-        write_deadline(conn, &frame(payload), deadline)?;
-    }
-    Ok(())
-}
-
-/// Writes all of `bytes`, polling for writability on short stalls and
-/// failing once `deadline` passes. Worker-thread only: the event loop
-/// must use [`write_some`] instead.
-fn write_deadline(conn: &ConnState, bytes: &[u8], deadline: Instant) -> io::Result<()> {
-    let mut off = 0;
-    while off < bytes.len() {
-        match (&conn.stream).write(&bytes[off..]) {
-            Ok(0) => return Err(io::Error::new(io::ErrorKind::WriteZero, "socket closed")),
-            Ok(n) => off += n,
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                let Some(left) = deadline.checked_duration_since(Instant::now()) else {
-                    return Err(io::Error::new(
-                        io::ErrorKind::TimedOut,
-                        "client not reading responses",
-                    ));
-                };
-                let ms = left.as_millis().clamp(1, 250) as i32;
-                sys::wait_writable(conn.stream.as_raw_fd(), ms)?;
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(())
-}
-
-/// Writes as much of `bytes` as the socket accepts without ever
-/// blocking; `WouldBlock` ends the write early rather than erroring.
-/// Returns how many bytes were written.
-fn write_some(conn: &ConnState, bytes: &[u8]) -> io::Result<usize> {
-    let mut off = 0;
-    while off < bytes.len() {
-        match (&conn.stream).write(&bytes[off..]) {
-            Ok(0) => return Err(io::Error::new(io::ErrorKind::WriteZero, "socket closed")),
-            Ok(n) => off += n,
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(off)
-}

@@ -550,6 +550,30 @@ fn synced_ack_wait_does_not_hold_the_engine_lock() {
     drop(listener);
 }
 
+/// Dropping a leader's two handles lets go of the engine there and
+/// then: the replica listener joins its per-follower threads instead of
+/// leaving one to own the database (and decide when `Db::drop` runs)
+/// for a while longer.
+#[test]
+fn dropping_the_handles_releases_the_engine_at_once() {
+    let (leader, hub, listener) = start_leader(Arc::new(MemVfs::new()));
+    let server = serve(Arc::clone(&leader) as Arc<dyn KvEngine>, "127.0.0.1:0").unwrap();
+    let (follower, fh) =
+        start_follower_db(Arc::new(MemVfs::new()), &listener.local_addr().to_string());
+    synced_put(&*leader, b"k", b"v").unwrap();
+    assert!(
+        wait_until(Duration::from_secs(5), || {
+            hub.live_followers() == 1 && follower.snapshot_seq() == leader.snapshot_seq()
+        }),
+        "follower never connected and caught up"
+    );
+
+    drop(listener);
+    drop(server);
+    assert_eq!(Arc::strong_count(&leader), 1, "a server thread still owns the engine");
+    drop(fh);
+}
+
 /// `db_bench --cluster` routing contract: point ops, multi_get, batch
 /// writes, and scans through a two-node fleet behave like one engine.
 #[test]

@@ -358,7 +358,7 @@ fn backpressure_pauses_intake_while_stopped() {
         done2.store(true, Ordering::SeqCst);
     });
 
-    // While stopped, the worker must not even read the ping.
+    // While stopped, the server must not even read the ping.
     std::thread::sleep(Duration::from_millis(400));
     assert!(!done.load(Ordering::SeqCst), "request served during a write stall");
     assert!(handle.stats().backpressure_stalls.load(Ordering::Relaxed) >= 1);
@@ -574,11 +574,11 @@ fn read_frame(s: &mut TcpStream) -> Vec<u8> {
 
 /// Regression: a client that sends complete request frames and then
 /// half-closes is a clean frame-boundary EOF, not a truncation — even
-/// when the frames and the FIN are drained by the event loop in one
-/// read pass. The engine is stalled first so that coalescing is
-/// guaranteed, not timing-dependent: while the write regime is Stopped
-/// the loop reads nothing, so the requests and the FIN pile up and
-/// arrive together once the stall clears.
+/// when the frames and the FIN reach the server in one read. The engine
+/// is stalled first so that coalescing is guaranteed, not
+/// timing-dependent: while the write regime is Stopped the server reads
+/// nothing, so the requests and the FIN pile up and arrive together
+/// once the stall clears.
 #[test]
 fn half_close_after_complete_frames_is_served() {
     let opts = Options {
@@ -601,7 +601,7 @@ fn half_close_after_complete_frames_is_served() {
     let handle = serve(Arc::clone(&db) as Arc<dyn KvEngine>, "127.0.0.1:0").unwrap();
     let addr = handle.local_addr().to_string();
 
-    // Send two pipelined requests plus FIN while the loop is stalled.
+    // Send two pipelined requests plus FIN while the server is stalled.
     let get = Request::Get { key: b"canary".to_vec() };
     let ping = Request::Ping;
     let mut burst = Vec::new();
@@ -613,7 +613,7 @@ fn half_close_after_complete_frames_is_served() {
     s.shutdown(std::net::Shutdown::Write).unwrap();
     std::thread::sleep(Duration::from_millis(200)); // FIN reaches the kernel buffer
 
-    // Clear the stall; the loop now drains data + EOF in one pass.
+    // Clear the stall; the server now reads data + EOF in one pass.
     db.compact_range(b"", b"\xff\xff").unwrap();
 
     let first = Response::decode(&get, &read_frame(&mut s)).unwrap();
@@ -625,7 +625,7 @@ fn half_close_after_complete_frames_is_served() {
     s.read_to_end(&mut rest).unwrap();
     assert!(rest.is_empty(), "clean close after the responses");
 
-    // Same shape against the now-normal loop, a few rounds for luck.
+    // Same shape against the now-normal server, a few rounds for luck.
     for round in 0..10 {
         let mut s = TcpStream::connect(&addr).unwrap();
         s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
@@ -647,10 +647,10 @@ fn half_close_after_complete_frames_is_served() {
 }
 
 /// Regression: a lone-Get client that never reads its (large) response
-/// must not stall the event loop. The inline fast path hands the
-/// unwritable residue to the worker pool, so other connections keep
-/// being served immediately — and the slow reader still receives its
-/// full value once it gets around to reading.
+/// must not stall anyone else. Whatever of the response the socket will
+/// not take yet waits on that connection alone, so other connections
+/// keep being served immediately — and the slow reader still receives
+/// its full value once it gets around to reading.
 #[test]
 fn slow_reader_does_not_stall_other_connections() {
     let (handle, addr) = start_db_server(Options::default(), Arc::new(MemVfs::new()));
@@ -662,7 +662,7 @@ fn slow_reader_does_not_stall_other_connections() {
     let mut slow = TcpStream::connect(&addr).unwrap();
     slow.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
     slow.write_all(&frame(&get.encode())).unwrap();
-    // Let the inline path run and hit the full send buffer.
+    // Let the response run into the full send buffer.
     std::thread::sleep(Duration::from_millis(300));
 
     // Every other connection must stay live while the slow reader idles.
@@ -672,7 +672,7 @@ fn slow_reader_does_not_stall_other_connections() {
     }
     assert!(
         t0.elapsed() < Duration::from_secs(2),
-        "event loop stalled behind a slow reader for {:?}",
+        "other connections stalled behind a slow reader for {:?}",
         t0.elapsed()
     );
 
@@ -682,6 +682,74 @@ fn slow_reader_does_not_stall_other_connections() {
         other => panic!("unexpected response {other:?}"),
     }
     drop(handle);
+}
+
+/// Puts a connection in the state shutdown has to be careful with: the
+/// server holds the first half of a synced Put and nothing else. The
+/// half rides behind a Ping in the same segment, so the Ping's answer
+/// proves the server has read it. Returns the socket, the request and
+/// the half still to send.
+fn connection_holding_half_a_put(addr: &str) -> (TcpStream, Request, Vec<u8>) {
+    let put = Request::Put { sync: true, key: b"straddler".to_vec(), value: b"whole".to_vec() };
+    let bytes = frame(&put.encode());
+    let (head, tail) = bytes.split_at(bytes.len() / 2);
+    let mut first = frame(&Request::Ping.encode());
+    first.extend_from_slice(head);
+    let mut s = TcpStream::connect(addr).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    s.write_all(&first).unwrap();
+    assert_eq!(Response::decode(&Request::Ping, &read_frame(&mut s)).unwrap(), Response::Ok);
+    (s, put, tail.to_vec())
+}
+
+/// Shutdown's grace for a frame caught half-received: the rest arrives
+/// while the server is already draining, and the write is still
+/// committed, acked and there after a reopen. (Shutdown is requested
+/// over the wire so the test knows it has begun before it sends the
+/// second half.)
+#[test]
+fn shutdown_serves_a_frame_whose_second_half_arrives_during_the_drain() {
+    let vfs = Arc::new(MemVfs::new());
+    let (mut handle, addr) = start_db_server(Options::default(), vfs.clone());
+    let (mut s, put, tail) = connection_holding_half_a_put(&addr);
+
+    RemoteDb::connect(&addr).unwrap().shutdown_server().unwrap();
+    handle.wait_for_shutdown_request();
+    std::thread::sleep(Duration::from_millis(100));
+    s.write_all(&tail).unwrap();
+    assert_eq!(
+        Response::decode(&put, &read_frame(&mut s)).unwrap(),
+        Response::Ok,
+        "the straddling Put was not acked"
+    );
+    handle.shutdown();
+    drop(handle);
+
+    let env = wall_env();
+    let db = Db::builder(Options::default()).env(&env).vfs(vfs).open().unwrap();
+    assert_eq!(db.get(b"straddler").unwrap().as_deref(), Some(&b"whole"[..]));
+}
+
+/// The other side of the grace: a client that sent half a frame and went
+/// silent is told so and closed, and holds shutdown up for the grace
+/// period (1 s) — not less, and not much more.
+#[test]
+fn shutdown_gives_a_silent_half_frame_its_grace_and_no_more() {
+    let (mut handle, addr) = start_db_server(Options::default(), Arc::new(MemVfs::new()));
+    let (mut s, put, _tail) = connection_holding_half_a_put(&addr);
+
+    let t0 = std::time::Instant::now();
+    handle.shutdown();
+    let took = t0.elapsed();
+    assert!(took >= Duration::from_secs(1), "shutdown cut the grace short: {took:?}");
+    assert!(took < Duration::from_secs(2), "shutdown outlasted the grace: {took:?}");
+    match Response::decode(&put, &read_frame(&mut s)).unwrap() {
+        Response::Err(e) => assert!(
+            e.to_string().contains("idle mid-frame during shutdown"),
+            "unexpected error: {e}"
+        ),
+        other => panic!("unexpected response {other:?}"),
+    }
 }
 
 /// A retired option name in a SetOptions batch refuses the whole batch:

@@ -22,6 +22,8 @@
 //! slice of the key range. A node spec may name a failover replica as
 //! `leader~follower`.
 
+#![forbid(unsafe_code)]
+
 use std::sync::Arc;
 
 use db_bench::{

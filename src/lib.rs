@@ -15,6 +15,8 @@
 //! See `README.md` for a quickstart and `DESIGN.md` for the system
 //! inventory and experiment index.
 
+#![forbid(unsafe_code)]
+
 pub use db_bench;
 pub use elmo_tune;
 pub use hw_sim;
