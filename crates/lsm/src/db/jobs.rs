@@ -11,24 +11,23 @@
 //!   WALs, under the state lock.
 //!
 //! The execution mode enters through two primitives only:
-//! [`DbInner::execute`] decides *when* a run job is installed (sim: at
-//! the virtual instant the cost model says it finishes, via the event
-//! queue; real: as soon as the build returns), and
+//! [`DbInner::execute`] decides *when* a run job is installed and
 //! [`DbInner::wait_progress`] is how a foreground thread waits for
-//! background work (sim: advance the virtual clock to the next queued
-//! install; real: wake the pool and sleep on `done_cv`). In sim mode the
-//! foreground thread is also the scheduler ([`DbInner::catch_up`],
-//! [`DbInner::work_available`]); in real mode pool workers claim for
-//! themselves ([`background_worker`]).
+//! background work. In sim mode the foreground thread is also the
+//! scheduler ([`DbInner::catch_up`], [`DbInner::work_available`]); in
+//! real mode pool workers claim for themselves ([`background_worker`]).
 
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 
-use hw_sim::{AccessPattern, SimDuration, SimTime};
+use hw_sim::{SimDuration, SimTime};
 use parking_lot::MutexGuard;
 
-use super::{wal_file_name, DbInner, DbState, MANIFEST_RETRIES, MAX_WRITE_DELAY, WAIT_SLICE};
+use super::sim::Sim;
+use super::{
+    wal_file_name, DbInner, DbState, Mode, MANIFEST_RETRIES, MAX_WRITE_DELAY, WAIT_SLICE,
+};
 use crate::compaction::{
     can_drop_tombstones, pending_compaction_bytes, pick_compaction, run_compaction,
     CompactionInputs, CompactionJobOutput, CompactionPick,
@@ -38,9 +37,7 @@ use crate::filter::FilterContext;
 use crate::flush::{build_l0_table, sst_file_name};
 use crate::listener::{CompactionJobInfo, FlushJobInfo};
 use crate::memtable::MemTable;
-use crate::options::CompressionType;
 use crate::runtime::BgShared;
-use crate::sstable::compress::decompress_cpu_cost;
 use crate::sstable::table::{FinishedTable, TableConfig};
 use crate::stats::{HistogramKind, Ticker};
 use crate::types::FileNumber;
@@ -50,7 +47,7 @@ use crate::wal::WalWriter;
 /// A merging compaction with its inputs claimed and its output
 /// parameters (and filter + snapshot pins) frozen at claim time.
 pub(super) struct MergeJob {
-    inputs: Vec<(usize, Arc<FileMetadata>)>,
+    pub(super) inputs: Vec<(usize, Arc<FileMetadata>)>,
     output_level: usize,
     bottommost: bool,
     target_file_size: u64,
@@ -70,7 +67,7 @@ pub(super) enum Job {
 }
 
 /// A job whose build finished, waiting for its install.
-enum Done {
+pub(super) enum Done {
     Flush {
         file_number: FileNumber,
         mems: Vec<Arc<MemTable>>,
@@ -84,36 +81,10 @@ enum Done {
 }
 
 /// What listeners are told once a job is installed.
-enum Completed {
+pub(super) enum Completed {
     Flush(FlushJobInfo),
     Compaction(CompactionJobInfo),
     FifoDrop,
-}
-
-/// Sim mode: a finished job queued for install at the virtual instant
-/// the cost model says it completes.
-pub(super) struct Event {
-    at: SimTime,
-    seq: u64,
-    done: Done,
-}
-
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for Event {}
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Inverted: BinaryHeap pops the *earliest* event.
-        other.at.cmp(&self.at).then(other.seq.cmp(&self.seq))
-    }
 }
 
 fn file_metadata(number: FileNumber, table: &FinishedTable) -> Arc<FileMetadata> {
@@ -336,108 +307,14 @@ impl DbInner {
             }
             Job::Drop { files } => (Done::Drop { files }, None),
         };
-        let finished = self.job_finished(started, &done);
+        let finished = match &self.mode {
+            Mode::Sim(sim) => sim.job_finished(started, &done, &self.opts()),
+            Mode::Real(_) => self.clock.now(),
+        };
         if let Some(kind) = histogram {
             self.stats.record(kind, finished.saturating_since(started));
         }
         Ok((done, finished))
-    }
-
-    /// When a job that started at `started` finishes: real mode reads the
-    /// wall clock; sim mode charges the job's CPU and device traffic to
-    /// the hardware model (shared with foreground work) and returns the
-    /// modeled completion instant.
-    fn job_finished(&self, started: SimTime, done: &Done) -> SimTime {
-        if self.runtime.is_some() {
-            return self.env.clock().now();
-        }
-        match done {
-            Done::Flush { table, .. } => self.model_flush(started, table),
-            Done::Merge { job, output } => self.model_merge(started, job.inputs.len(), output),
-            Done::Drop { .. } => started + SimDuration::from_micros(500),
-        }
-    }
-
-    fn model_flush(&self, now: SimTime, table: &FinishedTable) -> SimTime {
-        let raw = table.properties.raw_bytes;
-        let cpu_cost = SimDuration::from_secs_f64(raw as f64 / self.cost.flush_cpu_bps)
-            + table.compression_cpu;
-        let slot = self.env.cpu().run(now, cpu_cost);
-        let io_done = self.submit_background_write(slot.start, table.file_size);
-        self.settle(slot.start, slot.end.max(io_done), table.file_size)
-    }
-
-    /// Cost model of a merge: chunked reads (readahead), chunked writes,
-    /// merge CPU split across subcompactions.
-    fn model_merge(&self, now: SimTime, input_files: usize, output: &CompactionJobOutput) -> SimTime {
-        let opts = self.opts();
-        let readahead = opts.compaction_readahead_size.max(64 << 10);
-        let read_pattern = if self.env.device().model().class.is_rotational() {
-            AccessPattern::Random // one seek per readahead chunk
-        } else {
-            AccessPattern::Sequential
-        };
-        let subs = (opts.max_subcompactions.max(1) as usize).min(input_files).max(1);
-        let cpu_total = SimDuration::from_secs_f64(
-            output.bytes_read as f64 / self.cost.compaction_cpu_bps,
-        ) + SimDuration::from_nanos(output.entries_read * self.cost.compaction_entry_cpu.as_nanos())
-            + output.compression_cpu
-            + if opts.compression != CompressionType::None {
-                decompress_cpu_cost(opts.compression, output.bytes_read as usize)
-            } else {
-                SimDuration::ZERO
-            };
-        let per_sub = cpu_total.mul_f64(1.0 / subs as f64);
-        let mut cpu_end = now;
-        let mut start = now;
-        for _ in 0..subs {
-            let slot = self.env.cpu().run(now, per_sub);
-            cpu_end = cpu_end.max(slot.end);
-            start = start.max(slot.start);
-        }
-        let mut io_end = start;
-        let mut at = start;
-        let mut remaining = output.bytes_read;
-        while remaining > 0 {
-            let n = remaining.min(readahead);
-            io_end = self.env.device().submit_read(at, n, read_pattern);
-            at = io_end;
-            remaining -= n;
-        }
-        let write_done = self.submit_background_write(start, output.bytes_written);
-        self.settle(
-            start,
-            cpu_end.max(io_end).max(write_done),
-            output.bytes_read + output.bytes_written,
-        )
-    }
-
-    /// Submits a background sequential write in `bytes_per_sync`-sized
-    /// chunks (or one OS burst) and returns the last completion.
-    fn submit_background_write(&self, start: SimTime, total: u64) -> SimTime {
-        let per_sync = self.opts().bytes_per_sync;
-        let chunk = if per_sync > 0 { per_sync } else { self.cost.os_writeback_burst }.max(64 << 10);
-        let mut remaining = total;
-        let mut done = start;
-        let mut at = start;
-        while remaining > 0 {
-            let n = remaining.min(chunk);
-            done = self.env.device().submit_write(at, n, AccessPattern::Sequential);
-            at = done;
-            remaining -= n;
-        }
-        // Durability point at file close.
-        self.env.device().submit_sync(done)
-    }
-
-    /// Applies the rate limiter's floor for `bytes` of job I/O and the
-    /// memory-pressure penalty to a modeled job spanning `start..end`.
-    fn settle(&self, start: SimTime, mut end: SimTime, bytes: u64) -> SimTime {
-        let rate = self.opts().rate_limiter_bytes_per_sec;
-        if rate > 0 {
-            end = end.max(start + SimDuration::from_secs_f64(bytes as f64 / rate as f64));
-        }
-        start + (end - start).mul_f64(self.env.memory().penalty_factor())
     }
 }
 
@@ -622,26 +499,25 @@ impl DbInner {
 }
 
 // ---------------------------------------------------------------------------
-// Sim mode: the foreground thread schedules, the event queue installs
+// Sim mode: the foreground thread schedules, the install queue installs
 // ---------------------------------------------------------------------------
 
 impl DbInner {
     /// Claims everything claimable at `now` and starts it.
-    fn schedule(&self, state: &mut DbState, now: SimTime) -> Result<()> {
+    fn schedule(&self, sim: &Sim, state: &mut DbState, now: SimTime) -> Result<()> {
         while let Some(job) = self.claim(state) {
-            self.start(state, job, now)?;
+            self.start(sim, state, job, now)?;
         }
         Ok(())
     }
 
     /// Runs `job` eagerly and queues its install for the virtual instant
     /// the cost model says it finishes.
-    fn start(&self, state: &mut DbState, job: Job, now: SimTime) -> Result<()> {
+    fn start(&self, sim: &Sim, state: &mut DbState, job: Job, now: SimTime) -> Result<()> {
         let ran = self.run(job, now, || state.alloc_file_number());
         match ran {
             Ok((done, at)) => {
-                state.event_seq += 1;
-                state.events.push(Event { at, seq: state.event_seq, done });
+                sim.queue_install(at, done);
                 Ok(())
             }
             Err((job, e)) => {
@@ -653,28 +529,14 @@ impl DbInner {
 
     /// Installs every queued job whose virtual completion instant has
     /// passed, then schedules whatever that made claimable. A no-op in
-    /// real mode, whose event queue is always empty.
+    /// real mode, which queues nothing.
     pub(super) fn pump(&self, state: &mut DbState) -> Result<()> {
-        while state
-            .events
-            .peek()
-            .is_some_and(|e| e.at <= self.env.clock().now())
-        {
-            let Event { at, done, .. } = state.events.pop().expect("peeked");
-            // The manifest edit is a small write on the shared device.
-            let manifest_bytes = match &done {
-                Done::Flush { .. } => 128,
-                Done::Merge { .. } => 256,
-                Done::Drop { .. } => 0,
-            };
+        let Mode::Sim(sim) = &self.mode else { return Ok(()) };
+        while let Some((at, done)) = sim.pop_due() {
             let completed = self.install(state, done)?;
-            if manifest_bytes > 0 {
-                self.env
-                    .device()
-                    .submit_write(at, manifest_bytes, AccessPattern::Sequential);
-            }
+            sim.charge_manifest_edit(at, &completed);
             self.notify(&completed);
-            self.schedule(state, at)?;
+            self.schedule(sim, state, at)?;
         }
         Ok(())
     }
@@ -688,7 +550,7 @@ impl DbInner {
     /// Claims and runs background jobs until none are claimable.
     /// Returns how many jobs ran.
     fn run_background_cycle(&self) -> usize {
-        let rt = self.runtime.as_ref().expect("real mode");
+        let Mode::Real(rt) = &self.mode else { unreachable!("pool workers run in real mode only") };
         let mut jobs_run = 0;
         let mut consecutive_failures = 0u32;
         while !rt.bg.is_shutdown() {
@@ -745,7 +607,7 @@ impl DbInner {
     /// short re-locks) and installs the result under a short critical
     /// section as soon as the build returns.
     fn run_and_install(&self, job: Job) -> Result<()> {
-        let started = self.env.clock().now();
+        let started = self.clock.now();
         let ran = self.run(job, started, || self.state.lock().alloc_file_number());
         let mut state = self.state.lock();
         let completed = match ran {
@@ -771,10 +633,9 @@ impl DbInner {
     /// queues the install for the job's modeled completion instant, real
     /// installs as soon as the build returns.
     pub(super) fn execute(&self, job: Job) -> Result<()> {
-        if self.runtime.is_some() {
-            self.run_and_install(job)
-        } else {
-            self.start(&mut self.state.lock(), job, self.env.clock().now())
+        match &self.mode {
+            Mode::Real(_) => self.run_and_install(job),
+            Mode::Sim(sim) => self.start(sim, &mut self.state.lock(), job, self.clock.now()),
         }
     }
 
@@ -789,28 +650,31 @@ impl DbInner {
         state: &mut MutexGuard<'_, DbState>,
         limit: Option<SimDuration>,
     ) -> Result<bool> {
-        if let Some(rt) = &self.runtime {
-            rt.bg.kick();
-            let slice = limit.map_or(WAIT_SLICE, |d| {
-                Duration::from_nanos(d.as_nanos()).min(MAX_WRITE_DELAY)
-            });
-            rt.done_cv.wait_for(state, slice);
-            return Ok(true);
-        }
-        let now = self.env.clock().now();
+        let sim = match &self.mode {
+            Mode::Sim(sim) => sim,
+            Mode::Real(rt) => {
+                rt.bg.kick();
+                let slice = limit.map_or(WAIT_SLICE, |d| {
+                    Duration::from_nanos(d.as_nanos()).min(MAX_WRITE_DELAY)
+                });
+                rt.done_cv.wait_for(state, slice);
+                return Ok(true);
+            }
+        };
+        let now = self.clock.now();
         let until = match limit {
             Some(d) => now + d,
             None => {
                 // Schedule-then-wait: make sure any claimable work is in
                 // flight *before* deciding there is nothing to wait for.
-                self.schedule(state, now)?;
-                match state.events.peek() {
-                    Some(next) => next.at,
+                self.schedule(sim, state, now)?;
+                match sim.next_install_at() {
+                    Some(at) => at,
                     None => return Ok(false),
                 }
             }
         };
-        self.env.clock().advance_to(until);
+        self.clock.advance_to(until);
         self.pump(state)?;
         Ok(true)
     }
@@ -820,11 +684,11 @@ impl DbInner {
     /// is the scheduler) installs what came due and starts whatever is
     /// claimable; real surfaces the sticky fatal error.
     pub(super) fn catch_up(&self, state: &mut DbState) -> Result<()> {
-        match &self.runtime {
-            Some(rt) => rt.fatal_error().map_or(Ok(()), Err),
-            None => {
+        match &self.mode {
+            Mode::Real(rt) => rt.fatal_error().map_or(Ok(()), Err),
+            Mode::Sim(sim) => {
                 self.pump(state)?;
-                self.schedule(state, self.env.clock().now())
+                self.schedule(sim, state, self.clock.now())
             }
         }
     }
@@ -833,12 +697,12 @@ impl DbInner {
     /// without installing anything: sim starts it now, real wakes the
     /// pool.
     pub(super) fn work_available(&self, state: &mut DbState) -> Result<()> {
-        match &self.runtime {
-            Some(rt) => {
+        match &self.mode {
+            Mode::Real(rt) => {
                 rt.bg.kick();
                 Ok(())
             }
-            None => self.schedule(state, self.env.clock().now()),
+            Mode::Sim(sim) => self.schedule(sim, state, self.clock.now()),
         }
     }
 

@@ -3,30 +3,17 @@
 //!
 //! # Execution model
 //!
-//! One engine, two execution modes, selected once at [`Db::builder`] from
-//! the environment's clock. Both modes share the commit pipeline
-//! (`write`) and the background-job lifecycle (`jobs`): a job is
-//! *claimed* under the state lock, *run* (the table build), and
-//! *installed* (version edit, manifest, input retirement). The mode
-//! decides only two things:
-//!
-//! - **When a job's result is installed.** With a simulated
-//!   [`hw_sim::Clock`] the foreground thread runs the build eagerly,
-//!   charges its modeled cost (CPU, device queueing) to the shared
-//!   hardware model, and queues the install for the virtual instant the
-//!   model says the job finishes — so background pressure shows up as
-//!   foreground tail latency, the phenomenon LSM tuning fights. With a
-//!   wall clock a pool of OS threads honoring `max_background_jobs`
-//!   claims jobs and installs each result as soon as its build returns.
-//! - **How a foreground thread waits for background progress.** Sim
-//!   advances the virtual clock to the next queued install; real wakes
-//!   the pool and sleeps on a condition variable.
-//!
-//! Real mode additionally coalesces concurrent writers through a
-//! group-commit queue (one leader appends and syncs the WAL for the whole
-//! group); a sim write is a group of one. Reads traverse immutable
-//! snapshots (`Arc`ed memtables and versions) without holding the state
-//! mutex for the lookup in either mode.
+//! One engine, two execution modes ([`Mode`]), selected once at
+//! [`Db::builder`] from the environment's clock: simulation (virtual
+//! clock, one thread, modelled hardware — `sim`) and real concurrency
+//! (wall clock, OS threads — `crate::runtime`). Both share the commit
+//! pipeline (`write`; real mode coalesces concurrent writers into groups,
+//! a sim write is a group of one) and the background-job lifecycle
+//! (`jobs`, which documents the two primitives the mode enters through:
+//! when a job's result is installed and how a foreground thread waits for
+//! background progress). Reads traverse immutable snapshots (`Arc`ed
+//! memtables and versions) without holding the state mutex for the
+//! lookup in either mode.
 
 mod jobs;
 mod maintenance;
@@ -34,14 +21,15 @@ mod open;
 mod read;
 mod report;
 mod scan;
+mod sim;
 mod write;
 
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use hw_sim::{HardwareEnv, MemoryUser, SimDuration, SimTime};
+use hw_sim::{Clock, SimTime};
 use parking_lot::{Mutex, RwLock};
 
 use crate::cache::{BlockCache, CacheStats, TableCache};
@@ -81,64 +69,6 @@ fn wal_file_name(number: u64) -> String {
     format!("{number:06}.log")
 }
 
-/// Foreground/background cost constants (reference-core nanoseconds).
-///
-/// These calibrate the simulation to `db_bench`-like magnitudes; they are
-/// deliberately public so experiments can ablate them.
-#[derive(Debug, Clone)]
-pub struct CostModel {
-    /// Fixed CPU per write operation.
-    pub write_base_cpu: SimDuration,
-    /// CPU per byte inserted into the memtable.
-    pub write_per_byte_cpu_ns: f64,
-    /// Fixed CPU per WAL record plus per-byte cost.
-    pub wal_record_cpu: SimDuration,
-    /// CPU per byte appended to the WAL buffer.
-    pub wal_per_byte_cpu_ns: f64,
-    /// Fixed CPU per read operation.
-    pub get_base_cpu: SimDuration,
-    /// CPU per memtable probed.
-    pub memtable_probe_cpu: SimDuration,
-    /// CPU per bloom filter check.
-    pub bloom_check_cpu: SimDuration,
-    /// CPU per index-block seek.
-    pub index_seek_cpu: SimDuration,
-    /// CPU per block-cache hit (hash + seek in block).
-    pub cache_hit_cpu: SimDuration,
-    /// CPU per entry stepped during scans.
-    pub scan_entry_cpu: SimDuration,
-    /// Flush throughput at reference speed (bytes/sec of raw data).
-    pub flush_cpu_bps: f64,
-    /// Compaction merge throughput (bytes/sec of raw data).
-    pub compaction_cpu_bps: f64,
-    /// CPU per entry merged in compaction.
-    pub compaction_entry_cpu: SimDuration,
-    /// Dirty-page threshold that triggers an OS writeback burst when
-    /// `bytes_per_sync`/`wal_bytes_per_sync` are zero.
-    pub os_writeback_burst: u64,
-}
-
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel {
-            write_base_cpu: SimDuration::from_nanos(900),
-            write_per_byte_cpu_ns: 1.2,
-            wal_record_cpu: SimDuration::from_nanos(250),
-            wal_per_byte_cpu_ns: 0.3,
-            get_base_cpu: SimDuration::from_nanos(500),
-            memtable_probe_cpu: SimDuration::from_nanos(300),
-            bloom_check_cpu: SimDuration::from_nanos(120),
-            index_seek_cpu: SimDuration::from_nanos(200),
-            cache_hit_cpu: SimDuration::from_nanos(250),
-            scan_entry_cpu: SimDuration::from_nanos(180),
-            flush_cpu_bps: 350e6,
-            compaction_cpu_bps: 300e6,
-            compaction_entry_cpu: SimDuration::from_nanos(100),
-            os_writeback_burst: 64 << 20,
-        }
-    }
-}
-
 struct ImmEntry {
     mem: Arc<MemTable>,
     wal_number: u64,
@@ -158,15 +88,9 @@ struct DbState {
     manifest: WalWriter,
     next_file: u64,
     last_seq: SequenceNumber,
-    /// Sim mode: jobs that ran, ordered by the virtual instant their
-    /// result is installed. Always empty in real mode.
-    events: BinaryHeap<jobs::Event>,
-    event_seq: u64,
     running_flushes: usize,
     running_compactions: usize,
     pending_compaction_bytes: u64,
-    /// Sim mode: unsynced WAL bytes the modeled OS has yet to write back.
-    dirty_wal_bytes: u64,
     writes_since_account: u64,
     /// Input SSTs replaced by a compaction but possibly still referenced
     /// by readers holding an older `Arc<Version>`. Physically deleted
@@ -194,12 +118,9 @@ impl DbState {
             manifest,
             next_file,
             last_seq,
-            events: BinaryHeap::new(),
-            event_seq: 0,
             running_flushes: 0,
             running_compactions: 0,
             pending_compaction_bytes: 0,
-            dirty_wal_bytes: 0,
             writes_since_account: 0,
             obsolete_files: Vec::new(),
         }
@@ -359,19 +280,24 @@ const MANIFEST_RETRIES: u32 = 5;
 /// Bounded re-sync attempts for an acknowledged-append WAL sync.
 const WAL_SYNC_RETRIES: u32 = 3;
 
+/// The execution mode, fixed at open by the environment's clock. Each
+/// side owns what only it needs, so neither can reach the other's.
+enum Mode {
+    /// Virtual clock: one thread, modelled hardware (`sim.rs`).
+    Sim(sim::Sim),
+    /// Wall clock: OS threads, group commit, a worker pool (`runtime.rs`).
+    Real(Runtime),
+}
+
 struct DbInner {
     /// Current effective options. Swapped wholesale (never mutated in
     /// place) by [`Db::set_options`]; readers grab an `Arc` snapshot so a
     /// concurrent retune can never show them a half-applied config.
     opts: RwLock<Arc<Options>>,
-    cost: CostModel,
-    env: HardwareEnv,
+    /// The environment's clock: virtual in sim mode, wall in real mode.
+    clock: Arc<Clock>,
     vfs: Arc<dyn Vfs>,
     state: Mutex<DbState>,
-    /// Memtable and block-cache bytes last reported to `env.memory()`;
-    /// written under the state lock.
-    reported_memtable_bytes: AtomicU64,
-    reported_cache_bytes: AtomicU64,
     /// `Some` when background jobs draw on a permit budget shared with
     /// other databases (see [`DbBuilder::job_budget`]).
     job_budget: Option<Arc<JobBudget>>,
@@ -387,8 +313,7 @@ struct DbInner {
     /// Rebuilt from the new options by [`Db::set_options`] so stall
     /// decisions follow the tuned triggers without reopen.
     controller: RwLock<WriteController>,
-    /// `Some` in real-concurrency (wall clock) mode, `None` in simulation.
-    runtime: Option<Runtime>,
+    mode: Mode,
     /// Largest sequence number visible to readers. Published under the
     /// state lock once a commit group is in the memtable, read by
     /// `get`/`scan` instead of `last_seq` (which also covers a group
@@ -412,19 +337,6 @@ struct DbInner {
     pins: Mutex<BTreeMap<SequenceNumber, usize>>,
 }
 
-impl Drop for DbInner {
-    fn drop(&mut self) {
-        // Backstop: `Db::drop` normally joined the pool already; this
-        // covers panics that skipped it.
-        if let Some(rt) = &self.runtime {
-            rt.shutdown_and_join();
-        }
-        // A closed database holds no memtable and no cache.
-        self.report_memory(MemoryUser::Memtables, &self.reported_memtable_bytes, 0);
-        self.report_memory(MemoryUser::BlockCache, &self.reported_cache_bytes, 0);
-    }
-}
-
 impl std::fmt::Debug for DbInner {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DbInner").field("opts", &"..").finish_non_exhaustive()
@@ -446,13 +358,12 @@ impl DbInner {
     /// deterministic and the table5 gate holds); real mode uses UNIX
     /// epoch seconds so stamps stay meaningful across process restarts.
     fn now_secs(&self) -> u64 {
-        if self.env.clock().is_sim() {
-            self.env.clock().now().as_nanos() / 1_000_000_000
-        } else {
-            std::time::SystemTime::now()
+        match &self.mode {
+            Mode::Sim(_) => self.clock.now().as_nanos() / 1_000_000_000,
+            Mode::Real(_) => std::time::SystemTime::now()
                 .duration_since(std::time::UNIX_EPOCH)
                 .map(|d| d.as_secs())
-                .unwrap_or(0)
+                .unwrap_or(0),
         }
     }
 
@@ -491,7 +402,7 @@ impl DbInner {
     /// mode has other threads that must be kept from acknowledging
     /// writes after it; sim hands the error to its single caller.
     fn latch_fatal(&self, err: &crate::Error) {
-        if let Some(rt) = &self.runtime {
+        if let Mode::Real(rt) = &self.mode {
             rt.set_fatal(err.clone());
         }
     }
@@ -537,14 +448,6 @@ impl DbInner {
         c
     }
 
-    /// Slowdown applied to foreground CPU when background jobs occupy
-    /// cores.
-    fn foreground_contention(&self, now: SimTime) -> f64 {
-        let cores = self.env.cpu().num_cores().max(1);
-        let busy = self.env.cpu().busy_cores(now).min(cores);
-        1.0 + 0.6 * busy as f64 / cores as f64
-    }
-
     fn pressure(&self, state: &DbState) -> WritePressure {
         WritePressure {
             l0_files: state.version.files(0).len(),
@@ -554,21 +457,12 @@ impl DbInner {
         }
     }
 
-    /// Reports memory use to the environment's model as a change against
-    /// what this database reported last, so several databases on one
-    /// environment add up instead of overwriting each other.
+    /// Sim mode: reports memtable and block-cache use to the memory model.
     fn account_memory(&self, state: &DbState) {
-        let mem_bytes = state.mem.approximate_memory_usage() as u64 + state.imm_bytes();
-        self.report_memory(MemoryUser::Memtables, &self.reported_memtable_bytes, mem_bytes);
-        if let Some(c) = &self.block_cache {
-            self.report_memory(MemoryUser::BlockCache, &self.reported_cache_bytes, c.used_bytes());
+        if let Mode::Sim(sim) = &self.mode {
+            let mem_bytes = state.mem.approximate_memory_usage() as u64 + state.imm_bytes();
+            sim.account_memory(mem_bytes, self.block_cache.as_ref().map_or(0, |c| c.used_bytes()));
         }
-    }
-
-    fn report_memory(&self, user: MemoryUser, reported: &AtomicU64, now: u64) {
-        let before = reported.swap(now, Ordering::Relaxed);
-        self.env.memory().reserve(user, now.saturating_sub(before));
-        self.env.memory().release(user, before.saturating_sub(now));
     }
 }
 
@@ -626,7 +520,7 @@ impl Drop for Db {
         // transient strong reference, and letting it drop `DbInner`
         // later would race a caller that immediately reopens the path
         // (the buffered manifest tail would still be in flight).
-        if let Some(rt) = &self.inner.runtime {
+        if let Mode::Real(rt) = &self.inner.mode {
             if self.inner.handles.fetch_sub(1, Ordering::AcqRel) == 1 {
                 rt.shutdown_and_join();
             }
@@ -705,7 +599,7 @@ impl Db {
 #[cfg(test)]
 mod testutil {
     use super::*;
-    use hw_sim::DeviceModel;
+    use hw_sim::{DeviceModel, HardwareEnv};
 
     pub fn env() -> HardwareEnv {
         HardwareEnv::builder()

@@ -8,7 +8,8 @@ use std::sync::Arc;
 use hw_sim::HardwareEnv;
 use parking_lot::{Mutex, RwLock};
 
-use super::{regime_code, wal_file_name, CostModel, Db, DbInner, DbState, WalSink};
+use super::sim::Sim;
+use super::{regime_code, wal_file_name, Db, DbInner, DbState, Mode, WalSink};
 use crate::batch::WriteBatch;
 use crate::cache::{BlockCache, TableCache};
 use crate::compaction::pending_compaction_bytes;
@@ -220,7 +221,11 @@ impl DbBuilder {
         } else {
             create_fresh(&opts, vfs.as_ref())?
         };
-        let runtime = (!env.clock().is_sim()).then(Runtime::new);
+        let mode = if env.clock().is_sim() {
+            Mode::Sim(Sim::new(&env))
+        } else {
+            Mode::Real(Runtime::new())
+        };
 
         // Best-effort: persist the effective config so `OPTIONS` always
         // reflects the running database. Failure here must not fail an
@@ -230,13 +235,10 @@ impl DbBuilder {
 
         let db = Db {
             inner: Arc::new(DbInner {
-                cost: CostModel::default(),
-                env: env.clone(),
+                clock: Arc::clone(env.clock()),
                 vfs,
                 visible_seq: AtomicU64::new(state.last_seq),
                 state: Mutex::new(state),
-                reported_memtable_bytes: AtomicU64::new(0),
-                reported_cache_bytes: AtomicU64::new(0),
                 job_budget: self.job_budget,
                 block_cache,
                 table_cache,
@@ -245,7 +247,7 @@ impl DbBuilder {
                 last_regime: AtomicU8::new(regime_code(WriteRegime::Normal)),
                 opened_at: env.clock().now(),
                 controller: RwLock::new(controller),
-                runtime,
+                mode,
                 handles: AtomicUsize::new(1),
                 bg_retries: AtomicU64::new(0),
                 wal_rotations: AtomicU64::new(0),
@@ -256,7 +258,7 @@ impl DbBuilder {
                 opts: RwLock::new(Arc::new(opts)),
             }),
         };
-        if let (Some(budget), Some(rt)) = (&db.inner.job_budget, &db.inner.runtime) {
+        if let (Some(budget), Mode::Real(rt)) = (&db.inner.job_budget, &db.inner.mode) {
             budget.attach(&rt.bg);
         }
         db.grow_worker_pool()?;
@@ -286,7 +288,7 @@ impl Db {
     /// pool. No-op in sim mode, where the foreground thread runs the
     /// jobs.
     pub(super) fn grow_worker_pool(&self) -> Result<()> {
-        let Some(rt) = &self.inner.runtime else {
+        let Mode::Real(rt) = &self.inner.mode else {
             return Ok(());
         };
         let want = self.inner.opts().max_background_jobs.clamp(1, 16) as usize;

@@ -6,9 +6,9 @@
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use hw_sim::{AccessPattern, MemoryUser, SimDuration};
+use hw_sim::{SimDuration, SimTime};
 
-use super::{Db, DbInner, ReadOptions};
+use super::{sim, Db, DbInner, Mode, ReadOptions};
 use crate::cache::BlockKey;
 use crate::error::Result;
 use crate::filter::live_value;
@@ -130,7 +130,7 @@ struct Lookup<'a, K> {
     pending: usize,
     snapshot: SequenceNumber,
     ropts: &'a ReadOptions,
-    /// CPU charged so far; applied to the clock once, at the end.
+    /// CPU charged so far; applied to the sim clock once, at the end.
     cpu: SimDuration,
     /// The clock reading and TTL the whole lookup judges stamps by.
     now_secs: u64,
@@ -149,9 +149,6 @@ impl<K> Lookup<'_, K> {
     }
 }
 
-/// CPU of locating a key's file in a sorted level (range binary search).
-const LEVEL_SEARCH_CPU: SimDuration = SimDuration::from_nanos(60);
-
 impl DbInner {
     /// The point lookup behind [`Db::get_opt`] and [`Db::multi_get_opt`]:
     /// the outcome for `keys[i]` lands in `slots[i]` (all `None` on
@@ -167,7 +164,7 @@ impl DbInner {
         order: &mut [usize],
         histogram: HistogramKind,
     ) -> Result<()> {
-        let started = self.env.clock().now();
+        let started = self.clock.now();
         let view = self.read_view(ropts)?;
         let opts = self.opts();
         let (now_secs, ttl_seconds) = self.expiry_clock(&opts);
@@ -179,7 +176,7 @@ impl DbInner {
             snapshot: view.snapshot,
             ropts,
             // Paid once for the whole batch.
-            cpu: self.cost.get_base_cpu,
+            cpu: sim::READ_BASE_CPU,
             now_secs,
             ttl_seconds,
         };
@@ -191,7 +188,7 @@ impl DbInner {
                 if q.slots[i].is_some() {
                     continue;
                 }
-                q.cpu += self.cost.memtable_probe_cpu;
+                q.cpu += sim::MEMTABLE_PROBE_CPU;
                 if let Some((ty, stored)) = mem.get(key.as_ref(), q.snapshot) {
                     // Only the live memtable counts as a memtable hit.
                     if age == 0 {
@@ -218,58 +215,57 @@ impl DbInner {
             self.search_files(&view.version, &mut q, order)?;
         }
 
-        let mut factor = self.foreground_contention(self.env.clock().now());
-        if opts.paranoid_checks {
-            factor *= 1.08;
+        if let Mode::Sim(sim) = &self.mode {
+            sim.finish_lookup(q.cpu, &opts);
         }
-        if opts.use_direct_reads {
-            factor *= 1.05;
-        }
-        factor *= self.env.memory().penalty_factor();
-        self.env.clock().advance(q.cpu.mul_f64(factor));
 
         let hits = q.slots.iter().filter(|s| matches!(s, Some(Some(_)))).count() as u64;
         tickers.add(Ticker::KeysRead, keys.len() as u64);
         tickers.add(Ticker::GetHit, hits);
         tickers.add(Ticker::GetMiss, keys.len() as u64 - hits);
-        self.stats
-            .record(histogram, self.env.clock().now().saturating_since(started));
+        self.stats.record(histogram, self.clock.now().saturating_since(started));
         Ok(())
     }
 }
 
 impl DbInner {
+    /// Accounts one table read of `parts` bytes that began at `started`:
+    /// `BytesRead`, and in `SstReadMicros` what it took — the modelled
+    /// device time in sim mode (which blocks the virtual clock on it), the
+    /// measured wall time in real mode.
+    fn note_table_read(&self, started: SimTime, parts: &[u64]) {
+        let took = match &self.mode {
+            Mode::Sim(sim) => sim.read_blocking(parts),
+            Mode::Real(_) => self.clock.now().saturating_since(started),
+        };
+        self.stats.tickers().add(Ticker::BytesRead, parts.iter().sum());
+        self.stats.record(HistogramKind::SstReadMicros, took);
+    }
+
     pub(super) fn open_table(
         &self,
         file: &FileMetadata,
         ropts: &ReadOptions,
         cpu: &mut SimDuration,
     ) -> Result<Arc<TableReader>> {
+        let metadata_key = BlockKey { file: file.number, offset: u64::MAX };
         if let Some(r) = self.table_cache.get(file.number) {
             // With cache_index_and_filter_blocks the resident metadata
-            // lives in the block cache and may have been evicted; charge
-            // a re-read when it is gone. The re-read is accounted like
-            // the cold open below: it is the same index+filter I/O, just
-            // triggered by block-cache pressure instead of a first open.
+            // lives in the block cache and may have been evicted. The
+            // simulator charges a re-read, accounted like the cold open
+            // below: the same index+filter I/O. The real reader still
+            // holds its metadata, so there is no I/O to account.
             if self.opts().cache_index_and_filter_blocks {
                 if let Some(cache) = &self.block_cache {
-                    let key = BlockKey {
-                        file: file.number,
-                        offset: u64::MAX,
-                    };
-                    if cache.get(&key).is_none() {
-                        let now = self.env.clock().now();
-                        let bytes = r.resident_bytes().max(4096);
-                        let done =
-                            self.env.device().submit_read(now, bytes, AccessPattern::Random);
-                        self.env.clock().advance_to(done);
-                        self.stats.tickers().inc(Ticker::TableOpens);
-                        self.stats.tickers().add(Ticker::BytesRead, bytes);
-                        self.stats
-                            .record(HistogramKind::SstReadMicros, done.saturating_since(now));
+                    if cache.get(&metadata_key).is_none() {
+                        if matches!(self.mode, Mode::Sim(_)) {
+                            let bytes = r.resident_bytes().max(4096);
+                            self.note_table_read(self.clock.now(), &[bytes]);
+                            self.stats.tickers().inc(Ticker::TableOpens);
+                        }
                         if ropts.fill_cache {
-                            cache
-                                .insert(key, Arc::new(Block::sentinel(r.resident_bytes() as usize)));
+                            let sentinel = Block::sentinel(r.resident_bytes() as usize);
+                            cache.insert(metadata_key, Arc::new(sentinel));
                         }
                     }
                 }
@@ -277,19 +273,13 @@ impl DbInner {
             return Ok(r);
         }
         let handle = self.vfs.open(&sst_file_name(file.number))?;
+        let started = self.clock.now();
         let (reader, bytes_read) = TableReader::open(handle)?;
         // Footer + index + filter: three random reads.
-        let now = self.env.clock().now();
-        let mut done = now;
-        for part in split3(bytes_read) {
-            done = self.env.device().submit_read(done, part, AccessPattern::Random);
-        }
-        self.env.clock().advance_to(done);
-        *cpu += SimDuration::from_micros(3); // parse footer/index/filter
+        let third = bytes_read / 3;
+        self.note_table_read(started, &[third, third, bytes_read - 2 * third]);
+        *cpu += sim::TABLE_OPEN_CPU;
         self.stats.tickers().inc(Ticker::TableOpens);
-        self.stats.tickers().add(Ticker::BytesRead, bytes_read);
-        self.stats
-            .record(HistogramKind::SstReadMicros, done.saturating_since(now));
         let reader = Arc::new(reader);
         if self.opts().cache_index_and_filter_blocks {
             // `fill_cache` governs block-cache population for reads, and
@@ -298,19 +288,12 @@ impl DbInner {
             // matching what fetch_block does for data blocks.
             if let Some(cache) = &self.block_cache {
                 if ropts.fill_cache {
-                    cache.insert(
-                        BlockKey {
-                            file: file.number,
-                            offset: u64::MAX,
-                        },
-                        Arc::new(Block::sentinel(reader.resident_bytes() as usize)),
-                    );
+                    let sentinel = Block::sentinel(reader.resident_bytes() as usize);
+                    cache.insert(metadata_key, Arc::new(sentinel));
                 }
             }
-        } else {
-            self.env
-                .memory()
-                .reserve(MemoryUser::TableCache, reader.resident_bytes());
+        } else if let Mode::Sim(sim) = &self.mode {
+            sim.reserve_table_memory(reader.resident_bytes());
         }
         let displaced = self.table_cache.insert(file.number, Arc::clone(&reader));
         self.stats
@@ -320,24 +303,23 @@ impl DbInner {
         Ok(reader)
     }
 
-    /// Releases the `MemoryUser::TableCache` reservation held against
-    /// readers leaving the table cache (capacity eviction, compaction
-    /// deletion, or same-file replacement). Reservations are only taken
-    /// when metadata lives outside the block cache.
+    /// Sim mode: releases the table-cache memory reserved against readers
+    /// leaving the table cache (capacity eviction, compaction deletion, or
+    /// same-file replacement). Reservations are only taken when metadata
+    /// lives outside the block cache.
     pub(super) fn release_table_readers<I: IntoIterator<Item = Arc<TableReader>>>(&self, readers: I) {
+        let Mode::Sim(sim) = &self.mode else { return };
         if self.opts().cache_index_and_filter_blocks {
             return;
         }
         for r in readers {
-            self.env
-                .memory()
-                .release(MemoryUser::TableCache, r.resident_bytes());
+            sim.release_table_memory(r.resident_bytes());
         }
     }
 
-    /// Fetches a parsed block through the cache, charging device time on
-    /// miss. The cache holds `Arc<Block>`, so hits hand the same parsed
-    /// block to every reader — no payload copy, no re-parse.
+    /// Fetches a parsed block through the cache, accounting the table
+    /// read on a miss. The cache holds `Arc<Block>`, so hits hand the same
+    /// parsed block to every reader — no payload copy, no re-parse.
     pub(super) fn fetch_block(
         &self,
         reader: &TableReader,
@@ -353,21 +335,14 @@ impl DbInner {
         if let Some(cache) = &self.block_cache {
             if let Some(b) = cache.get(&key) {
                 self.stats.tickers().inc(Ticker::BlockCacheHit);
-                *cpu += self.cost.cache_hit_cpu;
+                *cpu += sim::CACHE_HIT_CPU;
                 return Ok(b);
             }
             self.stats.tickers().inc(Ticker::BlockCacheMiss);
         }
+        let started = self.clock.now();
         let fetch = reader.read_block_with(handle, ropts.verify_checksums)?;
-        let now = self.env.clock().now();
-        let done = self
-            .env
-            .device()
-            .submit_read(now, fetch.io_bytes, AccessPattern::Random);
-        self.env.clock().advance_to(done);
-        self.stats.tickers().add(Ticker::BytesRead, fetch.io_bytes);
-        self.stats
-            .record(HistogramKind::SstReadMicros, done.saturating_since(now));
+        self.note_table_read(started, &[fetch.io_bytes]);
         if fetch.was_compressed {
             *cpu += decompress_cpu_cost(self.opts().compression, fetch.data.len());
         }
@@ -387,7 +362,7 @@ impl DbInner {
             return true;
         }
         self.stats.tickers().inc(Ticker::BloomChecked);
-        *cpu += self.cost.bloom_check_cpu;
+        *cpu += sim::BLOOM_CHECK_CPU;
         if !reader.may_contain(user_key) {
             self.stats.tickers().inc(Ticker::BloomUseful);
             return false;
@@ -424,7 +399,7 @@ impl DbInner {
                 let at = files.partition_point(|f| f.largest.user_key() < first);
                 let Some(file) = files.get(at) else { break };
                 let run = rest.partition_point(|&i| q.keys[i].as_ref() <= file.largest.user_key());
-                self.probe_file(file, q, &rest[..run], LEVEL_SEARCH_CPU)?;
+                self.probe_file(file, q, &rest[..run], sim::LEVEL_SEARCH_CPU)?;
                 rest = &rest[run..];
             }
         }
@@ -463,15 +438,15 @@ impl DbInner {
                 continue;
             }
             let target = lookup_key(user_key, q.snapshot);
-            q.cpu += self.cost.index_seek_cpu;
+            q.cpu += sim::INDEX_SEEK_CPU;
             let Some(handle) = reader.find_block(target.encoded())? else {
                 continue;
             };
             if last_block.as_ref().is_some_and(|(off, _)| *off == handle.offset) {
-                q.cpu += SimDuration::from_nanos(100); // re-seek in parsed block
+                q.cpu += sim::BLOCK_RESEEK_CPU;
             } else {
                 let block = self.fetch_block(reader, file.number, handle, q.ropts, &mut q.cpu)?;
-                q.cpu += SimDuration::from_nanos(300); // parse + binary search
+                q.cpu += sim::BLOCK_SEARCH_CPU;
                 last_block = Some((handle.offset, block));
             }
             let (_, block) = last_block.as_ref().expect("block just set");
@@ -485,11 +460,6 @@ impl DbInner {
         }
         Ok(())
     }
-}
-
-fn split3(total: u64) -> [u64; 3] {
-    let third = total / 3;
-    [third, third, total - 2 * third]
 }
 
 #[cfg(test)]

@@ -64,7 +64,7 @@ impl Db {
     pub fn stats_text(&self) -> String {
         use std::fmt::Write as _;
         let inner = &*self.inner;
-        let now = inner.env.clock().now();
+        let now = inner.clock.now();
         let uptime_secs = now.saturating_since(inner.opened_at).as_secs_f64().max(1e-9);
         let t = inner.stats.tickers();
         let mut out = String::new();

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use hw_sim::SimDuration;
 
 use super::read::ReadView;
-use super::{Db, DbInner, ReadOptions, ScanResult};
+use super::{sim, Db, DbInner, Mode, ReadOptions, ScanResult};
 use crate::error::Result;
 use crate::filter::live_value;
 use crate::memtable::MemTableCursor;
@@ -74,13 +74,13 @@ impl Db {
         // vectors, not extra user-key clones.
         let mut last_user: Vec<u8> = Vec::new();
         let mut have_last = false;
-        let mut cpu = inner.cost.get_base_cpu;
+        let mut cpu = sim::READ_BASE_CPU;
         // TTL expiry is evaluated once per scan against a single clock
         // reading so one pass applies one consistent policy.
         let (scan_now_secs, ttl_seconds) = inner.expiry_clock(&inner.opts());
         while out.len() < count {
             let Some(key) = merged.key() else { break };
-            cpu += inner.cost.scan_entry_cpu;
+            cpu += sim::SCAN_ENTRY_CPU;
             let (user_key, tag) = split_tag(key);
             let (seq, ty) = (tag >> 8, tag as u8);
             // The seek target only bounds the first key; entries for
@@ -100,9 +100,9 @@ impl Db {
             // fetches what they have always been.
             merged.advance()?;
         }
-        let factor =
-            inner.foreground_contention(inner.env.clock().now()) * inner.env.memory().penalty_factor();
-        inner.env.clock().advance(cpu.mul_f64(factor));
+        if let Mode::Sim(sim) = &inner.mode {
+            sim.finish_scan(cpu);
+        }
         inner.stats.tickers().add(Ticker::KeysRead, out.len() as u64);
         Ok(out)
     }
@@ -119,15 +119,21 @@ impl DbInner {
         target: &[u8],
         ropts: ReadOptions,
     ) -> Result<Box<dyn Cursor + 'a>> {
+        // A cursor's table-open and block-fetch CPU reaches the sim clock
+        // as it is incurred, outside the scan's scaled total.
+        let spend = |cpu| match &self.mode {
+            Mode::Sim(sim) => sim.spend(cpu),
+            Mode::Real(_) => {}
+        };
         let mut cpu = SimDuration::ZERO;
         let reader = self.open_table(file, &ropts, &mut cpu)?;
         let handles = reader.block_handles()?;
-        self.env.clock().advance(cpu);
+        spend(cpu);
         let number = file.number;
         let fetch = move |handle| {
             let mut cpu = SimDuration::ZERO;
             let block = self.fetch_block(&reader, number, handle, &ropts, &mut cpu)?;
-            self.env.clock().advance(cpu);
+            spend(cpu);
             Ok(block)
         };
         Ok(Box::new(TableCursor::open(handles, fetch, Some(target))?))

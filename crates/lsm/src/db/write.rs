@@ -5,17 +5,16 @@
 //! sequence reservation, one WAL append (rotating on a transient
 //! failure), sink ship, sync, memtable apply, publish, memtable-switch
 //! triggers. Real mode forms groups through the leader-based commit
-//! queue; a sim write is a group of one whose modeled cost is charged to
-//! the virtual clock.
+//! queue; a sim write is a group of one whose modeled cost `Sim` charges
+//! to the virtual clock.
 
 use std::time::Instant;
 
-use hw_sim::{AccessPattern, SimDuration};
 use parking_lot::MutexGuard;
 
 use super::open::new_memtable;
 use super::{
-    wal_file_name, Db, DbInner, DbState, ImmEntry, WriteOptions, MAX_GROUP_BATCHES,
+    wal_file_name, Db, DbInner, DbState, ImmEntry, Mode, WriteOptions, MAX_GROUP_BATCHES,
     STALL_TIMEOUT, WAL_SYNC_RETRIES,
 };
 use crate::batch::WriteBatch;
@@ -85,16 +84,13 @@ impl Db {
         if inner.opts().ttl_seconds > 0 {
             batch.stamp_puts(inner.now_secs());
         }
-        let started = inner.env.clock().now();
+        let started = inner.clock.now();
         let prepared = PreparedWrite::prepare(&batch, write_opts.sync);
-        let result = match &inner.runtime {
-            Some(rt) => inner.write_queued(rt, prepared),
-            None => inner.commit_group(&mut [(0, prepared)]),
+        let result = match &inner.mode {
+            Mode::Real(rt) => inner.write_queued(rt, prepared),
+            Mode::Sim(_) => inner.commit_group(&mut [(0, prepared)]),
         };
-        inner.stats.record(
-            HistogramKind::DbWrite,
-            inner.env.clock().now().saturating_since(started),
-        );
+        inner.stats.record(HistogramKind::DbWrite, inner.clock.now().saturating_since(started));
         result
     }
 }
@@ -159,7 +155,8 @@ impl DbInner {
 
     /// Commits one group: one stall check, one sequence reservation, one
     /// WAL append (and at most one sync), one memtable application, all
-    /// under a single state critical section.
+    /// under a single state critical section. Durability precedes
+    /// visibility: a group whose sync fails is never published.
     pub(super) fn commit_group(&self, group: &mut [(u64, PreparedWrite)]) -> Result<()> {
         let opts = self.opts();
         let mut state = self.state.lock();
@@ -216,21 +213,19 @@ impl DbInner {
             }
         }
 
-        let synced = if opts.enable_pipelined_write {
-            // Pipelined visibility: entries become visible before the
-            // sync returns (visibility before durability, as in RocksDB).
-            self.apply_group(&state, group, last_seq);
-            self.sync_wal(&mut state, &opts, group_sync)?
-        } else {
-            let synced = self.sync_wal(&mut state, &opts, group_sync)?;
-            self.apply_group(&state, group, last_seq);
-            synced
-        };
+        let synced = self.sync_wal(&mut state, &opts, group_sync)?;
+        // Replay the prepared records into the active memtable and make
+        // them visible to readers.
+        let mut scratch = Vec::new();
+        for (_, prepared) in group.iter() {
+            prepared.apply_to(&state.mem, &mut scratch);
+        }
+        self.publish_visible(last_seq);
         self.stats.tickers().add(Ticker::KeysWritten, last_seq + 1 - first_seq);
         self.stats.tickers().add(Ticker::BytesWritten, payload_bytes);
-        if self.runtime.is_none() {
+        if let Mode::Sim(sim) = &self.mode {
             let wal_bytes = (!opts.disable_wal).then_some(record_bytes);
-            self.model_write_cost(&mut state, &opts, wal_bytes, payload_bytes, group_sync, synced);
+            sim.charge_write(&opts, self.stats.tickers(), wal_bytes, payload_bytes, group_sync, synced);
         }
 
         // Memtable switch triggers.
@@ -287,11 +282,11 @@ impl DbInner {
                     None
                 }
             };
-            let waiting_since = self.env.clock().now();
+            let waiting_since = self.clock.now();
             let progress = self.wait_progress(state, delay)?;
             self.stats.tickers().add(
                 Ticker::StallNanos,
-                self.env.clock().now().saturating_since(waiting_since).as_nanos(),
+                self.clock.now().saturating_since(waiting_since).as_nanos(),
             );
             // A stopped writer with nothing in flight that could relieve
             // the stall gives up on throttling rather than deadlock.
@@ -332,74 +327,6 @@ impl DbInner {
         }
         self.stats.tickers().inc(Ticker::WalSyncs);
         Ok(Some(chunk))
-    }
-
-    /// Replays a group's prepared records into the active memtable and
-    /// makes them visible to readers.
-    fn apply_group(&self, state: &DbState, group: &[(u64, PreparedWrite)], last_seq: u64) {
-        let mut scratch = Vec::new();
-        for (_, prepared) in group.iter() {
-            prepared.apply_to(&state.mem, &mut scratch);
-        }
-        self.publish_visible(last_seq);
-    }
-
-    /// Sim mode: charges a committed group's WAL device traffic
-    /// (`wal_bytes` of records, `None` with the WAL off; `synced` bytes
-    /// covered by a sync) and foreground CPU to the hardware model, and
-    /// advances the virtual clock by what the writer waited for.
-    fn model_write_cost(
-        &self,
-        state: &mut DbState,
-        opts: &Options,
-        wal_bytes: Option<u64>,
-        inserted_bytes: u64,
-        group_sync: bool,
-        synced: Option<u64>,
-    ) {
-        let now = self.env.clock().now();
-        let mut cpu = self.cost.write_base_cpu;
-        if let Some(record_len) = wal_bytes {
-            cpu += self.cost.wal_record_cpu
-                + SimDuration::from_nanos((record_len as f64 * self.cost.wal_per_byte_cpu_ns) as u64);
-            if let Some(chunk) = synced {
-                let done = self.env.device().submit_write(now, chunk, AccessPattern::Sequential);
-                if group_sync {
-                    // Durable write: the foreground blocks on the device sync.
-                    self.env.clock().advance_to(self.env.device().submit_sync(done));
-                } else if opts.strict_bytes_per_sync {
-                    self.env.clock().advance_to(done);
-                }
-            } else if opts.wal_bytes_per_sync == 0 {
-                state.dirty_wal_bytes += record_len;
-                if state.dirty_wal_bytes >= self.cost.os_writeback_burst {
-                    // The OS flushes a big burst of dirty pages; it does
-                    // not block the writer but hogs the device.
-                    self.env.device().submit_write(
-                        now,
-                        state.dirty_wal_bytes,
-                        AccessPattern::Sequential,
-                    );
-                    state.dirty_wal_bytes = 0;
-                    self.stats.tickers().inc(Ticker::WalSyncs);
-                }
-            }
-        }
-        cpu += SimDuration::from_nanos(
-            (inserted_bytes as f64 * self.cost.write_per_byte_cpu_ns) as u64,
-        );
-
-        // Pipelining and concurrency-control modifiers.
-        let mut factor = 1.0;
-        if opts.enable_pipelined_write {
-            factor *= if self.env.cpu().num_cores() >= 4 { 0.88 } else { 1.05 };
-        }
-        if !opts.allow_concurrent_memtable_write {
-            factor *= 0.98; // single-writer skips the coordination
-        }
-        factor *= self.foreground_contention(now);
-        factor *= self.env.memory().penalty_factor();
-        self.env.clock().advance(cpu.mul_f64(factor));
     }
 
     /// Starts a fresh WAL file and makes it the one commits append to.

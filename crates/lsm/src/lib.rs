@@ -63,9 +63,7 @@ pub use compaction::{
     level_targets, pending_compaction_bytes, run_compaction, CompactionInputs,
     CompactionJobOutput, CompactionPick, CompactionReason,
 };
-pub use db::{
-    CostModel, Db, DbBuilder, DbStats, ReadOptions, ScanResult, SnapshotPin, WalSink, WriteOptions,
-};
+pub use db::{Db, DbBuilder, DbStats, ReadOptions, ScanResult, SnapshotPin, WalSink, WriteOptions};
 pub use error::{Error, ErrorKind, Result};
 pub use filter::{CompactionFilter, FilterContext, FilterDecision, TtlFilter};
 pub use engine::KvEngine;

@@ -175,9 +175,9 @@ pub struct Options {
     pub strict_bytes_per_sync: bool,
     /// Write throughput while the controller is in the slowdown regime.
     pub delayed_write_rate: u64,
-    /// Pipeline WAL append and memtable insert. In real-concurrency mode
-    /// a commit group becomes reader-visible before its WAL sync returns
-    /// when this is on; off means durability strictly precedes visibility.
+    /// Pipeline WAL append and memtable insert. Read by the simulator's
+    /// write cost only: every commit group is synced before it becomes
+    /// reader-visible.
     pub enable_pipelined_write: bool,
     /// Allow concurrent memtable inserts. In real-concurrency mode,
     /// disabling this caps group commit at one batch per group.

@@ -338,8 +338,7 @@ fn build_registry() -> Vec<OptionMeta> {
         opt_size!(delayed_write_rate, Db, (1024.0, GIB64), true,
             "Write throughput cap while the write controller is in the slowdown regime"),
         opt_bool!(enable_pipelined_write, Db, false, false,
-            "Pipeline WAL append and memtable insert stages of the write path \
-             (real mode: group applies to the memtable before the WAL sync returns)"),
+            "Pipeline WAL append and memtable insert stages of the write path"),
         opt_bool!(allow_concurrent_memtable_write, Db, false, false,
             "Allow multiple writers to insert into the memtable concurrently \
              (real mode: off caps commit groups at a single batch)"),

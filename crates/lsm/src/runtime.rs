@@ -1,12 +1,10 @@
 //! Real-concurrency runtime: group-commit plumbing and the background
 //! job pool's shared signalling state.
 //!
-//! In simulation mode the engine is single-threaded and background work
-//! runs eagerly on the foreground thread with its effects installed at
-//! virtual instants. When a [`Db`](crate::Db) is opened against a wall
-//! clock (see `Db::builder` with a non-sim `HardwareEnv`), it instead gets a
-//! `Runtime`: writers coalesce through a leader-based commit queue, and a
-//! pool of OS worker threads executes flushes and compactions off the
+//! A [`Db`](crate::Db) opened against a wall clock (`Db::builder` with a
+//! non-sim `HardwareEnv`) owns a `Runtime` where a simulated one owns a
+//! `Sim`: writers coalesce through a leader-based commit queue, and a pool
+//! of OS worker threads executes flushes and compactions off the
 //! foreground path.
 //!
 //! The types here are deliberately free of engine logic: the commit
@@ -330,6 +328,14 @@ pub(crate) struct Runtime {
     /// than risk acknowledging writes that recovery would drop.
     fatal: Mutex<Option<Error>>,
     workers: Mutex<Vec<JoinHandle<()>>>,
+}
+
+impl Drop for Runtime {
+    /// Backstop: `Db::drop` normally joined the pool already; this covers
+    /// panics that skipped it.
+    fn drop(&mut self) {
+        self.shutdown_and_join();
+    }
 }
 
 impl Runtime {

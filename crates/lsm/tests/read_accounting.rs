@@ -1,29 +1,93 @@
 //! Regression tests for read-path accounting on the table-open paths:
 //! the metadata re-read branch of `open_table` (counters, histogram,
 //! `fill_cache`) and reserve/release pairing of the
-//! `MemoryUser::TableCache` budget.
+//! `MemoryUser::TableCache` budget — and, in real mode, that none of it
+//! comes from the hardware model.
 
-use hw_sim::{HardwareEnv, MemoryUser};
+use std::sync::Arc;
+
+use hw_sim::{CpuCounters, DeviceModel, HardwareEnv, IoCounters, MemoryUser};
 use lsm_kvs::options::Options;
-use lsm_kvs::{Db, ReadOptions, Ticker};
+use lsm_kvs::{Db, MemVfs, ReadOptions, Ticker};
 
 fn sim_env() -> HardwareEnv {
     HardwareEnv::builder().build_sim()
 }
 
-/// COUNT of the `sst.read.micros` histogram, parsed from the stats dump
-/// (the registry itself is not exported).
-fn sst_read_count(db: &Db) -> u64 {
+/// One field (`COUNT`, `P50`, ...) of the `sst.read.micros` histogram,
+/// parsed from the stats dump (the registry itself is not exported).
+fn sst_read_stat(db: &Db, field: &str) -> f64 {
     let text = db.stats_text();
     let line = text
         .lines()
         .find(|l| l.contains("sst.read.micros"))
         .expect("stats dump carries sst.read.micros");
-    line.split("COUNT : ")
+    line.split(&format!("{field} : "))
         .nth(1)
         .and_then(|rest| rest.split_whitespace().next())
         .and_then(|n| n.parse().ok())
-        .expect("COUNT field parses")
+        .unwrap_or_else(|| panic!("{field} field parses: {line}"))
+}
+
+fn sst_read_count(db: &Db) -> u64 {
+    sst_read_stat(db, "COUNT") as u64
+}
+
+/// A wall-clock database never consults the hardware model it was built
+/// on: a full life cycle leaves the model's device, CPU pool and memory
+/// budget untouched, and `sst.read.micros` holds measured time — far
+/// under the 6 ms the HDD model charges per random read.
+#[test]
+fn real_mode_never_runs_the_hardware_model() {
+    let env = HardwareEnv::builder().device(DeviceModel::sata_hdd()).build_wall();
+    let opts = Options {
+        write_buffer_size: 64 << 10,
+        target_file_size_base: 64 << 10,
+        max_bytes_for_level_base: 256 << 10,
+        ..Options::default()
+    };
+    let db = Db::builder(opts).env(&env).vfs(Arc::new(MemVfs::new())).open().unwrap();
+    let key = |i: u32| format!("key-{i:06}").into_bytes();
+    for i in 0..3_000 {
+        db.put(&key(i), &[7u8; 100]).unwrap();
+    }
+    db.flush().unwrap();
+    db.compact_all().unwrap();
+    // Compaction outputs have never been read: every get opens a table
+    // or misses the block cache.
+    for i in (0..3_000).step_by(30) {
+        assert_eq!(db.get(&key(i)).unwrap(), Some(vec![7u8; 100]));
+    }
+    assert_eq!(db.scan(&key(1_000), 500).unwrap().len(), 500);
+
+    assert_eq!(env.device().counters(), IoCounters::default(), "device model saw I/O");
+    assert_eq!(env.cpu().counters(), CpuCounters::default(), "CPU model ran jobs");
+    assert_eq!(env.memory().used(), 0, "memory model holds reservations");
+    assert!(sst_read_count(&db) > 0, "the reads above went to tables");
+    let p50 = sst_read_stat(&db, "P50");
+    assert!(p50 < 1_000.0, "sst.read.micros P50 {p50} us is not a MemVfs read");
+}
+
+/// In real mode the reader of a cached table holds its index and filter
+/// whatever the block cache evicted, so the "metadata evicted" branch of
+/// `open_table` has no I/O to count.
+#[test]
+fn real_mode_metadata_eviction_counts_no_io() {
+    let opts = Options {
+        cache_index_and_filter_blocks: true,
+        block_cache_size: 1,
+        ..Options::default()
+    };
+    let env = HardwareEnv::builder().build_wall();
+    let db = Db::builder(opts).env(&env).vfs(Arc::new(MemVfs::new())).open().unwrap();
+    db.put(b"k1", b"v1").unwrap();
+    db.flush().unwrap();
+    db.get(b"k1").unwrap(); // cold open
+    let (t1, c1) = (db.stats().tickers, sst_read_count(&db));
+    db.get(b"k1").unwrap();
+    let d = db.stats().tickers.delta_since(&t1);
+    assert_eq!(d.get(Ticker::TableOpens), 0, "no table was opened");
+    assert_eq!(sst_read_count(&db) - c1, 1, "only the data block was read");
 }
 
 /// With `cache_index_and_filter_blocks` on and a block cache too small

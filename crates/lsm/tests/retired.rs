@@ -1,10 +1,11 @@
 //! Retired features stay retired: tables written with the partitioned
 //! index or the prefix filter are refused through the whole read path, no
-//! document or CI gate still passes a knob the registry dropped, and the
-//! documented list of options the engine ignores is the true one.
+//! document or CI gate still passes a knob the registry dropped, the
+//! documented list of options the engine ignores is the true one, and the
+//! hardware model is named by the simulator's module alone.
 
 use std::collections::BTreeSet;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use hw_sim::HardwareEnv;
@@ -65,20 +66,48 @@ fn documented_and_gated_options_are_registered() {
     }
 }
 
-/// Non-test source of every file under `dir` (each cut at its
-/// `#[cfg(test)]`), skipping the `options/` directory.
-fn engine_sources(dir: &Path, out: &mut Vec<String>) {
+/// Path and non-test source of every file under `dir` (each cut at its
+/// `#[cfg(test)]`), skipping the directory named `skip`.
+fn engine_sources(dir: &Path, skip: &str, out: &mut Vec<(PathBuf, String)>) {
     for entry in std::fs::read_dir(dir).unwrap() {
         let path = entry.unwrap().path();
         if path.is_dir() {
-            if path.file_name().unwrap() != "options" {
-                engine_sources(&path, out);
+            if path.file_name().unwrap() != skip {
+                engine_sources(&path, skip, out);
             }
         } else if path.extension().is_some_and(|ext| ext == "rs") {
             let text = std::fs::read_to_string(&path).unwrap();
-            out.push(text.split("#[cfg(test)]").next().unwrap().to_string());
+            let non_test = text.split("#[cfg(test)]").next().unwrap().to_string();
+            out.push((path, non_test));
         }
     }
+}
+
+/// Every charge against the hardware model is made by `db/sim.rs`, which
+/// only a sim-mode database owns: no other engine source names the
+/// device, CPU or memory model or the types their calls take, so real
+/// mode has no line that could run them.
+#[test]
+fn only_the_simulator_names_the_hardware_model() {
+    let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
+    let mut files = Vec::new();
+    engine_sources(&src, "", &mut files);
+    let mut offending = Vec::new();
+    for (path, text) in &files {
+        if path.ends_with("db/sim.rs") {
+            continue;
+        }
+        for (at, line) in text.lines().enumerate() {
+            let names_the_model = [".device()", ".cpu()", ".memory()", "AccessPattern", "MemoryUser"]
+                .iter()
+                .any(|word| line.contains(word));
+            if names_the_model {
+                let file = path.strip_prefix(&src).unwrap().display();
+                offending.push(format!("{file}:{}: {}", at + 1, line.trim()));
+            }
+        }
+    }
+    assert!(offending.is_empty(), "{} lines:\n{}", offending.len(), offending.join("\n"));
 }
 
 /// DESIGN.md's "Options the engine does not read" names exactly the
@@ -101,8 +130,9 @@ fn documented_unread_options_are_exactly_the_unread_ones() {
         .filter(|word| word.bytes().all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'_'))
         .collect();
 
-    let mut sources = Vec::new();
-    engine_sources(&Path::new(env!("CARGO_MANIFEST_DIR")).join("src"), &mut sources);
+    let mut files = Vec::new();
+    engine_sources(&Path::new(env!("CARGO_MANIFEST_DIR")).join("src"), "options", &mut files);
+    let mut sources: Vec<String> = files.into_iter().map(|(_, text)| text).collect();
     // Four options are read only as `self.name` inside an accessor of
     // `options/mod.rs`; the body of each accessor the engine calls counts.
     let options_mod = include_str!("../src/options/mod.rs").split("#[cfg(test)]").next().unwrap();
