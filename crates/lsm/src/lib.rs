@@ -66,6 +66,7 @@ pub use compaction::{
 pub use db::{Db, DbBuilder, DbStats, ReadOptions, ScanResult, SnapshotPin, WalSink, WriteOptions};
 pub use error::{Error, ErrorKind, Result};
 pub use filter::{CompactionFilter, FilterContext, FilterDecision, TtlFilter};
+pub use flush::{build_l0_table, FlushOutput};
 pub use engine::KvEngine;
 pub use ranges::{KeyRanges, RangeFanout};
 pub use shard::{ShardedDb, ShardedDbBuilder};

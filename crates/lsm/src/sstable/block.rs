@@ -15,7 +15,7 @@ use std::ops::Deref;
 
 use crate::error::{Error, Result};
 use crate::types::internal_key_cmp;
-use crate::util::{get_fixed32, get_varint32, put_fixed32, put_varint32};
+use crate::util::{common_prefix_len, get_fixed32, get_varint32, put_fixed32, put_varint32};
 
 /// Builds one block of sorted key/value entries.
 #[derive(Debug)]
@@ -67,7 +67,8 @@ impl BlockBuilder {
         put_varint32(&mut self.buf, value.len() as u32);
         self.buf.extend_from_slice(&key[shared..]);
         self.buf.extend_from_slice(value);
-        self.last_key = key.to_vec();
+        self.last_key.clear();
+        self.last_key.extend_from_slice(key);
         self.count_since_restart += 1;
         self.num_entries += 1;
     }
@@ -87,23 +88,22 @@ impl BlockBuilder {
         self.num_entries == 0
     }
 
-    /// Serializes the block and resets the builder.
+    /// Serializes the block and resets the builder. The next block starts
+    /// with room for one as large, so it is allocated once, not grown.
     pub fn finish(&mut self) -> Vec<u8> {
-        let mut out = std::mem::take(&mut self.buf);
+        let next = Vec::with_capacity(self.size_estimate());
+        let mut out = std::mem::replace(&mut self.buf, next);
         for r in &self.restarts {
             put_fixed32(&mut out, *r);
         }
         put_fixed32(&mut out, self.restarts.len() as u32);
-        self.restarts = vec![0];
+        self.restarts.clear();
+        self.restarts.push(0);
         self.count_since_restart = 0;
         self.last_key.clear();
         self.num_entries = 0;
         out
     }
-}
-
-fn common_prefix_len(a: &[u8], b: &[u8]) -> usize {
-    a.iter().zip(b.iter()).take_while(|(x, y)| x == y).count()
 }
 
 /// A parsed, immutable block supporting seek and scan.

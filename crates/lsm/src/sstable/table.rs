@@ -26,8 +26,8 @@ use crate::merge::Cursor;
 use crate::sstable::block::{Block, BlockBuilder, BlockIter};
 use crate::sstable::bloom::{BloomBuilder, BloomFilter};
 use crate::sstable::compress;
-use crate::types::InternalKey;
-use crate::util::{crc32c, get_fixed32, get_fixed64, put_fixed32, put_fixed64};
+use crate::types::{split_tag, InternalKey};
+use crate::util::{crc32c, crc32c_extend, get_fixed32, get_fixed64, put_fixed64};
 use crate::vfs::{RandomAccessFile, WritableFile};
 
 const FOOTER_MAGIC: u64 = 0x4c53_4d5f_5349_4d31; // "LSM_SIM1"
@@ -48,10 +48,10 @@ pub struct BlockHandle {
 }
 
 impl BlockHandle {
-    fn encode(&self) -> Vec<u8> {
-        let mut v = Vec::with_capacity(16);
-        put_fixed64(&mut v, self.offset);
-        put_fixed64(&mut v, self.size);
+    fn encode(&self) -> [u8; 16] {
+        let mut v = [0u8; 16];
+        v[..8].copy_from_slice(&self.offset.to_le_bytes());
+        v[8..].copy_from_slice(&self.size.to_le_bytes());
         v
     }
 
@@ -158,6 +158,7 @@ pub struct TableBuilder {
     config: TableConfig,
     data_block: BlockBuilder,
     index_block: BlockBuilder,
+    compressor: compress::Compressor,
     offset: u64,
     smallest: Option<InternalKey>,
     last_key: Vec<u8>,
@@ -168,7 +169,9 @@ pub struct TableBuilder {
     filter_has_last: bool,
     props: TableProperties,
     compression_cpu: hw_sim::SimDuration,
-    pending_index: Option<(Vec<u8>, BlockHandle)>,
+    /// Handle of the data block just written; its index key is
+    /// `last_key`, which the next `add` has not replaced yet.
+    pending_index: Option<BlockHandle>,
 }
 
 impl std::fmt::Debug for TableBuilder {
@@ -191,6 +194,7 @@ impl TableBuilder {
             config,
             data_block: BlockBuilder::new(restart),
             index_block: BlockBuilder::new(1),
+            compressor: compress::Compressor::default(),
             offset: 0,
             smallest: None,
             last_key: Vec::new(),
@@ -222,15 +226,17 @@ impl TableBuilder {
     ///
     /// Returns [`ErrorKind::Io`](crate::ErrorKind) if a block write fails.
     pub fn add(&mut self, key: &[u8], value: &[u8]) -> Result<()> {
+        if key.len() < 8 {
+            return Err(Error::invalid_argument("key too short for internal key"));
+        }
         if self.smallest.is_none() {
             self.smallest = InternalKey::decode(key);
         }
-        let ik = InternalKey::decode(key)
-            .ok_or_else(|| Error::invalid_argument("key too short for internal key"))?;
-        self.note_filter_key(ik.user_key());
+        self.note_filter_key(split_tag(key).0);
         self.flush_pending_index();
         self.data_block.add(key, value);
-        self.last_key = key.to_vec();
+        self.last_key.clear();
+        self.last_key.extend_from_slice(key);
         self.props.num_entries += 1;
         self.props.raw_bytes += (key.len() + value.len()) as u64;
         if self.data_block.size_estimate() >= self.config.block_size {
@@ -307,50 +313,48 @@ impl TableBuilder {
 
     fn finish_data_block(&mut self) -> Result<()> {
         let raw = self.data_block.finish();
-        let raw_len = raw.len();
-        let (payload, flag) = match compress::compress(self.config.compression, &raw) {
+        let (payload, flag) = match self.compressor.compress(self.config.compression, &raw) {
             Some(c) => {
-                self.compression_cpu += compress::compress_cpu_cost(self.config.compression, raw_len);
+                self.compression_cpu +=
+                    compress::compress_cpu_cost(self.config.compression, raw.len());
                 (c, COMPRESSION_FLAG_SIMZIP)
             }
-            None => (raw, COMPRESSION_FLAG_NONE),
+            None => (raw.as_slice(), COMPRESSION_FLAG_NONE),
         };
-        let handle = self.write_block_payload(&payload, flag)?;
+        let handle = write_block_payload(self.file.as_mut(), &mut self.offset, payload, flag)?;
         self.props.num_data_blocks += 1;
-        self.props.compressed_data_bytes += payload.len() as u64;
+        self.props.compressed_data_bytes += handle.size;
         // Defer the index entry until we know the next block's first key
         // (we use the last key of this block, which is simpler and valid).
-        self.pending_index = Some((self.last_key.clone(), handle));
+        self.pending_index = Some(handle);
         Ok(())
     }
 
     fn flush_pending_index(&mut self) {
-        if let Some((key, handle)) = self.pending_index.take() {
-            self.index_block.add(&key, &handle.encode());
+        if let Some(handle) = self.pending_index.take() {
+            self.index_block.add(&self.last_key, &handle.encode());
         }
     }
 
-    fn write_block_payload(&mut self, payload: &[u8], flag: u8) -> Result<BlockHandle> {
-        let handle = BlockHandle {
-            offset: self.offset,
-            size: payload.len() as u64,
-        };
-        let mut crc_input = Vec::with_capacity(payload.len() + 1);
-        crc_input.extend_from_slice(payload);
-        crc_input.push(flag);
-        let crc = crc32c(&crc_input);
-        self.file.append(payload)?;
-        self.file.append(&[flag])?;
-        let mut tail = Vec::with_capacity(4);
-        put_fixed32(&mut tail, crc);
-        self.file.append(&tail)?;
-        self.offset += handle.stored_len(); // payload + flag + crc
-        Ok(handle)
-    }
-
     fn write_raw_block(&mut self, data: &[u8]) -> Result<BlockHandle> {
-        self.write_block_payload(data, COMPRESSION_FLAG_NONE)
+        write_block_payload(self.file.as_mut(), &mut self.offset, data, COMPRESSION_FLAG_NONE)
     }
+}
+
+/// Appends `payload | flag | crc32c(payload ++ flag)` at `*offset`.
+fn write_block_payload(
+    file: &mut dyn WritableFile,
+    offset: &mut u64,
+    payload: &[u8],
+    flag: u8,
+) -> Result<BlockHandle> {
+    let handle = BlockHandle { offset: *offset, size: payload.len() as u64 };
+    let crc = crc32c_extend(crc32c(payload), &[flag]);
+    let [c0, c1, c2, c3] = crc.to_le_bytes();
+    file.append(payload)?;
+    file.append(&[flag, c0, c1, c2, c3])?;
+    *offset += handle.stored_len(); // payload + flag + crc
+    Ok(handle)
 }
 
 /// An open SST file: footer, index, and filter are resident; data blocks
@@ -523,23 +527,22 @@ fn fetch_block(
         return Err(Error::corruption("block handle points outside the table"));
     }
     let stored_len = handle.stored_len();
-    let stored = file.read_at(handle.offset, stored_len as usize)?;
+    let mut stored = file.read_at(handle.offset, stored_len as usize)?;
     if stored.len() as u64 != stored_len {
         return Err(Error::corruption("short block read"));
     }
     let (payload, trailer) = stored.split_at(handle.size as usize);
     let flag = trailer[0];
     let crc_stored = get_fixed32(trailer, 1).ok_or_else(|| Error::corruption("short crc"))?;
-    if verify_checksums {
-        let mut crc_input = Vec::with_capacity(payload.len() + 1);
-        crc_input.extend_from_slice(payload);
-        crc_input.push(flag);
-        if crc32c(&crc_input) != crc_stored {
-            return Err(Error::corruption("block checksum mismatch"));
-        }
+    if verify_checksums && crc32c_extend(crc32c(payload), &[flag]) != crc_stored {
+        return Err(Error::corruption("block checksum mismatch"));
     }
     let (data, was_compressed) = match flag {
-        COMPRESSION_FLAG_NONE => (payload.to_vec(), false),
+        COMPRESSION_FLAG_NONE => {
+            // The read buffer is the block: drop the trailer in place.
+            stored.truncate(handle.size as usize);
+            (stored, false)
+        }
         COMPRESSION_FLAG_SIMZIP => (compress::decompress(payload)?, true),
         other => return Err(Error::corruption(format!("unknown compression flag {other}"))),
     };

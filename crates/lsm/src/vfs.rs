@@ -146,10 +146,14 @@ struct MemVfsInner {
 
 /// An in-memory file system.
 ///
-/// All file contents live in a shared map; "finished" files become
-/// immutable `Arc<Vec<u8>>` snapshots. Unfinished files are still
-/// readable via [`Vfs::read_all`] with their current contents, which is
-/// what crash-recovery of a WAL needs.
+/// All file contents live in a shared map of `Arc<Vec<u8>>`. A writer's
+/// bytes reach the map — and so [`Vfs::open`], [`Vfs::read_all`] and
+/// [`Vfs::file_size`] — when it syncs, finishes or is dropped, not
+/// before; a file dropped unfinished keeps what was appended, which is
+/// what crash-recovery of a WAL needs. Publishing costs the bytes
+/// appended since the last publish: the map's buffer is extended in
+/// place unless a [`fork`](MemVfs::fork), a link or an open reader shares
+/// it, and only then copied, so each of those keeps the contents it saw.
 #[derive(Debug, Default, Clone)]
 pub struct MemVfs {
     inner: Arc<Mutex<MemVfsInner>>,
@@ -203,24 +207,44 @@ impl MemVfs {
 struct MemWritableFile {
     vfs: MemVfs,
     path: String,
-    buf: Vec<u8>,
+    /// Everything published so far: a handle to the buffer the map holds,
+    /// not a copy of it.
+    published: Arc<Vec<u8>>,
+    /// Appended since the last publish.
+    pending: Vec<u8>,
     finished: bool,
 }
 
 impl MemWritableFile {
-    fn publish(&self) {
+    /// Makes `published ++ pending` the contents of `path`, whatever the
+    /// path holds now (it may have been deleted, renamed away or
+    /// truncated since the last publish).
+    fn publish(&mut self) {
         let mut inner = self.vfs.inner.lock();
-        inner.files.insert(self.path.clone(), Arc::new(self.buf.clone()));
+        // The map's entry is about to be replaced. Dropping it first
+        // leaves this writer the buffer's only holder, so `make_mut`
+        // extends it in place, unless a fork, link or reader shares it.
+        let key = match inner.files.remove_entry(&self.path) {
+            Some((key, _)) => key,
+            None => self.path.clone(),
+        };
+        if self.published.is_empty() {
+            self.published = Arc::new(std::mem::take(&mut self.pending));
+        } else {
+            Arc::make_mut(&mut self.published).extend_from_slice(&self.pending);
+            self.pending.clear();
+        }
+        inner.files.insert(key, Arc::clone(&self.published));
     }
 }
 
 impl WritableFile for MemWritableFile {
     fn append(&mut self, data: &[u8]) -> Result<()> {
-        self.buf.extend_from_slice(data);
+        self.pending.extend_from_slice(data);
         // The shared view is refreshed on sync/finish/drop rather than on
-        // every append (publishing clones the buffer). A dropped-without-
-        // finish file still publishes, so crash simulations observe the
-        // unsynced tail a real OS would have kept in the page cache.
+        // every append. A dropped-without-finish file still publishes, so
+        // crash simulations observe the unsynced tail a real OS would
+        // have kept in the page cache.
         Ok(())
     }
 
@@ -236,7 +260,7 @@ impl WritableFile for MemWritableFile {
     }
 
     fn len(&self) -> u64 {
-        self.buf.len() as u64
+        (self.published.len() + self.pending.len()) as u64
     }
 }
 
@@ -279,7 +303,8 @@ impl Vfs for MemVfs {
         Ok(Box::new(MemWritableFile {
             vfs: self.clone(),
             path: path.to_string(),
-            buf: Vec::new(),
+            published: Arc::default(),
+            pending: Vec::new(),
             finished: false,
         }))
     }
@@ -701,6 +726,106 @@ mod tests {
             // dropped without finish(): simulates a crash
         }
         assert_eq!(vfs.read_all("wal.log").unwrap(), b"record-1");
+    }
+
+    #[test]
+    fn mem_vfs_appends_are_visible_after_sync_finish_or_drop_only() {
+        let vfs = MemVfs::new();
+        let seen = |path: &str| {
+            let all = vfs.read_all(path).unwrap();
+            assert_eq!(vfs.file_size(path).unwrap(), all.len() as u64);
+            assert_eq!(vfs.open(path).unwrap().len(), all.len() as u64);
+            all
+        };
+        let mut f = vfs.create("f").unwrap();
+        f.append(b"one").unwrap();
+        assert_eq!(seen("f"), b"", "appended, not synced");
+        f.sync().unwrap();
+        assert_eq!(seen("f"), b"one");
+        f.append(b"two").unwrap();
+        assert_eq!((f.len(), seen("f")), (6, b"one".to_vec()), "the writer counts what it holds back");
+        f.finish().unwrap();
+        assert_eq!(seen("f"), b"onetwo");
+        drop(f);
+        assert_eq!(seen("f"), b"onetwo");
+
+        let mut g = vfs.create("g").unwrap();
+        g.append(b"synced").unwrap();
+        g.sync().unwrap();
+        g.append(b"+tail").unwrap();
+        assert_eq!(seen("g"), b"synced");
+        drop(g);
+        assert_eq!(seen("g"), b"synced+tail", "dropped without finish");
+    }
+
+    #[test]
+    fn mem_vfs_forks_links_and_readers_keep_what_they_saw() {
+        let vfs = MemVfs::new();
+        let mut f = vfs.create("wal").unwrap();
+        f.append(b"first").unwrap();
+        f.sync().unwrap();
+        let fork = vfs.fork();
+        let reader = vfs.open("wal").unwrap();
+        vfs.link("wal", "ckpt/wal").unwrap();
+        f.append(b"-second").unwrap();
+        f.sync().unwrap();
+        assert_eq!(vfs.read_all("wal").unwrap(), b"first-second");
+        assert_eq!(fork.read_all("wal").unwrap(), b"first");
+        assert_eq!(reader.read_at(0, 100).unwrap(), b"first");
+        assert_eq!(vfs.read_all("ckpt/wal").unwrap(), b"first");
+        // With every sharer gone the writer goes back to extending in place.
+        drop((fork, reader));
+        vfs.delete("ckpt/wal").unwrap();
+        f.append(b"-third").unwrap();
+        f.finish().unwrap();
+        assert_eq!(vfs.read_all("wal").unwrap(), b"first-second-third");
+        // A fork's own writer does not reach back into the parent.
+        let fork = vfs.fork();
+        let mut g = fork.create("wal").unwrap();
+        g.append(b"forked").unwrap();
+        g.finish().unwrap();
+        assert_eq!(vfs.read_all("wal").unwrap(), b"first-second-third");
+    }
+
+    #[test]
+    fn mem_vfs_live_writer_republishes_over_truncate_rename_and_delete() {
+        let vfs = MemVfs::new();
+        let mut f = vfs.create("log").unwrap();
+        f.append(b"0123456789").unwrap();
+        f.sync().unwrap();
+
+        vfs.truncate("log", 3).unwrap();
+        assert_eq!(vfs.read_all("log").unwrap(), b"012");
+        f.append(b"a").unwrap();
+        f.sync().unwrap();
+        assert_eq!(vfs.read_all("log").unwrap(), b"0123456789a", "the writer's view wins");
+
+        vfs.rename("log", "old").unwrap();
+        f.append(b"b").unwrap();
+        f.sync().unwrap();
+        assert_eq!(vfs.read_all("old").unwrap(), b"0123456789a", "the renamed file is a snapshot");
+        assert_eq!(vfs.read_all("log").unwrap(), b"0123456789ab");
+
+        vfs.delete("log").unwrap();
+        assert!(!vfs.exists("log"));
+        f.append(b"c").unwrap();
+        f.sync().unwrap();
+        assert_eq!(vfs.read_all("log").unwrap(), b"0123456789abc", "the path comes back whole");
+    }
+
+    #[test]
+    fn mem_vfs_many_syncs_leave_one_copy() {
+        let vfs = MemVfs::new();
+        let mut f = vfs.create("wal").unwrap();
+        let chunk = vec![7u8; 80 << 10];
+        for _ in 0..100 {
+            f.append(&chunk).unwrap();
+            f.sync().unwrap();
+        }
+        assert_eq!(f.len(), 100 * chunk.len() as u64);
+        assert_eq!(vfs.total_bytes(), f.len());
+        drop(f);
+        assert_eq!(vfs.total_bytes(), 100 * chunk.len() as u64);
     }
 
     #[test]

@@ -14,6 +14,9 @@ const FRAME_HEADER: usize = 8;
 /// Appends framed records to a WAL file.
 pub struct WalWriter {
     file: Box<dyn WritableFile>,
+    /// The frames of the call in progress, kept between calls so a
+    /// record costs no allocation.
+    frames: Vec<u8>,
     bytes_written: u64,
     bytes_since_sync: u64,
     appends: u64,
@@ -33,6 +36,7 @@ impl WalWriter {
     pub fn new(file: Box<dyn WritableFile>) -> Self {
         WalWriter {
             file,
+            frames: Vec::new(),
             bytes_written: 0,
             bytes_since_sync: 0,
             appends: 0,
@@ -46,16 +50,7 @@ impl WalWriter {
     ///
     /// Returns [`ErrorKind::Io`](crate::ErrorKind) if the append fails.
     pub fn add_record(&mut self, payload: &[u8]) -> Result<u64> {
-        let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
-        put_fixed32(&mut frame, crc32c(payload));
-        put_fixed32(&mut frame, payload.len() as u32);
-        frame.extend_from_slice(payload);
-        self.file.append(&frame)?;
-        let len = frame.len() as u64;
-        self.bytes_written += len;
-        self.bytes_since_sync += len;
-        self.appends += 1;
-        Ok(len)
+        self.add_records(&[payload])
     }
 
     /// Appends several records with a single buffered file write.
@@ -68,15 +63,15 @@ impl WalWriter {
     ///
     /// Returns [`ErrorKind::Io`](crate::ErrorKind) if the append fails.
     pub fn add_records(&mut self, payloads: &[&[u8]]) -> Result<u64> {
-        let total: usize = payloads.iter().map(|p| FRAME_HEADER + p.len()).sum();
-        let mut frames = Vec::with_capacity(total);
+        self.frames.clear();
         for payload in payloads {
-            put_fixed32(&mut frames, crc32c(payload));
-            put_fixed32(&mut frames, payload.len() as u32);
-            frames.extend_from_slice(payload);
+            put_fixed32(&mut self.frames, crc32c(payload));
+            put_fixed32(&mut self.frames, payload.len() as u32);
+            self.frames.extend_from_slice(payload);
         }
-        self.file.append(&frames)?;
-        let len = frames.len() as u64;
+        // One append per call: a failed append leaves no partial group.
+        self.file.append(&self.frames)?;
+        let len = self.frames.len() as u64;
         self.bytes_written += len;
         self.bytes_since_sync += len;
         self.appends += 1;
