@@ -246,10 +246,8 @@ pub fn vet(base: &Options, changes: &[ProposedChange], policy: &SafeguardPolicy)
                     value: options.block_cache_size.to_string(),
                     kind: ViolationKind::BudgetAdjusted,
                     detail: format!(
-                        "write buffers + cache exceeded 80% of {} RAM; cache shrunk to {}",
-                        lsm_kvs::options::registry::parse_size(&ram.to_string())
-                            .map(|_| format!("{} MiB", ram >> 20))
-                            .unwrap_or_default(),
+                        "write buffers + cache exceeded 80% of {} MiB RAM; cache shrunk to {}",
+                        ram >> 20,
                         new_cache
                     ),
                 });
@@ -407,10 +405,16 @@ mod tests {
             ],
             &policy,
         );
-        assert!(out
+        let adjusted = out
             .violations
             .iter()
-            .any(|v| v.kind == ViolationKind::BudgetAdjusted));
+            .find(|v| v.kind == ViolationKind::BudgetAdjusted)
+            .expect("the cache was shrunk");
+        // The line goes into the next prompt: its bytes are pinned.
+        assert_eq!(
+            adjusted.detail,
+            "write buffers + cache exceeded 80% of 4096 MiB RAM; cache shrunk to 1288490188"
+        );
         let total = out.options.write_buffer_size * out.options.max_write_buffer_number as u64
             + out.options.block_cache_size;
         assert!(total <= (4u64 << 30) * 8 / 10 + (8 << 20));

@@ -368,11 +368,11 @@ fn recover(opts: &Options, vfs: &dyn Vfs) -> Result<DbState> {
     }
 
     // 2. WAL replay into a fresh memtable. Every intact record is
-    // also kept aside so it can be re-logged into the new WAL below —
-    // otherwise a second crash before the next flush would lose the
-    // recovered entries (their old logs are garbage-collected).
+    // also kept, as the batch it is, so it can be re-logged into the new
+    // WAL below — otherwise a second crash before the next flush would
+    // lose the recovered entries (their old logs are garbage-collected).
     let mem = new_memtable(opts);
-    let mut replayed_records: Vec<Vec<u8>> = Vec::new();
+    let mut replayed: Vec<WriteBatch> = Vec::new();
     let mut wal_numbers: Vec<u64> = vfs
         .list("")?
         .into_iter()
@@ -385,19 +385,16 @@ fn recover(opts: &Options, vfs: &dyn Vfs) -> Result<DbState> {
     wal_numbers.sort_unstable();
     for n in &wal_numbers {
         let data = vfs.read_all(&wal_file_name(*n))?;
-        let wal_replay = replay_wal(&data, false)?;
-        for record in &wal_replay.records {
-            replayed_records.push(record.clone());
-            let (first_seq, batch) = WriteBatch::decode(record)?;
+        for record in replay_wal(&data, false)?.records {
+            let batch = WriteBatch::from_record(record)?;
             // Replay everything in surviving WALs: entries that were
             // already flushed re-insert the identical (seq, value)
             // pair, which is harmless, while filtering on a sequence
             // cutoff would lose memtable-only writes (flush edits
             // record the *global* sequence, not the flushed one).
-            for (i, (ty, key, value)) in batch.iter().enumerate() {
-                mem.add(first_seq + i as u64, ty, key, value);
-            }
-            last_seq = last_seq.max(first_seq + batch.len().saturating_sub(1) as u64);
+            batch.insert_into(&mem);
+            last_seq = last_seq.max(batch.sequence() + batch.len().saturating_sub(1) as u64);
+            replayed.push(batch);
         }
         next_file = next_file.max(n + 1);
     }
@@ -431,8 +428,8 @@ fn recover(opts: &Options, vfs: &dyn Vfs) -> Result<DbState> {
         None
     } else {
         let mut writer = WalWriter::new(vfs.create(&wal_file_name(wal_number))?);
-        for record in &replayed_records {
-            writer.add_record(record)?;
+        for batch in &replayed {
+            writer.add_record(batch.record())?;
         }
         writer.sync()?;
         Some(writer)

@@ -1,9 +1,10 @@
 //! The write path: one commit pipeline for both execution modes.
 //!
-//! A write is pre-encoded by its submitting thread, then committed as
-//! part of a *group* under one state critical section: stall check,
-//! sequence reservation, one WAL append (rotating on a transient
-//! failure), sink ship, sync, memtable apply, publish, memtable-switch
+//! A write is encoded once, by its submitting thread: a `WriteBatch` is
+//! its own WAL record. It is committed as part of a *group* under one
+//! state critical section: stall check, sequence reservation (patched
+//! into each record's header), one WAL append (rotating on a transient
+//! failure), sink ship, sync, memtable replay, publish, memtable-switch
 //! triggers. Real mode forms groups through the leader-based commit
 //! queue; a sim write is a group of one whose modeled cost `Sim` charges
 //! to the virtual clock.
@@ -20,7 +21,7 @@ use super::{
 use crate::batch::WriteBatch;
 use crate::error::{Error, Result};
 use crate::options::Options;
-use crate::runtime::{PreparedWrite, Runtime};
+use crate::runtime::{QueuedWrite, Runtime};
 use crate::stats::{HistogramKind, Ticker};
 use crate::wal::WalWriter;
 use crate::write_controller::WriteRegime;
@@ -33,7 +34,7 @@ impl Db {
     /// Propagates WAL/flush I/O errors and [`ErrorKind::Busy`](crate::ErrorKind) if the write
     /// stall cannot clear.
     pub fn put(&self, key: &[u8], value: &[u8]) -> Result<()> {
-        let mut batch = WriteBatch::with_capacity(1);
+        let mut batch = WriteBatch::new();
         batch.put(key, value);
         self.write(batch)
     }
@@ -44,7 +45,7 @@ impl Db {
     ///
     /// Same as [`Db::put`].
     pub fn delete(&self, key: &[u8]) -> Result<()> {
-        let mut batch = WriteBatch::with_capacity(1);
+        let mut batch = WriteBatch::new();
         batch.delete(key);
         self.write(batch)
     }
@@ -85,10 +86,10 @@ impl Db {
             batch.stamp_puts(inner.now_secs());
         }
         let started = inner.clock.now();
-        let prepared = PreparedWrite::prepare(&batch, write_opts.sync);
+        let sync = write_opts.sync;
         let result = match &inner.mode {
-            Mode::Real(rt) => inner.write_queued(rt, prepared),
-            Mode::Sim(_) => inner.commit_group(&mut [(0, prepared)]),
+            Mode::Real(rt) => inner.write_queued(rt, batch, sync),
+            Mode::Sim(_) => inner.commit_group(&mut [QueuedWrite { id: 0, batch, sync }]),
         };
         inner.stats.record(HistogramKind::DbWrite, inner.clock.now().saturating_since(started));
         result
@@ -100,7 +101,7 @@ impl DbInner {
     /// writer to find no active leader drains the queue front and
     /// commits the whole group; everyone else waits on the condvar for
     /// their id to pass the completion watermark.
-    fn write_queued(&self, rt: &Runtime, prepared: PreparedWrite) -> Result<()> {
+    fn write_queued(&self, rt: &Runtime, batch: WriteBatch, sync: bool) -> Result<()> {
         // Without concurrent memtable writes, commit strictly one batch
         // at a time (the queue still serializes leaders).
         let max_group = if self.opts().allow_concurrent_memtable_write {
@@ -111,7 +112,7 @@ impl DbInner {
         let mut queue = rt.commit.lock();
         let id = queue.next_id;
         queue.next_id += 1;
-        queue.pending.push_back((id, prepared));
+        queue.pending.push_back(QueuedWrite { id, batch, sync });
         loop {
             if queue.completed > id {
                 return match queue.take_failure(id) {
@@ -129,19 +130,19 @@ impl DbInner {
             // is never empty.
             queue.leader_active = true;
             let take = queue.pending.len().min(max_group);
-            let mut group: Vec<(u64, PreparedWrite)> = queue.pending.drain(..take).collect();
+            let mut group: Vec<QueuedWrite> = queue.pending.drain(..take).collect();
             drop(queue);
             let result = self.commit_group(&mut group);
             queue = rt.commit.lock();
-            let last_id = group.last().expect("leader drained at least one").0;
+            let last_id = group.last().expect("leader drained at least one").id;
             match &result {
                 Ok(()) => {
                     self.stats.tickers().inc(Ticker::GroupCommits);
                     self.stats.tickers().add(Ticker::GroupCommitBatches, group.len() as u64);
                 }
                 Err(e) => {
-                    for (gid, _) in &group {
-                        queue.failures.push((*gid, e.clone()));
+                    for write in &group {
+                        queue.failures.push((write.id, e.clone()));
                     }
                 }
             }
@@ -157,26 +158,26 @@ impl DbInner {
     /// WAL append (and at most one sync), one memtable application, all
     /// under a single state critical section. Durability precedes
     /// visibility: a group whose sync fails is never published.
-    pub(super) fn commit_group(&self, group: &mut [(u64, PreparedWrite)]) -> Result<()> {
+    pub(super) fn commit_group(&self, group: &mut [QueuedWrite]) -> Result<()> {
         let opts = self.opts();
         let mut state = self.state.lock();
         self.catch_up(&mut state)?;
         let (mut stall_bytes, mut record_bytes, mut payload_bytes) = (0u64, 0u64, 0u64);
-        for (_, p) in group.iter() {
-            stall_bytes += p.approximate_bytes;
-            record_bytes += p.record.len() as u64;
-            payload_bytes += p.payload_bytes;
+        for write in group.iter() {
+            stall_bytes += write.batch.approximate_bytes() as u64;
+            record_bytes += write.batch.record().len() as u64;
+            payload_bytes += write.batch.payload_bytes() as u64;
         }
         self.wait_writable(&mut state, stall_bytes)?;
 
-        // Reserve sequences and stamp them into the prepared batches.
+        // Reserve sequences and stamp them into the records' headers.
         let first_seq = state.last_seq + 1;
         let mut seq = first_seq;
         let mut group_sync = false;
-        for (_, prepared) in group.iter_mut() {
-            prepared.patch_seq(seq);
-            seq += prepared.count;
-            group_sync |= prepared.sync;
+        for write in group.iter_mut() {
+            write.batch.set_sequence(seq);
+            seq += write.batch.len() as u64;
+            group_sync |= write.sync;
         }
         let last_seq = seq - 1;
         state.last_seq = last_seq;
@@ -188,7 +189,7 @@ impl DbInner {
         // later appends after a torn record would be silently dropped by
         // recovery.
         if !opts.disable_wal {
-            let records: Vec<&[u8]> = group.iter().map(|(_, p)| p.record.as_slice()).collect();
+            let records: Vec<&[u8]> = group.iter().map(|w| w.batch.record()).collect();
             let wal = state.wal.as_mut().expect("wal enabled");
             match wal.add_records(&records) {
                 Ok(_) => {
@@ -214,11 +215,10 @@ impl DbInner {
         }
 
         let synced = self.sync_wal(&mut state, &opts, group_sync)?;
-        // Replay the prepared records into the active memtable and make
-        // them visible to readers.
-        let mut scratch = Vec::new();
-        for (_, prepared) in group.iter() {
-            prepared.apply_to(&state.mem, &mut scratch);
+        // Replay the records into the active memtable and make them
+        // visible to readers.
+        for write in group.iter() {
+            write.batch.insert_into(&state.mem);
         }
         self.publish_visible(last_seq);
         self.stats.tickers().add(Ticker::KeysWritten, last_seq + 1 - first_seq);
@@ -421,6 +421,47 @@ mod tests {
         db.write(b).unwrap();
         assert_eq!(db.get(b"a").unwrap(), None);
         assert_eq!(db.get(b"b").unwrap(), Some(b"2".to_vec()));
+    }
+
+    /// The bytes a write leaves in the log are the format: puts, deletes,
+    /// batches, keys and values on both sides of the one-byte varint
+    /// limit, and stamped entries once TTL is switched on. Length and
+    /// CRC32C of the WAL were taken at 91717d9, before `WriteBatch` became
+    /// its own record, and hold without change.
+    #[test]
+    fn wal_bytes_of_a_fixed_script_are_pinned() {
+        use crate::vfs::{MemVfs, Vfs};
+        let env = env();
+        let vfs = Arc::new(MemVfs::new());
+        let db = Db::builder(Options::default()).env(&env).vfs(vfs.clone()).open().unwrap();
+        let script = |db: &Db, round: u32| {
+            db.put(format!("single-{round}").as_bytes(), b"value").unwrap();
+            db.delete(format!("single-{}", round + 7).as_bytes()).unwrap();
+            let mut b = WriteBatch::new();
+            b.put(b"", b"empty key");
+            b.put(&[b'k'; 200], &[round as u8; 300]);
+            b.delete(b"single-0");
+            b.put(b"empty value", b"");
+            db.write(b).unwrap();
+        };
+        script(&db, 0);
+        db.set_options(&[("ttl_seconds", "3600")]).unwrap();
+        script(&db, 1);
+        db.write_opt(&WriteOptions { sync: true }, {
+            let mut b = WriteBatch::new();
+            b.put(b"last", b"synced");
+            b
+        })
+        .unwrap();
+
+        let mut wal = Vec::new();
+        let mut logs: Vec<String> =
+            vfs.list("").unwrap().into_iter().filter(|n| n.ends_with(".log")).collect();
+        logs.sort();
+        for name in logs {
+            wal.extend_from_slice(&vfs.read_all(&name).unwrap());
+        }
+        assert_eq!((wal.len(), crate::util::crc32c(&wal)), (1_331, 29_032_069));
     }
 
     #[test]

@@ -145,27 +145,15 @@ impl MemTable {
         }
     }
 
-    /// Inserts a value or tombstone.
+    /// Inserts a value or tombstone. The owned internal key and the owned
+    /// value the map stores are the only two allocations an entry costs.
     pub fn add(&self, seq: SequenceNumber, ty: ValueType, user_key: &[u8], value: &[u8]) {
-        self.apply_encoded(InternalKey::new(user_key, seq, ty).encoded(), value);
-    }
-
-    /// Inserts an entry whose internal key was encoded by the caller
-    /// (`user_key ++ fixed64(seq << 8 | ty)`), borrowed.
-    ///
-    /// Group commit replays entries straight out of the WAL record
-    /// through this; the owned key and value the map stores are the only
-    /// two allocations an entry costs. The caller must pass a well-formed
-    /// internal key (at least 8 bytes of tag).
-    pub fn apply_encoded(&self, encoded_key: &[u8], value: &[u8]) {
-        debug_assert!(encoded_key.len() >= 8, "internal key must carry a tag");
-        let (user_key, tag) = split_tag(encoded_key);
-        let seq = tag >> 8;
         if let Some(bloom) = &self.bloom {
             bloom.add(user_key);
         }
-        self.map.write().insert(OrderedKey(encoded_key.to_vec()), value.to_vec());
-        let charged = encoded_key.len() + value.len() + ENTRY_OVERHEAD;
+        let key = InternalKey::new(user_key, seq, ty).into_encoded();
+        let charged = key.len() + value.len() + ENTRY_OVERHEAD;
+        self.map.write().insert(OrderedKey(key), value.to_vec());
         self.approximate_bytes.fetch_add(charged, AtomicOrdering::Relaxed);
         self.first_seq.fetch_min(seq, AtomicOrdering::Relaxed);
         self.last_seq.fetch_max(seq, AtomicOrdering::Relaxed);

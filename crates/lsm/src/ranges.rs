@@ -79,7 +79,7 @@ impl KeyRanges {
         let mut parts = vec![WriteBatch::new(); self.num_ranges()];
         for (ty, key, value) in batch.iter() {
             // Stamped entries keep their stamp verbatim.
-            parts[self.route(key)].push_raw(ty, key, value);
+            parts[self.route(key)].push(ty, key, value, &[]);
         }
         parts
     }

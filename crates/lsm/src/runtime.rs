@@ -22,121 +22,14 @@ use parking_lot::{Condvar, Mutex};
 
 use crate::batch::WriteBatch;
 use crate::error::Error;
-use crate::memtable::MemTable;
-use crate::types::{SequenceNumber, ValueType};
 
-/// Where one operation's key and value bytes sit inside a prepared WAL
-/// record. Spans are plain offsets, so a prepared batch carries no owned
-/// per-entry buffers: appliers read straight out of the record.
-#[derive(Clone, Copy)]
-pub(crate) struct EntrySpan {
-    key_at: u32,
-    key_len: u32,
-    value_at: u32,
-    value_len: u32,
-    ty: ValueType,
-}
-
-/// A write batch pre-encoded by the submitting thread.
-///
-/// Everything sequence-independent is done before joining the commit
-/// queue: the WAL record is serialized with a zero placeholder in its
-/// first-sequence header, and each operation's key/value position inside
-/// the record is captured as an [`EntrySpan`]. The group leader only
-/// patches the record's sequence header and replays the spans into the
-/// memtable: the only per-entry allocations in the commit path are the
-/// owned key and value the memtable stores.
-pub(crate) struct PreparedWrite {
-    /// WAL record (batch encoding) with `first_seq = 0` placeholder.
-    pub record: Vec<u8>,
-    /// Per-operation byte positions inside `record`.
-    entries: Vec<EntrySpan>,
-    /// First sequence assigned to this batch; stamped by `patch_seq`.
-    first_seq: SequenceNumber,
-    /// Number of operations in the batch.
-    pub count: u64,
-    /// Total user key + value bytes (ticker accounting).
-    pub payload_bytes: u64,
-    /// [`WriteBatch::approximate_bytes`], what the write controller's
-    /// delay is computed from.
-    pub approximate_bytes: u64,
-    /// Whether this write requested a durable WAL sync.
+/// One write on its way through a commit: the id the queue gave it (0
+/// for a simulated write, which is never queued), the batch, and whether
+/// its writer asked for a durable WAL sync.
+pub(crate) struct QueuedWrite {
+    pub id: u64,
+    pub batch: WriteBatch,
     pub sync: bool,
-}
-
-impl PreparedWrite {
-    /// Encodes `batch` for commit. CRC framing happens later inside the
-    /// WAL writer, so patching the sequence header afterwards is safe.
-    pub fn prepare(batch: &WriteBatch, sync: bool) -> PreparedWrite {
-        let record = batch.encode(0);
-        let mut entries = Vec::with_capacity(batch.len());
-        let mut payload_bytes = 0u64;
-        // Mirror the encoding walk (`WriteBatch::encode`): 12-byte header,
-        // then `u8 type | varint klen | key | varint vlen | value` per op.
-        let mut pos = 12usize;
-        for (ty, key, value) in batch.iter() {
-            payload_bytes += (key.len() + value.len()) as u64;
-            pos += 1 + varint32_len(key.len() as u32);
-            let key_at = pos as u32;
-            pos += key.len() + varint32_len(value.len() as u32);
-            let value_at = pos as u32;
-            pos += value.len();
-            entries.push(EntrySpan {
-                key_at,
-                key_len: key.len() as u32,
-                value_at,
-                value_len: value.len() as u32,
-                ty,
-            });
-        }
-        debug_assert_eq!(pos, record.len(), "span walk must mirror encode");
-        PreparedWrite {
-            record,
-            entries,
-            first_seq: 0,
-            count: batch.len() as u64,
-            payload_bytes,
-            approximate_bytes: batch.approximate_bytes() as u64,
-            sync,
-        }
-    }
-
-    /// Stamps the assigned first sequence into the WAL record header and
-    /// remembers it for the memtable replay (entry `i` gets
-    /// `first_seq + i`).
-    pub fn patch_seq(&mut self, first_seq: SequenceNumber) {
-        self.record[0..8].copy_from_slice(&first_seq.to_le_bytes());
-        self.first_seq = first_seq;
-    }
-
-    /// Replays the batch into `mem`, building each internal key in
-    /// `scratch` (reused across entries, so a warm buffer costs the group
-    /// no allocation of its own).
-    ///
-    /// Must run after [`patch_seq`](Self::patch_seq).
-    pub fn apply_to(&self, mem: &MemTable, scratch: &mut Vec<u8>) {
-        for (i, span) in self.entries.iter().enumerate() {
-            let key = &self.record[span.key_at as usize..(span.key_at + span.key_len) as usize];
-            let value =
-                &self.record[span.value_at as usize..(span.value_at + span.value_len) as usize];
-            let tag = ((self.first_seq + i as u64) << 8) | span.ty as u64;
-            scratch.clear();
-            scratch.extend_from_slice(key);
-            scratch.extend_from_slice(&tag.to_le_bytes());
-            mem.apply_encoded(scratch, value);
-        }
-    }
-}
-
-/// Length in bytes of `v`'s varint32 encoding.
-#[inline]
-fn varint32_len(mut v: u32) -> usize {
-    let mut n = 1;
-    while v >= 0x80 {
-        v >>= 7;
-        n += 1;
-    }
-    n
 }
 
 /// FIFO queue of writes awaiting commit, drained in groups by a leader.
@@ -147,7 +40,7 @@ fn varint32_len(mut v: u32) -> usize {
 /// `failures` until the owner collects it).
 pub(crate) struct CommitQueue {
     /// Writes not yet taken by a leader, in id order.
-    pub pending: VecDeque<(u64, PreparedWrite)>,
+    pub pending: VecDeque<QueuedWrite>,
     /// Id the next enqueued write receives.
     pub next_id: u64,
     /// All ids `< completed` are finished.

@@ -85,6 +85,11 @@ impl InternalKey {
         &self.0
     }
 
+    /// The encoded bytes, owned.
+    pub fn into_encoded(self) -> Vec<u8> {
+        self.0
+    }
+
     /// The user-visible key portion.
     pub fn user_key(&self) -> &[u8] {
         &self.0[..self.0.len() - 8]

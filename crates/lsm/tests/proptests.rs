@@ -10,7 +10,10 @@ use lsm_kvs::options::{CompressionType, Options};
 use lsm_kvs::sstable::block::{Block, BlockBuilder};
 use lsm_kvs::sstable::compress;
 use lsm_kvs::vfs::{MemVfs, Vfs};
-use lsm_kvs::{Db, InternalKey, MemTable, ReadOptions, ValueType, WriteBatch};
+use lsm_kvs::wal::replay_wal;
+use lsm_kvs::{
+    Db, InternalKey, KeyRanges, MemTable, ReadOptions, ValueType, WriteBatch, WriteOptions,
+};
 
 fn key_strategy() -> impl Strategy<Value = Vec<u8>> {
     vec(any::<u8>(), 1..24)
@@ -184,6 +187,127 @@ proptest! {
             .collect();
         let scanned = db.scan(b"", live.len() + 10).unwrap();
         prop_assert_eq!(scanned, live);
+    }
+}
+
+/// One operation of a batch as the record stores it.
+type Op = (ValueType, Vec<u8>, Vec<u8>);
+
+fn ops_of(batch: &WriteBatch) -> Vec<Op> {
+    batch.iter().map(|(ty, k, v)| (ty, k.to_vec(), v.to_vec())).collect()
+}
+
+/// The record layout, written down a second time on purpose: the engine
+/// reads and writes it in `batch.rs` only, and this is what holds that
+/// file to the format on disk.
+fn encode_record(first_seq: u64, ops: &[Op]) -> Vec<u8> {
+    fn varint(out: &mut Vec<u8>, mut v: usize) {
+        while v >= 0x80 {
+            out.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        out.push(v as u8);
+    }
+    let mut out = first_seq.to_le_bytes().to_vec();
+    out.extend_from_slice(&(ops.len() as u32).to_le_bytes());
+    for (ty, key, value) in ops {
+        out.push(*ty as u8);
+        varint(&mut out, key.len());
+        out.extend_from_slice(key);
+        varint(&mut out, value.len());
+        out.extend_from_slice(value);
+    }
+    out
+}
+
+/// Writes `batch` synced into a fresh simulated database with TTL on and
+/// returns the one record its WAL then holds, as a batch.
+fn logged_with_ttl(batch: WriteBatch) -> WriteBatch {
+    let env = hw_sim::HardwareEnv::builder().build_sim();
+    let vfs = Arc::new(MemVfs::new());
+    let opts = Options { ttl_seconds: 3_600, ..Options::default() };
+    let db = Db::builder(opts).env(&env).vfs(vfs.clone()).open().unwrap();
+    db.write_opt(&WriteOptions::synced(), batch).unwrap();
+    let mut records = Vec::new();
+    for name in vfs.list("").unwrap() {
+        if name.ends_with(".log") {
+            records.extend(replay_wal(&vfs.read_all(&name).unwrap(), true).unwrap().records);
+        }
+    }
+    assert_eq!(records.len(), 1, "one write, one record");
+    WriteBatch::from_record(records.pop().unwrap()).unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A batch is its record: whatever mix of puts, deletes and stamped
+    /// entries it holds, every reader of it sees the same list.
+    #[test]
+    fn batch_is_its_record(
+        raw in vec((0u8..3, vec(any::<u8>(), 0..40), vec(any::<u8>(), 0..300)), 0..24),
+        splits in btree_map(vec(any::<u8>(), 1..3), any::<bool>(), 0..5),
+        first_seq in 0u64..(1 << 56),
+    ) {
+        let model: Vec<Op> = raw
+            .into_iter()
+            .map(|(kind, key, value)| match kind {
+                0 => (ValueType::Deletion, key, Vec::new()),
+                1 => (ValueType::Value, key, value),
+                _ => (ValueType::TtlValue, key, [&value[..], &7u64.to_le_bytes()].concat()),
+            })
+            .collect();
+
+        // put/delete append exactly the record's bytes.
+        let plain: Vec<Op> = model.iter().filter(|op| op.0 != ValueType::TtlValue).cloned().collect();
+        let mut built = WriteBatch::new();
+        for (ty, key, value) in &plain {
+            match ty {
+                ValueType::Deletion => built.delete(key),
+                _ => built.put(key, value),
+            };
+        }
+        prop_assert_eq!(&built.record()[8..], &encode_record(0, &plain)[8..]);
+        prop_assert_eq!(ops_of(&built), plain);
+
+        // decode round-trips: same list, same bytes, same size estimate.
+        let record = encode_record(first_seq, &model);
+        let batch = WriteBatch::decode(&record).unwrap();
+        prop_assert_eq!(batch.record(), &record[..]);
+        prop_assert_eq!(batch.sequence(), first_seq);
+        prop_assert_eq!(batch.len(), model.len());
+        prop_assert_eq!(ops_of(&batch), model.clone());
+        let payload: usize = model.iter().map(|(_, k, v)| k.len() + v.len()).sum();
+        prop_assert_eq!(batch.approximate_bytes(), 12 + 13 * model.len() + payload);
+
+        // split_batch partitions in order, types and bytes intact.
+        let ranges = KeyRanges::new(splits.keys().cloned().collect(), splits.len() + 1).unwrap();
+        let parts = ranges.split_batch(&batch);
+        prop_assert_eq!(parts.len(), ranges.num_ranges());
+        for (idx, part) in parts.iter().enumerate() {
+            let want: Vec<Op> = model.iter().filter(|op| ranges.route(&op.1) == idx).cloned().collect();
+            prop_assert_eq!(ops_of(part), want, "range {}", idx);
+        }
+
+        // Stamping (what a write does while TTL is on, seen in the WAL it
+        // leaves) turns puts into stamped puts and nothing else, and a
+        // stamped batch written again is logged as it is.
+        if !model.is_empty() {
+            let stamped = logged_with_ttl(batch);
+            let got = ops_of(&stamped);
+            prop_assert_eq!(got.len(), model.len());
+            for ((ty, key, value), (was, was_key, was_value)) in got.iter().zip(&model) {
+                prop_assert_eq!(key, was_key);
+                if *was == ValueType::Value {
+                    prop_assert_eq!(*ty, ValueType::TtlValue);
+                    prop_assert_eq!(&value[..value.len() - 8], &was_value[..]);
+                } else {
+                    prop_assert_eq!((ty, value), (was, was_value), "tombstones and stamps pass through");
+                }
+            }
+            let again = logged_with_ttl(stamped.clone());
+            prop_assert_eq!(again.record(), stamped.record());
+        }
     }
 }
 

@@ -286,13 +286,7 @@ impl KvEngine for RemoteDb {
     }
 
     fn write_opt(&self, wopts: &WriteOptions, batch: WriteBatch) -> Result<()> {
-        let ops = batch
-            .iter()
-            .map(|(ty, k, v)| {
-                (ty == lsm_kvs::ValueType::Deletion, k.to_vec(), v.to_vec())
-            })
-            .collect();
-        self.expect_ok(&Request::Batch { sync: wopts.sync, ops })
+        self.expect_ok(&Request::Batch { sync: wopts.sync, batch })
     }
 
     fn scan(&self, start: &[u8], count: usize) -> Result<ScanResult> {

@@ -22,7 +22,8 @@
 use std::io::{self, Read, Write};
 
 use lsm_kvs::{
-    CacheStats, DbStats, Error, ErrorKind, Result, TickerSnapshot, WriteBatch, TICKER_NAMES,
+    CacheStats, DbStats, Error, ErrorKind, Result, TickerSnapshot, ValueType, WriteBatch,
+    TICKER_NAMES,
 };
 
 /// Upper bound on one frame's payload. Large enough for a sizable
@@ -38,8 +39,10 @@ pub mod op {
     pub const PUT: u8 = 2;
     /// Single-key delete.
     pub const DELETE: u8 = 3;
-    /// Atomic (per shard) write batch.
-    pub const BATCH: u8 = 4;
+    /// Retired: the write batch with a wire layout of its own (a count,
+    /// then `is_delete | key | value` per operation). Refused by name,
+    /// never reinterpreted.
+    pub const RETIRED_BATCH: u8 = 4;
     /// Forward range scan.
     pub const SCAN: u8 = 5;
     /// Memtable flush.
@@ -78,6 +81,8 @@ pub mod op {
     pub const REPLICA_REJECT: u8 = 20;
     /// Take an online checkpoint into a directory on the server's storage.
     pub const CHECKPOINT: u8 = 21;
+    /// Atomic (per shard) write batch; the body is the batch's WAL record.
+    pub const BATCH: u8 = 22;
 }
 
 /// Upper bound on entries in one streamed `Scan` response chunk. A scan
@@ -124,12 +129,13 @@ pub enum Request {
         /// Key.
         key: Vec<u8>,
     },
-    /// Multi-op batch, atomic per shard.
+    /// Multi-op batch, atomic per shard. On the wire it is the batch's
+    /// record ([`WriteBatch::record`]) — the bytes the server logs.
     Batch {
         /// Durable-ack flag.
         sync: bool,
-        /// `(is_delete, key, value)` triples; value empty for deletes.
-        ops: Vec<(bool, Vec<u8>, Vec<u8>)>,
+        /// Puts and deletes only: a client does not send stamped entries.
+        batch: WriteBatch,
     },
     /// Forward scan from `start` for up to `count` live entries.
     Scan {
@@ -310,6 +316,13 @@ impl<'a> Cur<'a> {
         Ok(self.take(n)?.to_vec())
     }
 
+    /// Everything not yet read.
+    fn rest(&mut self) -> &'a [u8] {
+        let s = &self.buf[self.pos..];
+        self.pos = self.buf.len();
+        s
+    }
+
     fn done(&self) -> Result<()> {
         if self.pos == self.buf.len() {
             Ok(())
@@ -343,17 +356,10 @@ impl Request {
                 out.push(if *sync { FLAG_SYNC } else { 0 });
                 put_bytes(&mut out, key);
             }
-            Request::Batch { sync, ops } => {
+            Request::Batch { sync, batch } => {
                 out.push(op::BATCH);
                 out.push(if *sync { FLAG_SYNC } else { 0 });
-                put_u32(&mut out, ops.len() as u32);
-                for (is_delete, key, value) in ops {
-                    out.push(u8::from(*is_delete));
-                    put_bytes(&mut out, key);
-                    if !is_delete {
-                        put_bytes(&mut out, value);
-                    }
-                }
+                out.extend_from_slice(batch.record());
             }
             Request::Scan { start, count } => {
                 out.push(op::SCAN);
@@ -441,21 +447,21 @@ impl Request {
             }
             op::BATCH => {
                 let sync = c.u8()? & FLAG_SYNC != 0;
-                let n = c.u32()? as usize;
-                let mut ops = Vec::new();
-                for _ in 0..n {
-                    let is_delete = match c.u8()? {
-                        0 => false,
-                        1 => true,
-                        other => {
-                            return Err(Error::corruption(format!("bad batch op {other}")))
-                        }
-                    };
-                    let key = c.bytes()?;
-                    let value = if is_delete { Vec::new() } else { c.bytes()? };
-                    ops.push((is_delete, key, value));
+                let batch = WriteBatch::decode(c.rest())?;
+                // A client writes values and tombstones. A stamped entry
+                // is engine state; only the replica port carries it.
+                if batch.iter().any(|(ty, ..)| ty == ValueType::TtlValue) {
+                    return Err(Error::corruption("batch: stamped entry in a client batch"));
                 }
-                Request::Batch { sync, ops }
+                Request::Batch { sync, batch }
+            }
+            op::RETIRED_BATCH => {
+                return Err(Error::corruption(format!(
+                    "opcode {} (Batch with a wire layout of its own) is retired; \
+                     this peer speaks opcode {} (Batch as a WAL record)",
+                    op::RETIRED_BATCH,
+                    op::BATCH
+                )))
             }
             op::SCAN => Request::Scan { start: c.bytes()?, count: c.u32()? },
             op::FLUSH => Request::Flush,
@@ -717,19 +723,6 @@ impl Response {
         c.done()?;
         Ok(resp)
     }
-}
-
-/// Converts decoded batch ops back into a [`WriteBatch`].
-pub fn ops_to_batch(ops: &[(bool, Vec<u8>, Vec<u8>)]) -> WriteBatch {
-    let mut batch = WriteBatch::new();
-    for (is_delete, key, value) in ops {
-        if *is_delete {
-            batch.delete(key);
-        } else {
-            batch.put(key, value);
-        }
-    }
-    batch
 }
 
 // ---------------------------------------------------------------------------
@@ -1048,13 +1041,10 @@ mod tests {
         roundtrip_req(Request::Get { key: b"k".to_vec() });
         roundtrip_req(Request::Put { sync: true, key: b"k".to_vec(), value: b"v".to_vec() });
         roundtrip_req(Request::Delete { sync: false, key: b"k".to_vec() });
-        roundtrip_req(Request::Batch {
-            sync: true,
-            ops: vec![
-                (false, b"a".to_vec(), b"1".to_vec()),
-                (true, b"b".to_vec(), Vec::new()),
-            ],
-        });
+        let mut batch = WriteBatch::new();
+        batch.put(b"a", b"1").delete(b"b");
+        roundtrip_req(Request::Batch { sync: true, batch });
+        roundtrip_req(Request::Batch { sync: false, batch: WriteBatch::new() });
         roundtrip_req(Request::Scan { start: b"s".to_vec(), count: 10 });
         roundtrip_req(Request::Flush);
         roundtrip_req(Request::Stats);
@@ -1251,6 +1241,87 @@ mod tests {
         let mut over = vec![status::OK, 0];
         over.extend_from_slice(&((SCAN_CHUNK_MAX_ENTRIES as u32 + 1).to_le_bytes()));
         assert!(Response::decode(&scan, &over).is_err());
+    }
+
+    /// A `Batch` body comes from outside. Everything its decoder is told
+    /// — the count, each length, each entry type — is checked against the
+    /// frame before anything is built from it, and refused as
+    /// `Corruption`.
+    #[test]
+    fn batch_frames_refuse_what_the_frame_does_not_hold() {
+        let refused = |payload: &[u8], why: &str| {
+            let err = Request::decode(payload).expect_err(why);
+            assert_eq!(err.kind(), ErrorKind::Corruption, "{why}: {err}");
+        };
+        let mut batch = WriteBatch::new();
+        batch.put(b"key", b"value").delete(b"gone");
+        let full = Request::Batch { sync: true, batch }.encode();
+        // opcode | flags | fixed64 seq | fixed32 count | entries.
+        const COUNT: usize = 2 + 8;
+        const FIRST_TYPE: usize = COUNT + 4;
+        assert_eq!(full[COUNT..FIRST_TYPE], 2u32.to_le_bytes());
+        assert!(Request::decode(&full).is_ok());
+
+        for cut in 0..full.len() {
+            refused(&full[..cut], &format!("cut at {cut}"));
+        }
+        for count in [0u32, 1, 3, 1 << 20, u32::MAX] {
+            let mut lying = full.clone();
+            lying[COUNT..FIRST_TYPE].copy_from_slice(&count.to_le_bytes());
+            refused(&lying, &format!("count {count} over two entries"));
+        }
+        let mut past_end = full.clone();
+        past_end[FIRST_TYPE + 1] = 200; // the first key's length
+        refused(&past_end, "a key running past the end");
+        let mut trailing = full.clone();
+        trailing.push(0);
+        refused(&trailing, "trailing bytes");
+        let mut unknown = full.clone();
+        unknown[FIRST_TYPE] = 7;
+        refused(&unknown, "an entry type nobody writes");
+    }
+
+    /// A stamped entry is engine state. The same record is a fine
+    /// `Replicate` payload (the replica port's follower accepts it with
+    /// `WriteBatch::from_record`) and a refused client batch: the type
+    /// travels verbatim and the server says no, where the client used to
+    /// turn it into a plain put of the stamp-suffixed bytes.
+    #[test]
+    fn stamped_entries_cross_the_replica_port_only() {
+        let mut record = vec![0u8; 8];
+        record.extend_from_slice(&1u32.to_le_bytes());
+        record.extend_from_slice(&[ValueType::TtlValue as u8, 1, b'k', 9, b'v']);
+        record.extend_from_slice(&1234u64.to_le_bytes());
+        let stamped = WriteBatch::decode(&record).unwrap();
+
+        let shipped = Request::Replicate { first_seq: 1, sync: false, records: vec![record.clone()] };
+        let Request::Replicate { records, .. } = Request::decode(&shipped.encode()).unwrap() else {
+            panic!("a Replicate frame decodes as one");
+        };
+        assert_eq!(WriteBatch::from_record(records[0].clone()).unwrap(), stamped);
+
+        let from_client = Request::Batch { sync: false, batch: stamped }.encode();
+        assert_eq!(from_client[2..], record[..], "the type travels verbatim");
+        let err = Request::decode(&from_client).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::Corruption);
+        assert!(err.message().contains("stamped"), "{err}");
+    }
+
+    /// Mixed-version peers refuse each other's batch frames by name: the
+    /// old opcode is never read as anything else, and an old peer answers
+    /// the new one with its own "unknown opcode".
+    #[test]
+    fn the_retired_batch_opcode_is_refused_by_name() {
+        // What the previous release sent for `put(k, v)` in a batch.
+        let mut old = vec![op::RETIRED_BATCH, FLAG_SYNC];
+        old.extend_from_slice(&1u32.to_le_bytes());
+        old.push(0);
+        put_bytes(&mut old, b"k");
+        put_bytes(&mut old, b"v");
+        let err = Request::decode(&old).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::Corruption);
+        assert!(err.message().contains("retired"), "{err}");
+        assert_ne!(op::BATCH, op::RETIRED_BATCH);
     }
 
     #[test]

@@ -874,10 +874,12 @@ fn apply_frame(
         Request::Replicate { first_seq: _, sync, records } => {
             let n = records.len();
             for (i, record) in records.into_iter().enumerate() {
-                let Ok((rec_seq, batch)) = WriteBatch::decode(&record) else {
+                // The shipped record is the batch: committed as it came,
+                // no decode into operations and re-encoding of them.
+                let Ok(batch) = WriteBatch::from_record(record) else {
                     return FrameOutcome::Failed;
                 };
-                let count = batch.len() as u64;
+                let (rec_seq, count) = (batch.sequence(), batch.len() as u64);
                 if count == 0 {
                     continue;
                 }

@@ -39,7 +39,7 @@ use lsm_kvs::{KvEngine, WriteOptions, WriteRegime};
 use parking_lot::Mutex;
 
 use crate::protocol::{
-    ops_to_batch, write_frame, FrameError, FrameReader, Request, Response, SCAN_CHUNK_MAX_ENTRIES,
+    write_frame, FrameError, FrameReader, Request, Response, SCAN_CHUNK_MAX_ENTRIES,
 };
 
 /// Socket read timeout: bounds how long a quiet connection goes between
@@ -515,9 +515,7 @@ fn execute_frames(shared: &Shared, req: Request) -> Vec<Vec<u8>> {
             batch.delete(&key);
             ack(engine.write_opt(&WriteOptions { sync }, batch))
         }
-        Request::Batch { sync, ops } => {
-            ack(engine.write_opt(&WriteOptions { sync }, ops_to_batch(&ops)))
-        }
+        Request::Batch { sync, batch } => ack(engine.write_opt(&WriteOptions { sync }, batch)),
         Request::Scan { start, count } => match engine.scan(&start, count as usize) {
             Ok(entries) => {
                 shared.stats.requests_ok.fetch_add(1, Ordering::Relaxed);

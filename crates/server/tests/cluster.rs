@@ -409,6 +409,64 @@ fn interrupted_bootstrap_parks_wipes_and_rebootstraps() {
     drop(listener);
 }
 
+/// The replication stream is the WAL's records, and neither moved when
+/// `WriteBatch` became its own record: a `Replicate` frame written out
+/// byte by byte in the format the previous release shipped (a put and a
+/// delete in one record, a TTL-stamped put in the next) is applied by the
+/// follower as it is, and lands in the follower's WAL byte for byte.
+#[test]
+fn follower_applies_a_hand_written_replicate_frame_unchanged() {
+    use lsm_kvs::wal::replay_wal;
+
+    let mut first = 1u64.to_le_bytes().to_vec(); // first_seq 1
+    first.extend_from_slice(&2u32.to_le_bytes()); // two entries
+    first.extend_from_slice(&[1, 3, b'k', b'e', b'y', 5, b'v', b'a', b'l', b'u', b'e']);
+    first.extend_from_slice(&[0, 4, b'g', b'o', b'n', b'e', 0]);
+    let mut second = 3u64.to_le_bytes().to_vec(); // first_seq 3
+    second.extend_from_slice(&1u32.to_le_bytes());
+    second.extend_from_slice(&[2, 1, b't', 9, b'v']); // TtlValue: value ++ stamp
+    second.extend_from_slice(&1234u64.to_le_bytes());
+    let mut payload = vec![15u8]; // op::REPLICATE
+    payload.extend_from_slice(&1u64.to_le_bytes()); // first_seq of the group
+    payload.push(1); // synced
+    payload.extend_from_slice(&2u32.to_le_bytes()); // two records
+    for record in [&first, &second] {
+        payload.extend_from_slice(&(record.len() as u32).to_le_bytes());
+        payload.extend_from_slice(record);
+    }
+
+    let fake = TcpListener::bind("127.0.0.1:0").unwrap();
+    let fake_addr = fake.local_addr().unwrap().to_string();
+    let frame = lsm_server::protocol::frame(&payload);
+    let fake_thread = std::thread::spawn(move || {
+        use std::io::Read;
+        let (mut s, _) = fake.accept().unwrap();
+        let mut hello = [0u8; 4 + 9];
+        s.read_exact(&mut hello).unwrap();
+        s.write_all(&frame).unwrap();
+        let mut ack = [0u8; 4 + 9];
+        s.read_exact(&mut ack).unwrap();
+        Request::decode(&ack[4..]).unwrap()
+    });
+
+    let vfs = Arc::new(MemVfs::new());
+    let (fdb, fh) = start_follower_db(Arc::clone(&vfs) as Arc<dyn Vfs>, &fake_addr);
+    assert_eq!(fake_thread.join().unwrap(), Request::ReplicaAck { seq: 3 });
+    assert_eq!(fdb.snapshot_seq(), 3);
+    assert_eq!(fdb.get(b"key").unwrap(), Some(b"value".to_vec()));
+    assert_eq!(fdb.get(b"gone").unwrap(), None);
+    assert_eq!(fdb.get(b"t").unwrap(), Some(b"v".to_vec()), "the stamp is not the user's bytes");
+
+    let mut logged = Vec::new();
+    for name in vfs.list("").unwrap() {
+        if name.ends_with(".log") {
+            logged.extend(replay_wal(&vfs.read_all(&name).unwrap(), true).unwrap().records);
+        }
+    }
+    assert_eq!(logged, vec![first, second], "the follower logs what the leader shipped");
+    drop(fh);
+}
+
 /// A restarted leader (committed state on disk, empty replay ring)
 /// refuses a `have_seq` it cannot serve with an explicit ReplicaReject
 /// instead of registering a session that can only gap-break and redial

@@ -83,6 +83,29 @@ fn end_to_end_ops_roundtrip() {
     drop(handle);
 }
 
+/// A stamped (`TtlValue`) entry is engine state: the write path makes one
+/// while TTL is on and the replica port ships it. A client that holds one
+/// (a batch made from a shipped record) is told no — the entry used to
+/// cross the client port as a plain put of its stamp-suffixed bytes.
+#[test]
+fn a_stamped_entry_from_a_client_is_refused_not_rewritten() {
+    let (handle, addr) = start_db_server(Options::default(), Arc::new(MemVfs::new()));
+    let client = RemoteDb::connect(&addr).unwrap();
+
+    let mut record = vec![0u8; 8];
+    record.extend_from_slice(&1u32.to_le_bytes());
+    record.extend_from_slice(&[2, 1, b'k', 9, b'v']);
+    record.extend_from_slice(&1234u64.to_le_bytes());
+    let batch = WriteBatch::decode(&record).unwrap();
+    assert_eq!(batch.iter().next().unwrap().0, lsm_kvs::ValueType::TtlValue);
+
+    let err = client.write_opt(&WriteOptions::default(), batch).unwrap_err();
+    assert_eq!(err.kind(), lsm_kvs::ErrorKind::Corruption, "{err}");
+    assert_eq!(client.get(b"k").unwrap(), None, "nothing was written");
+    assert!(handle.stats().protocol_errors.load(Ordering::Relaxed) > 0);
+    drop(handle);
+}
+
 #[test]
 fn sharded_engine_serves_identically() {
     let env = wall_env();
@@ -184,7 +207,9 @@ fn malformed_frames_error_the_connection_only() {
         // Ping with trailing junk.
         frame(&[op::PING, 7, 7]),
         // Batch claiming more ops than the frame holds.
-        frame(&[op::BATCH, 0, 255, 255, 0, 0]),
+        frame(&[op::BATCH, 0, 0, 0, 0, 0, 0, 0, 0, 0, 255, 255, 0, 0]),
+        // The retired Batch opcode, in the layout it used to have.
+        frame(&[op::RETIRED_BATCH, 0, 1, 0, 0, 0, 1, 1, 0, 0, 0, b'k']),
         // Empty payload.
         frame(&[]),
     ];

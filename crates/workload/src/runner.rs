@@ -251,7 +251,7 @@ fn issue<E: KvEngine + ?Sized>(
     totals: &mut Totals,
 ) -> Result<()> {
     let put = |key: &[u8], value: &[u8]| {
-        let mut batch = WriteBatch::with_capacity(1);
+        let mut batch = WriteBatch::new();
         batch.put(key, value);
         db.write_opt(write_opts, batch)
     };
