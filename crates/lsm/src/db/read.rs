@@ -14,6 +14,7 @@ use crate::error::Result;
 use crate::filter::live_value;
 use crate::flush::sst_file_name;
 use crate::memtable::MemTable;
+use crate::options::Options;
 use crate::sstable::block::Block;
 use crate::sstable::compress::decompress_cpu_cost;
 use crate::sstable::table::{BlockHandle, TableReader};
@@ -130,6 +131,8 @@ struct Lookup<'a, K> {
     pending: usize,
     snapshot: SequenceNumber,
     ropts: &'a ReadOptions,
+    /// The options current when the lookup started.
+    opts: &'a Options,
     /// CPU charged so far; applied to the sim clock once, at the end.
     cpu: SimDuration,
     /// The clock reading and TTL the whole lookup judges stamps by.
@@ -175,6 +178,7 @@ impl DbInner {
             pending: keys.len(),
             snapshot: view.snapshot,
             ropts,
+            opts: &opts,
             // Paid once for the whole batch.
             cpu: sim::READ_BASE_CPU,
             now_secs,
@@ -242,9 +246,20 @@ impl DbInner {
         self.stats.record(HistogramKind::SstReadMicros, took);
     }
 
+    /// With `cache_index_and_filter_blocks` a table's resident metadata
+    /// is charged to the block cache as a sentinel under `key`.
+    /// `fill_cache` governs it as it does data blocks: a no-fill read
+    /// leaves it out (and the next open re-reads it).
+    fn cache_table_metadata(&self, key: BlockKey, reader: &TableReader, ropts: &ReadOptions) {
+        if let (Some(cache), true) = (&self.block_cache, ropts.fill_cache) {
+            cache.insert(key, Arc::new(Block::sentinel(reader.resident_bytes() as usize)));
+        }
+    }
+
     pub(super) fn open_table(
         &self,
         file: &FileMetadata,
+        opts: &Options,
         ropts: &ReadOptions,
         cpu: &mut SimDuration,
     ) -> Result<Arc<TableReader>> {
@@ -255,20 +270,15 @@ impl DbInner {
             // simulator charges a re-read, accounted like the cold open
             // below: the same index+filter I/O. The real reader still
             // holds its metadata, so there is no I/O to account.
-            if self.opts().cache_index_and_filter_blocks {
-                if let Some(cache) = &self.block_cache {
-                    if cache.get(&metadata_key).is_none() {
-                        if matches!(self.mode, Mode::Sim(_)) {
-                            let bytes = r.resident_bytes().max(4096);
-                            self.note_table_read(self.clock.now(), &[bytes]);
-                            self.stats.tickers().inc(Ticker::TableOpens);
-                        }
-                        if ropts.fill_cache {
-                            let sentinel = Block::sentinel(r.resident_bytes() as usize);
-                            cache.insert(metadata_key, Arc::new(sentinel));
-                        }
-                    }
+            let evicted = opts.cache_index_and_filter_blocks
+                && self.block_cache.as_ref().is_some_and(|c| c.get(&metadata_key).is_none());
+            if evicted {
+                if matches!(self.mode, Mode::Sim(_)) {
+                    let bytes = r.resident_bytes().max(4096);
+                    self.note_table_read(self.clock.now(), &[bytes]);
+                    self.stats.tickers().inc(Ticker::TableOpens);
                 }
+                self.cache_table_metadata(metadata_key, &r, ropts);
             }
             return Ok(r);
         }
@@ -281,17 +291,8 @@ impl DbInner {
         *cpu += sim::TABLE_OPEN_CPU;
         self.stats.tickers().inc(Ticker::TableOpens);
         let reader = Arc::new(reader);
-        if self.opts().cache_index_and_filter_blocks {
-            // `fill_cache` governs block-cache population for reads, and
-            // the resident metadata lives in the block cache here — so a
-            // no-fill read leaves it out (the next open re-reads it),
-            // matching what fetch_block does for data blocks.
-            if let Some(cache) = &self.block_cache {
-                if ropts.fill_cache {
-                    let sentinel = Block::sentinel(reader.resident_bytes() as usize);
-                    cache.insert(metadata_key, Arc::new(sentinel));
-                }
-            }
+        if opts.cache_index_and_filter_blocks {
+            self.cache_table_metadata(metadata_key, &reader, ropts);
         } else if let Mode::Sim(sim) = &self.mode {
             sim.reserve_table_memory(reader.resident_bytes());
         }
@@ -341,7 +342,7 @@ impl DbInner {
             self.stats.tickers().inc(Ticker::BlockCacheMiss);
         }
         let started = self.clock.now();
-        let fetch = reader.read_block_with(handle, ropts.verify_checksums)?;
+        let fetch = reader.read_block(handle, ropts.verify_checksums)?;
         self.note_table_read(started, &[fetch.io_bytes]);
         if fetch.was_compressed {
             *cpu += decompress_cpu_cost(self.opts().compression, fetch.data.len());
@@ -432,7 +433,7 @@ impl DbInner {
             q.cpu += locate_cpu;
             let reader = match &reader {
                 Some(opened) => opened,
-                None => reader.insert(self.open_table(file, q.ropts, &mut q.cpu)?),
+                None => reader.insert(self.open_table(file, q.opts, q.ropts, &mut q.cpu)?),
             };
             if !self.check_filters(reader, user_key, &mut q.cpu) {
                 continue;

@@ -11,8 +11,9 @@ use super::{sim, Db, DbInner, Mode, ReadOptions, ScanResult};
 use crate::error::Result;
 use crate::filter::live_value;
 use crate::memtable::MemTableCursor;
-use crate::merge::{Cursor, MergingCursor};
-use crate::sstable::table::TableCursor;
+use crate::merge::{Concat, Cursor, MergingCursor};
+use crate::options::Options;
+use crate::sstable::table::table_cursor;
 use crate::stats::Ticker;
 use crate::types::split_tag;
 use crate::version::FileMetadata;
@@ -37,34 +38,28 @@ impl Db {
         let inner = &*self.inner;
         let ReadView { mem, imm, version, snapshot } = inner.read_view(ropts)?;
 
+        let opts = inner.opts();
         let target = crate::types::lookup_key(start, snapshot);
+        let target = target.encoded();
         let mut sources: Vec<Box<dyn Cursor + '_>> = Vec::new();
         for m in std::iter::once(mem).chain(imm) {
-            sources.push(Box::new(MemTableCursor::seek(m, target.encoded())));
+            sources.push(Box::new(MemTableCursor::seek(m, target)));
         }
         for f in version.files(0) {
             if f.largest.user_key() >= start {
-                sources.push(inner.file_cursor(f, target.encoded(), *ropts)?);
+                sources.push(Box::new(inner.file_cursor(f, Some(target), &opts, *ropts)?));
             }
         }
+        // A deeper level is its files end to end, from the first that can
+        // hold `start`.
         for level in 1..version.num_levels() {
-            let files: Vec<Arc<FileMetadata>> = version
-                .files(level)
-                .iter()
-                .filter(|f| f.largest.user_key() >= start)
-                .cloned()
-                .collect();
-            if !files.is_empty() {
-                let mut cursor = LevelCursor {
-                    inner,
-                    files,
-                    next_file: 0,
-                    current: None,
-                    target: target.encoded().to_vec(),
-                    ropts: *ropts,
+            let files = version.files(level);
+            let from = files.partition_point(|f| f.largest.user_key() < start);
+            if from < files.len() {
+                let open = |file: &Arc<FileMetadata>, target: Option<&[u8]>| {
+                    inner.file_cursor(file, target, &opts, *ropts)
                 };
-                cursor.open_next()?;
-                sources.push(Box::new(cursor));
+                sources.push(Box::new(Concat::open(files[from..].iter(), open, Some(target))?));
             }
         }
         let mut merged = MergingCursor::new(sources);
@@ -77,7 +72,7 @@ impl Db {
         let mut cpu = sim::READ_BASE_CPU;
         // TTL expiry is evaluated once per scan against a single clock
         // reading so one pass applies one consistent policy.
-        let (scan_now_secs, ttl_seconds) = inner.expiry_clock(&inner.opts());
+        let (scan_now_secs, ttl_seconds) = inner.expiry_clock(&opts);
         while out.len() < count {
             let Some(key) = merged.key() else { break };
             cpu += sim::SCAN_ENTRY_CPU;
@@ -109,16 +104,17 @@ impl Db {
 }
 
 impl DbInner {
-    /// Opens a cursor over `file` positioned at `target`. Blocks come out
-    /// of the block cache as shared `Arc<Block>`s and are walked in
-    /// place; nothing is copied until an entry is emitted into the scan
-    /// result.
+    /// Opens a cursor over `file` positioned at `target` (its first entry
+    /// when `None`). Blocks come out of the block cache as shared
+    /// `Arc<Block>`s and are walked in place; nothing is copied until an
+    /// entry is emitted into the scan result.
     fn file_cursor<'a>(
         &'a self,
         file: &FileMetadata,
-        target: &[u8],
+        target: Option<&[u8]>,
+        opts: &Options,
         ropts: ReadOptions,
-    ) -> Result<Box<dyn Cursor + 'a>> {
+    ) -> Result<impl Cursor + 'a> {
         // A cursor's table-open and block-fetch CPU reaches the sim clock
         // as it is incurred, outside the scan's scaled total.
         let spend = |cpu| match &self.mode {
@@ -126,64 +122,17 @@ impl DbInner {
             Mode::Real(_) => {}
         };
         let mut cpu = SimDuration::ZERO;
-        let reader = self.open_table(file, &ropts, &mut cpu)?;
-        let handles = reader.block_handles()?;
+        let reader = self.open_table(file, opts, &ropts, &mut cpu)?;
         spend(cpu);
         let number = file.number;
+        let index = reader.index();
         let fetch = move |handle| {
             let mut cpu = SimDuration::ZERO;
             let block = self.fetch_block(&reader, number, handle, &ropts, &mut cpu)?;
             spend(cpu);
             Ok(block)
         };
-        Ok(Box::new(TableCursor::open(handles, fetch, Some(target))?))
-    }
-}
-
-/// The files of one sorted level, end to end; each is opened when the
-/// one before it runs out.
-struct LevelCursor<'a> {
-    inner: &'a DbInner,
-    files: Vec<Arc<FileMetadata>>,
-    next_file: usize,
-    current: Option<Box<dyn Cursor + 'a>>,
-    target: Vec<u8>,
-    ropts: ReadOptions,
-}
-
-impl LevelCursor<'_> {
-    fn open_next(&mut self) -> Result<()> {
-        self.current = None;
-        while self.next_file < self.files.len() {
-            let file = &self.files[self.next_file];
-            self.next_file += 1;
-            let cursor = self.inner.file_cursor(file, &self.target, self.ropts)?;
-            if cursor.key().is_some() {
-                self.current = Some(cursor);
-                break;
-            }
-        }
-        Ok(())
-    }
-}
-
-impl Cursor for LevelCursor<'_> {
-    fn key(&self) -> Option<&[u8]> {
-        self.current.as_ref().and_then(|c| c.key())
-    }
-
-    fn value(&self) -> &[u8] {
-        self.current.as_ref().map_or(&[], |c| c.value())
-    }
-
-    fn advance(&mut self) -> Result<()> {
-        if let Some(c) = &mut self.current {
-            c.advance()?;
-            if c.key().is_none() {
-                self.open_next()?;
-            }
-        }
-        Ok(())
+        table_cursor(index, fetch, target)
     }
 }
 

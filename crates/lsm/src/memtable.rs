@@ -174,7 +174,7 @@ impl MemTable {
         // Entries are newest-first per user key; the first one at or
         // below the snapshot decides.
         let map = self.map.read();
-        let start = Bound::Included(OrderedKey(lookup.encoded().to_vec()));
+        let start = Bound::Included(OrderedKey(lookup.into_encoded()));
         let (k, v) = map.range((start, Bound::Unbounded)).next()?;
         let (found_user, tag) = split_tag(&k.0);
         (found_user == user_key).then(|| {

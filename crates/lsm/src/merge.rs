@@ -1,8 +1,10 @@
-//! Ordered cursors over encoded internal keys, the one k-way merge built
-//! on them, and the one routine that writes a merged stream to tables.
+//! Ordered cursors over encoded internal keys, the two ways of combining
+//! them, and the one routine that writes a merged stream to tables.
 //!
 //! Scans, flushes and compactions all read their sources through
-//! [`Cursor`] and merge them with [`MergingCursor`]. Flushes and
+//! [`Cursor`]: sorted runs that follow one another (a table's data
+//! blocks, a level's files) are laid end to end by [`Concat`], runs that
+//! overlap are merged by [`MergingCursor`]. Flushes and
 //! compactions then hand the merged stream to [`write_tables`], which is
 //! the only place that knows which versions of a key may be dropped; a
 //! flush is simply a merge of memtable sources that is never bottommost
@@ -25,6 +27,62 @@ pub(crate) trait Cursor {
     fn value(&self) -> &[u8];
     /// Steps to the next entry.
     fn advance(&mut self) -> Result<()>;
+}
+
+/// Sorted runs laid end to end, each wholly before the next: the data
+/// blocks of a table in index order, the files of a sorted level.
+///
+/// `runs` lists them from the one a seek found for the target onwards and
+/// `open(run, target)` opens one. Only that first run is entered at the
+/// target; every later one holds only larger keys, so it is opened at its
+/// first entry (`None`), and only when the run before it is exhausted.
+pub(crate) struct Concat<I, F, C> {
+    runs: I,
+    open: F,
+    current: Option<C>,
+}
+
+impl<I: Iterator, F: FnMut(I::Item, Option<&[u8]>) -> Result<C>, C: Cursor> Concat<I, F, C> {
+    /// Positions at the first entry with internal key >= `target` (the
+    /// first entry of all when `None`).
+    pub(crate) fn open(runs: I, open: F, target: Option<&[u8]>) -> Result<Self> {
+        let mut concat = Concat { runs, open, current: None };
+        concat.next_run(target)?;
+        Ok(concat)
+    }
+
+    /// Opens runs until one has an entry.
+    fn next_run(&mut self, mut target: Option<&[u8]>) -> Result<()> {
+        self.current = None;
+        for run in self.runs.by_ref() {
+            let cursor = (self.open)(run, target.take())?;
+            if cursor.key().is_some() {
+                self.current = Some(cursor);
+                break;
+            }
+        }
+        Ok(())
+    }
+}
+
+impl<I: Iterator, F: FnMut(I::Item, Option<&[u8]>) -> Result<C>, C: Cursor> Cursor for Concat<I, F, C> {
+    fn key(&self) -> Option<&[u8]> {
+        self.current.as_ref().and_then(|c| c.key())
+    }
+
+    fn value(&self) -> &[u8] {
+        self.current.as_ref().map_or(&[], |c| c.value())
+    }
+
+    fn advance(&mut self) -> Result<()> {
+        if let Some(c) = &mut self.current {
+            c.advance()?;
+            if c.key().is_none() {
+                self.next_run(None)?;
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Merges several cursors into one, smallest internal key first.

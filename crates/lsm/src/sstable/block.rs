@@ -14,8 +14,13 @@
 use std::ops::Deref;
 
 use crate::error::{Error, Result};
+use crate::merge::Cursor;
 use crate::types::internal_key_cmp;
 use crate::util::{common_prefix_len, get_fixed32, get_varint32, put_fixed32, put_varint32};
+
+/// Every key ends in the 8-byte tag the comparator reads; a shorter one
+/// is refused before it can reach it.
+const TAG_LEN: usize = 8;
 
 /// Builds one block of sorted key/value entries.
 #[derive(Debug)]
@@ -106,12 +111,23 @@ impl BlockBuilder {
     }
 }
 
-/// A parsed, immutable block supporting seek and scan.
+/// A parsed, immutable block supporting seek and scan. The restart
+/// array is read from the trailer in place: [`parse`](Self::parse) checks
+/// it once and keeps only where it starts and how many entries it has.
 #[derive(Debug, Clone)]
 pub struct Block {
     data: Vec<u8>,
     restarts_offset: usize,
-    restarts: Vec<u32>,
+    num_restarts: usize,
+}
+
+/// Where one entry's parts lie in a block's bytes: `shared` leading key
+/// bytes come from the previous key, the rest run from `key_start` to the
+/// start of `value`.
+struct Entry {
+    shared: usize,
+    key_start: usize,
+    value: (usize, usize),
 }
 
 impl Block {
@@ -134,20 +150,11 @@ impl Block {
             return Err(Error::corruption("restart array past block end"));
         }
         let restarts_offset = data.len() - trailer;
-        let mut restarts = Vec::with_capacity(num_restarts);
-        for i in 0..num_restarts {
-            let off = get_fixed32(&data, restarts_offset + i * 4)
-                .ok_or_else(|| Error::corruption("restart entry unreadable"))?;
-            if off as usize > restarts_offset {
-                return Err(Error::corruption("restart offset out of range"));
-            }
-            restarts.push(off);
+        let block = Block { data, restarts_offset, num_restarts };
+        if (0..num_restarts).any(|i| block.restart(i) > restarts_offset) {
+            return Err(Error::corruption("restart offset out of range"));
         }
-        Ok(Block {
-            data,
-            restarts_offset,
-            restarts,
-        })
+        Ok(block)
     }
 
     /// Creates an unparseable placeholder block of `len` bytes.
@@ -156,11 +163,7 @@ impl Block {
     /// table metadata without representing a real block: iteration yields
     /// nothing and seeks find nothing.
     pub fn sentinel(len: usize) -> Block {
-        Block {
-            data: vec![0u8; len],
-            restarts_offset: 0,
-            restarts: vec![0],
-        }
+        Block { data: vec![0u8; len], restarts_offset: 0, num_restarts: 0 }
     }
 
     /// Length of the serialized block payload (what the cache charges).
@@ -174,7 +177,11 @@ impl Block {
     }
 
     /// Finds the first entry with internal key >= `target`; returns its
-    /// key and value, or `None` when every entry is smaller.
+    /// key and value copied out, or `None` when every entry is smaller.
+    ///
+    /// No engine path calls this: readers seek a [`BlockIter`] and borrow
+    /// what it points at. It stays because the frozen benchmark ladder
+    /// (`perf/src/ladder.rs`) times it.
     ///
     /// # Errors
     ///
@@ -188,14 +195,15 @@ impl Block {
         }
     }
 
-    /// Decodes the entry at `offset`, splicing the restart-shared prefix
-    /// from `key` in place. Returns the next offset and the value range,
-    /// or `None` at the end of the entry region.
-    fn decode_entry_at(
-        &self,
-        offset: usize,
-        key: &mut Vec<u8>,
-    ) -> Result<Option<(usize, (usize, usize))>> {
+    /// The `idx`-th restart offset, read from the trailer.
+    fn restart(&self, idx: usize) -> usize {
+        get_fixed32(&self.data, self.restarts_offset + idx * 4)
+            .expect("parse bounded the restart array") as usize
+    }
+
+    /// Decodes the header of the entry at `offset`; `None` at the end of
+    /// the entry region.
+    fn entry_at(&self, offset: usize) -> Result<Option<Entry>> {
         if offset >= self.restarts_offset {
             return Ok(None);
         }
@@ -212,37 +220,39 @@ impl Block {
         if value_end > self.restarts_offset {
             return Err(Error::corruption("entry extends past block data"));
         }
-        if shared as usize > key.len() {
-            return Err(Error::corruption("entry shares more than previous key"));
-        }
-        key.truncate(shared as usize);
-        key.extend_from_slice(&data[key_start..value_start]);
-        Ok(Some((value_end, (value_start, value_end))))
+        Ok(Some(Entry { shared: shared as usize, key_start, value: (value_start, value_end) }))
     }
 
     /// Binary-searches the restart array for the offset of the last
     /// restart whose key is `< target`.
     fn restart_offset_before(&self, target: &[u8]) -> Result<usize> {
+        if self.num_restarts == 0 {
+            return Ok(0);
+        }
         let mut lo = 0usize;
-        let mut hi = self.restarts.len();
+        let mut hi = self.num_restarts;
         while hi - lo > 1 {
             let mid = (lo + hi) / 2;
-            let key = self.key_at_restart(mid)?;
-            if internal_key_cmp(&key, target) == std::cmp::Ordering::Less {
+            if internal_key_cmp(self.key_at_restart(mid)?, target) == std::cmp::Ordering::Less {
                 lo = mid;
             } else {
                 hi = mid;
             }
         }
-        Ok(self.restarts.get(lo).copied().unwrap_or(0) as usize)
+        Ok(self.restart(lo))
     }
 
-    fn key_at_restart(&self, idx: usize) -> Result<Vec<u8>> {
-        let mut key = Vec::new();
-        match self.decode_entry_at(self.restarts[idx] as usize, &mut key)? {
-            Some(_) => Ok(key),
-            None => Err(Error::corruption("restart points at empty region")),
+    /// The key of the entry at restart `idx`, which shares nothing with
+    /// its predecessor and so lies whole in the block.
+    fn key_at_restart(&self, idx: usize) -> Result<&[u8]> {
+        let entry = self
+            .entry_at(self.restart(idx))?
+            .ok_or_else(|| Error::corruption("restart points at empty region"))?;
+        let key = &self.data[entry.key_start..entry.value.0];
+        if entry.shared != 0 || key.len() < TAG_LEN {
+            return Err(Error::corruption("restart entry's key does not lie whole in the block"));
         }
+        Ok(key)
     }
 }
 
@@ -265,13 +275,19 @@ pub struct BlockIter<B> {
 impl<B: Deref<Target = Block>> BlockIter<B> {
     /// Creates an iterator positioned before the first entry.
     pub fn new(block: B) -> Self {
-        BlockIter {
-            block,
-            offset: 0,
-            key: Vec::new(),
-            value_range: (0, 0),
-            valid: false,
-        }
+        BlockIter { block, offset: 0, key: Vec::new(), value_range: (0, 0), valid: false }
+    }
+
+    /// Creates an iterator positioned at the first entry with internal
+    /// key >= `target` (the first entry of all when `None`), or past the
+    /// end when there is none.
+    pub(crate) fn at(block: B, target: Option<&[u8]>) -> Result<Self> {
+        let mut it = BlockIter::new(block);
+        match target {
+            Some(target) => it.seek(target)?,
+            None => it.advance()?,
+        };
+        Ok(it)
     }
 
     /// Advances to the next entry; returns `false` at the end.
@@ -280,18 +296,22 @@ impl<B: Deref<Target = Block>> BlockIter<B> {
     ///
     /// Returns [`ErrorKind::Corruption`](crate::ErrorKind) on malformed entries.
     pub fn advance(&mut self) -> Result<bool> {
-        match self.block.decode_entry_at(self.offset, &mut self.key)? {
-            Some((next, range)) => {
-                self.value_range = range;
-                self.offset = next;
-                self.valid = true;
-                Ok(true)
-            }
-            None => {
-                self.valid = false;
-                Ok(false)
-            }
+        self.valid = false;
+        let Some(entry) = self.block.entry_at(self.offset)? else {
+            return Ok(false);
+        };
+        if entry.shared > self.key.len() {
+            return Err(Error::corruption("entry shares more than previous key"));
         }
+        self.key.truncate(entry.shared);
+        self.key.extend_from_slice(&self.block.data[entry.key_start..entry.value.0]);
+        if self.key.len() < TAG_LEN {
+            return Err(Error::corruption("entry key shorter than an internal key's tag"));
+        }
+        self.value_range = entry.value;
+        self.offset = entry.value.1;
+        self.valid = true;
+        Ok(true)
     }
 
     /// Repositions at the first entry with internal key >= `target`;
@@ -303,7 +323,6 @@ impl<B: Deref<Target = Block>> BlockIter<B> {
     pub fn seek(&mut self, target: &[u8]) -> Result<bool> {
         self.offset = self.block.restart_offset_before(target)?;
         self.key.clear();
-        self.valid = false;
         while self.advance()? {
             if internal_key_cmp(self.key(), target) != std::cmp::Ordering::Less {
                 return Ok(true);
@@ -327,6 +346,21 @@ impl<B: Deref<Target = Block>> BlockIter<B> {
     /// Whether the iterator is positioned at an entry.
     pub fn valid(&self) -> bool {
         self.valid
+    }
+}
+
+/// A positioned block iterator is a cursor over the rest of its block.
+impl<B: Deref<Target = Block>> Cursor for BlockIter<B> {
+    fn key(&self) -> Option<&[u8]> {
+        self.valid.then_some(self.key.as_slice())
+    }
+
+    fn value(&self) -> &[u8] {
+        BlockIter::value(self)
+    }
+
+    fn advance(&mut self) -> Result<()> {
+        BlockIter::advance(self).map(drop)
     }
 }
 

@@ -22,7 +22,7 @@ use std::sync::Arc;
 
 use crate::error::{Error, Result};
 use crate::options::CompressionType;
-use crate::merge::Cursor;
+use crate::merge::{Concat, Cursor};
 use crate::sstable::block::{Block, BlockBuilder, BlockIter};
 use crate::sstable::bloom::{BloomBuilder, BloomFilter};
 use crate::sstable::compress;
@@ -361,7 +361,8 @@ fn write_block_payload(
 /// are fetched on demand (typically through the block cache).
 pub struct TableReader {
     file: Arc<dyn RandomAccessFile>,
-    index: Block,
+    /// Shared with the cursors over this table, whose outer level it is.
+    index: Arc<Block>,
     filter: Option<BloomFilter>,
     properties: TableProperties,
 }
@@ -410,7 +411,7 @@ impl TableReader {
             BlockHandle::decode(&footer[32..48]).ok_or_else(|| Error::corruption("bad handle"))?;
 
         let mut bytes_read = FOOTER_SIZE as u64;
-        let index = Block::parse(fetch_block(file.as_ref(), index_handle, true)?.data)?;
+        let index = Arc::new(Block::parse(fetch_block(file.as_ref(), index_handle, true)?.data)?);
         bytes_read += index_handle.stored_len();
 
         let props_raw = fetch_block(file.as_ref(), props_handle, true)?.data;
@@ -457,32 +458,17 @@ impl TableReader {
     ///
     /// Returns [`ErrorKind::Corruption`](crate::ErrorKind) if the index block is malformed.
     pub fn find_block(&self, target: &[u8]) -> Result<Option<BlockHandle>> {
-        match self.index.seek(target)? {
-            Some((_, value)) => Ok(Some(
-                BlockHandle::decode(&value).ok_or_else(|| Error::corruption("bad index value"))?,
-            )),
-            None => Ok(None),
+        let mut entry = self.index.iter();
+        if !entry.seek(target)? {
+            return Ok(None);
         }
+        index_handle(entry.value()).map(Some)
     }
 
-    /// All data block handles in key order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ErrorKind::Corruption`](crate::ErrorKind) if the index block is malformed.
-    pub fn block_handles(&self) -> Result<Vec<BlockHandle>> {
-        let mut out = Vec::new();
-        let mut it = self.index.iter();
-        while it.advance()? {
-            out.push(
-                BlockHandle::decode(it.value())
-                    .ok_or_else(|| Error::corruption("bad index value"))?,
-            );
-        }
-        Ok(out)
-    }
-
-    /// Reads, verifies, and decompresses a data block.
+    /// Reads and decompresses a data block, verifying its checksum unless
+    /// `verify_checksums` is off (`ReadOptions::verify_checksums`);
+    /// structural validation (bounds, length, compression flag, decode)
+    /// always runs.
     ///
     /// Returns the uncompressed payload plus the number of bytes that hit
     /// storage (for I/O accounting) and whether decompression ran (for
@@ -490,22 +476,21 @@ impl TableReader {
     ///
     /// # Errors
     ///
-    /// Returns [`ErrorKind::Corruption`](crate::ErrorKind) on checksum or decode failures.
-    pub fn read_block(&self, handle: BlockHandle) -> Result<BlockFetch> {
-        self.read_block_with(handle, true)
-    }
-
-    /// Like [`read_block`](Self::read_block), but checksum verification
-    /// can be skipped (`ReadOptions::verify_checksums = false`). Structural
-    /// validation (bounds, length, compression flag, decode) still runs.
-    ///
-    /// # Errors
-    ///
     /// Returns [`ErrorKind::Corruption`](crate::ErrorKind) on checksum (when
     /// verifying) or decode failures.
-    pub fn read_block_with(&self, handle: BlockHandle, verify_checksums: bool) -> Result<BlockFetch> {
+    pub fn read_block(&self, handle: BlockHandle, verify_checksums: bool) -> Result<BlockFetch> {
         fetch_block(self.file.as_ref(), handle, verify_checksums)
     }
+
+    /// The index block: the outer level of a [`table_cursor`].
+    pub(crate) fn index(&self) -> Arc<Block> {
+        Arc::clone(&self.index)
+    }
+}
+
+/// Decodes an index entry's value.
+fn index_handle(value: &[u8]) -> Result<BlockHandle> {
+    BlockHandle::decode(value).ok_or_else(|| Error::corruption("bad index value"))
 }
 
 /// The one block read: bounds → read → split trailer → CRC → decompress by
@@ -560,69 +545,36 @@ pub struct BlockFetch {
     pub was_compressed: bool,
 }
 
-/// A cursor over the entries of one table, walking each parsed block in
-/// place. The only thing that varies between callers is how a block is
-/// fetched: scans go through the block cache and charge device time,
-/// background jobs read directly (see [`direct_cursor`]).
-pub(crate) struct TableCursor<F> {
-    handles: Vec<BlockHandle>,
-    next_block: usize,
-    fetch: F,
-    /// Positioned at an entry, or `None` once the table is exhausted.
-    iter: Option<BlockIter<Arc<Block>>>,
-}
-
-impl<F: FnMut(BlockHandle) -> Result<Arc<Block>>> TableCursor<F> {
-    /// Positions a cursor over the data blocks `handles` at the first
-    /// entry with internal key >= `target` (the first entry when `None`).
-    /// Blocks are fetched front to back until one holds such an entry.
-    ///
-    /// # Errors
-    ///
-    /// Propagates `fetch` failures and block corruption.
-    pub(crate) fn open(handles: Vec<BlockHandle>, fetch: F, target: Option<&[u8]>) -> Result<Self> {
-        let mut cursor = TableCursor { handles, next_block: 0, fetch, iter: None };
-        cursor.load_block(target)?;
-        Ok(cursor)
-    }
-
-    /// Fetches blocks until one holds an entry at or after `target`.
-    fn load_block(&mut self, target: Option<&[u8]>) -> Result<()> {
-        self.iter = None;
-        while self.next_block < self.handles.len() {
-            let block = (self.fetch)(self.handles[self.next_block])?;
-            self.next_block += 1;
-            let mut it = BlockIter::new(block);
-            let positioned = match target {
-                Some(target) => it.seek(target)?,
-                None => it.advance()?,
-            };
-            if positioned {
-                self.iter = Some(it);
-                break;
+/// The two-level table cursor: the index is the outer cursor and the data
+/// blocks it names are the runs of a [`Concat`]. `index.seek(target)`
+/// finds the one block that can hold the target; there is no other way to
+/// find a block. Callers differ only in `fetch`: scans go through the
+/// block cache and charge device time, background jobs read directly
+/// (see [`direct_cursor`]).
+///
+/// # Errors
+///
+/// Propagates `fetch` failures and block corruption.
+pub(crate) fn table_cursor<F: FnMut(BlockHandle) -> Result<Arc<Block>>>(
+    index: Arc<Block>,
+    mut fetch: F,
+    target: Option<&[u8]>,
+) -> Result<impl Cursor> {
+    let mut index = BlockIter::at(index, target)?;
+    let mut entered = false;
+    // The entry the seek found, then each later one when the walk gets there.
+    let handles = std::iter::from_fn(move || {
+        if std::mem::replace(&mut entered, true) {
+            if let Err(e) = index.advance() {
+                return Some(Err(e));
             }
         }
-        Ok(())
-    }
-}
-
-impl<F: FnMut(BlockHandle) -> Result<Arc<Block>>> Cursor for TableCursor<F> {
-    fn key(&self) -> Option<&[u8]> {
-        self.iter.as_ref().map(|it| it.key())
-    }
-
-    fn value(&self) -> &[u8] {
-        self.iter.as_ref().map_or(&[], |it| it.value())
-    }
-
-    fn advance(&mut self) -> Result<()> {
-        if let Some(it) = &mut self.iter {
-            if !it.advance()? {
-                self.load_block(None)?;
-            }
-        }
-        Ok(())
-    }
+        index.valid().then(|| index_handle(index.value()))
+    });
+    let open = move |handle: Result<BlockHandle>, target: Option<&[u8]>| {
+        BlockIter::at(fetch(handle?)?, target)
+    };
+    Concat::open(handles, open, target)
 }
 
 /// A cursor over every entry of `reader` that reads blocks straight from
@@ -632,12 +584,10 @@ impl<F: FnMut(BlockHandle) -> Result<Arc<Block>>> Cursor for TableCursor<F> {
 /// # Errors
 ///
 /// Propagates read failures and corruption.
-pub(crate) fn direct_cursor(
-    reader: TableReader,
-) -> Result<TableCursor<impl FnMut(BlockHandle) -> Result<Arc<Block>>>> {
-    let handles = reader.block_handles()?;
-    let fetch = move |handle| Ok(Arc::new(Block::parse(reader.read_block(handle)?.data)?));
-    TableCursor::open(handles, fetch, None)
+pub(crate) fn direct_cursor(reader: TableReader) -> Result<impl Cursor> {
+    let index = reader.index();
+    let fetch = move |handle| Ok(Arc::new(Block::parse(reader.read_block(handle, true)?.data)?));
+    table_cursor(index, fetch, None)
 }
 
 /// Test helper: every entry of table `number`, decoded.
@@ -660,7 +610,7 @@ pub(crate) fn table_entries(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::{lookup_key, ValueType};
+    use crate::types::{internal_key_cmp, lookup_key, ValueType};
     use crate::vfs::{MemVfs, Vfs};
 
     fn build_table(
@@ -687,7 +637,7 @@ mod tests {
     fn get(reader: &TableReader, user_key: &[u8]) -> Option<Vec<u8>> {
         let target = lookup_key(user_key, u64::MAX);
         let handle = reader.find_block(target.encoded()).unwrap()?;
-        let fetch = reader.read_block(handle).unwrap();
+        let fetch = reader.read_block(handle, true).unwrap();
         let block = Block::parse(fetch.data).unwrap();
         let (k, v) = block.seek(target.encoded()).unwrap()?;
         let ik = InternalKey::decode(&k).unwrap();
@@ -786,9 +736,12 @@ mod tests {
         // Flip a byte in the middle of the file (a data block).
         patch_file(&vfs, "t.sst", |contents| contents[100] ^= 0xff);
         let (reader, _) = TableReader::open(vfs.open("t.sst").unwrap()).unwrap();
-        let handles = reader.block_handles().unwrap();
-        let err = reader.read_block(handles[0]).unwrap_err();
+        let first = reader.find_block(lookup_key(b"", u64::MAX).encoded()).unwrap().unwrap();
+        assert_eq!(first.offset, 0);
+        let err = reader.read_block(first, true).unwrap_err();
         assert!(err.is_corruption());
+        // Skipping the checksum skips only the checksum.
+        reader.read_block(first, false).unwrap();
     }
 
     #[test]
@@ -887,21 +840,187 @@ mod tests {
         }
     }
 
+    /// Minimal deterministic RNG (xorshift64*).
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            let mut x = self.0;
+            x ^= x >> 12;
+            x ^= x << 25;
+            x ^= x >> 27;
+            self.0 = x;
+            x.wrapping_mul(0x2545F4914F6CDD1D)
+        }
+    }
+
+    /// A table next to what the test knows about it: every entry in
+    /// order, and which data block (by position in the index) holds it.
+    struct Modelled {
+        reader: TableReader,
+        entries: Vec<(Vec<u8>, Vec<u8>)>,
+        block_of: Vec<usize>,
+        handles: Vec<BlockHandle>,
+    }
+
+    impl Modelled {
+        /// `n` entries under even-numbered user keys, so every odd number
+        /// is a key the table lacks, inside or between its blocks.
+        fn build(n: usize, config: TableConfig) -> Modelled {
+            let vfs = MemVfs::new();
+            let es: Vec<_> =
+                (0..n).map(|i| (format!("key-{:06}", 2 * i), "v".repeat(1 + i % 40))).collect();
+            build_table(&vfs, "t.sst", &es, config);
+            let (reader, _) = TableReader::open(vfs.open("t.sst").unwrap()).unwrap();
+            let (mut entries, mut block_of, mut handles) = (Vec::new(), Vec::new(), Vec::new());
+            let index = reader.index();
+            let mut named = index.iter();
+            while named.advance().unwrap() {
+                let handle = index_handle(named.value()).unwrap();
+                let block = Block::parse(reader.read_block(handle, true).unwrap().data).unwrap();
+                let mut it = block.iter();
+                while it.advance().unwrap() {
+                    entries.push((it.key().to_vec(), it.value().to_vec()));
+                    block_of.push(handles.len());
+                }
+                handles.push(handle);
+            }
+            assert_eq!(entries.len(), n);
+            Modelled { reader, entries, block_of, handles }
+        }
+
+        /// Position in `entries` of the last entry of data block `block`.
+        fn last_of(&self, block: usize) -> usize {
+            self.block_of.partition_point(|&b| b <= block) - 1
+        }
+
+        /// A cursor opened at `target` yields the model's suffix from its
+        /// lower bound, fetching the block that holds the first row to
+        /// open and each later block once, when the walk reaches it.
+        fn check(&self, target: Option<&[u8]>, what: &str) {
+            let from = target.map_or(0, |t| {
+                self.entries.partition_point(|(k, _)| internal_key_cmp(k, t).is_lt())
+            });
+            let spanned = self.block_of.get(from).map_or(&[][..], |&b| &self.handles[b..]);
+            let fetched = std::cell::RefCell::new(Vec::new());
+            let fetch = |handle| {
+                fetched.borrow_mut().push(handle);
+                Ok(Arc::new(Block::parse(self.reader.read_block(handle, true)?.data)?))
+            };
+            let mut cursor = table_cursor(self.reader.index(), fetch, target).unwrap();
+            assert_eq!(*fetched.borrow(), spanned[..spanned.len().min(1)], "{what}: to open");
+            for (key, value) in &self.entries[from..] {
+                assert_eq!(cursor.key(), Some(key.as_slice()), "{what}");
+                assert_eq!(cursor.value(), value.as_slice(), "{what}");
+                cursor.advance().unwrap();
+            }
+            assert_eq!(cursor.key(), None, "{what}: past the suffix");
+            assert_eq!(*fetched.borrow(), spanned, "{what}: over the whole walk");
+        }
+    }
+
     #[test]
-    fn block_handles_cover_all_entries() {
-        let vfs = MemVfs::new();
-        let es = entries(500);
-        build_table(&vfs, "t.sst", &es, TableConfig::default());
-        let (reader, _) = TableReader::open(vfs.open("t.sst").unwrap()).unwrap();
-        let mut total = 0;
-        for h in reader.block_handles().unwrap() {
-            let fetch = reader.read_block(h).unwrap();
-            let block = Block::parse(fetch.data).unwrap();
-            let mut it = block.iter();
-            while it.advance().unwrap() {
-                total += 1;
+    fn a_cursor_yields_the_models_suffix_and_fetches_only_the_blocks_it_spans() {
+        let mut rng = Rng(0x5eed_7ab1e);
+        let mut most_blocks = 0;
+        for restart_interval in [1, 4, 16] {
+            for compression in [CompressionType::None, CompressionType::Snappy] {
+                for n in [1, 2, 1 + rng.next() as usize % 40, 40 + rng.next() as usize % 400] {
+                    let config =
+                        TableConfig { block_size: 256, restart_interval, compression, ..TableConfig::default() };
+                    let t = Modelled::build(n, config);
+                    most_blocks = most_blocks.max(t.handles.len());
+                    let what = |case: &str| {
+                        format!("{n} entries, {} blocks, restarts every {restart_interval}, {compression:?}: {case}",
+                            t.handles.len())
+                    };
+                    t.check(None, &what("no target"));
+                    t.check(Some(lookup_key(b"", u64::MAX).encoded()), &what("before the first key"));
+                    t.check(Some(lookup_key(b"key-999999", u64::MAX).encoded()), &what("past the last key"));
+                    for _ in 0..8 {
+                        // The last entry of a block, chosen at random.
+                        let block = rng.next() as usize % t.handles.len();
+                        let last = t.last_of(block);
+                        let key = &t.entries[last].0;
+                        t.check(Some(key), &what(&format!("block {block}'s last key")));
+                        let user = split_tag(key).0;
+                        t.check(Some(lookup_key(user, u64::MAX).encoded()), &what("its user key, newest"));
+                        // One past it: a key no block holds, after this
+                        // block's range and before the next one's.
+                        let gap = format!("key-{:06}", 2 * last + 1);
+                        t.check(Some(lookup_key(gap.as_bytes(), u64::MAX).encoded()), &what("between two blocks"));
+                        let any = format!("key-{:06}", rng.next() as usize % (2 * n + 2));
+                        t.check(Some(lookup_key(any.as_bytes(), 0).encoded()), &what(&any));
+                    }
+                }
             }
         }
-        assert_eq!(total, 500);
+        assert!(most_blocks >= 30, "the largest table had {most_blocks} blocks");
+    }
+
+    /// The index is a block like any other, and what it names is read
+    /// through `fetch_block`'s bounds and checksum: a cursor over a
+    /// mutated index ends in `Corruption` or walks real blocks to an end,
+    /// never panics, and never asks the file for bytes it does not have.
+    /// (`tests/block_fuzz.rs` puts the block decoder itself under the
+    /// same loop, with an allocator watching.)
+    #[test]
+    fn a_cursor_over_a_mutated_index_is_refused_or_walks_to_an_end() {
+        let t = Modelled::build(120, TableConfig { block_size: 256, ..TableConfig::default() });
+        let mut builder = BlockBuilder::new(1);
+        for (block, handle) in t.handles.iter().enumerate() {
+            builder.add(&t.entries[t.last_of(block)].0, &handle.encode());
+        }
+        let index = builder.finish();
+        assert_eq!(index.len() as u64, t.reader.properties().index_bytes, "the index as the file holds it");
+
+        let guarded = NoReadPastEnd(Arc::clone(&t.reader.file));
+        let targets = [None, Some(t.entries[60].0.as_slice()), Some(t.entries[119].0.as_slice())];
+        // An index entry is at least three bytes and names one block.
+        let most_steps = index.len() / 3 * t.entries.len();
+        // How many of the three walks over `mutant` ran to their end; the
+        // rest were refused.
+        let check = |mutant: Vec<u8>, what: &str| -> usize {
+            let Ok(index) = Block::parse(mutant).map(Arc::new) else { return 0 };
+            let mut walked = 0;
+            for target in targets {
+                let fetch = |handle| Ok(Arc::new(Block::parse(fetch_block(&guarded, handle, true)?.data)?));
+                let walk = || -> Result<usize> {
+                    let mut cursor = table_cursor(Arc::clone(&index), fetch, target)?;
+                    let mut steps = 0;
+                    while cursor.key().is_some() {
+                        steps += 1;
+                        assert!(steps <= most_steps, "{what}: the walk does not end");
+                        cursor.advance()?;
+                    }
+                    Ok(steps)
+                };
+                match walk() {
+                    Ok(_) => walked += 1,
+                    Err(e) => assert!(e.is_corruption(), "{what}: {e}"),
+                }
+            }
+            walked
+        };
+        assert_eq!(check(index.clone(), "unmutated"), 3);
+        let (mut refused, mut walked) = (0, 0);
+        let mut tally = |ran: usize| {
+            walked += ran;
+            refused += 3 - ran;
+        };
+        for cut in 0..index.len() {
+            tally(check(index[..cut].to_vec(), &format!("cut at {cut}")));
+        }
+        let mut rng = Rng(0x5eed_1de8);
+        for at in 0..index.len() {
+            for mask in [0x01, 0x80, (rng.next() as u8) | 0x02] {
+                let mut mutant = index.clone();
+                mutant[at] ^= mask;
+                tally(check(mutant, &format!("byte {at} ^ {mask:#04x}")));
+            }
+        }
+        // Flipping a bit of an index key still names real blocks;
+        // flipping one of a handle or of the framing mostly does not.
+        assert!(refused > 500 && walked > 500, "refused {refused}, walked {walked}");
     }
 }

@@ -226,3 +226,66 @@ fn table_cache_reservations_released_on_eviction_and_deletion() {
     db.wait_background_idle().unwrap();
     assert_eq!(used(), 0, "deleting files releases their reservations");
 }
+
+/// A scan enters a table through its index: the first row costs the data
+/// block the index names (and at most the one after it), wherever in the
+/// table the scan starts — not every block from the file's first to that
+/// one. Walking the whole key space in chunks, each re-seeking where the
+/// last stopped (the replication checkpoint's loop), therefore touches
+/// each block a bounded number of times, not once per chunk behind it.
+#[test]
+fn a_scan_touches_the_blocks_it_reads_wherever_it_starts() {
+    const N: u32 = 20_000;
+    const CHUNK: usize = 256;
+    let opts = Options {
+        // One flush, one table; nothing compacts a lone L0 file.
+        write_buffer_size: 64 << 20,
+        ..Options::default()
+    };
+    let db = Db::builder(opts).env(&sim_env()).open().unwrap();
+    let key = |i: u32| format!("key-{i:08}").into_bytes();
+    for i in 0..N {
+        db.put(&key(i), &[7u8; 100]).unwrap();
+    }
+    db.flush().unwrap();
+    db.wait_background_idle().unwrap();
+    let stats = db.stats();
+    assert_eq!(stats.levels.iter().map(|l| l.0).sum::<usize>(), 1, "{:?}", stats.levels);
+
+    let touches = || {
+        let t = db.stats().tickers;
+        t.get(Ticker::BlockCacheHit) + t.get(Ticker::BlockCacheMiss)
+    };
+    let before = touches();
+    assert_eq!(db.scan(b"", N as usize).unwrap().len(), N as usize);
+    let blocks = touches() - before;
+    assert!(blocks > 300, "the table has several hundred data blocks, not {blocks}");
+
+    for start in [0, N / 2, N - 100] {
+        let before = touches();
+        let rows = db.scan(&key(start), 5).unwrap();
+        assert_eq!(rows[0].0, key(start));
+        assert_eq!(rows.len(), 5);
+        let touched = touches() - before;
+        assert!(touched <= 2, "5 rows from key {start} touched {touched} of {blocks} blocks");
+    }
+
+    let before = touches();
+    let (mut start, mut chunks, mut rows) = (Vec::new(), 0, 0);
+    loop {
+        let chunk = db.scan(&start, CHUNK).unwrap();
+        chunks += 1;
+        rows += chunk.len();
+        let Some((last, _)) = chunk.last() else { break };
+        start = [last.as_slice(), &[0]].concat();
+        if chunk.len() < CHUNK {
+            break;
+        }
+    }
+    assert_eq!(rows, N as usize);
+    let touched = touches() - before;
+    assert!(
+        touched <= blocks + 2 * chunks,
+        "{chunks} chunks over {blocks} blocks touched {touched}"
+    );
+}
