@@ -63,6 +63,9 @@ timeout 900 cargo test -q --workspace
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc -D warnings (every intra-doc link resolves, nothing public links a private item)"
+RUSTDOCFLAGS='-D warnings' cargo doc --no-deps --workspace
+
 echo "==> house rules: non-test lines under crates/*/src, allocations per warm get and per scanned entry"
 # The number every PR reports the delta of, computed one way: each file
 # cut at its first #[cfg(test)], the rule crates/lsm/tests/retired.rs

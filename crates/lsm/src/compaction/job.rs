@@ -73,7 +73,7 @@ pub fn can_drop_tombstones(version: &Version, c: &CompactionInputs) -> bool {
 /// `bottommost` says nothing deeper than the output level can hold older
 /// versions of the merged key range; `ctx` carries the optional
 /// compaction filter and the pinned snapshot sequences. What survives is
-/// decided by [`write_tables`].
+/// decided by `merge::write_tables`.
 ///
 /// # Errors
 ///

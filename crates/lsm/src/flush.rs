@@ -25,7 +25,7 @@ pub struct FlushOutput {
 }
 
 /// Merges `mems` into a single L0 table, under the retention rules of
-/// [`write_tables`]. L0 is never bottommost (older versions may exist in
+/// `merge::write_tables`. L0 is never bottommost (older versions may exist in
 /// deeper levels), so tombstones are always kept and a filtered entry
 /// becomes a tombstone; the only entries dropped are shadowed versions
 /// no pinned snapshot resolves to.

@@ -3,16 +3,17 @@
 //! This crate is the storage substrate of the ELMo-Tune reproduction: a
 //! from-scratch log-structured merge-tree engine (memtables, WAL,
 //! block-based SSTs with bloom filters, leveled/universal/FIFO compaction,
-//! a sharded block cache, and a write controller) whose 60+ configuration
+//! a sharded block cache, and a write controller) whose 70 configuration
 //! options carry RocksDB names and semantics so that a tuning loop written
 //! against RocksDB knowledge transfers directly.
 //!
-//! The engine runs on a [`vfs::Vfs`] abstraction. With
-//! [`vfs::SimVfs`] it executes against the `hw-sim` virtual hardware
-//! model: all I/O and background work is charged to a virtual clock, so
-//! benchmarks are deterministic and hardware-sensitive (NVMe vs HDD,
-//! 2 vs 4 cores, 4 vs 8 GiB) without needing the physical machines of the
-//! paper's evaluation.
+//! The engine runs on a [`vfs::Vfs`] abstraction; the environment's clock
+//! picks the execution mode. Opened in a simulated environment
+//! (`HardwareEnv::builder().build_sim()`), it executes against the
+//! `hw-sim` virtual hardware model: all I/O and background work is charged
+//! to a virtual clock, so benchmarks are deterministic and
+//! hardware-sensitive (NVMe vs HDD, 2 vs 4 cores, 4 vs 8 GiB) without
+//! needing the physical machines of the paper's evaluation.
 //!
 //! ## Example
 //!

@@ -5,7 +5,7 @@
 //! rule-based expert model all discover options here rather than
 //! hard-coding a subset (the limitation of prior auto-tuners the paper
 //! calls out). Each entry carries the RocksDB-compatible name, type,
-//! bounds, section, a human description (fed to prompts), and accessors.
+//! bounds, section, a one-line description, and accessors.
 
 use std::cmp::Ordering;
 use std::sync::OnceLock;
@@ -67,7 +67,8 @@ pub struct OptionMeta {
     /// Whether safeguards protect this option from LLM modification by
     /// default (paper: "disallow of journaling or logging").
     pub protected_by_default: bool,
-    /// One-line description used in documentation and prompts.
+    /// One-line human description. Nothing in the engine, the tuner or
+    /// the prompts reads it; it is documentation.
     pub description: &'static str,
     /// Reads the current value as a canonical string.
     pub get: fn(&Options) -> String,

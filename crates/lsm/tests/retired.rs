@@ -156,7 +156,18 @@ fn documented_unread_options_are_exactly_the_unread_ones() {
 
     assert_eq!(documented, unread, "DESIGN.md (left) vs options no engine source reads (right)");
     let registered = all_options().len();
-    let counts =
-        format!("registers {registered} options; the engine reads {}.", registered - unread.len());
+    let read = registered - unread.len();
+    let counts = format!("registers {registered} options; the engine reads {read}.");
     assert!(section.contains(&counts), "DESIGN.md does not say: {counts}");
+    // The substitutions table restates both counts in the RocksDB row.
+    let row = design
+        .lines()
+        .find(|line| line.starts_with("| RocksDB "))
+        .expect("DESIGN.md lost the RocksDB substitution row");
+    for counts in [
+        format!("({registered} registered options"),
+        format!("{read} of the {registered} options genuinely change engine behaviour (the {} that", unread.len()),
+    ] {
+        assert!(row.contains(&counts), "DESIGN.md's substitution row does not say: {counts}");
+    }
 }

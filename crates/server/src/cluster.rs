@@ -12,7 +12,7 @@
 //! Failover: a node spec may name a replica (`leader~follower`). When
 //! an operation fails with a transport error — after [`RemoteDb`]'s own
 //! bounded redial-and-retry — the client dials the replica, sends
-//! [`Request::Promote`], and swaps it in as the range's primary.
+//! [`Request::Promote`](crate::Request::Promote), and swaps it in as the range's primary.
 //! Idempotent reads are then retried against the new primary; a failed
 //! write is surfaced to the caller honestly (it may or may not have
 //! committed on the dead leader), but the swap still happens so later

@@ -6,7 +6,7 @@
 //! [`WalSink`]. `ship` runs inside the engine's commit critical section
 //! and only enqueues (ship order = commit order); `wait_durable` holds a
 //! synced write's ack until every *live, caught-up* follower has
-//! confirmed the group — bounded by [`ACK_TIMEOUT`], after which a
+//! confirmed the group — bounded by `ACK_TIMEOUT` (500 ms), after which a
 //! laggard is demoted from the live set so a dead follower stalls
 //! writers for at most one timeout, once. [`serve_replicas`] accepts
 //! follower connections on a dedicated port (one sender + one
@@ -606,8 +606,8 @@ impl FollowerHandle {
     /// promotion hook must use this: once it returns, no replicated
     /// group from the old leader can still apply underneath the new
     /// leader's own writes. The wait is bounded even against a
-    /// blackholed leader — reads tick at [`READ_TICK`] and dials are
-    /// capped by [`CONNECT_TIMEOUT`].
+    /// blackholed leader — reads tick at `READ_TICK` (100 ms) and dials
+    /// are capped by `CONNECT_TIMEOUT` (1 s).
     pub fn stop_and_join(&self) {
         self.stop();
         if let Some(t) = self.thread.lock().take() {

@@ -12,7 +12,7 @@
 //! hold thousands of idle sockets.
 //!
 //! Backpressure: before reading its next request a connection consults
-//! the engine's live write regime (trusted for [`REGIME_RECHECK`]).
+//! the engine's live write regime (trusted for `REGIME_RECHECK`, 1 ms).
 //! While the write controller reports `Stopped`, the connection stops
 //! reading its socket. The kernel receive buffer fills, TCP advertises
 //! a zero window, and the stall propagates to the client instead of
@@ -20,12 +20,12 @@
 //!
 //! Shutdown is graceful: a connection between frames closes, whole
 //! frames already received are still served (and acked), a connection
-//! caught mid-frame gets [`DRAIN_GRACE`] for the rest of the frame to
+//! caught mid-frame gets `DRAIN_GRACE` (1 s) for the rest of the frame to
 //! arrive and be served, and only then are the threads joined and the
 //! engine released. Because a write is acked only after `write_opt`
 //! returns, nothing is ever acked that the engine has not committed
 //! under the request's durability flag. A response is held to one
-//! [`WRITE_TIMEOUT`] as a whole, so a client that stops reading pins
+//! `WRITE_TIMEOUT` (5 s) as a whole, so a client that stops reading pins
 //! its own thread for that long and nobody else's.
 
 use std::io::{self, Write};

@@ -34,7 +34,7 @@ pub enum KeyDistribution {
     },
     /// Latest-skewed (YCSB D): a power-law rank anchored at the insert
     /// frontier, so the most recently inserted keys are the hottest.
-    /// Unlike [`PowerLaw`], ranks are *not* permuted — recency is the
+    /// Unlike [`PowerLaw`](KeyDistribution::PowerLaw), ranks are *not* permuted — recency is the
     /// point. The frontier advances via
     /// [`KeyGenerator::advance_frontier`] as inserts land.
     Latest {

@@ -117,7 +117,7 @@ pub fn run_benchmark<E: KvEngine + ?Sized>(
 
 /// Runs `spec` against `db` on real OS threads with wall-clock timing.
 ///
-/// This is the measurement path for a [`Db`] opened in real-concurrency
+/// This is the measurement path for a [`Db`](lsm_kvs::Db) opened in real-concurrency
 /// mode (wall clock + `StdVfs`): `threads` OS threads share the database
 /// and issue `spec.num_ops` operations between them, each thread drawing
 /// keys/values from its own generator seeded `spec.seed + t * phi` (the
