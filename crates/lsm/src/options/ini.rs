@@ -14,7 +14,7 @@
 //! ```
 
 use crate::error::{Error, Result};
-use crate::options::registry::{all_options, Section};
+use crate::options::registry::{all_options, find_option, Section};
 use crate::options::Options;
 
 /// Serializes the full option set to ini text, grouped by section.
@@ -45,6 +45,31 @@ pub struct IniParseOutcome {
     pub rejected: Vec<(String, String, String)>,
 }
 
+impl IniParseOutcome {
+    /// Files one `set_by_name` result under `applied` or `rejected`.
+    fn record(&mut self, key: &str, value: &str, result: Result<()>) {
+        match result {
+            Ok(()) => self.applied.push((key.to_string(), value.to_string())),
+            Err(e) => self.rejected.push((key.to_string(), value.to_string(), e.to_string())),
+        }
+    }
+}
+
+/// The `key=value` lines of ini text, in order, key and value trimmed and
+/// the value's quotes stripped. Blank lines, `#` and `;` comments, section
+/// headers and lines without `=` are skipped: sections are not tracked,
+/// since every option name is unique across them.
+fn assignments(text: &str) -> impl Iterator<Item = (&str, &str)> {
+    text.lines().filter_map(|line| {
+        let line = line.trim();
+        if line.starts_with(['#', ';', '[']) {
+            return None;
+        }
+        let (key, value) = line.split_once('=')?;
+        Some((key.trim(), value.trim().trim_matches('"')))
+    })
+}
+
 /// Parses ini text into `opts`, applying every recognized `key=value`.
 ///
 /// Unknown sections are tolerated (RocksDB files carry a `[Version]`
@@ -53,23 +78,8 @@ pub struct IniParseOutcome {
 /// to do about them.
 pub fn apply_ini(opts: &mut Options, text: &str) -> IniParseOutcome {
     let mut outcome = IniParseOutcome::default();
-    for raw_line in text.lines() {
-        let line = raw_line.trim();
-        if line.is_empty() || line.starts_with('#') || line.starts_with(';') || line.starts_with('[')
-        {
-            continue;
-        }
-        let Some((key, value)) = line.split_once('=') else {
-            continue;
-        };
-        let key = key.trim();
-        let value = value.trim().trim_matches('"');
-        match opts.set_by_name(key, value) {
-            Ok(()) => outcome.applied.push((key.to_string(), value.to_string())),
-            Err(e) => outcome
-                .rejected
-                .push((key.to_string(), value.to_string(), e.to_string())),
-        }
+    for (key, value) in assignments(text) {
+        outcome.record(key, value, opts.set_by_name(key, value));
     }
     outcome
 }
@@ -84,35 +94,16 @@ pub fn apply_ini(opts: &mut Options, text: &str) -> IniParseOutcome {
 /// changed mutable options, so immutable values in the file are at best
 /// redundant and at worst stale — the caller's options win for those.
 pub fn apply_mutable_ini(opts: &mut Options, text: &str) -> IniParseOutcome {
-    use crate::options::registry::find_option;
     let mut outcome = IniParseOutcome::default();
-    for raw_line in text.lines() {
-        let line = raw_line.trim();
-        if line.is_empty() || line.starts_with('#') || line.starts_with(';') || line.starts_with('[')
-        {
-            continue;
-        }
-        let Some((key, value)) = line.split_once('=') else {
-            continue;
-        };
-        let key = key.trim();
-        let value = value.trim().trim_matches('"');
-        let Some(meta) = find_option(key) else {
-            outcome.rejected.push((
+    for (key, value) in assignments(text) {
+        match find_option(key) {
+            None => outcome.rejected.push((
                 key.to_string(),
                 value.to_string(),
                 format!("not an option of this build: {key}"),
-            ));
-            continue;
-        };
-        if !meta.mutable_online {
-            continue;
-        }
-        match opts.set_by_name(key, value) {
-            Ok(()) => outcome.applied.push((key.to_string(), value.to_string())),
-            Err(e) => outcome
-                .rejected
-                .push((key.to_string(), value.to_string(), e.to_string())),
+            )),
+            Some(meta) if !meta.mutable_online => {}
+            Some(_) => outcome.record(key, value, opts.set_by_name(key, value)),
         }
     }
     outcome
@@ -188,6 +179,29 @@ mod tests {
         // rocksdb_version is inside [Version]; we don't track sections so it
         // is reported as unknown — which the safeguards treat as noise.
         assert_eq!(outcome.rejected.len(), 1);
+    }
+
+    #[test]
+    fn both_appliers_walk_the_same_lines() {
+        let text = "# produced by a tool\n; and annotated\n[Version]\n  rocksdb_version=8.8.1\n\n\
+                    a line without an equals sign\n[DBOptions]\n  max_background_jobs = \"4\"\n\
+                    [CFOptions \"default\"]\n  write_buffer_size=32MB\n";
+        let mut full = Options::default();
+        let everything = apply_ini(&mut full, text);
+        let mut overlaid = Options::default();
+        let mutable = apply_mutable_ini(&mut overlaid, text);
+        let applied = vec![
+            ("max_background_jobs".to_string(), "4".to_string()),
+            ("write_buffer_size".to_string(), "32MB".to_string()),
+        ];
+        assert_eq!(everything.applied, applied);
+        assert_eq!(mutable.applied, applied);
+        for outcome in [&everything, &mutable] {
+            let rejected: Vec<_> = outcome.rejected.iter().map(|(k, v, _)| (k.as_str(), v.as_str())).collect();
+            assert_eq!(rejected, [("rocksdb_version", "8.8.1")]);
+        }
+        assert_eq!(full, overlaid);
+        assert_eq!(full.max_background_jobs, 4);
     }
 
     #[test]
