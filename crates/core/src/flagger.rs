@@ -32,22 +32,26 @@ pub enum Verdict {
     Revert,
 }
 
+/// Relative improvement over the best so far that a candidate must show
+/// to be kept; anything within it is noise.
+const MIN_IMPROVEMENT: f64 = 0.005;
+
+/// Samples before this many simulated seconds are ignored (the paper's
+/// "first 30s" check gate).
+const WARMUP_SECS: f64 = 30.0;
+
+/// A sample is bad when its interval throughput falls below this fraction
+/// of the reference.
+const MIN_FRACTION: f64 = 0.4;
+
+/// Consecutive bad samples that abort a run.
+const PATIENCE: usize = 3;
+
 /// Compares iteration results and issues verdicts.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ActiveFlagger {
     /// Optimization objective.
     pub objective: Objective,
-    /// Relative improvement required to call it a win (e.g. 0.005).
-    pub min_improvement: f64,
-}
-
-impl Default for ActiveFlagger {
-    fn default() -> Self {
-        ActiveFlagger {
-            objective: Objective::Throughput,
-            min_improvement: 0.005,
-        }
-    }
 }
 
 impl ActiveFlagger {
@@ -73,7 +77,7 @@ impl ActiveFlagger {
         }
         let best_score = self.score(best);
         let cand_score = self.score(candidate);
-        if cand_score > best_score * (1.0 + self.min_improvement) {
+        if cand_score > best_score * (1.0 + MIN_IMPROVEMENT) {
             Verdict::Keep
         } else {
             Verdict::Revert
@@ -85,29 +89,19 @@ impl ActiveFlagger {
 /// collapses below a fraction of the reference (best-so-far) rate.
 #[derive(Debug)]
 pub struct EarlyStopMonitor {
-    /// Ignore samples before this many simulated seconds (the paper's
-    /// "first 30s" check gate).
-    pub warmup_secs: f64,
     /// Reference throughput (best so far), ops/sec.
     pub reference_ops_per_sec: f64,
-    /// Abort when interval throughput falls below this fraction of the
-    /// reference.
-    pub min_fraction: f64,
-    /// Consecutive bad samples required before aborting.
-    pub patience: usize,
     bad_samples: usize,
     triggered: bool,
 }
 
 impl EarlyStopMonitor {
-    /// Creates a monitor with the paper-like defaults (first check after
-    /// 30 simulated seconds, abort below 40% of the reference).
+    /// Creates a monitor with the paper-like settings: first check after
+    /// 30 simulated seconds, abort after three consecutive samples below
+    /// 40% of the reference.
     pub fn new(reference_ops_per_sec: f64) -> Self {
         EarlyStopMonitor {
-            warmup_secs: 30.0,
             reference_ops_per_sec,
-            min_fraction: 0.4,
-            patience: 3,
             bad_samples: 0,
             triggered: false,
         }
@@ -120,12 +114,12 @@ impl EarlyStopMonitor {
 
     /// Processes one sample; returns the control decision.
     pub fn observe(&mut self, sample: &MonitorSample) -> MonitorControl {
-        if self.reference_ops_per_sec <= 0.0 || sample.at_secs < self.warmup_secs {
+        if self.reference_ops_per_sec <= 0.0 || sample.at_secs < WARMUP_SECS {
             return MonitorControl::Continue;
         }
-        if sample.interval_ops_per_sec < self.reference_ops_per_sec * self.min_fraction {
+        if sample.interval_ops_per_sec < self.reference_ops_per_sec * MIN_FRACTION {
             self.bad_samples += 1;
-            if self.bad_samples >= self.patience {
+            if self.bad_samples >= PATIENCE {
                 self.triggered = true;
                 return MonitorControl::Stop;
             }
@@ -176,10 +170,7 @@ mod tests {
 
     #[test]
     fn p99_objective_prefers_lower_latency() {
-        let f = ActiveFlagger {
-            objective: Objective::P99Latency,
-            min_improvement: 0.005,
-        };
+        let f = ActiveFlagger { objective: Objective::P99Latency };
         let best = bench(100.0, Some(100.0), Some(500.0));
         let better = bench(50.0, Some(90.0), Some(200.0)); // slower but tighter tail
         assert_eq!(f.judge(&best, &better), Verdict::Keep);

@@ -10,7 +10,7 @@
 
 use std::collections::HashSet;
 
-use lsm_kvs::options::registry::{all_options, find_deprecated, find_option};
+use lsm_kvs::options::registry::{all_options, find_deprecated, find_option, DeprecatedOption};
 use lsm_kvs::options::Options;
 
 use crate::evaluate::ProposedChange;
@@ -65,9 +65,6 @@ pub struct AppliedChange {
 #[derive(Debug, Clone)]
 pub struct SafeguardPolicy {
     blacklist: HashSet<String>,
-    /// Remap deprecated options with a known replacement instead of
-    /// rejecting them.
-    pub remap_deprecated: bool,
     /// Total RAM in bytes; when set, write buffers + block cache are kept
     /// under ~80% of it by shrinking the cache.
     pub memory_budget: Option<u64>,
@@ -82,7 +79,6 @@ impl Default for SafeguardPolicy {
             .collect();
         SafeguardPolicy {
             blacklist,
-            remap_deprecated: true,
             memory_budget: None,
         }
     }
@@ -151,24 +147,23 @@ pub fn vet(base: &Options, changes: &[ProposedChange], policy: &SafeguardPolicy)
         let target_name = match find_option(&change.name) {
             Some(meta) => meta.name.to_string(),
             None => match find_deprecated(&change.name) {
+                Some(DeprecatedOption { remap_to: Some(target), note, .. }) => {
+                    violations.push(Violation {
+                        name: change.name.clone(),
+                        value: change.value.clone(),
+                        kind: ViolationKind::Deprecated,
+                        detail: format!("deprecated ({note}); remapped to {target}"),
+                    });
+                    target.to_string()
+                }
                 Some(dep) => {
-                    if let (true, Some(target)) = (policy.remap_deprecated, dep.remap_to) {
-                        violations.push(Violation {
-                            name: change.name.clone(),
-                            value: change.value.clone(),
-                            kind: ViolationKind::Deprecated,
-                            detail: format!("deprecated ({}); remapped to {target}", dep.note),
-                        });
-                        target.to_string()
-                    } else {
-                        violations.push(Violation {
-                            name: change.name.clone(),
-                            value: change.value.clone(),
-                            kind: ViolationKind::Deprecated,
-                            detail: format!("deprecated: {}", dep.note),
-                        });
-                        continue;
-                    }
+                    violations.push(Violation {
+                        name: change.name.clone(),
+                        value: change.value.clone(),
+                        kind: ViolationKind::Deprecated,
+                        detail: format!("deprecated: {}", dep.note),
+                    });
+                    continue;
                 }
                 None => {
                     violations.push(Violation {

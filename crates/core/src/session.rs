@@ -102,9 +102,6 @@ pub struct TuningConfig {
     pub prompt_budget_chars: usize,
     /// Enable the in-run early-stop monitor.
     pub early_stop: bool,
-    /// Stop when this many consecutive iterations fail to improve
-    /// (`None` = always run all iterations, like the paper's figures).
-    pub stop_on_stagnation: Option<usize>,
     /// Embed the engine's `--stats_dump` output (`Db::stats_text()`) in
     /// each iteration prompt. Off by default so existing sessions (and
     /// the `repro` goldens) keep byte-identical prompts.
@@ -119,7 +116,6 @@ impl Default for TuningConfig {
             objective: Objective::Throughput,
             prompt_budget_chars: 16_000,
             early_stop: true,
-            stop_on_stagnation: None,
             include_stats_dump: false,
         }
     }
@@ -407,10 +403,7 @@ impl<'m> TuningSession<'m> {
             config,
             policy,
         } = self;
-        let flagger = ActiveFlagger {
-            objective: config.objective,
-            min_improvement: 0.005,
-        };
+        let flagger = ActiveFlagger { objective: config.objective };
 
         target.prepare(&start)?;
 
@@ -427,7 +420,6 @@ impl<'m> TuningSession<'m> {
         let mut last_parsed = baseline_parsed;
         let mut deteriorated = false;
         let mut violation_feedback: Vec<String> = Vec::new();
-        let mut stagnant = 0usize;
 
         for index in 1..=config.iterations {
             let options_ini = ini::to_ini(&best_options);
@@ -514,7 +506,6 @@ impl<'m> TuningSession<'m> {
                     best_parsed = candidate_parsed.clone();
                     best_iteration = index;
                     deteriorated = false;
-                    stagnant = 0;
                 }
                 _ => {
                     // Rejected: put the target back on the best-known
@@ -523,7 +514,6 @@ impl<'m> TuningSession<'m> {
                     // no-op since every run opens fresh).
                     target.restore(&best_options)?;
                     deteriorated = true;
-                    stagnant += 1;
                 }
             }
 
@@ -538,12 +528,6 @@ impl<'m> TuningSession<'m> {
                 options_after: best_options.clone(),
             });
             last_parsed = candidate_parsed;
-
-            if let Some(patience) = config.stop_on_stagnation {
-                if stagnant >= patience {
-                    break;
-                }
-            }
         }
 
         Ok(TuningReport {

@@ -2,9 +2,11 @@
 //!
 //! The expert receives the same free-form natural-language prompt a real
 //! GPT-4 call would. This module pulls out the facts the tuning
-//! heuristics condition on — hardware, workload, iteration, previous
-//! results, constraints, and the current option file — using keyword
-//! scanning, so prompts phrased differently by hand still parse.
+//! heuristics condition on — hardware, workload, iteration, whether the
+//! last change hurt, constraints, and the current option file — using
+//! keyword scanning, so prompts phrased differently by hand still parse.
+//! The previous result's numbers are in the prompt for a real model; no
+//! rule here conditions on them, so none are extracted.
 
 use std::collections::HashMap;
 
@@ -33,20 +35,12 @@ pub struct PromptFacts {
     pub workload: WorkloadClass,
     /// Iteration number, if the prompt states one.
     pub iteration: u64,
-    /// Previous-iteration throughput (ops/sec).
-    pub prev_throughput: Option<f64>,
-    /// Previous-iteration p99 latency (any op type), microseconds.
-    pub prev_p99_us: Option<f64>,
     /// The prompt reported that the last change *hurt* performance.
     pub deteriorated: bool,
     /// Maximum number of options the prompt asks to change.
     pub max_changes: usize,
     /// Current option values parsed from the embedded ini.
     pub current_options: HashMap<String, String>,
-    /// Block-cache hit ratio mentioned (0..1).
-    pub cache_hit_ratio: Option<f64>,
-    /// Stall seconds mentioned.
-    pub stall_seconds: Option<f64>,
 }
 
 /// Parses a prompt into [`PromptFacts`].
@@ -81,8 +75,6 @@ pub fn read_prompt(prompt: &str) -> PromptFacts {
     if let Some(v) = number_after(&lower, &["iteration "]) {
         facts.iteration = v.round() as u64;
     }
-    facts.prev_throughput = number_before(&lower, &["ops/sec", "ops per second", "ops/s"]);
-    facts.prev_p99_us = number_after(&lower, &["p99: ", "p99 latency: ", "p99="]);
     facts.deteriorated = ["deteriorat", "regress", "got worse", "performance drop", "worse than"]
         .iter()
         .any(|k| lower.contains(k));
@@ -92,9 +84,6 @@ pub fn read_prompt(prompt: &str) -> PromptFacts {
             facts.max_changes = v;
         }
     }
-    facts.cache_hit_ratio = number_after(&lower, &["cache hit ratio: ", "cache.hit.ratio percent : "])
-        .map(|v| if v > 1.0 { v / 100.0 } else { v });
-    facts.stall_seconds = number_after(&lower, &["stall seconds: ", "stall.seconds sum : "]);
 
     // Parse key=value lines (the embedded current-options ini).
     for line in prompt.lines() {
@@ -224,8 +213,6 @@ Please change at most 10 options. Respond with an ini code block.";
     #[test]
     fn extracts_previous_results_and_feedback() {
         let f = read_prompt(SAMPLE);
-        assert_eq!(f.prev_throughput, Some(61234.0));
-        assert_eq!(f.prev_p99_us, Some(140.5));
         assert!(f.deteriorated);
     }
 

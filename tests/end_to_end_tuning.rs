@@ -162,28 +162,6 @@ fn flagger_reverts_a_poisoned_iteration_then_recovers() {
 }
 
 #[test]
-fn stagnation_stop_cuts_the_session_short() {
-    // A model that always proposes the same no-op-ish bad change.
-    let mut model = ScriptedModel::new(vec![
-        "```ini\nwrite_buffer_size=128KB\n```".to_string();
-        7
-    ]);
-    let report = TuningSession::new(hdd(), quick_fr(), &mut model)
-        .with_config(TuningConfig {
-            iterations: 7,
-            stop_on_stagnation: Some(2),
-            ..TuningConfig::default()
-        })
-        .run_offline(Options::default())
-        .expect("session runs");
-    assert!(
-        report.records.len() < 7,
-        "stagnation should stop early, ran {}",
-        report.records.len()
-    );
-}
-
-#[test]
 fn p99_objective_session_runs() {
     use elmo::elmo_tune::Objective;
     let mut model = ExpertModel::well_behaved(5);
