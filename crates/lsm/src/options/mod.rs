@@ -1,10 +1,12 @@
 //! Engine configuration: a RocksDB-compatible option surface.
 //!
 //! The tuning framework manipulates the engine exclusively through this
-//! module: every option has a RocksDB name, a typed field on [`Options`],
-//! an entry in the [`registry`] with metadata (type, range, default,
-//! section, mutability, deprecation), and an ini representation compatible
-//! with RocksDB `OPTIONS` files ([`ini`]).
+//! module. Every option is declared once, as one row of the table below
+//! (`options_table!`): its RocksDB name, type, default, ini section, range,
+//! mutability, protection, aliases and description. The table expands into
+//! the typed [`Options`] struct, its `Default`, and the [`registry`] rows
+//! through which the ini codec ([`ini`], RocksDB `OPTIONS` files), the
+//! safeguards and the expert model find every option.
 
 pub mod ini;
 pub mod registry;
@@ -12,6 +14,7 @@ pub mod registry;
 use std::fmt;
 
 use crate::error::{Error, Result};
+use registry::{parse_checked, OptionMeta, OptionValue, Section};
 
 /// Compaction strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -141,257 +144,263 @@ impl fmt::Display for MemtableRep {
     }
 }
 
-/// Full engine configuration with RocksDB-compatible field names.
+/// Expands the option table into the [`Options`] struct (each field
+/// documented by its description, then any note the row carries), its
+/// `Default`, and `option_rows`, the registry's rows in field order.
 ///
-/// Defaults match the `db_bench` baseline the paper tunes against
-/// (RocksDB 8.x era defaults; see each field's registry entry).
-///
-/// # Examples
-///
-/// ```
-/// use lsm_kvs::options::Options;
-///
-/// let mut opts = Options::default();
-/// opts.set_by_name("write_buffer_size", "32MB").unwrap();
-/// assert_eq!(opts.write_buffer_size, 32 << 20);
-/// assert_eq!(opts.get_by_name("write_buffer_size").unwrap(), "33554432");
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct Options {
-    // ---- DBOptions ----
-    /// Max concurrent background jobs (flushes + compactions).
-    pub max_background_jobs: i64,
-    /// Max concurrent compactions; -1 derives from `max_background_jobs`.
-    pub max_background_compactions: i64,
-    /// Max concurrent flushes; -1 derives from `max_background_jobs`.
-    pub max_background_flushes: i64,
-    /// Max threads a single compaction may fan out to.
-    pub max_subcompactions: i64,
-    /// Incremental-sync chunk for SST writes (0 = leave to the OS).
-    pub bytes_per_sync: u64,
-    /// Incremental-sync chunk for WAL writes (0 = leave to the OS).
-    pub wal_bytes_per_sync: u64,
-    /// Block writers until incremental syncs complete.
-    pub strict_bytes_per_sync: bool,
-    /// Write throughput while the controller is in the slowdown regime.
-    pub delayed_write_rate: u64,
-    /// Pipeline WAL append and memtable insert. Read by the simulator's
-    /// write cost only: every commit group is synced before it becomes
-    /// reader-visible.
-    pub enable_pipelined_write: bool,
-    /// Allow concurrent memtable inserts. In real-concurrency mode,
-    /// disabling this caps group commit at one batch per group.
-    pub allow_concurrent_memtable_write: bool,
-    /// Bypass the OS page cache for user reads.
-    pub use_direct_reads: bool,
-    /// Bypass the OS page cache for flush/compaction I/O.
-    pub use_direct_io_for_flush_and_compaction: bool,
-    /// Readahead chunk for compaction input reads.
-    pub compaction_readahead_size: u64,
-    /// Max open table files (-1 = unlimited).
-    pub max_open_files: i64,
-    /// Total WAL size that forces a memtable switch (0 = derived).
-    pub max_total_wal_size: u64,
-    /// Global memtable budget across the DB (0 = unlimited).
-    pub db_write_buffer_size: u64,
-    /// Dump allocator stats to the info log.
-    pub dump_malloc_stats: bool,
-    /// Seconds between stats dumps to the info log.
-    pub stats_dump_period_sec: i64,
-    /// Background I/O rate limit in bytes/sec (0 = unlimited).
-    pub rate_limiter_bytes_per_sec: u64,
-    /// Time-to-live for values in seconds (0 = never expire). While
-    /// non-zero, writes carry an 8-byte write-timestamp suffix; reads
-    /// treat entries older than the TTL as absent and compaction/flush
-    /// physically drop them via the built-in TTL compaction filter.
-    /// Mutable online; the current value governs all stamped entries.
-    pub ttl_seconds: u64,
-    /// Verify checksums aggressively on every read.
-    pub paranoid_checks: bool,
-    /// fsync instead of fdatasync for durability points.
-    pub use_fsync: bool,
-    /// Disable the write-ahead log entirely (protected by safeguards).
-    pub disable_wal: bool,
-    /// Flush the WAL only on explicit request.
-    pub manual_wal_flush: bool,
-    /// Number of shards (log2) in the table cache.
-    pub table_cache_numshardbits: i64,
-    /// Avoid flushing memtables during shutdown (protected).
-    pub avoid_flush_during_shutdown: bool,
-    /// Avoid flushing during recovery.
-    pub avoid_flush_during_recovery: bool,
-    /// Recycle WAL files instead of deleting.
-    pub recycle_log_file_num: i64,
-    /// Buffer size for writable files.
-    pub writable_file_max_buffer_size: u64,
-    /// Threads used to open files on DB open.
-    pub max_file_opening_threads: i64,
-    /// Adaptive yield before blocking in the write path.
-    pub enable_write_thread_adaptive_yield: bool,
-    /// WAL compression (accepted, modeled as neutral).
-    pub wal_compression: CompressionType,
+/// A row reads `field: type = default, section, range, mutability
+/// [protected], [aliases,] "description";` where the range is
+/// `(lo, hi)` or `-` (booleans and enums have none), and the mutability
+/// is `online` (the engine honours a change without reopening) or
+/// `reopen`. `protected` puts the option on the safeguards' default
+/// blacklist. Kind, parser and error noun follow from the type
+/// (`registry::OptionValue`).
+macro_rules! options_table {
+    (@range -) => { None };
+    (@range ($lo:expr, $hi:expr)) => { Some(($lo, $hi)) };
+    (@online online) => { true };
+    (@online reopen) => { false };
+    (@protected) => { false };
+    (@protected protected) => { true };
+    (
+        $(#[$struct_attr:meta])*
+        pub struct $name:ident {
+            $(
+                $($(#[$note:meta])+)?
+                $field:ident: $ty:ty = $default:expr,
+                    $section:ident, $range:tt, $mutability:ident $($protected:ident)?,
+                    $([$($alias:literal),*],)? $description:literal;
+            )*
+        }
+    ) => {
+        $(#[$struct_attr])*
+        pub struct $name {
+            $(
+                #[doc = $description]
+                $(#[doc = ""] $(#[$note])+)?
+                pub $field: $ty,
+            )*
+        }
 
-    // ---- CFOptions ----
-    /// Memtable size that triggers a flush.
-    pub write_buffer_size: u64,
-    /// Max memtables (active + immutable) before stalling.
-    pub max_write_buffer_number: i64,
-    /// Immutable memtables merged into one L0 file per flush.
-    pub min_write_buffer_number_to_merge: i64,
-    /// L0 file count that triggers compaction.
-    pub level0_file_num_compaction_trigger: i64,
-    /// L0 file count that slows writes.
-    pub level0_slowdown_writes_trigger: i64,
-    /// L0 file count that stops writes.
-    pub level0_stop_writes_trigger: i64,
-    /// Number of LSM levels.
-    pub num_levels: i64,
-    /// Target SST size at L1.
-    pub target_file_size_base: u64,
-    /// Per-level multiplier for target SST size.
-    pub target_file_size_multiplier: i64,
-    /// Target total bytes at L1.
-    pub max_bytes_for_level_base: u64,
-    /// Per-level growth factor for level targets.
-    pub max_bytes_for_level_multiplier: f64,
-    /// Size levels dynamically from the last level up.
-    pub level_compaction_dynamic_level_bytes: bool,
-    /// Compaction strategy.
-    pub compaction_style: CompactionStyle,
-    /// Block compression for all levels.
-    pub compression: CompressionType,
-    /// Override compression for the bottommost level.
-    pub bottommost_compression: CompressionType,
-    /// Disable automatic compactions (manual only).
-    pub disable_auto_compactions: bool,
-    /// Memtable bloom filter size as a fraction of `write_buffer_size`.
-    pub memtable_prefix_bloom_size_ratio: f64,
-    /// Accepted for option-file compatibility and echoed back; the engine
-    /// has one memtable and does not read this.
-    pub memtable_factory: MemtableRep,
-    /// Skip filters on the last level (saves memory for hit-heavy loads).
-    pub optimize_filters_for_hits: bool,
-    /// Pending-compaction bytes that slow writes.
-    pub soft_pending_compaction_bytes_limit: u64,
-    /// Pending-compaction bytes that stop writes.
-    pub hard_pending_compaction_bytes_limit: u64,
-    /// Max bytes a single compaction may span.
-    pub max_compaction_bytes: u64,
-    /// Report detailed background I/O stats.
-    pub report_bg_io_stats: bool,
-    /// Universal compaction: max size amplification percent.
-    pub universal_max_size_amplification_percent: i64,
-    /// Universal compaction: size-ratio tolerance percent.
-    pub universal_size_ratio: i64,
-    /// Universal compaction: min files merged at once.
-    pub universal_min_merge_width: i64,
-    /// Universal compaction: max files merged at once.
-    pub universal_max_merge_width: i64,
-    /// FIFO compaction: total size budget before dropping old files.
-    pub fifo_max_table_files_size: u64,
-    /// TTL for periodic compaction (accepted, modeled as neutral).
-    pub periodic_compaction_seconds: i64,
+        impl Default for $name {
+            fn default() -> Self {
+                $name { $($field: $default,)* }
+            }
+        }
 
-    // ---- BlockBasedTableOptions ----
-    /// Uncompressed data block size.
-    pub block_size: u64,
-    /// Keys between restart points inside a block.
-    pub block_restart_interval: i64,
-    /// Bloom filter bits per key (0 = no filter).
-    pub bloom_filter_bits_per_key: f64,
-    /// Include whole keys in the filter (`false` = build no filter).
-    pub whole_key_filtering: bool,
-    /// Charge index/filter blocks to the block cache.
-    pub cache_index_and_filter_blocks: bool,
-    /// Keep L0 index/filter blocks pinned in cache.
-    pub pin_l0_filter_and_index_blocks_in_cache: bool,
-    /// Block cache capacity in bytes.
-    pub block_cache_size: u64,
-    /// Disable the block cache entirely.
-    pub no_block_cache: bool,
-
-    // ---- Sharding ----
-    /// Number of key-range shards (1 = plain single-tree DB).
-    pub num_shards: i64,
+        /// One registry row per option, in field order.
+        fn option_rows() -> Vec<OptionMeta> {
+            vec![$(
+                OptionMeta {
+                    name: stringify!($field),
+                    aliases: &[$($($alias),*)?],
+                    section: Section::$section,
+                    kind: <$ty as OptionValue>::KIND,
+                    range: options_table!(@range $range),
+                    mutable_online: options_table!(@online $mutability),
+                    protected_by_default: options_table!(@protected $($protected)?),
+                    description: $description,
+                    get: |o| o.$field.to_string(),
+                    set: |o, v| {
+                        o.$field = parse_checked(stringify!($field), v, options_table!(@range $range))?;
+                        Ok(())
+                    },
+                },
+            )*]
+        }
+    };
 }
 
-impl Default for Options {
-    fn default() -> Self {
-        Options {
-            max_background_jobs: 2,
-            max_background_compactions: -1,
-            max_background_flushes: -1,
-            max_subcompactions: 1,
-            bytes_per_sync: 0,
-            wal_bytes_per_sync: 0,
-            strict_bytes_per_sync: false,
-            delayed_write_rate: 16 << 20,
-            enable_pipelined_write: true,
-            allow_concurrent_memtable_write: true,
-            use_direct_reads: false,
-            use_direct_io_for_flush_and_compaction: false,
-            compaction_readahead_size: 2 << 20,
-            max_open_files: -1,
-            max_total_wal_size: 0,
-            db_write_buffer_size: 0,
-            dump_malloc_stats: true,
-            stats_dump_period_sec: 600,
-            rate_limiter_bytes_per_sec: 0,
-            ttl_seconds: 0,
-            paranoid_checks: true,
-            use_fsync: false,
-            disable_wal: false,
-            manual_wal_flush: false,
-            table_cache_numshardbits: 6,
-            avoid_flush_during_shutdown: false,
-            avoid_flush_during_recovery: false,
-            recycle_log_file_num: 0,
-            writable_file_max_buffer_size: 1 << 20,
-            max_file_opening_threads: 16,
-            enable_write_thread_adaptive_yield: true,
-            wal_compression: CompressionType::None,
+const GIB64: f64 = (64u64 << 30) as f64;
+const TIB: f64 = (1u64 << 40) as f64;
 
-            write_buffer_size: 64 << 20,
-            max_write_buffer_number: 2,
-            min_write_buffer_number_to_merge: 1,
-            level0_file_num_compaction_trigger: 4,
-            level0_slowdown_writes_trigger: 20,
-            level0_stop_writes_trigger: 36,
-            num_levels: 7,
-            target_file_size_base: 64 << 20,
-            target_file_size_multiplier: 1,
-            max_bytes_for_level_base: 256 << 20,
-            max_bytes_for_level_multiplier: 10.0,
-            level_compaction_dynamic_level_bytes: false,
-            compaction_style: CompactionStyle::Level,
-            compression: CompressionType::Snappy,
-            bottommost_compression: CompressionType::None,
-            disable_auto_compactions: false,
-            memtable_prefix_bloom_size_ratio: 0.0,
-            memtable_factory: MemtableRep::BTreeMap,
-            optimize_filters_for_hits: false,
-            soft_pending_compaction_bytes_limit: 64 << 30,
-            hard_pending_compaction_bytes_limit: 256 << 30,
-            max_compaction_bytes: (64 << 20) * 25,
-            report_bg_io_stats: false,
-            universal_max_size_amplification_percent: 200,
-            universal_size_ratio: 1,
-            universal_min_merge_width: 2,
-            universal_max_merge_width: 64,
-            fifo_max_table_files_size: 1 << 30,
-            periodic_compaction_seconds: 0,
+options_table! {
+    /// Full engine configuration with RocksDB-compatible field names.
+    ///
+    /// Defaults match the `db_bench` baseline the paper tunes against
+    /// (RocksDB 8.x era defaults). Each field is one row of the option
+    /// table: its doc is the registry's description of it.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use lsm_kvs::options::Options;
+    ///
+    /// let mut opts = Options::default();
+    /// opts.set_by_name("write_buffer_size", "32MB").unwrap();
+    /// assert_eq!(opts.write_buffer_size, 32 << 20);
+    /// assert_eq!(opts.get_by_name("write_buffer_size").unwrap(), "33554432");
+    /// ```
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct Options {
+        // ---- DBOptions ----
+        max_background_jobs: i64 = 2, Db, (1.0, 64.0), online,
+            "Total budget for concurrent background flush and compaction jobs";
+        max_background_compactions: i64 = -1, Db, (-1.0, 64.0), online,
+            "Concurrent compaction jobs; -1 derives ~3/4 of max_background_jobs";
+        max_background_flushes: i64 = -1, Db, (-1.0, 64.0), online,
+            "Concurrent flush jobs; -1 derives ~1/4 of max_background_jobs";
+        max_subcompactions: i64 = 1, Db, (1.0, 32.0), online,
+            "Threads one compaction may split key ranges across";
+        bytes_per_sync: u64 = 0, Db, (0.0, GIB64), online,
+            "Sync SST file data incrementally every N bytes (0 = leave to OS writeback)";
+        wal_bytes_per_sync: u64 = 0, Db, (0.0, GIB64), online,
+            "Sync WAL data incrementally every N bytes (0 = leave to OS writeback)";
+        strict_bytes_per_sync: bool = false, Db, -, online,
+            "Block writers until incremental syncs complete (bounds dirty data, adds write latency)";
+        delayed_write_rate: u64 = 16 << 20, Db, (1024.0, GIB64), online,
+            "Write throughput cap while the write controller is in the slowdown regime";
+        /// Read by the simulator's write cost only: every commit group is
+        /// synced before it becomes reader-visible.
+        enable_pipelined_write: bool = true, Db, -, reopen,
+            "Pipeline WAL append and memtable insert stages of the write path";
+        allow_concurrent_memtable_write: bool = true, Db, -, reopen,
+            "Allow multiple writers to insert into the memtable concurrently \
+             (real mode: off caps commit groups at a single batch)";
+        use_direct_reads: bool = false, Db, -, reopen,
+            "Bypass the OS page cache for user reads";
+        use_direct_io_for_flush_and_compaction: bool = false, Db, -, reopen,
+            "Bypass the OS page cache for background I/O";
+        compaction_readahead_size: u64 = 2 << 20, Db, (0.0, (256u64 << 20) as f64), online,
+            "Read compaction inputs in sequential chunks of this size (critical on HDDs)";
+        /// NOT mutable online: the table cache's reader capacity is fixed
+        /// when the cache is constructed at open; a new value would not
+        /// resize it until the next reopen.
+        max_open_files: i64 = -1, Db, (-1.0, 1_000_000.0), reopen,
+            "Table files kept open; -1 = all (avoids reopen cost on reads)";
+        max_total_wal_size: u64 = 0, Db, (0.0, TIB), online,
+            "Force memtable switch once live WALs exceed this (0 = 4x write buffers)";
+        db_write_buffer_size: u64 = 0, Db, (0.0, TIB), online,
+            "Global memtable budget across all column families (0 = unlimited)";
+        dump_malloc_stats: bool = true, Db, -, online,
+            "Dump allocator statistics to the info log (observability only)";
+        stats_dump_period_sec: i64 = 600, Db, (0.0, 86_400.0), online,
+            "Seconds between statistics dumps to the info log";
+        rate_limiter_bytes_per_sec: u64 = 0, Db, (0.0, GIB64), online,
+            "Cap background I/O rate to smooth foreground latency (0 = unlimited)";
+        /// While non-zero, writes carry an 8-byte write-timestamp suffix;
+        /// reads treat entries older than the TTL as absent, and flush and
+        /// compaction physically drop them.
+        ttl_seconds: u64 = 0, Db, (0.0, 3_153_600_000.0), online,
+            "Expire values this many seconds after write via the TTL compaction \
+             filter (0 = never; online changes apply to existing data)";
+        paranoid_checks: bool = true, Db, -, reopen,
+            "Verify checksums aggressively on every read";
+        use_fsync: bool = false, Db, -, reopen,
+            "Use fsync instead of fdatasync at durability points";
+        disable_wal: bool = false, Db, -, reopen protected, ["disableWAL"],
+            "Disable the write-ahead log (unsafe: loses durability; protected)";
+        manual_wal_flush: bool = false, Db, -, reopen protected,
+            "Flush WAL only on explicit request (unsafe: loses durability; protected)";
+        table_cache_numshardbits: i64 = 6, Db, (0.0, 19.0), reopen,
+            "Shards (log2) in the table-reader cache";
+        avoid_flush_during_shutdown: bool = false, Db, -, reopen protected,
+            "Skip flushing memtables at shutdown (unsafe: loses recent writes; protected)";
+        avoid_flush_during_recovery: bool = false, Db, -, reopen,
+            "Skip flushing replayed memtables right after recovery";
+        recycle_log_file_num: i64 = 0, Db, (0.0, 64.0), reopen,
+            "Recycle this many WAL files instead of deleting them";
+        writable_file_max_buffer_size: u64 = 1 << 20, Db, (4096.0, (64u64 << 20) as f64), reopen,
+            "Write buffer size for file appends before hitting the device";
+        max_file_opening_threads: i64 = 16, Db, (1.0, 64.0), reopen,
+            "Threads used to open table files at DB open";
+        enable_write_thread_adaptive_yield: bool = true, Db, -, reopen,
+            "Spin briefly before blocking when joining the write group";
+        wal_compression: CompressionType = CompressionType::None, Db, -, online,
+            "Compress WAL records (accepted; modeled as neutral)";
 
-            block_size: 4096,
-            block_restart_interval: 16,
-            bloom_filter_bits_per_key: 0.0,
-            whole_key_filtering: true,
-            cache_index_and_filter_blocks: false,
-            pin_l0_filter_and_index_blocks_in_cache: false,
-            block_cache_size: 8 << 20,
-            no_block_cache: false,
+        // ---- CFOptions ----
+        write_buffer_size: u64 = 64 << 20, Cf, (65_536.0, GIB64), online,
+            "Memtable size that triggers a flush; bigger absorbs more writes but uses RAM";
+        max_write_buffer_number: i64 = 2, Cf, (1.0, 64.0), online,
+            "Memtables (active+immutable) kept before writes stall";
+        min_write_buffer_number_to_merge: i64 = 1, Cf, (1.0, 16.0), online,
+            "Immutable memtables merged into one L0 file per flush";
+        level0_file_num_compaction_trigger: i64 = 4, Cf, (1.0, 1000.0), online,
+            "L0 file count that triggers L0->L1 compaction";
+        level0_slowdown_writes_trigger: i64 = 20, Cf, (1.0, 10_000.0), online,
+            "L0 file count at which writes are throttled";
+        level0_stop_writes_trigger: i64 = 36, Cf, (1.0, 10_000.0), online,
+            "L0 file count at which writes stop entirely";
+        num_levels: i64 = 7, Cf, (2.0, 12.0), reopen,
+            "Number of LSM levels";
+        target_file_size_base: u64 = 64 << 20, Cf, (65_536.0, GIB64), online,
+            "Target SST file size at L1";
+        target_file_size_multiplier: i64 = 1, Cf, (1.0, 100.0), online,
+            "Per-level multiplier applied to target_file_size_base";
+        max_bytes_for_level_base: u64 = 256 << 20, Cf, (1_048_576.0, TIB), online,
+            "Target total bytes at L1";
+        max_bytes_for_level_multiplier: f64 = 10.0, Cf, (1.0, 100.0), online,
+            "Growth factor between consecutive level targets";
+        level_compaction_dynamic_level_bytes: bool = false, Cf, -, reopen,
+            "Size levels dynamically from the last level upward (lower space amplification)";
+        compaction_style: CompactionStyle = CompactionStyle::Level, Cf, -, reopen,
+            "Compaction strategy: leveled, universal (size-tiered), or FIFO";
+        compression: CompressionType = CompressionType::Snappy, Cf, -, online,
+            "Block compression: trades CPU for smaller files and less write I/O";
+        bottommost_compression: CompressionType = CompressionType::None, Cf, -, online,
+            "Compression override for the bottommost level";
+        disable_auto_compactions: bool = false, Cf, -, online,
+            "Disable automatic compactions (manual compaction only)";
+        memtable_prefix_bloom_size_ratio: f64 = 0.0, Cf, (0.0, 0.25), online,
+            "Memtable bloom filter size as a fraction of write_buffer_size";
+        /// Registered so the safeguard can tell RocksDB's own
+        /// `memtable_factory=SkipListFactory` from a hallucinated name;
+        /// the engine reads it nowhere.
+        memtable_factory: MemtableRep = MemtableRep::BTreeMap, Cf, -, online, ["memtablerep"],
+            "Memtable representation: accepted for option-file compatibility; \
+             the engine has one memtable";
+        optimize_filters_for_hits: bool = false, Cf, -, reopen,
+            "Skip bloom filters on the last level to save memory when most reads hit";
+        soft_pending_compaction_bytes_limit: u64 = 64 << 30, Cf, (0.0, TIB), online,
+            "Pending compaction debt that triggers write slowdown";
+        hard_pending_compaction_bytes_limit: u64 = 256 << 30, Cf, (0.0, TIB), online,
+            "Pending compaction debt that stops writes";
+        max_compaction_bytes: u64 = (64 << 20) * 25, Cf, (1_048_576.0, TIB), online,
+            "Maximum bytes one compaction may span";
+        report_bg_io_stats: bool = false, Cf, -, online,
+            "Collect per-job background I/O statistics";
+        universal_max_size_amplification_percent: i64 = 200, Cf, (1.0, 10_000.0), online,
+            "Universal compaction: allowed space amplification percent";
+        universal_size_ratio: i64 = 1, Cf, (0.0, 100.0), online,
+            "Universal compaction: size-ratio tolerance percent for merging runs";
+        universal_min_merge_width: i64 = 2, Cf, (2.0, 64.0), online,
+            "Universal compaction: minimum runs merged at once";
+        universal_max_merge_width: i64 = 64, Cf, (2.0, 1024.0), online,
+            "Universal compaction: maximum runs merged at once";
+        fifo_max_table_files_size: u64 = 1 << 30, Cf, (1_048_576.0, TIB), online,
+            "FIFO compaction: total size budget before oldest files are dropped";
+        periodic_compaction_seconds: i64 = 0, Cf, (0.0, 31_536_000.0), online,
+            "Rewrite files older than this (accepted; modeled as neutral)";
 
-            num_shards: 1,
-        }
+        // ---- BlockBasedTableOptions ----
+        // Mutable online: the table-build configuration is snapshotted
+        // from the live options at job-claim time, so SSTs built after a
+        // change use the new value. Files already on disk keep the format
+        // they were written with (self-describing), same as compression.
+        block_size: u64 = 4096, Table, (256.0, (64u64 << 20) as f64), online,
+            "Uncompressed data block size; smaller favours point reads, larger favours scans";
+        block_restart_interval: i64 = 16, Table, (1.0, 256.0), online,
+            "Keys between restart points inside a block";
+        bloom_filter_bits_per_key: f64 = 0.0, Table, (0.0, 40.0), online,
+            "Bloom filter bits per key (0 disables; ~10 gives ~1% false positives)";
+        /// `false` builds no filter at all.
+        whole_key_filtering: bool = true, Table, -, online,
+            "Add whole keys to the bloom filter";
+        /// Mutable online: consulted on every block access, not baked into
+        /// any structure at open.
+        cache_index_and_filter_blocks: bool = false, Table, -, online,
+            "Charge index/filter blocks to the block cache instead of pinning them";
+        pin_l0_filter_and_index_blocks_in_cache: bool = false, Table, -, reopen,
+            "Pin L0 index/filter blocks in cache even when charged to it";
+        block_cache_size: u64 = 8 << 20, Table, (0.0, TIB), reopen, ["cache_size"],
+            "Block cache capacity for uncompressed data blocks";
+        no_block_cache: bool = false, Table, -, reopen,
+            "Disable the block cache entirely";
+
+        // ---- Sharding (registered under [DBOptions]) ----
+        num_shards: i64 = 1, Db, (1.0, 64.0), reopen,
+            "Key-range shards, each an independent LSM tree behind one facade (1 = unsharded)";
     }
 }
 
@@ -440,6 +449,10 @@ impl Options {
     }
 
     /// Validates cross-field invariants.
+    ///
+    /// Its bounds are the engine's floors, deliberately looser than the
+    /// registry's ranges, which bound what the tuner may set: tests run
+    /// `max_bytes_for_level_base` at 256 KiB, below the registry's 1 MiB.
     ///
     /// # Errors
     ///

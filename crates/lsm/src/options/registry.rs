@@ -5,7 +5,9 @@
 //! rule-based expert model all discover options here rather than
 //! hard-coding a subset (the limitation of prior auto-tuners the paper
 //! calls out). Each entry carries the RocksDB-compatible name, type,
-//! bounds, section, a one-line description, and accessors.
+//! bounds, section, a one-line description, and accessors. The entries
+//! are the rows of the option table in `options/mod.rs`, which also
+//! declares the `Options` struct and its defaults.
 
 use std::cmp::Ordering;
 use std::sync::OnceLock;
@@ -67,8 +69,8 @@ pub struct OptionMeta {
     /// Whether safeguards protect this option from LLM modification by
     /// default (paper: "disallow of journaling or logging").
     pub protected_by_default: bool,
-    /// One-line human description. Nothing in the engine, the tuner or
-    /// the prompts reads it; it is documentation.
+    /// One-line human description, also the doc of the option's `Options`
+    /// field. Nothing in the engine, the tuner or the prompts reads it.
     pub description: &'static str,
     /// Reads the current value as a canonical string.
     pub get: fn(&Options) -> String,
@@ -170,359 +172,106 @@ fn parse_double(s: &str) -> Option<f64> {
     s.trim().parse::<f64>().ok().filter(|f| f.is_finite())
 }
 
-fn check_range(name: &str, v: f64, range: Option<(f64, f64)>) -> Result<()> {
-    if let Some((lo, hi)) = range {
+/// A Rust type an option field can have. The registry's kind, the
+/// literal parser and the error noun follow from the type, so the option
+/// table states none of them.
+pub(super) trait OptionValue: Sized {
+    /// The kind the registry reports.
+    const KIND: OptionKind;
+    /// Completes "`name=literal` is not …" for a literal that does not parse.
+    const NOUN: &'static str;
+    /// Parses a literal.
+    fn parse_literal(s: &str) -> Option<Self>;
+    /// The value on the number line its range is checked on; `None` for
+    /// kinds without a range.
+    fn as_f64(&self) -> Option<f64> {
+        None
+    }
+}
+
+impl OptionValue for bool {
+    const KIND: OptionKind = OptionKind::Bool;
+    const NOUN: &'static str = "a boolean";
+    fn parse_literal(s: &str) -> Option<Self> {
+        parse_bool(s)
+    }
+}
+
+impl OptionValue for i64 {
+    const KIND: OptionKind = OptionKind::Int;
+    const NOUN: &'static str = "an integer";
+    fn parse_literal(s: &str) -> Option<Self> {
+        parse_int(s)
+    }
+    fn as_f64(&self) -> Option<f64> {
+        Some(*self as f64)
+    }
+}
+
+impl OptionValue for u64 {
+    const KIND: OptionKind = OptionKind::Size;
+    const NOUN: &'static str = "a byte size";
+    fn parse_literal(s: &str) -> Option<Self> {
+        parse_size(s)
+    }
+    fn as_f64(&self) -> Option<f64> {
+        Some(*self as f64)
+    }
+}
+
+impl OptionValue for f64 {
+    const KIND: OptionKind = OptionKind::Double;
+    const NOUN: &'static str = "a number";
+    fn parse_literal(s: &str) -> Option<Self> {
+        parse_double(s)
+    }
+    fn as_f64(&self) -> Option<f64> {
+        Some(*self)
+    }
+}
+
+impl OptionValue for CompressionType {
+    const KIND: OptionKind = OptionKind::Enum(&["none", "snappy", "lz4", "zstd"]);
+    const NOUN: &'static str = "a compression type";
+    fn parse_literal(s: &str) -> Option<Self> {
+        CompressionType::parse(s)
+    }
+}
+
+impl OptionValue for CompactionStyle {
+    const KIND: OptionKind = OptionKind::Enum(&["level", "universal", "fifo"]);
+    const NOUN: &'static str = "a compaction style";
+    fn parse_literal(s: &str) -> Option<Self> {
+        CompactionStyle::parse(s)
+    }
+}
+
+impl OptionValue for MemtableRep {
+    const KIND: OptionKind = OptionKind::Enum(&["btree", "skiplist"]);
+    const NOUN: &'static str = "a memtable rep";
+    fn parse_literal(s: &str) -> Option<Self> {
+        MemtableRep::parse(s)
+    }
+}
+
+/// Parses `literal` as option `name`'s value and checks it against the
+/// option's inclusive range: the one setter every registry row calls.
+pub(super) fn parse_checked<T: OptionValue>(
+    name: &str,
+    literal: &str,
+    range: Option<(f64, f64)>,
+) -> Result<T> {
+    let value = T::parse_literal(literal).ok_or_else(|| {
+        Error::invalid_argument(format!("{name}={literal} is not {}", T::NOUN))
+    })?;
+    if let (Some((lo, hi)), Some(v)) = (range, value.as_f64()) {
         if v < lo || v > hi {
             return Err(Error::invalid_argument(format!(
                 "{name}={v} is outside the valid range [{lo}, {hi}]"
             )));
         }
     }
-    Ok(())
-}
-
-macro_rules! opt_bool {
-    ($field:ident, $section:expr, $mutable:expr, $protected:expr, $desc:expr) => {
-        OptionMeta {
-            name: stringify!($field),
-            aliases: &[],
-            section: $section,
-            kind: OptionKind::Bool,
-            range: None,
-            mutable_online: $mutable,
-            protected_by_default: $protected,
-            description: $desc,
-            get: |o| o.$field.to_string(),
-            set: |o, v| {
-                o.$field = parse_bool(v).ok_or_else(|| {
-                    Error::invalid_argument(format!(
-                        concat!(stringify!($field), "={} is not a boolean"),
-                        v
-                    ))
-                })?;
-                Ok(())
-            },
-        }
-    };
-}
-
-macro_rules! opt_int {
-    ($field:ident, $section:expr, $range:expr, $mutable:expr, $desc:expr) => {
-        OptionMeta {
-            name: stringify!($field),
-            aliases: &[],
-            section: $section,
-            kind: OptionKind::Int,
-            range: Some($range),
-            mutable_online: $mutable,
-            protected_by_default: false,
-            description: $desc,
-            get: |o| o.$field.to_string(),
-            set: |o, v| {
-                let parsed = parse_int(v).ok_or_else(|| {
-                    Error::invalid_argument(format!(
-                        concat!(stringify!($field), "={} is not an integer"),
-                        v
-                    ))
-                })?;
-                check_range(stringify!($field), parsed as f64, Some($range))?;
-                o.$field = parsed;
-                Ok(())
-            },
-        }
-    };
-}
-
-macro_rules! opt_size {
-    ($field:ident, $section:expr, $range:expr, $mutable:expr, $desc:expr) => {
-        opt_size!($field, &[], $section, $range, $mutable, $desc)
-    };
-    ($field:ident, $aliases:expr, $section:expr, $range:expr, $mutable:expr, $desc:expr) => {
-        OptionMeta {
-            name: stringify!($field),
-            aliases: $aliases,
-            section: $section,
-            kind: OptionKind::Size,
-            range: Some($range),
-            mutable_online: $mutable,
-            protected_by_default: false,
-            description: $desc,
-            get: |o| o.$field.to_string(),
-            set: |o, v| {
-                let parsed = parse_size(v).ok_or_else(|| {
-                    Error::invalid_argument(format!(
-                        concat!(stringify!($field), "={} is not a byte size"),
-                        v
-                    ))
-                })?;
-                check_range(stringify!($field), parsed as f64, Some($range))?;
-                o.$field = parsed;
-                Ok(())
-            },
-        }
-    };
-}
-
-macro_rules! opt_double {
-    ($field:ident, $section:expr, $range:expr, $mutable:expr, $desc:expr) => {
-        OptionMeta {
-            name: stringify!($field),
-            aliases: &[],
-            section: $section,
-            kind: OptionKind::Double,
-            range: Some($range),
-            mutable_online: $mutable,
-            protected_by_default: false,
-            description: $desc,
-            get: |o| format!("{}", o.$field),
-            set: |o, v| {
-                let parsed = parse_double(v).ok_or_else(|| {
-                    Error::invalid_argument(format!(
-                        concat!(stringify!($field), "={} is not a number"),
-                        v
-                    ))
-                })?;
-                check_range(stringify!($field), parsed, Some($range))?;
-                o.$field = parsed;
-                Ok(())
-            },
-        }
-    };
-}
-
-macro_rules! opt_compression {
-    ($field:ident, $section:expr, $desc:expr) => {
-        OptionMeta {
-            name: stringify!($field),
-            aliases: &[],
-            section: $section,
-            kind: OptionKind::Enum(&["none", "snappy", "lz4", "zstd"]),
-            range: None,
-            mutable_online: true,
-            protected_by_default: false,
-            description: $desc,
-            get: |o| o.$field.to_string(),
-            set: |o, v| {
-                o.$field = CompressionType::parse(v).ok_or_else(|| {
-                    Error::invalid_argument(format!(
-                        concat!(stringify!($field), "={} is not a compression type"),
-                        v
-                    ))
-                })?;
-                Ok(())
-            },
-        }
-    };
-}
-
-const GIB64: f64 = (64u64 << 30) as f64;
-const TIB: f64 = (1u64 << 40) as f64;
-
-fn build_registry() -> Vec<OptionMeta> {
-    use Section::{Cf, Db, Table};
-    vec![
-        // ---------------- DBOptions ----------------
-        opt_int!(max_background_jobs, Db, (1.0, 64.0), true,
-            "Total budget for concurrent background flush and compaction jobs"),
-        opt_int!(max_background_compactions, Db, (-1.0, 64.0), true,
-            "Concurrent compaction jobs; -1 derives ~3/4 of max_background_jobs"),
-        opt_int!(max_background_flushes, Db, (-1.0, 64.0), true,
-            "Concurrent flush jobs; -1 derives ~1/4 of max_background_jobs"),
-        opt_int!(max_subcompactions, Db, (1.0, 32.0), true,
-            "Threads one compaction may split key ranges across"),
-        opt_size!(bytes_per_sync, Db, (0.0, GIB64), true,
-            "Sync SST file data incrementally every N bytes (0 = leave to OS writeback)"),
-        opt_size!(wal_bytes_per_sync, Db, (0.0, GIB64), true,
-            "Sync WAL data incrementally every N bytes (0 = leave to OS writeback)"),
-        opt_bool!(strict_bytes_per_sync, Db, true, false,
-            "Block writers until incremental syncs complete (bounds dirty data, adds write latency)"),
-        opt_size!(delayed_write_rate, Db, (1024.0, GIB64), true,
-            "Write throughput cap while the write controller is in the slowdown regime"),
-        opt_bool!(enable_pipelined_write, Db, false, false,
-            "Pipeline WAL append and memtable insert stages of the write path"),
-        opt_bool!(allow_concurrent_memtable_write, Db, false, false,
-            "Allow multiple writers to insert into the memtable concurrently \
-             (real mode: off caps commit groups at a single batch)"),
-        opt_bool!(use_direct_reads, Db, false, false,
-            "Bypass the OS page cache for user reads"),
-        opt_bool!(use_direct_io_for_flush_and_compaction, Db, false, false,
-            "Bypass the OS page cache for background I/O"),
-        opt_size!(compaction_readahead_size, Db, (0.0, (256u64 << 20) as f64), true,
-            "Read compaction inputs in sequential chunks of this size (critical on HDDs)"),
-        // NOT mutable online: the TableCache's reader capacity is fixed
-        // when the cache is constructed at open; a new value would not
-        // resize it until the next reopen.
-        opt_int!(max_open_files, Db, (-1.0, 1_000_000.0), false,
-            "Table files kept open; -1 = all (avoids reopen cost on reads)"),
-        opt_size!(max_total_wal_size, Db, (0.0, TIB), true,
-            "Force memtable switch once live WALs exceed this (0 = 4x write buffers)"),
-        opt_size!(db_write_buffer_size, Db, (0.0, TIB), true,
-            "Global memtable budget across all column families (0 = unlimited)"),
-        opt_bool!(dump_malloc_stats, Db, true, false,
-            "Dump allocator statistics to the info log (observability only)"),
-        opt_int!(stats_dump_period_sec, Db, (0.0, 86_400.0), true,
-            "Seconds between statistics dumps to the info log"),
-        opt_size!(rate_limiter_bytes_per_sec, Db, (0.0, GIB64), true,
-            "Cap background I/O rate to smooth foreground latency (0 = unlimited)"),
-        opt_size!(ttl_seconds, Db, (0.0, 3_153_600_000.0), true,
-            "Expire values this many seconds after write via the TTL compaction \
-             filter (0 = never; online changes apply to existing data)"),
-        opt_bool!(paranoid_checks, Db, false, false,
-            "Verify checksums aggressively on every read"),
-        opt_bool!(use_fsync, Db, false, false,
-            "Use fsync instead of fdatasync at durability points"),
-        OptionMeta {
-            name: "disable_wal",
-            aliases: &["disableWAL"],
-            section: Db,
-            kind: OptionKind::Bool,
-            range: None,
-            mutable_online: false,
-            protected_by_default: true,
-            description: "Disable the write-ahead log (unsafe: loses durability; protected)",
-            get: |o| o.disable_wal.to_string(),
-            set: |o, v| {
-                o.disable_wal = parse_bool(v)
-                    .ok_or_else(|| Error::invalid_argument(format!("disable_wal={v} is not a boolean")))?;
-                Ok(())
-            },
-        },
-        opt_bool!(manual_wal_flush, Db, false, true,
-            "Flush WAL only on explicit request (unsafe: loses durability; protected)"),
-        opt_int!(table_cache_numshardbits, Db, (0.0, 19.0), false,
-            "Shards (log2) in the table-reader cache"),
-        opt_bool!(avoid_flush_during_shutdown, Db, false, true,
-            "Skip flushing memtables at shutdown (unsafe: loses recent writes; protected)"),
-        opt_bool!(avoid_flush_during_recovery, Db, false, false,
-            "Skip flushing replayed memtables right after recovery"),
-        opt_int!(recycle_log_file_num, Db, (0.0, 64.0), false,
-            "Recycle this many WAL files instead of deleting them"),
-        opt_size!(writable_file_max_buffer_size, Db, (4096.0, (64u64 << 20) as f64), false,
-            "Write buffer size for file appends before hitting the device"),
-        opt_int!(max_file_opening_threads, Db, (1.0, 64.0), false,
-            "Threads used to open table files at DB open"),
-        opt_bool!(enable_write_thread_adaptive_yield, Db, false, false,
-            "Spin briefly before blocking when joining the write group"),
-        opt_compression!(wal_compression, Db,
-            "Compress WAL records (accepted; modeled as neutral)"),
-        opt_int!(num_shards, Db, (1.0, 64.0), false,
-            "Key-range shards, each an independent LSM tree behind one facade (1 = unsharded)"),
-        // ---------------- CFOptions ----------------
-        opt_size!(write_buffer_size, Cf, (65_536.0, GIB64), true,
-            "Memtable size that triggers a flush; bigger absorbs more writes but uses RAM"),
-        opt_int!(max_write_buffer_number, Cf, (1.0, 64.0), true,
-            "Memtables (active+immutable) kept before writes stall"),
-        opt_int!(min_write_buffer_number_to_merge, Cf, (1.0, 16.0), true,
-            "Immutable memtables merged into one L0 file per flush"),
-        opt_int!(level0_file_num_compaction_trigger, Cf, (1.0, 1000.0), true,
-            "L0 file count that triggers L0->L1 compaction"),
-        opt_int!(level0_slowdown_writes_trigger, Cf, (1.0, 10_000.0), true,
-            "L0 file count at which writes are throttled"),
-        opt_int!(level0_stop_writes_trigger, Cf, (1.0, 10_000.0), true,
-            "L0 file count at which writes stop entirely"),
-        opt_int!(num_levels, Cf, (2.0, 12.0), false,
-            "Number of LSM levels"),
-        opt_size!(target_file_size_base, Cf, (65_536.0, GIB64), true,
-            "Target SST file size at L1"),
-        opt_int!(target_file_size_multiplier, Cf, (1.0, 100.0), true,
-            "Per-level multiplier applied to target_file_size_base"),
-        opt_size!(max_bytes_for_level_base, Cf, (1_048_576.0, TIB), true,
-            "Target total bytes at L1"),
-        opt_double!(max_bytes_for_level_multiplier, Cf, (1.0, 100.0), true,
-            "Growth factor between consecutive level targets"),
-        opt_bool!(level_compaction_dynamic_level_bytes, Cf, false, false,
-            "Size levels dynamically from the last level upward (lower space amplification)"),
-        OptionMeta {
-            name: "compaction_style",
-            aliases: &[],
-            section: Cf,
-            kind: OptionKind::Enum(&["level", "universal", "fifo"]),
-            range: None,
-            mutable_online: false,
-            protected_by_default: false,
-            description: "Compaction strategy: leveled, universal (size-tiered), or FIFO",
-            get: |o| o.compaction_style.to_string(),
-            set: |o, v| {
-                o.compaction_style = CompactionStyle::parse(v).ok_or_else(|| {
-                    Error::invalid_argument(format!("compaction_style={v} is not a compaction style"))
-                })?;
-                Ok(())
-            },
-        },
-        opt_compression!(compression, Cf,
-            "Block compression: trades CPU for smaller files and less write I/O"),
-        opt_compression!(bottommost_compression, Cf,
-            "Compression override for the bottommost level"),
-        opt_bool!(disable_auto_compactions, Cf, true, false,
-            "Disable automatic compactions (manual compaction only)"),
-        opt_double!(memtable_prefix_bloom_size_ratio, Cf, (0.0, 0.25), true,
-            "Memtable bloom filter size as a fraction of write_buffer_size"),
-        // Recognised so the safeguard can tell RocksDB's own
-        // `memtable_factory=SkipListFactory` from a hallucinated name.
-        OptionMeta {
-            name: "memtable_factory",
-            aliases: &["memtablerep"],
-            section: Cf,
-            kind: OptionKind::Enum(&["btree", "skiplist"]),
-            range: None,
-            mutable_online: true,
-            protected_by_default: false,
-            description: "Memtable representation: accepted for option-file compatibility; \
-                          the engine has one memtable",
-            get: |o| o.memtable_factory.to_string(),
-            set: |o, v| {
-                o.memtable_factory = MemtableRep::parse(v).ok_or_else(|| {
-                    Error::invalid_argument(format!("memtable_factory={v} is not a memtable rep"))
-                })?;
-                Ok(())
-            },
-        },
-        opt_bool!(optimize_filters_for_hits, Cf, false, false,
-            "Skip bloom filters on the last level to save memory when most reads hit"),
-        opt_size!(soft_pending_compaction_bytes_limit, Cf, (0.0, TIB), true,
-            "Pending compaction debt that triggers write slowdown"),
-        opt_size!(hard_pending_compaction_bytes_limit, Cf, (0.0, TIB), true,
-            "Pending compaction debt that stops writes"),
-        opt_size!(max_compaction_bytes, Cf, (1_048_576.0, TIB), true,
-            "Maximum bytes one compaction may span"),
-        opt_bool!(report_bg_io_stats, Cf, true, false,
-            "Collect per-job background I/O statistics"),
-        opt_int!(universal_max_size_amplification_percent, Cf, (1.0, 10_000.0), true,
-            "Universal compaction: allowed space amplification percent"),
-        opt_int!(universal_size_ratio, Cf, (0.0, 100.0), true,
-            "Universal compaction: size-ratio tolerance percent for merging runs"),
-        opt_int!(universal_min_merge_width, Cf, (2.0, 64.0), true,
-            "Universal compaction: minimum runs merged at once"),
-        opt_int!(universal_max_merge_width, Cf, (2.0, 1024.0), true,
-            "Universal compaction: maximum runs merged at once"),
-        opt_size!(fifo_max_table_files_size, Cf, (1_048_576.0, TIB), true,
-            "FIFO compaction: total size budget before oldest files are dropped"),
-        opt_int!(periodic_compaction_seconds, Cf, (0.0, 31_536_000.0), true,
-            "Rewrite files older than this (accepted; modeled as neutral)"),
-        // ---------------- BlockBasedTableOptions ----------------
-        // Mutable online: the table-build configuration is snapshotted
-        // from the live options at job-claim time, so SSTs built after a
-        // change use the new value. Files already on disk keep the format
-        // they were written with (self-describing), same as compression.
-        opt_size!(block_size, Table, (256.0, (64u64 << 20) as f64), true,
-            "Uncompressed data block size; smaller favours point reads, larger favours scans"),
-        opt_int!(block_restart_interval, Table, (1.0, 256.0), true,
-            "Keys between restart points inside a block"),
-        opt_double!(bloom_filter_bits_per_key, Table, (0.0, 40.0), true,
-            "Bloom filter bits per key (0 disables; ~10 gives ~1% false positives)"),
-        opt_bool!(whole_key_filtering, Table, true, false,
-            "Add whole keys to the bloom filter"),
-        // Mutable online: consulted on every block access, not baked into
-        // any structure at open.
-        opt_bool!(cache_index_and_filter_blocks, Table, true, false,
-            "Charge index/filter blocks to the block cache instead of pinning them"),
-        opt_bool!(pin_l0_filter_and_index_blocks_in_cache, Table, false, false,
-            "Pin L0 index/filter blocks in cache even when charged to it"),
-        opt_size!(block_cache_size, &["cache_size"], Table, (0.0, TIB), false,
-            "Block cache capacity for uncompressed data blocks"),
-        opt_bool!(no_block_cache, Table, false, false,
-            "Disable the block cache entirely"),
-    ]
+    Ok(value)
 }
 
 /// Names the framework recognizes but does not take: real RocksDB names
@@ -592,7 +341,7 @@ pub const DEPRECATED_OPTIONS: &[DeprecatedOption] = &[
 pub fn all_options() -> &'static [OptionMeta] {
     static REGISTRY: OnceLock<Vec<OptionMeta>> = OnceLock::new();
     REGISTRY.get_or_init(|| {
-        let mut v = build_registry();
+        let mut v = super::option_rows();
         v.sort_by(|a, b| match (a.section as u8).cmp(&(b.section as u8)) {
             Ordering::Equal => a.name.cmp(b.name),
             o => o,
