@@ -159,19 +159,6 @@ fn strip_size_suffix(s: &str, suffixes: &[&str]) -> Option<String> {
     None
 }
 
-fn parse_int(s: &str) -> Option<i64> {
-    let t = s.trim();
-    if let Ok(v) = t.parse::<i64>() {
-        return Some(v);
-    }
-    // Tolerate size suffixes on integer options ("max_compaction_bytes=1GB").
-    parse_size(t).and_then(|v| i64::try_from(v).ok())
-}
-
-fn parse_double(s: &str) -> Option<f64> {
-    s.trim().parse::<f64>().ok().filter(|f| f.is_finite())
-}
-
 /// A Rust type an option field can have. The registry's kind, the
 /// literal parser and the error noun follow from the type, so the option
 /// table states none of them.
@@ -201,7 +188,9 @@ impl OptionValue for i64 {
     const KIND: OptionKind = OptionKind::Int;
     const NOUN: &'static str = "an integer";
     fn parse_literal(s: &str) -> Option<Self> {
-        parse_int(s)
+        let t = s.trim();
+        // Tolerate size suffixes on integer options ("max_compaction_bytes=1GB").
+        t.parse().ok().or_else(|| parse_size(t).and_then(|v| i64::try_from(v).ok()))
     }
     fn as_f64(&self) -> Option<f64> {
         Some(*self as f64)
@@ -223,7 +212,7 @@ impl OptionValue for f64 {
     const KIND: OptionKind = OptionKind::Double;
     const NOUN: &'static str = "a number";
     fn parse_literal(s: &str) -> Option<Self> {
-        parse_double(s)
+        s.trim().parse::<f64>().ok().filter(|f| f.is_finite())
     }
     fn as_f64(&self) -> Option<f64> {
         Some(*self)

@@ -23,9 +23,10 @@ fn dump() -> String {
     };
     let mut out = String::new();
     for meta in all_options() {
-        let over_range = meta.range.map_or_else(|| "-".to_string(), |(_, hi)| {
-            answer(meta.name, &(2.0 * hi).to_string())
-        });
+        let over_range = meta.range.map_or_else(
+            || "-".to_string(),
+            |(_, hi)| answer(meta.name, &(2.0 * hi).to_string()),
+        );
         writeln!(
             out,
             "{} | {:?} | {:?} | {:?} | {:?} | online={} | protected={} | {} | {} | {} | {}",
@@ -59,5 +60,8 @@ fn the_option_surface_matches_its_fixture() {
     for (at, (got, want)) in dump.lines().zip(fixture.lines()).enumerate() {
         assert_eq!(got, want, "line {} of fixtures/REGISTRY.pr23", at + 1);
     }
-    assert_eq!(dump, fixture, "same lines, different line count or trailing bytes");
+    assert_eq!(
+        dump, fixture,
+        "same lines, different line count or trailing bytes"
+    );
 }
