@@ -1,5 +1,6 @@
 //! Property-based tests for the storage engine's core invariants.
 
+use std::cmp::Reverse;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -12,7 +13,8 @@ use lsm_kvs::sstable::compress;
 use lsm_kvs::vfs::{MemVfs, Vfs};
 use lsm_kvs::wal::replay_wal;
 use lsm_kvs::{
-    Db, InternalKey, KeyRanges, MemTable, ReadOptions, ValueType, WriteBatch, WriteOptions,
+    Db, InternalKey, KeyRanges, MemTable, MemTableCursor, ReadOptions, ValueType, WriteBatch,
+    WriteOptions,
 };
 
 fn key_strategy() -> impl Strategy<Value = Vec<u8>> {
@@ -71,25 +73,111 @@ proptest! {
         }
     }
 
+    /// The memtable against a map keyed by (user key, newest first). User
+    /// keys of 0 to 40 bytes, many sharing prefixes, straddle the length
+    /// up to which a key can be stored inline; values of 0 and 1 bytes,
+    /// small ones, and sizes around a 64 KiB chunk straddle the edges of
+    /// any chunked value store. Deletions, TTL-stamped values and several
+    /// versions per key; point reads at random snapshots, the full view,
+    /// cursors from random targets and the byte accounting all agree.
     #[test]
-    fn memtable_matches_model(ops in vec((key_strategy(), value_strategy(), any::<bool>()), 1..200)) {
-        let mt = MemTable::new(0);
-        let mut model: BTreeMap<Vec<u8>, Option<Vec<u8>>> = BTreeMap::new();
-        for (seq, (k, v, is_delete)) in ops.iter().enumerate() {
-            if *is_delete {
-                mt.add((seq + 1) as u64, ValueType::Deletion, k, b"");
-                model.insert(k.clone(), None);
-            } else {
-                mt.add((seq + 1) as u64, ValueType::Value, k, v);
-                model.insert(k.clone(), Some(v.clone()));
-            }
+    fn memtable_matches_model(
+        base in vec(0u8..4, 40),
+        pool in vec((0usize..41, any::<u8>(), any::<bool>()), 1..12),
+        ops in vec((any::<usize>(), 0u8..3, 0usize..16, any::<u8>()), 1..200),
+        probes in vec((any::<usize>(), any::<u64>(), 0u8..3), 1..24),
+    ) {
+        const CHUNK: usize = 64 << 10;
+        let sizes =
+            [0, 1, 1, 7, 16, 23, 24, 100, 150, 200, 255, 1000, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK];
+        let types = [ValueType::Deletion, ValueType::Value, ValueType::TtlValue];
+        // Prefixes of one string over a four-letter alphabet, some with
+        // their last byte changed: siblings and prefixes of each other.
+        let keys: Vec<Vec<u8>> = pool
+            .iter()
+            .map(|&(len, last, sibling)| {
+                let mut k = base[..len].to_vec();
+                if let (true, Some(b)) = (sibling, k.last_mut()) {
+                    *b = last;
+                }
+                k
+            })
+            .collect();
+
+        let mt = Arc::new(MemTable::new(0));
+        let mut model: BTreeMap<(Vec<u8>, Reverse<u64>), (ValueType, Vec<u8>)> = BTreeMap::new();
+        let mut charged = 0usize;
+        for (i, &(key, ty, size, fill)) in ops.iter().enumerate() {
+            let (seq, ty, key) = (i as u64 + 1, types[usize::from(ty)], &keys[key % keys.len()]);
+            let value = match ty {
+                ValueType::Deletion => Vec::new(),
+                _ => {
+                    // The op's index at both ends tells values apart.
+                    let mut v = vec![fill; sizes[size]];
+                    let stamp = (i as u32).to_le_bytes();
+                    for (at, b) in stamp.iter().enumerate().take(v.len()) {
+                        v[at] = *b;
+                        let end = v.len() - 1 - at;
+                        v[end] = *b;
+                    }
+                    if ty == ValueType::TtlValue {
+                        v.extend_from_slice(&(seq * 1_000).to_le_bytes());
+                    }
+                    v
+                }
+            };
+            mt.add(seq, ty, key, &value);
+            charged += key.len() + 8 + value.len() + 48;
+            model.insert((key.clone(), Reverse(seq)), (ty, value));
         }
-        for (k, expected) in &model {
-            let got = mt.get(k, u64::MAX >> 8);
-            match expected {
-                Some(v) => prop_assert_eq!(got, Some((ValueType::Value, v.clone()))),
-                None => prop_assert_eq!(got, Some((ValueType::Deletion, Vec::new()))),
+        prop_assert_eq!(mt.len(), model.len());
+        prop_assert_eq!(mt.approximate_memory_usage(), charged);
+        prop_assert_eq!(mt.first_sequence(), Some(1));
+        prop_assert_eq!(mt.last_sequence(), ops.len() as u64);
+
+        let expected: Vec<(Vec<u8>, Vec<u8>)> = model
+            .iter()
+            .map(|((user, seq), (ty, v))| (InternalKey::new(user, seq.0, *ty).into_encoded(), v.clone()))
+            .collect();
+        let view = mt.view();
+        let walked: Vec<(Vec<u8>, Vec<u8>)> =
+            view.iter().map(|(k, v)| (k.to_vec(), v.to_vec())).collect();
+        drop(view);
+        prop_assert!(walked == expected, "view order or bytes differ from the model");
+
+        for &(key, snapshot, ty) in &probes {
+            // One probe in eight asks for a key the pool may not hold.
+            let user = if key % 8 == 7 {
+                base[..key % 41].to_vec()
+            } else {
+                keys[key % keys.len()].clone()
+            };
+            let snapshot = snapshot % (ops.len() as u64 + 2);
+            let newest = model
+                .range((user.clone(), Reverse(snapshot))..)
+                .next()
+                .filter(|((u, _), _)| *u == user)
+                .map(|(_, (ty, v))| (*ty, v.clone()));
+            prop_assert!(mt.get(&user, snapshot) == newest, "get {:?} at {}", user, snapshot);
+
+            // A cursor from (user, snapshot, type) walks the model's tail.
+            let target = InternalKey::new(&user, snapshot, types[usize::from(ty)]);
+            let split = |k: &[u8]| {
+                let (user, tag) = k.split_at(k.len() - 8);
+                (user.to_vec(), u64::from_le_bytes(tag.try_into().unwrap()))
+            };
+            let (target_user, target_tag) = split(target.encoded());
+            let tail = expected.iter().filter(|(k, _)| {
+                let (u, tag) = split(k);
+                u > target_user || (u == target_user && tag <= target_tag)
+            });
+            let mut cursor = MemTableCursor::seek(Arc::clone(&mt), target.encoded());
+            for (k, v) in tail {
+                prop_assert!(cursor.key() == Some(k.as_slice()), "cursor from {:?}", target);
+                prop_assert!(cursor.value() == Some(v.as_slice()), "cursor value at {:?}", k);
+                cursor.advance();
             }
+            prop_assert_eq!(cursor.key(), None);
         }
     }
 
