@@ -29,7 +29,7 @@ use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use hw_sim::{Clock, SimTime};
+use hw_sim::{Clock, SimDuration, SimTime};
 use parking_lot::{Mutex, RwLock};
 
 use crate::cache::{BlockCache, CacheStats, TableCache};
@@ -92,6 +92,10 @@ struct DbState {
     running_compactions: usize,
     pending_compaction_bytes: u64,
     writes_since_account: u64,
+    /// Real mode: when the delayed writes committed so far have paid off
+    /// their delay. Each one pushes it out by its own delay; it falls
+    /// back to zero when the regime returns to normal.
+    pace_until: SimTime,
     /// Input SSTs replaced by a compaction but possibly still referenced
     /// by readers holding an older `Arc<Version>`. Physically deleted
     /// once their only remaining reference is this list.
@@ -122,6 +126,7 @@ impl DbState {
             running_compactions: 0,
             pending_compaction_bytes: 0,
             writes_since_account: 0,
+            pace_until: SimTime::ZERO,
             obsolete_files: Vec::new(),
         }
     }
@@ -273,6 +278,12 @@ const WAIT_SLICE: Duration = Duration::from_millis(20);
 
 /// Longest single real-mode sleep of a delayed writer.
 const MAX_WRITE_DELAY: Duration = Duration::from_millis(100);
+
+/// A real-mode delayed writer sleeps only once its pacing deadline is
+/// this far ahead (RocksDB refills its delay budget every millisecond):
+/// a sleep of a few microseconds costs a scheduler wakeup many times its
+/// length.
+const PACE_GRANULARITY: SimDuration = SimDuration::from_millis(1);
 
 /// Bounded retries for manifest append/sync on transient errors.
 const MANIFEST_RETRIES: u32 = 5;

@@ -11,12 +11,13 @@
 
 use std::time::Instant;
 
+use hw_sim::{SimDuration, SimTime};
 use parking_lot::MutexGuard;
 
 use super::open::new_memtable;
 use super::{
     wal_file_name, Db, DbInner, DbState, ImmEntry, Mode, WriteOptions, MAX_GROUP_BATCHES,
-    STALL_TIMEOUT, WAL_SYNC_RETRIES,
+    PACE_GRANULARITY, STALL_TIMEOUT, WAL_SYNC_RETRIES,
 };
 use crate::batch::WriteBatch;
 use crate::error::{Error, Result};
@@ -264,18 +265,26 @@ impl DbInner {
     }
 
     /// Blocks the committing thread while the write controller reports
-    /// pressure: a delayed write waits out its delay once, a stopped one
-    /// waits for background completions until the stall clears.
+    /// pressure: a delayed write waits out its delay once (see
+    /// [`Self::paced_delay`]), a stopped one waits for background
+    /// completions until the stall clears.
     fn wait_writable(&self, state: &mut MutexGuard<'_, DbState>, bytes: u64) -> Result<()> {
         let mut stall_started = None;
         loop {
             let regime = self.controller.read().regime(&self.pressure(state));
             self.note_regime(regime);
             let delay = match regime {
-                WriteRegime::Normal => return Ok(()),
+                WriteRegime::Normal => {
+                    state.pace_until = SimTime::ZERO;
+                    return Ok(());
+                }
                 WriteRegime::Delayed => {
                     self.stats.tickers().inc(Ticker::WriteSlowdowns);
-                    Some(self.controller.read().delay_for(bytes))
+                    let delay = self.controller.read().delay_for(bytes);
+                    match self.paced_delay(state, delay) {
+                        Some(sleep) => Some(sleep),
+                        None => return Ok(()),
+                    }
                 }
                 WriteRegime::Stopped => {
                     self.stats.tickers().inc(Ticker::WriteStops);
@@ -297,6 +306,21 @@ impl DbInner {
                 return Err(Error::busy("write stall did not clear"));
             }
         }
+    }
+
+    /// How long a delayed write owing `delay` sleeps, if at all. Sim
+    /// charges every write its own delay on the virtual clock. Real mode
+    /// adds it to a pacing deadline and sleeps until that deadline only
+    /// once it is [`PACE_GRANULARITY`] ahead, so the delays of many small
+    /// writes are paid in a few sleeps and the rate is what it says.
+    fn paced_delay(&self, state: &mut DbState, delay: SimDuration) -> Option<SimDuration> {
+        if let Mode::Sim(_) = self.mode {
+            return Some(delay);
+        }
+        let now = self.clock.now();
+        state.pace_until = state.pace_until.max(now) + delay;
+        let ahead = state.pace_until.saturating_since(now);
+        (ahead >= PACE_GRANULARITY).then_some(ahead)
     }
 
     /// Syncs the WAL if the group asked for it (or `wal_bytes_per_sync`
