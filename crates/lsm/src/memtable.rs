@@ -21,7 +21,6 @@ use parking_lot::{RwLock, RwLockReadGuard};
 use crate::error::Result;
 use crate::merge::Cursor;
 use crate::options::MemtableRep;
-use crate::sstable::bloom::{BloomBuilder, BloomFilter};
 use crate::types::{internal_key_cmp, split_tag, InternalKey, SequenceNumber, ValueType};
 
 /// A byte key ordered by the internal-key comparator.
@@ -229,32 +228,6 @@ impl MemTable {
             .range((from, Bound::Unbounded))
             .next()
             .map(|(k, v)| (k.0.clone(), v.clone()))
-    }
-
-    /// Builds an optional SST-style bloom filter over the distinct user
-    /// keys, reusing the table bloom implementation. Construction is
-    /// streaming: keys are hashed as the entries are walked, so no second
-    /// copy of the key set is materialized.
-    pub fn build_table_bloom(&self, bits_per_key: f64) -> Option<BloomFilter> {
-        if bits_per_key <= 0.0 {
-            return None;
-        }
-        let mut builder = BloomBuilder::new(bits_per_key);
-        let view = self.view();
-        // Entries are sorted by user key; dedup consecutive runs with one
-        // reused buffer instead of collecting every key.
-        let mut last_user: Vec<u8> = Vec::new();
-        let mut any = false;
-        for (k, _) in view.iter() {
-            let user = &k[..k.len() - 8];
-            if !any || last_user.as_slice() != user {
-                builder.add_key(user);
-                last_user.clear();
-                last_user.extend_from_slice(user);
-                any = true;
-            }
-        }
-        Some(builder.finish())
     }
 }
 
@@ -495,18 +468,6 @@ mod tests {
         mt.add(9, ValueType::Value, b"b", b"");
         assert_eq!(mt.first_sequence(), Some(7));
         assert_eq!(mt.last_sequence(), 9);
-    }
-
-    #[test]
-    fn table_bloom_built_over_distinct_user_keys() {
-        let mt = MemTable::new(0);
-        mt.add(1, ValueType::Value, b"k", b"v1");
-        mt.add(2, ValueType::Value, b"k", b"v2");
-        mt.add(3, ValueType::Value, b"other", b"v");
-        let bloom = mt.build_table_bloom(10.0).unwrap();
-        assert!(bloom.may_contain(b"k"));
-        assert!(bloom.may_contain(b"other"));
-        assert!(mt.build_table_bloom(0.0).is_none());
     }
 
     #[test]
