@@ -21,25 +21,78 @@ use parking_lot::{RwLock, RwLockReadGuard};
 use crate::error::Result;
 use crate::merge::Cursor;
 use crate::options::MemtableRep;
-use crate::types::{internal_key_cmp, split_tag, InternalKey, SequenceNumber, ValueType};
+use crate::types::{
+    internal_key_cmp, split_tag, SequenceNumber, ValueType, MAX_SEQUENCE, VALUE_TYPE_FOR_SEEK,
+};
 
-/// A byte key ordered by the internal-key comparator.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct OrderedKey(Vec<u8>);
+/// The longest encoded internal key stored inside the B-tree node: a
+/// user key of up to 22 bytes and its 8-byte tag.
+const INLINE_KEY: usize = 30;
 
-impl PartialOrd for OrderedKey {
+/// An encoded internal key as the map stores it, ordered by the
+/// internal-key comparator. Keys of up to [`INLINE_KEY`] bytes (the
+/// 16-byte keys of every benchmark among them) live in the node itself,
+/// so inserting one allocates nothing and comparing one follows no
+/// pointer; longer keys are boxed.
+#[derive(Debug, Clone)]
+enum MemKey {
+    Inline(u8, [u8; INLINE_KEY]),
+    Heap(Box<[u8]>),
+}
+
+const _: () = assert!(std::mem::size_of::<MemKey>() == 32);
+
+impl MemKey {
+    /// The key `user_key ++ fixed64(tag)`.
+    fn new(user_key: &[u8], tag: u64) -> MemKey {
+        MemKey::from_parts(user_key, &tag.to_le_bytes())
+    }
+
+    /// The key of an already encoded internal key.
+    fn from_encoded(encoded: &[u8]) -> MemKey {
+        MemKey::from_parts(encoded, &[])
+    }
+
+    fn from_parts(head: &[u8], tail: &[u8]) -> MemKey {
+        let len = head.len() + tail.len();
+        if len > INLINE_KEY {
+            return MemKey::Heap([head, tail].concat().into_boxed_slice());
+        }
+        let mut bytes = [0; INLINE_KEY];
+        bytes[..head.len()].copy_from_slice(head);
+        bytes[head.len()..len].copy_from_slice(tail);
+        MemKey::Inline(len as u8, bytes)
+    }
+
+    fn as_bytes(&self) -> &[u8] {
+        match self {
+            MemKey::Inline(len, bytes) => &bytes[..usize::from(*len)],
+            MemKey::Heap(bytes) => bytes,
+        }
+    }
+}
+
+impl PartialEq for MemKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_bytes() == other.as_bytes()
+    }
+}
+
+impl Eq for MemKey {}
+
+impl PartialOrd for MemKey {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl Ord for OrderedKey {
+impl Ord for MemKey {
     fn cmp(&self, other: &Self) -> Ordering {
-        internal_key_cmp(&self.0, &other.0)
+        internal_key_cmp(self.as_bytes(), other.as_bytes())
     }
 }
 
-type Map = BTreeMap<OrderedKey, Vec<u8>>;
+type Map = BTreeMap<MemKey, Vec<u8>>;
 
 /// An ordered in-memory buffer of recent writes.
 ///
@@ -144,15 +197,16 @@ impl MemTable {
         }
     }
 
-    /// Inserts a value or tombstone. The owned internal key and the owned
-    /// value the map stores are the only two allocations an entry costs.
+    /// Inserts a value or tombstone. The internal key is built in place
+    /// (inline for short keys); the owned value is the entry's one
+    /// allocation.
     pub fn add(&self, seq: SequenceNumber, ty: ValueType, user_key: &[u8], value: &[u8]) {
         if let Some(bloom) = &self.bloom {
             bloom.add(user_key);
         }
-        let key = InternalKey::new(user_key, seq, ty).into_encoded();
-        let charged = key.len() + value.len() + ENTRY_OVERHEAD;
-        self.map.write().insert(OrderedKey(key), value.to_vec());
+        let key = MemKey::new(user_key, (seq << 8) | ty as u64);
+        let charged = user_key.len() + 8 + value.len() + ENTRY_OVERHEAD;
+        self.map.write().insert(key, value.to_vec());
         self.approximate_bytes.fetch_add(charged, AtomicOrdering::Relaxed);
         self.first_seq.fetch_min(seq, AtomicOrdering::Relaxed);
         self.last_seq.fetch_max(seq, AtomicOrdering::Relaxed);
@@ -169,13 +223,13 @@ impl MemTable {
                 return None;
             }
         }
-        let lookup = crate::types::lookup_key(user_key, snapshot);
         // Entries are newest-first per user key; the first one at or
         // below the snapshot decides.
+        let seek_tag = (snapshot.min(MAX_SEQUENCE) << 8) | VALUE_TYPE_FOR_SEEK as u64;
+        let seek = MemKey::new(user_key, seek_tag);
         let map = self.map.read();
-        let start = Bound::Included(OrderedKey(lookup.into_encoded()));
-        let (k, v) = map.range((start, Bound::Unbounded)).next()?;
-        let (found_user, tag) = split_tag(&k.0);
+        let (k, v) = map.range(seek..).next()?;
+        let (found_user, tag) = split_tag(k.as_bytes());
         (found_user == user_key).then(|| {
             let ty = ValueType::from_u8(tag as u8).expect("memtable keys are valid");
             (ty, v.clone())
@@ -222,12 +276,12 @@ impl MemTable {
     /// The first entry within `from`, copied out under a momentary read
     /// lock.
     fn entry_from(&self, from: Bound<&[u8]>) -> Option<(Vec<u8>, Vec<u8>)> {
-        let from = from.map(|k| OrderedKey(k.to_vec()));
+        let from = from.map(MemKey::from_encoded);
         self.map
             .read()
             .range((from, Bound::Unbounded))
             .next()
-            .map(|(k, v)| (k.0.clone(), v.clone()))
+            .map(|(k, v)| (k.as_bytes().to_vec(), v.clone()))
     }
 }
 
@@ -278,13 +332,13 @@ impl Cursor for ViewCursor<'_> {
 }
 
 /// Iterator over a [`MemTableView`].
-pub struct MemViewIter<'a>(std::collections::btree_map::Iter<'a, OrderedKey, Vec<u8>>);
+pub struct MemViewIter<'a>(std::collections::btree_map::Iter<'a, MemKey, Vec<u8>>);
 
 impl<'a> Iterator for MemViewIter<'a> {
     type Item = (&'a [u8], &'a [u8]);
 
     fn next(&mut self) -> Option<Self::Item> {
-        self.0.next().map(|(k, v)| (k.0.as_slice(), v.as_slice()))
+        self.0.next().map(|(k, v)| (k.as_bytes(), v.as_slice()))
     }
 }
 
@@ -346,6 +400,7 @@ impl Cursor for MemTableCursor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::InternalKey;
 
     #[test]
     fn put_then_get() {
