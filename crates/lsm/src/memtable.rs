@@ -5,9 +5,15 @@
 //! flushes emit sorted runs directly.
 //!
 //! There is one representation: a `BTreeMap` behind a reader-writer lock,
-//! mutated through `&self`. Accounting (approximate bytes, first/last
-//! sequence) sits beside it as atomics. `memtable_factory` is still a
-//! recognised option, but nothing here reads it.
+//! mutated through `&self`. An internal key of up to 30 bytes lives inside
+//! the B-tree node (longer ones are boxed), and the values live in an
+//! append-only arena of 64 KiB chunks under the same lock, so an entry
+//! with a short key allocates nothing of its own and a dropped memtable
+//! frees its values a chunk at a time. Accounting (approximate bytes,
+//! first/last sequence) sits beside the map as atomics and charges each
+//! entry its user key + 8 + value + 48 bytes, whatever the layout.
+//! `memtable_factory` is still a recognised option, but nothing here reads
+//! it.
 
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
@@ -34,7 +40,6 @@ const INLINE_KEY: usize = 30;
 /// 16-byte keys of every benchmark among them) live in the node itself,
 /// so inserting one allocates nothing and comparing one follows no
 /// pointer; longer keys are boxed.
-#[derive(Debug, Clone)]
 enum MemKey {
     Inline(u8, [u8; INLINE_KEY]),
     Heap(Box<[u8]>),
@@ -92,7 +97,72 @@ impl Ord for MemKey {
     }
 }
 
-type Map = BTreeMap<MemKey, Vec<u8>>;
+/// The size of an arena chunk. A value larger than this gets a chunk of
+/// its own.
+const CHUNK: usize = 64 << 10;
+
+/// Where a value lives in its memtable's [`Arena`].
+#[derive(Clone, Copy)]
+struct Span {
+    chunk: u32,
+    offset: u32,
+    len: usize,
+}
+
+/// Append-only storage for a memtable's values: 64 KiB chunks filled in
+/// order and freed together when the memtable drops. A value's bytes are
+/// never moved or overwritten, and a span names its chunk by index.
+#[derive(Default)]
+struct Arena {
+    chunks: Vec<Vec<u8>>,
+    /// The chunk small values are appended to. Oversized values are
+    /// pushed after it and leave it filling.
+    filling: usize,
+}
+
+impl Arena {
+    fn push(&mut self, value: &[u8]) -> Span {
+        let (chunk, offset) = if value.len() > CHUNK {
+            self.chunks.push(value.to_vec());
+            (self.chunks.len() - 1, 0)
+        } else {
+            let fits = |c: &Vec<u8>| c.len() + value.len() <= CHUNK;
+            if !self.chunks.get(self.filling).is_some_and(fits) {
+                self.chunks.push(Vec::with_capacity(CHUNK));
+                self.filling = self.chunks.len() - 1;
+            }
+            let chunk = &mut self.chunks[self.filling];
+            chunk.extend_from_slice(value);
+            (self.filling, chunk.len() - value.len())
+        };
+        Span {
+            chunk: u32::try_from(chunk).expect("fewer than 2^32 chunks"),
+            // At most CHUNK: the cast is lossless.
+            offset: offset as u32,
+            len: value.len(),
+        }
+    }
+
+    fn get(&self, span: Span) -> &[u8] {
+        let offset = span.offset as usize;
+        &self.chunks[span.chunk as usize][offset..offset + span.len]
+    }
+}
+
+/// The ordered keys and the arena their values live in, behind one lock.
+#[derive(Default)]
+struct Entries {
+    map: BTreeMap<MemKey, Span>,
+    arena: Arena,
+}
+
+impl Entries {
+    /// The first entry within `from`, as `(encoded key, value)`.
+    fn first_from(&self, from: Bound<MemKey>) -> Option<(&[u8], &[u8])> {
+        let (k, span) = self.map.range((from, Bound::Unbounded)).next()?;
+        Some((k.as_bytes(), self.arena.get(*span)))
+    }
+}
 
 /// An ordered in-memory buffer of recent writes.
 ///
@@ -103,7 +173,7 @@ type Map = BTreeMap<MemKey, Vec<u8>>;
 /// Memory accounting is approximate (key + value + fixed per-entry
 /// overhead), mirroring how RocksDB charges its arena.
 pub struct MemTable {
-    map: RwLock<Map>,
+    entries: RwLock<Entries>,
     /// Optional bloom filter over user keys, enabled by
     /// `memtable_prefix_bloom_size_ratio > 0`.
     bloom: Option<MemTableBloom>,
@@ -185,7 +255,7 @@ impl MemTable {
         _unused: usize,
     ) -> Self {
         MemTable {
-            map: RwLock::new(BTreeMap::new()),
+            entries: RwLock::default(),
             bloom: if bloom_bytes > 0 {
                 Some(MemTableBloom::new(bloom_bytes, expected_entries))
             } else {
@@ -198,15 +268,18 @@ impl MemTable {
     }
 
     /// Inserts a value or tombstone. The internal key is built in place
-    /// (inline for short keys); the owned value is the entry's one
-    /// allocation.
+    /// and the value is appended to the arena, so an entry allocates
+    /// nothing of its own unless its key is longer than [`INLINE_KEY`].
     pub fn add(&self, seq: SequenceNumber, ty: ValueType, user_key: &[u8], value: &[u8]) {
         if let Some(bloom) = &self.bloom {
             bloom.add(user_key);
         }
         let key = MemKey::new(user_key, (seq << 8) | ty as u64);
         let charged = user_key.len() + 8 + value.len() + ENTRY_OVERHEAD;
-        self.map.write().insert(key, value.to_vec());
+        let mut entries = self.entries.write();
+        let span = entries.arena.push(value);
+        entries.map.insert(key, span);
+        drop(entries);
         self.approximate_bytes.fetch_add(charged, AtomicOrdering::Relaxed);
         self.first_seq.fetch_min(seq, AtomicOrdering::Relaxed);
         self.last_seq.fetch_max(seq, AtomicOrdering::Relaxed);
@@ -226,13 +299,13 @@ impl MemTable {
         // Entries are newest-first per user key; the first one at or
         // below the snapshot decides.
         let seek_tag = (snapshot.min(MAX_SEQUENCE) << 8) | VALUE_TYPE_FOR_SEEK as u64;
-        let seek = MemKey::new(user_key, seek_tag);
-        let map = self.map.read();
-        let (k, v) = map.range(seek..).next()?;
-        let (found_user, tag) = split_tag(k.as_bytes());
+        let seek = Bound::Included(MemKey::new(user_key, seek_tag));
+        let entries = self.entries.read();
+        let (k, v) = entries.first_from(seek)?;
+        let (found_user, tag) = split_tag(k);
         (found_user == user_key).then(|| {
             let ty = ValueType::from_u8(tag as u8).expect("memtable keys are valid");
-            (ty, v.clone())
+            (ty, v.to_vec())
         })
     }
 
@@ -244,7 +317,7 @@ impl MemTable {
 
     /// Number of entries (including tombstones and shadowed versions).
     pub fn len(&self) -> usize {
-        self.map.read().len()
+        self.entries.read().map.len()
     }
 
     /// Whether the memtable holds no entries.
@@ -270,18 +343,15 @@ impl MemTable {
     /// the lock, and the map is walked in place instead of re-seeking and
     /// cloning per entry as [`MemTableCursor`] must.
     pub fn view(&self) -> MemTableView<'_> {
-        MemTableView(self.map.read())
+        MemTableView(self.entries.read())
     }
 
     /// The first entry within `from`, copied out under a momentary read
     /// lock.
     fn entry_from(&self, from: Bound<&[u8]>) -> Option<(Vec<u8>, Vec<u8>)> {
         let from = from.map(MemKey::from_encoded);
-        self.map
-            .read()
-            .range((from, Bound::Unbounded))
-            .next()
-            .map(|(k, v)| (k.as_bytes().to_vec(), v.clone()))
+        let entries = self.entries.read();
+        entries.first_from(from).map(|(k, v)| (k.to_vec(), v.to_vec()))
     }
 }
 
@@ -296,12 +366,12 @@ impl fmt::Debug for MemTable {
 
 /// A borrowed, ordered view of a memtable's entries; see
 /// [`MemTable::view`].
-pub struct MemTableView<'a>(RwLockReadGuard<'a, Map>);
+pub struct MemTableView<'a>(RwLockReadGuard<'a, Entries>);
 
 impl MemTableView<'_> {
     /// Iterates entries in internal-key order as `(encoded_key, value)`.
     pub fn iter(&self) -> MemViewIter<'_> {
-        MemViewIter(self.0.iter())
+        MemViewIter { keys: self.0.map.iter(), arena: &self.0.arena }
     }
 
     /// The view as a merge source, positioned at its first entry.
@@ -332,13 +402,16 @@ impl Cursor for ViewCursor<'_> {
 }
 
 /// Iterator over a [`MemTableView`].
-pub struct MemViewIter<'a>(std::collections::btree_map::Iter<'a, MemKey, Vec<u8>>);
+pub struct MemViewIter<'a> {
+    keys: std::collections::btree_map::Iter<'a, MemKey, Span>,
+    arena: &'a Arena,
+}
 
 impl<'a> Iterator for MemViewIter<'a> {
     type Item = (&'a [u8], &'a [u8]);
 
     fn next(&mut self) -> Option<Self::Item> {
-        self.0.next().map(|(k, v)| (k.as_bytes(), v.as_slice()))
+        self.keys.next().map(|(k, span)| (k.as_bytes(), self.arena.get(*span)))
     }
 }
 
