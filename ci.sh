@@ -66,7 +66,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo doc -D warnings (every intra-doc link resolves, nothing public links a private item)"
 RUSTDOCFLAGS='-D warnings' cargo doc --no-deps --workspace
 
-echo "==> house rules: non-test lines under crates/*/src, allocations per get, scanned entry and built entry"
+echo "==> house rules: non-test lines under crates/*/src, allocations per put, get, scanned entry and built entry"
 # The number every PR reports the delta of, computed one way: each file
 # cut at its first #[cfg(test)], the rule crates/lsm/tests/retired.rs
 # applies to the sources it scans. Printed, not gated.
@@ -76,10 +76,11 @@ find crates/*/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
     !in_tests { lines++ }
     END { print "non-test lines under crates/*/src: " lines }'
 # And the allocation figures PRs report, as their tests (already run and
-# gated above) print them: warm and cold gets and the scan (ROADMAP 3(b)),
-# flush and merge (the table build).
-cargo test -q -p lsm-kvs --test get_allocs --test scan_cost --test build_allocs -- --nocapture 2>&1 \
-    | grep -E 'allocations over .* gets|allocations per (scanned entry|entry)' || true
+# gated above) print them: puts and ten-op writes, warm and cold gets and
+# the scan (ROADMAP 3(b)), flush and merge (the table build).
+cargo test -q -p lsm-kvs --test put_allocs --test get_allocs --test scan_cost --test build_allocs \
+    -- --nocapture 2>&1 \
+    | grep -E 'allocations: .* puts|allocations over .* gets|allocations per (scanned entry|entry)' || true
 
 echo "==> sharding gate: --shards 1 must be byte-identical to no flag"
 ./target/release/db_bench --benchmarks fillrandom --num 20000 > /tmp/ci-noshard.txt

@@ -3,23 +3,24 @@
 //!
 //! A write is encoded once: `WriteBatch` appends each operation to the
 //! bytes that become its WAL record, the commit patches the sequence
-//! header in place and replays those bytes into the memtable. The five
+//! header in place and replays those bytes into the memtable. The three
 //! allocations a sim-mode `Db::put` still makes, and why:
 //!
 //! - the batch's record: one buffer, sized by the first operation;
-//! - the memtable's owned internal key and owned value: a
-//!   `BTreeMap<Vec<u8>, Vec<u8>>` stores what it is handed (plus a B-tree
-//!   node every few inserts — the fractional part of the count);
 //! - the `Vec<&[u8]>` of the group's records that `WalWriter::add_records`
 //!   and `WalSink::ship` take, once per commit group (a sim write is a
 //!   group of one);
 //! - the compaction picker's per-level target sizes, computed when the
 //!   commit looks for background work — not the write path's own.
 //!
+//! The memtable entry itself allocates nothing: a key this short sits
+//! inside the B-tree node and the value is appended to the memtable's
+//! arena. What it costs is a B-tree node every few inserts and a 64 KiB
+//! arena chunk every 1,500 or so values, the fractional part of the count.
 //! The WAL writer frames into a buffer it keeps and the sim VFS appends to
 //! the file's own, so neither costs a write anything once warm. A ten-op
-//! `Db::write` pays the memtable's two per entry and spreads the rest, and
-//! the record's doublings, over its entries.
+//! `Db::write` spreads the three, and the record's doublings, over its
+//! entries.
 //!
 //! This file holds exactly one test so nothing else in the binary
 //! pollutes the allocator counters (integration tests in one binary run
@@ -58,10 +59,11 @@ fn allocs() -> u64 {
 /// Allocations of 2,000 `Db::put`s and of 200 ten-op `Db::write`s into a
 /// memtable that already holds data and never fills (no flush in the
 /// measured region). The run is simulated and repeats exactly; the
-/// bounds are the counts measured at the commit before `WriteBatch`
-/// became its own WAL record (91717d9: `PARENT_PUT` and `PARENT_BATCH`,
-/// 11.17 per put and 5.07 per batched entry), and the change must stay
-/// strictly below both.
+/// bounds are the counts it measures with keys inline and values in the
+/// arena: 3.17 per put and 0.77 per batched entry. They were 5.17 and
+/// 2.77 when the memtable held an owned key and an owned value per
+/// entry, and 11.17 and 5.07 before `WriteBatch` became its own WAL
+/// record (91717d9).
 #[test]
 fn write_allocations_stay_below_the_parent() {
     use hw_sim::HardwareEnv;
@@ -71,8 +73,8 @@ fn write_allocations_stay_below_the_parent() {
     const PUTS: u32 = 2_000;
     const BATCHES: u32 = 200;
     const PER_BATCH: u32 = 10;
-    const PARENT_PUT: u64 = 22_331;
-    const PARENT_BATCH: u64 = 10_137;
+    const PINNED_PUT: u64 = 6_332;
+    const PINNED_BATCH: u64 = 1_538;
     let key = |i: u32| format!("key-{i:08}").into_bytes();
     let value = b"a value of thirty-two bytes.....";
 
@@ -111,6 +113,6 @@ fn write_allocations_stay_below_the_parent() {
         put as f64 / f64::from(PUTS),
         batch as f64 / f64::from(BATCHES * PER_BATCH),
     );
-    assert!(put < PARENT_PUT, "puts: {put} allocations, {PARENT_PUT} at the parent");
-    assert!(batch < PARENT_BATCH, "batched writes: {batch} allocations, {PARENT_BATCH} at the parent");
+    assert!(put <= PINNED_PUT, "puts: {put} allocations, pinned at {PINNED_PUT}");
+    assert!(batch <= PINNED_BATCH, "batched writes: {batch} allocations, pinned at {PINNED_BATCH}");
 }
