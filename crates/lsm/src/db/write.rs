@@ -280,11 +280,11 @@ impl DbInner {
                 }
                 WriteRegime::Delayed => {
                     self.stats.tickers().inc(Ticker::WriteSlowdowns);
-                    let delay = self.controller.read().delay_for(bytes);
-                    match self.paced_delay(state, delay) {
-                        Some(sleep) => Some(sleep),
-                        None => return Ok(()),
-                    }
+                    let owed = self.controller.read().delay_for(bytes);
+                    let Some(sleep) = self.paced_delay(state, owed) else {
+                        return Ok(());
+                    };
+                    Some(sleep)
                 }
                 WriteRegime::Stopped => {
                     self.stats.tickers().inc(Ticker::WriteStops);

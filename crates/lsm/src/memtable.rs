@@ -50,22 +50,13 @@ const _: () = assert!(std::mem::size_of::<MemKey>() == 32);
 impl MemKey {
     /// The key `user_key ++ fixed64(tag)`.
     fn new(user_key: &[u8], tag: u64) -> MemKey {
-        MemKey::from_parts(user_key, &tag.to_le_bytes())
-    }
-
-    /// The key of an already encoded internal key.
-    fn from_encoded(encoded: &[u8]) -> MemKey {
-        MemKey::from_parts(encoded, &[])
-    }
-
-    fn from_parts(head: &[u8], tail: &[u8]) -> MemKey {
-        let len = head.len() + tail.len();
+        let (tag, len) = (tag.to_le_bytes(), user_key.len() + 8);
         if len > INLINE_KEY {
-            return MemKey::Heap([head, tail].concat().into_boxed_slice());
+            return MemKey::Heap([user_key, &tag].concat().into_boxed_slice());
         }
         let mut bytes = [0; INLINE_KEY];
-        bytes[..head.len()].copy_from_slice(head);
-        bytes[head.len()..len].copy_from_slice(tail);
+        bytes[..user_key.len()].copy_from_slice(user_key);
+        bytes[user_key.len()..len].copy_from_slice(&tag);
         MemKey::Inline(len as u8, bytes)
     }
 
@@ -349,7 +340,10 @@ impl MemTable {
     /// The first entry within `from`, copied out under a momentary read
     /// lock.
     fn entry_from(&self, from: Bound<&[u8]>) -> Option<(Vec<u8>, Vec<u8>)> {
-        let from = from.map(MemKey::from_encoded);
+        let from = from.map(|k| {
+            let (user_key, tag) = split_tag(k);
+            MemKey::new(user_key, tag)
+        });
         let entries = self.entries.read();
         entries.first_from(from).map(|(k, v)| (k.to_vec(), v.to_vec()))
     }
