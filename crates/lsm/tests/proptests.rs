@@ -25,6 +25,9 @@ fn value_strategy() -> impl Strategy<Value = Vec<u8>> {
     vec(any::<u8>(), 0..200)
 }
 
+/// What a memtable holds, keyed by (user key, newest first).
+type MemtableModel = BTreeMap<(Vec<u8>, Reverse<u64>), (ValueType, Vec<u8>)>;
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -105,7 +108,7 @@ proptest! {
             .collect();
 
         let mt = Arc::new(MemTable::new(0));
-        let mut model: BTreeMap<(Vec<u8>, Reverse<u64>), (ValueType, Vec<u8>)> = BTreeMap::new();
+        let mut model = MemtableModel::new();
         let mut charged = 0usize;
         for (i, &(key, ty, size, fill)) in ops.iter().enumerate() {
             let (seq, ty, key) = (i as u64 + 1, types[usize::from(ty)], &keys[key % keys.len()]);
