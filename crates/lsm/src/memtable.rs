@@ -260,7 +260,7 @@ impl MemTable {
 
     /// Inserts a value or tombstone. The internal key is built in place
     /// and the value is appended to the arena, so an entry allocates
-    /// nothing of its own unless its key is longer than [`INLINE_KEY`].
+    /// nothing of its own unless its user key is longer than 22 bytes.
     pub fn add(&self, seq: SequenceNumber, ty: ValueType, user_key: &[u8], value: &[u8]) {
         if let Some(bloom) = &self.bloom {
             bloom.add(user_key);
