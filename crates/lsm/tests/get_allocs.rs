@@ -55,8 +55,7 @@ fn allocs() -> u64 {
 /// false`, before anything fills it), which add three to the warm hit's
 /// four: the read buffer, the decoded block and the parsed `Arc<Block>`.
 /// The run is simulated and repeats exactly; the bounds are the counts it
-/// measures. They were 10,000, 2,045 and 16,000 while the memtable probe
-/// built its bound key on the heap.
+/// measures.
 #[test]
 fn warm_get_allocations_do_not_rise() {
     use hw_sim::HardwareEnv;

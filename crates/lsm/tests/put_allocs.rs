@@ -59,11 +59,8 @@ fn allocs() -> u64 {
 /// Allocations of 2,000 `Db::put`s and of 200 ten-op `Db::write`s into a
 /// memtable that already holds data and never fills (no flush in the
 /// measured region). The run is simulated and repeats exactly; the
-/// bounds are the counts it measures with keys inline and values in the
-/// arena: 3.17 per put and 0.77 per batched entry. They were 5.17 and
-/// 2.77 when the memtable held an owned key and an owned value per
-/// entry, and 11.17 and 5.07 before `WriteBatch` became its own WAL
-/// record (91717d9).
+/// bounds are the counts it measures, 3.17 per put and 0.77 per batched
+/// entry.
 #[test]
 fn write_allocations_stay_below_the_parent() {
     use hw_sim::HardwareEnv;

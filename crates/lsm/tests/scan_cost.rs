@@ -43,8 +43,7 @@ fn allocs() -> u64 {
 }
 
 /// A long memtable scan costs a bounded number of allocations per entry:
-/// the re-seek cursor's two plus the owned result row's two (4.00; 5.00
-/// while the cursor's bound key was built on the heap).
+/// the re-seek cursor's two plus the owned result row's two.
 #[test]
 fn long_scan_allocations_are_bounded_per_entry() {
     use hw_sim::HardwareEnv;
