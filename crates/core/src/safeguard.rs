@@ -423,6 +423,32 @@ mod tests {
         assert_eq!(out.violations[0].kind, ViolationKind::Protected);
     }
 
+    /// The six compaction-style options are recognised and answered
+    /// whatever the engine does with them: `vet` applies all six, and an
+    /// option file that sets them reads back the same values.
+    #[test]
+    fn compaction_style_options_are_applied_and_read_back() {
+        let proposals = [
+            ("compaction_style", "universal"),
+            ("universal_size_ratio", "10"),
+            ("universal_min_merge_width", "4"),
+            ("universal_max_merge_width", "8"),
+            ("universal_max_size_amplification_percent", "300"),
+            ("fifo_max_table_files_size", "2GB"),
+        ];
+        let changes: Vec<ProposedChange> = proposals.iter().map(|(n, v)| change(n, v)).collect();
+        let out = vet(&Options::default(), &changes, &SafeguardPolicy::default());
+        assert!(out.violations.is_empty(), "{:?}", out.violations);
+        let applied: Vec<&str> = out.applied.iter().map(|a| a.name.as_str()).collect();
+        assert_eq!(applied, proposals.map(|(name, _)| name));
+
+        let text: String = proposals.iter().map(|(n, v)| format!("  {n}={v}\n")).collect();
+        let ini = format!("[CFOptions \"default\"]\n{text}");
+        let (read, outcome) = lsm_kvs::options::ini::from_ini(&ini).unwrap();
+        assert!(outcome.rejected.is_empty(), "{:?}", outcome.rejected);
+        assert_eq!(read, out.options);
+    }
+
     #[test]
     fn noop_changes_not_recorded_as_applied() {
         let base = Options::default();
