@@ -1,40 +1,23 @@
-//! Compaction picking for the leveled, universal, and FIFO strategies.
+//! Leveled compaction picking, the engine's one compaction style.
 
 use std::sync::Arc;
 
-use crate::options::{CompactionStyle, Options};
+use crate::options::Options;
 use crate::version::{FileMetadata, Version};
 
-/// Why a compaction was chosen (reported in stats and logs).
+/// Why a compaction was chosen. Nothing reports it: only
+/// `can_drop_tombstones` reads it, to let a
+/// [`BottommostFiles`](CompactionReason::BottommostFiles) rewrite drop
+/// tombstones that no deeper file overlaps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CompactionReason {
     /// L0 file count reached the trigger.
     L0Files,
     /// A level exceeded its byte target.
     LevelSize,
-    /// Universal: size-ratio merge of adjacent runs.
-    UniversalSizeRatio,
-    /// Universal: space amplification forced a full merge.
-    UniversalSpaceAmp,
-    /// FIFO: total size over budget, oldest files dropped.
-    FifoDrop,
     /// Manual `compact_range`: rewrite bottommost files in the range so
     /// tombstones already at the bottom are dropped.
     BottommostFiles,
-}
-
-/// A chosen compaction.
-#[derive(Debug)]
-pub enum CompactionPick {
-    /// Merge `inputs` and write the result to `output_level`.
-    Merge(CompactionInputs),
-    /// FIFO: delete these files outright (no merging).
-    Drop {
-        /// Files to delete, all on L0.
-        files: Vec<Arc<FileMetadata>>,
-        /// Always [`CompactionReason::FifoDrop`].
-        reason: CompactionReason,
-    },
 }
 
 /// Inputs to a merging compaction.
@@ -104,21 +87,13 @@ pub fn pending_compaction_bytes(opts: &Options, version: &Version) -> u64 {
     debt
 }
 
-/// Picks the next compaction for the configured style, or `None` when
-/// nothing is needed or all candidates are already claimed.
-pub fn pick_compaction(opts: &Options, version: &Version) -> Option<CompactionPick> {
-    match opts.compaction_style {
-        CompactionStyle::Level => pick_leveled(opts, version),
-        CompactionStyle::Universal => pick_universal(opts, version),
-        CompactionStyle::Fifo => pick_fifo(opts, version),
-    }
-}
-
 fn unclaimed(files: &[Arc<FileMetadata>]) -> Vec<Arc<FileMetadata>> {
     files.iter().filter(|f| !f.is_being_compacted()).cloned().collect()
 }
 
-fn pick_leveled(opts: &Options, version: &Version) -> Option<CompactionPick> {
+/// Picks the next leveled compaction, or `None` when nothing is needed
+/// or all candidates are already claimed.
+pub fn pick_compaction(opts: &Options, version: &Version) -> Option<CompactionInputs> {
     let n = version.num_levels();
     let targets = level_targets(opts, version);
 
@@ -166,11 +141,11 @@ fn pick_leveled(opts: &Options, version: &Version) -> Option<CompactionPick> {
         let mut inputs: Vec<(usize, Arc<FileMetadata>)> =
             l0_unclaimed.into_iter().map(|f| (0, f)).collect();
         inputs.extend(bottom.into_iter().map(|f| (base, f)));
-        return Some(CompactionPick::Merge(CompactionInputs {
+        return Some(CompactionInputs {
             inputs,
             output_level: base,
             reason: CompactionReason::L0Files,
-        }));
+        });
     }
 
     // Level N -> N+1: pick the first unclaimed file whose bottom overlap
@@ -191,11 +166,11 @@ fn pick_leveled(opts: &Options, version: &Version) -> Option<CompactionPick> {
         }
         let mut inputs = vec![(level, file)];
         inputs.extend(bottom.into_iter().map(|f| (output_level, f)));
-        return Some(CompactionPick::Merge(CompactionInputs {
+        return Some(CompactionInputs {
             inputs,
             output_level,
             reason: CompactionReason::LevelSize,
-        }));
+        });
     }
     None
 }
@@ -208,119 +183,6 @@ fn pick_base_level(opts: &Options, version: &Version) -> usize {
     (1..version.num_levels())
         .find(|l| version.level_bytes(*l) > 0)
         .unwrap_or(1)
-}
-
-/// Universal compaction treats every L0 file and every non-empty deeper
-/// level as one sorted run, newest first.
-fn universal_runs(version: &Version) -> Vec<(usize, Vec<Arc<FileMetadata>>, u64)> {
-    let mut runs = Vec::new();
-    for f in version.files(0) {
-        runs.push((0, vec![Arc::clone(f)], f.size));
-    }
-    for level in 1..version.num_levels() {
-        let files = version.files(level);
-        if !files.is_empty() {
-            let size = files.iter().map(|f| f.size).sum();
-            runs.push((level, files.to_vec(), size));
-        }
-    }
-    runs
-}
-
-fn pick_universal(opts: &Options, version: &Version) -> Option<CompactionPick> {
-    let runs = universal_runs(version);
-    let trigger = opts.level0_file_num_compaction_trigger.max(2) as usize;
-    if runs.len() < trigger {
-        return None;
-    }
-    if runs
-        .iter()
-        .any(|(_, files, _)| files.iter().any(|f| f.is_being_compacted()))
-    {
-        return None;
-    }
-
-    // 1) Space amplification: if everything above the oldest run is
-    //    already as big as the oldest run allows, merge all runs.
-    // Widened to u128: simulated databases reach sizes where
-    // `upper * 100` wraps in u64 and the trigger silently goes dead.
-    let last_size = runs.last().map(|r| r.2).unwrap_or(0).max(1) as u128;
-    let upper: u128 = runs[..runs.len() - 1].iter().map(|r| r.2 as u128).sum();
-    if upper * 100 >= last_size * opts.universal_max_size_amplification_percent as u128 {
-        let inputs = runs
-            .iter()
-            .flat_map(|(l, files, _)| files.iter().map(|f| (*l, Arc::clone(f))))
-            .collect();
-        return Some(CompactionPick::Merge(CompactionInputs {
-            inputs,
-            output_level: version.num_levels() - 1,
-            reason: CompactionReason::UniversalSpaceAmp,
-        }));
-    }
-
-    // 2) Size ratio: greedily extend from the newest run while the next
-    //    run is not much bigger than what we accumulated.
-    // Options::validate() guarantees size_ratio in [0,100] and merge
-    // widths >= 2; the picker trusts them rather than re-clamping.
-    let ratio = 1.0 + opts.universal_size_ratio as f64 / 100.0;
-    let max_width = opts.universal_max_merge_width as usize;
-    let mut acc = runs[0].2;
-    let mut width = 1;
-    while width < runs.len().min(max_width) {
-        let next = runs[width].2;
-        if (next as f64) <= (acc as f64) * ratio {
-            acc += next;
-            width += 1;
-        } else {
-            break;
-        }
-    }
-    let min_width = opts.universal_min_merge_width as usize;
-    if width < min_width {
-        // 3) Fall back to merging the newest `min_width` runs to cap the
-        //    run count.
-        width = min_width.min(runs.len());
-    }
-    // Partial merges write back to L0 as one bigger (older-position) run;
-    // merges reaching the oldest run go to the bottom level.
-    let includes_last = width == runs.len();
-    let output_level = if includes_last { version.num_levels() - 1 } else { 0 };
-    let inputs = runs[..width]
-        .iter()
-        .flat_map(|(l, files, _)| files.iter().map(|f| (*l, Arc::clone(f))))
-        .collect();
-    Some(CompactionPick::Merge(CompactionInputs {
-        inputs,
-        output_level,
-        reason: CompactionReason::UniversalSizeRatio,
-    }))
-}
-
-fn pick_fifo(opts: &Options, version: &Version) -> Option<CompactionPick> {
-    let total = version.level_bytes(0);
-    if total <= opts.fifo_max_table_files_size {
-        return None;
-    }
-    // Drop oldest (smallest file number) files until under budget.
-    let mut files: Vec<Arc<FileMetadata>> = unclaimed(version.files(0));
-    files.sort_by_key(|f| f.number);
-    let mut to_drop = Vec::new();
-    let mut remaining = total;
-    for f in files {
-        if remaining <= opts.fifo_max_table_files_size {
-            break;
-        }
-        remaining = remaining.saturating_sub(f.size);
-        to_drop.push(f);
-    }
-    if to_drop.is_empty() {
-        None
-    } else {
-        Some(CompactionPick::Drop {
-            files: to_drop,
-            reason: CompactionReason::FifoDrop,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -365,9 +227,7 @@ mod tests {
             (1, meta(5, "a", "h", 1000)),
             (1, meta(6, "x", "z", 1000)),
         ]);
-        let Some(CompactionPick::Merge(c)) = pick_compaction(&opts, &v) else {
-            panic!("expected merge");
-        };
+        let c = pick_compaction(&opts, &v).expect("expected merge");
         assert_eq!(c.reason, CompactionReason::L0Files);
         assert_eq!(c.output_level, 1);
         // 4 L0 files + the overlapping L1 file (x..z does not overlap a..p).
@@ -386,9 +246,7 @@ mod tests {
             (1, meta(2, "g", "p", 8_000)),
             (2, meta(3, "a", "c", 5_000)),
         ]);
-        let Some(CompactionPick::Merge(c)) = pick_compaction(&opts, &v) else {
-            panic!("expected merge");
-        };
+        let c = pick_compaction(&opts, &v).expect("expected merge");
         assert_eq!(c.reason, CompactionReason::LevelSize);
         assert_eq!(c.output_level, 2);
         // First L1 file overlaps the L2 file.
@@ -432,119 +290,5 @@ mod tests {
         assert_eq!(pending_compaction_bytes(&opts, &quiet), 0);
         let busy = version_with(&[(1, meta(1, "a", "b", 50_000))]);
         assert_eq!(pending_compaction_bytes(&opts, &busy), 49_000);
-    }
-
-    #[test]
-    fn universal_size_ratio_merges_newest_runs() {
-        let opts = Options {
-            compaction_style: CompactionStyle::Universal,
-            level0_file_num_compaction_trigger: 4,
-            universal_max_size_amplification_percent: 10_000, // avoid full merge
-            ..Options::default()
-        };
-        let v = version_with(&[
-            (0, meta(10, "a", "z", 1_000)),
-            (0, meta(9, "a", "z", 1_000)),
-            (0, meta(8, "a", "z", 1_100)),
-            (0, meta(7, "a", "z", 100_000)),
-            (6, meta(1, "a", "z", 200_000)),
-        ]);
-        let Some(CompactionPick::Merge(c)) = pick_compaction(&opts, &v) else {
-            panic!("expected merge");
-        };
-        assert_eq!(c.reason, CompactionReason::UniversalSizeRatio);
-        assert_eq!(c.output_level, 0, "partial merges stay in L0");
-        assert_eq!(c.inputs.len(), 3, "the three similar-size runs merge");
-    }
-
-    #[test]
-    fn universal_space_amp_full_merge() {
-        let opts = Options {
-            compaction_style: CompactionStyle::Universal,
-            level0_file_num_compaction_trigger: 2,
-            universal_max_size_amplification_percent: 200,
-            ..Options::default()
-        };
-        let v = version_with(&[
-            (0, meta(3, "a", "z", 3_000)),
-            (0, meta(2, "a", "z", 3_000)),
-            (6, meta(1, "a", "z", 2_000)),
-        ]);
-        let Some(CompactionPick::Merge(c)) = pick_compaction(&opts, &v) else {
-            panic!("expected merge");
-        };
-        assert_eq!(c.reason, CompactionReason::UniversalSpaceAmp);
-        assert_eq!(c.output_level, 6);
-        assert_eq!(c.inputs.len(), 3);
-    }
-
-    #[test]
-    fn universal_space_amp_survives_u64_overflow() {
-        // Regression: with run sizes near 2^62, `upper * 100` wrapped in
-        // u64 (100 * 2^62 mod 2^64 = 0) and the size-amp trigger went
-        // dead, so the pick degraded to a partial size-ratio merge.
-        let opts = Options {
-            compaction_style: CompactionStyle::Universal,
-            level0_file_num_compaction_trigger: 2,
-            universal_max_size_amplification_percent: 200,
-            ..Options::default()
-        };
-        let v = version_with(&[
-            (0, meta(2, "a", "z", 1u64 << 62)),
-            (6, meta(1, "a", "z", 1u64 << 50)),
-        ]);
-        let Some(CompactionPick::Merge(c)) = pick_compaction(&opts, &v) else {
-            panic!("expected merge");
-        };
-        assert_eq!(c.reason, CompactionReason::UniversalSpaceAmp);
-        assert_eq!(c.output_level, 6);
-        assert_eq!(c.inputs.len(), 2);
-    }
-
-    #[test]
-    fn universal_trusts_validated_boundary_widths() {
-        // min/max merge width at the validated lower bound (2) and
-        // size_ratio at 0 must behave exactly as before the clamp removal.
-        let opts = Options {
-            compaction_style: CompactionStyle::Universal,
-            level0_file_num_compaction_trigger: 2,
-            universal_max_size_amplification_percent: 10_000,
-            universal_size_ratio: 0,
-            universal_min_merge_width: 2,
-            universal_max_merge_width: 2,
-            ..Options::default()
-        };
-        opts.validate().unwrap();
-        let v = version_with(&[
-            (0, meta(4, "a", "z", 1_000)),
-            (0, meta(3, "a", "z", 1_000)),
-            (0, meta(2, "a", "z", 1_000)),
-            (6, meta(1, "a", "z", 100_000)),
-        ]);
-        let Some(CompactionPick::Merge(c)) = pick_compaction(&opts, &v) else {
-            panic!("expected merge");
-        };
-        assert_eq!(c.reason, CompactionReason::UniversalSizeRatio);
-        assert_eq!(c.inputs.len(), 2, "max_merge_width=2 caps the merge");
-    }
-
-    #[test]
-    fn fifo_drops_oldest() {
-        let opts = Options {
-            compaction_style: CompactionStyle::Fifo,
-            fifo_max_table_files_size: 2_500,
-            ..Options::default()
-        };
-        let v = version_with(&[
-            (0, meta(3, "a", "z", 1_000)),
-            (0, meta(2, "a", "z", 1_000)),
-            (0, meta(1, "a", "z", 1_000)),
-        ]);
-        let Some(CompactionPick::Drop { files, reason }) = pick_compaction(&opts, &v) else {
-            panic!("expected drop");
-        };
-        assert_eq!(reason, CompactionReason::FifoDrop);
-        assert_eq!(files.len(), 1);
-        assert_eq!(files[0].number, FileNumber(1), "oldest dropped first");
     }
 }

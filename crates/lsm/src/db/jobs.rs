@@ -1,5 +1,5 @@
-//! Background jobs: one claim → run → install lifecycle for flushes,
-//! merging compactions and FIFO drops, shared by both execution modes.
+//! Background jobs: one claim → run → install lifecycle for flushes and
+//! merging compactions, shared by both execution modes.
 //!
 //! - **claim** ([`DbInner::claim`]) selects work under the state lock and
 //!   marks its inputs (flushing flags / `being_compacted`) so nothing
@@ -30,7 +30,7 @@ use super::{
 };
 use crate::compaction::{
     can_drop_tombstones, pending_compaction_bytes, pick_compaction, run_compaction,
-    CompactionInputs, CompactionJobOutput, CompactionPick,
+    CompactionInputs, CompactionJobOutput,
 };
 use crate::error::{Error, Result};
 use crate::filter::FilterContext;
@@ -62,8 +62,6 @@ pub(super) enum Job {
         mems: Vec<Arc<MemTable>>,
     },
     Merge(Box<MergeJob>),
-    /// FIFO compaction: delete these L0 files outright.
-    Drop { files: Vec<Arc<FileMetadata>> },
 }
 
 /// A job whose build finished, waiting for its install.
@@ -77,14 +75,12 @@ pub(super) enum Done {
         job: Box<MergeJob>,
         output: CompactionJobOutput,
     },
-    Drop { files: Vec<Arc<FileMetadata>> },
 }
 
 /// What listeners are told once a job is installed.
 pub(super) enum Completed {
     Flush(FlushJobInfo),
     Compaction(CompactionJobInfo),
-    FifoDrop,
 }
 
 fn file_metadata(number: FileNumber, table: &FinishedTable) -> Arc<FileMetadata> {
@@ -122,7 +118,7 @@ pub(super) fn background_worker(db: Weak<DbInner>, bg: Arc<BgShared>) {
 enum Pick {
     /// Indices into `DbState::imm` of the memtables to flush together.
     Flush(Vec<usize>),
-    Compaction(CompactionPick),
+    Compaction(CompactionInputs),
 }
 
 impl DbInner {
@@ -174,14 +170,7 @@ impl DbInner {
                 state.running_flushes += 1;
                 Job::Flush { file_number: state.alloc_file_number(), mems }
             }
-            Pick::Compaction(CompactionPick::Drop { files, .. }) => {
-                for f in &files {
-                    f.set_being_compacted(true);
-                }
-                state.running_compactions += 1;
-                Job::Drop { files }
-            }
-            Pick::Compaction(CompactionPick::Merge(c)) => self.claim_merge(state, c),
+            Pick::Compaction(c) => self.claim_merge(state, c),
         })
     }
 
@@ -232,12 +221,6 @@ impl DbInner {
                 }
                 state.running_compactions -= 1;
             }
-            Job::Drop { files } => {
-                for f in files {
-                    f.set_being_compacted(false);
-                }
-                state.running_compactions -= 1;
-            }
         }
     }
 }
@@ -270,7 +253,7 @@ impl DbInner {
                         t.add(Ticker::FlushBytesWritten, out.table.file_size);
                         self.stats.add_level_io(0, 0, out.table.file_size, out.entries_dropped);
                         let done = Done::Flush { file_number, mems, table: out.table };
-                        (done, Some(HistogramKind::FlushTime))
+                        (done, HistogramKind::FlushTime)
                     }
                     Err(e) => return Err((Job::Flush { file_number, mems }, e)),
                 }
@@ -300,20 +283,17 @@ impl DbInner {
                             output.bytes_written,
                             keys_dropped,
                         );
-                        (Done::Merge { job, output }, Some(HistogramKind::CompactionTime))
+                        (Done::Merge { job, output }, HistogramKind::CompactionTime)
                     }
                     Err(e) => return Err((Job::Merge(job), e)),
                 }
             }
-            Job::Drop { files } => (Done::Drop { files }, None),
         };
         let finished = match &self.mode {
             Mode::Sim(sim) => sim.job_finished(started, &done, &self.opts()),
             Mode::Real(_) => self.clock.now(),
         };
-        if let Some(kind) = histogram {
-            self.stats.record(kind, finished.saturating_since(started));
-        }
+        self.stats.record(histogram, finished.saturating_since(started));
         Ok((done, finished))
     }
 }
@@ -337,13 +317,6 @@ impl DbInner {
             }
             Done::Merge { job, output } => {
                 Completed::Compaction(self.install_merge(state, *job, output)?)
-            }
-            Done::Drop { files } => {
-                let mut edit = VersionEdit::default();
-                edit.deleted_files.extend(files.iter().map(|f| (0, f.number)));
-                self.apply_edit(state, &edit)?;
-                self.retire(state, files);
-                Completed::FifoDrop
             }
         };
         self.sweep_obsolete(state);
@@ -492,7 +465,6 @@ impl DbInner {
             match completed {
                 Completed::Flush(info) => l.on_flush_completed(info),
                 Completed::Compaction(info) => l.on_compaction_completed(info),
-                Completed::FifoDrop => {}
             }
         }
     }

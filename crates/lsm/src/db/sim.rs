@@ -248,7 +248,6 @@ impl Sim {
                 let bytes = output.bytes_read + output.bytes_written;
                 self.settle(start, cpu_end.max(io_end).max(write_done), bytes, opts)
             }
-            Done::Drop { .. } => started + SimDuration::from_micros(500),
         }
     }
 
@@ -258,7 +257,6 @@ impl Sim {
         let bytes = match completed {
             Completed::Flush(_) => 128,
             Completed::Compaction(_) => 256,
-            Completed::FifoDrop => return,
         };
         self.env.device().submit_write(at, bytes, AccessPattern::Sequential);
     }

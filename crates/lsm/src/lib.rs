@@ -2,7 +2,7 @@
 //!
 //! This crate is the storage substrate of the ELMo-Tune reproduction: a
 //! from-scratch log-structured merge-tree engine (memtables, WAL,
-//! block-based SSTs with bloom filters, leveled/universal/FIFO compaction,
+//! block-based SSTs with bloom filters, leveled compaction,
 //! a sharded block cache, and a write controller) whose 70 configuration
 //! options carry RocksDB names and semantics so that a tuning loop written
 //! against RocksDB knowledge transfers directly.
@@ -62,7 +62,7 @@ pub use batch::WriteBatch;
 pub use cache::{cache_key, BlockCache, BlockKey, CacheSnapshot, CacheStats, TableCache};
 pub use compaction::{
     level_targets, pending_compaction_bytes, run_compaction, CompactionInputs,
-    CompactionJobOutput, CompactionPick, CompactionReason,
+    CompactionJobOutput, CompactionReason,
 };
 pub use db::{Db, DbBuilder, DbStats, ReadOptions, ScanResult, SnapshotPin, WalSink, WriteOptions};
 pub use error::{Error, ErrorKind, Result};

@@ -16,15 +16,18 @@ use std::fmt;
 use crate::error::{Error, Result};
 use registry::{parse_checked, OptionMeta, OptionValue, Section};
 
-/// Compaction strategy.
+/// Value of `compaction_style`. The engine has one compaction style,
+/// leveled, and reads this nowhere; all three RocksDB names are kept so
+/// option files and proposals that set them still load and echo what
+/// they set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum CompactionStyle {
     /// Leveled compaction (RocksDB `kCompactionStyleLevel`).
     #[default]
     Level,
-    /// Universal / size-tiered compaction.
+    /// RocksDB's universal (size-tiered) compaction.
     Universal,
-    /// FIFO: drop oldest files beyond a size budget.
+    /// RocksDB's FIFO compaction.
     Fifo,
 }
 
@@ -334,6 +337,8 @@ options_table! {
             "Growth factor between consecutive level targets";
         level_compaction_dynamic_level_bytes: bool = false, Cf, -, reopen,
             "Size levels dynamically from the last level upward (lower space amplification)";
+        /// Accepted for option-file compatibility: the engine has one
+        /// compaction style, leveled, and reads this nowhere.
         compaction_style: CompactionStyle = CompactionStyle::Level, Cf, -, reopen,
             "Compaction strategy: leveled, universal (size-tiered), or FIFO";
         compression: CompressionType = CompressionType::Snappy, Cf, -, online,
@@ -360,14 +365,24 @@ options_table! {
             "Maximum bytes one compaction may span";
         report_bg_io_stats: bool = false, Cf, -, online,
             "Collect per-job background I/O statistics";
+        /// Accepted for option-file compatibility: the engine has one
+        /// compaction style, leveled, and reads this nowhere.
         universal_max_size_amplification_percent: i64 = 200, Cf, (1.0, 10_000.0), online,
             "Universal compaction: allowed space amplification percent";
+        /// Accepted for option-file compatibility: the engine has one
+        /// compaction style, leveled, and reads this nowhere.
         universal_size_ratio: i64 = 1, Cf, (0.0, 100.0), online,
             "Universal compaction: size-ratio tolerance percent for merging runs";
+        /// Accepted for option-file compatibility: the engine has one
+        /// compaction style, leveled, and reads this nowhere.
         universal_min_merge_width: i64 = 2, Cf, (2.0, 64.0), online,
             "Universal compaction: minimum runs merged at once";
+        /// Accepted for option-file compatibility: the engine has one
+        /// compaction style, leveled, and reads this nowhere.
         universal_max_merge_width: i64 = 64, Cf, (2.0, 1024.0), online,
             "Universal compaction: maximum runs merged at once";
+        /// Accepted for option-file compatibility: the engine has one
+        /// compaction style, leveled, and reads this nowhere.
         fifo_max_table_files_size: u64 = 1 << 30, Cf, (1_048_576.0, TIB), online,
             "FIFO compaction: total size budget before oldest files are dropped";
         periodic_compaction_seconds: i64 = 0, Cf, (0.0, 31_536_000.0), online,
@@ -498,30 +513,6 @@ impl Options {
         if self.target_file_size_base == 0 {
             return Err(Error::invalid_argument("target_file_size_base must be positive"));
         }
-        // Universal-compaction knobs are validated here (not silently
-        // clamped in the picker): option files and set_by_name go through
-        // the registry ranges, but direct struct construction must be
-        // rejected too so the picker can trust its inputs.
-        if self.universal_size_ratio < 0 || self.universal_size_ratio > 100 {
-            return Err(Error::invalid_argument(
-                "universal_size_ratio must be between 0 and 100",
-            ));
-        }
-        if self.universal_min_merge_width < 2 {
-            return Err(Error::invalid_argument(
-                "universal_min_merge_width must be at least 2",
-            ));
-        }
-        if self.universal_max_merge_width < self.universal_min_merge_width {
-            return Err(Error::invalid_argument(
-                "universal_max_merge_width cannot be below universal_min_merge_width",
-            ));
-        }
-        if self.universal_max_size_amplification_percent < 1 {
-            return Err(Error::invalid_argument(
-                "universal_max_size_amplification_percent must be at least 1",
-            ));
-        }
         if self.num_shards < 1 || self.num_shards > 64 {
             return Err(Error::invalid_argument("num_shards must be between 1 and 64"));
         }
@@ -569,39 +560,6 @@ mod tests {
             ..Options::default()
         };
         assert!(o.validate().is_err());
-    }
-
-    #[test]
-    fn validate_rejects_bad_universal_options() {
-        // Regression: these used to be silently clamped inside
-        // pick_universal (.max(0) / .max(2)) instead of rejected here.
-        let bad = [
-            Options { universal_size_ratio: -1, ..Options::default() },
-            Options { universal_size_ratio: 101, ..Options::default() },
-            Options { universal_min_merge_width: 0, ..Options::default() },
-            Options { universal_min_merge_width: 1, ..Options::default() },
-            Options {
-                universal_min_merge_width: 8,
-                universal_max_merge_width: 4,
-                ..Options::default()
-            },
-            Options {
-                universal_max_size_amplification_percent: 0,
-                ..Options::default()
-            },
-        ];
-        for o in bad {
-            assert!(o.validate().is_err(), "expected rejection: {o:?}");
-        }
-        // Boundary-valid values pass.
-        let ok = Options {
-            universal_size_ratio: 0,
-            universal_min_merge_width: 2,
-            universal_max_merge_width: 2,
-            universal_max_size_amplification_percent: 1,
-            ..Options::default()
-        };
-        ok.validate().unwrap();
     }
 
     #[test]
