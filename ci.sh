@@ -66,7 +66,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo doc -D warnings (every intra-doc link resolves, nothing public links a private item)"
 RUSTDOCFLAGS='-D warnings' cargo doc --no-deps --workspace
 
-echo "==> house rules: non-test and test lines, allocations per put, get, scanned entry and built entry, decoder tallies"
+echo "==> house rules: non-test and test lines, option counts, allocations per put, get, scanned entry and built entry, decoder tallies"
 # The two line counts every PR reports the delta of, computed one way:
 # each file cut at its first #[cfg(test)], the rule
 # crates/lsm/tests/retired.rs applies to the sources it scans. Test lines
@@ -83,15 +83,16 @@ find crates/*/src crates/*/tests -name '*.rs' -print0 | sort -z | xargs -0 awk '
     in_tests { lines++ }
     END { print "test lines (crates/*/tests, #[cfg(test)] tails, crates/testkit): " lines }'
 # And the figures PRs report, as their tests (already run and gated
-# above) print them: the allocations of puts and ten-op writes, warm and
-# cold gets and the scan (ROADMAP 3(b)), flush and merge (the table
-# build); and each decoder loop's refused/accepted tally.
+# above) print them: the registered, read and unread options; the
+# allocations of puts and ten-op writes, warm and cold gets and the scan
+# (ROADMAP 3(b)), flush and merge (the table build); and each decoder
+# loop's refused/accepted tally.
 {
-    cargo test -q -p lsm-kvs --test put_allocs --test get_allocs --test scan_cost --test build_allocs \
-        --test batch_fuzz --test block_fuzz --test recovery_fuzz -- --nocapture
+    cargo test -q -p lsm-kvs --test retired --test put_allocs --test get_allocs --test scan_cost \
+        --test build_allocs --test batch_fuzz --test block_fuzz --test recovery_fuzz -- --nocapture
     cargo test -q -p lsm-kvs --lib -- --nocapture mutated_streams mutated_index
     cargo test -q -p lsm-server --test decode_fuzz -- --nocapture
-} 2>&1 | grep -E 'allocations: .* puts|allocations over .* gets|allocations per (scanned entry|entry)|refused [0-9]+' \
+} 2>&1 | grep -E 'options: [0-9]+ registered|allocations: .* puts|allocations over .* gets|allocations per (scanned entry|entry)|refused [0-9]+' \
     | sed 's/^[.]*//' || true
 
 echo "==> sharding gate: --shards 1 must be byte-identical to no flag"

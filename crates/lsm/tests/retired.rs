@@ -157,6 +157,7 @@ fn documented_unread_options_are_exactly_the_unread_ones() {
     assert_eq!(documented, unread, "DESIGN.md (left) vs options no engine source reads (right)");
     let registered = all_options().len();
     let read = registered - unread.len();
+    println!("options: {registered} registered, {read} read, {} unread", unread.len());
     let counts = format!("registers {registered} options; the engine reads {read}.");
     assert!(section.contains(&counts), "DESIGN.md does not say: {counts}");
     // The substitutions table restates both counts in the RocksDB row.

@@ -13,7 +13,7 @@
 use hw_sim::HardwareEnv;
 use lsm_kvs::options::Options;
 use lsm_kvs::{Db, Error, WriteBatch};
-use lsm_server::protocol::op;
+use lsm_server::protocol::{op, SCAN_CHUNK_MAX_ENTRIES};
 use lsm_server::{Request, Response};
 use testkit::{for_each_mutant, watched, Mutation, Rng, Spent, MESSAGE_SLACK};
 
@@ -193,4 +193,26 @@ fn mutated_batch_and_replicate_frames_are_refused_or_decode_in_bounds() {
     let [refused, accepted] = tally;
     println!("other requests and responses: refused {refused}, accepted {accepted}");
     assert!(refused > 1_000 && accepted > 1_000, "refused {refused}, accepted {accepted}");
+
+    // Answers the rounds above do not draw, fixed and fuzzed last so that
+    // the frames above keep their mutants and their tallies: a value and
+    // a miss answering a `Get`, and the empty chunk that ends a scan.
+    let mut rng = Rng(0x5eed_f1c5);
+    let mut tally = [0u32; 2];
+    let get = Request::Get { key: b"key".to_vec() };
+    let scan = Request::Scan { start: Vec::new(), count: 5 };
+    let answers = [
+        (&get, "a value", Response::Value(b"value".to_vec()), Some(1)),
+        (&get, "a miss", Response::NotFound, None),
+        (&scan, "the last scan chunk", Response::ScanChunk { entries: Vec::new(), has_more: false }, Some(2)),
+    ];
+    for (req, what, resp, lie_at) in &answers {
+        let check = |mutant: &[u8], what: &str| check_response(req, mutant, what);
+        fuzz(&resp.encode(), *lie_at, &mut rng, what, &mut tally, check);
+    }
+    // A chunk whose frame really holds one entry more than the bound is
+    // refused on its count; one at the bound is accepted.
+    let chunk = |n: usize| Response::ScanChunk { entries: vec![(Vec::new(), Vec::new()); n], has_more: true };
+    assert!(check_response(&scan, &chunk(SCAN_CHUNK_MAX_ENTRIES).encode(), "a full chunk"));
+    assert!(!check_response(&scan, &chunk(SCAN_CHUNK_MAX_ENTRIES + 1).encode(), "an overfull chunk"));
 }
