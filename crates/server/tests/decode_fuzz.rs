@@ -210,6 +210,8 @@ fn mutated_batch_and_replicate_frames_are_refused_or_decode_in_bounds() {
         let check = |mutant: &[u8], what: &str| check_response(req, mutant, what);
         fuzz(&resp.encode(), *lie_at, &mut rng, what, &mut tally, check);
     }
+    let [refused, accepted] = tally;
+    println!("fixed answers: refused {refused}, accepted {accepted}");
     // A chunk whose frame really holds one entry more than the bound is
     // refused on its count; one at the bound is accepted.
     let chunk = |n: usize| Response::ScanChunk { entries: vec![(Vec::new(), Vec::new()); n], has_more: true };
