@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use hw_sim::SimDuration;
 
-use crate::compaction::picker::{CompactionInputs, CompactionReason};
+use crate::compaction::picker::CompactionInputs;
 use crate::error::Result;
 use crate::filter::FilterContext;
 use crate::flush::sst_file_name;
@@ -42,7 +42,7 @@ pub struct CompactionJobOutput {
 ///
 /// Any compaction qualifies under the global rule — the output is the
 /// deepest level, or every deeper level is empty. A manual bottommost
-/// rewrite ([`CompactionReason::BottommostFiles`]) additionally
+/// rewrite ([`CompactionInputs::bottommost`]) additionally
 /// qualifies when no deeper file overlaps the inputs' combined user-key
 /// span; without the range-aware check, unrelated data elsewhere in a
 /// deeper level keeps a range's bottommost tombstones alive forever.
@@ -52,7 +52,7 @@ pub fn can_drop_tombstones(version: &Version, c: &CompactionInputs) -> bool {
     if output + 1 >= n || (output + 1..n).all(|l| version.files(l).is_empty()) {
         return true;
     }
-    if c.reason != CompactionReason::BottommostFiles {
+    if !c.bottommost {
         return false;
     }
     let mut span: Option<(&[u8], &[u8])> = None;
@@ -321,7 +321,7 @@ mod tests {
         let auto = CompactionInputs {
             inputs: vec![(1, Arc::clone(&a))],
             output_level: 1,
-            reason: CompactionReason::LevelSize,
+            bottommost: false,
         };
         assert!(!can_drop_tombstones(&v, &auto), "auto merges keep the global rule");
 
@@ -329,7 +329,7 @@ mod tests {
         let rewrite = CompactionInputs {
             inputs: vec![(1, Arc::clone(&a))],
             output_level: 1,
-            reason: CompactionReason::BottommostFiles,
+            bottommost: true,
         };
         assert!(can_drop_tombstones(&v, &rewrite), "no deeper overlap in [a,c]");
 
@@ -338,16 +338,16 @@ mod tests {
         let rewrite2 = CompactionInputs {
             inputs: vec![(1, Arc::clone(&a))],
             output_level: 1,
-            reason: CompactionReason::BottommostFiles,
+            bottommost: true,
         };
         assert!(!can_drop_tombstones(&v2, &rewrite2));
 
-        // Global rule still applies to every reason.
+        // Global rule still applies to every merge.
         let v3 = version(&[(1, Arc::clone(&a))]);
         let auto3 = CompactionInputs {
             inputs: vec![(1, a)],
             output_level: 1,
-            reason: CompactionReason::LevelSize,
+            bottommost: false,
         };
         assert!(can_drop_tombstones(&v3, &auto3), "deeper levels empty");
     }

@@ -5,21 +5,6 @@ use std::sync::Arc;
 use crate::options::Options;
 use crate::version::{FileMetadata, Version};
 
-/// Why a compaction was chosen. Nothing reports it: only
-/// `can_drop_tombstones` reads it, to let a
-/// [`BottommostFiles`](CompactionReason::BottommostFiles) rewrite drop
-/// tombstones that no deeper file overlaps.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CompactionReason {
-    /// L0 file count reached the trigger.
-    L0Files,
-    /// A level exceeded its byte target.
-    LevelSize,
-    /// Manual `compact_range`: rewrite bottommost files in the range so
-    /// tombstones already at the bottom are dropped.
-    BottommostFiles,
-}
-
 /// Inputs to a merging compaction.
 #[derive(Debug)]
 pub struct CompactionInputs {
@@ -27,8 +12,10 @@ pub struct CompactionInputs {
     pub inputs: Vec<(usize, Arc<FileMetadata>)>,
     /// Destination level.
     pub output_level: usize,
-    /// Why this compaction was picked.
-    pub reason: CompactionReason,
+    /// A manual `compact_range` rewrite of the bottommost files in a
+    /// range, in place, so tombstones already at the bottom are dropped;
+    /// `can_drop_tombstones` lets it drop those no deeper file overlaps.
+    pub bottommost: bool,
 }
 
 impl CompactionInputs {
@@ -144,7 +131,7 @@ pub fn pick_compaction(opts: &Options, version: &Version) -> Option<CompactionIn
         return Some(CompactionInputs {
             inputs,
             output_level: base,
-            reason: CompactionReason::L0Files,
+            bottommost: false,
         });
     }
 
@@ -169,7 +156,7 @@ pub fn pick_compaction(opts: &Options, version: &Version) -> Option<CompactionIn
         return Some(CompactionInputs {
             inputs,
             output_level,
-            reason: CompactionReason::LevelSize,
+            bottommost: false,
         });
     }
     None
@@ -228,7 +215,6 @@ mod tests {
             (1, meta(6, "x", "z", 1000)),
         ]);
         let c = pick_compaction(&opts, &v).expect("expected merge");
-        assert_eq!(c.reason, CompactionReason::L0Files);
         assert_eq!(c.output_level, 1);
         // 4 L0 files + the overlapping L1 file (x..z does not overlap a..p).
         assert_eq!(c.inputs.len(), 5);
@@ -247,7 +233,6 @@ mod tests {
             (2, meta(3, "a", "c", 5_000)),
         ]);
         let c = pick_compaction(&opts, &v).expect("expected merge");
-        assert_eq!(c.reason, CompactionReason::LevelSize);
         assert_eq!(c.output_level, 2);
         // First L1 file overlaps the L2 file.
         assert_eq!(c.inputs.len(), 2);

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use super::open::{manifest_file_name, write_current, write_options_file};
 use super::{Db, DbState};
-use crate::compaction::{pick_compaction, CompactionInputs, CompactionReason};
+use crate::compaction::{pick_compaction, CompactionInputs};
 use crate::error::Result;
 use crate::flush::sst_file_name;
 use crate::types::SequenceNumber;
@@ -297,7 +297,7 @@ fn pick_range_compaction(
         return Some(CompactionInputs {
             inputs,
             output_level,
-            reason: CompactionReason::LevelSize,
+            bottommost: false,
         });
     }
     None
@@ -324,7 +324,7 @@ fn pick_bottommost_rewrite(
         return Some(CompactionInputs {
             inputs: files.into_iter().map(|f| (level, f)).collect(),
             output_level: level,
-            reason: CompactionReason::BottommostFiles,
+            bottommost: true,
         });
     }
     None

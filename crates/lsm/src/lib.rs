@@ -62,7 +62,7 @@ pub use batch::WriteBatch;
 pub use cache::{cache_key, BlockCache, BlockKey, CacheSnapshot, CacheStats, TableCache};
 pub use compaction::{
     level_targets, pending_compaction_bytes, run_compaction, CompactionInputs,
-    CompactionJobOutput, CompactionReason,
+    CompactionJobOutput,
 };
 pub use db::{Db, DbBuilder, DbStats, ReadOptions, ScanResult, SnapshotPin, WalSink, WriteOptions};
 pub use error::{Error, ErrorKind, Result};

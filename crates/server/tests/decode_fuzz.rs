@@ -217,4 +217,27 @@ fn mutated_batch_and_replicate_frames_are_refused_or_decode_in_bounds() {
     let chunk = |n: usize| Response::ScanChunk { entries: vec![(Vec::new(), Vec::new()); n], has_more: true };
     assert!(check_response(&scan, &chunk(SCAN_CHUNK_MAX_ENTRIES).encode(), "a full chunk"));
     assert!(!check_response(&scan, &chunk(SCAN_CHUNK_MAX_ENTRIES + 1).encode(), "an overfull chunk"));
+
+    // Refusals the loop cannot see, since a decoder that accepted these
+    // would still round-trip what it read: a flag byte other than 0 or 1
+    // where the layout has no spare bits, option text that is not UTF-8,
+    // and fewer values than the `MultiGet` asked for.
+    let mut bad_sync = Request::Replicate { first_seq: 7, sync: true, records: Vec::new() }.encode();
+    bad_sync[1 + 8] = 2;
+    assert!(!check_request(&bad_sync, "sync flag 2"));
+    let mut bad_more = chunk(1).encode();
+    bad_more[1] = 2;
+    assert!(!check_response(&scan, &bad_more, "has_more flag 2"));
+    let set = Request::SetOptions { changes: vec![("ab".into(), "cd".into())] }.encode();
+    for (at, what) in [(1 + 4 + 4, "a non-UTF-8 name"), (1 + 4 + 4 + 2 + 4, "a non-UTF-8 value")] {
+        let mut bad = set.clone();
+        bad[at..at + 2].copy_from_slice(&[0xff, 0xfe]);
+        assert!(!check_request(&bad, what));
+    }
+    let two_keys = Request::MultiGet { keys: vec![b"a".to_vec(), b"b".to_vec()] };
+    let one_value = Response::Values(vec![Some(b"v".to_vec())]).encode();
+    assert!(!check_response(&two_keys, &one_value, "one value for two keys"));
+    let mut bad_presence = Response::Values(vec![Some(b"v".to_vec()), None]).encode();
+    bad_presence[1 + 4] = 2;
+    assert!(!check_response(&two_keys, &bad_presence, "value presence flag 2"));
 }
