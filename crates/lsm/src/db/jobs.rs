@@ -701,6 +701,7 @@ mod tests {
     use super::super::testutil::{env, small_opts};
     use super::super::{Db, ReadOptions};
     use super::*;
+    use crate::fault::FaultConfig;
 
     #[test]
     fn hdd_is_slower_than_nvme_for_same_work() {
@@ -783,5 +784,65 @@ mod tests {
             "pinned entry survived the filter"
         );
         drop(pin);
+    }
+
+    /// Flushes `files` L0 files of ten keys each into `db`, below the
+    /// default trigger of four, so the picker has found the tree idle.
+    fn idle_l0(db: &Db, files: u32) {
+        for f in 0..files {
+            for i in 0..10 {
+                db.put(format!("key-{f}-{i:02}").as_bytes(), b"v").unwrap();
+            }
+            db.flush().unwrap();
+        }
+        let stats = db.stats();
+        assert_eq!(stats.levels[0].0, files as usize);
+        assert_eq!(stats.tickers.get(Ticker::CompactionJobs), 0);
+    }
+
+    #[test]
+    fn lowered_trigger_is_picked_on_an_unchanged_version() {
+        let env = env();
+        let db = Db::builder(small_opts()).env(&env).open().unwrap();
+        idle_l0(&db, 3);
+        db.set_options(&[("level0_file_num_compaction_trigger", "2")]).unwrap();
+        db.put(b"next", b"v").unwrap();
+        let stats = db.stats();
+        assert_eq!(stats.tickers.get(Ticker::FlushJobs), 3, "the put switched no memtable");
+        assert_eq!(stats.tickers.get(Ticker::CompactionJobs), 1, "the put claimed the L0 merge");
+    }
+
+    #[test]
+    fn failed_compaction_is_picked_again() {
+        let builder = Db::builder(small_opts()).env(&env()).fault_injection(FaultConfig::default());
+        let faults = builder.fault_vfs().unwrap();
+        let db = builder.open().unwrap();
+        idle_l0(&db, 2);
+        // The merge reads its inputs; writing the OPTIONS file reads nothing.
+        faults.set_config(FaultConfig { read_error_prob: 1.0, ..FaultConfig::default() });
+        db.set_options(&[("level0_file_num_compaction_trigger", "2")]).unwrap();
+        assert!(db.put(b"next", b"v").is_err(), "the merge failed and the put with it");
+        assert!(faults.injected_errors() > 0);
+        assert_eq!(db.stats().tickers.get(Ticker::CompactionJobs), 0);
+
+        faults.clear_faults();
+        db.put(b"next", b"v").unwrap();
+        db.wait_background_idle().unwrap();
+        let stats = db.stats();
+        assert_eq!(stats.tickers.get(Ticker::CompactionJobs), 1, "the unclaimed merge ran");
+        assert_eq!(stats.levels[0].0, 0);
+        assert_eq!(db.get(b"key-1-09").unwrap(), Some(b"v".to_vec()));
+    }
+
+    #[test]
+    fn compact_range_runs_on_an_idle_tree() {
+        let env = env();
+        let db = Db::builder(small_opts()).env(&env).open().unwrap();
+        idle_l0(&db, 2);
+        db.compact_range(b"", b"\xff").unwrap();
+        let stats = db.stats();
+        assert!(stats.tickers.get(Ticker::CompactionJobs) > 0);
+        assert_eq!(stats.levels[0].0, 0, "the range left L0");
+        assert_eq!(db.get(b"key-0-00").unwrap(), Some(b"v".to_vec()));
     }
 }

@@ -648,4 +648,76 @@ mod tests {
             assert!(count >= 1000);
         });
     }
+
+    /// User keys of every inline length (0-22 bytes) and some boxed ones,
+    /// from an alphabet small enough that prefixes repeat and with the
+    /// high bit set in half of it, plus keys that share their first 16
+    /// bytes and differ only after them.
+    fn comparator_user_keys() -> Vec<Vec<u8>> {
+        const ALPHABET: [u8; 4] = [0x00, 0x7f, 0x80, 0xff];
+        let mut rng = testkit::Rng(0x0123_4567_89ab_cdef);
+        let mut keys = Vec::new();
+        for len in (0..=22).chain([23, 24, 31, 40]) {
+            for _ in 0..4 {
+                keys.push((0..len).map(|_| ALPHABET[rng.below(ALPHABET.len())]).collect());
+            }
+        }
+        for prefix in [[0x80; 16], *b"0000000000001234"] {
+            for tail in [&b""[..], b"\x00", b"\x01", b"\x80", b"\xff\xff\xff\xff\xff\xff", b"0123456"] {
+                keys.push([&prefix[..], tail].concat());
+            }
+        }
+        keys
+    }
+
+    /// Each user key under several tags: equal user keys must order by
+    /// tag, newest first.
+    fn comparator_keys() -> Vec<MemKey> {
+        let tags = [0, 1, (5 << 8) | 1, (MAX_SEQUENCE << 8) | 1, u64::MAX];
+        comparator_user_keys()
+            .iter()
+            .flat_map(|user| tags.map(|tag| MemKey::new(user, tag)))
+            .collect()
+    }
+
+    #[test]
+    fn memkey_order_is_the_internal_key_order() {
+        let keys = comparator_keys();
+        assert!(keys.iter().any(|k| matches!(k, MemKey::Heap(_))));
+        for a in &keys {
+            for b in &keys {
+                assert_eq!(
+                    a.cmp(b),
+                    internal_key_cmp(a.as_bytes(), b.as_bytes()),
+                    "{:02x?} vs {:02x?}",
+                    a.as_bytes(),
+                    b.as_bytes()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn cursor_walk_is_the_internal_key_order() {
+        let mt = Arc::new(MemTable::new(0));
+        let mut expected = Vec::new();
+        let mut seq = 0;
+        for user in comparator_user_keys() {
+            for ty in [ValueType::Value, ValueType::Deletion] {
+                seq += 1;
+                mt.add(seq, ty, &user, b"");
+                expected.push(InternalKey::new(&user, seq, ty).encoded().to_vec());
+            }
+        }
+        expected.sort_by(|a, b| internal_key_cmp(a, b));
+        // The smallest internal key there is: an empty user key under the
+        // largest tag.
+        let mut cursor = MemTableCursor::seek(Arc::clone(&mt), &u64::MAX.to_le_bytes());
+        let mut walked = Vec::new();
+        while let Some(k) = cursor.key() {
+            walked.push(k.to_vec());
+            cursor.advance();
+        }
+        assert_eq!(walked, expected);
+    }
 }

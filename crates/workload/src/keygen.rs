@@ -193,6 +193,30 @@ mod tests {
     }
 
     #[test]
+    fn render_key_matches_the_format_renderer() {
+        // The renderer as it was written first: the index through
+        // `format!`, its last digits copied into the zero-filled key.
+        fn formatted(index: u64, key_size: usize) -> Vec<u8> {
+            let digits = format!("{index:020}");
+            let mut key = vec![b'0'; key_size.max(4)];
+            let take = digits.len().min(key.len());
+            let dst_start = key.len() - take;
+            let src_start = digits.len() - take;
+            key[dst_start..].copy_from_slice(&digits.as_bytes()[src_start..]);
+            key
+        }
+        for index in [0, 9, 10, 10u64.pow(15), 10u64.pow(16) - 1, 10u64.pow(19), u64::MAX] {
+            for key_size in [1, 4, 16, 20, 24] {
+                assert_eq!(
+                    render_key(index, key_size),
+                    formatted(index, key_size),
+                    "index {index}, key_size {key_size}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn uniform_covers_space() {
         let mut g = KeyGenerator::new(1, 1000, 16, KeyDistribution::Uniform);
         let mut seen = std::collections::HashSet::new();
