@@ -37,6 +37,7 @@ use crate::filter::FilterContext;
 use crate::flush::{build_l0_table, sst_file_name};
 use crate::listener::{CompactionJobInfo, FlushJobInfo};
 use crate::memtable::MemTable;
+use crate::options::Options;
 use crate::runtime::BgShared;
 use crate::sstable::table::{FinishedTable, TableConfig};
 use crate::stats::{HistogramKind, Ticker};
@@ -125,7 +126,7 @@ impl DbInner {
     /// Selects the next claimable job without claiming it: a flush
     /// first (it relieves write stalls), then the compaction picker's
     /// choice, each within its `max_background_*` budget.
-    fn pick_job(&self, state: &DbState) -> Option<Pick> {
+    fn pick_job(&self, state: &mut DbState) -> Option<Pick> {
         let opts = self.opts();
         if state.running_flushes < opts.effective_max_flushes() {
             let min_merge = opts.min_write_buffer_number_to_merge.max(1) as usize;
@@ -148,13 +149,13 @@ impl DbInner {
         if !opts.disable_auto_compactions
             && state.running_compactions < opts.effective_max_compactions()
         {
-            return pick_compaction(&opts, &state.version).map(Pick::Compaction);
+            return state.pick_compaction(opts).map(Pick::Compaction);
         }
         None
     }
 
     /// Whether a job could be claimed right now (used by idle waits).
-    pub(super) fn has_claimable_work(&self, state: &DbState) -> bool {
+    pub(super) fn has_claimable_work(&self, state: &mut DbState) -> bool {
         self.pick_job(state).is_some()
     }
 
@@ -181,6 +182,7 @@ impl DbInner {
         for (_, f) in &c.inputs {
             f.set_being_compacted(true);
         }
+        state.idle_tree = None;
         state.running_compactions += 1;
         let opts = self.opts();
         let output_level = c.output_level;
@@ -219,9 +221,28 @@ impl DbInner {
                 for (_, f) in &job.inputs {
                     f.set_being_compacted(false);
                 }
+                state.idle_tree = None;
                 state.running_compactions -= 1;
             }
         }
+    }
+}
+
+impl DbState {
+    /// The compaction picker's choice for the current version under
+    /// `opts`. An idle answer is remembered and returned without
+    /// re-scoring until the version, a file's claim or the options change.
+    fn pick_compaction(&mut self, opts: Arc<Options>) -> Option<CompactionInputs> {
+        if let Some((version, known)) = &self.idle_tree {
+            if Arc::ptr_eq(version, &self.version) && Arc::ptr_eq(known, &opts) {
+                return None;
+            }
+        }
+        let pick = pick_compaction(&opts, &self.version);
+        if pick.is_none() {
+            self.idle_tree = Some((Arc::clone(&self.version), opts));
+        }
+        pick
     }
 }
 
@@ -406,6 +427,7 @@ impl DbInner {
         self.log_manifest(&mut state.manifest, &edit.encode())
             .map_err(|e| e.retryable(false))?;
         state.version = Arc::new(state.version.apply(edit)?);
+        state.idle_tree = None;
         state.pending_compaction_bytes = pending_compaction_bytes(&self.opts(), &state.version);
         Ok(())
     }
@@ -417,6 +439,7 @@ impl DbInner {
             f.set_being_compacted(false);
             state.obsolete_files.push(f);
         }
+        state.idle_tree = None;
         state.running_compactions -= 1;
     }
 
@@ -683,7 +706,7 @@ impl DbInner {
     pub(super) fn drive_until(
         &self,
         state: &mut MutexGuard<'_, DbState>,
-        mut done: impl FnMut(&DbState) -> bool,
+        mut done: impl FnMut(&mut DbState) -> bool,
     ) -> Result<()> {
         loop {
             self.catch_up(state)?;

@@ -69,7 +69,7 @@ impl Db {
         let mut rewrite_done = false;
         loop {
             let mut state = inner.state.lock();
-            inner.drive_until(&mut state, DbState::jobs_idle)?;
+            inner.drive_until(&mut state, |s| s.jobs_idle())?;
             let c = match pick_range_compaction(&state.version, start, end) {
                 Some(c) => c,
                 None if !rewrite_done => {

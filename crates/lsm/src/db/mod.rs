@@ -100,6 +100,13 @@ struct DbState {
     /// by readers holding an older `Arc<Version>`. Physically deleted
     /// once their only remaining reference is this list.
     obsolete_files: Vec<Arc<FileMetadata>>,
+    /// The version and options under which the compaction picker last
+    /// found nothing to do, so an unchanged tree is not re-scored on
+    /// every write. Cleared when the version is replaced and when a claim
+    /// on a file is taken or released; changed options fail the pointer
+    /// comparison. Holding both `Arc`s keeps their addresses from being
+    /// reused while the memo stands.
+    idle_tree: Option<(Arc<Version>, Arc<Options>)>,
 }
 
 impl DbState {
@@ -128,6 +135,7 @@ impl DbState {
             writes_since_account: 0,
             pace_until: SimTime::ZERO,
             obsolete_files: Vec::new(),
+            idle_tree: None,
         }
     }
 

@@ -38,8 +38,10 @@ const INLINE_KEY: usize = 30;
 /// An encoded internal key as the map stores it, ordered by the
 /// internal-key comparator. Keys of up to [`INLINE_KEY`] bytes (the
 /// 16-byte keys of every benchmark among them) live in the node itself,
-/// so inserting one allocates nothing and comparing one follows no
-/// pointer; longer keys are boxed.
+/// so inserting one allocates nothing; longer keys are boxed. Two inline
+/// keys whose user keys are both at least 16 bytes long compare as two
+/// big-endian words first, and reach the bytewise comparator only when
+/// those 16 bytes are equal.
 enum MemKey {
     Inline(u8, [u8; INLINE_KEY]),
     Heap(Box<[u8]>),
@@ -84,8 +86,24 @@ impl PartialOrd for MemKey {
 
 impl Ord for MemKey {
     fn cmp(&self, other: &Self) -> Ordering {
+        // Two inline user keys of 16 bytes or more: their first 16 bytes
+        // as two big-endian words order them as bytewise comparison
+        // would, unless the words are equal.
+        if let (MemKey::Inline(a_len, a), MemKey::Inline(b_len, b)) = (self, other) {
+            if *a_len >= 16 + 8 && *b_len >= 16 + 8 {
+                let order = word(a, 0).cmp(&word(b, 0)).then_with(|| word(a, 8).cmp(&word(b, 8)));
+                if order.is_ne() {
+                    return order;
+                }
+            }
+        }
         internal_key_cmp(self.as_bytes(), other.as_bytes())
     }
+}
+
+/// The big-endian word at `at` in an inline key.
+fn word(bytes: &[u8; INLINE_KEY], at: usize) -> u64 {
+    u64::from_be_bytes(bytes[at..at + 8].try_into().expect("8 bytes"))
 }
 
 /// The size of an arena chunk. A value larger than this gets a chunk of

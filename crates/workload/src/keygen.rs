@@ -115,14 +115,15 @@ impl KeyGenerator {
     }
 }
 
-/// Renders a key index as `key_size` bytes of zero-padded decimal.
-pub fn render_key(index: u64, key_size: usize) -> Vec<u8> {
-    let digits = format!("{index:020}");
+/// Renders a key index as `key_size` bytes (at least 4) of zero-padded
+/// decimal, written digit by digit from the end: a key shorter than the
+/// 20 digits a `u64` can need keeps the index's last digits.
+pub fn render_key(mut index: u64, key_size: usize) -> Vec<u8> {
     let mut key = vec![b'0'; key_size.max(4)];
-    let take = digits.len().min(key.len());
-    let dst_start = key.len() - take;
-    let src_start = digits.len() - take;
-    key[dst_start..].copy_from_slice(&digits.as_bytes()[src_start..]);
+    for digit in key.iter_mut().rev().take(20) {
+        *digit = b'0' + (index % 10) as u8;
+        index /= 10;
+    }
     key
 }
 
