@@ -439,7 +439,6 @@ impl DbInner {
             f.set_being_compacted(false);
             state.obsolete_files.push(f);
         }
-        state.idle_tree = None;
         state.running_compactions -= 1;
     }
 

@@ -732,7 +732,9 @@ mod tests {
         // largest tag.
         let mut cursor = MemTableCursor::seek(Arc::clone(&mt), &u64::MAX.to_le_bytes());
         let mut walked = Vec::new();
-        while let Some(k) = cursor.key() {
+        // Bounded: under a comparator that is no total order the re-seek
+        // can cycle, and this fails instead of hanging.
+        while let Some(k) = cursor.key().filter(|_| walked.len() <= expected.len()) {
             walked.push(k.to_vec());
             cursor.advance();
         }
