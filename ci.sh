@@ -283,8 +283,10 @@ rm -f /tmp/ci-ckpt.txt
 
 echo "==> golden gate: sim output must match results/golden (determinism and no drift at once)"
 # A change that means to move sim output regenerates the golden with the
-# same command, in the same commit, and says why.
-./target/release/repro table5 | diff results/golden/table5.txt -
+# same command, in the same commit, and says why. `table5` is timed, so
+# every log shows in one line what a change did to the simulator's cost.
+( TIMEFORMAT='repro table5: wall %0R s, user %0U s, sys %0S s'
+  time ./target/release/repro table5 | diff results/golden/table5.txt - )
 ./target/release/db_bench --benchmarks fillrandom,readrandom --num 20000 \
     | diff results/golden/db_bench_fill_read_20000.txt -
 ./target/release/db_bench --ycsb all --scale 0.002 | diff results/golden/ycsb_all_0.002.txt -
