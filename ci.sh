@@ -85,14 +85,16 @@ find crates/*/src crates/*/tests -name '*.rs' -print0 | sort -z | xargs -0 awk '
 # And the figures PRs report, as their tests (already run and gated
 # above) print them: the registered, read and unread options; the
 # allocations of puts and ten-op writes, warm and cold gets and the scan
-# (ROADMAP 3(b)), flush and merge (the table build); and each decoder
-# loop's refused/accepted tally.
+# (ROADMAP 3(b)), flush and merge (the table build); each decoder
+# loop's refused/accepted tally; and how many streams pinned the block
+# decoder's copy paths.
 {
     cargo test -q -p lsm-kvs --test retired --test put_allocs --test get_allocs --test scan_cost \
         --test build_allocs --test batch_fuzz --test block_fuzz --test recovery_fuzz -- --nocapture
-    cargo test -q -p lsm-kvs --lib -- --nocapture mutated_streams mutated_index
+    cargo test -q -p lsm-kvs --lib -- --nocapture mutated_streams mutated_index \
+        overlapping_and_adjacent_matches
     cargo test -q -p lsm-server --test decode_fuzz -- --nocapture
-} 2>&1 | grep -E 'options: [0-9]+ registered|allocations: .* puts|allocations over .* gets|allocations per (scanned entry|entry)|refused [0-9]+' \
+} 2>&1 | grep -E 'options: [0-9]+ registered|allocations: .* puts|allocations over .* gets|allocations per (scanned entry|entry)|refused [0-9]+|copy paths: ' \
     | sed 's/^[.]*//' || true
 
 echo "==> sharding gate: --shards 1 must be byte-identical to no flag"

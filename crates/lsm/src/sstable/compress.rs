@@ -651,21 +651,116 @@ mod tests {
         assert!(refused + accepted > 100_000, "refused {refused}, accepted {accepted}");
     }
 
+    /// `v` written in exactly `width` varint bytes (`get_varint64` reads
+    /// the padding continuation bytes as zero groups).
+    fn padded_varint(v: u64, width: usize) -> Vec<u8> {
+        (0..width)
+            .map(|k| {
+                let group = (v >> (7 * k)) as u8 & 0x7f;
+                if k + 1 < width {
+                    group | 0x80
+                } else {
+                    group
+                }
+            })
+            .collect()
+    }
+
+    /// A literal run of `prefix.len()` bytes, then one match of `len` at
+    /// `dist`, then the end marker; and what it decodes to.
+    fn one_match(prefix: &[u8], dist: usize, len: usize) -> (Vec<u8>, Vec<u8>) {
+        let mut stream = Vec::new();
+        put_varint64(&mut stream, prefix.len() as u64);
+        stream.extend_from_slice(prefix);
+        put_varint64(&mut stream, (len - MIN_MATCH + 1) as u64);
+        put_varint64(&mut stream, dist as u64);
+        stream.extend_from_slice(&[0, 0]);
+        let mut want = prefix.to_vec();
+        for k in 0..len {
+            want.push(want[prefix.len() - dist + k]);
+        }
+        (stream, want)
+    }
+
+    /// The decoder's copy paths at their edges, each checked byte-exact
+    /// and at its exact length, all on one thread so each decode reuses
+    /// what the one before it left in the thread's buffers:
+    /// - matches of every period class: a fill (distance 1), overlapping
+    ///   ones shorter and longer than 16 bytes, and ones that do not
+    ///   overlap, up to 16 bytes long or longer, near and far;
+    /// - a last literal run of 1 to 16 bytes that ends 0 to 16 bytes
+    ///   before the stream does (the trailing bytes are a match token
+    ///   and the end marker, padded to width);
+    /// - a stream that decodes to more than 4 KiB, then a small one.
     #[test]
     fn overlapping_and_adjacent_matches_roundtrip() {
-        // literals "abcd", then one match of `len` at `dist`, then end.
-        for (dist, len) in [(1usize, 4usize), (1, 49), (2, 7), (3, 64), (4, 4), (4, 5), (4, 1000)] {
-            let mut stream = vec![4u8];
-            stream.extend_from_slice(b"abcd");
-            put_varint64(&mut stream, (len - MIN_MATCH + 1) as u64);
-            put_varint64(&mut stream, dist as u64);
-            stream.extend_from_slice(&[0, 0]);
-            let mut want = b"abcd".to_vec();
-            for k in 0..len {
-                want.push(want[4 - dist + k]);
-            }
-            assert_eq!(decompress(&stream).unwrap(), want, "dist {dist} len {len}");
+        let mut checked = [0u32; 3];
+        let mut check = |path: usize, stream: &[u8], want: &[u8], what: &str| {
+            let got = decompress(stream).unwrap();
+            assert_eq!(got, want, "{what}");
+            assert_eq!(got.capacity(), got.len(), "{what}");
+            checked[path] += 1;
+        };
+        let prefix_of = |len: usize| -> Vec<u8> { (0..len).map(|k| (k * 7 + 3) as u8).collect() };
+        for (dist, len) in [
+            (1usize, 4usize),
+            (1, 49),
+            (2, 7),
+            (3, 64),
+            (4, 4),
+            (4, 5),
+            (4, 1000),
+            (1, 16),
+            (1, 17),
+            (2, 16),
+            (15, 16),
+            (15, 17),
+            (16, 16),
+            (16, 17),
+            (17, 16),
+            (4096, 16),
+        ] {
+            let prefix = if dist <= 4 { b"abcd".to_vec() } else { prefix_of(dist) };
+            let (stream, want) = one_match(&prefix, dist, len);
+            check(0, &stream, &want, &format!("dist {dist} len {len}"));
         }
+        for lit in 1..=16usize {
+            for tail in 0..=16usize {
+                // "abcd", a fill of 20, then the literal run under test.
+                let mut stream = vec![4];
+                stream.extend_from_slice(b"abcd");
+                stream.extend_from_slice(&[17, 1]);
+                let mut want = b"abcd".to_vec();
+                want.extend_from_slice(&[b'd'; 20]);
+                stream.push(lit as u8);
+                let literal = prefix_of(lit + 20)[20..].to_vec();
+                stream.extend_from_slice(&literal);
+                want.extend_from_slice(&literal);
+                match tail {
+                    // The stream ends with the literal run: no end marker.
+                    0 => {}
+                    1 | 2 => stream.extend_from_slice(&padded_varint(0, tail)),
+                    // A 4-byte match at distance 1, then an empty literal run.
+                    _ => {
+                        let code = (tail - 1) / 2;
+                        stream.extend_from_slice(&padded_varint(1, code));
+                        stream.extend_from_slice(&padded_varint(1, tail - 1 - code));
+                        stream.push(0);
+                        let last = *want.last().unwrap();
+                        want.extend_from_slice(&[last; 4]);
+                    }
+                }
+                check(1, &stream, &want, &format!("literal {lit} ending {tail} bytes early"));
+            }
+        }
+        for big in [4097usize, 70_000] {
+            let (stream, want) = one_match(b"abcdefgh", 8, big);
+            check(2, &stream, &want, &format!("{big} bytes of period 8"));
+            let (stream, want) = one_match(b"xy", 2, 5);
+            check(2, &stream, &want, &format!("a small block after {big} bytes"));
+        }
+        let [matches, tails, reuses] = checked;
+        println!("copy paths: {matches} matches, {tails} literal tails, {reuses} reuse decodes");
     }
 
     #[test]
