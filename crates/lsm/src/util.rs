@@ -253,6 +253,23 @@ mod tests {
         assert!(get_varint64(&buf).is_none());
     }
 
+    /// A tenth byte carries bit 63 alone: any higher bit spells a number
+    /// of at least 2^64, which no `u64` holds (Go's `binary.Uvarint`
+    /// refuses it the same way). A tenth byte of 0 or 1 is read.
+    #[test]
+    fn varint_rejects_an_overflowing_tenth_byte() {
+        let nine = [0xffu8; 9];
+        assert_eq!(get_varint64(&[&nine[..], &[0x01]].concat()), Some((u64::MAX, 10)));
+        assert_eq!(get_varint64(&[&nine[..], &[0x00]].concat()), Some((u64::MAX >> 1, 10)));
+        for tenth in [0x02u8, 0x03, 0x40, 0x7f] {
+            let src = [&nine[..], &[tenth]].concat();
+            assert_eq!(get_varint64(&src), None, "tenth byte {tenth:#04x}");
+            assert_eq!(get_varint32(&src), None, "tenth byte {tenth:#04x}");
+        }
+        // A continuation bit on the tenth byte asks for an eleventh.
+        assert_eq!(get_varint64(&[&nine[..], &[0x81, 0x00]].concat()), None);
+    }
+
     #[test]
     fn fixed_roundtrip() {
         let mut buf = Vec::new();
