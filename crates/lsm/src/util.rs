@@ -19,6 +19,7 @@ pub fn put_varint64(dst: &mut Vec<u8>, mut v: u64) {
 }
 
 /// Decodes a u32 varint, returning the value and bytes consumed.
+#[inline]
 pub fn get_varint32(src: &[u8]) -> Option<(u32, usize)> {
     get_varint64(src).and_then(|(v, n)| {
         if v <= u32::MAX as u64 {
@@ -30,18 +31,31 @@ pub fn get_varint32(src: &[u8]) -> Option<(u32, usize)> {
 }
 
 /// Decodes a u64 varint, returning the value and bytes consumed.
+///
+/// A one-byte varint (below 128) is read inline; a longer one is read
+/// out of line.
+#[inline]
 pub fn get_varint64(src: &[u8]) -> Option<(u64, usize)> {
+    match src.first() {
+        Some(&b) if b < 0x80 => Some((u64::from(b), 1)),
+        _ => get_varint64_long(src),
+    }
+}
+
+/// [`get_varint64`] for a varint of more than one byte. A tenth byte
+/// carries bit 63 alone, so one above 1 is refused: the bytes would
+/// spell a number of at least 2^64.
+#[inline(never)]
+fn get_varint64_long(src: &[u8]) -> Option<(u64, usize)> {
     let mut result: u64 = 0;
-    let mut shift = 0u32;
-    for (i, &b) in src.iter().enumerate() {
-        if shift > 63 {
+    for (i, &b) in src.iter().enumerate().take(10) {
+        if i == 9 && b > 1 {
             return None;
         }
-        result |= u64::from(b & 0x7f) << shift;
+        result |= u64::from(b & 0x7f) << (7 * i);
         if b & 0x80 == 0 {
             return Some((result, i + 1));
         }
-        shift += 7;
     }
     None
 }
