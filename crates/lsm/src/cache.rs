@@ -7,6 +7,7 @@
 //! (`max_open_files`), charging reopen I/O on miss.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -14,6 +15,34 @@ use parking_lot::Mutex;
 use crate::sstable::block::Block;
 use crate::types::FileNumber;
 use crate::util::fnv1a;
+
+/// A multiplicative (Fx-style) hasher for the two caches' keys: file
+/// numbers and block offsets the engine made, so SipHash's resistance to
+/// chosen keys buys nothing. Nothing iterates either map in an order
+/// anything sees: the LRU list orders blocks, and the table cache picks
+/// its victim by the smallest tick, which is unique.
+#[derive(Default)]
+struct IntHasher(u64);
+
+impl Hasher for IntHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n).wrapping_mul(0xf135_7aea_2e62_a9c5);
+    }
+
+    fn finish(&self) -> u64 {
+        // The product's high bits mix all of its input; the table indexes
+        // with the low ones.
+        self.0.rotate_left(26)
+    }
+}
+
+type IntMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
 
 /// Cache hit/miss counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -90,7 +119,7 @@ struct LruEntry {
 /// intrusive doubly-linked recency list (O(1) get/insert/evict).
 #[derive(Debug)]
 struct LruShard {
-    map: HashMap<BlockKey, usize>,
+    map: IntMap<BlockKey, usize>,
     entries: Vec<LruEntry>,
     free: Vec<usize>,
     head: usize, // most recently used
@@ -102,7 +131,7 @@ struct LruShard {
 impl LruShard {
     fn new() -> Self {
         LruShard {
-            map: HashMap::new(),
+            map: IntMap::default(),
             entries: Vec::new(),
             free: Vec::new(),
             head: NIL,
@@ -312,7 +341,7 @@ pub struct TableCache<T> {
 
 #[derive(Debug)]
 struct TableCacheInner<T> {
-    map: HashMap<FileNumber, (Arc<T>, u64)>,
+    map: IntMap<FileNumber, (Arc<T>, u64)>,
     tick: u64,
     evictions: u64,
 }
@@ -328,7 +357,7 @@ impl<T> TableCache<T> {
         };
         TableCache {
             inner: Mutex::new(TableCacheInner {
-                map: HashMap::new(),
+                map: IntMap::default(),
                 tick: 0,
                 evictions: 0,
             }),
