@@ -722,6 +722,10 @@ mod tests {
         assert_eq!(r.read_at(0, 16).unwrap(), b"0123456789abcdef");
         assert_eq!(r.read_at(8, 4).unwrap(), b"89ab");
         assert_eq!(r.read_at(12, 10).unwrap(), b"cdef");
+        // The provided `read_into` reads through `read_at`.
+        let mut buf = b"stale".to_vec();
+        r.read_into(8, 4, &mut buf).unwrap();
+        assert_eq!(buf, b"89ab");
     }
 
     #[test]

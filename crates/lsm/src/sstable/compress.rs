@@ -11,8 +11,6 @@
 //! (matching `db_bench`'s default 0.5 compression ratio), so the trade-off
 //! the tuner reasons about is real.
 
-use std::cell::RefCell;
-
 use hw_sim::SimDuration;
 
 use crate::error::{Error, Result};
@@ -199,8 +197,14 @@ pub fn compress(ty: CompressionType, input: &[u8]) -> Option<Vec<u8>> {
 ///
 /// Returns [`ErrorKind::Corruption`](crate::ErrorKind) on malformed input.
 pub fn decompress(input: &[u8]) -> Result<Vec<u8>> {
+    decompress_in(input, &mut Vec::new())
+}
+
+/// [`decompress`] through `scratch`, a buffer the caller keeps from block
+/// to block: the block is decoded there and copied out at its length.
+pub(crate) fn decompress_in(input: &[u8], scratch: &mut Vec<u8>) -> Result<Vec<u8>> {
     // A block is addressed with `u32` offsets, so nothing longer can be one.
-    simzip_decompress(input, u32::MAX as usize)
+    simzip_decompress(input, u32::MAX as usize, scratch)
 }
 
 /// The four bytes at `i`, if there are four.
@@ -213,33 +217,38 @@ fn hash4(word: u32) -> usize {
     ((word.wrapping_mul(2654435761)) >> (32 - HASH_BITS)) as usize
 }
 
-thread_local! {
-    /// What a block decodes into before it is copied out at its length.
-    static SCRATCH: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
-}
-
-/// A scratch buffer an outsized block grew past this is let go, not kept.
-const SCRATCH_KEEP: usize = 1 << 20;
+/// The widest fixed-size copy the decoder makes. A literal run, or a
+/// match at least this far back, of at most this many bytes is copied as
+/// one move of exactly this many; the next token overwrites the tail.
+const WIDE: usize = 16;
 
 /// Decodes a token stream that decodes to at most `limit` bytes into an
-/// exact-size `Vec`: one pass into this thread's scratch buffer, one copy.
-fn simzip_decompress(input: &[u8], limit: usize) -> Result<Vec<u8>> {
-    SCRATCH.with_borrow_mut(|out| {
-        out.clear();
-        let decoded = simzip_decode(input, limit, out).map(|()| out.to_vec());
-        if out.capacity() > SCRATCH_KEEP {
-            *out = Vec::new();
-        }
-        decoded
-    })
+/// exact-size `Vec`: one pass into `scratch`, one copy.
+fn simzip_decompress(input: &[u8], limit: usize, scratch: &mut Vec<u8>) -> Result<Vec<u8>> {
+    let len = simzip_decode(input, limit, scratch)?;
+    Ok(scratch[..len].to_vec())
 }
 
-/// Appends what `input` decodes to onto the empty `out`, checking the
-/// framing of each token before its bytes are written and the length
-/// before a match is copied.
-fn simzip_decode(input: &[u8], limit: usize, out: &mut Vec<u8>) -> Result<()> {
+/// Keeps `out` at least [`WIDE`] bytes longer than `end`, growing it
+/// zero-filled.
+#[inline]
+fn room(out: &mut Vec<u8>, end: usize) {
+    if out.len() < end + WIDE {
+        out.resize((end + WIDE).max(2 * out.len()), 0);
+    }
+}
+
+/// Decodes `input` into the front of `out` and returns its length,
+/// checking the framing of each token before its bytes are written and
+/// the length before a match is copied. `out` is written only through
+/// the front and read only below what has been written, so whatever it
+/// held before is never part of the result.
+fn simzip_decode(input: &[u8], limit: usize, out: &mut Vec<u8>) -> Result<usize> {
     let too_long = || Error::corruption("simzip: decoded length exceeds a block");
     let mut pos = 0;
+    // `out[..w]` is decoded, and `out` stays `WIDE` bytes longer than `w`.
+    let mut w = 0;
+    room(out, w);
     loop {
         let (lit_len, n) = get_varint64(&input[pos..])
             .ok_or_else(|| Error::corruption("simzip: truncated literal length"))?;
@@ -249,7 +258,15 @@ fn simzip_decode(input: &[u8], limit: usize, out: &mut Vec<u8>) -> Result<()> {
             .and_then(|len| pos.checked_add(len))
             .filter(|&end| end <= input.len())
             .ok_or_else(|| Error::corruption("simzip: literal run past end"))?;
-        out.extend_from_slice(&input[pos..lit_end]);
+        let lit = lit_end - pos;
+        if lit <= WIDE && pos + WIDE <= input.len() {
+            out[w..w + WIDE].copy_from_slice(&input[pos..pos + WIDE]);
+        } else {
+            room(out, w + lit);
+            out[w..w + lit].copy_from_slice(&input[pos..lit_end]);
+        }
+        w += lit;
+        room(out, w);
         pos = lit_end;
         if pos >= input.len() {
             break;
@@ -269,30 +286,37 @@ fn simzip_decode(input: &[u8], limit: usize, out: &mut Vec<u8>) -> Result<()> {
         let end = usize::try_from(match_code)
             .ok()
             .and_then(|code| code.checked_add(MIN_MATCH - 1))
-            .and_then(|len| out.len().checked_add(len))
+            .and_then(|len| w.checked_add(len))
             .filter(|&end| end <= limit)
             .ok_or_else(too_long)?;
         let start = usize::try_from(dist)
             .ok()
             .filter(|&dist| dist != 0)
-            .and_then(|dist| out.len().checked_sub(dist))
+            .and_then(|dist| w.checked_sub(dist))
             .ok_or_else(|| Error::corruption("simzip: invalid match distance"))?;
-        // A match may overlap its own output (RLE-style): the bytes from
-        // `start` repeat with period `dist`. A period of one is a fill;
-        // otherwise each round copies all of them that exist so far.
-        if start + 1 == out.len() {
+        room(out, end);
+        if w - start >= WIDE && end - w <= WIDE {
+            out.copy_within(start..start + WIDE, w);
+        } else if start + 1 == w {
             let byte = out[start];
-            out.resize(end, byte);
+            out[w..end].fill(byte);
+        } else {
+            // A match may overlap its own output: the bytes from `start`
+            // repeat with period `w - start`, and each round copies all
+            // of them that exist so far.
+            let mut at = w;
+            while at < end {
+                let n = (end - at).min(at - start);
+                out.copy_within(start..start + n, at);
+                at += n;
+            }
         }
-        while out.len() < end {
-            let n = (end - out.len()).min(out.len() - start);
-            out.extend_from_within(start..start + n);
-        }
+        w = end;
     }
-    if out.len() > limit {
+    if w > limit {
         return Err(too_long());
     }
-    Ok(())
+    Ok(w)
 }
 
 #[cfg(test)]
@@ -617,6 +641,8 @@ mod tests {
         const LIMIT: usize = 64 << 10;
         let lies = [ten_byte_varint(u64::MAX), ten_byte_varint(1 << 32)];
         let mut compressor = Compressor::default();
+        // One scratch for every stream: none may see what another left.
+        let mut scratch = Vec::new();
         let (mut refused, mut accepted) = (0u32, 0u32);
         for seed in 0..24u64 {
             let ty = [CompressionType::Lz4, CompressionType::Snappy, CompressionType::Zstd]
@@ -624,7 +650,8 @@ mod tests {
             let block = db_bench_block(seed, 1 + (seed as usize * 3) % 40);
             let stream = compressor.compress(ty, &block).expect("a db_bench block shrinks").to_vec();
             let mut check = |mutant: &[u8]| {
-                match (simzip_decompress(mutant, LIMIT), simzip_decompress_ref(mutant, LIMIT)) {
+                let got = simzip_decompress(mutant, LIMIT, &mut scratch);
+                match (got, simzip_decompress_ref(mutant, LIMIT)) {
                     (Ok(got), Ok(want)) => {
                         accepted += 1;
                         assert_eq!(got, want, "block {seed}: {mutant:?}");
@@ -761,6 +788,37 @@ mod tests {
         }
         let [matches, tails, reuses] = checked;
         println!("copy paths: {matches} matches, {tails} literal tails, {reuses} reuse decodes");
+    }
+
+    /// A stream that fails part-way leaves what it wrote in the scratch;
+    /// each stream decoded through that scratch next is byte-exact, at its
+    /// exact length, all the same.
+    #[test]
+    fn a_failed_decode_leaves_nothing_in_the_next_one() {
+        // 5,000 bytes of 0xee, then a match at distance 0.
+        let mut failing = vec![1, 0xee];
+        put_varint64(&mut failing, (4_999 - MIN_MATCH + 1) as u64);
+        failing.extend_from_slice(&[1, 0, 1, 0]);
+        let mut compressor = Compressor::default();
+        let mut scratch = Vec::new();
+        for (n, block) in [
+            db_bench_block(7, 30),
+            Vec::new(),
+            b"abcabcabcabcabcabcabc".to_vec(),
+            vec![0u8; 9_000],
+            compressible(6_000),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let err = decompress_in(&failing, &mut scratch).unwrap_err();
+            assert_eq!(err.to_string(), "corruption: simzip: invalid match distance");
+            assert!(scratch[..5_000].iter().all(|&b| b == 0xee), "the failed decode wrote");
+            compressor.simzip(&block, 2);
+            let got = decompress_in(&compressor.out, &mut scratch).unwrap();
+            assert_eq!(got, block, "block {n}");
+            assert_eq!(got.capacity(), got.len(), "block {n}");
+        }
     }
 
     #[test]

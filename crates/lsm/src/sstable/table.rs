@@ -18,6 +18,7 @@
 //! The footer's three handles carry no checksum, so each is bounds-checked
 //! against the file length before anything is read through it.
 
+use std::cell::RefCell;
 use std::sync::Arc;
 
 use crate::error::{Error, Result};
@@ -493,6 +494,23 @@ fn index_handle(value: &[u8]) -> Result<BlockHandle> {
     BlockHandle::decode(value).ok_or_else(|| Error::corruption("bad index value"))
 }
 
+/// A buffer an outsized block grew past this is let go, not kept.
+const SCRATCH_KEEP: usize = 1 << 20;
+
+/// What a thread reads blocks through, kept from block to block so a
+/// block read allocates only the block it returns.
+struct ReadBuffers {
+    /// `payload | flag | crc` as read from the file.
+    stored: Vec<u8>,
+    /// Where a compressed payload is decoded before it is copied out.
+    scratch: Vec<u8>,
+}
+
+thread_local! {
+    static READ_BUFFERS: RefCell<ReadBuffers> =
+        const { RefCell::new(ReadBuffers { stored: Vec::new(), scratch: Vec::new() }) };
+}
+
 /// The one block read: bounds → read → split trailer → CRC → decompress by
 /// flag. Serves the footer's three handles at open and every data block
 /// after. A handle that does not lie wholly before the footer is refused
@@ -511,8 +529,26 @@ fn fetch_block(
     if end.is_none_or(|end| end > blocks_end) {
         return Err(Error::corruption("block handle points outside the table"));
     }
+    READ_BUFFERS.with_borrow_mut(|buffers| {
+        let fetched = read_stored(file, handle, verify_checksums, buffers);
+        for buf in [&mut buffers.stored, &mut buffers.scratch] {
+            if buf.capacity() > SCRATCH_KEEP {
+                *buf = Vec::new();
+            }
+        }
+        fetched
+    })
+}
+
+/// [`fetch_block`] after its bounds check, through this thread's buffers.
+fn read_stored(
+    file: &dyn RandomAccessFile,
+    handle: BlockHandle,
+    verify_checksums: bool,
+    ReadBuffers { stored, scratch }: &mut ReadBuffers,
+) -> Result<BlockFetch> {
     let stored_len = handle.stored_len();
-    let mut stored = file.read_at(handle.offset, stored_len as usize)?;
+    file.read_into(handle.offset, stored_len as usize, stored)?;
     if stored.len() as u64 != stored_len {
         return Err(Error::corruption("short block read"));
     }
@@ -523,12 +559,8 @@ fn fetch_block(
         return Err(Error::corruption("block checksum mismatch"));
     }
     let (data, was_compressed) = match flag {
-        COMPRESSION_FLAG_NONE => {
-            // The read buffer is the block: drop the trailer in place.
-            stored.truncate(handle.size as usize);
-            (stored, false)
-        }
-        COMPRESSION_FLAG_SIMZIP => (compress::decompress(payload)?, true),
+        COMPRESSION_FLAG_NONE => (payload.to_vec(), false),
+        COMPRESSION_FLAG_SIMZIP => (compress::decompress_in(payload, scratch)?, true),
         other => return Err(Error::corruption(format!("unknown compression flag {other}"))),
     };
     Ok(BlockFetch { data, io_bytes: stored_len, was_compressed })
@@ -761,6 +793,64 @@ mod tests {
         let contents = vfs.read_all("t.sst").unwrap();
         let flags = get_fixed64(&contents, contents.len() - 8).unwrap();
         assert_eq!(flags, 0, "the reserved footer word is written as zero");
+    }
+
+    /// Runs `f` on a thread of its own, which starts with empty read
+    /// buffers, and returns the capacities of the two it keeps after.
+    fn kept_after(f: impl FnOnce() + Send) -> (usize, usize) {
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                f();
+                READ_BUFFERS.with_borrow(|b| (b.stored.capacity(), b.scratch.capacity()))
+            })
+            .join()
+            .unwrap()
+        })
+    }
+
+    /// A thread keeps its read buffer and decode scratch from block to
+    /// block, but lets go of either once an outsized block, or a large
+    /// index or filter read at open, grows it past `SCRATCH_KEEP`.
+    #[test]
+    fn kept_read_buffers_stay_bounded() {
+        // One data block of 2.4 MB, compressed and stored raw.
+        let outsized: Vec<_> =
+            (0..300).map(|i| (format!("key-{i:08}"), "z".repeat(8 << 10))).collect();
+        for compression in [CompressionType::Snappy, CompressionType::None] {
+            let vfs = MemVfs::new();
+            let config = TableConfig { block_size: 4 << 20, compression, ..TableConfig::default() };
+            assert_eq!(build_table(&vfs, "t.sst", &outsized, config).properties.num_data_blocks, 1);
+            let (reader, _) = TableReader::open(vfs.open("t.sst").unwrap()).unwrap();
+            let (stored, scratch) = kept_after(|| {
+                let first = reader.find_block(lookup_key(b"", u64::MAX).encoded()).unwrap().unwrap();
+                let block = reader.read_block(first, true).unwrap().data;
+                assert!(block.len() > 2 * SCRATCH_KEEP, "{compression:?}: {}", block.len());
+                assert_eq!(block.capacity(), block.len(), "{compression:?}");
+            });
+            assert!(stored <= SCRATCH_KEEP && scratch <= SCRATCH_KEEP, "{compression:?}: {stored}, {scratch}");
+        }
+        // An ordinary block's buffers are kept for the next one.
+        let vfs = MemVfs::new();
+        let config = TableConfig { compression: CompressionType::Snappy, ..TableConfig::default() };
+        build_table(&vfs, "small.sst", &entries(500), config);
+        let (reader, _) = TableReader::open(vfs.open("small.sst").unwrap()).unwrap();
+        let (stored, scratch) = kept_after(|| assert!(get(&reader, b"key-00000321").is_some()));
+        assert!(stored > 0 && scratch > 0, "kept: {stored}, {scratch}");
+        // One entry per data block and 200 filter bits per key: the index
+        // and the filter each pass 1 MiB.
+        let config = TableConfig {
+            block_size: 1,
+            bloom_bits_per_key: 200.0,
+            compression: CompressionType::Snappy,
+            ..TableConfig::default()
+        };
+        let props = build_table(&vfs, "big.sst", &entries(50_000), config).properties;
+        assert!(props.index_bytes > SCRATCH_KEEP as u64, "index {}", props.index_bytes);
+        assert!(props.filter_bytes > SCRATCH_KEEP as u64, "filter {}", props.filter_bytes);
+        let (stored, scratch) = kept_after(|| {
+            TableReader::open(vfs.open("big.sst").unwrap()).unwrap();
+        });
+        assert!(stored <= SCRATCH_KEEP && scratch <= SCRATCH_KEEP, "open: {stored}, {scratch}");
     }
 
     /// A file that fails the test if asked for bytes it does not have:

@@ -61,6 +61,19 @@ pub trait RandomAccessFile: Send + Sync {
     /// Returns [`ErrorKind::Io`](crate::ErrorKind) if the read fails or the offset is past EOF.
     fn read_at(&self, offset: u64, len: usize) -> Result<Vec<u8>>;
 
+    /// [`read_at`](Self::read_at) into `buf`, which then holds exactly
+    /// the bytes read, so a caller that reads block after block can keep
+    /// one buffer for all of them. The default replaces `buf` with what
+    /// `read_at` returns; a file that can read in place overrides it.
+    ///
+    /// # Errors
+    ///
+    /// As [`read_at`](Self::read_at); `buf`'s contents are then unspecified.
+    fn read_into(&self, offset: u64, len: usize, buf: &mut Vec<u8>) -> Result<()> {
+        *buf = self.read_at(offset, len)?;
+        Ok(())
+    }
+
     /// Total file length in bytes.
     fn len(&self) -> u64;
 
@@ -279,8 +292,9 @@ struct MemRandomAccessFile {
     contents: Arc<Vec<u8>>,
 }
 
-impl RandomAccessFile for MemRandomAccessFile {
-    fn read_at(&self, offset: u64, len: usize) -> Result<Vec<u8>> {
+impl MemRandomAccessFile {
+    /// The bytes a read of `len` at `offset` returns.
+    fn span(&self, offset: u64, len: usize) -> Result<&[u8]> {
         let start = offset as usize;
         if start > self.contents.len() {
             return Err(Error::io(format!(
@@ -289,7 +303,20 @@ impl RandomAccessFile for MemRandomAccessFile {
             )));
         }
         let end = (start + len).min(self.contents.len());
-        Ok(self.contents[start..end].to_vec())
+        Ok(&self.contents[start..end])
+    }
+}
+
+impl RandomAccessFile for MemRandomAccessFile {
+    fn read_at(&self, offset: u64, len: usize) -> Result<Vec<u8>> {
+        self.span(offset, len).map(<[u8]>::to_vec)
+    }
+
+    fn read_into(&self, offset: u64, len: usize, buf: &mut Vec<u8>) -> Result<()> {
+        let span = self.span(offset, len)?;
+        buf.clear();
+        buf.extend_from_slice(span);
+        Ok(())
     }
 
     fn len(&self) -> u64 {
@@ -536,13 +563,21 @@ struct StdRandomAccessFile {
 
 impl RandomAccessFile for StdRandomAccessFile {
     fn read_at(&self, offset: u64, len: usize) -> Result<Vec<u8>> {
+        let mut buf = Vec::new();
+        self.read_into(offset, len, &mut buf)?;
+        Ok(buf)
+    }
+
+    fn read_into(&self, offset: u64, len: usize, buf: &mut Vec<u8>) -> Result<()> {
         if offset > self.len {
             return Err(Error::io(format!(
                 "read past eof: offset {offset} > len {}",
                 self.len
             )));
         }
-        let mut buf = vec![0u8; len];
+        // Only what the buffer grows by is zeroed; the read overwrites
+        // the rest.
+        buf.resize(len, 0);
         let mut read = 0;
         while read < len {
             let n = FileExt::read_at(&self.file, &mut buf[read..], offset + read as u64)?;
@@ -552,7 +587,7 @@ impl RandomAccessFile for StdRandomAccessFile {
             read += n;
         }
         buf.truncate(read);
-        Ok(buf)
+        Ok(())
     }
 
     fn len(&self) -> u64 {
@@ -662,6 +697,18 @@ mod tests {
         assert_eq!(r.read_at(6, 5).unwrap(), b"world");
         assert_eq!(r.read_at(6, 100).unwrap(), b"world", "short read at eof");
         assert!(r.read_at(100, 1).is_err(), "read past eof errors");
+        // One buffer for several reads: each leaves exactly its bytes,
+        // whether the buffer held more or fewer before it.
+        let mut buf = b"stale bytes, longer than any read".to_vec();
+        r.read_into(0, 5, &mut buf).unwrap();
+        assert_eq!(buf, b"hello");
+        r.read_into(6, 100, &mut buf).unwrap();
+        assert_eq!(buf, b"world", "short read at eof");
+        r.read_into(0, 11, &mut buf).unwrap();
+        assert_eq!(buf, b"hello world");
+        r.read_into(11, 4, &mut buf).unwrap();
+        assert!(buf.is_empty(), "a read at eof");
+        assert!(r.read_into(100, 1, &mut buf).is_err(), "read past eof errors");
         assert_eq!(vfs.read_all("000001.sst").unwrap(), b"hello world");
 
         vfs.rename("000001.sst", "000002.sst").unwrap();
@@ -725,12 +772,19 @@ mod tests {
                         x ^= x << 17;
                         x
                     };
-                    for _ in 0..10_000 {
+                    // Every other read goes into the thread's one buffer.
+                    let mut buf = Vec::new();
+                    for k in 0..10_000 {
                         let offset = (next() % LEN as u64) as usize;
                         let len = (next() % 8192) as usize;
-                        let got = file.read_at(offset as u64, len).unwrap();
                         let want = &source[offset..(offset + len).min(LEN)];
-                        assert!(got == want, "thread {t}: offset {offset} len {len}");
+                        if k % 2 == 0 {
+                            let got = file.read_at(offset as u64, len).unwrap();
+                            assert!(got == want, "thread {t}: offset {offset} len {len}");
+                        } else {
+                            file.read_into(offset as u64, len, &mut buf).unwrap();
+                            assert!(buf == want, "thread {t}: offset {offset} len {len} into");
+                        }
                     }
                 })
             })
