@@ -613,16 +613,19 @@ mod tests {
         Ok(out)
     }
 
-    /// `v` written in ten varint bytes, however few it needs.
-    fn ten_byte_varint(v: u64) -> [u8; 10] {
-        std::array::from_fn(|k| {
-            let group = (v >> (7 * k)) as u8 & 0x7f;
-            if k < 9 {
-                group | 0x80
-            } else {
-                group
-            }
-        })
+    /// `v` written in exactly `width` varint bytes (`get_varint64` reads
+    /// the padding continuation bytes as zero groups).
+    fn padded_varint(v: u64, width: usize) -> Vec<u8> {
+        (0..width)
+            .map(|k| {
+                let group = (v >> (7 * k)) as u8 & 0x7f;
+                if k + 1 < width {
+                    group | 0x80
+                } else {
+                    group
+                }
+            })
+            .collect()
     }
 
     /// Compressed db_bench blocks, each mutated every way `block_fuzz.rs`
@@ -639,7 +642,7 @@ mod tests {
     #[test]
     fn decoder_agrees_with_the_reference_on_mutated_streams() {
         const LIMIT: usize = 64 << 10;
-        let lies = [ten_byte_varint(u64::MAX), ten_byte_varint(1 << 32)];
+        let lies = [padded_varint(u64::MAX, 10), padded_varint(1 << 32, 10)];
         let mut compressor = Compressor::default();
         // One scratch for every stream: none may see what another left.
         let mut scratch = Vec::new();
@@ -678,20 +681,6 @@ mod tests {
         assert!(refused + accepted > 100_000, "refused {refused}, accepted {accepted}");
     }
 
-    /// `v` written in exactly `width` varint bytes (`get_varint64` reads
-    /// the padding continuation bytes as zero groups).
-    fn padded_varint(v: u64, width: usize) -> Vec<u8> {
-        (0..width)
-            .map(|k| {
-                let group = (v >> (7 * k)) as u8 & 0x7f;
-                if k + 1 < width {
-                    group | 0x80
-                } else {
-                    group
-                }
-            })
-            .collect()
-    }
 
     /// A literal run of `prefix.len()` bytes, then one match of `len` at
     /// `dist`, then the end marker; and what it decodes to.

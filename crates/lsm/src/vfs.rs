@@ -292,9 +292,14 @@ struct MemRandomAccessFile {
     contents: Arc<Vec<u8>>,
 }
 
-impl MemRandomAccessFile {
-    /// The bytes a read of `len` at `offset` returns.
-    fn span(&self, offset: u64, len: usize) -> Result<&[u8]> {
+impl RandomAccessFile for MemRandomAccessFile {
+    fn read_at(&self, offset: u64, len: usize) -> Result<Vec<u8>> {
+        let mut buf = Vec::new();
+        self.read_into(offset, len, &mut buf)?;
+        Ok(buf)
+    }
+
+    fn read_into(&self, offset: u64, len: usize, buf: &mut Vec<u8>) -> Result<()> {
         let start = offset as usize;
         if start > self.contents.len() {
             return Err(Error::io(format!(
@@ -303,19 +308,8 @@ impl MemRandomAccessFile {
             )));
         }
         let end = (start + len).min(self.contents.len());
-        Ok(&self.contents[start..end])
-    }
-}
-
-impl RandomAccessFile for MemRandomAccessFile {
-    fn read_at(&self, offset: u64, len: usize) -> Result<Vec<u8>> {
-        self.span(offset, len).map(<[u8]>::to_vec)
-    }
-
-    fn read_into(&self, offset: u64, len: usize, buf: &mut Vec<u8>) -> Result<()> {
-        let span = self.span(offset, len)?;
         buf.clear();
-        buf.extend_from_slice(span);
+        buf.extend_from_slice(&self.contents[start..end]);
         Ok(())
     }
 
