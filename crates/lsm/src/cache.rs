@@ -556,6 +556,19 @@ mod tests {
     }
 
     #[test]
+    fn table_cache_get_refreshes_recency() {
+        let tc: TableCache<u64> = TableCache::new(16);
+        for i in 0..16 {
+            assert!(tc.insert(FileNumber(i), Arc::new(i)).is_empty());
+        }
+        assert!(tc.get(FileNumber(0)).is_some());
+        let displaced = tc.insert(FileNumber(16), Arc::new(16));
+        assert_eq!(displaced.iter().map(|r| **r).collect::<Vec<_>>(), vec![1]);
+        assert!(tc.get(FileNumber(0)).is_some(), "the file just read stays");
+        assert!(tc.get(FileNumber(1)).is_none(), "the least recent file goes");
+    }
+
+    #[test]
     fn table_cache_insert_returns_replaced_reader() {
         let tc: TableCache<u32> = TableCache::new(-1);
         assert!(tc.insert(FileNumber(1), Arc::new(7)).is_empty());

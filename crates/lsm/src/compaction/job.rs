@@ -111,7 +111,6 @@ pub fn run_compaction(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::filter::FilterDecision;
     use crate::memtable::MemTable;
     use crate::sstable::table::table_entries;
     use crate::types::{InternalKey, ValueType};
@@ -352,21 +351,22 @@ mod tests {
         assert!(can_drop_tombstones(&v3, &auto3), "deeper levels empty");
     }
 
-    struct DropAll;
-    impl crate::filter::CompactionFilter for DropAll {
-        fn name(&self) -> &str {
-            "drop-all"
-        }
-        fn filter(&self, _k: &[u8], _ty: ValueType, _v: &[u8]) -> FilterDecision {
-            FilterDecision::Remove
+    /// `v` stamped at second 0: expired under [`expiring`]'s clock.
+    const EXPIRED: &str = "v\0\0\0\0\0\0\0\0";
+
+    /// A context whose clock reads second 100 with a 10-second TTL.
+    fn expiring() -> FilterContext {
+        FilterContext {
+            filter: Some(Arc::new(crate::filter::TtlFilter::new(100, 10))),
+            pins: Vec::new(),
         }
     }
 
     #[test]
     fn filter_converts_to_tombstone_off_bottom_and_drops_at_bottom() {
         let vfs = MemVfs::new();
-        let t = make_table(&vfs, 1, &[("k", 5, ValueType::Value, "v")]);
-        let ctx = FilterContext { filter: Some(Arc::new(DropAll)), pins: Vec::new() };
+        let t = make_table(&vfs, 1, &[("k", 5, ValueType::TtlValue, EXPIRED)]);
+        let ctx = expiring();
 
         let mut next = 10u64;
         let off = run_compaction(
@@ -396,14 +396,14 @@ mod tests {
     #[test]
     fn filtered_entry_does_not_resurrect_deeper_version() {
         // Regression: `compact_range`-style bottommost rewrites must
-        // compose with the filter hook. The filtered newer version is
+        // compose with expiry. The expired newer version is
         // turned into a tombstone off-bottom; when that tombstone later
         // merges with the deeper old version at the bottom, both vanish
         // and the old value must NOT come back.
         let vfs = MemVfs::new();
-        let newer = make_table(&vfs, 1, &[("k", 9, ValueType::Value, "new")]);
+        let newer = make_table(&vfs, 1, &[("k", 9, ValueType::TtlValue, EXPIRED)]);
         let deeper = make_table(&vfs, 2, &[("k", 2, ValueType::Value, "old")]);
-        let ctx = FilterContext { filter: Some(Arc::new(DropAll)), pins: Vec::new() };
+        let ctx = expiring();
         let mut next = 10u64;
         let upper = run_compaction(
             &vfs,

@@ -150,36 +150,33 @@ mod tests {
         assert_eq!(entries[1].1, 3);
     }
 
+    /// `v` stamped at second 0: expired under [`expiring`]'s clock.
+    fn expired() -> Vec<u8> {
+        [&b"v"[..], &0u64.to_le_bytes()].concat()
+    }
+
+    /// A context whose clock reads second 100 with a 10-second TTL.
+    fn expiring(pins: Vec<u64>) -> FilterContext {
+        FilterContext { filter: Some(Arc::new(crate::filter::TtlFilter::new(100, 10))), pins }
+    }
+
     #[test]
     fn filter_converts_entry_to_tombstone_at_flush() {
-        use crate::filter::{CompactionFilter, FilterDecision};
-
-        struct DropAll;
-        impl CompactionFilter for DropAll {
-            fn name(&self) -> &str {
-                "drop-all"
-            }
-            fn filter(&self, _k: &[u8], _ty: ValueType, _v: &[u8]) -> FilterDecision {
-                FilterDecision::Remove
-            }
-        }
-
         let vfs = MemVfs::new();
         let mt = MemTable::new(0);
-        mt.add(1, ValueType::Value, b"a", b"v");
+        mt.add(1, ValueType::TtlValue, b"a", &expired());
         mt.add(2, ValueType::Deletion, b"b", b"");
-        let ctx = FilterContext { filter: Some(Arc::new(DropAll)), pins: Vec::new() };
         let _ = build_l0_table(
             &vfs,
             FileNumber(6),
             &[Arc::new(mt)],
             &TableConfig::default(),
-            &ctx,
+            &expiring(Vec::new()),
         )
         .unwrap();
         let entries = table_entries(&vfs, FileNumber(6));
         assert_eq!(entries.len(), 2);
-        assert_eq!(entries[0].2, ValueType::Deletion, "filtered value became a tombstone");
+        assert_eq!(entries[0].2, ValueType::Deletion, "expired value became a tombstone");
         assert_eq!(entries[0].1, 1, "sequence preserved");
         assert!(entries[0].3.is_empty());
         assert_eq!(entries[1].2, ValueType::Deletion, "pre-existing tombstone untouched");
@@ -187,35 +184,22 @@ mod tests {
 
     #[test]
     fn filter_never_acts_on_pinned_entry() {
-        use crate::filter::{CompactionFilter, FilterDecision};
-
-        struct DropAll;
-        impl CompactionFilter for DropAll {
-            fn name(&self) -> &str {
-                "drop-all"
-            }
-            fn filter(&self, _k: &[u8], _ty: ValueType, _v: &[u8]) -> FilterDecision {
-                FilterDecision::Remove
-            }
-        }
-
         let vfs = MemVfs::new();
         let mt = MemTable::new(0);
-        mt.add(4, ValueType::Value, b"a", b"v");
-        // A pin at seq 9 can see the entry at seq 4 — the filter must not run.
-        let ctx = FilterContext { filter: Some(Arc::new(DropAll)), pins: vec![9] };
+        mt.add(4, ValueType::TtlValue, b"a", &expired());
+        // A pin at seq 9 can see the entry at seq 4: it must not expire.
         let _ = build_l0_table(
             &vfs,
             FileNumber(7),
             &[Arc::new(mt)],
             &TableConfig::default(),
-            &ctx,
+            &expiring(vec![9]),
         )
         .unwrap();
         let entries = table_entries(&vfs, FileNumber(7));
         assert_eq!(entries.len(), 1);
-        assert_eq!(entries[0].2, ValueType::Value);
-        assert_eq!(entries[0].3, b"v");
+        assert_eq!(entries[0].2, ValueType::TtlValue);
+        assert_eq!(entries[0].3, expired());
     }
 
     #[test]

@@ -248,27 +248,12 @@ mod tests {
 
     use super::*;
     use crate::compaction::run_compaction;
-    use crate::filter::CompactionFilter;
+    use crate::filter::TtlFilter;
     use crate::flush::build_l0_table;
     use crate::memtable::MemTable;
     use crate::sstable::table::table_entries;
     use crate::version::FileMetadata;
     use crate::vfs::MemVfs;
-
-    /// Removes every value whose first byte is even.
-    struct DropEvenValues;
-    impl CompactionFilter for DropEvenValues {
-        fn name(&self) -> &str {
-            "drop-even"
-        }
-        fn filter(&self, _k: &[u8], _ty: ValueType, v: &[u8]) -> FilterDecision {
-            if v.first().is_some_and(|b| b % 2 == 0) {
-                FilterDecision::Remove
-            } else {
-                FilterDecision::Keep
-            }
-        }
-    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
@@ -276,23 +261,28 @@ mod tests {
         /// Flush is a non-bottommost merge: flushing N memtables at once
         /// leaves exactly the entries that flushing them one by one and
         /// then merging the N tables off-bottom leaves, whatever the
-        /// history, the pinned snapshots and the filter.
+        /// history, the pinned snapshots and what has expired.
         #[test]
         fn flushing_at_once_equals_flushing_one_by_one_then_merging(
             ops in vec((0u8..6, any::<u8>(), 0u8..4, 0u8..8), 1..120),
             pins in vec(0u64..130, 0..4),
-            use_filter in any::<bool>(),
+            use_ttl in any::<bool>(),
         ) {
             // One op per sequence number; `cut == 0` rotates the memtable.
+            // Kinds 2 and 3 are stamped values: at second 0 (expired under
+            // a TTL) when the value is even, at second 95 (live) when odd.
             let mut mems = vec![MemTable::new(0)];
             for (i, (key, value, kind, cut)) in ops.iter().enumerate() {
-                let (ty, value) = if *kind == 0 {
-                    (ValueType::Deletion, &[][..])
-                } else {
-                    (ValueType::Value, std::slice::from_ref(value))
+                let (ty, value) = match kind {
+                    0 => (ValueType::Deletion, Vec::new()),
+                    1 => (ValueType::Value, vec![*value]),
+                    _ => {
+                        let written: u64 = if value % 2 == 0 { 0 } else { 95 };
+                        (ValueType::TtlValue, [&[*value][..], &written.to_le_bytes()].concat())
+                    }
                 };
                 let mem = mems.last().expect("never empty");
-                mem.add(i as u64 + 1, ty, &[b'k', *key], value);
+                mem.add(i as u64 + 1, ty, &[b'k', *key], &value);
                 if *cut == 0 {
                     mems.push(MemTable::new(0));
                 }
@@ -302,8 +292,9 @@ mod tests {
             let mut pins = pins;
             pins.sort_unstable();
             pins.dedup();
-            let filter: Option<Arc<dyn CompactionFilter>> =
-                use_filter.then(|| Arc::new(DropEvenValues) as Arc<dyn CompactionFilter>);
+            // The clock reads second 100; a TTL of 10 expires the even
+            // stamped values, none when TTL is off.
+            let filter = use_ttl.then(|| Arc::new(TtlFilter::new(100, 10)) as _);
             let ctx = FilterContext { filter, pins };
             let config = TableConfig::default();
             let vfs = MemVfs::new();

@@ -443,21 +443,32 @@ mod tests {
             db.put(&[b, b], &[b; 64]).unwrap();
         }
         db.flush().unwrap();
-        for b in 0..=255u8 {
-            assert_eq!(db.get(&[b, b]).unwrap(), Some(vec![b; 64]));
-        }
+        let read_all = || {
+            for b in 0..=255u8 {
+                assert_eq!(db.get(&[b, b]).unwrap(), Some(vec![b; 64]));
+            }
+        };
+        read_all();
         // Four caches of a quarter each, so memory does not multiply by
-        // the shard count; the aggregate counts all four.
-        let per_shard: Vec<_> = (0..4).map(|i| db.shard(i).stats()).collect();
-        let agg = db.stats();
-        for (i, s) in per_shard.iter().enumerate() {
+        // the shard count; the aggregate counts all four. A second pass
+        // over the same keys hits in every shard's own cache.
+        let before: Vec<_> = (0..4).map(|i| db.shard(i).stats().tickers).collect();
+        let agg_before = db.stats().tickers;
+        read_all();
+        let hits: Vec<_> = (0..4)
+            .map(|i| db.shard(i).stats().tickers.delta_since(&before[i]).get(Ticker::BlockCacheHit))
+            .collect();
+        for i in 0..4 {
+            let s = db.shard(i).stats();
             assert_eq!(s.block_cache_capacity, total / 4, "shard {i}");
-            assert!(s.block_cache.inserts >= 1, "shard {i} cache unused: {:?}", s.block_cache);
+            assert!(hits[i] >= 1, "shard {i} cache unused");
+            assert_eq!(s.tickers.delta_since(&before[i]).get(Ticker::BlockCacheMiss), 0, "shard {i}");
         }
+        let agg = db.stats();
         assert_eq!(agg.block_cache_capacity, total);
         assert_eq!(
-            agg.block_cache.inserts,
-            per_shard.iter().map(|s| s.block_cache.inserts).sum::<u64>()
+            agg.tickers.delta_since(&agg_before).get(Ticker::BlockCacheHit),
+            hits.iter().sum::<u64>()
         );
     }
 
