@@ -7,7 +7,7 @@
 //! (`max_open_files`), charging reopen I/O on miss.
 
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -18,9 +18,8 @@ use crate::util::fnv1a;
 
 /// A multiplicative (Fx-style) hasher for the two caches' keys: file
 /// numbers and block offsets the engine made, so SipHash's resistance to
-/// chosen keys buys nothing. Nothing iterates either map in an order
-/// anything sees: the LRU list orders blocks, and the table cache picks
-/// its victim by the smallest tick, which is unique.
+/// chosen keys buys nothing. Nothing iterates either map: the LRU list
+/// orders the entries.
 #[derive(Default)]
 struct IntHasher(u64);
 
@@ -42,58 +41,6 @@ impl Hasher for IntHasher {
     }
 }
 
-type IntMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
-
-/// Cache hit/miss counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Lookups that found the block.
-    pub hits: u64,
-    /// Lookups that missed.
-    pub misses: u64,
-    /// Insertions.
-    pub inserts: u64,
-    /// Evictions due to capacity.
-    pub evictions: u64,
-}
-
-impl CacheStats {
-    /// Adds another cache's counters to these.
-    pub fn merge(&mut self, other: &CacheStats) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.inserts += other.inserts;
-        self.evictions += other.evictions;
-    }
-
-    /// Hit ratio in `[0, 1]`; zero when no lookups happened.
-    pub fn hit_ratio(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
-/// A mutually consistent view of the whole cache.
-///
-/// Every shard contributes its counters *and* its byte usage from a
-/// single lock acquisition, so derived invariants (e.g. bytes implied by
-/// `inserts - evictions`) hold even while other threads are hitting the
-/// cache. Summing [`BlockCache::stats`] and [`BlockCache::used_bytes`]
-/// separately does not give that guarantee.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheSnapshot {
-    /// Aggregated hit/miss/insert/eviction counters.
-    pub stats: CacheStats,
-    /// Total bytes currently cached (including bookkeeping overhead).
-    pub used_bytes: u64,
-    /// Total configured capacity in bytes.
-    pub capacity: u64,
-}
-
 /// Key identifying a cached block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BlockKey {
@@ -106,38 +53,41 @@ pub struct BlockKey {
 const NIL: usize = usize::MAX;
 
 #[derive(Debug)]
-struct LruEntry {
-    key: BlockKey,
-    /// `None` while the slot is on the free list, so an evicted block is
+struct LruEntry<K, V> {
+    key: K,
+    /// `None` while the slot is on the free list, so an evicted value is
     /// released when it leaves the cache, not when its slot is reused.
-    value: Option<Arc<Block>>,
+    value: Option<V>,
+    charge: u64,
     prev: usize,
     next: usize,
 }
 
-/// One cache shard: a hash map into a slab of entries threaded on an
-/// intrusive doubly-linked recency list (O(1) get/insert/evict).
+/// The one LRU both caches use: a hash map into a slab of entries
+/// threaded on an intrusive doubly-linked recency list (O(1) get, insert
+/// and evict). Each entry carries a charge, and an insert evicts from the
+/// cold end until the charges fit the capacity again.
 #[derive(Debug)]
-struct LruShard {
-    map: IntMap<BlockKey, usize>,
-    entries: Vec<LruEntry>,
+struct Lru<K, V> {
+    map: HashMap<K, usize, BuildHasherDefault<IntHasher>>,
+    entries: Vec<LruEntry<K, V>>,
     free: Vec<usize>,
     head: usize, // most recently used
     tail: usize, // least recently used
-    used_bytes: u64,
-    stats: CacheStats,
+    used: u64,
+    capacity: u64,
 }
 
-impl LruShard {
-    fn new() -> Self {
-        LruShard {
-            map: IntMap::default(),
+impl<K: Copy + Eq + Hash, V: Clone> Lru<K, V> {
+    fn new(capacity: u64) -> Self {
+        Lru {
+            map: HashMap::default(),
             entries: Vec::new(),
             free: Vec::new(),
             head: NIL,
             tail: NIL,
-            used_bytes: 0,
-            stats: CacheStats::default(),
+            used: 0,
+            capacity,
         }
     }
 
@@ -167,42 +117,45 @@ impl LruShard {
         }
     }
 
-    fn get(&mut self, key: &BlockKey) -> Option<Arc<Block>> {
-        match self.map.get(key).copied() {
-            Some(idx) => {
-                self.unlink(idx);
-                self.push_front(idx);
-                self.stats.hits += 1;
-                self.entries[idx].value.clone()
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
-        }
+    /// Looks up `key`, refreshing its recency on a hit.
+    fn get(&mut self, key: &K) -> Option<V> {
+        let idx = *self.map.get(key)?;
+        self.unlink(idx);
+        self.push_front(idx);
+        self.entries[idx].value.clone()
     }
 
-    fn remove_index(&mut self, idx: usize) {
+    fn remove_index(&mut self, idx: usize) -> Option<V> {
         self.unlink(idx);
         let entry = &mut self.entries[idx];
-        if let Some(value) = entry.value.take() {
-            self.used_bytes = self.used_bytes.saturating_sub(value.data_len() as u64 + 64);
-        }
         self.map.remove(&entry.key);
         self.free.push(idx);
+        let value = entry.value.take()?;
+        self.used -= entry.charge;
+        Some(value)
     }
 
-    fn insert(&mut self, key: BlockKey, value: Arc<Block>, capacity: u64) {
-        let len = value.data_len() as u64 + 64; // block + bookkeeping overhead
-        if len > capacity {
-            return; // oversized blocks bypass the cache
+    /// Removes `key`, returning its value.
+    fn remove(&mut self, key: &K) -> Option<V> {
+        let idx = *self.map.get(key)?;
+        self.remove_index(idx)
+    }
+
+    /// Inserts `value` charged at `charge`, handing every value it
+    /// displaces (a same-key replacement, then the LRU victims) to
+    /// `displaced`. A value charged more than the whole capacity bypasses
+    /// the cache.
+    fn insert(&mut self, key: K, value: V, charge: u64, mut displaced: impl FnMut(V)) {
+        if charge > self.capacity {
+            return;
         }
-        if let Some(idx) = self.map.get(&key).copied() {
-            self.remove_index(idx);
+        if let Some(old) = self.remove(&key) {
+            displaced(old);
         }
         let entry = LruEntry {
             key,
             value: Some(value),
+            charge,
             prev: NIL,
             next: NIL,
         };
@@ -218,26 +171,17 @@ impl LruShard {
         };
         self.map.insert(key, idx);
         self.push_front(idx);
-        self.used_bytes += len;
-        self.stats.inserts += 1;
-        while self.used_bytes > capacity && self.tail != NIL && self.tail != idx {
-            let victim = self.tail;
-            self.remove_index(victim);
-            self.stats.evictions += 1;
+        self.used += charge;
+        while self.used > self.capacity && self.tail != idx {
+            if let Some(old) = self.remove_index(self.tail) {
+                displaced(old);
+            }
         }
-    }
-
-    fn clear(&mut self) {
-        self.map.clear();
-        self.entries.clear();
-        self.free.clear();
-        self.head = NIL;
-        self.tail = NIL;
-        self.used_bytes = 0;
     }
 }
 
-/// A sharded LRU cache of uncompressed blocks with a byte capacity.
+/// A sharded LRU cache of uncompressed blocks with a byte capacity. Each
+/// block is charged its bytes plus 64 for bookkeeping.
 ///
 /// # Examples
 ///
@@ -253,8 +197,7 @@ impl LruShard {
 /// ```
 #[derive(Debug)]
 pub struct BlockCache {
-    shards: Vec<Mutex<LruShard>>,
-    capacity_per_shard: u64,
+    shards: Vec<Mutex<Lru<BlockKey, Arc<Block>>>>,
 }
 
 /// Builds a [`BlockKey`] (convenience for examples and tests).
@@ -266,13 +209,15 @@ impl BlockCache {
     /// Creates a cache with `capacity` bytes across `2^shard_bits` shards.
     pub fn new(capacity: u64, shard_bits: u32) -> Self {
         let num_shards = 1usize << shard_bits.min(8);
+        let per_shard = (capacity / num_shards as u64).max(1);
         BlockCache {
-            shards: (0..num_shards).map(|_| Mutex::new(LruShard::new())).collect(),
-            capacity_per_shard: (capacity / num_shards as u64).max(1),
+            shards: (0..num_shards)
+                .map(|_| Mutex::new(Lru::new(per_shard)))
+                .collect(),
         }
     }
 
-    fn shard(&self, key: &BlockKey) -> &Mutex<LruShard> {
+    fn shard(&self, key: &BlockKey) -> &Mutex<Lru<BlockKey, Arc<Block>>> {
         let h = fnv1a(&key.file.0.to_le_bytes()) ^ key.offset.wrapping_mul(0x9e3779b97f4a7c15);
         &self.shards[(h as usize) % self.shards.len()]
     }
@@ -284,96 +229,45 @@ impl BlockCache {
 
     /// Inserts a block, evicting LRU entries past capacity.
     pub fn insert(&self, key: BlockKey, value: Arc<Block>) {
-        self.shard(&key).lock().insert(key, value, self.capacity_per_shard);
+        let charge = value.data_len() as u64 + 64;
+        self.shard(&key).lock().insert(key, value, charge, drop);
     }
 
     /// Total bytes currently cached.
     pub fn used_bytes(&self) -> u64 {
-        self.snapshot().used_bytes
+        self.shards.iter().map(|s| s.lock().used).sum()
     }
 
     /// Total capacity in bytes.
     pub fn capacity(&self) -> u64 {
-        self.capacity_per_shard * self.shards.len() as u64
-    }
-
-    /// Aggregated hit/miss statistics.
-    pub fn stats(&self) -> CacheStats {
-        self.snapshot().stats
-    }
-
-    /// Captures counters and byte usage together, reading each shard
-    /// under one lock acquisition so the two stay mutually consistent.
-    pub fn snapshot(&self) -> CacheSnapshot {
-        let mut snap = CacheSnapshot {
-            capacity: self.capacity(),
-            ..CacheSnapshot::default()
-        };
-        for s in &self.shards {
-            let shard = s.lock();
-            snap.stats.merge(&shard.stats);
-            snap.used_bytes += shard.used_bytes;
-        }
-        snap
-    }
-
-    /// Drops every cached block (used when options change between runs).
-    pub fn clear(&self) {
-        for s in &self.shards {
-            s.lock().clear();
-        }
+        self.shards.iter().map(|s| s.lock().capacity).sum()
     }
 }
 
-// ---------------------------------------------------------------------------
-// Table cache
-// ---------------------------------------------------------------------------
-
-/// An LRU cache of open table readers bounded by `max_open_files`.
+/// An LRU cache of open table readers bounded by `max_open_files`, each
+/// reader charged 1.
 ///
 /// `T` is the reader type (kept generic to avoid a dependency cycle with
 /// the table module).
 #[derive(Debug)]
 pub struct TableCache<T> {
-    inner: Mutex<TableCacheInner<T>>,
-    capacity: usize,
-}
-
-#[derive(Debug)]
-struct TableCacheInner<T> {
-    map: IntMap<FileNumber, (Arc<T>, u64)>,
-    tick: u64,
-    evictions: u64,
+    inner: Mutex<Lru<FileNumber, Arc<T>>>,
 }
 
 impl<T> TableCache<T> {
     /// Creates a cache holding up to `max_open_files` readers
     /// (`-1`/very large = effectively unbounded).
     pub fn new(max_open_files: i64) -> Self {
-        let capacity = if max_open_files < 0 {
-            usize::MAX
-        } else {
-            (max_open_files as usize).max(16)
-        };
+        let capacity = u64::try_from(max_open_files).map_or(u64::MAX, |n| n.max(16));
         TableCache {
-            inner: Mutex::new(TableCacheInner {
-                map: IntMap::default(),
-                tick: 0,
-                evictions: 0,
-            }),
-            capacity,
+            inner: Mutex::new(Lru::new(capacity)),
         }
     }
 
-    /// Returns the cached reader for `file`, if open.
+    /// Returns the cached reader for `file`, if open, refreshing its
+    /// recency.
     pub fn get(&self, file: FileNumber) -> Option<Arc<T>> {
-        let mut inner = self.inner.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
-        inner.map.get_mut(&file).map(|(r, t)| {
-            *t = tick;
-            Arc::clone(r)
-        })
+        self.inner.lock().get(&file)
     }
 
     /// Inserts a freshly opened reader, evicting the LRU one if full.
@@ -383,32 +277,17 @@ impl<T> TableCache<T> {
     /// can release whatever accounting (memory reservations) it holds
     /// against them.
     pub fn insert(&self, file: FileNumber, reader: Arc<T>) -> Vec<Arc<T>> {
-        let mut inner = self.inner.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
         let mut displaced = Vec::new();
-        if let Some((old, _)) = inner.map.insert(file, (reader, tick)) {
-            displaced.push(old);
-        }
-        while inner.map.len() > self.capacity {
-            let victim = inner
-                .map
-                .iter()
-                .min_by_key(|(_, (_, t))| *t)
-                .map(|(k, _)| *k)
-                .expect("non-empty when over capacity");
-            if let Some((old, _)) = inner.map.remove(&victim) {
-                displaced.push(old);
-            }
-            inner.evictions += 1;
-        }
+        self.inner
+            .lock()
+            .insert(file, reader, 1, |r| displaced.push(r));
         displaced
     }
 
     /// Removes a reader (when its file is deleted), returning it so the
     /// caller can release accounting held against it.
     pub fn evict(&self, file: FileNumber) -> Option<Arc<T>> {
-        self.inner.lock().map.remove(&file).map(|(r, _)| r)
+        self.inner.lock().remove(&file)
     }
 
     /// Number of open readers.
@@ -419,21 +298,6 @@ impl<T> TableCache<T> {
     /// Whether no readers are open.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Capacity-driven evictions so far.
-    pub fn evictions(&self) -> u64 {
-        self.inner.lock().evictions
-    }
-
-    /// Drops all open readers, returning them for accounting release.
-    pub fn clear(&self) -> Vec<Arc<T>> {
-        self.inner
-            .lock()
-            .map
-            .drain()
-            .map(|(_, (r, _))| r)
-            .collect()
     }
 }
 
@@ -455,8 +319,6 @@ mod tests {
         c.insert(key(1, 0), block(100));
         assert!(c.get(&key(1, 0)).is_some());
         assert!(c.get(&key(1, 4096)).is_none());
-        let s = c.stats();
-        assert_eq!((s.hits, s.misses), (1, 1));
     }
 
     #[test]
@@ -470,7 +332,7 @@ mod tests {
         c.insert(key(1, 2), block(1500));
         assert!(c.get(&key(1, 0)).is_some(), "recently used survives");
         assert!(c.get(&key(1, 1)).is_none(), "LRU evicted");
-        assert!(c.stats().evictions >= 1);
+        assert_eq!(c.used_bytes(), 2 * 1564);
     }
 
     #[test]
@@ -497,9 +359,8 @@ mod tests {
         let c = BlockCache::new(1 << 20, 2);
         c.insert(key(1, 0), block(1000));
         c.insert(key(2, 0), block(2000));
-        assert!(c.used_bytes() >= 3000);
-        c.clear();
-        assert_eq!(c.used_bytes(), 0);
+        assert_eq!(c.used_bytes(), 3000 + 2 * 64, "each block charged its bytes + 64");
+        assert_eq!(c.capacity(), 1 << 20);
     }
 
     #[test]
@@ -512,34 +373,6 @@ mod tests {
     }
 
     #[test]
-    fn hit_ratio_computes() {
-        let c = BlockCache::new(1 << 20, 0);
-        c.insert(key(1, 0), block(10));
-        c.get(&key(1, 0));
-        c.get(&key(9, 9));
-        assert!((c.stats().hit_ratio() - 0.5).abs() < 1e-9);
-        assert_eq!(CacheStats::default().hit_ratio(), 0.0);
-    }
-
-    #[test]
-    fn snapshot_is_internally_consistent() {
-        let c = BlockCache::new(8192, 2);
-        for i in 0..50 {
-            c.insert(key(i, 0), block(936)); // 936 + 64 = 1000 charged bytes
-            c.get(&key(i, 0));
-        }
-        let snap = c.snapshot();
-        // Distinct fixed-size keys: bytes in cache are exactly the net
-        // insert count times the per-entry charge.
-        assert_eq!(
-            snap.used_bytes,
-            (snap.stats.inserts - snap.stats.evictions) * 1000
-        );
-        assert_eq!(snap.capacity, c.capacity());
-        assert_eq!(snap.stats, c.stats());
-    }
-
-    #[test]
     fn table_cache_bounds_open_files() {
         let tc: TableCache<String> = TableCache::new(16);
         let mut displaced = 0usize;
@@ -547,9 +380,8 @@ mod tests {
             displaced += tc.insert(FileNumber(i), Arc::new(format!("reader-{i}"))).len();
         }
         assert_eq!(tc.len(), 16);
-        assert!(tc.evictions() >= 24);
         // Every insert past capacity hands its victim back to the caller.
-        assert_eq!(displaced as u64, tc.evictions());
+        assert_eq!(displaced, 24);
         // Most recent files survive.
         assert!(tc.get(FileNumber(39)).is_some());
         assert!(tc.get(FileNumber(0)).is_none());
@@ -575,17 +407,16 @@ mod tests {
         let displaced = tc.insert(FileNumber(1), Arc::new(8));
         assert_eq!(displaced.len(), 1);
         assert_eq!(*displaced[0], 7);
-        assert_eq!(tc.evictions(), 0, "replacement is not a capacity eviction");
+        assert_eq!(tc.len(), 1, "replacement is not a capacity eviction");
     }
 
     #[test]
     fn table_cache_unbounded_with_minus_one() {
         let tc: TableCache<u32> = TableCache::new(-1);
         for i in 0..1000 {
-            tc.insert(FileNumber(i), Arc::new(i as u32));
+            assert!(tc.insert(FileNumber(i), Arc::new(i as u32)).is_empty());
         }
         assert_eq!(tc.len(), 1000);
-        assert_eq!(tc.evictions(), 0);
     }
 
     #[test]
@@ -596,10 +427,5 @@ mod tests {
         assert!(tc.evict(FileNumber(1)).is_none());
         assert!(tc.get(FileNumber(1)).is_none());
         assert!(tc.is_empty());
-        let tc2: TableCache<u32> = TableCache::new(-1);
-        tc2.insert(FileNumber(2), Arc::new(2));
-        tc2.insert(FileNumber(3), Arc::new(3));
-        assert_eq!(tc2.clear().len(), 2);
-        assert!(tc2.is_empty());
     }
 }

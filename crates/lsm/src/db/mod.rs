@@ -32,7 +32,7 @@ use std::time::Duration;
 use hw_sim::{Clock, SimDuration, SimTime};
 use parking_lot::{Mutex, RwLock};
 
-use crate::cache::{BlockCache, CacheStats, TableCache};
+use crate::cache::{BlockCache, TableCache};
 use crate::filter::{FilterContext, TtlFilter};
 use crate::listener::{EventListener, StallConditionsChanged};
 use crate::memtable::MemTable;
@@ -169,8 +169,6 @@ pub struct DbStats {
     pub memtable_bytes: u64,
     /// Immutable memtables waiting to flush.
     pub immutable_memtables: usize,
-    /// Block cache statistics.
-    pub block_cache: CacheStats,
     /// Block cache capacity in bytes.
     pub block_cache_capacity: u64,
     /// Estimated pending compaction debt in bytes.
@@ -201,11 +199,10 @@ impl DbStats {
     }
 
     /// Folds in the statistics of another database serving a different
-    /// key range: counters, level shapes, debt and block cache (each
-    /// database has its own) sum, `last_sequence` takes the larger.
+    /// key range: counters, level shapes, debt and block cache capacity
+    /// (each database has its own) sum, `last_sequence` takes the larger.
     pub fn merge(&mut self, other: &DbStats) {
         self.tickers.merge(&other.tickers);
-        self.block_cache.merge(&other.block_cache);
         self.block_cache_capacity += other.block_cache_capacity;
         if self.levels.len() < other.levels.len() {
             self.levels.resize(other.levels.len(), (0, 0));

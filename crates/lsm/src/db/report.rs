@@ -32,18 +32,12 @@ impl Db {
             .map(|l| (state.version.files(l).len(), state.version.level_bytes(l)))
             .collect();
         let memtable_bytes = state.mem.approximate_memory_usage() as u64 + state.imm_bytes();
-        let cache_snap = inner
-            .block_cache
-            .as_ref()
-            .map(|c| c.snapshot())
-            .unwrap_or_default();
         DbStats {
             tickers: inner.stats.tickers().snapshot(),
             levels,
             memtable_bytes,
             immutable_memtables: state.imm.len(),
-            block_cache: cache_snap.stats,
-            block_cache_capacity: cache_snap.capacity,
+            block_cache_capacity: inner.block_cache.as_ref().map_or(0, |c| c.capacity()),
             pending_compaction_bytes: state.pending_compaction_bytes,
             running_background_jobs: state.running_flushes + state.running_compactions,
             last_sequence: state.last_seq,

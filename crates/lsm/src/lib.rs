@@ -59,7 +59,7 @@ mod version;
 mod write_controller;
 
 pub use batch::WriteBatch;
-pub use cache::{cache_key, BlockCache, BlockKey, CacheSnapshot, CacheStats, TableCache};
+pub use cache::{cache_key, BlockCache, BlockKey, TableCache};
 pub use compaction::{
     level_targets, pending_compaction_bytes, run_compaction, CompactionInputs,
     CompactionJobOutput,

@@ -10,7 +10,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 use lsm_kvs::{
-    CacheStats, DbStats, Error, KeyRanges, KvEngine, RangeFanout, Result, ScanResult,
+    DbStats, Error, KeyRanges, KvEngine, RangeFanout, Result, ScanResult,
     TickerSnapshot, ValueType, WriteBatch, WriteOptions, TICKER_NAMES,
 };
 use testkit::Rng;
@@ -46,7 +46,6 @@ impl MapPart {
             levels: vec![(map.len(), 0)],
             memtable_bytes: map.values().map(|v| v.len() as u64).sum(),
             immutable_memtables: 0,
-            block_cache: CacheStats::default(),
             block_cache_capacity: 0,
             pending_compaction_bytes: 0,
             running_background_jobs: 0,

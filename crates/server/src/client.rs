@@ -366,7 +366,6 @@ fn empty_stats() -> DbStats {
         levels: Vec::new(),
         memtable_bytes: 0,
         immutable_memtables: 0,
-        block_cache: lsm_kvs::CacheStats::default(),
         block_cache_capacity: 0,
         pending_compaction_bytes: 0,
         running_background_jobs: 0,

@@ -22,7 +22,7 @@
 use std::io::{self, Read, Write};
 
 use lsm_kvs::{
-    CacheStats, DbStats, Error, ErrorKind, Result, TickerSnapshot, ValueType, WriteBatch,
+    DbStats, Error, ErrorKind, Result, TickerSnapshot, ValueType, WriteBatch,
     TICKER_NAMES,
 };
 
@@ -741,10 +741,6 @@ fn encode_db_stats(out: &mut Vec<u8>, s: &DbStats) {
     }
     put_u64(out, s.memtable_bytes);
     put_u64(out, s.immutable_memtables as u64);
-    put_u64(out, s.block_cache.hits);
-    put_u64(out, s.block_cache.misses);
-    put_u64(out, s.block_cache.inserts);
-    put_u64(out, s.block_cache.evictions);
     put_u64(out, s.block_cache_capacity);
     put_u64(out, s.pending_compaction_bytes);
     put_u64(out, s.running_background_jobs as u64);
@@ -782,12 +778,6 @@ fn decode_db_stats(c: &mut Cur<'_>) -> Result<DbStats> {
         levels,
         memtable_bytes: c.u64()?,
         immutable_memtables: c.u64()? as usize,
-        block_cache: CacheStats {
-            hits: c.u64()?,
-            misses: c.u64()?,
-            inserts: c.u64()?,
-            evictions: c.u64()?,
-        },
         block_cache_capacity: c.u64()?,
         pending_compaction_bytes: c.u64()?,
         running_background_jobs: c.u64()? as usize,
