@@ -17,7 +17,6 @@
 //! scheduler ([`DbInner::catch_up`], [`DbInner::work_available`]); in
 //! real mode pool workers claim for themselves ([`background_worker`]).
 
-use std::sync::atomic::Ordering;
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 
@@ -475,7 +474,7 @@ impl DbInner {
             match op() {
                 Err(e) if e.is_retryable() && attempts < MANIFEST_RETRIES => {
                     attempts += 1;
-                    self.manifest_resyncs.fetch_add(1, Ordering::Relaxed);
+                    self.stats.tickers().inc(Ticker::ManifestResyncs);
                 }
                 result => return result,
             }
@@ -580,7 +579,7 @@ impl DbInner {
                 // backoff and re-claim instead of latching the fatal state.
                 Err(e) if e.is_retryable() && !rt.bg.is_shutdown() => {
                     consecutive_failures += 1;
-                    self.bg_retries.fetch_add(1, Ordering::Relaxed);
+                    self.stats.tickers().inc(Ticker::BackgroundRetries);
                     std::thread::sleep(Duration::from_millis(
                         1u64 << consecutive_failures.min(6),
                     ));

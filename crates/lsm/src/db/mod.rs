@@ -177,15 +177,6 @@ pub struct DbStats {
     pub running_background_jobs: usize,
     /// Last sequence number assigned.
     pub last_sequence: SequenceNumber,
-    /// Background jobs that hit a transient error and were retried
-    /// instead of aborting.
-    pub background_retries: u64,
-    /// WAL files rotated after a transient append failure.
-    pub wal_rotations: u64,
-    /// Manifest append/sync operations re-driven after a transient error.
-    pub manifest_resyncs: u64,
-    /// WAL syncs re-driven after a transient error.
-    pub wal_sync_retries: u64,
 }
 
 impl DbStats {
@@ -217,10 +208,6 @@ impl DbStats {
             self.pending_compaction_bytes.saturating_add(other.pending_compaction_bytes);
         self.running_background_jobs += other.running_background_jobs;
         self.last_sequence = self.last_sequence.max(other.last_sequence);
-        self.background_retries += other.background_retries;
-        self.wal_rotations += other.wal_rotations;
-        self.manifest_resyncs += other.manifest_resyncs;
-        self.wal_sync_retries += other.wal_sync_retries;
     }
 }
 
@@ -337,14 +324,6 @@ struct DbInner {
     visible_seq: AtomicU64,
     /// Number of live user-facing [`Db`] handles (workers hold `Weak`s).
     handles: AtomicUsize,
-    /// Background jobs retried (parked, not aborted) on transient errors.
-    bg_retries: AtomicU64,
-    /// WAL rotations after transient append failures.
-    wal_rotations: AtomicU64,
-    /// Manifest append/sync attempts re-driven on transient errors.
-    manifest_resyncs: AtomicU64,
-    /// Acknowledged-append WAL syncs re-driven on transient errors.
-    wal_sync_retries: AtomicU64,
     /// `Some` when a replication layer observes committed WAL groups.
     wal_sink: Option<Arc<dyn WalSink>>,
     /// Pinned snapshot sequences (seq -> pin count). Flush and

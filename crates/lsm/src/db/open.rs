@@ -249,10 +249,6 @@ impl DbBuilder {
                 controller: RwLock::new(controller),
                 mode,
                 handles: AtomicUsize::new(1),
-                bg_retries: AtomicU64::new(0),
-                wal_rotations: AtomicU64::new(0),
-                manifest_resyncs: AtomicU64::new(0),
-                wal_sync_retries: AtomicU64::new(0),
                 wal_sink: self.wal_sink,
                 pins: Mutex::new(BTreeMap::new()),
                 opts: RwLock::new(Arc::new(opts)),

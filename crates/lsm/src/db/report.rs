@@ -1,7 +1,5 @@
 //! Statistics snapshots and the RocksDB-style statistics dump.
 
-use std::sync::atomic::Ordering;
-
 use hw_sim::SimDuration;
 
 use super::{Db, DbStats};
@@ -41,10 +39,6 @@ impl Db {
             pending_compaction_bytes: state.pending_compaction_bytes,
             running_background_jobs: state.running_flushes + state.running_compactions,
             last_sequence: state.last_seq,
-            background_retries: inner.bg_retries.load(Ordering::Relaxed),
-            wal_rotations: inner.wal_rotations.load(Ordering::Relaxed),
-            manifest_resyncs: inner.manifest_resyncs.load(Ordering::Relaxed),
-            wal_sync_retries: inner.wal_sync_retries.load(Ordering::Relaxed),
         }
     }
 

@@ -345,8 +345,7 @@ impl DbInner {
                 return Err(e);
             }
             attempts += 1;
-            self.wal_sync_retries
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.stats.tickers().inc(Ticker::WalSyncRetries);
             std::thread::sleep(std::time::Duration::from_millis(1 << attempts));
         }
         self.stats.tickers().inc(Ticker::WalSyncs);
@@ -368,8 +367,7 @@ impl DbInner {
     /// pre-rotation file, so WAL GC keeps both until the next flush.
     fn rotate_wal(&self, state: &mut DbState) -> Result<()> {
         self.start_wal(state)?;
-        self.wal_rotations
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.stats.tickers().inc(Ticker::WalRotations);
         Ok(())
     }
 

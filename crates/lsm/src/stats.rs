@@ -44,9 +44,18 @@ pub enum Ticker {
     CompactionKeyDropped,
     MultiGetKeysRead,
     MultiGetBatches,
+    /// Background jobs parked and retried after a transient error
+    /// instead of aborting.
+    BackgroundRetries,
+    /// WAL files rotated after a transient append failure.
+    WalRotations,
+    /// Manifest appends or syncs re-driven after a transient error.
+    ManifestResyncs,
+    /// WAL syncs re-driven after a transient error.
+    WalSyncRetries,
 }
 
-const NUM_TICKERS: usize = 31;
+const NUM_TICKERS: usize = 35;
 
 fn ticker_index(t: Ticker) -> usize {
     t as usize
@@ -85,6 +94,10 @@ pub const TICKER_NAMES: [&str; NUM_TICKERS] = [
     "compaction_key_dropped",
     "multiget_keys_read",
     "multiget_batches",
+    "background_retries",
+    "wal_rotations",
+    "manifest_resyncs",
+    "wal_sync_retries",
 ];
 
 /// Thread-safe ticker array.

@@ -16,7 +16,7 @@ use hw_sim::HardwareEnv;
 use lsm_kvs::options::Options;
 use lsm_kvs::{
     Db, EventListener, FaultConfig, FaultInjectionVfs, FlushJobInfo, KvEngine, MemVfs, ShardedDb,
-    TearStyle, Vfs, WriteBatch, WriteOptions,
+    TearStyle, Ticker, Vfs, WriteBatch, WriteOptions,
 };
 use testkit::Rng;
 
@@ -326,7 +326,7 @@ fn error_burst_rotates_wal_and_preserves_acks() {
     }
     assert!(fault.injected_errors() >= 1);
     assert!(
-        db.stats().wal_rotations >= 1,
+        db.stats().tickers.get(Ticker::WalRotations) >= 1,
         "retryable WAL append error should rotate the log"
     );
 

@@ -50,10 +50,6 @@ impl MapPart {
             pending_compaction_bytes: 0,
             running_background_jobs: 0,
             last_sequence: map.len() as u64,
-            background_retries: 0,
-            wal_rotations: 0,
-            manifest_resyncs: 0,
-            wal_sync_retries: 0,
         }
     }
 }

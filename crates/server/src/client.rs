@@ -370,9 +370,5 @@ fn empty_stats() -> DbStats {
         pending_compaction_bytes: 0,
         running_background_jobs: 0,
         last_sequence: 0,
-        background_retries: 0,
-        wal_rotations: 0,
-        manifest_resyncs: 0,
-        wal_sync_retries: 0,
     }
 }

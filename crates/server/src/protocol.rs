@@ -745,10 +745,6 @@ fn encode_db_stats(out: &mut Vec<u8>, s: &DbStats) {
     put_u64(out, s.pending_compaction_bytes);
     put_u64(out, s.running_background_jobs as u64);
     put_u64(out, s.last_sequence);
-    put_u64(out, s.background_retries);
-    put_u64(out, s.wal_rotations);
-    put_u64(out, s.manifest_resyncs);
-    put_u64(out, s.wal_sync_retries);
 }
 
 fn decode_db_stats(c: &mut Cur<'_>) -> Result<DbStats> {
@@ -782,10 +778,6 @@ fn decode_db_stats(c: &mut Cur<'_>) -> Result<DbStats> {
         pending_compaction_bytes: c.u64()?,
         running_background_jobs: c.u64()? as usize,
         last_sequence: c.u64()?,
-        background_retries: c.u64()?,
-        wal_rotations: c.u64()?,
-        manifest_resyncs: c.u64()?,
-        wal_sync_retries: c.u64()?,
     })
 }
 
