@@ -71,8 +71,8 @@ pub fn can_drop_tombstones(version: &Version, c: &CompactionInputs) -> bool {
 /// outputs via `alloc_file` (which hands out fresh file numbers).
 ///
 /// `bottommost` says nothing deeper than the output level can hold older
-/// versions of the merged key range; `ctx` carries the optional
-/// compaction filter and the pinned snapshot sequences. What survives is
+/// versions of the merged key range; `ctx` carries the pinned snapshot
+/// sequences and the expiry clock. What survives is
 /// decided by `merge::write_tables`.
 ///
 /// # Errors
@@ -356,10 +356,7 @@ mod tests {
 
     /// A context whose clock reads second 100 with a 10-second TTL.
     fn expiring() -> FilterContext {
-        FilterContext {
-            filter: Some(Arc::new(crate::filter::TtlFilter::new(100, 10))),
-            pins: Vec::new(),
-        }
+        FilterContext { pins: Vec::new(), expiry: (100, 10) }
     }
 
     #[test]
@@ -449,7 +446,7 @@ mod tests {
         let tomb = make_table(&vfs, 2, &[("k", 8, ValueType::Deletion, "")]);
         // A pin at seq 5 still reads k=v3; the bottommost tombstone and
         // the shadowed version must both survive.
-        let ctx = FilterContext { filter: None, pins: vec![5] };
+        let ctx = FilterContext { pins: vec![5], expiry: (0, 0) };
         let mut next = 10u64;
         let out = run_compaction(
             &vfs,
@@ -474,7 +471,7 @@ mod tests {
         );
 
         // Once the pin is at or above the tombstone, everything drops.
-        let ctx = FilterContext { filter: None, pins: vec![9] };
+        let ctx = FilterContext { pins: vec![9], expiry: (0, 0) };
         let out = run_compaction(
             &vfs,
             &[old, tomb],
@@ -493,8 +490,6 @@ mod tests {
 
     #[test]
     fn ttl_filter_expires_entries_during_compaction() {
-        use crate::filter::TtlFilter;
-
         let vfs = MemVfs::new();
         let mut stale = b"old".to_vec();
         stale.extend_from_slice(&10u64.to_le_bytes());
@@ -519,10 +514,7 @@ mod tests {
             fin.largest,
             fin.properties.num_entries,
         ));
-        let ctx = FilterContext {
-            filter: Some(Arc::new(TtlFilter::new(100, 50))),
-            pins: Vec::new(),
-        };
+        let ctx = FilterContext { pins: Vec::new(), expiry: (100, 50) };
         let mut next = 10u64;
         let out = run_compaction(&vfs, &[t], true, u64::MAX, &TableConfig::default(), &ctx, || {
             next += 1;

@@ -45,7 +45,7 @@ use crate::version::{FileMetadata, VersionEdit};
 use crate::wal::WalWriter;
 
 /// A merging compaction with its inputs claimed and its output
-/// parameters (and filter + snapshot pins) frozen at claim time.
+/// parameters (and expiry clock + snapshot pins) frozen at claim time.
 pub(super) struct MergeJob {
     pub(super) inputs: Vec<(usize, Arc<FileMetadata>)>,
     output_level: usize,
@@ -802,7 +802,7 @@ mod tests {
         assert_eq!(
             db.get_opt(&at_pin, b"k").unwrap(),
             Some(b"v".to_vec()),
-            "pinned entry survived the filter"
+            "pinned entry survived expiry"
         );
         drop(pin);
     }

@@ -33,7 +33,7 @@ use hw_sim::{Clock, SimDuration, SimTime};
 use parking_lot::{Mutex, RwLock};
 
 use crate::cache::{BlockCache, TableCache};
-use crate::filter::{FilterContext, TtlFilter};
+use crate::filter::FilterContext;
 use crate::listener::{EventListener, StallConditionsChanged};
 use crate::memtable::MemTable;
 use crate::options::Options;
@@ -328,7 +328,7 @@ struct DbInner {
     wal_sink: Option<Arc<dyn WalSink>>,
     /// Pinned snapshot sequences (seq -> pin count). Flush and
     /// compaction consult these so no version a [`SnapshotPin`] can
-    /// still see is dropped or filtered away.
+    /// still see is dropped or expired away.
     pins: Mutex<BTreeMap<SequenceNumber, usize>>,
 }
 
@@ -371,20 +371,15 @@ impl DbInner {
         (if ttl_seconds > 0 { self.now_secs() } else { 0 }, ttl_seconds)
     }
 
-    /// The filter + pins handed to one flush or compaction job: the
-    /// built-in TTL filter (when `ttl_seconds > 0`) frozen at the
-    /// current clock, plus the pinned snapshot sequences (sorted
-    /// ascending). With TTL off and no pins this is the empty context —
-    /// merges behave byte-identically to the unfiltered engine.
+    /// The pins and expiry clock handed to one flush or compaction job:
+    /// the pinned snapshot sequences (sorted ascending) and the
+    /// [`expiry_clock`](Self::expiry_clock) reading. With TTL off and no
+    /// pins this is the empty context — merges behave byte-identically
+    /// to an engine without TTL.
     fn filter_context(&self) -> FilterContext {
-        let ttl = self.opts().ttl_seconds;
         FilterContext {
-            filter: if ttl > 0 {
-                Some(Arc::new(TtlFilter::new(self.now_secs(), ttl)))
-            } else {
-                None
-            },
             pins: self.pins.lock().keys().copied().collect(),
+            expiry: self.expiry_clock(&self.opts()),
         }
     }
 
@@ -462,7 +457,7 @@ impl DbInner {
 }
 
 /// RAII guard pinning a snapshot sequence: while alive, no version of
-/// any key visible at the pinned sequence is dropped or filtered away by
+/// any key visible at the pinned sequence is dropped or expired away by
 /// flush or compaction. Obtained from [`Db::pin_snapshot`]; pass the
 /// [`SnapshotPin::sequence`] as [`ReadOptions::snapshot_seq`] to read at
 /// the pin.
@@ -553,7 +548,7 @@ impl Db {
 
     /// Pins the current snapshot: until the returned guard drops, flush
     /// and compaction keep every version visible at this sequence (and
-    /// the compaction filter never touches them). Read at the pin via
+    /// none of them expires there). Read at the pin via
     /// [`ReadOptions::snapshot_seq`].
     pub fn pin_snapshot(&self) -> SnapshotPin {
         let inner = &*self.inner;

@@ -622,8 +622,7 @@ mod tests {
         assert_eq!(db.multi_get(&[b"k".to_vec()]).unwrap(), vec![None]);
         assert!(db.scan(b"", 10).unwrap().is_empty(), "expired on scan");
 
-        // Flush + bottommost rewrite physically drop the entry via the
-        // TTL compaction filter.
+        // Flush + bottommost rewrite physically drop the expired entry.
         db.flush().unwrap();
         db.compact_range(b"", b"\xff").unwrap();
         db.wait_background_idle().unwrap();

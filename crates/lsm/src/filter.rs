@@ -1,87 +1,28 @@
-//! Compaction filters: a RocksDB-style per-entry keep/drop hook invoked
-//! from flush and from both compaction styles, plus the built-in TTL
-//! filter driven by the `ttl_seconds` option.
+//! What a flush or compaction may drop: the TTL expiry rule that reads
+//! and merges share, and the snapshot pins a merge must respect.
 //!
 //! # Snapshot safety
 //!
-//! A [`FilterContext`] bundles the filter with the sequence numbers of
-//! every pinned snapshot (see `Db::pin_snapshot`). The one merge that
-//! writes tables (`merge.rs`, for flush and compaction alike) consults the
-//! pins before acting:
+//! A [`FilterContext`] carries the sequence numbers of every pinned
+//! snapshot (see `Db::pin_snapshot`) and the clock reading and
+//! `ttl_seconds` that decide expiry. The one merge that writes tables
+//! (`merge.rs`, for flush and compaction alike) consults the pins before
+//! acting:
 //!
-//! - A filter may only drop the newest version of a key when **no** pin
-//!   can see it (every pinned sequence is below the entry's sequence).
-//! - A filtered entry is replaced by a tombstone rather than removed
+//! - The newest version of a key may expire only when **no** pin can see
+//!   it (every pinned sequence is below the entry's sequence).
+//! - An expired entry is replaced by a tombstone rather than removed
 //!   outright unless the merge is bottommost and no pin exists — so an
 //!   older version of the key in a deeper level is never resurrected.
 //! - Shadowed (older) versions of a key are kept when some pin falls
 //!   between the shadowed version and its successor, instead of being
 //!   deduplicated away.
 //!
-//! With no filter and no pins every decision collapses to the historic
+//! With TTL off and no pins every decision collapses to the historic
 //! behavior, byte for byte — the default-configuration determinism gate
 //! relies on this.
 
-use std::sync::Arc;
-
 use crate::types::{SequenceNumber, ValueType};
-
-/// What a [`CompactionFilter`] wants done with one entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FilterDecision {
-    /// Keep the entry as-is.
-    Keep,
-    /// Drop the entry (subject to the snapshot-safety rules above).
-    Remove,
-}
-
-/// A per-entry keep/drop hook consulted during flush and compaction.
-///
-/// Invoked only for the newest surviving version of each user key, and
-/// only for value entries (never tombstones). Implementations must be
-/// pure with respect to a single job: the engine snapshots any state
-/// (e.g. the clock) once per job, so one merge applies one consistent
-/// policy.
-pub trait CompactionFilter: Send + Sync {
-    /// Diagnostic name.
-    fn name(&self) -> &str;
-    /// Decides the fate of one entry.
-    fn filter(&self, user_key: &[u8], ty: ValueType, value: &[u8]) -> FilterDecision;
-}
-
-/// The built-in TTL filter: drops [`ValueType::TtlValue`] entries whose
-/// write timestamp is at least `ttl_seconds` old. Plain values and
-/// entries with a malformed stamp are kept.
-#[derive(Debug, Clone)]
-pub struct TtlFilter {
-    now_secs: u64,
-    ttl_seconds: u64,
-}
-
-impl TtlFilter {
-    /// Creates a filter frozen at `now_secs` (snapshotted once per job).
-    pub fn new(now_secs: u64, ttl_seconds: u64) -> TtlFilter {
-        TtlFilter { now_secs, ttl_seconds }
-    }
-}
-
-impl CompactionFilter for TtlFilter {
-    fn name(&self) -> &str {
-        "ttl"
-    }
-
-    fn filter(&self, _user_key: &[u8], ty: ValueType, value: &[u8]) -> FilterDecision {
-        if ty != ValueType::TtlValue || self.ttl_seconds == 0 {
-            return FilterDecision::Keep;
-        }
-        match split_ttl_value(value).1 {
-            Some(written) if ttl_expired(written, self.now_secs, self.ttl_seconds) => {
-                FilterDecision::Remove
-            }
-            _ => FilterDecision::Keep,
-        }
-    }
-}
 
 /// Splits a [`ValueType::TtlValue`] payload into the user value and its
 /// write timestamp. A payload too short to carry a stamp (possible only
@@ -104,8 +45,9 @@ pub fn ttl_expired(written_secs: u64, now_secs: u64, ttl_seconds: u64) -> bool {
 /// What a stored entry means to a reader: the user's bytes when it is
 /// live, `None` when it is a tombstone or a stamped value expired at
 /// `now_secs` under `ttl_seconds`. `ty` is the low byte of the entry's
-/// tag. Lookups and scans both read entries through this; a pass takes
-/// one clock reading and one `ttl_seconds` and applies them throughout.
+/// tag. Lookups, scans and merges all read entries through this; a pass
+/// takes one clock reading and one `ttl_seconds` and applies them
+/// throughout.
 pub(crate) fn live_value(ty: u8, stored: &[u8], now_secs: u64, ttl_seconds: u64) -> Option<&[u8]> {
     if ty == ValueType::Deletion as u8 {
         return None;
@@ -119,26 +61,20 @@ pub(crate) fn live_value(ty: u8, stored: &[u8], now_secs: u64, ttl_seconds: u64)
     }
 }
 
-/// Filter + snapshot pins handed to one flush or compaction job.
+/// Snapshot pins and the expiry clock handed to one flush or compaction
+/// job.
 ///
 /// The pins are the sequences of every snapshot pinned at job-claim
-/// time, sorted ascending. The default (no filter, no pins) reproduces
-/// the engine's historic merge behavior exactly.
-#[derive(Clone, Default)]
+/// time, sorted ascending. The default (no pins, TTL off) reproduces the
+/// engine's historic merge behavior exactly.
+#[derive(Debug, Clone, Default)]
 pub struct FilterContext {
-    /// The active filter, if any.
-    pub filter: Option<Arc<dyn CompactionFilter>>,
     /// Pinned snapshot sequences, sorted ascending.
     pub pins: Vec<SequenceNumber>,
-}
-
-impl std::fmt::Debug for FilterContext {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FilterContext")
-            .field("filter", &self.filter.as_ref().map(|fl| fl.name().to_string()))
-            .field("pins", &self.pins)
-            .finish()
-    }
+    /// `(now_secs, ttl_seconds)`, read once when the job was claimed, so
+    /// one merge applies one consistent expiry. `ttl_seconds == 0`
+    /// expires nothing.
+    pub expiry: (u64, u64),
 }
 
 impl FilterContext {
@@ -152,8 +88,8 @@ impl FilterContext {
     }
 
     /// Whether no pinned snapshot can see an entry at `seq` (every pin
-    /// is strictly below it). Gates the filter: an entry a pin can see
-    /// must never be filtered away.
+    /// is strictly below it). Gates expiry: an entry a pin can see must
+    /// never be dropped as expired.
     pub fn unpinned(&self, seq: SequenceNumber) -> bool {
         self.pins.last().is_none_or(|&s| s < seq)
     }
@@ -171,27 +107,28 @@ impl FilterContext {
 mod tests {
     use super::*;
 
+    const TTL: u8 = ValueType::TtlValue as u8;
+
     #[test]
     fn ttl_filter_drops_only_expired_ttl_values() {
-        let f = TtlFilter::new(100, 10);
         let mut fresh = b"v".to_vec();
         fresh.extend_from_slice(&95u64.to_le_bytes());
         let mut stale = b"v".to_vec();
         stale.extend_from_slice(&90u64.to_le_bytes());
-        assert_eq!(f.filter(b"k", ValueType::TtlValue, &fresh), FilterDecision::Keep);
-        assert_eq!(f.filter(b"k", ValueType::TtlValue, &stale), FilterDecision::Remove);
+        assert_eq!(live_value(TTL, &fresh, 100, 10), Some(&b"v"[..]));
+        assert_eq!(live_value(TTL, &stale, 100, 10), None);
         // Plain values carry no stamp and never expire.
-        assert_eq!(f.filter(b"k", ValueType::Value, b"v"), FilterDecision::Keep);
+        assert_eq!(live_value(ValueType::Value as u8, b"v", 100, 10), Some(&b"v"[..]));
         // Malformed (short) stamped payloads are kept, not dropped.
-        assert_eq!(f.filter(b"k", ValueType::TtlValue, b"xy"), FilterDecision::Keep);
+        assert_eq!(live_value(TTL, b"xy", 100, 10), Some(&b"xy"[..]));
+        assert_eq!(live_value(ValueType::Deletion as u8, b"", 100, 10), None);
     }
 
     #[test]
     fn ttl_zero_disables_expiry() {
-        let f = TtlFilter::new(1_000_000, 0);
         let mut old = b"v".to_vec();
         old.extend_from_slice(&1u64.to_le_bytes());
-        assert_eq!(f.filter(b"k", ValueType::TtlValue, &old), FilterDecision::Keep);
+        assert_eq!(live_value(TTL, &old, 1_000_000, 0), Some(&b"v"[..]));
         assert!(!ttl_expired(1, 1_000_000, 0));
     }
 
@@ -207,7 +144,7 @@ mod tests {
 
     #[test]
     fn pin_predicates() {
-        let ctx = FilterContext { filter: None, pins: vec![5, 12] };
+        let ctx = FilterContext { pins: vec![5, 12], expiry: (0, 0) };
         // pin_in: some pin in [lo, hi)
         assert!(ctx.pin_in(3, 6), "pin 5 in [3,6)");
         assert!(ctx.pin_in(5, 6), "inclusive low end");

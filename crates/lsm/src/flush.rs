@@ -26,7 +26,7 @@ pub struct FlushOutput {
 
 /// Merges `mems` into a single L0 table, under the retention rules of
 /// `merge::write_tables`. L0 is never bottommost (older versions may exist in
-/// deeper levels), so tombstones are always kept and a filtered entry
+/// deeper levels), so tombstones are always kept and an expired entry
 /// becomes a tombstone; the only entries dropped are shadowed versions
 /// no pinned snapshot resolves to.
 ///
@@ -134,7 +134,7 @@ mod tests {
         mt.add(3, ValueType::Value, b"k", b"v3");
         mt.add(7, ValueType::Value, b"k", b"v7");
         // A snapshot at seq 5 still resolves `k` to the version at seq 3.
-        let ctx = FilterContext { filter: None, pins: vec![5] };
+        let ctx = FilterContext { pins: vec![5], expiry: (0, 0) };
         let out = build_l0_table(
             &vfs,
             FileNumber(5),
@@ -157,7 +157,7 @@ mod tests {
 
     /// A context whose clock reads second 100 with a 10-second TTL.
     fn expiring(pins: Vec<u64>) -> FilterContext {
-        FilterContext { filter: Some(Arc::new(crate::filter::TtlFilter::new(100, 10))), pins }
+        FilterContext { pins, expiry: (100, 10) }
     }
 
     #[test]

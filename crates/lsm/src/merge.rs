@@ -11,7 +11,7 @@
 //! and never cuts its output.
 
 use crate::error::Result;
-use crate::filter::{FilterContext, FilterDecision};
+use crate::filter::{live_value, FilterContext};
 use crate::flush::sst_file_name;
 use crate::sstable::table::{FinishedTable, TableBuilder, TableConfig};
 use crate::types::{internal_key_cmp, split_tag, FileNumber, SequenceNumber, ValueType};
@@ -151,13 +151,14 @@ pub(crate) struct MergeOutput {
 ///
 /// - A shadowed (older) version of a user key is dropped unless a pinned
 ///   snapshot in `ctx` still resolves to it.
-/// - The filter in `ctx` is consulted for the newest version of each key,
-///   for values only, and only when no pin can see that version.
-/// - A tombstone, or a value the filter removed, is dropped outright only
-///   when the merge is `bottommost` (nothing deeper can hold an older
-///   version of the key) and every pin already sees it; otherwise the
-///   tombstone is kept, and the filtered value is rewritten into a
-///   tombstone at the same sequence, so deeper versions stay shadowed.
+/// - The newest version of each key expires when [`live_value`], the rule
+///   reads use, finds it expired under `ctx`'s clock and no pin can see
+///   it.
+/// - A tombstone, or an expired value, is dropped outright only when the
+///   merge is `bottommost` (nothing deeper can hold an older version of
+///   the key) and every pin already sees it; otherwise the tombstone is
+///   kept, and the expired value is rewritten into a tombstone at the
+///   same sequence, so deeper versions stay shadowed.
 ///
 /// # Errors
 ///
@@ -193,18 +194,15 @@ pub(crate) fn write_tables(
             let last = last_user_key.get_or_insert_with(Vec::new);
             last.clear();
             last.extend_from_slice(user_key);
+            let (now_secs, ttl_seconds) = ctx.expiry;
             let is_tombstone = ty == ValueType::Deletion as u8;
-            let filtered = !is_tombstone
-                && ctx.filter.as_deref().is_some_and(|f| {
-                    ValueType::from_u8(ty).is_some_and(|ty| {
-                        ctx.unpinned(seq)
-                            && f.filter(user_key, ty, merged.value()) == FilterDecision::Remove
-                    })
-                });
-            if is_tombstone || filtered {
+            let expired = !is_tombstone
+                && ctx.unpinned(seq)
+                && live_value(ty, merged.value(), now_secs, ttl_seconds).is_none();
+            if is_tombstone || expired {
                 if bottommost && ctx.visible_to_all_pins(seq) {
                     entry = None;
-                } else if filtered {
+                } else if expired {
                     tombstone.clear();
                     tombstone.extend_from_slice(user_key);
                     tombstone
@@ -248,7 +246,6 @@ mod tests {
 
     use super::*;
     use crate::compaction::run_compaction;
-    use crate::filter::TtlFilter;
     use crate::flush::build_l0_table;
     use crate::memtable::MemTable;
     use crate::sstable::table::table_entries;
@@ -294,8 +291,7 @@ mod tests {
             pins.dedup();
             // The clock reads second 100; a TTL of 10 expires the even
             // stamped values, none when TTL is off.
-            let filter = use_ttl.then(|| Arc::new(TtlFilter::new(100, 10)) as _);
-            let ctx = FilterContext { filter, pins };
+            let ctx = FilterContext { pins, expiry: (100, if use_ttl { 10 } else { 0 }) };
             let config = TableConfig::default();
             let vfs = MemVfs::new();
 
