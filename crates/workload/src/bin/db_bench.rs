@@ -209,89 +209,7 @@ fn run(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
                 spec.preload_keys = ((spec.preload_keys as f64 * ratio) as u64).max(1_000);
             }
         }
-        if let Some(spec_str) = &cluster {
-            // Cluster runs are wall-clock like --remote. Split points
-            // come from the benchmark's own key space, the same formula
-            // the sharded engine path uses, so routing matches how the
-            // fleet was loaded.
-            let n_threads = threads.unwrap_or(1);
-            if let Some(n) = threads {
-                spec.num_threads = n;
-            }
-            let sync = sync.unwrap_or(true);
-            let n_nodes = spec_str.split(',').filter(|p| !p.is_empty()).count() as u64;
-            let points: Vec<Vec<u8>> = (1..n_nodes)
-                .map(|i| render_key(i * spec.key_space.max(1) / n_nodes, spec.key_size))
-                .collect();
-            let db = ClusterClient::connect(spec_str, points)?;
-            eprintln!(
-                "running {name} against cluster [{spec_str}]: {n_threads} thread(s), \
-                 sync={sync} ..."
-            );
-            let report = run_benchmark_real(&db, &spec, n_threads, sync)?;
-            println!("{}", report.to_db_bench_text());
-            if stats_dump {
-                println!("{}", db.stats_text());
-            }
-        } else if let Some(addr) = &remote {
-            // Remote runs are always wall-clock: the server is a separate
-            // process, so there is no simulator to consult. Each worker
-            // thread checks a dedicated connection out of the client pool.
-            let n_threads = threads.unwrap_or(1);
-            if let Some(n) = threads {
-                spec.num_threads = n;
-            }
-            let sync = sync.unwrap_or(true);
-            let db = RemoteDb::connect(addr)?;
-            eprintln!(
-                "running {name} against {addr}: {n_threads} thread(s), sync={sync} ..."
-            );
-            let report = run_benchmark_real(&db, &spec, n_threads, sync)?;
-            println!("{}", report.to_db_bench_text());
-            if stats_dump {
-                // The Stats RPC returns the server's dump (engine stats
-                // plus the serving-layer section).
-                println!("{}", db.stats_text());
-            }
-        } else if real_time {
-            let n_threads = threads.unwrap_or(1);
-            if let Some(n) = threads {
-                spec.num_threads = n;
-            }
-            // Durable writes are the default in real-time mode: unsynced
-            // single-op writes mostly measure memcpy speed, while synced
-            // writes exercise the group-commit path this mode exists for.
-            let sync = sync.unwrap_or(true);
-            let env = HardwareEnv::builder()
-                .cores(cores)
-                .memory_gib(mem_gib)
-                .device(device.clone())
-                .build_wall();
-            let (dir, ephemeral) = match &db_dir {
-                Some(d) => (d.clone(), false),
-                None => {
-                    let d = std::env::temp_dir()
-                        .join(format!("db_bench-{name}-{}", std::process::id()));
-                    (d.to_string_lossy().into_owned(), true)
-                }
-            };
-            let db = open_engine(&opts, shards, &env, Arc::new(StdVfs::new(&dir)?), &spec)?;
-            eprintln!(
-                "running {name} for real: {n_threads} thread(s), sync={sync}, \
-                 shards={shards}, dir={dir} ..."
-            );
-            let report = run_benchmark_real(&*db, &spec, n_threads, sync)?;
-            // Captured before close: the dump reads engine state.
-            let dump = stats_dump.then(|| db.stats_text());
-            drop(db);
-            if ephemeral {
-                let _ = std::fs::remove_dir_all(&dir);
-            }
-            println!("{}", report.to_db_bench_text());
-            if let Some(d) = dump {
-                println!("{d}");
-            }
-        } else {
+        if !(real_time || remote.is_some() || cluster.is_some()) {
             let env = HardwareEnv::builder()
                 .cores(cores)
                 .memory_gib(mem_gib)
@@ -304,6 +222,75 @@ fn run(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             if stats_dump {
                 println!("{}", db.stats_text());
             }
+            continue;
+        }
+
+        // Wall-clock runs: choose the engine, then one path runs it.
+        let n_threads = threads.unwrap_or(1);
+        if let Some(n) = threads {
+            spec.num_threads = n;
+        }
+        // Durable writes are the default: unsynced single-op writes mostly
+        // measure memcpy speed, while synced writes exercise the
+        // group-commit path wall-clock runs exist for.
+        let sync = sync.unwrap_or(true);
+        // A temporary directory a local run deletes once it is done.
+        let mut ephemeral: Option<String> = None;
+        let db: Box<dyn KvEngine> = if let Some(spec_str) = &cluster {
+            // Split points come from the benchmark's own key space, the
+            // same formula the sharded engine path uses, so routing
+            // matches how the fleet was loaded.
+            let n_nodes = spec_str.split(',').filter(|p| !p.is_empty()).count() as u64;
+            let points: Vec<Vec<u8>> = (1..n_nodes)
+                .map(|i| render_key(i * spec.key_space.max(1) / n_nodes, spec.key_size))
+                .collect();
+            let db = ClusterClient::connect(spec_str, points)?;
+            eprintln!(
+                "running {name} against cluster [{spec_str}]: {n_threads} thread(s), \
+                 sync={sync} ..."
+            );
+            Box::new(db)
+        } else if let Some(addr) = &remote {
+            // The server is a separate process, so there is no simulator
+            // to consult. Each worker thread checks a dedicated connection
+            // out of the client pool; the Stats RPC returns the server's
+            // dump (engine stats plus the serving-layer section).
+            let db = RemoteDb::connect(addr)?;
+            eprintln!(
+                "running {name} against {addr}: {n_threads} thread(s), sync={sync} ..."
+            );
+            Box::new(db)
+        } else {
+            let env = HardwareEnv::builder()
+                .cores(cores)
+                .memory_gib(mem_gib)
+                .device(device.clone())
+                .build_wall();
+            let dir = match &db_dir {
+                Some(d) => d.clone(),
+                None => {
+                    let d = std::env::temp_dir()
+                        .join(format!("db_bench-{name}-{}", std::process::id()));
+                    ephemeral.insert(d.to_string_lossy().into_owned()).clone()
+                }
+            };
+            let db = open_engine(&opts, shards, &env, Arc::new(StdVfs::new(&dir)?), &spec)?;
+            eprintln!(
+                "running {name} for real: {n_threads} thread(s), sync={sync}, \
+                 shards={shards}, dir={dir} ..."
+            );
+            db
+        };
+        let report = run_benchmark_real(&*db, &spec, n_threads, sync)?;
+        // Captured before close: the dump reads engine state.
+        let dump = stats_dump.then(|| db.stats_text());
+        drop(db);
+        if let Some(dir) = ephemeral {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+        println!("{}", report.to_db_bench_text());
+        if let Some(d) = dump {
+            println!("{d}");
         }
     }
     Ok(())
