@@ -3,8 +3,9 @@
 //! The engine performs all persistence through [`Vfs`] so the same code
 //! runs against real files ([`StdVfs`]) or an in-memory store
 //! ([`MemVfs`]). Note that the VFS is *pure storage*: simulated I/O
-//! timing is charged separately by the engine's I/O timer, which knows
-//! whether an access is foreground or background — see `db.rs`.
+//! timing is charged separately by the engine's simulation mode, which
+//! knows whether an access is foreground or background — see
+//! `db/sim.rs`.
 //!
 //! Faults (failed appends and syncs, power cuts, torn tails) are injected
 //! by wrapping any `Vfs` in [`crate::fault::FaultInjectionVfs`].
