@@ -328,7 +328,7 @@ struct DbInner {
     wal_sink: Option<Arc<dyn WalSink>>,
     /// Pinned snapshot sequences (seq -> pin count). Flush and
     /// compaction consult these so no version a [`SnapshotPin`] can
-    /// still see is dropped or expired away.
+    /// still see is dropped, even once expired.
     pins: Mutex<BTreeMap<SequenceNumber, usize>>,
 }
 
@@ -457,8 +457,8 @@ impl DbInner {
 }
 
 /// RAII guard pinning a snapshot sequence: while alive, no version of
-/// any key visible at the pinned sequence is dropped or expired away by
-/// flush or compaction. Obtained from [`Db::pin_snapshot`]; pass the
+/// any key visible at the pinned sequence is dropped by flush or
+/// compaction, even once expired. Obtained from [`Db::pin_snapshot`]; pass the
 /// [`SnapshotPin::sequence`] as [`ReadOptions::snapshot_seq`] to read at
 /// the pin.
 #[derive(Debug)]
