@@ -189,6 +189,7 @@ fn run(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         return Ok(());
     }
 
+    let hardware = || HardwareEnv::builder().cores(cores).memory_gib(mem_gib).device(device.clone());
     for name in &benchmarks {
         let mut spec = match name.as_str() {
             "fillrandom" => BenchmarkSpec::fillrandom(scale),
@@ -210,11 +211,7 @@ fn run(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             }
         }
         if !(real_time || remote.is_some() || cluster.is_some()) {
-            let env = HardwareEnv::builder()
-                .cores(cores)
-                .memory_gib(mem_gib)
-                .device(device.clone())
-                .build_sim();
+            let env = hardware().build_sim();
             let db = open_engine(&opts, shards, &env, Arc::new(MemVfs::new()), &spec)?;
             eprintln!("running {name} on {} ...", env.description());
             let report = run_benchmark(&*db, &env, &spec, None)?;
@@ -261,11 +258,7 @@ fn run(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             );
             Box::new(db)
         } else {
-            let env = HardwareEnv::builder()
-                .cores(cores)
-                .memory_gib(mem_gib)
-                .device(device.clone())
-                .build_wall();
+            let env = hardware().build_wall();
             let dir = match &db_dir {
                 Some(d) => d.clone(),
                 None => {
