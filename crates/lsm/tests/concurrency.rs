@@ -6,7 +6,6 @@
 //! `StdVfs`), which is where the group-commit write path and the
 //! background job pool are live.
 
-use std::path::PathBuf;
 use std::sync::Arc;
 
 use proptest::collection::vec;
@@ -16,33 +15,7 @@ use hw_sim::HardwareEnv;
 use lsm_kvs::options::Options;
 use lsm_kvs::vfs::StdVfs;
 use lsm_kvs::{Db, KvEngine, ShardedDb, WriteBatch, WriteOptions};
-
-/// Unique scratch directory, removed on drop.
-struct TempDir {
-    path: PathBuf,
-}
-
-impl TempDir {
-    fn new(tag: &str) -> TempDir {
-        let path = std::env::temp_dir().join(format!(
-            "lsm-conc-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&path);
-        TempDir { path }
-    }
-
-    fn as_str(&self) -> String {
-        self.path.to_string_lossy().into_owned()
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.path);
-    }
-}
+use testkit::TempDir;
 
 fn open_real(dir: &TempDir, opts: Options) -> Db {
     let env = HardwareEnv::builder().build_wall();
@@ -75,7 +48,7 @@ fn concurrent_writers_and_readers_no_lost_updates() {
         },
     ];
     for opts in rows {
-        let dir = TempDir::new("stress");
+        let dir = TempDir::new("conc-stress");
         let db = open_real(&dir, opts);
 
         let value_of = |t: usize, i: usize| -> Vec<u8> {
@@ -136,7 +109,7 @@ fn concurrent_writers_and_readers_no_lost_updates() {
 fn batches_are_atomic_under_concurrent_scans() {
     const BATCHES: usize = 400;
 
-    let dir = TempDir::new("atomic");
+    let dir = TempDir::new("conc-atomic");
     let db = open_real(&dir, Options::default());
 
     std::thread::scope(|scope| {
@@ -172,7 +145,7 @@ fn batches_are_atomic_under_concurrent_scans() {
 
 #[test]
 fn manual_flush_claims_fewer_memtables_than_min_merge() {
-    let dir = TempDir::new("manual-flush");
+    let dir = TempDir::new("conc-manual-flush");
     let opts = Options {
         min_write_buffer_number_to_merge: 2,
         max_write_buffer_number: 4,
@@ -200,7 +173,7 @@ fn manual_flush_claims_fewer_memtables_than_min_merge() {
 fn recovery_after_drop_with_background_work_in_flight() {
     const KEYS: usize = 1500;
 
-    let dir = TempDir::new("recover");
+    let dir = TempDir::new("conc-recover");
     let mut opts = small_opts();
     opts.write_buffer_size = 128 << 10;
     {
@@ -238,7 +211,7 @@ fn sharded_disjoint_writers_with_cross_shard_scans() {
     const PER: u32 = 400;
     const PREFIXES: [u8; 4] = [0x00, 0x40, 0x80, 0xc0];
 
-    let dir = TempDir::new("shard-stress");
+    let dir = TempDir::new("conc-shard-stress");
     let env = HardwareEnv::builder().build_wall();
     let mut opts = small_opts();
     opts.num_shards = 4;
@@ -338,7 +311,7 @@ proptest! {
         ops_b in vec((key_strategy(), value_strategy()), 1..60),
         batch_size in 1usize..7,
     ) {
-        let dir = TempDir::new("prop");
+        let dir = TempDir::new("conc-prop");
         let db = open_real(&dir, Options::default());
 
         let namespaced = |tag: u8, ops: &[(Vec<u8>, Vec<u8>)]| -> Vec<(Vec<u8>, Vec<u8>)> {

@@ -5,7 +5,6 @@
 //! inserts into `MemTable` against a test-local sorted-map model.
 
 use std::collections::BTreeMap;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -16,33 +15,7 @@ use hw_sim::HardwareEnv;
 use lsm_kvs::options::{MemtableRep, Options};
 use lsm_kvs::vfs::StdVfs;
 use lsm_kvs::{Db, MemTable, ReadOptions, ValueType};
-
-/// Unique scratch directory, removed on drop.
-struct TempDir {
-    path: PathBuf,
-}
-
-impl TempDir {
-    fn new(tag: &str) -> TempDir {
-        let path = std::env::temp_dir().join(format!(
-            "lsm-memstress-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&path);
-        TempDir { path }
-    }
-
-    fn as_str(&self) -> String {
-        self.path.to_string_lossy().into_owned()
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.path);
-    }
-}
+use testkit::TempDir;
 
 fn open_real(dir: &TempDir, opts: Options) -> Db {
     let env = HardwareEnv::builder().build_wall();
@@ -67,7 +40,7 @@ fn writers_snapshot_readers_and_scanner() {
     const READERS: usize = 2;
     const PER: usize = 400;
 
-    let dir = TempDir::new("wrs");
+    let dir = TempDir::new("memstress-wrs");
     let db = open_real(&dir, small_opts());
     let stop = AtomicBool::new(false);
 
@@ -155,7 +128,7 @@ fn writers_snapshot_readers_and_scanner() {
 fn snapshot_pinned_scan_ignores_concurrent_overwrites() {
     const N: usize = 1_000;
 
-    let dir = TempDir::new("snap");
+    let dir = TempDir::new("memstress-snap");
     let mut opts = small_opts();
     opts.write_buffer_size = 64 << 20;
     let db = open_real(&dir, opts);

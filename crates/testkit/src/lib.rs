@@ -1,12 +1,14 @@
 //! What the workspace's test suites share, written once: a global
 //! allocator that counts per thread ([`tally_allocations!`], [`watched`]),
-//! the seeded generator ([`Rng`]) and the decoder mutation loop
-//! ([`for_each_mutant`]). Dev-only, and the workspace's one `unsafe impl`.
+//! the seeded generator ([`Rng`]), the decoder mutation loop
+//! ([`for_each_mutant`]) and a scratch directory removed on drop
+//! ([`TempDir`]). Dev-only, and the workspace's one `unsafe impl`.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::path::PathBuf;
 
 /// An error message is a few dozen bytes whatever the input; below this
 /// an allocation says nothing about the input's length fields.
@@ -142,6 +144,36 @@ pub fn for_each_mutant(input: &[u8], mut masks: impl FnMut() -> [u8; 3], mut eac
             each(Mutation::Flip { at, mask }, &mutant);
             mutant[at] ^= mask;
         }
+    }
+}
+
+/// A scratch directory under the system temp dir, unique to the process
+/// and the calling thread, emptied when made and removed on drop.
+pub struct TempDir {
+    path: PathBuf,
+}
+
+impl TempDir {
+    /// The directory for `tag`; the database opened in it creates it.
+    pub fn new(tag: &str) -> TempDir {
+        let path = std::env::temp_dir().join(format!(
+            "lsm-{tag}-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&path);
+        TempDir { path }
+    }
+
+    /// The path, as `StdVfs::new` takes it.
+    pub fn as_str(&self) -> String {
+        self.path.to_string_lossy().into_owned()
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.path);
     }
 }
 
