@@ -152,7 +152,8 @@ fn fork_with_truncated_wal(vfs: &MemVfs, wal: &str, keep: usize) -> MemVfs {
 /// workload (mixed synced/unsynced puts and deletes) under randomly armed
 /// error injection, then crashes it — clean power cut, torn-tail power
 /// cut, or plain process kill — and the next cycle verifies every key
-/// against the durability contract.
+/// against the durability contract, then takes what it read as the key's
+/// baseline.
 #[test]
 fn randomized_crash_cycles_sim() {
     let mut rng = Rng(0xC0FF_EE00_DEAD_BEEF | 1);
@@ -170,12 +171,7 @@ fn randomized_crash_cycles_sim() {
             .unwrap_or_else(|e| panic!("cycle {cycle}: clean reopen failed: {e}"));
 
         // Verify everything recovered from the previous cycle's crash.
-        for (key, hist) in &history {
-            let got = db
-                .get(key)
-                .unwrap_or_else(|e| panic!("cycle {cycle}: fault-free get failed: {e}"));
-            assert_recovered(key, hist, &got);
-        }
+        verify_and_rebaseline(&db, &mut history, cycle);
 
         // Arm faults for roughly half the cycles.
         if rng.chance(0.5) {
@@ -255,12 +251,7 @@ fn sharded_randomized_crash_cycles_sim() {
             .open()
             .unwrap_or_else(|e| panic!("cycle {cycle}: sharded reopen failed: {e}"));
 
-        for (key, hist) in &history {
-            let got = db
-                .get(key)
-                .unwrap_or_else(|e| panic!("cycle {cycle}: fault-free get failed: {e}"));
-            assert_recovered(key, hist, &got);
-        }
+        verify_and_rebaseline(&db, &mut history, cycle);
 
         if rng.chance(0.5) {
             fault.set_config(FaultConfig {
