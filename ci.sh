@@ -66,7 +66,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo doc -D warnings (every intra-doc link resolves, nothing public links a private item)"
 RUSTDOCFLAGS='-D warnings' cargo doc --no-deps --workspace
 
-echo "==> house rules: non-test and test lines, option counts, allocations per put, get, scanned entry and built entry, decoder tallies"
+echo "==> house rules: non-test and test lines, option counts, allocations per put, get, scanned entry and built entry, decoder tallies, crash loop"
 # The two line counts every PR reports the delta of, computed one way:
 # each file cut at its first #[cfg(test)], the rule
 # crates/lsm/tests/retired.rs applies to the sources it scans. Test lines
@@ -86,15 +86,18 @@ find crates/*/src crates/*/tests -name '*.rs' -print0 | sort -z | xargs -0 awk '
 # above) print them: the registered, read and unread options; the
 # allocations of puts and ten-op writes, warm and cold gets and the scan
 # (ROADMAP 3(b)), flush and merge (the table build); each decoder
-# loop's refused/accepted tally; and how many streams pinned the block
-# decoder's copy paths.
+# loop's refused/accepted tally; how many streams pinned the block
+# decoder's copy paths; and what the wall-clock crash loop of
+# crates/lsm/tests/crash_recovery.rs ran (cycles, writes, keys verified,
+# injected errors, torn reboots).
 {
     cargo test -q -p lsm-kvs --test retired --test put_allocs --test get_allocs --test scan_cost \
         --test build_allocs --test batch_fuzz --test block_fuzz --test recovery_fuzz -- --nocapture
+    cargo test -q -p lsm-kvs --test crash_recovery -- --nocapture wall_clock
     cargo test -q -p lsm-kvs --lib -- --nocapture mutated_streams mutated_index \
         overlapping_and_adjacent_matches
     cargo test -q -p lsm-server --test decode_fuzz -- --nocapture
-} 2>&1 | grep -E 'options: [0-9]+ registered|allocations: .* puts|allocations over .* gets|allocations per (scanned entry|entry)|refused [0-9]+|copy paths: ' \
+} 2>&1 | grep -E 'options: [0-9]+ registered|allocations: .* puts|allocations over .* gets|allocations per (scanned entry|entry)|refused [0-9]+|copy paths: |crash loop: [0-9]+ cycles' \
     | sed 's/^[.]*//' || true
 
 echo "==> sharding gate: --shards 1 must be byte-identical to no flag"
@@ -105,10 +108,6 @@ rm -f /tmp/ci-noshard.txt /tmp/ci-shard1.txt
 echo "==> sharding gate: four shards on the virtual clock must match their golden"
 ./target/release/db_bench --benchmarks fillrandom,readrandom --num 20000 --shards 4 \
     | diff results/golden/db_bench_shards4_20000.txt -
-
-echo "==> crash-recovery gate: 25 wall-clock power-cut cycles (120s timeout)"
-CRASH_DIR="$(mktemp -d)"; DIRS+=("$CRASH_DIR")
-timeout 120 ./target/release/db_bench --crash-loop 25 --db "$CRASH_DIR"
 
 echo "==> serving gate: kv_server end-to-end (remote bench, stats RPC, clean shutdown)"
 SERVE_DIR="$(mktemp -d)"; DIRS+=("$SERVE_DIR")

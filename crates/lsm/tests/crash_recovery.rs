@@ -403,12 +403,13 @@ fn torn_tail_residue_never_corrupts() {
     }
 }
 
-/// The contract on real files, with several writers and the wall clock:
-/// 25 cycles over one `StdVfs` directory. In each, two threads put to
-/// disjoint keys (so each key's attempts are one thread's program order),
-/// a third of the puts synced; two cycles in five see a burst of
-/// retryable write and sync errors; power is cut after 10-50 ms, and
-/// half the reboots tear the unsynced tail.
+/// The contract in real-concurrency mode (wall clock, group commit,
+/// background pool) on real files: 25 cycles over one `StdVfs`
+/// directory. In each, two threads put to disjoint keys (so each key's
+/// attempts are one thread's program order), a third of the puts
+/// synced, so synced groups meet the power cut; two cycles in five see
+/// a burst of retryable write and sync errors; power is cut after
+/// 10-50 ms, and half the reboots tear the unsynced tail.
 #[test]
 fn wall_clock_power_cuts_preserve_acked_writes() {
     const CYCLES: u64 = 25;
@@ -493,45 +494,6 @@ fn wall_clock_power_cuts_preserve_acked_writes() {
          {verified} keys verified, {} injected errors, {torn} torn reboots",
         fault.injected_errors()
     );
-}
-
-/// Real-concurrency mode (wall clock, group commit, background pool):
-/// synced group commits must survive a power cut, cycle after cycle.
-#[test]
-fn real_mode_power_cut_preserves_synced_groups() {
-    let mut rng = Rng(0xFEED_FACE_CAFE_F00D | 1);
-    let fault = FaultInjectionVfs::wrap(Arc::new(MemVfs::new()));
-    let mut history: History = BTreeMap::new();
-
-    for cycle in 0..4u64 {
-        let env = HardwareEnv::builder().build_wall();
-        let db = Db::builder(crash_opts())
-            .env(&env)
-            .vfs(Arc::new(fault.clone()))
-            .open()
-            .unwrap_or_else(|e| panic!("cycle {cycle}: reopen failed: {e}"));
-        for (key, hist) in &history {
-            let got = db.get(key).unwrap();
-            assert_recovered(key, hist, &got);
-        }
-        for i in 0..60u64 {
-            let key = format!("rk-{:03}", rng.below(80)).into_bytes();
-            let value = format!("rc{cycle}-{i}").into_bytes();
-            let sync = rng.chance(0.4);
-            let res = put_opt(&db, &key, &value, sync);
-            history
-                .entry(key)
-                .or_default()
-                .push((Some(value), res.is_ok() && sync));
-        }
-        fault.power_off();
-        drop(db);
-        fault.reboot(if rng.chance(0.5) {
-            TearStyle::DropUnsynced
-        } else {
-            TearStyle::TearTail { seed: rng.next() }
-        });
-    }
 }
 
 /// Records, for every flush that completes before the first (large)

@@ -26,9 +26,7 @@
 
 use std::sync::Arc;
 
-use db_bench::{
-    render_key, run_benchmark, run_benchmark_real, run_crash_loop, BenchmarkSpec, YcsbMix,
-};
+use db_bench::{render_key, run_benchmark, run_benchmark_real, BenchmarkSpec, YcsbMix};
 use hw_sim::{DeviceModel, HardwareEnv};
 use lsm_kvs::options::Options;
 use lsm_kvs::vfs::{MemVfs, StdVfs, Vfs};
@@ -90,7 +88,6 @@ fn run(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let mut threads: Option<usize> = None;
     let mut sync: Option<bool> = None;
     let mut db_dir: Option<String> = None;
-    let mut crash_loop: Option<u64> = None;
     let mut stats_dump = false;
     let mut shards: i64 = 1;
     let mut remote: Option<String> = None;
@@ -141,7 +138,6 @@ fn run(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             "--threads" => threads = Some(take(&mut i)?.parse()?),
             "--sync" => sync = Some(take(&mut i)?.parse()?),
             "--db" => db_dir = Some(take(&mut i)?),
-            "--crash-loop" => crash_loop = Some(take(&mut i)?.parse()?),
             "--stats_dump" | "--stats-dump" => stats_dump = true,
             "--shards" => shards = take(&mut i)?.parse()?,
             "--remote" => remote = Some(take(&mut i)?),
@@ -160,8 +156,7 @@ fn run(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
                      [--stats_dump] [--shards N] [--multiget_batch N] \
                      [--real-time [--threads N] [--sync true|false] [--db dir]] \
                      [--remote host:port [--threads N] [--sync true|false]] \
-                     [--cluster addr[~replica],addr,... [--threads N] [--sync true|false]] \
-                     [--crash-loop N [--db dir]]"
+                     [--cluster addr[~replica],addr,... [--threads N] [--sync true|false]]"
                 );
                 return Ok(());
             }
@@ -175,18 +170,6 @@ fn run(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         for (k, v, why) in &outcome.rejected {
             eprintln!("options-file: ignored {k}={v}: {why}");
         }
-    }
-
-    if let Some(cycles) = crash_loop {
-        let n_threads = threads.unwrap_or(2);
-        eprintln!(
-            "running crash loop: {cycles} cycle(s), {n_threads} thread(s), dir={} ...",
-            db_dir.as_deref().unwrap_or("<memory>")
-        );
-        let outcome =
-            run_crash_loop(&opts, cycles, db_dir.as_deref(), n_threads, 0x5EED_CA5E)?;
-        println!("{}", outcome.to_text());
-        return Ok(());
     }
 
     let hardware = || HardwareEnv::builder().cores(cores).memory_gib(mem_gib).device(device.clone());

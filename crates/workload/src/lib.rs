@@ -27,13 +27,11 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod crash;
 mod keygen;
 mod report;
 mod runner;
 mod spec;
 
-pub use crash::{run_crash_loop, CrashLoopOutcome};
 pub use keygen::{render_key, KeyDistribution, KeyGenerator, ValueGenerator};
 pub use report::{BenchReport, MonitorControl, MonitorSample};
 pub use runner::{run_benchmark, run_benchmark_real};
