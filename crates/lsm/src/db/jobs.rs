@@ -722,7 +722,8 @@ mod tests {
     use super::super::testutil::{env, small_opts};
     use super::super::{Db, ReadOptions};
     use super::*;
-    use crate::fault::FaultConfig;
+    use crate::fault::{FaultConfig, FaultInjectionVfs};
+    use crate::vfs::MemVfs;
 
     #[test]
     fn hdd_is_slower_than_nvme_for_same_work() {
@@ -835,9 +836,8 @@ mod tests {
 
     #[test]
     fn failed_compaction_is_picked_again() {
-        let builder = Db::builder(small_opts()).env(&env()).fault_injection(FaultConfig::default());
-        let faults = builder.fault_vfs().unwrap();
-        let db = builder.open().unwrap();
+        let faults = FaultInjectionVfs::wrap(Arc::new(MemVfs::new()));
+        let db = Db::builder(small_opts()).env(&env()).vfs(Arc::new(faults.clone())).open().unwrap();
         idle_l0(&db, 2);
         // The merge reads its inputs; writing the OPTIONS file reads nothing.
         faults.set_config(FaultConfig { read_error_prob: 1.0, ..FaultConfig::default() });

@@ -72,16 +72,17 @@ pub(super) fn new_memtable(opts: &Options) -> MemTable {
 /// Fluent constructor for [`Db`], created by [`Db::builder`].
 ///
 /// ```
-/// use lsm_kvs::{Db, FaultConfig, options::Options};
+/// use std::sync::Arc;
+/// use lsm_kvs::{Db, FaultInjectionVfs, MemVfs, options::Options};
 ///
 /// // Defaults: in-memory VFS, simulated 4-core / 8 GiB NVMe environment.
 /// let db = Db::builder(Options::default()).open().unwrap();
 /// db.put(b"k", b"v").unwrap();
 ///
-/// // With fault injection layered over the chosen VFS:
-/// let builder = Db::builder(Options::default()).fault_injection(FaultConfig::default());
-/// let faults = builder.fault_vfs().unwrap();
-/// let db = builder.open().unwrap();
+/// // With fault injection layered over a VFS, keeping a handle to drive
+/// // power cuts and error bursts from the outside:
+/// let faults = FaultInjectionVfs::wrap(Arc::new(MemVfs::new()));
+/// let db = Db::builder(Options::default()).vfs(Arc::new(faults.clone())).open().unwrap();
 /// db.put(b"k", b"v").unwrap();
 /// assert_eq!(faults.injected_errors(), 0);
 /// ```
@@ -89,7 +90,6 @@ pub struct DbBuilder {
     opts: Options,
     env: Option<HardwareEnv>,
     vfs: Option<Arc<dyn Vfs>>,
-    fault: Option<crate::fault::FaultInjectionVfs>,
     listeners: Vec<Arc<dyn EventListener>>,
     job_budget: Option<Arc<JobBudget>>,
     load_options_file: bool,
@@ -115,35 +115,13 @@ impl DbBuilder {
         self
     }
 
-    /// Sets the backing VFS (defaults to a fresh [`MemVfs`]).
-    ///
-    /// Call before [`fault_injection`](Self::fault_injection): the fault
-    /// layer wraps whatever VFS is configured when it is added.
+    /// Sets the backing VFS (defaults to a fresh [`MemVfs`]). A
+    /// [`FaultInjectionVfs`](crate::FaultInjectionVfs) wrapping another
+    /// VFS goes here too.
     #[must_use]
     pub fn vfs(mut self, vfs: Arc<dyn Vfs>) -> Self {
         self.vfs = Some(vfs);
         self
-    }
-
-    /// Wraps the configured VFS in a [`FaultInjectionVfs`](crate::FaultInjectionVfs)
-    /// with `cfg`. Retrieve the handle with [`fault_vfs`](Self::fault_vfs)
-    /// to drive power cuts and error bursts from the outside.
-    #[must_use]
-    pub fn fault_injection(mut self, cfg: crate::fault::FaultConfig) -> Self {
-        let base = self
-            .vfs
-            .take()
-            .unwrap_or_else(|| Arc::new(MemVfs::new()) as Arc<dyn Vfs>);
-        let fault = crate::fault::FaultInjectionVfs::with_config(base, cfg);
-        self.vfs = Some(Arc::new(fault.clone()) as Arc<dyn Vfs>);
-        self.fault = Some(fault);
-        self
-    }
-
-    /// The fault-injection handle, when [`fault_injection`](Self::fault_injection)
-    /// was configured. Clone it before [`open`](Self::open).
-    pub fn fault_vfs(&self) -> Option<crate::fault::FaultInjectionVfs> {
-        self.fault.clone()
     }
 
     /// Registers an [`EventListener`] notified of flush/compaction
@@ -269,7 +247,6 @@ impl Db {
             opts,
             env: None,
             vfs: None,
-            fault: None,
             listeners: Vec::new(),
             job_budget: None,
             load_options_file: false,
