@@ -179,10 +179,7 @@ mod tests {
     fn sample(at: f64, rate: f64) -> MonitorSample {
         MonitorSample {
             at_secs: at,
-            interval_ops: rate as u64,
             interval_ops_per_sec: rate,
-            cpu_util_percent: 0.0,
-            mem_pressure: 0.0,
         }
     }
 

@@ -10,7 +10,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::device::{AccessPattern, DeviceClass, IoCounters};
 use crate::env::HardwareEnv;
-use crate::time::SimTime;
 
 /// A psutil-style point-in-time view of the machine.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -140,32 +139,6 @@ impl DeviceProbe {
             self.sync_latency_us,
             if self.class.is_rotational() { "yes" } else { "no" },
         )
-    }
-}
-
-/// A periodic utilization sample recorded by a benchmark monitor.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct UtilizationSample {
-    /// Sample instant.
-    pub at_nanos: u64,
-    /// Operations completed since the previous sample.
-    pub ops_since_last: u64,
-    /// CPU utilization percent at the sample instant.
-    pub cpu_util_percent: f64,
-    /// Memory pressure at the sample instant.
-    pub mem_pressure: f64,
-}
-
-impl UtilizationSample {
-    /// Builds a sample at `now` for an interval that completed
-    /// `ops_since_last` operations.
-    pub fn capture(env: &HardwareEnv, now: SimTime, ops_since_last: u64) -> Self {
-        UtilizationSample {
-            at_nanos: now.as_nanos(),
-            ops_since_last,
-            cpu_util_percent: env.cpu().utilization_percent(now),
-            mem_pressure: env.memory().pressure(),
-        }
     }
 }
 

@@ -13,14 +13,8 @@ use serde::{Deserialize, Serialize};
 pub struct MonitorSample {
     /// Simulated seconds since the measured phase began.
     pub at_secs: f64,
-    /// Operations completed in the sample interval.
-    pub interval_ops: u64,
     /// Interval throughput in ops/sec.
     pub interval_ops_per_sec: f64,
-    /// CPU utilization percent at the sample.
-    pub cpu_util_percent: f64,
-    /// Memory pressure (fraction of usable budget).
-    pub mem_pressure: f64,
 }
 
 /// What the monitor callback wants the runner to do.
@@ -63,8 +57,6 @@ pub struct BenchReport {
     pub tickers: TickerSnapshot,
     /// `(files, bytes)` per level at the end of the run.
     pub levels: Vec<(usize, u64)>,
-    /// Monitor samples.
-    pub samples: Vec<MonitorSample>,
     /// Whether the run was aborted by the monitor.
     pub aborted: bool,
 }
@@ -222,7 +214,6 @@ mod tests {
                 values: [0; lsm_kvs::TICKER_NAMES.len()],
             },
             levels: vec![(2, 1 << 20); 7],
-            samples: vec![],
             aborted: false,
         }
     }

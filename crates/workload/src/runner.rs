@@ -7,7 +7,7 @@
 //! and records the delta as that operation's latency. This makes
 //! multi-threaded runs deterministic and seed-reproducible.
 
-use hw_sim::{HardwareEnv, SimDuration, SimTime, UtilizationSample};
+use hw_sim::{HardwareEnv, SimDuration, SimTime};
 use lsm_kvs::{
     DbStats, Histogram, KvEngine, Result, TickerSnapshot, WriteBatch, WriteOptions,
 };
@@ -52,7 +52,6 @@ pub fn run_benchmark<E: KvEngine + ?Sized>(
 
     let write_opts = WriteOptions::default();
     let mut totals = Totals::default();
-    let mut samples = Vec::new();
     let mut aborted = false;
 
     let interval = SimDuration::from_millis(spec.report_interval_ms.max(1));
@@ -73,15 +72,10 @@ pub fn run_benchmark<E: KvEngine + ?Sized>(
         if thread_time >= next_sample {
             let interval_ops = totals.ops - ops_at_last_sample;
             ops_at_last_sample = totals.ops;
-            let util = UtilizationSample::capture(env, thread_time, interval_ops);
             let sample = MonitorSample {
                 at_secs: thread_time.saturating_since(start).as_secs_f64(),
-                interval_ops,
                 interval_ops_per_sec: interval_ops as f64 / interval.as_secs_f64(),
-                cpu_util_percent: util.cpu_util_percent,
-                mem_pressure: util.mem_pressure,
             };
-            samples.push(sample);
             next_sample += interval;
             if let Some(cb) = monitor.as_deref_mut() {
                 if cb(&sample) == MonitorControl::Stop {
@@ -112,7 +106,7 @@ pub fn run_benchmark<E: KvEngine + ?Sized>(
     env.clock().advance_to(end);
     let duration = end.saturating_since(start);
 
-    Ok(totals.into_report(spec, duration, db.stats(), &tickers_before, samples, aborted))
+    Ok(totals.into_report(spec, duration, db.stats(), &tickers_before, aborted))
 }
 
 /// Runs `spec` against `db` on real OS threads with wall-clock timing.
@@ -125,9 +119,6 @@ pub fn run_benchmark<E: KvEngine + ?Sized>(
 /// from `std::time::Instant`, not the virtual clock, and per-thread
 /// histograms are merged into the report. `sync` selects durable WAL
 /// writes, which is where group commit earns its keep.
-///
-/// Monitor sampling is not supported here (the report's `samples` list is
-/// empty): the monitor protocol is tied to the simulated timeline.
 ///
 /// # Errors
 ///
@@ -184,7 +175,7 @@ pub fn run_benchmark_real<E: KvEngine + ?Sized>(
     for t in per_thread {
         totals.merge(&t?);
     }
-    Ok(totals.into_report(spec, duration, db.stats(), &tickers_before, Vec::new(), false))
+    Ok(totals.into_report(spec, duration, db.stats(), &tickers_before, false))
 }
 
 /// What a run, or one thread of it, has measured so far.
@@ -215,7 +206,6 @@ impl Totals {
         duration: SimDuration,
         stats: DbStats,
         tickers_before: &TickerSnapshot,
-        samples: Vec<MonitorSample>,
         aborted: bool,
     ) -> BenchReport {
         let latency = |h: &Histogram| (h.count() > 0).then(|| h.snapshot());
@@ -233,7 +223,6 @@ impl Totals {
             rmw_latency: latency(&self.rmw),
             tickers: stats.tickers.delta_since(tickers_before),
             levels: stats.levels,
-            samples,
             aborted,
         }
     }
@@ -590,7 +579,7 @@ mod tests {
         let report = run_benchmark(&db, &env, &spec, Some(&mut cb)).unwrap();
         assert!(report.aborted);
         assert!(report.ops < 200_000);
-        assert!(report.samples.len() >= 3);
+        assert_eq!(calls, 3);
     }
 
     #[test]

@@ -28,11 +28,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Stream monitor samples like the framework's benchmark monitor does.
     let mut cb = |s: &elmo::db_bench::MonitorSample| {
         println!(
-            "  t={:6.1}s  {:>9.0} ops/s  cpu {:4.1}%  mem {:4.1}%",
-            s.at_secs,
-            s.interval_ops_per_sec,
-            s.cpu_util_percent,
-            s.mem_pressure * 100.0
+            "  t={:6.1}s  {:>9.0} ops/s",
+            s.at_secs, s.interval_ops_per_sec
         );
         MonitorControl::Continue
     };
