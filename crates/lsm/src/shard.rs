@@ -258,15 +258,6 @@ impl ShardedDb {
             &self.ranges,
         )
     }
-
-    /// Compacts every shard fully.
-    ///
-    /// # Errors
-    ///
-    /// See [`Db::compact_all`].
-    pub fn compact_all(&self) -> Result<()> {
-        self.shards.iter().try_for_each(Db::compact_all)
-    }
 }
 
 /// Evenly spaced two-byte big-endian boundaries: shard `i` of `n` owns
