@@ -406,8 +406,8 @@ fn torn_tail_residue_never_corrupts() {
 /// The contract in real-concurrency mode (wall clock, group commit,
 /// background pool) on real files: 25 cycles over one `StdVfs`
 /// directory. In each, two threads put to disjoint keys (so each key's
-/// attempts are one thread's program order), a third of the puts
-/// synced, so synced groups meet the power cut; two cycles in five see
+/// attempts are one thread's program order), 35% of the puts synced,
+/// so synced groups meet the power cut; two cycles in five see
 /// a burst of retryable write and sync errors; power is cut after
 /// 10-50 ms, and half the reboots tear the unsynced tail.
 #[test]
@@ -432,47 +432,48 @@ fn wall_clock_power_cuts_preserve_acked_writes() {
         let db = open(cycle);
         verified += verify_and_rebaseline(&db, &mut history, cycle);
 
-        let stop = Arc::new(AtomicBool::new(false));
-        let writers: Vec<_> = (0..2u64)
-            .map(|t| {
-                let (db, stop) = (db.clone(), Arc::clone(&stop));
-                let mut rng = Rng((SEED ^ (cycle << 8) ^ t) | 1);
-                std::thread::spawn(move || {
-                    let mut hist: History = BTreeMap::new();
-                    for op in 0..20_000u64 {
-                        if stop.load(Ordering::Relaxed) {
-                            break;
+        let stop = AtomicBool::new(false);
+        let per_writer: Vec<History> = std::thread::scope(|scope| {
+            let writers: Vec<_> = (0..2u64)
+                .map(|t| {
+                    let (db, stop) = (&db, &stop);
+                    let mut rng = Rng((SEED ^ (cycle << 8) ^ t) | 1);
+                    scope.spawn(move || {
+                        let mut hist: History = BTreeMap::new();
+                        for op in 0..20_000u64 {
+                            if stop.load(Ordering::Relaxed) {
+                                break;
+                            }
+                            let key = format!("key-{:04}-{t}", rng.below(500)).into_bytes();
+                            let value = format!("c{cycle}-t{t}-o{op}-{}", rng.next()).into_bytes();
+                            let sync = rng.chance(0.35);
+                            let ok = put_opt(db, &key, &value, sync).is_ok();
+                            hist.entry(key).or_default().push((Some(value), ok && sync));
                         }
-                        let key = format!("key-{:04}-{t}", rng.below(500)).into_bytes();
-                        let value = format!("c{cycle}-t{t}-o{op}-{}", rng.next()).into_bytes();
-                        let sync = rng.chance(0.35);
-                        let ok = put_opt(&db, &key, &value, sync).is_ok();
-                        hist.entry(key).or_default().push((Some(value), ok && sync));
-                    }
-                    hist
+                        hist
+                    })
                 })
-            })
-            .collect();
+                .collect();
 
-        std::thread::sleep(Duration::from_millis(10 + rng.below(40) as u64));
-        if rng.chance(0.4) {
-            fault.set_config(FaultConfig {
-                write_error_prob: 0.01,
-                sync_error_prob: 0.01,
-                errors_are_retryable: true,
-                ..FaultConfig::default()
-            });
-            std::thread::sleep(Duration::from_millis(10));
-            fault.clear_faults();
-        }
-        fault.power_off();
-        stop.store(true, Ordering::Relaxed);
-        for writer in writers {
-            for (key, mut attempts) in writer.join().expect("writer panicked") {
-                attempted += attempts.len();
-                acked += attempts.iter().filter(|(_, ack)| *ack).count();
-                history.entry(key).or_default().append(&mut attempts);
+            std::thread::sleep(Duration::from_millis(10 + rng.below(40) as u64));
+            if rng.chance(0.4) {
+                fault.set_config(FaultConfig {
+                    write_error_prob: 0.01,
+                    sync_error_prob: 0.01,
+                    errors_are_retryable: true,
+                    ..FaultConfig::default()
+                });
+                std::thread::sleep(Duration::from_millis(10));
+                fault.clear_faults();
             }
+            fault.power_off();
+            stop.store(true, Ordering::Relaxed);
+            writers.into_iter().map(|w| w.join().expect("writer panicked")).collect()
+        });
+        for (key, mut attempts) in per_writer.into_iter().flatten() {
+            attempted += attempts.len();
+            acked += attempts.iter().filter(|(_, ack)| *ack).count();
+            history.entry(key).or_default().append(&mut attempts);
         }
         drop(db);
         if rng.chance(0.5) {
