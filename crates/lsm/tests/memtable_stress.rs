@@ -268,6 +268,152 @@ proptest! {
     }
 }
 
+/// One user key under 5,000 versions, inserted from several threads in a
+/// shuffled sequence order: `get` at every snapshot returns the newest
+/// version at or below it, and the view walks the versions newest first.
+#[test]
+fn hot_key_versions_inserted_out_of_order_read_at_every_snapshot() {
+    const VERSIONS: u64 = 5_000;
+    const THREADS: usize = 4;
+
+    let mut order: Vec<u64> = (1..=VERSIONS).collect();
+    let mut rng = testkit::Rng(0x5eed_0f0f_f1ce);
+    for i in (1..order.len()).rev() {
+        order.swap(i, rng.below(i + 1));
+    }
+    // Every seventh version is a tombstone; the others carry their
+    // sequence, so a wrong version shows as a wrong value.
+    let ty_of = |seq: u64| if seq.is_multiple_of(7) { ValueType::Deletion } else { ValueType::Value };
+    let value_of = |seq: u64| if seq.is_multiple_of(7) { Vec::new() } else { seq.to_le_bytes().to_vec() };
+
+    let mem = MemTable::new(0);
+    // A neighbour on each side, so a lookup that strays off the hot key
+    // finds something else instead of nothing.
+    mem.add(VERSIONS + 1, ValueType::Value, b"hot", b"before");
+    mem.add(VERSIONS + 2, ValueType::Value, b"hot\0", b"after");
+    std::thread::scope(|scope| {
+        for t in 0..THREADS {
+            let (mem, order) = (&mem, &order);
+            scope.spawn(move || {
+                for &seq in order.iter().skip(t).step_by(THREADS) {
+                    mem.add(seq, ty_of(seq), b"hot!", &value_of(seq));
+                }
+            });
+        }
+    });
+
+    assert_eq!(mem.len() as u64, VERSIONS + 2);
+    assert_eq!(mem.get(b"hot!", 0), None);
+    for snapshot in 1..=VERSIONS + 2 {
+        let newest = snapshot.min(VERSIONS);
+        assert_eq!(
+            mem.get(b"hot!", snapshot),
+            Some((ty_of(newest), value_of(newest))),
+            "snapshot {snapshot}"
+        );
+    }
+    let view = mem.view();
+    let versions: Vec<u64> = view
+        .iter()
+        .filter_map(|(k, _)| {
+            let key = lsm_kvs::InternalKey::decode(k).unwrap();
+            (key.user_key() == b"hot!").then(|| key.sequence())
+        })
+        .collect();
+    assert_eq!(versions, (1..=VERSIONS).rev().collect::<Vec<_>>());
+}
+
+/// A cursor stepped while another thread inserts keys ahead of it and
+/// behind it, and new versions of keys on both sides: it yields strictly
+/// increasing internal keys, none before its seek target, every entry
+/// that was present at the seek and sorts at or after the target, and
+/// only entries the memtable really holds.
+#[test]
+fn cursor_steps_while_a_writer_inserts_ahead_and_behind() {
+    use std::collections::BTreeSet;
+
+    use lsm_kvs::{InternalKey, MemTableCursor};
+
+    const KEYS: u64 = 2_000;
+    let key = |i: u64| format!("k{i:06}").into_bytes();
+    // The value names its key and sequence, so a torn entry shows.
+    let value = |k: &[u8], seq: u64| [k, b"@", seq.to_string().as_bytes()].concat();
+
+    let mem = Arc::new(MemTable::new(0));
+    let mut seq = 0;
+    let mut present = BTreeSet::new();
+    for i in (0..KEYS).step_by(3) {
+        seq += 1;
+        mem.add(seq, ValueType::Value, &key(i), &value(&key(i), seq));
+        present.insert(InternalKey::new(&key(i), seq, ValueType::Value).into_encoded());
+    }
+    let target = InternalKey::new(&key(KEYS / 3), lsm_kvs::MAX_SEQUENCE, ValueType::Value);
+    let mut cursor = MemTableCursor::seek(Arc::clone(&mem), target.encoded());
+    let ordered = |a: &Vec<u8>, b: &Vec<u8>| internal_order(a, b).is_lt();
+    let expected: Vec<Vec<u8>> =
+        present.iter().filter(|k| !ordered(k, &target.encoded().to_vec())).cloned().collect();
+
+    let writer_mem = Arc::clone(&mem);
+    let yielded = std::thread::scope(|scope| {
+        scope.spawn(move || {
+            let mut seq = seq;
+            // Fresh keys between the present ones, from both ends toward
+            // the middle, and a newer version of every fifth present key.
+            for n in 0..KEYS {
+                let i = if n % 2 == 0 { n } else { KEYS - n };
+                let fresh = i - i % 3 + 1;
+                seq += 1;
+                writer_mem.add(seq, ValueType::Value, &key(fresh), &value(&key(fresh), seq));
+                if i.is_multiple_of(5) {
+                    let old = i - i % 3;
+                    seq += 1;
+                    writer_mem.add(seq, ValueType::Value, &key(old), &value(&key(old), seq));
+                }
+                if n.is_multiple_of(16) {
+                    std::thread::yield_now();
+                }
+            }
+        });
+        let mut yielded: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
+        while let Some(k) = cursor.key() {
+            yielded.push((k.to_vec(), cursor.value().unwrap().to_vec()));
+            if yielded.len().is_multiple_of(8) {
+                std::thread::yield_now();
+            }
+            cursor.advance();
+        }
+        yielded
+    });
+
+    let target = target.encoded().to_vec();
+    assert!(!yielded.is_empty() && !ordered(&yielded[0].0, &target), "yielded before the target");
+    for pair in yielded.windows(2) {
+        assert!(ordered(&pair[0].0, &pair[1].0), "cursor did not step forward");
+    }
+    let keys: BTreeSet<&Vec<u8>> = yielded.iter().map(|(k, _)| k).collect();
+    for k in &expected {
+        assert!(keys.contains(k), "present at the seek but skipped: {k:02x?}");
+    }
+    // Every yielded entry is one the memtable holds, with its own value.
+    let held: Vec<(Vec<u8>, Vec<u8>)> =
+        mem.view().iter().map(|(k, v)| (k.to_vec(), v.to_vec())).collect();
+    for (k, v) in &yielded {
+        let ik = InternalKey::decode(k).unwrap();
+        assert_eq!(v, &value(ik.user_key(), ik.sequence()), "torn entry");
+        assert!(held.binary_search_by(|(h, _)| internal_order(h, k)).is_ok());
+    }
+}
+
+/// The internal-key order of two encoded keys: user key ascending, then
+/// tag (sequence and type) descending.
+fn internal_order(a: &[u8], b: &[u8]) -> std::cmp::Ordering {
+    let split = |k: &[u8]| {
+        let (user, tag) = k.split_at(k.len() - 8);
+        (user.to_vec(), std::cmp::Reverse(u64::from_le_bytes(tag.try_into().unwrap())))
+    };
+    split(a).cmp(&split(b))
+}
+
 /// Sanity: a memtable-level deleted key reports `Deletion`, not absence,
 /// whichever `MemtableRep` value the four-argument constructor is handed
 /// (both build the same table; the frozen ladder still passes each).

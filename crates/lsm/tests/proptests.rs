@@ -184,6 +184,65 @@ proptest! {
         }
     }
 
+    /// The memtable against the same model when the sequences arrive in
+    /// a shuffled order: a few hot keys under many versions each, every
+    /// version linked in sequence order whatever order it came in. Point
+    /// reads at every snapshot, the view and a full cursor walk agree.
+    #[test]
+    fn memtable_matches_model_with_shuffled_sequences(
+        ops in vec((0usize..6, any::<bool>()), 1..300),
+        shuffle in any::<u64>(),
+    ) {
+        let keys: [&[u8]; 6] = [b"", b"a", b"a\0", b"ab", b"hot-key-longer-than-22-bytes", b"z"];
+        let entry = |seq: u64, deleted: bool| {
+            if deleted {
+                (ValueType::Deletion, Vec::new())
+            } else {
+                (ValueType::Value, seq.to_le_bytes().to_vec())
+            }
+        };
+        let mut order: Vec<usize> = (0..ops.len()).collect();
+        let mut rng = testkit::Rng(shuffle | 1);
+        for i in (1..order.len()).rev() {
+            order.swap(i, rng.below(i + 1));
+        }
+        let mt = Arc::new(MemTable::new(0));
+        let mut model = MemtableModel::new();
+        for &i in &order {
+            let (key, deleted) = ops[i];
+            let seq = i as u64 + 1;
+            let (ty, value) = entry(seq, deleted);
+            mt.add(seq, ty, keys[key], &value);
+            model.insert((keys[key].to_vec(), Reverse(seq)), (ty, value));
+        }
+        prop_assert_eq!(mt.len(), model.len());
+        for key in keys {
+            for snapshot in 0..=ops.len() as u64 + 1 {
+                let newest = model
+                    .range((key.to_vec(), Reverse(snapshot))..)
+                    .next()
+                    .filter(|((u, _), _)| u == key)
+                    .map(|(_, entry)| entry.clone());
+                prop_assert!(mt.get(key, snapshot) == newest, "get {:?} at {}", key, snapshot);
+            }
+        }
+        let expected: Vec<(Vec<u8>, Vec<u8>)> = model
+            .iter()
+            .map(|((user, seq), (ty, v))| (InternalKey::new(user, seq.0, *ty).into_encoded(), v.clone()))
+            .collect();
+        let viewed: Vec<(Vec<u8>, Vec<u8>)> =
+            mt.view().iter().map(|(k, v)| (k.to_vec(), v.to_vec())).collect();
+        prop_assert!(viewed == expected, "view order or bytes differ from the model");
+        let first = InternalKey::new(b"", lsm_kvs::MAX_SEQUENCE, ValueType::Value);
+        let mut cursor = MemTableCursor::seek(Arc::clone(&mt), first.encoded());
+        let mut stepped = Vec::new();
+        while let Some(k) = cursor.key() {
+            stepped.push((k.to_vec(), cursor.value().unwrap().to_vec()));
+            cursor.advance();
+        }
+        prop_assert!(stepped == expected, "cursor walk differs from the model");
+    }
+
     #[test]
     fn wal_replay_is_prefix_closed(records in vec(vec(any::<u8>(), 0..100), 1..30), cut in any::<u16>()) {
         let vfs = MemVfs::new();
