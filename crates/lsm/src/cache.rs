@@ -19,9 +19,10 @@ use crate::util::fnv1a;
 /// A multiplicative (Fx-style) hasher for the two caches' keys: file
 /// numbers and block offsets the engine made, so SipHash's resistance to
 /// chosen keys buys nothing. Nothing iterates either map: the LRU list
-/// orders the entries.
+/// orders the entries. The memtable's key index feeds it user keys a
+/// word at a time.
 #[derive(Default)]
-struct IntHasher(u64);
+pub(crate) struct IntHasher(u64);
 
 impl Hasher for IntHasher {
     fn write(&mut self, bytes: &[u8]) {

@@ -1,181 +1,555 @@
 //! In-memory write buffer (memtable).
 //!
-//! Entries are kept in internal-key order (user key ascending, sequence
-//! descending) so lookups find the newest visible version first and
-//! flushes emit sorted runs directly.
+//! There is one representation, and it puts entries in order only when a
+//! reader asks for order:
 //!
-//! There is one representation: a `BTreeMap` behind a reader-writer lock,
-//! mutated through `&self`. An internal key of up to 30 bytes lives inside
-//! the B-tree node (longer ones are boxed), and the values live in an
-//! append-only arena of 64 KiB chunks under the same lock, so an entry
-//! with a short key allocates nothing of its own and a dropped memtable
-//! frees its values a chunk at a time. Accounting (approximate bytes,
-//! first/last sequence) sits beside the map as atomics and charges each
-//! entry its user key + 8 + value + 48 bytes, whatever the layout.
-//! `memtable_factory` is still a recognised option, but nothing here reads
-//! it.
+//! - **An append log.** Each entry's encoded internal key (user key ++
+//!   8-byte tag) and value are appended, contiguous and in arrival order,
+//!   to an arena of 64 KiB chunks. The 24-byte records that say where an
+//!   entry's bytes are live in tables of fixed-size chunks too, so nothing
+//!   is moved or copied as the memtable grows, and no allocation grows
+//!   with the entry count.
+//! - **A hash index.** Each user key is a node in a chained hash table.
+//!   The node holds the key's newest entry, and each entry names the key's
+//!   next-older one in a log of displaced versions. Versions stay linked
+//!   newest first by sequence whatever order they arrive in, so a point
+//!   lookup at the latest snapshot is one hash probe and one entry; an
+//!   older snapshot walks past the versions written after it. The bucket
+//!   array is sized once from the caller's expected entry count and
+//!   doubles only if the memtable outgrows it.
+//! - **Order on demand.** Internal-key order is built only when asked for:
+//!   the user keys not yet ordered are sorted (on an 8-byte prefix taken
+//!   past the bytes every key shares, then the full key) into runs of at
+//!   most 64 Ki keys, and readers merge the runs, each key's versions
+//!   following it newest first. A flush's [`MemTable::view`] sorts an
+//!   immutable memtable once; a [`MemTableCursor`] over the live memtable
+//!   sorts only the keys that arrived since the last one and folds small
+//!   runs together, so scans between inserts do not re-sort the table.
+//!
+//! All of it sits behind one reader-writer lock, mutated through `&self`;
+//! the runs sit behind a second lock of their own. Accounting
+//! (approximate bytes, first/last sequence) sits beside them as atomics
+//! and charges each entry its user key + 8 + value + 48 bytes, whatever
+//! the layout. `memtable_factory` is still a recognised option, but
+//! nothing here reads it.
 
 use std::cmp::Ordering;
-use std::collections::BTreeMap;
 use std::fmt;
-use std::ops::Bound;
+use std::hash::Hasher;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::Arc;
 
-use parking_lot::{RwLock, RwLockReadGuard};
+use parking_lot::{Mutex, RwLock, RwLockReadGuard};
 
+use crate::cache::IntHasher;
 use crate::error::Result;
 use crate::merge::Cursor;
 use crate::options::MemtableRep;
-use crate::types::{
-    internal_key_cmp, split_tag, SequenceNumber, ValueType, MAX_SEQUENCE, VALUE_TYPE_FOR_SEEK,
-};
+use crate::types::{split_tag, SequenceNumber, ValueType, MAX_SEQUENCE, VALUE_TYPE_FOR_SEEK};
 
-/// The longest encoded internal key stored inside the B-tree node: a
-/// user key of up to 22 bytes and its 8-byte tag.
-const INLINE_KEY: usize = 30;
+/// No entry: the end of a version chain.
+const NIL: u32 = u32::MAX;
 
-/// An encoded internal key as the map stores it, ordered by the
-/// internal-key comparator. Keys of up to [`INLINE_KEY`] bytes (the
-/// 16-byte keys of every benchmark among them) live in the node itself,
-/// so inserting one allocates nothing; longer keys are boxed. Two inline
-/// keys whose user keys are both at least 16 bytes long compare as two
-/// big-endian words first, and reach the bytewise comparator only when
-/// those 16 bytes are equal.
-enum MemKey {
-    Inline(u8, [u8; INLINE_KEY]),
-    Heap(Box<[u8]>),
-}
+/// Items per chunk of the entry log and of the key table.
+const CHUNK_ITEMS: usize = 4096;
 
-const _: () = assert!(std::mem::size_of::<MemKey>() == 32);
-
-impl MemKey {
-    /// The key `user_key ++ fixed64(tag)`.
-    fn new(user_key: &[u8], tag: u64) -> MemKey {
-        let (tag, len) = (tag.to_le_bytes(), user_key.len() + 8);
-        if len > INLINE_KEY {
-            return MemKey::Heap([user_key, &tag].concat().into_boxed_slice());
-        }
-        let mut bytes = [0; INLINE_KEY];
-        bytes[..user_key.len()].copy_from_slice(user_key);
-        bytes[user_key.len()..len].copy_from_slice(&tag);
-        MemKey::Inline(len as u8, bytes)
-    }
-
-    fn as_bytes(&self) -> &[u8] {
-        match self {
-            MemKey::Inline(len, bytes) => &bytes[..usize::from(*len)],
-            MemKey::Heap(bytes) => bytes,
-        }
-    }
-}
-
-impl PartialEq for MemKey {
-    fn eq(&self, other: &Self) -> bool {
-        self.as_bytes() == other.as_bytes()
-    }
-}
-
-impl Eq for MemKey {}
-
-impl PartialOrd for MemKey {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for MemKey {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Two inline user keys of 16 bytes or more: their first 16 bytes
-        // as two big-endian words order them as bytewise comparison
-        // would, unless the words are equal.
-        if let (MemKey::Inline(a_len, a), MemKey::Inline(b_len, b)) = (self, other) {
-            if *a_len >= 16 + 8 && *b_len >= 16 + 8 {
-                let order = word(a, 0).cmp(&word(b, 0)).then_with(|| word(a, 8).cmp(&word(b, 8)));
-                if order.is_ne() {
-                    return order;
-                }
-            }
-        }
-        internal_key_cmp(self.as_bytes(), other.as_bytes())
-    }
-}
-
-/// The big-endian word at `at` in an inline key.
-fn word(bytes: &[u8; INLINE_KEY], at: usize) -> u64 {
-    u64::from_be_bytes(bytes[at..at + 8].try_into().expect("8 bytes"))
-}
-
-/// The size of an arena chunk. A value larger than this gets a chunk of
-/// its own.
-const CHUNK: usize = 64 << 10;
-
-/// Where a value lives in its memtable's [`Arena`].
-#[derive(Clone, Copy)]
-struct Span {
-    chunk: u32,
-    offset: u32,
+/// A vector grown a fixed-size chunk at a time: a push never moves what
+/// is already there, and no allocation grows with the item count.
+struct Chunked<T> {
+    chunks: Vec<Vec<T>>,
     len: usize,
 }
 
-/// Append-only storage for a memtable's values: 64 KiB chunks filled in
-/// order and freed together when the memtable drops. A value's bytes are
-/// never moved or overwritten, and a span names its chunk by index.
+impl<T> Default for Chunked<T> {
+    fn default() -> Self {
+        Chunked { chunks: Vec::new(), len: 0 }
+    }
+}
+
+impl<T> Chunked<T> {
+    /// Appends `item` and returns its index.
+    fn push(&mut self, item: T) -> u32 {
+        let index = u32::try_from(self.len).ok().filter(|&i| i < NIL - 1);
+        let index = index.expect("fewer than 2^32 - 2 items");
+        if self.len.is_multiple_of(CHUNK_ITEMS) {
+            self.chunks.push(Vec::with_capacity(CHUNK_ITEMS));
+        }
+        self.chunks.last_mut().expect("a chunk").push(item);
+        self.len += 1;
+        index
+    }
+
+    fn get(&self, index: u32) -> &T {
+        let index = index as usize;
+        &self.chunks[index / CHUNK_ITEMS][index % CHUNK_ITEMS]
+    }
+
+    fn get_mut(&mut self, index: u32) -> &mut T {
+        let index = index as usize;
+        &mut self.chunks[index / CHUNK_ITEMS][index % CHUNK_ITEMS]
+    }
+}
+
+/// The size of an arena chunk. An entry larger than this gets a chunk of
+/// its own.
+const CHUNK: usize = 64 << 10;
+
+/// Append-only storage for a memtable's entries, each its encoded
+/// internal key followed by its value: 64 KiB chunks filled in order and
+/// freed together when the memtable drops. An entry's bytes are never
+/// moved or overwritten.
 #[derive(Default)]
 struct Arena {
     chunks: Vec<Vec<u8>>,
-    /// The chunk small values are appended to. Oversized values are
+    /// The chunk small entries are appended to. Oversized entries are
     /// pushed after it and leave it filling.
     filling: usize,
 }
 
 impl Arena {
-    fn push(&mut self, value: &[u8]) -> Span {
-        let (chunk, offset) = if value.len() > CHUNK {
-            self.chunks.push(value.to_vec());
-            (self.chunks.len() - 1, 0)
+    /// Appends `user_key ++ fixed64(tag) ++ value`; returns its chunk and
+    /// offset.
+    fn push(&mut self, user_key: &[u8], tag: u64, value: &[u8]) -> (u32, u32) {
+        let len = user_key.len() + 8 + value.len();
+        let index = if len > CHUNK {
+            self.chunks.push(Vec::with_capacity(len));
+            self.chunks.len() - 1
         } else {
-            let fits = |c: &Vec<u8>| c.len() + value.len() <= CHUNK;
+            let fits = |c: &Vec<u8>| c.len() + len <= CHUNK;
             if !self.chunks.get(self.filling).is_some_and(fits) {
                 self.chunks.push(Vec::with_capacity(CHUNK));
                 self.filling = self.chunks.len() - 1;
             }
-            let chunk = &mut self.chunks[self.filling];
-            chunk.extend_from_slice(value);
-            (self.filling, chunk.len() - value.len())
+            self.filling
         };
-        Span {
-            chunk: u32::try_from(chunk).expect("fewer than 2^32 chunks"),
-            // At most CHUNK: the cast is lossless.
-            offset: offset as u32,
-            len: value.len(),
-        }
-    }
-
-    fn get(&self, span: Span) -> &[u8] {
-        let offset = span.offset as usize;
-        &self.chunks[span.chunk as usize][offset..offset + span.len]
+        let chunk = &mut self.chunks[index];
+        // At most CHUNK unless the chunk is the entry's own: lossless.
+        let offset = chunk.len() as u32;
+        chunk.extend_from_slice(user_key);
+        chunk.extend_from_slice(&tag.to_le_bytes());
+        chunk.extend_from_slice(value);
+        (u32::try_from(index).expect("fewer than 2^32 chunks"), offset)
     }
 }
 
-/// The ordered keys and the arena their values live in, behind one lock.
-#[derive(Default)]
+/// One entry: its tag, where its bytes are, and the key's next-older
+/// entry in the log.
+#[derive(Clone, Copy)]
+struct Entry {
+    tag: u64,
+    chunk: u32,
+    offset: u32,
+    value_len: u32,
+    older: u32,
+}
+
+/// One user key in the hash index, holding the key's newest entry.
+struct KeyNode {
+    newest: Entry,
+    /// The next key in the same bucket, as `1 + id`; 0 ends the chain.
+    next: u32,
+    /// The low 32 bits of the key's hash.
+    hash: u32,
+    /// The user key's length.
+    len: u32,
+}
+
+/// Which entry of a key: the newest, in its node, or an older one in the
+/// log.
+#[derive(Clone, Copy)]
+enum At {
+    Newest,
+    Older(u32),
+}
+
+/// The smallest and the largest bucket array a memtable starts with.
+const MIN_BUCKETS: usize = 1 << 8;
+const MAX_BUCKETS: usize = 1 << 22;
+
+/// The key index, the log of older entries and the arena, behind one
+/// lock.
 struct Entries {
-    map: BTreeMap<MemKey, Span>,
+    /// Each key's node, in the order the keys first arrived.
+    keys: Chunked<KeyNode>,
+    /// Entries a newer version displaced from their key's node, and
+    /// entries that arrived older than the newest, in the order they were
+    /// logged.
+    older: Chunked<Entry>,
+    /// Heads of the hash chains, as `1 + key id`; 0 is an empty bucket.
+    buckets: Vec<u32>,
     arena: Arena,
+    /// How many leading bytes every user key so far shares.
+    shared: usize,
 }
 
 impl Entries {
-    /// The first entry within `from`, as `(encoded key, value)`.
-    fn first_from(&self, from: Bound<MemKey>) -> Option<(&[u8], &[u8])> {
-        let (k, span) = self.map.range((from, Bound::Unbounded)).next()?;
-        Some((k.as_bytes(), self.arena.get(*span)))
+    fn new(expected_entries: usize) -> Self {
+        let buckets = expected_entries.next_power_of_two().clamp(MIN_BUCKETS, MAX_BUCKETS);
+        Entries {
+            keys: Chunked::default(),
+            older: Chunked::default(),
+            // Zeroed, so pages no key hashes to are never touched.
+            buckets: vec![0; buckets],
+            arena: Arena::default(),
+            shared: 0,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.keys.len + self.older.len
+    }
+
+    /// The encoded internal key and the value of `entry`, a version of
+    /// `key`.
+    fn bytes(&self, key: &KeyNode, entry: &Entry) -> (&[u8], &[u8]) {
+        let chunk = &self.arena.chunks[entry.chunk as usize];
+        let at = entry.offset as usize;
+        let key_end = at + key.len as usize + 8;
+        (&chunk[at..key_end], &chunk[key_end..key_end + entry.value_len as usize])
+    }
+
+    fn user_key(&self, key: u32) -> &[u8] {
+        let node = self.keys.get(key);
+        &self.bytes(node, &node.newest).0[..node.len as usize]
+    }
+
+    fn entry(&self, key: &KeyNode, at: At) -> Entry {
+        match at {
+            At::Newest => key.newest,
+            At::Older(id) => *self.older.get(id),
+        }
+    }
+
+    /// The newest version of `key` whose tag is at most `tag`.
+    fn version_at_or_below(&self, key: &KeyNode, tag: u64) -> Option<At> {
+        let mut at = At::Newest;
+        loop {
+            visited(Visit::Entry);
+            let entry = self.entry(key, at);
+            if entry.tag <= tag {
+                return Some(at);
+            }
+            at = At::Older(entry.older).filter_nil()?;
+        }
+    }
+
+    /// The version of `key` after `at`, which carries `tag`: the next
+    /// older one. If `at` is the newest and a newer version has since
+    /// taken its place in the node, the chain is walked to below `tag`.
+    fn version_after(&self, key: &KeyNode, at: At, tag: u64) -> Option<At> {
+        match at {
+            At::Older(id) => At::Older(self.older.get(id).older).filter_nil(),
+            At::Newest => self.version_at_or_below(key, tag.checked_sub(1)?),
+        }
+    }
+
+    fn bucket(&self, hash: u64) -> usize {
+        hash as usize & (self.buckets.len() - 1)
+    }
+
+    /// The id of `user_key`'s node, walking its hash chain.
+    fn find(&self, user_key: &[u8], hash: u64) -> Option<u32> {
+        let mut link = self.buckets[self.bucket(hash)];
+        while link != 0 {
+            let key = link - 1;
+            visited(Visit::Key);
+            let node = self.keys.get(key);
+            if node.hash == hash as u32
+                && node.len as usize == user_key.len()
+                && self.user_key(key) == user_key
+            {
+                return Some(key);
+            }
+            link = node.next;
+        }
+        None
+    }
+
+    /// Stores an entry and links it into its key's versions, newest
+    /// first by tag. An entry whose internal key is already present
+    /// replaces that entry's bytes, as a map insert would.
+    fn insert(&mut self, user_key: &[u8], hash: u64, tag: u64, value: &[u8]) {
+        let (chunk, offset) = self.arena.push(user_key, tag, value);
+        let value_len = u32::try_from(value.len()).expect("values under 4 GiB");
+        let entry = Entry { tag, chunk, offset, value_len, older: NIL };
+        let Some(key) = self.find(user_key, hash) else {
+            self.shared = match self.keys.len {
+                0 => user_key.len(),
+                _ => {
+                    let shared = &self.user_key(0)[..self.shared];
+                    match user_key.starts_with(shared) {
+                        true => shared.len(),
+                        false => shared.iter().zip(user_key).take_while(|(a, b)| a == b).count(),
+                    }
+                }
+            };
+            let bucket = self.bucket(hash);
+            let len = u32::try_from(user_key.len()).expect("keys under 4 GiB");
+            let node = KeyNode { newest: entry, next: self.buckets[bucket], hash: hash as u32, len };
+            self.buckets[bucket] = self.keys.push(node) + 1;
+            if self.keys.len > self.buckets.len() {
+                self.grow();
+            }
+            return;
+        };
+        let node = self.keys.get_mut(key);
+        // Sequences arrive in order from a `Db`: the new entry displaces
+        // the newest into the log. Concurrent appliers may land an older
+        // one later, which is linked in below the newer ones.
+        if tag > node.newest.tag {
+            let displaced = self.older.push(node.newest);
+            node.newest = Entry { older: displaced, ..entry };
+            return;
+        }
+        if tag == node.newest.tag {
+            let newest = &mut node.newest;
+            (newest.chunk, newest.offset, newest.value_len) = (chunk, offset, value_len);
+            return;
+        }
+        let (mut newer, mut next) = (At::Newest, node.newest.older);
+        while next != NIL {
+            let found = self.older.get_mut(next);
+            if found.tag == tag {
+                (found.chunk, found.offset, found.value_len) = (chunk, offset, value_len);
+                return;
+            }
+            if found.tag < tag {
+                break;
+            }
+            (newer, next) = (At::Older(next), found.older);
+        }
+        let id = self.older.push(Entry { older: next, ..entry });
+        match newer {
+            At::Newest => self.keys.get_mut(key).newest.older = id,
+            At::Older(newer) => self.older.get_mut(newer).older = id,
+        }
+    }
+
+    /// Doubles the bucket array and relinks every key: for a memtable that
+    /// outgrew the entry count it was sized for.
+    fn grow(&mut self) {
+        self.buckets = vec![0; self.buckets.len() * 2];
+        for key in 0..self.keys.len as u32 {
+            let bucket = self.bucket(u64::from(self.keys.get(key).hash));
+            self.keys.get_mut(key).next = self.buckets[bucket];
+            self.buckets[bucket] = key + 1;
+        }
+    }
+
+    /// The sort prefix of `key`: its 8 bytes after the first `shared`,
+    /// big-endian, zero-padded. Every key under a given `shared` begins
+    /// with the same `shared` bytes, so a smaller prefix is a smaller key
+    /// and equal prefixes leave the order to the full keys.
+    fn prefix(&self, key: u32, shared: usize) -> u64 {
+        prefix_of(self.user_key(key), shared)
+    }
+
+    /// Orders two keys by their prefixes, then by their bytes.
+    fn cmp_keys(&self, (a_prefix, a): (u64, u32), (b_prefix, b): (u64, u32)) -> Ordering {
+        a_prefix.cmp(&b_prefix).then_with(|| self.user_key(a).cmp(self.user_key(b)))
+    }
+
+    /// `keys` sorted by user key into a run, through `records`.
+    fn sort(&self, keys: impl Iterator<Item = u32>, records: &mut Vec<(u64, u32)>) -> Arc<[u32]> {
+        records.clear();
+        records.extend(keys.map(|key| (self.prefix(key, self.shared), key)));
+        records.sort_unstable_by_key(|&(prefix, _)| prefix);
+        for tied in records.chunk_by_mut(|a, b| a.0 == b.0).filter(|keys| keys.len() > 1) {
+            tied.sort_unstable_by(|&(_, a), &(_, b)| self.user_key(a).cmp(self.user_key(b)));
+        }
+        records.iter().map(|&(_, key)| key).collect()
     }
 }
 
-/// An ordered in-memory buffer of recent writes.
+impl At {
+    /// `None` for an `Older` that names no entry.
+    fn filter_nil(self) -> Option<At> {
+        match self {
+            At::Older(NIL) => None,
+            at => Some(at),
+        }
+    }
+}
+
+/// See [`Entries::prefix`].
+fn prefix_of(user_key: &[u8], shared: usize) -> u64 {
+    let tail = &user_key[shared..];
+    let mut word = [0; 8];
+    let n = tail.len().min(8);
+    word[..n].copy_from_slice(&tail[..n]);
+    u64::from_be_bytes(word)
+}
+
+/// The most keys a run is sorted or folded into at once, which bounds the
+/// sort's scratch to 1 MiB.
+const RUN: usize = 1 << 16;
+
+/// The memtable's user keys in order: sorted runs of key ids, disjoint,
+/// together covering the ids below `covered`.
+#[derive(Default)]
+struct Order {
+    runs: Vec<Arc<[u32]>>,
+    covered: usize,
+}
+
+impl Order {
+    /// Sorts the keys that arrived since the last call into runs of at
+    /// most [`RUN`] keys, folds a small last run into the one before it
+    /// while that one is at most twice its size (so scans between inserts
+    /// leave few small runs), and returns the runs.
+    fn runs(&mut self, entries: &Entries) -> &[Arc<[u32]>] {
+        let total = entries.keys.len;
+        if self.covered < total {
+            let mut records = Vec::with_capacity((total - self.covered).min(RUN));
+            for start in (self.covered..total).step_by(RUN) {
+                let end = (start + RUN).min(total);
+                self.runs.push(entries.sort(start as u32..end as u32, &mut records));
+                while let [.., a, b] = &self.runs[..] {
+                    if a.len() > 2 * b.len() || a.len() + b.len() > RUN {
+                        break;
+                    }
+                    let folded = entries.sort(a.iter().chain(b.iter()).copied(), &mut records);
+                    self.runs.truncate(self.runs.len() - 2);
+                    self.runs.push(folded);
+                }
+            }
+            self.covered = total;
+        }
+        &self.runs
+    }
+}
+
+/// How many keys a merge reads ahead in each run. The read-ahead fetches
+/// each key's node, then each key's leading bytes, in loops whose
+/// iterations do not depend on each other, so the cache misses that a
+/// walk in key order would take one after another overlap instead.
+const AHEAD: usize = 32;
+
+/// A merge of sorted runs of key ids into one stream in user-key order.
+struct RunMerge {
+    heads: Vec<Head>,
+    /// The shared-prefix length the prefixes are taken after. Every key
+    /// in the runs has it, whatever arrives later.
+    shared: usize,
+}
+
+/// A run in a [`RunMerge`] and its next keys, with their sort prefixes.
+struct Head {
+    run: Arc<[u32]>,
+    /// Where in `run` the read-ahead continues.
+    next: usize,
+    ahead: Vec<(u64, u32)>,
+    /// The first key of `ahead` not yet merged.
+    at: usize,
+}
+
+impl Head {
+    fn peek(&self) -> Option<(u64, u32)> {
+        self.ahead.get(self.at).copied()
+    }
+
+    /// Reads ahead from `next`.
+    fn fill(&mut self, entries: &Entries, shared: usize) {
+        let keys = &self.run[self.next..(self.next + AHEAD).min(self.run.len())];
+        let mut nodes = [(0, 0, 0); AHEAD];
+        for (node, &key) in nodes.iter_mut().zip(keys) {
+            let KeyNode { newest, len, .. } = *entries.keys.get(key);
+            *node = (newest.chunk, newest.offset, len);
+        }
+        self.ahead.clear();
+        self.ahead.extend(nodes.iter().zip(keys).map(|(&(chunk, offset, len), &key)| {
+            let at = offset as usize;
+            let user_key = &entries.arena.chunks[chunk as usize][at..at + len as usize];
+            (prefix_of(user_key, shared), key)
+        }));
+        (self.next, self.at) = (self.next + keys.len(), 0);
+    }
+}
+
+impl RunMerge {
+    fn new<'a>(runs: impl Iterator<Item = &'a Arc<[u32]>>, entries: &Entries) -> Self {
+        let shared = entries.shared;
+        let heads = runs
+            .map(|run| {
+                let ahead = Vec::with_capacity(AHEAD);
+                let mut head = Head { run: Arc::clone(run), next: 0, ahead, at: 0 };
+                head.fill(entries, shared);
+                head
+            })
+            .collect();
+        RunMerge { heads, shared }
+    }
+
+    /// Positions every run at its first key not below `user_key`.
+    fn seek(&mut self, user_key: &[u8], entries: &Entries) {
+        for head in &mut self.heads {
+            head.next = head.run.partition_point(|&k| entries.user_key(k) < user_key);
+            head.fill(entries, self.shared);
+        }
+    }
+
+    /// The next key id in user-key order.
+    fn next(&mut self, entries: &Entries) -> Option<u32> {
+        let mut best: Option<(usize, (u64, u32))> = None;
+        for (i, head) in self.heads.iter().enumerate() {
+            let Some(candidate) = head.peek() else { continue };
+            if best.is_none_or(|(_, least)| entries.cmp_keys(candidate, least).is_lt()) {
+                best = Some((i, candidate));
+            }
+        }
+        let (i, (_, key)) = best?;
+        let head = &mut self.heads[i];
+        head.at += 1;
+        if head.at == head.ahead.len() {
+            head.fill(entries, self.shared);
+        }
+        Some(key)
+    }
+}
+
+/// What a point lookup examines, counted by the complexity tests.
+#[derive(Clone, Copy)]
+enum Visit {
+    /// A key node on a hash chain.
+    Key,
+    /// An entry of the key found.
+    Entry,
+}
+
+fn visited(what: Visit) {
+    #[cfg(test)]
+    tests::VISITS.with(|visits| {
+        let (keys, entries) = visits.get();
+        visits.set(match what {
+            Visit::Key => (keys + 1, entries),
+            Visit::Entry => (keys, entries + 1),
+        });
+    });
+    #[cfg(not(test))]
+    let _ = what;
+}
+
+/// The index's hash of a user key: its 8-byte words, the last one
+/// zero-padded, then its length.
+fn hash_key(user_key: &[u8]) -> u64 {
+    let mut hasher = IntHasher::default();
+    let mut words = user_key.chunks_exact(8);
+    for word in &mut words {
+        hasher.write_u64(u64::from_le_bytes(word.try_into().expect("8 bytes")));
+    }
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut word = [0; 8];
+        word[..tail.len()].copy_from_slice(tail);
+        hasher.write_u64(u64::from_le_bytes(word));
+    }
+    hasher.write_u64(user_key.len() as u64);
+    hasher.finish()
+}
+
+/// An in-memory buffer of recent writes, read by key or in order.
 ///
-/// All mutation goes through `&self`: the map locks internally, so the
+/// All mutation goes through `&self`: the entries lock internally, so the
 /// surrounding `Db` can share one `Arc<MemTable>` between writers,
 /// readers, cursors, and flush without an outer lock.
 ///
@@ -183,6 +557,8 @@ impl Entries {
 /// overhead), mirroring how RocksDB charges its arena.
 pub struct MemTable {
     entries: RwLock<Entries>,
+    /// Taken before `entries` by whoever builds order.
+    order: Mutex<Order>,
     /// Optional bloom filter over user keys, enabled by
     /// `memtable_prefix_bloom_size_ratio > 0`.
     bloom: Option<MemTableBloom>,
@@ -254,7 +630,8 @@ impl MemTable {
     }
 
     /// Creates an empty memtable with explicit bloom sizing (`bloom_bytes`
-    /// of filter for roughly `expected_entries` keys). The first and last
+    /// of filter for roughly `expected_entries` keys); the key index is
+    /// sized once for `expected_entries` too. The first and last
     /// parameters are ignored: `perf/src/ladder.rs` passes four arguments
     /// and is frozen.
     pub fn with_config(
@@ -264,7 +641,8 @@ impl MemTable {
         _unused: usize,
     ) -> Self {
         MemTable {
-            entries: RwLock::default(),
+            entries: RwLock::new(Entries::new(expected_entries)),
+            order: Mutex::default(),
             bloom: if bloom_bytes > 0 {
                 Some(MemTableBloom::new(bloom_bytes, expected_entries))
             } else {
@@ -276,19 +654,16 @@ impl MemTable {
         }
     }
 
-    /// Inserts a value or tombstone. The internal key is built in place
-    /// and the value is appended to the arena, so an entry allocates
-    /// nothing of its own unless its user key is longer than 22 bytes.
+    /// Inserts a value or tombstone. The entry's bytes are appended to
+    /// the arena and its record to the log; neither allocates unless it
+    /// starts a chunk.
     pub fn add(&self, seq: SequenceNumber, ty: ValueType, user_key: &[u8], value: &[u8]) {
         if let Some(bloom) = &self.bloom {
             bloom.add(user_key);
         }
-        let key = MemKey::new(user_key, (seq << 8) | ty as u64);
+        let hash = hash_key(user_key);
         let charged = user_key.len() + 8 + value.len() + ENTRY_OVERHEAD;
-        let mut entries = self.entries.write();
-        let span = entries.arena.push(value);
-        entries.map.insert(key, span);
-        drop(entries);
+        self.entries.write().insert(user_key, hash, (seq << 8) | ty as u64, value);
         self.approximate_bytes.fetch_add(charged, AtomicOrdering::Relaxed);
         self.first_seq.fetch_min(seq, AtomicOrdering::Relaxed);
         self.last_seq.fetch_max(seq, AtomicOrdering::Relaxed);
@@ -299,23 +674,23 @@ impl MemTable {
     /// followed by the 8-byte write stamp). What the entry means to a
     /// reader is the caller's business; the memtable knows neither the
     /// clock nor the configured TTL.
+    ///
+    /// A hash probe, then the key's versions newest first: at the latest
+    /// snapshot the first one decides, and an older snapshot walks past
+    /// the versions written after it.
     pub fn get(&self, user_key: &[u8], snapshot: SequenceNumber) -> Option<(ValueType, Vec<u8>)> {
         if let Some(bloom) = &self.bloom {
             if !bloom.may_contain(user_key) {
                 return None;
             }
         }
-        // Entries are newest-first per user key; the first one at or
-        // below the snapshot decides.
         let seek_tag = (snapshot.min(MAX_SEQUENCE) << 8) | VALUE_TYPE_FOR_SEEK as u64;
-        let seek = Bound::Included(MemKey::new(user_key, seek_tag));
+        let hash = hash_key(user_key);
         let entries = self.entries.read();
-        let (k, v) = entries.first_from(seek)?;
-        let (found_user, tag) = split_tag(k);
-        (found_user == user_key).then(|| {
-            let ty = ValueType::from_u8(tag as u8).expect("memtable keys are valid");
-            (ty, v.to_vec())
-        })
+        let key = entries.keys.get(entries.find(user_key, hash)?);
+        let entry = entries.entry(key, entries.version_at_or_below(key, seek_tag)?);
+        let ty = ValueType::from_u8(entry.tag as u8).expect("memtable keys are valid");
+        Some((ty, entries.bytes(key, &entry).1.to_vec()))
     }
 
     /// Approximate memory footprint in bytes.
@@ -326,7 +701,7 @@ impl MemTable {
 
     /// Number of entries (including tombstones and shadowed versions).
     pub fn len(&self) -> usize {
-        self.entries.read().map.len()
+        self.entries.read().len()
     }
 
     /// Whether the memtable holds no entries.
@@ -348,22 +723,14 @@ impl MemTable {
     /// A stable iteration view over the entries, in internal-key order.
     ///
     /// The view holds the read lock for its lifetime. This is the full
-    /// pass flush makes over an immutable memtable: nothing contends for
-    /// the lock, and the map is walked in place instead of re-seeking and
-    /// cloning per entry as [`MemTableCursor`] must.
+    /// pass flush makes over an immutable memtable: the first view sorts
+    /// the keys, a later one finds them sorted, and the entries are walked
+    /// in place instead of copied out per step as [`MemTableCursor`] must.
     pub fn view(&self) -> MemTableView<'_> {
-        MemTableView(self.entries.read())
-    }
-
-    /// The first entry within `from`, copied out under a momentary read
-    /// lock.
-    fn entry_from(&self, from: Bound<&[u8]>) -> Option<(Vec<u8>, Vec<u8>)> {
-        let from = from.map(|k| {
-            let (user_key, tag) = split_tag(k);
-            MemKey::new(user_key, tag)
-        });
+        let mut order = self.order.lock();
         let entries = self.entries.read();
-        entries.first_from(from).map(|(k, v)| (k.to_vec(), v.to_vec()))
+        let runs = order.runs(&entries).to_vec();
+        MemTableView { entries, runs }
     }
 }
 
@@ -378,12 +745,16 @@ impl fmt::Debug for MemTable {
 
 /// A borrowed, ordered view of a memtable's entries; see
 /// [`MemTable::view`].
-pub struct MemTableView<'a>(RwLockReadGuard<'a, Entries>);
+pub struct MemTableView<'a> {
+    entries: RwLockReadGuard<'a, Entries>,
+    runs: Vec<Arc<[u32]>>,
+}
 
 impl MemTableView<'_> {
     /// Iterates entries in internal-key order as `(encoded_key, value)`.
     pub fn iter(&self) -> MemViewIter<'_> {
-        MemViewIter { keys: self.0.map.iter(), arena: &self.0.arena }
+        let entries = &*self.entries;
+        MemViewIter { entries, keys: RunMerge::new(self.runs.iter(), entries), at: None }
     }
 
     /// The view as a merge source, positioned at its first entry.
@@ -415,22 +786,37 @@ impl Cursor for ViewCursor<'_> {
 
 /// Iterator over a [`MemTableView`].
 pub struct MemViewIter<'a> {
-    keys: std::collections::btree_map::Iter<'a, MemKey, Span>,
-    arena: &'a Arena,
+    entries: &'a Entries,
+    keys: RunMerge,
+    /// The key being walked and its next version to yield.
+    at: Option<(&'a KeyNode, u32)>,
 }
 
 impl<'a> Iterator for MemViewIter<'a> {
     type Item = (&'a [u8], &'a [u8]);
 
     fn next(&mut self) -> Option<Self::Item> {
-        self.keys.next().map(|(k, span)| (k.as_bytes(), self.arena.get(*span)))
+        let entries = self.entries;
+        let (key, entry) = match self.at {
+            Some((key, older)) if older != NIL => (key, entries.older.get(older)),
+            _ => {
+                let key = entries.keys.get(self.keys.next(entries)?);
+                (key, &key.newest)
+            }
+        };
+        self.at = Some((key, entry.older));
+        Some(entries.bytes(key, entry))
     }
 }
 
 /// A stepping cursor over one memtable, positioned at or after a seek
 /// target and advanced entry by entry.
 ///
-/// It owns a copy of the current entry and re-seeks past it on each step,
+/// The seek orders the keys that arrived since the last seek or view and
+/// keeps the runs it merges, so it yields every entry present at the
+/// seek that sorts at or after the target, and none that sorts before
+/// its position; a key first inserted after the seek is not yielded. It
+/// owns a copy of the current entry and takes the read lock only to step,
 /// so no lock is held between steps. That is what scans need over the
 /// live memtable, where a [`MemTable::view`] would block writers for as
 /// long as the scan waits on table reads. The cursor shares ownership of
@@ -438,33 +824,81 @@ impl<'a> Iterator for MemViewIter<'a> {
 /// the active slot or scheduled for flush.
 pub struct MemTableCursor {
     mem: Arc<MemTable>,
-    current: Option<(Vec<u8>, Vec<u8>)>,
+    keys: RunMerge,
+    /// The current key id, entry and tag, `None` when exhausted.
+    at: Option<(u32, At, u64)>,
+    key: Vec<u8>,
+    value: Vec<u8>,
 }
 
 impl MemTableCursor {
     /// Positions a cursor at the first entry with internal key >=
     /// `target`.
     pub fn seek(mem: Arc<MemTable>, target: &[u8]) -> Self {
-        let current = mem.entry_from(Bound::Included(target));
-        MemTableCursor { mem, current }
+        let (user_key, tag) = split_tag(target);
+        let mut order = mem.order.lock();
+        let entries = mem.entries.read();
+        let mut keys = RunMerge::new(order.runs(&entries).iter(), &entries);
+        drop(order);
+        keys.seek(user_key, &entries);
+        // The first key at or after the target's user key; if it is that
+        // key, its first version at or below the target's tag.
+        let mut at = keys.next(&entries).and_then(|key| {
+            let node = entries.keys.get(key);
+            match entries.user_key(key) == user_key {
+                true => entries.version_at_or_below(node, tag).map(|at| (key, at)),
+                false => Some((key, At::Newest)),
+            }
+        });
+        if at.is_none() {
+            at = keys.next(&entries).map(|key| (key, At::Newest));
+        }
+        let (mut key, mut value) = (Vec::new(), Vec::new());
+        let at = copy_entry(&entries, at, &mut key, &mut value);
+        drop(entries);
+        MemTableCursor { mem, keys, at, key, value }
     }
 
     /// Current internal key, or `None` when exhausted.
     pub fn key(&self) -> Option<&[u8]> {
-        self.current.as_ref().map(|(k, _)| k.as_slice())
+        self.at.map(|_| self.key.as_slice())
     }
 
     /// Current value, or `None` when exhausted.
     pub fn value(&self) -> Option<&[u8]> {
-        self.current.as_ref().map(|(_, v)| v.as_slice())
+        self.at.map(|_| self.value.as_slice())
     }
 
-    /// Advances to the next entry in internal-key order.
+    /// Advances to the next entry in internal-key order: the current
+    /// key's next-older version, else the newest version of the next key.
     pub fn advance(&mut self) {
-        if let Some((k, _)) = self.current.take() {
-            self.current = self.mem.entry_from(Bound::Excluded(&k));
-        }
+        let Some((key, at, tag)) = self.at else { return };
+        let entries = self.mem.entries.read();
+        let next = match entries.version_after(entries.keys.get(key), at, tag) {
+            Some(at) => Some((key, at)),
+            None => self.keys.next(&entries).map(|key| (key, At::Newest)),
+        };
+        self.at = copy_entry(&entries, next, &mut self.key, &mut self.value);
     }
+}
+
+/// Copies the entry at `at` into a cursor's buffers and returns the
+/// cursor's position.
+fn copy_entry(
+    entries: &Entries,
+    at: Option<(u32, At)>,
+    key_buf: &mut Vec<u8>,
+    value_buf: &mut Vec<u8>,
+) -> Option<(u32, At, u64)> {
+    let (key, at) = at?;
+    let node = entries.keys.get(key);
+    let entry = entries.entry(node, at);
+    let (k, v) = entries.bytes(node, &entry);
+    key_buf.clear();
+    key_buf.extend_from_slice(k);
+    value_buf.clear();
+    value_buf.extend_from_slice(v);
+    Some((key, at, entry.tag))
 }
 
 impl Cursor for MemTableCursor {
@@ -484,8 +918,128 @@ impl Cursor for MemTableCursor {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::Cell;
+
     use super::*;
-    use crate::types::InternalKey;
+    use crate::types::{internal_key_cmp, InternalKey};
+
+    thread_local! {
+        /// Key nodes and entries the calling thread's lookups examined.
+        pub(super) static VISITS: Cell<(usize, usize)> = const { Cell::new((0, 0)) };
+    }
+
+    /// What `lookup` examined: hash-chain key nodes and entries.
+    fn visits<T>(lookup: impl FnOnce() -> T) -> (T, (usize, usize)) {
+        VISITS.with(|v| v.set((0, 0)));
+        let found = lookup();
+        (found, VISITS.with(Cell::get))
+    }
+
+    /// A point lookup costs its hash chain and, for a key that is there,
+    /// the versions newer than its snapshot plus one: at the latest
+    /// snapshot a key with 10,000 versions examines one entry, and an
+    /// absent key examines its chain and no entry. (A lookup that walked
+    /// every version of a hot key costs zipfian rewrites of the same keys
+    /// most of their throughput.)
+    #[test]
+    fn get_examines_one_chain_and_the_versions_it_needs() {
+        const VERSIONS: u64 = 10_000;
+        let mt = MemTable::new(0);
+        for i in 0..1_000u64 {
+            mt.add(i + 1, ValueType::Value, format!("key-{i:04}").as_bytes(), b"v");
+        }
+        for seq in 1..=VERSIONS {
+            mt.add(1_000 + seq, ValueType::Value, b"hot", &seq.to_le_bytes());
+        }
+        let chain_of = |user_key: &[u8]| {
+            let entries = mt.entries.read();
+            let hash = hash_key(user_key);
+            let mut link = entries.buckets[entries.bucket(hash)];
+            let mut chain = 0;
+            while link != 0 {
+                chain += 1;
+                let key = link - 1;
+                if entries.user_key(key) == user_key {
+                    break;
+                }
+                link = entries.keys.get(key).next;
+            }
+            chain
+        };
+
+        let (found, seen) = visits(|| mt.get(b"hot", MAX_SEQUENCE));
+        assert_eq!(found, Some((ValueType::Value, VERSIONS.to_le_bytes().to_vec())));
+        assert_eq!(seen, (chain_of(b"hot"), 1));
+
+        // The oldest snapshot walks the versions written after it.
+        let (found, seen) = visits(|| mt.get(b"hot", 1_001));
+        assert_eq!(found, Some((ValueType::Value, 1u64.to_le_bytes().to_vec())));
+        assert_eq!(seen, (chain_of(b"hot"), VERSIONS as usize));
+
+        for absent in [&b"cold"[..], b"key-1000", b"", b"hot\0"] {
+            let (found, seen) = visits(|| mt.get(absent, MAX_SEQUENCE));
+            assert_eq!(found, None);
+            assert_eq!(seen, (chain_of(absent), 0), "{absent:?}");
+        }
+    }
+
+    /// The index starts at the size it is given and doubles when the keys
+    /// outgrow it, and every key is still found.
+    #[test]
+    fn index_grows_past_its_expected_size() {
+        let mt = MemTable::with_config(MemtableRep::default(), 0, 300, 0);
+        assert_eq!(mt.entries.read().buckets.len(), 512);
+        for i in 0..5_000u64 {
+            mt.add(i + 1, ValueType::Value, format!("{i}").as_bytes(), &i.to_le_bytes());
+        }
+        assert_eq!(mt.entries.read().buckets.len(), 8192);
+        for i in 0..5_000u64 {
+            let found = mt.get(format!("{i}").as_bytes(), MAX_SEQUENCE);
+            assert_eq!(found, Some((ValueType::Value, i.to_le_bytes().to_vec())));
+        }
+    }
+
+    /// More keys than one run holds, arriving in a shuffled order with
+    /// cursor seeks in between, leave a few runs, and the view and a cursor
+    /// still walk every entry in internal-key order.
+    #[test]
+    fn runs_from_seeks_and_flush_merge_into_one_order() {
+        let n = RUN as u64 + RUN as u64 / 2;
+        let mut ids: Vec<u64> = (0..n).collect();
+        let mut rng = testkit::Rng(0x1234_5678_9abc_def1);
+        for i in (1..ids.len()).rev() {
+            ids.swap(i, rng.below(i + 1));
+        }
+        let mt = Arc::new(MemTable::new(0));
+        let first = crate::types::lookup_key(b"", MAX_SEQUENCE);
+        for (seq, &id) in ids.iter().enumerate() {
+            mt.add(seq as u64 + 1, ValueType::Value, format!("{id:09}").as_bytes(), b"");
+            // Early on, a scan after every few inserts: small runs that fold.
+            if seq < 2_000 && seq % 7 == 0 {
+                drop(MemTableCursor::seek(Arc::clone(&mt), first.encoded()));
+            }
+        }
+        let view = mt.view();
+        let runs = view.runs.len();
+        assert!((2..=12).contains(&runs), "{runs} runs");
+        let mut last: Option<&[u8]> = None;
+        let mut count = 0;
+        for (k, _) in view.iter() {
+            assert!(last.is_none_or(|last| internal_key_cmp(last, k).is_lt()));
+            last = Some(k);
+            count += 1;
+        }
+        assert_eq!(count, n);
+        drop(view);
+        let mut cursor = MemTableCursor::seek(Arc::clone(&mt), first.encoded());
+        let mut stepped = 0;
+        while let Some(k) = cursor.key() {
+            assert_eq!(&k[..9], format!("{stepped:09}").as_bytes());
+            stepped += 1;
+            cursor.advance();
+        }
+        assert_eq!(stepped, n);
+    }
 
     #[test]
     fn put_then_get() {
@@ -667,10 +1221,10 @@ mod tests {
         });
     }
 
-    /// User keys of every inline length (0-22 bytes) and some boxed ones,
-    /// from an alphabet small enough that prefixes repeat and with the
-    /// high bit set in half of it, plus keys that share their first 16
-    /// bytes and differ only after them.
+    /// User keys of every length up to 24 bytes and some longer ones, from
+    /// an alphabet small enough that prefixes repeat and with the high bit
+    /// set in half of it, plus keys that share their first 16 bytes and
+    /// differ only after them.
     fn comparator_user_keys() -> Vec<Vec<u8>> {
         const ALPHABET: [u8; 4] = [0x00, 0x7f, 0x80, 0xff];
         let mut rng = testkit::Rng(0x0123_4567_89ab_cdef);
@@ -688,29 +1242,27 @@ mod tests {
         keys
     }
 
-    /// Each user key under several tags: equal user keys must order by
-    /// tag, newest first.
-    fn comparator_keys() -> Vec<MemKey> {
-        let tags = [0, 1, (5 << 8) | 1, (MAX_SEQUENCE << 8) | 1, u64::MAX];
-        comparator_user_keys()
-            .iter()
-            .flat_map(|user| tags.map(|tag| MemKey::new(user, tag)))
-            .collect()
-    }
-
+    /// The sort records order key ids as their user keys do: over every
+    /// key (no shared prefix) and over the keys that share 16 bytes (the
+    /// prefix is taken after them).
     #[test]
-    fn memkey_order_is_the_internal_key_order() {
-        let keys = comparator_keys();
-        assert!(keys.iter().any(|k| matches!(k, MemKey::Heap(_))));
-        for a in &keys {
-            for b in &keys {
-                assert_eq!(
-                    a.cmp(b),
-                    internal_key_cmp(a.as_bytes(), b.as_bytes()),
-                    "{:02x?} vs {:02x?}",
-                    a.as_bytes(),
-                    b.as_bytes()
-                );
+    fn sort_prefix_order_is_the_key_order() {
+        let all = comparator_user_keys();
+        let long: Vec<Vec<u8>> = all.iter().filter(|k| k.starts_with(&[0x80; 16])).cloned().collect();
+        for (keys, shared) in [(all, 0), (long, 16)] {
+            let mt = MemTable::new(0);
+            for (seq, user) in keys.iter().enumerate() {
+                mt.add(seq as u64 + 1, ValueType::Value, user, b"");
+            }
+            let entries = mt.entries.read();
+            assert_eq!(entries.shared, shared);
+            let ids = 0..entries.keys.len as u32;
+            for a in ids.clone() {
+                for b in ids.clone() {
+                    let (pa, pb) = (entries.prefix(a, shared), entries.prefix(b, shared));
+                    let (ka, kb) = (entries.user_key(a), entries.user_key(b));
+                    assert_eq!(entries.cmp_keys((pa, a), (pb, b)), ka.cmp(kb), "{ka:02x?} vs {kb:02x?}");
+                }
             }
         }
     }

@@ -6,7 +6,14 @@
 //! of thousands of times per table. What is left is per block: the block
 //! buffer handed from builder to file on the way out; the read buffer,
 //! the decompressed payload, the parsed block and its cursor on the way
-//! in.
+//! in. A flush also puts the memtable's keys in order, once: a handful of
+//! allocations per memtable, for the sort's scratch, the sorted run and
+//! the merge that reads it.
+//!
+//! The memtable itself allocates in fixed-size chunks, so filling one to
+//! the largest write buffer the tuner proposes allocates a few times per
+//! thousand entries and never asks for more than its key index, which is
+//! sized once from the write buffer.
 
 use std::sync::Arc;
 
@@ -17,7 +24,7 @@ testkit::tally_allocations!();
 /// Flushing one memtable, and merging two flushed tables, each cost well
 /// under one allocation per entry (more than four before the table
 /// builder kept its buffers). The inputs are fixed, so the counts repeat
-/// exactly; the bounds are the counts measured, 0.042 per flushed entry
+/// exactly; the bounds are the counts measured, 0.043 per flushed entry
 /// and 0.125 per merged one.
 #[test]
 fn table_builds_allocate_per_block_not_per_entry() {
@@ -29,7 +36,7 @@ fn table_builds_allocate_per_block_not_per_entry() {
     };
 
     const N: u64 = 20_000;
-    const PINNED_FLUSH: [u64; 2] = [845, 844];
+    const PINNED_FLUSH: [u64; 2] = [851, 850];
     const PINNED_MERGE: u64 = 4_992;
 
     // db_bench's shape: 16-byte decimal keys, 100-byte values of which
@@ -84,4 +91,66 @@ fn table_builds_allocate_per_block_not_per_entry() {
     println!("merge of 2 x {N} entries: {per_entry:.3} allocations per entry ({n})");
     assert_eq!((merged.entries_read, merged.entries_written), (2 * N, 2 * N));
     assert!(n <= PINNED_MERGE, "merge: {n} allocations, pinned at {PINNED_MERGE}");
+}
+
+/// Filling one memtable to a 64 MiB write buffer (the largest that
+/// `repro table5` and the tuner's candidates use) with db_bench-shaped
+/// entries in random key order, then walking its view as a flush does:
+/// a few allocations per thousand entries, and no request larger than the
+/// key index, sized once for the write buffer as `Db` sizes it. A buffer
+/// that doubled with the entry count (a growing entry vector, a rehashing
+/// map, an entry-sized sort array) shows here as a larger request. The
+/// inputs are fixed, so the counts repeat exactly; the bounds are the
+/// counts measured.
+#[test]
+fn memtable_fill_and_view_allocate_in_fixed_chunks() {
+    use lsm_kvs::options::MemtableRep;
+    use lsm_kvs::{MemTable, ValueType};
+
+    const BUDGET: usize = 64 << 20;
+    const PINNED_ALLOCATIONS: u64 = 868;
+    const PINNED_LARGEST: usize = 2 << 20;
+
+    // 16-byte decimal keys of scattered ids, 100-byte values; enough of
+    // them to pass the budget, built outside the measured region.
+    let entries = BUDGET / (16 + 8 + 100 + 48) + 1;
+    let keys: Vec<[u8; 16]> = (0..entries as u64)
+        .map(|i| {
+            let mut id = i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 24;
+            let mut key = [b'0'; 16];
+            for byte in key.iter_mut().rev() {
+                *byte = b'0' + (id % 10) as u8;
+                id /= 10;
+            }
+            key
+        })
+        .collect();
+    let value = [0x5a_u8; 100];
+
+    let (filled, spent) = watched(|| {
+        let mem = MemTable::with_config(MemtableRep::default(), 0, BUDGET / 128, 0);
+        let mut added = 0;
+        while mem.approximate_memory_usage() < BUDGET {
+            mem.add(added as u64 + 1, ValueType::Value, &keys[added], &value);
+            added += 1;
+        }
+        let view = mem.view();
+        let walked = view.iter().count();
+        drop(view);
+        (added, walked)
+    });
+    let (added, walked) = filled;
+    assert_eq!(walked, added);
+    let n = spent.allocations;
+    println!(
+        "memtable filled to 64 MiB ({added} entries) and viewed: {:.4} allocations per entry ({n}), largest request {} bytes",
+        n as f64 / added as f64,
+        spent.largest
+    );
+    assert!(n <= PINNED_ALLOCATIONS, "fill and view: {n} allocations, pinned at {PINNED_ALLOCATIONS}");
+    assert!(
+        spent.largest <= PINNED_LARGEST,
+        "fill and view: a {}-byte request, pinned at {PINNED_LARGEST}",
+        spent.largest
+    );
 }
