@@ -127,13 +127,23 @@ impl DbInner {
             }
             // Leadership is held until the group completes, and ids
             // complete in order: an unfinished writer that finds no
-            // leader still has its own batch queued, so the drain below
-            // is never empty.
+            // leader still has its own batch queued, so the group below
+            // is never empty. A group of one is committed as a slice of
+            // one; only a larger group is collected into a vector.
             queue.leader_active = true;
-            let take = queue.pending.len().min(max_group);
-            let mut group: Vec<QueuedWrite> = queue.pending.drain(..take).collect();
+            let (mut one, mut many);
+            let group: &mut [QueuedWrite] = match queue.pending.len().min(max_group) {
+                1 => {
+                    one = queue.pending.pop_front().expect("the leader's write is queued");
+                    std::slice::from_mut(&mut one)
+                }
+                take => {
+                    many = queue.pending.drain(..take).collect::<Vec<_>>();
+                    &mut many
+                }
+            };
             drop(queue);
-            let result = self.commit_group(&mut group);
+            let result = self.commit_group(group);
             queue = rt.commit.lock();
             let last_id = group.last().expect("leader drained at least one").id;
             match &result {
@@ -142,7 +152,7 @@ impl DbInner {
                     self.stats.tickers().add(Ticker::GroupCommitBatches, group.len() as u64);
                 }
                 Err(e) => {
-                    for write in &group {
+                    for write in group.iter() {
                         queue.failures.push((write.id, e.clone()));
                     }
                 }
@@ -190,15 +200,26 @@ impl DbInner {
         // later appends after a torn record would be silently dropped by
         // recovery.
         if !opts.disable_wal {
-            let records: Vec<&[u8]> = group.iter().map(|w| w.batch.record()).collect();
+            // A group of one passes its record as a slice of one.
+            let (one, many);
+            let records: &[&[u8]] = match &*group {
+                [write] => {
+                    one = write.batch.record();
+                    std::slice::from_ref(&one)
+                }
+                _ => {
+                    many = group.iter().map(|w| w.batch.record()).collect::<Vec<_>>();
+                    &many
+                }
+            };
             let wal = state.wal.as_mut().expect("wal enabled");
-            match wal.add_records(&records) {
+            match wal.add_records(records) {
                 Ok(_) => {
                     self.stats.tickers().add(Ticker::WalBytes, record_bytes);
                     self.stats.tickers().inc(Ticker::WalWrites);
                     // Under the state lock: ship order is commit order.
                     if let Some(sink) = &self.wal_sink {
-                        sink.ship(first_seq, last_seq, group_sync, &records);
+                        sink.ship(first_seq, last_seq, group_sync, records);
                     }
                 }
                 Err(e) => {
