@@ -5,18 +5,19 @@
 //!
 //! - **An append log.** Each entry's encoded internal key (user key ++
 //!   8-byte tag) and value are appended, contiguous and in arrival order,
-//!   to an arena of 64 KiB chunks. The 24-byte records that say where an
+//!   to an arena of 64 KiB chunks. The 16-byte records that say where an
 //!   entry's bytes are live in tables of fixed-size chunks too, so nothing
-//!   is moved or copied as the memtable grows, and no allocation grows
-//!   with the entry count.
+//!   is moved or copied as the memtable grows.
 //! - **A hash index.** Each user key is a node in a chained hash table.
 //!   The node holds the key's newest entry, and each entry names the key's
 //!   next-older one in a log of displaced versions. Versions stay linked
 //!   newest first by sequence whatever order they arrive in, so a point
 //!   lookup at the latest snapshot is one hash probe and one entry; an
-//!   older snapshot walks past the versions written after it. The bucket
-//!   array is sized once from the caller's expected entry count and
-//!   doubles only if the memtable outgrows it.
+//!   older snapshot walks past the versions written after it. The array
+//!   of chain heads is the one allocation that grows with the memtable:
+//!   it doubles with the distinct keys, at 4 to 8 bytes a key, so a
+//!   memtable of a few hot keys does not pay for an index sized to its
+//!   write buffer.
 //! - **Order on demand.** Internal-key order is built only when asked for:
 //!   the user keys not yet ordered are sorted (on an 8-byte prefix taken
 //!   past the bytes every key shares, then the full key) into runs of at
@@ -130,13 +131,19 @@ impl Arena {
         chunk.extend_from_slice(value);
         (u32::try_from(index).expect("fewer than 2^32 chunks"), offset)
     }
+
+    /// The tag of `entry`, whose user key is `key_len` bytes long.
+    fn tag(&self, entry: &Entry, key_len: u32) -> u64 {
+        let at = entry.offset as usize + key_len as usize;
+        let tag = &self.chunks[entry.chunk as usize][at..at + 8];
+        u64::from_le_bytes(tag.try_into().expect("8 bytes"))
+    }
 }
 
-/// One entry: its tag, where its bytes are, and the key's next-older
-/// entry in the log.
+/// One entry: where its bytes are (its tag among them), and the key's
+/// next-older entry in the log.
 #[derive(Clone, Copy)]
 struct Entry {
-    tag: u64,
     chunk: u32,
     offset: u32,
     value_len: u32,
@@ -162,9 +169,8 @@ enum At {
     Older(u32),
 }
 
-/// The smallest and the largest bucket array a memtable starts with.
+/// The bucket array a memtable starts with.
 const MIN_BUCKETS: usize = 1 << 8;
-const MAX_BUCKETS: usize = 1 << 22;
 
 /// The key index, the log of older entries and the arena, behind one
 /// lock.
@@ -183,13 +189,11 @@ struct Entries {
 }
 
 impl Entries {
-    fn new(expected_entries: usize) -> Self {
-        let buckets = expected_entries.next_power_of_two().clamp(MIN_BUCKETS, MAX_BUCKETS);
+    fn new() -> Self {
         Entries {
             keys: Chunked::default(),
             older: Chunked::default(),
-            // Zeroed, so pages no key hashes to are never touched.
-            buckets: vec![0; buckets],
+            buckets: vec![0; MIN_BUCKETS],
             arena: Arena::default(),
             shared: 0,
         }
@@ -213,6 +217,10 @@ impl Entries {
         &self.bytes(node, &node.newest).0[..node.len as usize]
     }
 
+    fn tag(&self, key: &KeyNode, entry: &Entry) -> u64 {
+        self.arena.tag(entry, key.len)
+    }
+
     fn entry(&self, key: &KeyNode, at: At) -> Entry {
         match at {
             At::Newest => key.newest,
@@ -226,7 +234,7 @@ impl Entries {
         loop {
             visited(Visit::Entry);
             let entry = self.entry(key, at);
-            if entry.tag <= tag {
+            if self.tag(key, &entry) <= tag {
                 return Some(at);
             }
             at = At::Older(entry.older).filter_nil()?;
@@ -271,7 +279,7 @@ impl Entries {
     fn insert(&mut self, user_key: &[u8], hash: u64, tag: u64, value: &[u8]) {
         let (chunk, offset) = self.arena.push(user_key, tag, value);
         let value_len = u32::try_from(value.len()).expect("values under 4 GiB");
-        let entry = Entry { tag, chunk, offset, value_len, older: NIL };
+        let entry = Entry { chunk, offset, value_len, older: NIL };
         let Some(key) = self.find(user_key, hash) else {
             self.shared = match self.keys.len {
                 0 => user_key.len(),
@@ -293,27 +301,28 @@ impl Entries {
             return;
         };
         let node = self.keys.get_mut(key);
+        let newest = self.arena.tag(&node.newest, node.len);
         // Sequences arrive in order from a `Db`: the new entry displaces
         // the newest into the log. Concurrent appliers may land an older
         // one later, which is linked in below the newer ones.
-        if tag > node.newest.tag {
+        if tag > newest {
             let displaced = self.older.push(node.newest);
             node.newest = Entry { older: displaced, ..entry };
             return;
         }
-        if tag == node.newest.tag {
-            let newest = &mut node.newest;
-            (newest.chunk, newest.offset, newest.value_len) = (chunk, offset, value_len);
+        if tag == newest {
+            node.newest = Entry { older: node.newest.older, ..entry };
             return;
         }
-        let (mut newer, mut next) = (At::Newest, node.newest.older);
+        let (len, mut newer, mut next) = (node.len, At::Newest, node.newest.older);
         while next != NIL {
             let found = self.older.get_mut(next);
-            if found.tag == tag {
-                (found.chunk, found.offset, found.value_len) = (chunk, offset, value_len);
+            let found_tag = self.arena.tag(found, len);
+            if found_tag == tag {
+                *found = Entry { older: found.older, ..entry };
                 return;
             }
-            if found.tag < tag {
+            if found_tag < tag {
                 break;
             }
             (newer, next) = (At::Older(next), found.older);
@@ -325,8 +334,9 @@ impl Entries {
         }
     }
 
-    /// Doubles the bucket array and relinks every key: for a memtable that
-    /// outgrew the entry count it was sized for.
+    /// Doubles the bucket array and relinks every key. Only the array of
+    /// chain heads is reallocated, at most 8 bytes per key; the nodes stay
+    /// where they are.
     fn grow(&mut self) {
         self.buckets = vec![0; self.buckets.len() * 2];
         for key in 0..self.keys.len as u32 {
@@ -630,8 +640,7 @@ impl MemTable {
     }
 
     /// Creates an empty memtable with explicit bloom sizing (`bloom_bytes`
-    /// of filter for roughly `expected_entries` keys); the key index is
-    /// sized once for `expected_entries` too. The first and last
+    /// of filter for roughly `expected_entries` keys). The first and last
     /// parameters are ignored: `perf/src/ladder.rs` passes four arguments
     /// and is frozen.
     pub fn with_config(
@@ -641,7 +650,7 @@ impl MemTable {
         _unused: usize,
     ) -> Self {
         MemTable {
-            entries: RwLock::new(Entries::new(expected_entries)),
+            entries: RwLock::new(Entries::new()),
             order: Mutex::default(),
             bloom: if bloom_bytes > 0 {
                 Some(MemTableBloom::new(bloom_bytes, expected_entries))
@@ -689,7 +698,7 @@ impl MemTable {
         let entries = self.entries.read();
         let key = entries.keys.get(entries.find(user_key, hash)?);
         let entry = entries.entry(key, entries.version_at_or_below(key, seek_tag)?);
-        let ty = ValueType::from_u8(entry.tag as u8).expect("memtable keys are valid");
+        let ty = ValueType::from_u8(entries.tag(key, &entry) as u8).expect("memtable keys are valid");
         Some((ty, entries.bytes(key, &entry).1.to_vec()))
     }
 
@@ -898,7 +907,7 @@ fn copy_entry(
     key_buf.extend_from_slice(k);
     value_buf.clear();
     value_buf.extend_from_slice(v);
-    Some((key, at, entry.tag))
+    Some((key, at, entries.tag(node, &entry)))
 }
 
 impl Cursor for MemTableCursor {
@@ -983,12 +992,12 @@ mod tests {
         }
     }
 
-    /// The index starts at the size it is given and doubles when the keys
-    /// outgrow it, and every key is still found.
+    /// The index starts small and doubles when the keys outgrow it, and
+    /// every key is still found.
     #[test]
-    fn index_grows_past_its_expected_size() {
-        let mt = MemTable::with_config(MemtableRep::default(), 0, 300, 0);
-        assert_eq!(mt.entries.read().buckets.len(), 512);
+    fn index_doubles_with_the_keys() {
+        let mt = MemTable::new(0);
+        assert_eq!(mt.entries.read().buckets.len(), MIN_BUCKETS);
         for i in 0..5_000u64 {
             mt.add(i + 1, ValueType::Value, format!("{i}").as_bytes(), &i.to_le_bytes());
         }

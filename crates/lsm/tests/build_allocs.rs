@@ -12,8 +12,8 @@
 //!
 //! The memtable itself allocates in fixed-size chunks, so filling one to
 //! the largest write buffer the tuner proposes allocates a few times per
-//! thousand entries and never asks for more than its key index, which is
-//! sized once from the write buffer.
+//! thousand entries. Its largest request is its key index's array of
+//! chain heads, 4 to 8 bytes per distinct key.
 
 use std::sync::Arc;
 
@@ -97,18 +97,17 @@ fn table_builds_allocate_per_block_not_per_entry() {
 /// `repro table5` and the tuner's candidates use) with db_bench-shaped
 /// entries in random key order, then walking its view as a flush does:
 /// a few allocations per thousand entries, and no request larger than the
-/// key index, sized once for the write buffer as `Db` sizes it. A buffer
+/// key index's array of chain heads (2 MiB for these keys). A buffer
 /// that doubled with the entry count (a growing entry vector, a rehashing
 /// map, an entry-sized sort array) shows here as a larger request. The
 /// inputs are fixed, so the counts repeat exactly; the bounds are the
 /// counts measured.
 #[test]
 fn memtable_fill_and_view_allocate_in_fixed_chunks() {
-    use lsm_kvs::options::MemtableRep;
     use lsm_kvs::{MemTable, ValueType};
 
     const BUDGET: usize = 64 << 20;
-    const PINNED_ALLOCATIONS: u64 = 868;
+    const PINNED_ALLOCATIONS: u64 = 879;
     const PINNED_LARGEST: usize = 2 << 20;
 
     // 16-byte decimal keys of scattered ids, 100-byte values; enough of
@@ -128,7 +127,7 @@ fn memtable_fill_and_view_allocate_in_fixed_chunks() {
     let value = [0x5a_u8; 100];
 
     let (filled, spent) = watched(|| {
-        let mem = MemTable::with_config(MemtableRep::default(), 0, BUDGET / 128, 0);
+        let mem = MemTable::new(0);
         let mut added = 0;
         while mem.approximate_memory_usage() < BUDGET {
             mem.add(added as u64 + 1, ValueType::Value, &keys[added], &value);
