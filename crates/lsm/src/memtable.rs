@@ -217,10 +217,6 @@ impl Entries {
         &self.bytes(node, &node.newest).0[..node.len as usize]
     }
 
-    fn tag(&self, key: &KeyNode, entry: &Entry) -> u64 {
-        self.arena.tag(entry, key.len)
-    }
-
     fn entry(&self, key: &KeyNode, at: At) -> Entry {
         match at {
             At::Newest => key.newest,
@@ -234,7 +230,7 @@ impl Entries {
         loop {
             visited(Visit::Entry);
             let entry = self.entry(key, at);
-            if self.tag(key, &entry) <= tag {
+            if self.arena.tag(&entry, key.len) <= tag {
                 return Some(at);
             }
             at = At::Older(entry.older).filter_nil()?;
@@ -293,7 +289,8 @@ impl Entries {
             };
             let bucket = self.bucket(hash);
             let len = u32::try_from(user_key.len()).expect("keys under 4 GiB");
-            let node = KeyNode { newest: entry, next: self.buckets[bucket], hash: hash as u32, len };
+            let next = self.buckets[bucket];
+            let node = KeyNode { newest: entry, next, hash: hash as u32, len };
             self.buckets[bucket] = self.keys.push(node) + 1;
             if self.keys.len > self.buckets.len() {
                 self.grow();
@@ -346,14 +343,6 @@ impl Entries {
         }
     }
 
-    /// The sort prefix of `key`: its 8 bytes after the first `shared`,
-    /// big-endian, zero-padded. Every key under a given `shared` begins
-    /// with the same `shared` bytes, so a smaller prefix is a smaller key
-    /// and equal prefixes leave the order to the full keys.
-    fn prefix(&self, key: u32, shared: usize) -> u64 {
-        prefix_of(self.user_key(key), shared)
-    }
-
     /// Orders two keys by their prefixes, then by their bytes.
     fn cmp_keys(&self, (a_prefix, a): (u64, u32), (b_prefix, b): (u64, u32)) -> Ordering {
         a_prefix.cmp(&b_prefix).then_with(|| self.user_key(a).cmp(self.user_key(b)))
@@ -362,7 +351,7 @@ impl Entries {
     /// `keys` sorted by user key into a run, through `records`.
     fn sort(&self, keys: impl Iterator<Item = u32>, records: &mut Vec<(u64, u32)>) -> Arc<[u32]> {
         records.clear();
-        records.extend(keys.map(|key| (self.prefix(key, self.shared), key)));
+        records.extend(keys.map(|key| (prefix_of(self.user_key(key), self.shared), key)));
         records.sort_unstable_by_key(|&(prefix, _)| prefix);
         for tied in records.chunk_by_mut(|a, b| a.0 == b.0).filter(|keys| keys.len() > 1) {
             tied.sort_unstable_by(|&(_, a), &(_, b)| self.user_key(a).cmp(self.user_key(b)));
@@ -381,7 +370,10 @@ impl At {
     }
 }
 
-/// See [`Entries::prefix`].
+/// The sort prefix of a user key: its 8 bytes after the first `shared`,
+/// big-endian, zero-padded. Every key under a given `shared` begins with
+/// the same `shared` bytes, so a smaller prefix is a smaller key and equal
+/// prefixes leave the order to the full keys.
 fn prefix_of(user_key: &[u8], shared: usize) -> u64 {
     let tail = &user_key[shared..];
     let mut word = [0; 8];
@@ -698,7 +690,8 @@ impl MemTable {
         let entries = self.entries.read();
         let key = entries.keys.get(entries.find(user_key, hash)?);
         let entry = entries.entry(key, entries.version_at_or_below(key, seek_tag)?);
-        let ty = ValueType::from_u8(entries.tag(key, &entry) as u8).expect("memtable keys are valid");
+        let ty = ValueType::from_u8(entries.arena.tag(&entry, key.len) as u8);
+        let ty = ty.expect("memtable keys are valid");
         Some((ty, entries.bytes(key, &entry).1.to_vec()))
     }
 
@@ -907,7 +900,7 @@ fn copy_entry(
     key_buf.extend_from_slice(k);
     value_buf.clear();
     value_buf.extend_from_slice(v);
-    Some((key, at, entries.tag(node, &entry)))
+    Some((key, at, entries.arena.tag(&entry, node.len)))
 }
 
 impl Cursor for MemTableCursor {
@@ -990,6 +983,24 @@ mod tests {
             assert_eq!(found, None);
             assert_eq!(seen, (chain_of(absent), 0), "{absent:?}");
         }
+    }
+
+    /// A cursor on a key's newest entry steps to what follows it even when
+    /// a newer version lands in between and moves that entry into the
+    /// log: not to the moved entry again, nor to the new one behind it.
+    #[test]
+    fn cursor_steps_past_an_entry_a_newer_version_displaced() {
+        let mt = Arc::new(MemTable::new(0));
+        mt.add(1, ValueType::Value, b"a", b"a1");
+        mt.add(2, ValueType::Value, b"b", b"b2");
+        let start = crate::types::lookup_key(b"a", MAX_SEQUENCE);
+        let mut cursor = MemTableCursor::seek(Arc::clone(&mt), start.encoded());
+        assert_eq!(cursor.value(), Some(&b"a1"[..]));
+        mt.add(3, ValueType::Value, b"a", b"a3");
+        cursor.advance();
+        assert_eq!(cursor.value(), Some(&b"b2"[..]));
+        cursor.advance();
+        assert_eq!(cursor.key(), None);
     }
 
     /// The index starts small and doubles when the keys outgrow it, and
@@ -1268,9 +1279,10 @@ mod tests {
             let ids = 0..entries.keys.len as u32;
             for a in ids.clone() {
                 for b in ids.clone() {
-                    let (pa, pb) = (entries.prefix(a, shared), entries.prefix(b, shared));
                     let (ka, kb) = (entries.user_key(a), entries.user_key(b));
-                    assert_eq!(entries.cmp_keys((pa, a), (pb, b)), ka.cmp(kb), "{ka:02x?} vs {kb:02x?}");
+                    let (pa, pb) = (prefix_of(ka, shared), prefix_of(kb, shared));
+                    let order = entries.cmp_keys((pa, a), (pb, b));
+                    assert_eq!(order, ka.cmp(kb), "{ka:02x?} vs {kb:02x?}");
                 }
             }
         }

@@ -109,8 +109,8 @@ impl fmt::Display for CompressionType {
     }
 }
 
-/// Value of `memtable_factory`. The engine has one memtable (an ordered
-/// map behind a reader-writer lock) and reads this nowhere; both names are
+/// Value of `memtable_factory`. The engine has one memtable (an append log
+/// with a hash index, ordered on demand) and reads this nowhere; both names are
 /// kept so RocksDB option files, which say `SkipListFactory`, still load
 /// and echo what they set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]

@@ -142,7 +142,8 @@ fn memtable_fill_and_view_allocate_in_fixed_chunks() {
     assert_eq!(walked, added);
     let n = spent.allocations;
     println!(
-        "memtable filled to 64 MiB ({added} entries) and viewed: {:.4} allocations per entry ({n}), largest request {} bytes",
+        "memtable filled to 64 MiB ({added} entries) and viewed: \
+         {:.4} allocations per entry ({n}), largest request {} bytes",
         n as f64 / added as f64,
         spent.largest
     );

@@ -283,8 +283,9 @@ fn hot_key_versions_inserted_out_of_order_read_at_every_snapshot() {
     }
     // Every seventh version is a tombstone; the others carry their
     // sequence, so a wrong version shows as a wrong value.
-    let ty_of = |seq: u64| if seq.is_multiple_of(7) { ValueType::Deletion } else { ValueType::Value };
-    let value_of = |seq: u64| if seq.is_multiple_of(7) { Vec::new() } else { seq.to_le_bytes().to_vec() };
+    let deleted = |seq: u64| seq.is_multiple_of(7);
+    let ty_of = |seq: u64| if deleted(seq) { ValueType::Deletion } else { ValueType::Value };
+    let value_of = |seq: u64| if deleted(seq) { Vec::new() } else { seq.to_le_bytes().to_vec() };
 
     let mem = MemTable::new(0);
     // A neighbour on each side, so a lookup that strays off the hot key
