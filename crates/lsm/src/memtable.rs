@@ -518,18 +518,9 @@ enum Visit {
     Entry,
 }
 
-fn visited(what: Visit) {
-    #[cfg(test)]
-    tests::VISITS.with(|visits| {
-        let (keys, entries) = visits.get();
-        visits.set(match what {
-            Visit::Key => (keys + 1, entries),
-            Visit::Entry => (keys, entries + 1),
-        });
-    });
-    #[cfg(not(test))]
-    let _ = what;
-}
+/// Counts nothing outside the tests (see `tests::visited`).
+#[cfg(not(test))]
+fn visited(_: Visit) {}
 
 /// The index's hash of a user key: its 8-byte words, the last one
 /// zero-padded, then its length.
@@ -919,6 +910,9 @@ impl Cursor for MemTableCursor {
 }
 
 #[cfg(test)]
+use tests::visited;
+
+#[cfg(test)]
 mod tests {
     use std::cell::Cell;
 
@@ -927,7 +921,17 @@ mod tests {
 
     thread_local! {
         /// Key nodes and entries the calling thread's lookups examined.
-        pub(super) static VISITS: Cell<(usize, usize)> = const { Cell::new((0, 0)) };
+        static VISITS: Cell<(usize, usize)> = const { Cell::new((0, 0)) };
+    }
+
+    pub(super) fn visited(what: Visit) {
+        VISITS.with(|visits| {
+            let (keys, entries) = visits.get();
+            visits.set(match what {
+                Visit::Key => (keys + 1, entries),
+                Visit::Entry => (keys, entries + 1),
+            });
+        });
     }
 
     /// What `lookup` examined: hash-chain key nodes and entries.
