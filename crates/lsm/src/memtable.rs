@@ -836,16 +836,14 @@ impl MemTableCursor {
         keys.seek(user_key, &entries);
         // The first key at or after the target's user key; if it is that
         // key, its first version at or below the target's tag.
-        let mut at = keys.next(&entries).and_then(|key| {
+        let at = keys.next(&entries).and_then(|key| {
             let node = entries.keys.get(key);
             match entries.user_key(key) == user_key {
                 true => entries.version_at_or_below(node, tag).map(|at| (key, at)),
                 false => Some((key, At::Newest)),
             }
         });
-        if at.is_none() {
-            at = keys.next(&entries).map(|key| (key, At::Newest));
-        }
+        let at = at.or_else(|| keys.next(&entries).map(|key| (key, At::Newest)));
         let (mut key, mut value) = (Vec::new(), Vec::new());
         let at = copy_entry(&entries, at, &mut key, &mut value);
         drop(entries);
@@ -1309,8 +1307,7 @@ mod tests {
         // largest tag.
         let mut cursor = MemTableCursor::seek(Arc::clone(&mt), &u64::MAX.to_le_bytes());
         let mut walked = Vec::new();
-        // Bounded: under a comparator that is no total order the re-seek
-        // can cycle, and this fails instead of hanging.
+        // Bounded: a walk that cycles fails instead of hanging.
         while let Some(k) = cursor.key().filter(|_| walked.len() <= expected.len()) {
             walked.push(k.to_vec());
             cursor.advance();
