@@ -466,30 +466,31 @@ mod tests {
         assert_eq!(db.get(b"b").unwrap(), Some(b"2".to_vec()));
     }
 
-    /// The bytes a write leaves in the log are the format: puts, deletes,
-    /// batches, keys and values on both sides of the one-byte varint
-    /// limit, and stamped entries once TTL is switched on. Length and
-    /// CRC32C of the WAL were taken at 91717d9, before `WriteBatch` became
-    /// its own record, and hold without change.
-    #[test]
-    fn wal_bytes_of_a_fixed_script_are_pinned() {
+    /// One round of the fixed script the WAL pins below replay: puts,
+    /// deletes, batches, keys and values on both sides of the one-byte
+    /// varint limit.
+    fn pinned_script(db: &Db, round: u32) {
+        db.put(format!("single-{round}").as_bytes(), b"value").unwrap();
+        db.delete(format!("single-{}", round + 7).as_bytes()).unwrap();
+        let mut b = WriteBatch::new();
+        b.put(b"", b"empty key");
+        b.put(&[b'k'; 200], &[round as u8; 300]);
+        b.delete(b"single-0");
+        b.put(b"empty value", b"");
+        db.write(b).unwrap();
+    }
+
+    /// Runs `between` after the first of two rounds of [`pinned_script`],
+    /// ends with a synced put, and returns the length and CRC32C of every
+    /// WAL byte written, logs in order.
+    fn pinned_wal(between: impl FnOnce(&Db)) -> (usize, u32) {
         use crate::vfs::{MemVfs, Vfs};
         let env = env();
         let vfs = Arc::new(MemVfs::new());
         let db = Db::builder(Options::default()).env(&env).vfs(vfs.clone()).open().unwrap();
-        let script = |db: &Db, round: u32| {
-            db.put(format!("single-{round}").as_bytes(), b"value").unwrap();
-            db.delete(format!("single-{}", round + 7).as_bytes()).unwrap();
-            let mut b = WriteBatch::new();
-            b.put(b"", b"empty key");
-            b.put(&[b'k'; 200], &[round as u8; 300]);
-            b.delete(b"single-0");
-            b.put(b"empty value", b"");
-            db.write(b).unwrap();
-        };
-        script(&db, 0);
-        db.set_options(&[("ttl_seconds", "3600")]).unwrap();
-        script(&db, 1);
+        pinned_script(&db, 0);
+        between(&db);
+        pinned_script(&db, 1);
         db.write_opt(&WriteOptions { sync: true }, {
             let mut b = WriteBatch::new();
             b.put(b"last", b"synced");
@@ -504,7 +505,25 @@ mod tests {
         for name in logs {
             wal.extend_from_slice(&vfs.read_all(&name).unwrap());
         }
-        assert_eq!((wal.len(), crate::util::crc32c(&wal)), (1_331, 29_032_069));
+        (wal.len(), crate::util::crc32c(&wal))
+    }
+
+    /// The bytes a write leaves in the log are the format. Length and
+    /// CRC32C of the WAL the script leaves with every option at its
+    /// default were taken before TTL stamping was deleted, and hold
+    /// without change.
+    #[test]
+    fn wal_bytes_of_a_fixed_script_are_pinned() {
+        assert_eq!(pinned_wal(|_| {}), (1_291, 3_045_913_260));
+    }
+
+    /// The same script with TTL switched on between its rounds, so the
+    /// second round's puts are stamped. Length and CRC32C were taken at
+    /// 91717d9, before `WriteBatch` became its own record.
+    #[test]
+    fn wal_bytes_of_a_stamped_script_are_pinned() {
+        let ttl_on = |db: &Db| db.set_options(&[("ttl_seconds", "3600")]).unwrap();
+        assert_eq!(pinned_wal(ttl_on), (1_331, 29_032_069));
     }
 
     #[test]
