@@ -57,7 +57,7 @@ echo "==> cargo test -q --workspace (every crate's unit, integration and doc tes
 # One run covers the suites the gates below used to pick out by name:
 # the real-thread concurrency, shard, memtable and crash-recovery stress
 # tests (a deadlock there would otherwise hang the pipeline), the stats,
-# TTL, checkpoint, read-accounting, live-tuning and server protocol tests.
+# checkpoint, read-accounting, live-tuning and server protocol tests.
 timeout 900 cargo test -q --workspace
 
 echo "==> cargo clippy -- -D warnings"

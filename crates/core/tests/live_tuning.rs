@@ -218,11 +218,12 @@ fn live_target_flags_window_when_stats_rpc_fails() {
 /// The paper's live-tuning acceptance shape: load the server with YCSB B
 /// (read-mostly, zipfian) through the remote bench path, then run a
 /// tuning session against the *running* server whose candidate sets
-/// `ttl_seconds` — a mutable-online option — through SetOptions. The
-/// workload text in the prompt must come from the YCSB spec, and the
-/// server must end up on the tuned TTL without a reopen.
+/// `level0_slowdown_writes_trigger` — a mutable-online option the write
+/// controller reads — through SetOptions. The workload text in the
+/// prompt must come from the YCSB spec, and the server must end up on the
+/// tuned trigger without a reopen.
 #[test]
-fn live_session_tunes_ttl_on_a_ycsb_b_loaded_server() {
+fn live_session_tunes_l0_slowdown_on_a_ycsb_b_loaded_server() {
     use db_bench::{run_benchmark_real, BenchmarkSpec, YcsbMix};
     use llm_client::ScriptedModel;
 
@@ -256,7 +257,7 @@ fn live_session_tunes_ttl_on_a_ycsb_b_loaded_server() {
     );
 
     let mut model = ScriptedModel::new(vec![
-        "```ini\nttl_seconds=3600\n```".to_string(),
+        "```ini\nlevel0_slowdown_writes_trigger=24\n```".to_string(),
         "Nothing further to change.".to_string(),
     ]);
     let target = LiveTarget::new(Arc::clone(&client), EnvSpec::paper_default())
@@ -276,14 +277,17 @@ fn live_session_tunes_ttl_on_a_ycsb_b_loaded_server() {
     load.join().unwrap();
 
     // The prompt carried the YCSB workload description and offered
-    // ttl_seconds as a tunable knob.
+    // level0_slowdown_writes_trigger as a tunable knob.
     let first = &report.records[0];
     assert!(first.prompt.contains("YCSB workload B"), "{}", first.prompt);
-    assert!(first.prompt.contains("ttl_seconds"), "{}", first.prompt);
+    assert!(first.prompt.contains("level0_slowdown_writes_trigger"), "{}", first.prompt);
 
-    // ttl_seconds was applied through SetOptions (mutable online).
+    // The trigger was applied through SetOptions (mutable online).
     assert!(
-        first.applied.iter().any(|(n, _, after)| n == "ttl_seconds" && after == "3600"),
+        first
+            .applied
+            .iter()
+            .any(|(n, _, after)| n == "level0_slowdown_writes_trigger" && after == "24"),
         "{:?}",
         first.applied
     );
@@ -296,7 +300,10 @@ fn live_session_tunes_ttl_on_a_ycsb_b_loaded_server() {
     // The live server's effective config matches the session outcome —
     // no reopen happened (same connection keeps working).
     let live_ini = client.options_ini().unwrap();
-    let want = format!("ttl_seconds={}", report.final_options.ttl_seconds);
+    let want = format!(
+        "level0_slowdown_writes_trigger={}",
+        report.final_options.level0_slowdown_writes_trigger
+    );
     assert!(live_ini.contains(&want), "{want} not in live config:\n{live_ini}");
     assert_eq!(errors.load(Ordering::SeqCst), 0);
     client.ping().unwrap();

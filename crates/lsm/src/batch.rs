@@ -10,7 +10,7 @@
 
 use crate::error::{Error, Result};
 use crate::memtable::MemTable;
-use crate::types::{SequenceNumber, ValueType};
+use crate::types::{refuse_stamped, SequenceNumber, ValueType};
 use crate::util::{get_fixed32, get_fixed64, get_varint32, put_varint32};
 
 /// `fixed64 first_seq | fixed32 count`.
@@ -64,6 +64,7 @@ impl<'a> Walker<'a> {
             .data
             .get(self.pos)
             .ok_or_else(|| Error::corruption("batch: missing type byte"))?;
+        refuse_stamped(ty)?;
         let ty = ValueType::from_u8(ty)
             .ok_or_else(|| Error::corruption(format!("batch: bad value type {ty}")))?;
         self.pos += 1;
@@ -123,7 +124,9 @@ impl WriteBatch {
     ///
     /// # Errors
     ///
-    /// Returns [`ErrorKind::Corruption`](crate::ErrorKind) on any structural violation.
+    /// Returns [`ErrorKind::Corruption`](crate::ErrorKind) on any structural violation,
+    /// and [`ErrorKind::NotSupported`](crate::ErrorKind) for an entry of type 2 (a
+    /// value an older build stamped with its write time).
     pub fn from_record(record: Vec<u8>) -> Result<WriteBatch> {
         let payload_bytes = validate(&record)?;
         Ok(WriteBatch { rep: record, payload_bytes })
@@ -134,7 +137,7 @@ impl WriteBatch {
     ///
     /// # Errors
     ///
-    /// Returns [`ErrorKind::Corruption`](crate::ErrorKind) on any structural violation.
+    /// Same as [`from_record`](Self::from_record).
     pub fn decode(record: &[u8]) -> Result<WriteBatch> {
         let payload_bytes = validate(record)?;
         Ok(WriteBatch { rep: record.to_vec(), payload_bytes })
@@ -142,27 +145,24 @@ impl WriteBatch {
 
     /// Adds a key/value insertion.
     pub fn put(&mut self, key: &[u8], value: &[u8]) -> &mut Self {
-        self.push(ValueType::Value, key, value, &[]);
+        self.push(ValueType::Value, key, value);
         self
     }
 
     /// Adds a deletion.
     pub fn delete(&mut self, key: &[u8]) -> &mut Self {
-        self.push(ValueType::Deletion, key, &[], &[]);
+        self.push(ValueType::Deletion, key, &[]);
         self
     }
 
-    /// Appends one entry whose stored value is `value ++ suffix`, bytes
-    /// verbatim: [`ValueType::TtlValue`] entries pass through
-    /// `KeyRanges::split_batch` with their stamp, and
-    /// [`stamp_puts`](Self::stamp_puts) adds one as the suffix.
-    pub(crate) fn push(&mut self, ty: ValueType, key: &[u8], value: &[u8], suffix: &[u8]) {
-        let stored = value.len() + suffix.len();
+    /// Appends one entry, bytes verbatim: `KeyRanges::split_batch`
+    /// re-appends each entry of a batch it splits.
+    pub(crate) fn push(&mut self, ty: ValueType, key: &[u8], value: &[u8]) {
         if self.rep.is_empty() {
             // The first operation sizes the buffer: a one-op batch (every
             // `Db::put`) is one allocation.
             self.rep
-                .reserve(HEADER + MAX_ENTRY_FRAMING + key.len() + stored);
+                .reserve(HEADER + MAX_ENTRY_FRAMING + key.len() + value.len());
             self.rep.resize(HEADER, 0);
         }
         let count = self.len() as u32 + 1;
@@ -170,33 +170,9 @@ impl WriteBatch {
         self.rep.push(ty as u8);
         put_varint32(&mut self.rep, key.len() as u32);
         self.rep.extend_from_slice(key);
-        put_varint32(&mut self.rep, stored as u32);
+        put_varint32(&mut self.rep, value.len() as u32);
         self.rep.extend_from_slice(value);
-        self.rep.extend_from_slice(suffix);
-        self.payload_bytes += key.len() + stored;
-    }
-
-    /// Converts every plain [`ValueType::Value`] entry into a
-    /// [`ValueType::TtlValue`] entry by appending the 8-byte
-    /// little-endian write timestamp (seconds), in one re-encoding pass.
-    /// Already-stamped entries and tombstones pass through unchanged, so
-    /// replayed or forwarded batches are never double-stamped.
-    pub(crate) fn stamp_puts(&mut self, now_secs: u64) {
-        let mut stamped = WriteBatch {
-            // A stamp adds eight bytes and at most one to the length
-            // varint; the slack covers what `push` asks for up front.
-            rep: Vec::with_capacity(self.rep.len() + 9 * self.len() + MAX_ENTRY_FRAMING),
-            payload_bytes: 0,
-        };
-        for (ty, key, value) in self.iter() {
-            match ty {
-                ValueType::Value => {
-                    stamped.push(ValueType::TtlValue, key, value, &now_secs.to_le_bytes())
-                }
-                _ => stamped.push(ty, key, value, &[]),
-            }
-        }
-        *self = stamped;
+        self.payload_bytes += key.len() + value.len();
     }
 
     /// Number of operations in the batch.
@@ -335,30 +311,6 @@ mod tests {
         assert_eq!(ops[0].1, b"z");
         assert_eq!(ops[1].0, ValueType::Deletion);
         assert_eq!(ops[1].1, b"a");
-    }
-
-    #[test]
-    fn stamped_batch_roundtrips_and_never_double_stamps() {
-        let mut b = WriteBatch::new();
-        b.put(b"k", b"v");
-        b.delete(b"dead");
-        let unstamped = b.approximate_bytes();
-        b.stamp_puts(1234);
-        assert_eq!(b.approximate_bytes(), unstamped + 8, "the stamp is payload");
-        let ops: Vec<_> = b.iter().map(|(t, k, v)| (t, k.to_vec(), v.to_vec())).collect();
-        assert_eq!(ops[0].0, ValueType::TtlValue);
-        assert_eq!(&ops[0].2[..1], b"v");
-        assert_eq!(u64::from_le_bytes(ops[0].2[1..].try_into().unwrap()), 1234);
-        assert_eq!(ops[1].0, ValueType::Deletion, "tombstones are not stamped");
-
-        b.set_sequence(9);
-        let decoded = WriteBatch::decode(b.record()).unwrap();
-        assert_eq!(decoded.sequence(), 9);
-        assert_eq!(decoded, b, "TtlValue entries survive decode verbatim");
-
-        let mut again = decoded;
-        again.stamp_puts(9999);
-        assert_eq!(again, b, "re-stamping an already-stamped batch is a no-op");
     }
 
     #[test]

@@ -12,9 +12,8 @@ use hw_sim::SimDuration;
 
 use crate::compaction::picker::CompactionInputs;
 use crate::error::Result;
-use crate::filter::FilterContext;
 use crate::flush::sst_file_name;
-use crate::merge::{write_tables, Cursor};
+use crate::merge::{write_tables, Cursor, FilterContext};
 use crate::sstable::table::{direct_cursor, FinishedTable, TableConfig, TableReader};
 use crate::types::FileNumber;
 use crate::version::{FileMetadata, Version};
@@ -72,8 +71,7 @@ pub fn can_drop_tombstones(version: &Version, c: &CompactionInputs) -> bool {
 ///
 /// `bottommost` says nothing deeper than the output level can hold older
 /// versions of the merged key range; `ctx` carries the pinned snapshot
-/// sequences and the expiry clock. What survives is
-/// decided by `merge::write_tables`.
+/// sequences. What survives is decided by `merge::write_tables`.
 ///
 /// # Errors
 ///
@@ -351,93 +349,6 @@ mod tests {
         assert!(can_drop_tombstones(&v3, &auto3), "deeper levels empty");
     }
 
-    /// `v` stamped at second 0: expired under [`expiring`]'s clock.
-    const EXPIRED: &str = "v\0\0\0\0\0\0\0\0";
-
-    /// A context whose clock reads second 100 with a 10-second TTL.
-    fn expiring() -> FilterContext {
-        FilterContext { pins: Vec::new(), expiry: (100, 10) }
-    }
-
-    #[test]
-    fn filter_converts_to_tombstone_off_bottom_and_drops_at_bottom() {
-        let vfs = MemVfs::new();
-        let t = make_table(&vfs, 1, &[("k", 5, ValueType::TtlValue, EXPIRED)]);
-        let ctx = expiring();
-
-        let mut next = 10u64;
-        let off = run_compaction(
-            &vfs,
-            &[Arc::clone(&t)],
-            false,
-            u64::MAX,
-            &TableConfig::default(),
-            &ctx,
-            || {
-                next += 1;
-                FileNumber(next)
-            },
-        )
-        .unwrap();
-        let entries = read_typed_entries(&vfs, off.files[0].0);
-        assert_eq!(entries, vec![("k".to_string(), 5, ValueType::Deletion)]);
-
-        let bottom = run_compaction(&vfs, &[t], true, u64::MAX, &TableConfig::default(), &ctx, || {
-            next += 1;
-            FileNumber(next)
-        })
-        .unwrap();
-        assert!(bottom.files.is_empty(), "bottommost with no pins drops outright");
-    }
-
-    #[test]
-    fn filtered_entry_does_not_resurrect_deeper_version() {
-        // Regression: `compact_range`-style bottommost rewrites must
-        // compose with expiry. The expired newer version is
-        // turned into a tombstone off-bottom; when that tombstone later
-        // merges with the deeper old version at the bottom, both vanish
-        // and the old value must NOT come back.
-        let vfs = MemVfs::new();
-        let newer = make_table(&vfs, 1, &[("k", 9, ValueType::TtlValue, EXPIRED)]);
-        let deeper = make_table(&vfs, 2, &[("k", 2, ValueType::Value, "old")]);
-        let ctx = expiring();
-        let mut next = 10u64;
-        let upper = run_compaction(
-            &vfs,
-            &[newer],
-            false,
-            u64::MAX,
-            &TableConfig::default(),
-            &ctx,
-            || {
-                next += 1;
-                FileNumber(next)
-            },
-        )
-        .unwrap();
-        let tomb_file = Arc::new(FileMetadata::new(
-            upper.files[0].0,
-            upper.files[0].1.file_size,
-            upper.files[0].1.smallest.clone(),
-            upper.files[0].1.largest.clone(),
-            upper.files[0].1.properties.num_entries,
-        ));
-        let merged = run_compaction(
-            &vfs,
-            &[tomb_file, deeper],
-            true,
-            u64::MAX,
-            &TableConfig::default(),
-            &FilterContext::default(),
-            || {
-                next += 1;
-                FileNumber(next)
-            },
-        )
-        .unwrap();
-        assert!(merged.files.is_empty(), "old version must not resurrect");
-    }
-
     #[test]
     fn pins_preserve_shadowed_versions_and_bottommost_tombstones() {
         let vfs = MemVfs::new();
@@ -446,7 +357,7 @@ mod tests {
         let tomb = make_table(&vfs, 2, &[("k", 8, ValueType::Deletion, "")]);
         // A pin at seq 5 still reads k=v3; the bottommost tombstone and
         // the shadowed version must both survive.
-        let ctx = FilterContext { pins: vec![5], expiry: (0, 0) };
+        let ctx = FilterContext { pins: vec![5] };
         let mut next = 10u64;
         let out = run_compaction(
             &vfs,
@@ -471,7 +382,7 @@ mod tests {
         );
 
         // Once the pin is at or above the tombstone, everything drops.
-        let ctx = FilterContext { pins: vec![9], expiry: (0, 0) };
+        let ctx = FilterContext { pins: vec![9] };
         let out = run_compaction(
             &vfs,
             &[old, tomb],
@@ -486,43 +397,6 @@ mod tests {
         )
         .unwrap();
         assert!(out.files.is_empty());
-    }
-
-    #[test]
-    fn ttl_filter_expires_entries_during_compaction() {
-        let vfs = MemVfs::new();
-        let mut stale = b"old".to_vec();
-        stale.extend_from_slice(&10u64.to_le_bytes());
-        let mut fresh = b"new".to_vec();
-        fresh.extend_from_slice(&95u64.to_le_bytes());
-        let mt = MemTable::new(0);
-        mt.add(1, ValueType::TtlValue, b"a", &stale);
-        mt.add(2, ValueType::TtlValue, b"b", &fresh);
-        let fin = crate::flush::build_l0_table(
-            &vfs,
-            FileNumber(1),
-            &[Arc::new(mt)],
-            &TableConfig::default(),
-            &FilterContext::default(),
-        )
-        .unwrap()
-        .table;
-        let t = Arc::new(FileMetadata::new(
-            FileNumber(1),
-            fin.file_size,
-            fin.smallest,
-            fin.largest,
-            fin.properties.num_entries,
-        ));
-        let ctx = FilterContext { pins: Vec::new(), expiry: (100, 50) };
-        let mut next = 10u64;
-        let out = run_compaction(&vfs, &[t], true, u64::MAX, &TableConfig::default(), &ctx, || {
-            next += 1;
-            FileNumber(next)
-        })
-        .unwrap();
-        let entries = read_typed_entries(&vfs, out.files[0].0);
-        assert_eq!(entries, vec![("b".to_string(), 2, ValueType::TtlValue)]);
     }
 
     #[test]

@@ -32,10 +32,10 @@ use crate::compaction::{
     CompactionInputs, CompactionJobOutput,
 };
 use crate::error::{Error, Result};
-use crate::filter::FilterContext;
 use crate::flush::{build_l0_table, sst_file_name};
 use crate::listener::{CompactionJobInfo, FlushJobInfo};
 use crate::memtable::MemTable;
+use crate::merge::FilterContext;
 use crate::options::Options;
 use crate::runtime::BgShared;
 use crate::sstable::table::{FinishedTable, TableConfig};
@@ -45,7 +45,7 @@ use crate::version::{FileMetadata, VersionEdit};
 use crate::wal::WalWriter;
 
 /// A merging compaction with its inputs claimed and its output
-/// parameters (and expiry clock + snapshot pins) frozen at claim time.
+/// parameters (and snapshot pins) frozen at claim time.
 pub(super) struct MergeJob {
     pub(super) inputs: Vec<(usize, Arc<FileMetadata>)>,
     output_level: usize,
@@ -780,32 +780,6 @@ mod tests {
         db.compact_range(b"", b"\xff").unwrap();
         db.wait_background_idle().unwrap();
         assert_eq!(db.get(b"k").unwrap(), Some(b"new".to_vec()));
-    }
-
-    #[test]
-    fn ttl_filter_never_drops_entry_visible_to_pin() {
-        let env = env();
-        let mut opts = small_opts();
-        opts.ttl_seconds = 10;
-        let db = Db::builder(opts).env(&env).open().unwrap();
-        db.put(b"k", b"v").unwrap();
-        let pin = db.pin_snapshot();
-        env.clock().advance(hw_sim::SimDuration::from_secs_f64(100.0));
-        db.flush().unwrap();
-        db.compact_range(b"", b"\xff").unwrap();
-        db.wait_background_idle().unwrap();
-
-        // Unpinned readers see the entry as expired (time-based expiry),
-        // but the bytes must still exist for the pinned snapshot: turn
-        // TTL off and the pinned read resolves the preserved version.
-        db.set_options(&[("ttl_seconds", "0")]).unwrap();
-        let at_pin = ReadOptions { snapshot_seq: Some(pin.sequence()), ..ReadOptions::default() };
-        assert_eq!(
-            db.get_opt(&at_pin, b"k").unwrap(),
-            Some(b"v".to_vec()),
-            "pinned entry survived expiry"
-        );
-        drop(pin);
     }
 
     /// Flushes `files` L0 files of ten keys each into `db`, below the

@@ -33,9 +33,9 @@ use hw_sim::{Clock, SimDuration, SimTime};
 use parking_lot::{Mutex, RwLock};
 
 use crate::cache::{BlockCache, TableCache};
-use crate::filter::FilterContext;
 use crate::listener::{EventListener, StallConditionsChanged};
 use crate::memtable::MemTable;
+use crate::merge::FilterContext;
 use crate::options::Options;
 use crate::runtime::{JobBudget, Runtime};
 use crate::sstable::table::{TableConfig, TableReader};
@@ -328,7 +328,7 @@ struct DbInner {
     wal_sink: Option<Arc<dyn WalSink>>,
     /// Pinned snapshot sequences (seq -> pin count). Flush and
     /// compaction consult these so no version a [`SnapshotPin`] can
-    /// still see is dropped, even once expired.
+    /// still see is dropped.
     pins: Mutex<BTreeMap<SequenceNumber, usize>>,
 }
 
@@ -347,40 +347,11 @@ impl DbInner {
         Arc::clone(&self.opts.read())
     }
 
-    /// The current time in seconds for TTL stamping and expiry checks.
-    ///
-    /// Simulation uses the virtual clock (so TTL behavior is
-    /// deterministic and the table5 gate holds); real mode uses UNIX
-    /// epoch seconds so stamps stay meaningful across process restarts.
-    fn now_secs(&self) -> u64 {
-        match &self.mode {
-            Mode::Sim(_) => self.clock.now().as_nanos() / 1_000_000_000,
-            Mode::Real(_) => std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .map(|d| d.as_secs())
-                .unwrap_or(0),
-        }
-    }
-
-    /// The clock reading and `ttl_seconds` one read pass hands to
-    /// [`live_value`](crate::filter::live_value) for every entry it
-    /// meets. The clock is left unread while TTL is off: nothing can
-    /// expire then, and a point lookup is short enough to notice.
-    fn expiry_clock(&self, opts: &Options) -> (u64, u64) {
-        let ttl_seconds = opts.ttl_seconds;
-        (if ttl_seconds > 0 { self.now_secs() } else { 0 }, ttl_seconds)
-    }
-
-    /// The pins and expiry clock handed to one flush or compaction job:
-    /// the pinned snapshot sequences (sorted ascending) and the
-    /// [`expiry_clock`](Self::expiry_clock) reading. With TTL off and no
-    /// pins this is the empty context — merges behave byte-identically
-    /// to an engine without TTL.
+    /// The pins handed to one flush or compaction job: the pinned
+    /// snapshot sequences, sorted ascending. With no pins this is the
+    /// empty context.
     fn filter_context(&self) -> FilterContext {
-        FilterContext {
-            pins: self.pins.lock().keys().copied().collect(),
-            expiry: self.expiry_clock(&self.opts()),
-        }
+        FilterContext { pins: self.pins.lock().keys().copied().collect() }
     }
 
     /// Publishes a new reader-visible sequence watermark.

@@ -509,25 +509,4 @@ mod tests {
         let db = Db::builder(Options::default()).env(&env).vfs(vfs).open().unwrap();
         assert_eq!(db.get(b"persist").unwrap(), Some(b"1".to_vec()));
     }
-
-    #[test]
-    fn ttl_survives_wal_recovery_without_restamping() {
-        let env = env();
-        let vfs: Arc<dyn Vfs> = Arc::new(MemVfs::new());
-        let mut opts = small_opts();
-        opts.ttl_seconds = 10;
-        {
-            let db = Db::builder(opts.clone())
-                .env(&env)
-                .vfs(Arc::clone(&vfs))
-                .open()
-                .unwrap();
-            db.put(b"k", b"v").unwrap();
-        }
-        env.clock().advance(hw_sim::SimDuration::from_secs_f64(11.0));
-        // Reopen replays the WAL; the original stamp must survive, so
-        // the entry is already expired at the new clock position.
-        let db = Db::builder(opts).env(&env).vfs(vfs).open().unwrap();
-        assert_eq!(db.get(b"k").unwrap(), None, "replayed stamp expired");
-    }
 }

@@ -11,7 +11,6 @@ use hw_sim::{SimDuration, SimTime};
 use super::{sim, Db, DbInner, Mode, ReadOptions};
 use crate::cache::BlockKey;
 use crate::error::Result;
-use crate::filter::live_value;
 use crate::flush::sst_file_name;
 use crate::memtable::MemTable;
 use crate::options::Options;
@@ -19,7 +18,7 @@ use crate::sstable::block::Block;
 use crate::sstable::compress::decompress_cpu_cost;
 use crate::sstable::table::{BlockHandle, TableReader};
 use crate::stats::{HistogramKind, Ticker};
-use crate::types::{lookup_key, split_tag, FileNumber, SequenceNumber};
+use crate::types::{lookup_key, refuse_stamped, split_tag, FileNumber, SequenceNumber, ValueType};
 use crate::version::{FileMetadata, Version};
 
 /// What one read operation looks at: the memtables and version current
@@ -120,7 +119,7 @@ impl Db {
 
 /// One key's outcome while a lookup runs: `None` = no layer probed so
 /// far holds the key, `Some(None)` = the newest layer holding it says
-/// deleted or expired, `Some(Some(v))` = live.
+/// deleted, `Some(Some(v))` = live.
 type Slot = Option<Option<Vec<u8>>>;
 
 /// The state one point lookup carries from layer to layer.
@@ -135,19 +134,12 @@ struct Lookup<'a, K> {
     opts: &'a Options,
     /// CPU charged so far; applied to the sim clock once, at the end.
     cpu: SimDuration,
-    /// The clock reading and TTL the whole lookup judges stamps by.
-    now_secs: u64,
-    ttl_seconds: u64,
 }
 
 impl<K> Lookup<'_, K> {
     /// Settles `keys[i]` with the newest entry found for it.
-    fn resolve(&mut self, i: usize, ty: u8, mut stored: Vec<u8>) {
-        let live = live_value(ty, &stored, self.now_secs, self.ttl_seconds).map(<[u8]>::len);
-        self.slots[i] = Some(live.map(|n| {
-            stored.truncate(n);
-            stored
-        }));
+    fn resolve(&mut self, i: usize, ty: u8, stored: Vec<u8>) {
+        self.slots[i] = Some((ty != ValueType::Deletion as u8).then_some(stored));
         self.pending -= 1;
     }
 }
@@ -170,7 +162,6 @@ impl DbInner {
         let started = self.clock.now();
         let view = self.read_view(ropts)?;
         let opts = self.opts();
-        let (now_secs, ttl_seconds) = self.expiry_clock(&opts);
         let tickers = self.stats.tickers();
         let mut q = Lookup {
             keys,
@@ -181,8 +172,6 @@ impl DbInner {
             opts: &opts,
             // Paid once for the whole batch.
             cpu: sim::READ_BASE_CPU,
-            now_secs,
-            ttl_seconds,
         };
 
         // The live memtable, then the immutable ones newest first; a
@@ -455,6 +444,7 @@ impl DbInner {
             if entry.seek(target.encoded())? {
                 let (found_user, tag) = split_tag(entry.key());
                 if found_user == user_key {
+                    refuse_stamped(tag as u8)?;
                     q.resolve(i, tag as u8, entry.value().to_vec());
                 }
             }
@@ -604,49 +594,25 @@ mod tests {
         assert_eq!(db.scan_opt(&no_verify, b"key-00000", 3).unwrap().len(), 3);
     }
 
+    /// `ttl_seconds` is accepted, at open and online, for option-file
+    /// compatibility, and changes nothing: a value outlives any TTL on
+    /// every read path and through a bottommost rewrite.
     #[test]
-    fn ttl_expires_on_read_path_and_under_compaction() {
+    fn ttl_seconds_is_accepted_and_expires_nothing() {
         let env = env();
         let mut opts = small_opts();
         opts.ttl_seconds = 10;
         let db = Db::builder(opts).env(&env).open().unwrap();
         db.put(b"k", b"v").unwrap();
-        assert_eq!(db.get(b"k").unwrap(), Some(b"v".to_vec()), "fresh value readable");
-        let scanned = db.scan(b"", 10).unwrap();
-        assert_eq!(scanned, vec![(b"k".to_vec(), b"v".to_vec())], "scan strips the stamp");
+        env.clock().advance(hw_sim::SimDuration::from_secs_f64(100.0));
+        db.set_options(&[("ttl_seconds", "50")]).unwrap();
+        assert_eq!(db.get(b"k").unwrap(), Some(b"v".to_vec()));
 
-        // Jump the virtual clock past the TTL: the entry reads as absent
-        // on every path before any compaction ran.
-        env.clock().advance(hw_sim::SimDuration::from_secs_f64(11.0));
-        assert_eq!(db.get(b"k").unwrap(), None, "expired on point read");
-        assert_eq!(db.multi_get(&[b"k".to_vec()]).unwrap(), vec![None]);
-        assert!(db.scan(b"", 10).unwrap().is_empty(), "expired on scan");
-
-        // Flush + bottommost rewrite physically drop the expired entry.
         db.flush().unwrap();
         db.compact_range(b"", b"\xff").unwrap();
         db.wait_background_idle().unwrap();
-        let levels = db.stats().levels;
-        let total_files: usize = levels.iter().map(|l| l.0).sum();
-        assert_eq!(total_files, 0, "expired data physically dropped: {levels:?}");
-    }
-
-    #[test]
-    fn ttl_zero_keeps_values_and_online_change_applies_to_old_stamps() {
-        let env = env();
-        let mut opts = small_opts();
-        opts.ttl_seconds = 1_000_000;
-        let db = Db::builder(opts).env(&env).open().unwrap();
-        db.put(b"k", b"v").unwrap();
-        env.clock().advance(hw_sim::SimDuration::from_secs_f64(100.0));
         assert_eq!(db.get(b"k").unwrap(), Some(b"v".to_vec()));
-
-        // Tighten the TTL online: the existing stamp now counts as expired.
-        db.set_options(&[("ttl_seconds", "50")]).unwrap();
-        assert_eq!(db.get(b"k").unwrap(), None, "online TTL change governs old stamps");
-
-        // Disable TTL: stamped data becomes immortal again.
-        db.set_options(&[("ttl_seconds", "0")]).unwrap();
-        assert_eq!(db.get(b"k").unwrap(), Some(b"v".to_vec()));
+        assert_eq!(db.multi_get(&[b"k".to_vec()]).unwrap(), vec![Some(b"v".to_vec())]);
+        assert_eq!(db.scan(b"", 10).unwrap(), vec![(b"k".to_vec(), b"v".to_vec())]);
     }
 }

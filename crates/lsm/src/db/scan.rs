@@ -1,6 +1,6 @@
 //! Range scans: the shared k-way merge over one stepping cursor per
 //! memtable, per L0 file, and per deeper level, with the user-visible
-//! filtering (snapshot bound, dedup, tombstones, TTL) on top.
+//! filtering (snapshot bound, dedup, tombstones) on top.
 
 use std::sync::Arc;
 
@@ -9,13 +9,12 @@ use hw_sim::SimDuration;
 use super::read::ReadView;
 use super::{sim, Db, DbInner, Mode, ReadOptions, ScanResult};
 use crate::error::Result;
-use crate::filter::live_value;
 use crate::memtable::MemTableCursor;
 use crate::merge::{Concat, Cursor, MergingCursor};
 use crate::options::Options;
 use crate::sstable::table::table_cursor;
 use crate::stats::Ticker;
-use crate::types::split_tag;
+use crate::types::{split_tag, ValueType};
 use crate::version::FileMetadata;
 
 impl Db {
@@ -70,9 +69,6 @@ impl Db {
         let mut last_user: Vec<u8> = Vec::new();
         let mut have_last = false;
         let mut cpu = sim::READ_BASE_CPU;
-        // TTL expiry is evaluated once per scan against a single clock
-        // reading so one pass applies one consistent policy.
-        let (scan_now_secs, ttl_seconds) = inner.expiry_clock(&opts);
         while out.len() < count {
             let Some(key) = merged.key() else { break };
             cpu += sim::SCAN_ENTRY_CPU;
@@ -87,8 +83,8 @@ impl Db {
                 last_user.clear();
                 last_user.extend_from_slice(user_key);
                 have_last = true;
-                if let Some(value) = live_value(ty, merged.value(), scan_now_secs, ttl_seconds) {
-                    out.push((user_key.to_vec(), value.to_vec()));
+                if ty != ValueType::Deletion as u8 {
+                    out.push((user_key.to_vec(), merged.value().to_vec()));
                 }
             }
             // Stepping past the last row too keeps the charged block

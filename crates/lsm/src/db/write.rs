@@ -79,13 +79,6 @@ impl Db {
             return Ok(());
         }
         let inner = &*self.inner;
-        let mut batch = batch;
-        // While TTL is on, stamp puts with the write time; the stamp
-        // travels through the WAL, group commit, and replication
-        // verbatim (replay never re-stamps).
-        if inner.opts().ttl_seconds > 0 {
-            batch.stamp_puts(inner.now_secs());
-        }
         let started = inner.clock.now();
         let sync = write_opts.sync;
         let result = match &inner.mode {
@@ -515,15 +508,6 @@ mod tests {
     #[test]
     fn wal_bytes_of_a_fixed_script_are_pinned() {
         assert_eq!(pinned_wal(|_| {}), (1_291, 3_045_913_260));
-    }
-
-    /// The same script with TTL switched on between its rounds, so the
-    /// second round's puts are stamped. Length and CRC32C were taken at
-    /// 91717d9, before `WriteBatch` became its own record.
-    #[test]
-    fn wal_bytes_of_a_stamped_script_are_pinned() {
-        let ttl_on = |db: &Db| db.set_options(&[("ttl_seconds", "3600")]).unwrap();
-        assert_eq!(pinned_wal(ttl_on), (1_331, 29_032_069));
     }
 
     #[test]

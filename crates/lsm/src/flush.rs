@@ -3,9 +3,8 @@
 use std::sync::Arc;
 
 use crate::error::{Error, Result};
-use crate::filter::FilterContext;
 use crate::memtable::MemTable;
-use crate::merge::{write_tables, Cursor};
+use crate::merge::{write_tables, Cursor, FilterContext};
 use crate::sstable::table::{FinishedTable, TableConfig};
 use crate::types::FileNumber;
 use crate::vfs::Vfs;
@@ -26,9 +25,8 @@ pub struct FlushOutput {
 
 /// Merges `mems` into a single L0 table, under the retention rules of
 /// `merge::write_tables`. L0 is never bottommost (older versions may exist in
-/// deeper levels), so tombstones are always kept and an expired entry
-/// becomes a tombstone; the only entries dropped are shadowed versions
-/// no pinned snapshot resolves to.
+/// deeper levels), so tombstones are always kept; the only entries
+/// dropped are shadowed versions no pinned snapshot resolves to.
 ///
 /// # Errors
 ///
@@ -134,7 +132,7 @@ mod tests {
         mt.add(3, ValueType::Value, b"k", b"v3");
         mt.add(7, ValueType::Value, b"k", b"v7");
         // A snapshot at seq 5 still resolves `k` to the version at seq 3.
-        let ctx = FilterContext { pins: vec![5], expiry: (0, 0) };
+        let ctx = FilterContext { pins: vec![5] };
         let out = build_l0_table(
             &vfs,
             FileNumber(5),
@@ -148,58 +146,6 @@ mod tests {
         assert_eq!(entries.len(), 2, "both versions survive");
         assert_eq!(entries[0].1, 7, "newest first");
         assert_eq!(entries[1].1, 3);
-    }
-
-    /// `v` stamped at second 0: expired under [`expiring`]'s clock.
-    fn expired() -> Vec<u8> {
-        [&b"v"[..], &0u64.to_le_bytes()].concat()
-    }
-
-    /// A context whose clock reads second 100 with a 10-second TTL.
-    fn expiring(pins: Vec<u64>) -> FilterContext {
-        FilterContext { pins, expiry: (100, 10) }
-    }
-
-    #[test]
-    fn filter_converts_entry_to_tombstone_at_flush() {
-        let vfs = MemVfs::new();
-        let mt = MemTable::new(0);
-        mt.add(1, ValueType::TtlValue, b"a", &expired());
-        mt.add(2, ValueType::Deletion, b"b", b"");
-        let _ = build_l0_table(
-            &vfs,
-            FileNumber(6),
-            &[Arc::new(mt)],
-            &TableConfig::default(),
-            &expiring(Vec::new()),
-        )
-        .unwrap();
-        let entries = table_entries(&vfs, FileNumber(6));
-        assert_eq!(entries.len(), 2);
-        assert_eq!(entries[0].2, ValueType::Deletion, "expired value became a tombstone");
-        assert_eq!(entries[0].1, 1, "sequence preserved");
-        assert!(entries[0].3.is_empty());
-        assert_eq!(entries[1].2, ValueType::Deletion, "pre-existing tombstone untouched");
-    }
-
-    #[test]
-    fn filter_never_acts_on_pinned_entry() {
-        let vfs = MemVfs::new();
-        let mt = MemTable::new(0);
-        mt.add(4, ValueType::TtlValue, b"a", &expired());
-        // A pin at seq 9 can see the entry at seq 4: it must not expire.
-        let _ = build_l0_table(
-            &vfs,
-            FileNumber(7),
-            &[Arc::new(mt)],
-            &TableConfig::default(),
-            &expiring(vec![9]),
-        )
-        .unwrap();
-        let entries = table_entries(&vfs, FileNumber(7));
-        assert_eq!(entries.len(), 1);
-        assert_eq!(entries[0].2, ValueType::TtlValue);
-        assert_eq!(entries[0].3, expired());
     }
 
     #[test]

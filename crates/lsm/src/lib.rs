@@ -33,7 +33,6 @@
 #![forbid(unsafe_code)]
 
 pub mod fault;
-pub mod filter;
 pub mod options;
 pub mod sstable;
 pub mod vfs;
@@ -66,7 +65,6 @@ pub use compaction::{
 };
 pub use db::{Db, DbBuilder, DbStats, ReadOptions, ScanResult, SnapshotPin, WalSink, WriteOptions};
 pub use error::{Error, ErrorKind, Result};
-pub use filter::FilterContext;
 pub use flush::{build_l0_table, FlushOutput};
 pub use engine::KvEngine;
 pub use ranges::{KeyRanges, RangeFanout};
@@ -74,6 +72,7 @@ pub use shard::{ShardedDb, ShardedDbBuilder};
 pub use fault::{FaultConfig, FaultInjectionVfs, TearStyle};
 pub use listener::{CompactionJobInfo, EventListener, FlushJobInfo, StallConditionsChanged};
 pub use memtable::{MemTable, MemTableCursor};
+pub use merge::FilterContext;
 pub use sstable::block::Block;
 pub use stats::{
     Histogram, HistogramKind, HistogramSnapshot, LevelIo, Statistics, Ticker, TickerSnapshot,

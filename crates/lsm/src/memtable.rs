@@ -662,10 +662,7 @@ impl MemTable {
     }
 
     /// Looks up the newest entry for `user_key` visible at `snapshot`: its
-    /// type and stored bytes (for [`ValueType::TtlValue`], the user bytes
-    /// followed by the 8-byte write stamp). What the entry means to a
-    /// reader is the caller's business; the memtable knows neither the
-    /// clock nor the configured TTL.
+    /// type and stored bytes.
     ///
     /// A hash probe, then the key's versions newest first: at the latest
     /// snapshot the first one decides, and an older snapshot walks past

@@ -11,7 +11,6 @@
 //! and never cuts its output.
 
 use crate::error::Result;
-use crate::filter::{live_value, FilterContext};
 use crate::flush::sst_file_name;
 use crate::sstable::table::{FinishedTable, TableBuilder, TableConfig};
 use crate::types::{internal_key_cmp, split_tag, FileNumber, SequenceNumber, ValueType};
@@ -133,6 +132,34 @@ impl Cursor for MergingCursor<'_> {
     }
 }
 
+/// The snapshot pins handed to one flush or compaction job: the
+/// sequences of every snapshot pinned (see `Db::pin_snapshot`) when the
+/// job was claimed. The default, no pins, is the engine's historic merge.
+#[derive(Debug, Clone, Default)]
+pub struct FilterContext {
+    /// Pinned snapshot sequences, sorted ascending.
+    pub pins: Vec<SequenceNumber>,
+}
+
+impl FilterContext {
+    /// Whether some pinned snapshot `S` satisfies `lo <= S < hi` — the
+    /// condition under which a shadowed version at sequence `lo` is
+    /// still the visible version for snapshot `S` (its successor is at
+    /// sequence `hi`) and must survive deduplication.
+    pub fn pin_in(&self, lo: SequenceNumber, hi: SequenceNumber) -> bool {
+        let i = self.pins.partition_point(|&s| s < lo);
+        self.pins.get(i).is_some_and(|&s| s < hi)
+    }
+
+    /// Whether every pinned snapshot sees an entry at `seq`. A
+    /// bottommost tombstone may be physically dropped only then: all
+    /// older versions of its key fall in the same (earliest) snapshot
+    /// slot and are deduplicated away with it, so no observer can tell.
+    pub fn visible_to_all_pins(&self, seq: SequenceNumber) -> bool {
+        self.pins.first().is_none_or(|&s| s >= seq)
+    }
+}
+
 /// The tables a merge wrote, with its entry accounting.
 #[derive(Debug)]
 pub(crate) struct MergeOutput {
@@ -151,14 +178,10 @@ pub(crate) struct MergeOutput {
 ///
 /// - A shadowed (older) version of a user key is dropped unless a pinned
 ///   snapshot in `ctx` still resolves to it.
-/// - The newest version of each key expires when [`live_value`], the rule
-///   reads use, finds it expired under `ctx`'s clock and no pin can see
-///   it.
-/// - A tombstone, or an expired value, is dropped outright only when the
-///   merge is `bottommost` (nothing deeper can hold an older version of
-///   the key) and every pin already sees it; otherwise the tombstone is
-///   kept, and the expired value is rewritten into a tombstone at the
-///   same sequence, so deeper versions stay shadowed.
+/// - A tombstone is dropped outright only when the merge is `bottommost`
+///   (nothing deeper can hold an older version of the key) and every pin
+///   already sees it; otherwise it is kept, so deeper versions stay
+///   shadowed.
 ///
 /// # Errors
 ///
@@ -179,41 +202,23 @@ pub(crate) fn write_tables(
     let mut last_user_key: Option<Vec<u8>> = None;
     // Sequence of the next-newer version of the current user key.
     let mut newer_seq: SequenceNumber = 0;
-    let mut tombstone: Vec<u8> = Vec::new();
 
     while let Some(key) = merged.key() {
         out.entries_read += 1;
         let (user_key, tag) = split_tag(key);
         let (seq, ty) = (tag >> 8, tag as u8);
-        let mut entry = Some((key, merged.value()));
-        if last_user_key.as_deref() == Some(user_key) {
-            if !ctx.pin_in(seq, newer_seq) {
-                entry = None;
-            }
+        let keep = if last_user_key.as_deref() == Some(user_key) {
+            ctx.pin_in(seq, newer_seq)
         } else {
             let last = last_user_key.get_or_insert_with(Vec::new);
             last.clear();
             last.extend_from_slice(user_key);
-            let (now_secs, ttl_seconds) = ctx.expiry;
-            let is_tombstone = ty == ValueType::Deletion as u8;
-            let expired = !is_tombstone
-                && ctx.unpinned(seq)
-                && live_value(ty, merged.value(), now_secs, ttl_seconds).is_none();
-            if is_tombstone || expired {
-                if bottommost && ctx.visible_to_all_pins(seq) {
-                    entry = None;
-                } else if expired {
-                    tombstone.clear();
-                    tombstone.extend_from_slice(user_key);
-                    tombstone
-                        .extend_from_slice(&((seq << 8) | ValueType::Deletion as u64).to_le_bytes());
-                    entry = Some((tombstone.as_slice(), &[][..]));
-                }
-            }
-        }
+            let tombstone = ty == ValueType::Deletion as u8;
+            !(tombstone && bottommost && ctx.visible_to_all_pins(seq))
+        };
         newer_seq = seq;
 
-        if let Some((key, value)) = entry {
+        if keep {
             let (_, table) = match &mut builder {
                 Some(open) => open,
                 None => {
@@ -222,7 +227,7 @@ pub(crate) fn write_tables(
                     builder.insert((number, TableBuilder::new(file, config.clone())))
                 }
             };
-            table.add(key, value)?;
+            table.add(key, merged.value())?;
             out.entries_written += 1;
             if table.raw_bytes() >= target_file_size {
                 let (number, table) = builder.take().expect("builder exists");
@@ -258,25 +263,18 @@ mod tests {
         /// Flush is a non-bottommost merge: flushing N memtables at once
         /// leaves exactly the entries that flushing them one by one and
         /// then merging the N tables off-bottom leaves, whatever the
-        /// history, the pinned snapshots and what has expired.
+        /// history and the pinned snapshots.
         #[test]
         fn flushing_at_once_equals_flushing_one_by_one_then_merging(
-            ops in vec((0u8..6, any::<u8>(), 0u8..4, 0u8..8), 1..120),
+            ops in vec((0u8..6, any::<u8>(), 0u8..2, 0u8..8), 1..120),
             pins in vec(0u64..130, 0..4),
-            use_ttl in any::<bool>(),
         ) {
             // One op per sequence number; `cut == 0` rotates the memtable.
-            // Kinds 2 and 3 are stamped values: at second 0 (expired under
-            // a TTL) when the value is even, at second 95 (live) when odd.
             let mut mems = vec![MemTable::new(0)];
             for (i, (key, value, kind, cut)) in ops.iter().enumerate() {
                 let (ty, value) = match kind {
                     0 => (ValueType::Deletion, Vec::new()),
-                    1 => (ValueType::Value, vec![*value]),
-                    _ => {
-                        let written: u64 = if value % 2 == 0 { 0 } else { 95 };
-                        (ValueType::TtlValue, [&[*value][..], &written.to_le_bytes()].concat())
-                    }
+                    _ => (ValueType::Value, vec![*value]),
                 };
                 let mem = mems.last().expect("never empty");
                 mem.add(i as u64 + 1, ty, &[b'k', *key], &value);
@@ -289,9 +287,7 @@ mod tests {
             let mut pins = pins;
             pins.sort_unstable();
             pins.dedup();
-            // The clock reads second 100; a TTL of 10 expires the even
-            // stamped values, none when TTL is off.
-            let ctx = FilterContext { pins, expiry: (100, if use_ttl { 10 } else { 0 }) };
+            let ctx = FilterContext { pins };
             let config = TableConfig::default();
             let vfs = MemVfs::new();
 
@@ -318,5 +314,23 @@ mod tests {
             prop_assert_eq!(merged.files.len(), 1, "an off-bottom merge keeps every newest version");
             prop_assert_eq!(table_entries(&vfs, FileNumber(1000)), at_once);
         }
+    }
+
+    #[test]
+    fn pin_predicates() {
+        let ctx = FilterContext { pins: vec![5, 12] };
+        // pin_in: some pin in [lo, hi)
+        assert!(ctx.pin_in(3, 6), "pin 5 in [3,6)");
+        assert!(ctx.pin_in(5, 6), "inclusive low end");
+        assert!(!ctx.pin_in(6, 12), "12 excluded at high end");
+        assert!(ctx.pin_in(6, 13));
+        assert!(!ctx.pin_in(13, 100));
+        // visible_to_all_pins: every pin at or above seq
+        assert!(ctx.visible_to_all_pins(5));
+        assert!(!ctx.visible_to_all_pins(6));
+
+        let empty = FilterContext::default();
+        assert!(empty.visible_to_all_pins(u64::MAX));
+        assert!(!empty.pin_in(0, u64::MAX));
     }
 }

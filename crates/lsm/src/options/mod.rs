@@ -281,9 +281,8 @@ options_table! {
             "Seconds between statistics dumps to the info log";
         rate_limiter_bytes_per_sec: u64 = 0, Db, (0.0, GIB64), online,
             "Cap background I/O rate to smooth foreground latency (0 = unlimited)";
-        /// While non-zero, writes carry an 8-byte write-timestamp suffix;
-        /// reads treat entries older than the TTL as absent, and flush and
-        /// compaction physically drop them.
+        /// Accepted for option-file compatibility: values never expire,
+        /// and the engine reads this nowhere.
         ttl_seconds: u64 = 0, Db, (0.0, 3_153_600_000.0), online,
             "Expire values this many seconds after write via the TTL compaction \
              filter (0 = never; online changes apply to existing data)";

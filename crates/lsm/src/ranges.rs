@@ -78,8 +78,7 @@ impl KeyRanges {
     pub fn split_batch(&self, batch: &WriteBatch) -> Vec<WriteBatch> {
         let mut parts = vec![WriteBatch::new(); self.num_ranges()];
         for (ty, key, value) in batch.iter() {
-            // Stamped entries keep their stamp verbatim.
-            parts[self.route(key)].push(ty, key, value, &[]);
+            parts[self.route(key)].push(ty, key, value);
         }
         parts
     }

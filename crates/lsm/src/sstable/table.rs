@@ -27,7 +27,7 @@ use crate::merge::{Concat, Cursor};
 use crate::sstable::block::{Block, BlockBuilder, BlockIter};
 use crate::sstable::bloom::{BloomBuilder, BloomFilter};
 use crate::sstable::compress;
-use crate::types::{split_tag, InternalKey};
+use crate::types::{refuse_stamped, split_tag, InternalKey};
 use crate::util::{crc32c, crc32c_extend, get_fixed32, get_fixed64, put_fixed64};
 use crate::vfs::{RandomAccessFile, WritableFile};
 
@@ -586,7 +586,8 @@ pub struct BlockFetch {
 ///
 /// # Errors
 ///
-/// Propagates `fetch` failures and block corruption.
+/// Propagates `fetch` failures and block corruption, and refuses a
+/// stamped entry (`NotSupported`) when the walk reaches one.
 pub(crate) fn table_cursor<F: FnMut(BlockHandle) -> Result<Arc<Block>>>(
     index: Arc<Block>,
     mut fetch: F,
@@ -606,7 +607,39 @@ pub(crate) fn table_cursor<F: FnMut(BlockHandle) -> Result<Arc<Block>>>(
     let open = move |handle: Result<BlockHandle>, target: Option<&[u8]>| {
         BlockIter::at(fetch(handle?)?, target)
     };
-    Concat::open(handles, open, target)
+    Unstamped::checked(Concat::open(handles, open, target)?)
+}
+
+/// A table's entries, refusing a stamped one (an older build's TTL
+/// value) as the walk reaches it, so that no scan hands out its stamp as
+/// the user's bytes and no compaction carries it into a new table.
+struct Unstamped<C>(C);
+
+impl<C: Cursor> Unstamped<C> {
+    fn checked(cursor: C) -> Result<Self> {
+        let cursor = Unstamped(cursor);
+        cursor.check()?;
+        Ok(cursor)
+    }
+
+    fn check(&self) -> Result<()> {
+        self.0.key().map_or(Ok(()), |key| refuse_stamped(split_tag(key).1 as u8))
+    }
+}
+
+impl<C: Cursor> Cursor for Unstamped<C> {
+    fn key(&self) -> Option<&[u8]> {
+        self.0.key()
+    }
+
+    fn value(&self) -> &[u8] {
+        self.0.value()
+    }
+
+    fn advance(&mut self) -> Result<()> {
+        self.0.advance()?;
+        self.check()
+    }
 }
 
 /// A cursor over every entry of `reader` that reads blocks straight from

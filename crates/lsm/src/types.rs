@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use crate::error::{Error, Result};
+
 /// Monotonically increasing sequence number assigned to every write.
 pub type SequenceNumber = u64;
 
@@ -22,19 +24,20 @@ pub enum ValueType {
     Deletion = 0,
     /// A regular value.
     Value = 1,
-    /// A value carrying an 8-byte little-endian write-timestamp (seconds)
-    /// suffix, written while `ttl_seconds > 0`. Self-describing, so data
-    /// written before and after an online TTL toggle coexists in one tree.
+    /// Never written: the type of seek targets (a point lookup's key),
+    /// being the largest type. Older builds wrote it for a value stamped
+    /// with its write time while `ttl_seconds` was set; a store holding
+    /// one is refused with `NotSupported`.
     TtlValue = 2,
 }
 
 impl ValueType {
-    /// Decodes from the low byte of a packed tag.
+    /// Decodes from the low byte of a packed tag: a written type, so 2
+    /// (the seek sentinel) is `None`.
     pub fn from_u8(b: u8) -> Option<ValueType> {
         match b {
             0 => Some(ValueType::Deletion),
             1 => Some(ValueType::Value),
-            2 => Some(ValueType::TtlValue),
             _ => None,
         }
     }
@@ -49,6 +52,19 @@ impl ValueType {
 /// so a lookup key at sequence `s` sorts before every entry of the same
 /// user key with sequence `<= s`, regardless of the entry's type.
 pub(crate) const VALUE_TYPE_FOR_SEEK: ValueType = ValueType::TtlValue;
+
+/// Refuses a stored entry of type 2 (`ty` is the low byte of its tag): a
+/// value stamped with its write time by a build that still had TTL. The
+/// batch decoder, a point lookup's table probe and a table cursor
+/// (scans, compactions) call this, so a store an older build wrote with
+/// TTL on fails with `NotSupported` instead of handing out the stamp as
+/// the user's bytes.
+pub(crate) fn refuse_stamped(ty: u8) -> Result<()> {
+    if ty == ValueType::TtlValue as u8 {
+        return Err(Error::not_supported("stamped TTL values are no longer supported"));
+    }
+    Ok(())
+}
 
 /// An internal key: user key + (sequence, type) tag, ordered so that for
 /// equal user keys, *newer* entries sort first.

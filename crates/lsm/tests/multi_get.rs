@@ -90,8 +90,8 @@ fn multi_get_accounting() {
 
 /// `get` is a batch of one: on two identically built databases whose
 /// keys are spread over the live memtable, two immutable memtables, L0
-/// and a deeper level — overwrites, tombstones, TTL-expired values and
-/// never-written keys among them, block cache cold — a loop of `get`s
+/// and a deeper level — overwrites, tombstones and never-written keys
+/// among them, block cache cold — a loop of `get`s
 /// and a loop of one-key `multi_get`s return the same values, move the
 /// simulated clock by the same amount and tick every counter alike,
 /// except the ones that name the entry point.
@@ -104,31 +104,24 @@ fn get_and_one_key_multi_get_charge_alike() {
             target_file_size_base: 64 << 10,
             max_bytes_for_level_base: 256 << 10,
             bloom_filter_bits_per_key: 10.0,
-            ttl_seconds: 1_000,
             // Hold flushes back so immutable memtables pile up.
             max_write_buffer_number: 6,
             min_write_buffer_number_to_merge: 4,
             ..Options::default()
         };
         let db = Db::builder(opts).env(&env).open().unwrap();
-        // Deeper level: by the time of the reads the first half's stamps
-        // are past the TTL, the second half's are not.
-        let age = || env.clock().advance(hw_sim::SimDuration::from_secs_f64(600.0));
+        // Deeper level.
         for i in 0..3_000u32 {
-            if i == 1_500 {
-                age();
-            }
             db.put(&key(i), &value(i)).unwrap();
         }
         db.flush().unwrap();
         db.compact_range(b"", b"\xff").unwrap();
         db.wait_background_idle().unwrap();
-        age();
         // L0: fresh values and tombstones over a slice of the old keys.
         for i in (0..3_000u32).step_by(5) {
             db.put(&key(i), b"fresh-in-l0").unwrap();
         }
-        for i in (1..3_000u32).step_by(30) {
+        for i in (0..3_000u32).step_by(30) {
             db.delete(&key(i)).unwrap();
         }
         db.flush().unwrap();

@@ -11,10 +11,8 @@ use lsm_kvs::options::{CompressionType, Options};
 use lsm_kvs::sstable::block::{Block, BlockBuilder};
 use lsm_kvs::sstable::compress;
 use lsm_kvs::vfs::{MemVfs, Vfs};
-use lsm_kvs::wal::replay_wal;
 use lsm_kvs::{
     Db, InternalKey, KeyRanges, MemTable, MemTableCursor, ReadOptions, ValueType, WriteBatch,
-    WriteOptions,
 };
 
 fn key_strategy() -> impl Strategy<Value = Vec<u8>> {
@@ -80,14 +78,14 @@ proptest! {
     /// keys of 0 to 40 bytes, many sharing prefixes, straddle the length
     /// up to which a key can be stored inline; values of 0 and 1 bytes,
     /// small ones, and sizes around a 64 KiB chunk straddle the edges of
-    /// any chunked value store. Deletions, TTL-stamped values and several
-    /// versions per key; point reads at random snapshots, the full view,
-    /// cursors from random targets and the byte accounting all agree.
+    /// any chunked value store. Deletions and several versions per key;
+    /// point reads at random snapshots, the full view, cursors from random
+    /// targets (the seek type among them) and the byte accounting all agree.
     #[test]
     fn memtable_matches_model(
         base in vec(0u8..4, 40),
         pool in vec((0usize..41, any::<u8>(), any::<bool>()), 1..12),
-        ops in vec((any::<usize>(), 0u8..3, 0usize..16, any::<u8>()), 1..200),
+        ops in vec((any::<usize>(), 0u8..2, 0usize..16, any::<u8>()), 1..200),
         probes in vec((any::<usize>(), any::<u64>(), 0u8..3), 1..24),
     ) {
         const CHUNK: usize = 64 << 10;
@@ -122,9 +120,6 @@ proptest! {
                         v[at] = *b;
                         let end = v.len() - 1 - at;
                         v[end] = *b;
-                    }
-                    if ty == ValueType::TtlValue {
-                        v.extend_from_slice(&(seq * 1_000).to_le_bytes());
                     }
                     v
                 }
@@ -370,55 +365,38 @@ fn encode_record(first_seq: u64, ops: &[Op]) -> Vec<u8> {
     out
 }
 
-/// Writes `batch` synced into a fresh simulated database with TTL on and
-/// returns the one record its WAL then holds, as a batch.
-fn logged_with_ttl(batch: WriteBatch) -> WriteBatch {
-    let env = hw_sim::HardwareEnv::builder().build_sim();
-    let vfs = Arc::new(MemVfs::new());
-    let opts = Options { ttl_seconds: 3_600, ..Options::default() };
-    let db = Db::builder(opts).env(&env).vfs(vfs.clone()).open().unwrap();
-    db.write_opt(&WriteOptions::synced(), batch).unwrap();
-    let mut records = Vec::new();
-    for name in vfs.list("").unwrap() {
-        if name.ends_with(".log") {
-            records.extend(replay_wal(&vfs.read_all(&name).unwrap(), true).unwrap().records);
-        }
-    }
-    assert_eq!(records.len(), 1, "one write, one record");
-    WriteBatch::from_record(records.pop().unwrap()).unwrap()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// A batch is its record: whatever mix of puts, deletes and stamped
-    /// entries it holds, every reader of it sees the same list.
+    /// A batch is its record: whatever mix of puts and deletes it holds,
+    /// every reader of it sees the same list.
     #[test]
     fn batch_is_its_record(
-        raw in vec((0u8..3, vec(any::<u8>(), 0..40), vec(any::<u8>(), 0..300)), 0..24),
+        raw in vec((any::<bool>(), vec(any::<u8>(), 0..40), vec(any::<u8>(), 0..300)), 0..24),
         splits in btree_map(vec(any::<u8>(), 1..3), any::<bool>(), 0..5),
         first_seq in 0u64..(1 << 56),
     ) {
         let model: Vec<Op> = raw
             .into_iter()
-            .map(|(kind, key, value)| match kind {
-                0 => (ValueType::Deletion, key, Vec::new()),
-                1 => (ValueType::Value, key, value),
-                _ => (ValueType::TtlValue, key, [&value[..], &7u64.to_le_bytes()].concat()),
+            .map(|(put, key, value)| {
+                if put {
+                    (ValueType::Value, key, value)
+                } else {
+                    (ValueType::Deletion, key, Vec::new())
+                }
             })
             .collect();
 
         // put/delete append exactly the record's bytes.
-        let plain: Vec<Op> = model.iter().filter(|op| op.0 != ValueType::TtlValue).cloned().collect();
         let mut built = WriteBatch::new();
-        for (ty, key, value) in &plain {
+        for (ty, key, value) in &model {
             match ty {
                 ValueType::Deletion => built.delete(key),
                 _ => built.put(key, value),
             };
         }
-        prop_assert_eq!(&built.record()[8..], &encode_record(0, &plain)[8..]);
-        prop_assert_eq!(ops_of(&built), plain);
+        prop_assert_eq!(&built.record()[8..], &encode_record(0, &model)[8..]);
+        prop_assert_eq!(ops_of(&built), model.clone());
 
         // decode round-trips: same list, same bytes, same size estimate.
         let record = encode_record(first_seq, &model);
@@ -437,26 +415,6 @@ proptest! {
         for (idx, part) in parts.iter().enumerate() {
             let want: Vec<Op> = model.iter().filter(|op| ranges.route(&op.1) == idx).cloned().collect();
             prop_assert_eq!(ops_of(part), want, "range {}", idx);
-        }
-
-        // Stamping (what a write does while TTL is on, seen in the WAL it
-        // leaves) turns puts into stamped puts and nothing else, and a
-        // stamped batch written again is logged as it is.
-        if !model.is_empty() {
-            let stamped = logged_with_ttl(batch);
-            let got = ops_of(&stamped);
-            prop_assert_eq!(got.len(), model.len());
-            for ((ty, key, value), (was, was_key, was_value)) in got.iter().zip(&model) {
-                prop_assert_eq!(key, was_key);
-                if *was == ValueType::Value {
-                    prop_assert_eq!(*ty, ValueType::TtlValue);
-                    prop_assert_eq!(&value[..value.len() - 8], &was_value[..]);
-                } else {
-                    prop_assert_eq!((ty, value), (was, was_value), "tombstones and stamps pass through");
-                }
-            }
-            let again = logged_with_ttl(stamped.clone());
-            prop_assert_eq!(again.record(), stamped.record());
         }
     }
 }

@@ -21,10 +21,7 @@
 
 use std::io::{self, Read, Write};
 
-use lsm_kvs::{
-    DbStats, Error, ErrorKind, Result, TickerSnapshot, ValueType, WriteBatch,
-    TICKER_NAMES,
-};
+use lsm_kvs::{DbStats, Error, ErrorKind, Result, TickerSnapshot, WriteBatch, TICKER_NAMES};
 
 /// Upper bound on one frame's payload. Large enough for a sizable
 /// write batch, small enough that a corrupt length prefix cannot make
@@ -134,7 +131,7 @@ pub enum Request {
     Batch {
         /// Durable-ack flag.
         sync: bool,
-        /// Puts and deletes only: a client does not send stamped entries.
+        /// The operations.
         batch: WriteBatch,
     },
     /// Forward scan from `start` for up to `count` live entries.
@@ -447,13 +444,7 @@ impl Request {
             }
             op::BATCH => {
                 let sync = c.u8()? & FLAG_SYNC != 0;
-                let batch = WriteBatch::decode(c.rest())?;
-                // A client writes values and tombstones. A stamped entry
-                // is engine state; only the replica port carries it.
-                if batch.iter().any(|(ty, ..)| ty == ValueType::TtlValue) {
-                    return Err(Error::corruption("batch: stamped entry in a client batch"));
-                }
-                Request::Batch { sync, batch }
+                Request::Batch { sync, batch: WriteBatch::decode(c.rest())? }
             }
             op::RETIRED_BATCH => {
                 return Err(Error::corruption(format!(
@@ -1126,32 +1117,6 @@ mod tests {
         let mut unknown = full.clone();
         unknown[FIRST_TYPE] = 7;
         refused(&unknown, "an entry type nobody writes");
-    }
-
-    /// A stamped entry is engine state. The same record is a fine
-    /// `Replicate` payload (the replica port's follower accepts it with
-    /// `WriteBatch::from_record`) and a refused client batch: the type
-    /// travels verbatim and the server says no, where the client used to
-    /// turn it into a plain put of the stamp-suffixed bytes.
-    #[test]
-    fn stamped_entries_cross_the_replica_port_only() {
-        let mut record = vec![0u8; 8];
-        record.extend_from_slice(&1u32.to_le_bytes());
-        record.extend_from_slice(&[ValueType::TtlValue as u8, 1, b'k', 9, b'v']);
-        record.extend_from_slice(&1234u64.to_le_bytes());
-        let stamped = WriteBatch::decode(&record).unwrap();
-
-        let shipped = Request::Replicate { first_seq: 1, sync: false, records: vec![record.clone()] };
-        let Request::Replicate { records, .. } = Request::decode(&shipped.encode()).unwrap() else {
-            panic!("a Replicate frame decodes as one");
-        };
-        assert_eq!(WriteBatch::from_record(records[0].clone()).unwrap(), stamped);
-
-        let from_client = Request::Batch { sync: false, batch: stamped }.encode();
-        assert_eq!(from_client[2..], record[..], "the type travels verbatim");
-        let err = Request::decode(&from_client).unwrap_err();
-        assert_eq!(err.kind(), ErrorKind::Corruption);
-        assert!(err.message().contains("stamped"), "{err}");
     }
 
     /// Mixed-version peers refuse each other's batch frames by name: the

@@ -412,8 +412,8 @@ fn interrupted_bootstrap_parks_wipes_and_rebootstraps() {
 /// The replication stream is the WAL's records, and neither moved when
 /// `WriteBatch` became its own record: a `Replicate` frame written out
 /// byte by byte in the format the previous release shipped (a put and a
-/// delete in one record, a TTL-stamped put in the next) is applied by the
-/// follower as it is, and lands in the follower's WAL byte for byte.
+/// delete in one record, a put in the next) is applied by the follower as
+/// it is, and lands in the follower's WAL byte for byte.
 #[test]
 fn follower_applies_a_hand_written_replicate_frame_unchanged() {
     use lsm_kvs::wal::replay_wal;
@@ -424,8 +424,7 @@ fn follower_applies_a_hand_written_replicate_frame_unchanged() {
     first.extend_from_slice(&[0, 4, b'g', b'o', b'n', b'e', 0]);
     let mut second = 3u64.to_le_bytes().to_vec(); // first_seq 3
     second.extend_from_slice(&1u32.to_le_bytes());
-    second.extend_from_slice(&[2, 1, b't', 9, b'v']); // TtlValue: value ++ stamp
-    second.extend_from_slice(&1234u64.to_le_bytes());
+    second.extend_from_slice(&[1, 1, b't', 1, b'v']);
     let mut payload = vec![15u8]; // op::REPLICATE
     payload.extend_from_slice(&1u64.to_le_bytes()); // first_seq of the group
     payload.push(1); // synced
@@ -455,7 +454,7 @@ fn follower_applies_a_hand_written_replicate_frame_unchanged() {
     assert_eq!(fdb.snapshot_seq(), 3);
     assert_eq!(fdb.get(b"key").unwrap(), Some(b"value".to_vec()));
     assert_eq!(fdb.get(b"gone").unwrap(), None);
-    assert_eq!(fdb.get(b"t").unwrap(), Some(b"v".to_vec()), "the stamp is not the user's bytes");
+    assert_eq!(fdb.get(b"t").unwrap(), Some(b"v".to_vec()));
 
     let mut logged = Vec::new();
     for name in vfs.list("").unwrap() {
