@@ -313,6 +313,21 @@ mod tests {
         assert_eq!(ops[1].1, b"a");
     }
 
+    /// An entry of type 2 (what a build with TTL wrote for a stamped
+    /// put) is refused as unsupported, not as corruption: a WAL that holds
+    /// one fails the open instead of losing the record as a torn tail.
+    #[test]
+    fn a_stamped_entry_is_refused_as_unsupported() {
+        let mut b = WriteBatch::new();
+        b.put(b"k", b"v");
+        let mut record = b.record().to_vec();
+        record[HEADER] = ValueType::TtlValue as u8;
+        for err in [WriteBatch::decode(&record).unwrap_err(), WriteBatch::from_record(record).unwrap_err()] {
+            assert_eq!(err.kind(), crate::ErrorKind::NotSupported, "{err}");
+            assert!(err.message().contains("stamped TTL values"), "{err}");
+        }
+    }
+
     #[test]
     fn approximate_bytes_scales_with_content() {
         let mut small = WriteBatch::new();

@@ -1,8 +1,9 @@
 //! Retired features stay retired: tables written with the partitioned
-//! index or the prefix filter are refused through the whole read path, no
-//! document or CI gate still passes a knob the registry dropped, the
-//! documented list of options the engine ignores is the true one, and the
-//! hardware model is named by the simulator's module alone.
+//! index or the prefix filter, and WAL records and tables holding values
+//! stamped for TTL, are refused through the whole read path, no document
+//! or CI gate still passes a knob the registry dropped, the documented
+//! list of options the engine ignores is the true one, and the hardware
+//! model is named by the simulator's module alone.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -11,7 +12,11 @@ use std::sync::Arc;
 use hw_sim::HardwareEnv;
 use lsm_kvs::options::registry::{all_options, find_option};
 use lsm_kvs::options::Options;
-use lsm_kvs::{Db, ErrorKind, MemVfs, Vfs};
+use lsm_kvs::sstable::table::TableConfig;
+use lsm_kvs::wal::{replay_wal, WalWriter};
+use lsm_kvs::{
+    build_l0_table, Db, ErrorKind, FileNumber, FilterContext, MemTable, MemVfs, ValueType, Vfs,
+};
 
 /// A table whose footer word says "partitioned index" or "prefix-only
 /// filter" must surface as an error from `get` and `scan`. Read as a flat
@@ -44,6 +49,82 @@ fn db_reads_refuse_a_table_with_a_retired_footer_word() {
         let err = db.scan(b"", 10).expect_err("scan must not skip the table");
         assert_eq!(err.kind(), ErrorKind::NotSupported, "word {word:#x}: {err}");
     }
+}
+
+/// Opens a database on `vfs`, puts `key` = `value` as its first write
+/// (sequence 1), and closes it again.
+fn one_put(vfs: &Arc<dyn Vfs>, env: &HardwareEnv) {
+    let db = Db::builder(Options::default()).env(env).vfs(Arc::clone(vfs)).open().unwrap();
+    db.put(b"key", b"value").unwrap();
+}
+
+/// The files on `vfs` whose names end in `suffix`.
+fn files(vfs: &dyn Vfs, suffix: &str) -> Vec<String> {
+    vfs.list("").unwrap().into_iter().filter(|f| f.ends_with(suffix)).collect()
+}
+
+/// A WAL record whose entry has type 2, a put an older build stamped with
+/// its write time, is intact (its CRC holds), so dropping it as a torn
+/// tail would lose an acknowledged write: the open fails instead, named,
+/// and leaves the log as it found it.
+#[test]
+fn open_refuses_a_wal_record_holding_a_stamped_entry() {
+    let vfs: Arc<dyn Vfs> = Arc::new(MemVfs::new());
+    let env = HardwareEnv::builder().build_sim();
+    one_put(&vfs, &env);
+    let logs: Vec<String> =
+        files(&*vfs, ".log").into_iter().filter(|f| !vfs.read_all(f).unwrap().is_empty()).collect();
+    assert_eq!(logs.len(), 1, "one log holds the put: {logs:?}");
+    let mut records = replay_wal(&vfs.read_all(&logs[0]).unwrap(), true).unwrap().records;
+    assert_eq!(records.len(), 1);
+    // Header (sequence, count), then the entry's type byte.
+    assert_eq!(records[0][12], ValueType::Value as u8);
+    records[0][12] = ValueType::TtlValue as u8;
+    records[0].extend_from_slice(&0u64.to_le_bytes());
+    records[0][12 + 1 + 1 + 3] += 8; // the value's length: "value" and the stamp
+    let mut log = WalWriter::new(vfs.create(&logs[0]).unwrap());
+    log.add_record(&records[0]).unwrap();
+    log.sync().unwrap();
+
+    for attempt in 0..2 {
+        let open = Db::builder(Options::default()).env(&env).vfs(Arc::clone(&vfs)).open();
+        let err = open.expect_err("an intact record the build cannot read fails the open");
+        assert_eq!(err.kind(), ErrorKind::NotSupported, "attempt {attempt}: {err}");
+        assert!(err.message().contains("stamped TTL values"), "{err}");
+        let kept = replay_wal(&vfs.read_all(&logs[0]).unwrap(), true).unwrap();
+        assert_eq!((kept.records, kept.torn_tail), (records.clone(), false), "attempt {attempt}");
+    }
+}
+
+/// A table holding a stamped entry must surface as an error from `get`,
+/// `scan` and a compaction: read as a plain value the stamp would reach
+/// the user as part of the value, and a merge would carry it on.
+#[test]
+fn db_refuses_a_table_holding_a_stamped_entry() {
+    let vfs: Arc<dyn Vfs> = Arc::new(MemVfs::new());
+    let env = HardwareEnv::builder().build_sim();
+    {
+        one_put(&vfs, &env);
+        let db = Db::builder(Options::default()).env(&env).vfs(Arc::clone(&vfs)).open().unwrap();
+        db.flush().unwrap();
+        db.wait_background_idle().unwrap();
+    }
+    let tables = files(&*vfs, ".sst");
+    assert_eq!(tables.len(), 1, "one L0 file: {tables:?}");
+    let number = FileNumber(tables[0].trim_end_matches(".sst").parse().unwrap());
+    // The same entry as an older build with TTL on wrote it.
+    let mem = MemTable::new(0);
+    mem.add(1, ValueType::TtlValue, b"key", &[&b"value"[..], &0u64.to_le_bytes()].concat());
+    let (config, pins) = (TableConfig::default(), FilterContext::default());
+    build_l0_table(&*vfs, number, &[Arc::new(mem)], &config, &pins).unwrap();
+
+    let db = Db::builder(Options::default()).env(&env).vfs(vfs).open().unwrap();
+    let err = db.get(b"key").expect_err("get must not answer with the stamp");
+    assert_eq!(err.kind(), ErrorKind::NotSupported, "{err}");
+    let err = db.scan(b"", 10).expect_err("scan must not answer with the stamp");
+    assert_eq!(err.kind(), ErrorKind::NotSupported, "{err}");
+    let err = db.compact_range(b"", b"\xff").expect_err("compaction must not carry the stamp on");
+    assert_eq!(err.kind(), ErrorKind::NotSupported, "{err}");
 }
 
 /// Every `--option NAME=` in the README and in ci.sh names a registered

@@ -466,6 +466,44 @@ fn follower_applies_a_hand_written_replicate_frame_unchanged() {
     drop(fh);
 }
 
+/// A `Replicate` frame whose record holds an entry of type 2 (a put an
+/// older leader stamped with its write time for TTL) is refused: the
+/// follower applies nothing from it, acks nothing and drops the stream.
+#[test]
+fn follower_refuses_a_replicate_frame_holding_a_stamped_entry() {
+    let mut record = 1u64.to_le_bytes().to_vec(); // first_seq 1
+    record.extend_from_slice(&1u32.to_le_bytes());
+    record.extend_from_slice(&[2, 1, b't', 9, b'v']); // type 2: value ++ stamp
+    record.extend_from_slice(&1234u64.to_le_bytes());
+    let mut payload = vec![15u8]; // op::REPLICATE
+    payload.extend_from_slice(&1u64.to_le_bytes());
+    payload.push(1);
+    payload.extend_from_slice(&1u32.to_le_bytes());
+    payload.extend_from_slice(&(record.len() as u32).to_le_bytes());
+    payload.extend_from_slice(&record);
+
+    let fake = TcpListener::bind("127.0.0.1:0").unwrap();
+    let fake_addr = fake.local_addr().unwrap().to_string();
+    let frame = lsm_server::protocol::frame(&payload);
+    let fake_thread = std::thread::spawn(move || {
+        use std::io::Read;
+        let (mut s, _) = fake.accept().unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut hello = [0u8; 4 + 9];
+        s.read_exact(&mut hello).unwrap();
+        s.write_all(&frame).unwrap();
+        let mut rest = Vec::new();
+        s.read_to_end(&mut rest).unwrap();
+        rest
+    });
+
+    let (fdb, fh) = start_follower_db(Arc::new(MemVfs::new()), &fake_addr);
+    assert_eq!(fake_thread.join().unwrap(), Vec::<u8>::new(), "closed without an ack");
+    assert_eq!(fdb.snapshot_seq(), 0);
+    assert_eq!(fdb.get(b"t").unwrap(), None);
+    drop(fh);
+}
+
 /// A restarted leader (committed state on disk, empty replay ring)
 /// refuses a `have_seq` it cannot serve with an explicit ReplicaReject
 /// instead of registering a session that can only gap-break and redial

@@ -70,6 +70,37 @@ fn end_to_end_ops_roundtrip() {
     drop(handle);
 }
 
+/// A `Batch` frame whose record holds an entry of type 2 (a put an older
+/// build stamped with its write time for TTL) is refused by name, the
+/// connection is closed, and nothing is written.
+#[test]
+fn a_batch_frame_holding_a_stamped_entry_is_refused() {
+    let (handle, addr) = start_db_server(Options::default(), Arc::new(MemVfs::new()));
+    let mut payload = vec![op::BATCH, 0];
+    payload.extend_from_slice(&0u64.to_le_bytes()); // first_seq
+    payload.extend_from_slice(&1u32.to_le_bytes()); // one entry
+    payload.extend_from_slice(&[2, 1, b'k', 9, b'v']); // type 2: value ++ stamp
+    payload.extend_from_slice(&1234u64.to_le_bytes());
+
+    let mut s = TcpStream::connect(&addr).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    s.write_all(&frame(&payload)).unwrap();
+    let mut answer = Vec::new();
+    use std::io::Read;
+    s.read_to_end(&mut answer).unwrap();
+    let batch = Request::Batch { sync: false, batch: WriteBatch::new() };
+    let Ok(Response::Err(err)) = Response::decode(&batch, &answer[4..]) else {
+        panic!("an error frame, then close: {answer:?}");
+    };
+    assert_eq!(err.kind(), lsm_kvs::ErrorKind::NotSupported, "{err}");
+    assert!(err.message().contains("stamped TTL values"), "{err}");
+
+    let client = RemoteDb::connect(&addr).unwrap();
+    assert_eq!(client.get(b"k").unwrap(), None, "nothing was written");
+    assert_eq!(handle.stats().protocol_errors.load(Ordering::Relaxed), 1);
+    drop(handle);
+}
+
 #[test]
 fn sharded_engine_serves_identically() {
     let env = wall_env();
