@@ -678,8 +678,8 @@ impl MemTable {
         let entries = self.entries.read();
         let key = entries.keys.get(entries.find(user_key, hash)?);
         let entry = entries.entry(key, entries.version_at_or_below(key, seek_tag)?);
-        let ty = ValueType::from_u8(entries.arena.tag(&entry, key.len) as u8);
-        let ty = ty.expect("memtable keys are valid");
+        let ty = ValueType::of_tag(entries.arena.tag(&entry, key.len) as u8);
+        let ty = ty.expect("`add` stored a `ValueType`");
         Some((ty, entries.bytes(key, &entry).1.to_vec()))
     }
 
@@ -1000,6 +1000,17 @@ mod tests {
         assert_eq!(cursor.value(), Some(&b"b2"[..]));
         cursor.advance();
         assert_eq!(cursor.key(), None);
+    }
+
+    /// `get` hands back the type `add` was given, type 2 included: the
+    /// engine never writes it, but `add` takes any `ValueType`.
+    #[test]
+    fn get_returns_the_type_add_was_given() {
+        let mt = MemTable::new(0);
+        for (seq, ty) in [(1, ValueType::Deletion), (2, ValueType::Value), (3, ValueType::TtlValue)] {
+            mt.add(seq, ty, b"k", b"v");
+            assert_eq!(mt.get(b"k", seq), Some((ty, b"v".to_vec())));
+        }
     }
 
     /// The index starts small and doubles when the keys outgrow it, and

@@ -134,7 +134,7 @@ impl Cursor for MergingCursor<'_> {
 
 /// The snapshot pins handed to one flush or compaction job: the
 /// sequences of every snapshot pinned (see `Db::pin_snapshot`) when the
-/// job was claimed. The default, no pins, is the engine's historic merge.
+/// job was claimed. The default holds none.
 #[derive(Debug, Clone, Default)]
 pub struct FilterContext {
     /// Pinned snapshot sequences, sorted ascending.

@@ -42,6 +42,16 @@ impl ValueType {
         }
     }
 
+    /// The type of a tag this process built from a `ValueType` (an
+    /// internal key, a memtable entry): a written type, or 2, the seek
+    /// sentinel. `None` only for a byte no `ValueType` has.
+    pub(crate) fn of_tag(b: u8) -> Option<ValueType> {
+        match b {
+            2 => Some(ValueType::TtlValue),
+            b => ValueType::from_u8(b),
+        }
+    }
+
     /// Whether this entry carries user data (as opposed to a tombstone).
     pub fn is_value(self) -> bool {
         !matches!(self, ValueType::Deletion)
@@ -123,7 +133,7 @@ impl InternalKey {
     /// Panics if the tag byte is not a valid [`ValueType`] (possible only
     /// on corrupted input that bypassed [`InternalKey::decode`]).
     pub fn value_type(&self) -> ValueType {
-        ValueType::from_u8((self.tag() & 0xff) as u8).expect("valid value type tag")
+        ValueType::of_tag((self.tag() & 0xff) as u8).expect("valid value type tag")
     }
 
     fn tag(&self) -> u64 {
@@ -210,6 +220,9 @@ mod tests {
         let lk = lookup_key(b"k", MAX_SEQUENCE);
         let entry = InternalKey::new(b"k", 1_000_000, ValueType::Value);
         assert_eq!(internal_key_cmp(lk.encoded(), entry.encoded()), Ordering::Less);
+        // The seek sentinel reads back from a key, and is no written type.
+        assert_eq!(lk.value_type(), ValueType::TtlValue);
+        assert_eq!(ValueType::from_u8(2), None);
     }
 
     #[test]
