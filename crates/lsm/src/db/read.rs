@@ -594,18 +594,17 @@ mod tests {
         assert_eq!(db.scan_opt(&no_verify, b"key-00000", 3).unwrap().len(), 3);
     }
 
-    /// `ttl_seconds` is accepted, at open and online, for option-file
-    /// compatibility, and changes nothing: a value outlives any TTL on
-    /// every read path and through a bottommost rewrite.
+    /// `ttl_seconds` set at open is accepted for option-file
+    /// compatibility and changes nothing: a value outlives any TTL on
+    /// every read path and through a flush plus bottommost rewrite.
     #[test]
-    fn ttl_seconds_is_accepted_and_expires_nothing() {
+    fn ttl_seconds_at_open_expires_nothing_on_reads_or_compaction() {
         let env = env();
         let mut opts = small_opts();
         opts.ttl_seconds = 10;
         let db = Db::builder(opts).env(&env).open().unwrap();
         db.put(b"k", b"v").unwrap();
         env.clock().advance(hw_sim::SimDuration::from_secs_f64(100.0));
-        db.set_options(&[("ttl_seconds", "50")]).unwrap();
         assert_eq!(db.get(b"k").unwrap(), Some(b"v".to_vec()));
 
         db.flush().unwrap();
@@ -614,5 +613,33 @@ mod tests {
         assert_eq!(db.get(b"k").unwrap(), Some(b"v".to_vec()));
         assert_eq!(db.multi_get(&[b"k".to_vec()]).unwrap(), vec![Some(b"v".to_vec())]);
         assert_eq!(db.scan(b"", 10).unwrap(), vec![(b"k".to_vec(), b"v".to_vec())]);
+    }
+
+    /// `ttl_seconds` set online is accepted and, like a zero TTL,
+    /// expires nothing, written before or after the change.
+    #[test]
+    fn ttl_seconds_set_online_is_accepted_and_expires_nothing() {
+        let env = env();
+        let db = Db::builder(small_opts()).env(&env).open().unwrap();
+        db.put(b"old", b"v").unwrap();
+        db.set_options(&[("ttl_seconds", "50")]).unwrap();
+        db.put(b"new", b"w").unwrap();
+        env.clock().advance(hw_sim::SimDuration::from_secs_f64(100.0));
+        assert_eq!(db.get(b"old").unwrap(), Some(b"v".to_vec()));
+        assert_eq!(db.get(b"new").unwrap(), Some(b"w".to_vec()));
+
+        db.flush().unwrap();
+        db.compact_range(b"", b"\xff").unwrap();
+        db.wait_background_idle().unwrap();
+        db.set_options(&[("ttl_seconds", "0")]).unwrap();
+        let both = vec![
+            (b"new".to_vec(), b"w".to_vec()),
+            (b"old".to_vec(), b"v".to_vec()),
+        ];
+        assert_eq!(db.scan(b"", 10).unwrap(), both);
+        assert_eq!(
+            db.multi_get(&[b"old".to_vec(), b"new".to_vec()]).unwrap(),
+            vec![Some(b"v".to_vec()), Some(b"w".to_vec())]
+        );
     }
 }
