@@ -3,10 +3,17 @@
 //! Encodes the heuristics an LLM absorbs from RocksDB tuning guides,
 //! blog posts, and source code — the paper observes that "the model
 //! responds in patterns similar to online blogs, preferring the same
-//! configuration options". Values oscillate across iterations the way
-//! GPT-4 does in the paper's Table 5 (experimenting, then settling).
+//! configuration options". Each piece of advice is one row of [`RULES`]:
+//! the option, when the advice applies, its value, how early it is
+//! suggested and why. Some values cycle with the iteration number, the
+//! way GPT-4 keeps experimenting across the iterations of the paper's
+//! Table 5; they repeat their cycle and never settle.
+
+use std::ops::RangeInclusive;
 
 use crate::expert::attention::{PromptFacts, WorkloadClass};
+use Value::{Cycle, Derived};
+use WorkloadClass::{Mixed, ReadHeavy, WriteHeavy};
 
 /// One recommended option change.
 #[derive(Debug, Clone)]
@@ -21,237 +28,231 @@ pub struct Recommendation {
     pub priority: u8,
 }
 
-fn rec(name: &str, value: impl Into<String>, rationale: &str, priority: u8) -> Recommendation {
-    Recommendation {
-        name: name.to_string(),
-        value: value.into(),
-        rationale: rationale.to_string(),
-        priority,
+/// What the rules judge a prompt by: its facts, with the expert's
+/// assumptions, made here only, for the ones it leaves unstated: 4
+/// cores, 8 GiB of RAM, flash storage, and iteration 1 for an unstated
+/// or zero iteration.
+#[derive(Debug, Clone, Copy)]
+pub struct Situation {
+    workload: WorkloadClass,
+    pub(crate) cores: u64,
+    pub(crate) mem_gib: f64,
+    rotational: bool,
+    iteration: u64,
+}
+
+impl Situation {
+    /// The prompt's facts, with the unstated ones assumed.
+    pub fn of(facts: &PromptFacts) -> Situation {
+        Situation {
+            workload: facts.workload,
+            cores: facts.cores.unwrap_or(4),
+            mem_gib: facts.mem_gib.unwrap_or(8.0),
+            rotational: facts.rotational.unwrap_or(false),
+            iteration: facts.iteration.max(1),
+        }
+    }
+
+    /// The entry of `cycle` this iteration takes: the first at iteration
+    /// 1, then each in turn, wrapping around.
+    fn pick<T: Copy>(&self, cycle: &[T]) -> T {
+        cycle[((self.iteration - 1) % cycle.len() as u64) as usize]
+    }
+
+    /// Background slots for the cores: two more than there are, 2 to 8.
+    fn background_jobs(&self) -> u64 {
+        (self.cores + 2).clamp(2, 8)
     }
 }
 
-/// Produces the full, ordered recommendation list for the observed
-/// system. The policy layer filters against current values, caps the
-/// count, and applies quirks.
-pub fn recommend(facts: &PromptFacts) -> Vec<Recommendation> {
-    let cores = facts.cores.unwrap_or(4);
-    let mem_gib = facts.mem_gib.unwrap_or(8.0);
-    let rotational = facts.rotational.unwrap_or(false);
-    let iter = facts.iteration.max(1);
-    // Oscillation helpers: the expert "experiments" across iterations.
-    let osc = |a: &str, b: &str| if iter % 2 == 1 { a.to_string() } else { b.to_string() };
-    let mut out = Vec::new();
+/// When a rule fires: every field must hold.
+#[derive(Debug, Clone)]
+pub struct Cond {
+    /// The workload classes the advice serves.
+    pub classes: &'static [WorkloadClass],
+    /// Only on a rotational device.
+    pub rotational: bool,
+    /// The core counts it applies at.
+    pub cores: RangeInclusive<u64>,
+    /// `Some(true)`: only with at most 4 GiB of RAM; `Some(false)`: only
+    /// with more.
+    pub small_memory: Option<bool>,
+    /// The first iteration it fires at.
+    pub from_iteration: u64,
+}
 
+impl Cond {
+    /// Whether the rule fires in `situation`.
+    pub fn holds(&self, situation: &Situation) -> bool {
+        self.classes.contains(&situation.workload)
+            && (situation.rotational || !self.rotational)
+            && self.cores.contains(&situation.cores)
+            && self.small_memory.is_none_or(|small| small == (situation.mem_gib <= 4.0))
+            && situation.iteration >= self.from_iteration
+    }
+}
+
+/// How a rule states its value.
+#[derive(Debug, Clone, Copy)]
+pub enum Value {
+    /// One value per iteration, taken in turn and wrapping around; a
+    /// one-value cycle is a fixed value.
+    Cycle(&'static [&'static str]),
+    /// Computed from the situation: a value that scales with the host's
+    /// cores or memory.
+    Derived(fn(&Situation) -> String),
+}
+
+impl Value {
+    /// The value stated in `situation`.
+    pub fn at(&self, situation: &Situation) -> String {
+        match self {
+            Cycle(cycle) => situation.pick(cycle).to_string(),
+            Derived(derive) => derive(situation),
+        }
+    }
+}
+
+/// One piece of tuning advice.
+#[derive(Debug, Clone)]
+pub struct Rule {
+    /// The option it sets (RocksDB-compatible name).
+    pub option: &'static str,
+    /// When it fires.
+    pub when: Cond,
+    /// The value it proposes.
+    pub value: Value,
+    /// Higher = suggested earlier.
+    pub priority: u8,
+    /// One-line rationale included in the response prose.
+    pub rationale: &'static str,
+}
+
+/// Any workload, host and iteration.
+const ALWAYS: Cond = Cond {
+    classes: &[WriteHeavy, ReadHeavy, Mixed],
+    rotational: false,
+    cores: 0..=u64::MAX,
+    small_memory: None,
+    from_iteration: 1,
+};
+/// The write path's advice: write-heavy and mixed workloads.
+const WRITES: Cond = Cond { classes: &[WriteHeavy, Mixed], ..ALWAYS };
+/// The read path's advice: read-heavy and mixed workloads.
+const READS: Cond = Cond { classes: &[ReadHeavy, Mixed], ..ALWAYS };
+
+/// Everything the expert knows, one row per piece of advice: the option
+/// and its priority, when it fires and the value it proposes, and why.
+pub static RULES: &[Rule] = &[
     // ---- Universal background parallelism (every blog's first advice) ----
-    let jobs = (cores + 2).clamp(2, 8);
-    out.push(rec(
-        "max_background_jobs",
-        (jobs - (iter % 2)).max(2).to_string(),
-        "scale background parallelism to the CPU budget",
-        9,
-    ));
-    out.push(rec(
-        "max_background_compactions",
-        ((jobs * 3) / 4 + iter % 2).max(2).to_string(),
-        "allow compactions to run concurrently",
-        8,
-    ));
-    out.push(rec(
-        "max_background_flushes",
-        (2 - (iter % 2)).max(1).to_string(),
-        "dedicated flush slots prevent memtable backlog",
-        7,
-    ));
-    out.push(rec(
-        "dump_malloc_stats",
-        "false",
-        "allocator stat dumps add overhead with no tuning benefit",
-        3,
-    ));
-    if cores < 4 {
-        out.push(rec(
-            "enable_pipelined_write",
-            "false",
-            "pipelined writes add coordination overhead on few cores",
-            4,
-        ));
-    }
-
-    let write_side = matches!(facts.workload, WorkloadClass::WriteHeavy | WorkloadClass::Mixed);
-    let read_side = matches!(facts.workload, WorkloadClass::ReadHeavy | WorkloadClass::Mixed);
-
+    Rule { option: "max_background_jobs", priority: 9,
+        when: ALWAYS, value: Derived(|s| (s.background_jobs() - s.pick(&[1, 0])).max(2).to_string()),
+        rationale: "scale background parallelism to the CPU budget" },
+    Rule { option: "max_background_compactions", priority: 8,
+        when: ALWAYS, value: Derived(|s| (s.background_jobs() * 3 / 4 + s.pick(&[1, 0])).max(2).to_string()),
+        rationale: "allow compactions to run concurrently" },
+    Rule { option: "max_background_flushes", priority: 7,
+        when: ALWAYS, value: Cycle(&["1", "2"]),
+        rationale: "dedicated flush slots prevent memtable backlog" },
+    Rule { option: "dump_malloc_stats", priority: 3,
+        when: ALWAYS, value: Cycle(&["false"]),
+        rationale: "allocator stat dumps add overhead with no tuning benefit" },
+    Rule { option: "enable_pipelined_write", priority: 4,
+        when: Cond { cores: 0..=3, ..ALWAYS }, value: Cycle(&["false"]),
+        rationale: "pipelined writes add coordination overhead on few cores" },
     // ---- Write path ----
-    if write_side {
-        if mem_gib <= 4.0 {
-            out.push(rec(
-                "write_buffer_size",
-                osc("32MB", "64MB"),
-                "smaller memtables respect the tight memory budget",
-                9,
-            ));
-        } else {
-            out.push(rec(
-                "write_buffer_size",
-                "128MB",
-                "larger memtables absorb more writes before flushing",
-                9,
-            ));
-        }
-        out.push(rec(
-            "max_write_buffer_number",
-            (3 + (iter / 2) % 3).to_string(),
-            "extra memtables absorb write bursts while flushes catch up",
-            8,
-        ));
-        out.push(rec(
-            "min_write_buffer_number_to_merge",
-            (1 + iter % 3).to_string(),
-            "merging memtables before flush writes larger, fewer L0 files",
-            6,
-        ));
-        out.push(rec(
-            "wal_bytes_per_sync",
-            osc("1MB", "512KB"),
-            "incremental WAL syncs smooth writeback and cut p99 spikes",
-            8,
-        ));
-        out.push(rec(
-            "bytes_per_sync",
-            osc("1MB", "512KB"),
-            "incremental SST syncs avoid bursty page-cache flushes",
-            8,
-        ));
-        if iter >= 4 {
-            out.push(rec(
-                "strict_bytes_per_sync",
-                "true",
-                "bound the amount of unsynced data for steadier latency",
-                5,
-            ));
-        }
-        out.push(rec(
-            "level0_file_num_compaction_trigger",
-            osc("6", "4"),
-            "a deeper L0 batches more data per compaction",
-            6,
-        ));
-        out.push(rec(
-            "level0_slowdown_writes_trigger",
-            "30",
-            "push back the throttling point to avoid premature slowdowns",
-            5,
-        ));
-        out.push(rec(
-            "level0_stop_writes_trigger",
-            "48",
-            "keep headroom between slowdown and full stop",
-            5,
-        ));
-        out.push(rec(
-            "max_bytes_for_level_multiplier",
-            "8",
-            "a gentler level fan-out reduces per-compaction work",
-            4,
-        ));
-        if rotational {
-            out.push(rec(
-                "compaction_readahead_size",
-                osc("4MB", "2MB"),
-                "large sequential readahead hides HDD seek latency during compaction",
-                8,
-            ));
-            out.push(rec(
-                "target_file_size_base",
-                osc("32MB", "64MB"),
-                "smaller files give finer-grained compactions on slow disks",
-                5,
-            ));
-        }
-        if cores <= 2 {
-            out.push(rec(
-                "compression",
-                "lz4",
-                "lz4 costs far less CPU than snappy on a small core budget",
-                5,
-            ));
-        }
-        if cores >= 4 {
-            out.push(rec(
-                "max_subcompactions",
-                "2",
-                "split large compactions across spare cores",
-                5,
-            ));
-        }
-        out.push(rec(
-            "delayed_write_rate",
-            "64MB",
-            "a higher delayed rate softens throttling when it does engage",
-            3,
-        ));
-    }
-
+    Rule { option: "write_buffer_size", priority: 9,
+        when: Cond { small_memory: Some(true), ..WRITES }, value: Cycle(&["32MB", "64MB"]),
+        rationale: "smaller memtables respect the tight memory budget" },
+    Rule { option: "write_buffer_size", priority: 9,
+        when: Cond { small_memory: Some(false), ..WRITES }, value: Cycle(&["128MB"]),
+        rationale: "larger memtables absorb more writes before flushing" },
+    Rule { option: "max_write_buffer_number", priority: 8,
+        when: WRITES, value: Cycle(&["3", "4", "4", "5", "5", "3"]),
+        rationale: "extra memtables absorb write bursts while flushes catch up" },
+    Rule { option: "min_write_buffer_number_to_merge", priority: 6,
+        when: WRITES, value: Cycle(&["2", "3", "1"]),
+        rationale: "merging memtables before flush writes larger, fewer L0 files" },
+    Rule { option: "wal_bytes_per_sync", priority: 8,
+        when: WRITES, value: Cycle(&["1MB", "512KB"]),
+        rationale: "incremental WAL syncs smooth writeback and cut p99 spikes" },
+    Rule { option: "bytes_per_sync", priority: 8,
+        when: WRITES, value: Cycle(&["1MB", "512KB"]),
+        rationale: "incremental SST syncs avoid bursty page-cache flushes" },
+    Rule { option: "strict_bytes_per_sync", priority: 5,
+        when: Cond { from_iteration: 4, ..WRITES }, value: Cycle(&["true"]),
+        rationale: "bound the amount of unsynced data for steadier latency" },
+    Rule { option: "level0_file_num_compaction_trigger", priority: 6,
+        when: WRITES, value: Cycle(&["6", "4"]),
+        rationale: "a deeper L0 batches more data per compaction" },
+    Rule { option: "level0_slowdown_writes_trigger", priority: 5,
+        when: WRITES, value: Cycle(&["30"]),
+        rationale: "push back the throttling point to avoid premature slowdowns" },
+    Rule { option: "level0_stop_writes_trigger", priority: 5,
+        when: WRITES, value: Cycle(&["48"]),
+        rationale: "keep headroom between slowdown and full stop" },
+    Rule { option: "max_bytes_for_level_multiplier", priority: 4,
+        when: WRITES, value: Cycle(&["8"]),
+        rationale: "a gentler level fan-out reduces per-compaction work" },
+    Rule { option: "compaction_readahead_size", priority: 8,
+        when: Cond { rotational: true, ..WRITES }, value: Cycle(&["4MB", "2MB"]),
+        rationale: "large sequential readahead hides HDD seek latency during compaction" },
+    Rule { option: "target_file_size_base", priority: 5,
+        when: Cond { rotational: true, ..WRITES }, value: Cycle(&["32MB", "64MB"]),
+        rationale: "smaller files give finer-grained compactions on slow disks" },
+    Rule { option: "compression", priority: 5,
+        when: Cond { cores: 0..=2, ..WRITES }, value: Cycle(&["lz4"]),
+        rationale: "lz4 costs far less CPU than snappy on a small core budget" },
+    Rule { option: "max_subcompactions", priority: 5,
+        when: Cond { cores: 4..=u64::MAX, ..WRITES }, value: Cycle(&["2"]),
+        rationale: "split large compactions across spare cores" },
+    Rule { option: "delayed_write_rate", priority: 3,
+        when: WRITES, value: Cycle(&["64MB"]),
+        rationale: "a higher delayed rate softens throttling when it does engage" },
     // ---- Read path ----
-    if read_side {
-        out.push(rec(
-            "bloom_filter_bits_per_key",
-            "10",
-            "bloom filters skip SSTs that cannot contain the key — the single biggest point-lookup win",
-            10,
-        ));
-        let cache_mb = ((mem_gib * 1024.0) / 4.0).round() as u64;
-        out.push(rec(
-            "block_cache_size",
-            format!("{cache_mb}MB"),
-            "dedicate about a quarter of RAM to the block cache",
-            10,
-        ));
-        out.push(rec(
-            "cache_index_and_filter_blocks",
-            "true",
-            "account index/filter blocks in the cache budget",
-            6,
-        ));
-        out.push(rec(
-            "pin_l0_filter_and_index_blocks_in_cache",
-            "true",
-            "keep hot L0 metadata resident",
-            6,
-        ));
-        out.push(rec(
-            "memtable_prefix_bloom_size_ratio",
-            "0.1",
-            "a memtable bloom filter short-circuits misses before any probe",
-            4,
-        ));
-        if rotational {
-            out.push(rec(
-                "block_size",
-                "16KB",
-                "bigger blocks amortize HDD seeks across more data",
-                5,
-            ));
-        }
-        if iter >= 5 {
-            out.push(rec(
-                "optimize_filters_for_hits",
-                "true",
-                "skip last-level filters when most lookups succeed",
-                3,
-            ));
-        }
-    }
-
+    Rule { option: "bloom_filter_bits_per_key", priority: 10,
+        when: READS, value: Cycle(&["10"]),
+        rationale: "bloom filters skip SSTs that cannot contain the key — the single biggest point-lookup win" },
+    Rule { option: "block_cache_size", priority: 10,
+        when: READS, value: Derived(|s| format!("{}MB", (s.mem_gib * 1024.0 / 4.0).round() as u64)),
+        rationale: "dedicate about a quarter of RAM to the block cache" },
+    Rule { option: "cache_index_and_filter_blocks", priority: 6,
+        when: READS, value: Cycle(&["true"]),
+        rationale: "account index/filter blocks in the cache budget" },
+    Rule { option: "pin_l0_filter_and_index_blocks_in_cache", priority: 6,
+        when: READS, value: Cycle(&["true"]),
+        rationale: "keep hot L0 metadata resident" },
+    Rule { option: "memtable_prefix_bloom_size_ratio", priority: 4,
+        when: READS, value: Cycle(&["0.1"]),
+        rationale: "a memtable bloom filter short-circuits misses before any probe" },
+    Rule { option: "block_size", priority: 5,
+        when: Cond { rotational: true, ..READS }, value: Cycle(&["16KB"]),
+        rationale: "bigger blocks amortize HDD seeks across more data" },
+    Rule { option: "optimize_filters_for_hits", priority: 3,
+        when: Cond { from_iteration: 5, ..READS }, value: Cycle(&["true"]),
+        rationale: "skip last-level filters when most lookups succeed" },
     // ---- Mixed-specific: protect reads from background I/O ----
-    if facts.workload == WorkloadClass::Mixed && rotational {
-        out.push(rec(
-            "rate_limiter_bytes_per_sec",
-            "80MB",
-            "cap compaction I/O so foreground reads keep disk time",
-            6,
-        ));
-    }
+    Rule { option: "rate_limiter_bytes_per_sec", priority: 6,
+        when: Cond { classes: &[Mixed], rotational: true, ..ALWAYS }, value: Cycle(&["80MB"]),
+        rationale: "cap compaction I/O so foreground reads keep disk time" },
+];
 
+/// Produces the full, ordered recommendation list for the observed
+/// system: every rule of [`RULES`] that fires, highest priority first.
+/// The policy layer filters against current values, caps the count,
+/// and applies quirks.
+pub fn recommend(facts: &PromptFacts) -> Vec<Recommendation> {
+    let situation = Situation::of(facts);
+    let mut out: Vec<Recommendation> = RULES
+        .iter()
+        .filter(|rule| rule.when.holds(&situation))
+        .map(|rule| Recommendation {
+            name: rule.option.to_string(),
+            value: rule.value.at(&situation),
+            rationale: rule.rationale.to_string(),
+            priority: rule.priority,
+        })
+        .collect();
     out.sort_by(|a, b| b.priority.cmp(&a.priority).then(a.name.cmp(&b.name)));
     out
 }
@@ -260,7 +261,7 @@ pub fn recommend(facts: &PromptFacts) -> Vec<Recommendation> {
 /// the block cache if buffers + cache would exceed ~60% of RAM.
 /// Returns a note when an adjustment happened.
 pub fn enforce_memory_budget(facts: &PromptFacts, recs: &mut [Recommendation]) -> Option<String> {
-    let mem_bytes = (facts.mem_gib.unwrap_or(8.0) * (1u64 << 30) as f64) as u64;
+    let mem_bytes = (Situation::of(facts).mem_gib * (1u64 << 30) as f64) as u64;
     let budget = (mem_bytes as f64 * 0.6) as u64;
 
     let size_of = |recs: &[Recommendation], name: &str, fallback: u64| -> u64 {
@@ -299,6 +300,15 @@ pub fn enforce_memory_budget(facts: &PromptFacts, recs: &mut [Recommendation]) -
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn rec(name: &str, value: impl Into<String>, rationale: &str, priority: u8) -> Recommendation {
+        Recommendation {
+            name: name.to_string(),
+            value: value.into(),
+            rationale: rationale.to_string(),
+            priority,
+        }
+    }
 
     fn facts(workload: WorkloadClass, cores: u64, mem: f64, rotational: bool, iter: u64) -> PromptFacts {
         PromptFacts {

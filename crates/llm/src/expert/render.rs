@@ -7,7 +7,7 @@
 use lsm_kvs::options::registry::{find_option, Section};
 
 use crate::expert::attention::{PromptFacts, WorkloadClass};
-use crate::expert::knowledge::Recommendation;
+use crate::expert::knowledge::{Recommendation, Situation};
 use crate::expert::policy::{RenderStyle, ResponsePlan};
 
 fn section_of(name: &str) -> Section {
@@ -45,11 +45,12 @@ fn intro(facts: &PromptFacts) -> String {
         Some(false) => "flash storage",
         None => "your storage device",
     };
+    let assumed = Situation::of(facts);
     format!(
         "Looking at your system — {} CPU cores, {:.0} GiB of RAM, and {} — with a {} workload, \
          here is what I would adjust this iteration:\n",
-        facts.cores.unwrap_or(4),
-        facts.mem_gib.unwrap_or(8.0),
+        assumed.cores,
+        assumed.mem_gib,
         device,
         workload_phrase(facts),
     )

@@ -7,11 +7,17 @@
 //! `if`, and committed before those pushes became rows of one table. It
 //! is not regenerated: a change to the advice that means to move it says
 //! so and rewrites it on purpose.
+//!
+//! The table itself is checked here too: each row of `RULES` names a
+//! registered option and fires in some case of the grid, and the rows
+//! that name an option the engine does not read are named.
 
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
-use llm_client::expert::knowledge::recommend;
+use llm_client::expert::knowledge::{recommend, Situation, RULES};
 use llm_client::{PromptFacts, WorkloadClass};
+use lsm_kvs::options::registry::find_option;
 
 const CLASSES: [WorkloadClass; 3] = [WorkloadClass::WriteHeavy, WorkloadClass::ReadHeavy, WorkloadClass::Mixed];
 
@@ -95,4 +101,77 @@ fn the_advice_matches_its_fixture() {
         assert_eq!(got, want, "line {} of fixtures/RECOMMEND.pr40", at + 1);
     }
     assert_eq!(dump, fixture, "same lines, different line count or trailing bytes");
+}
+
+#[test]
+fn every_rule_names_a_registered_option() {
+    for rule in RULES {
+        assert!(find_option(rule.option).is_some(), "{} is not registered", rule.option);
+    }
+}
+
+#[test]
+fn every_rule_fires_in_some_case() {
+    let situations: Vec<Situation> = cases().iter().map(Situation::of).collect();
+    for rule in RULES {
+        assert!(
+            situations.iter().any(|s| rule.when.holds(s)),
+            "{} fires in no case of the grid",
+            rule.option
+        );
+    }
+}
+
+/// The options DESIGN.md lists as ones no engine source reads
+/// (`retired.rs` holds that list to the source).
+fn unread_options() -> BTreeSet<&'static str> {
+    let design = include_str!("../../../DESIGN.md");
+    let (_, section) = design
+        .split_once("\n## Options the engine does not read\n")
+        .expect("DESIGN.md lost its 'Options the engine does not read' section");
+    let section = section.split("\n## ").next().unwrap();
+    section
+        .split('`')
+        .skip(1)
+        .step_by(2)
+        .filter(|word| word.bytes().all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'_'))
+        .collect()
+}
+
+/// Two rows advise options the engine accepts but never reads; the
+/// advice stays, as a blog would give it, and is named here.
+#[test]
+fn exactly_two_rules_name_options_the_engine_does_not_read() {
+    let unread = unread_options();
+    let advised: Vec<&str> = RULES.iter().map(|rule| rule.option).filter(|o| unread.contains(o)).collect();
+    assert_eq!(advised, ["dump_malloc_stats", "pin_l0_filter_and_index_blocks_in_cache"]);
+}
+
+/// Prints the table's shape: its rows, those whose value moves with the
+/// iteration alone (facts held, iterations 1 to 12), those that fire
+/// only from a later iteration on, and those naming unread options.
+#[test]
+fn the_table_in_numbers() {
+    let by_iteration = RULES
+        .iter()
+        .filter(|rule| {
+            cases().into_iter().any(|mut f| {
+                let values: BTreeSet<String> = (1..=12)
+                    .map(|iteration| {
+                        f.iteration = iteration;
+                        rule.value.at(&Situation::of(&f))
+                    })
+                    .collect();
+                values.len() > 1
+            })
+        })
+        .count();
+    let later = RULES.iter().filter(|rule| rule.when.from_iteration > 1).count();
+    let unread = unread_options();
+    let unread = RULES.iter().filter(|rule| unread.contains(rule.option)).count();
+    println!(
+        "expert rules: {} rows, {by_iteration} take their value from the iteration, \
+         {later} fire from an iteration on, {unread} name unread options",
+        RULES.len()
+    );
 }
