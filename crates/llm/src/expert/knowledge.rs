@@ -396,6 +396,28 @@ mod tests {
     }
 
     #[test]
+    fn budget_counts_the_current_buffers_when_none_are_recommended() {
+        let mut f = facts(WorkloadClass::ReadHeavy, 4, 4.0, false, 1);
+        f.current_options.insert("write_buffer_size".into(), "1073741824".into());
+        f.current_options.insert("max_write_buffer_number".into(), "2".into());
+        let mut recs = vec![rec("block_cache_size", "2048MB", "", 10)];
+        assert!(enforce_memory_budget(&f, &mut recs).is_some());
+        // 60% of 4 GiB is 2,457.6 MiB, of which two 1 GiB buffers take 2,048.
+        assert_eq!(recs[0].value, "409MB");
+    }
+
+    #[test]
+    fn no_note_when_no_cache_value_changed() {
+        let f = facts(WorkloadClass::WriteHeavy, 4, 4.0, false, 1);
+        let mut recs = vec![
+            rec("write_buffer_size", "1024MB", "", 9),
+            rec("max_write_buffer_number", "4", "", 8),
+        ];
+        assert_eq!(enforce_memory_budget(&f, &mut recs), None);
+        assert_eq!((recs[0].value.as_str(), recs[1].value.as_str()), ("1024MB", "4"));
+    }
+
+    #[test]
     fn budget_untouched_when_it_fits() {
         let f = facts(WorkloadClass::ReadHeavy, 4, 8.0, false, 1);
         let mut recs = vec![rec("block_cache_size", "1024MB", "", 10)];
