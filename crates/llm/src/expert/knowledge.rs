@@ -3,13 +3,14 @@
 //! Encodes the heuristics an LLM absorbs from RocksDB tuning guides,
 //! blog posts, and source code — the paper observes that "the model
 //! responds in patterns similar to online blogs, preferring the same
-//! configuration options". Each piece of advice is one row of [`RULES`]:
-//! the option, when the advice applies, its value, how early it is
-//! suggested and why. Some values cycle with the iteration number, the
-//! way GPT-4 keeps experimenting across the iterations of the paper's
-//! Table 5; they repeat their cycle and never settle.
+//! configuration options". Each piece of advice is one row of [`RULES`].
+//! Some values cycle with the iteration, the way GPT-4 keeps
+//! experimenting across the paper's Table 5; a cycle never settles.
 
 use std::ops::RangeInclusive;
+
+use lsm_kvs::options::registry::parse_size;
+use lsm_kvs::options::Options;
 
 use crate::expert::attention::{PromptFacts, WorkloadClass};
 use Value::{Cycle, Derived};
@@ -53,8 +54,7 @@ impl Situation {
         }
     }
 
-    /// The entry of `cycle` this iteration takes: the first at iteration
-    /// 1, then each in turn, wrapping around.
+    /// The entry of `cycle` for this iteration: the first at iteration 1, wrapping around.
     fn pick<T: Copy>(&self, cycle: &[T]) -> T {
         cycle[((self.iteration - 1) % cycle.len() as u64) as usize]
     }
@@ -74,8 +74,7 @@ pub struct Cond {
     pub rotational: bool,
     /// The core counts it applies at.
     pub cores: RangeInclusive<u64>,
-    /// `Some(true)`: only with at most 4 GiB of RAM; `Some(false)`: only
-    /// with more.
+    /// `Some(true)`: only with at most 4 GiB of RAM; `Some(false)`: only with more.
     pub small_memory: Option<bool>,
     /// The first iteration it fires at.
     pub from_iteration: u64,
@@ -258,38 +257,31 @@ pub fn recommend(facts: &PromptFacts) -> Vec<Recommendation> {
 }
 
 /// Applies the "memory budget" discipline the paper highlights: shrink
-/// the block cache if buffers + cache would exceed ~60% of RAM.
-/// Returns a note when an adjustment happened.
+/// the block cache if buffers + cache would exceed ~60% of RAM. Each
+/// size is the recommended value, else the prompt's current one, else
+/// the engine's default. Returns a note when a cache value changed.
 pub fn enforce_memory_budget(facts: &PromptFacts, recs: &mut [Recommendation]) -> Option<String> {
     let mem_bytes = (Situation::of(facts).mem_gib * (1u64 << 30) as f64) as u64;
     let budget = (mem_bytes as f64 * 0.6) as u64;
 
-    let size_of = |recs: &[Recommendation], name: &str, fallback: u64| -> u64 {
-        recs.iter()
-            .find(|r| r.name == name)
-            .and_then(|r| lsm_kvs::options::registry::parse_size(&r.value))
-            .unwrap_or(fallback)
+    let defaults = Options::default();
+    let size_of = |name: &str| -> u64 {
+        let recommended = recs.iter().find(|r| r.name == name).map(|r| r.value.clone());
+        [recommended, facts.current_options.get(name).cloned(), defaults.get_by_name(name)]
+            .into_iter()
+            .flatten()
+            .find_map(|value| parse_size(&value))
+            .unwrap_or(0)
     };
-    let wbs = size_of(recs, "write_buffer_size", 64 << 20);
-    let nbuf = recs
-        .iter()
-        .find(|r| r.name == "max_write_buffer_number")
-        .and_then(|r| r.value.parse::<u64>().ok())
-        .unwrap_or(2);
-    let cache = size_of(recs, "block_cache_size", 8 << 20);
-    let total = wbs * nbuf + cache;
-    if total <= budget {
+    let (wbs, nbuf) = (size_of("write_buffer_size"), size_of("max_write_buffer_number"));
+    let buffers = wbs.saturating_mul(nbuf);
+    if buffers.saturating_add(size_of("block_cache_size")) <= budget {
         return None;
     }
-    let new_cache = budget.saturating_sub(wbs * nbuf).max(64 << 20);
-    let new_mb = new_cache >> 20;
-    for r in recs.iter_mut() {
-        if r.name == "block_cache_size" {
-            r.value = format!("{new_mb}MB");
-            r.rationale = "block cache reduced to keep memtables + cache inside the memory budget"
-                .to_string();
-        }
-    }
+    let new_value = format!("{}MB", budget.saturating_sub(buffers).max(64 << 20) >> 20);
+    let cache = recs.iter_mut().find(|r| r.name == "block_cache_size" && r.value != new_value)?;
+    cache.value = new_value;
+    cache.rationale = "block cache reduced to keep memtables + cache inside the memory budget".to_string();
     Some(format!(
         "Keeping the total memory budget in check: write buffers ({}x{}MB) plus block cache fit within 60% of RAM.",
         nbuf,
