@@ -66,7 +66,7 @@ impl Situation {
 }
 
 /// When a rule fires: every field must hold.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Cond {
     /// The workload classes the advice serves.
     pub classes: &'static [WorkloadClass],
@@ -92,7 +92,7 @@ impl Cond {
 }
 
 /// How a rule states its value.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug)]
 pub enum Value {
     /// One value per iteration, taken in turn and wrapping around; a
     /// one-value cycle is a fixed value.
@@ -113,7 +113,7 @@ impl Value {
 }
 
 /// One piece of tuning advice.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Rule {
     /// The option it sets (RocksDB-compatible name).
     pub option: &'static str,
@@ -142,6 +142,7 @@ const READS: Cond = Cond { classes: &[ReadHeavy, Mixed], ..ALWAYS };
 
 /// Everything the expert knows, one row per piece of advice: the option
 /// and its priority, when it fires and the value it proposes, and why.
+#[rustfmt::skip]
 pub static RULES: &[Rule] = &[
     // ---- Universal background parallelism (every blog's first advice) ----
     Rule { option: "max_background_jobs", priority: 9,

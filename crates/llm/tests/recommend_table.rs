@@ -19,7 +19,11 @@ use llm_client::expert::knowledge::{recommend, Situation, RULES};
 use llm_client::{PromptFacts, WorkloadClass};
 use lsm_kvs::options::registry::find_option;
 
-const CLASSES: [WorkloadClass; 3] = [WorkloadClass::WriteHeavy, WorkloadClass::ReadHeavy, WorkloadClass::Mixed];
+const CLASSES: [WorkloadClass; 3] = [
+    WorkloadClass::WriteHeavy,
+    WorkloadClass::ReadHeavy,
+    WorkloadClass::Mixed,
+];
 
 fn facts(
     workload: WorkloadClass,
@@ -50,14 +54,22 @@ fn cases() -> Vec<PromptFacts> {
             for mem_gib in [4.0, 16.0] {
                 for cores in [2, 8] {
                     for iteration in 1..=8 {
-                        out.push(facts(workload, Some(cores), Some(mem_gib), Some(rotational), iteration));
+                        out.push(facts(
+                            workload,
+                            Some(cores),
+                            Some(mem_gib),
+                            Some(rotational),
+                            iteration,
+                        ));
                     }
                 }
             }
         }
     }
     for workload in CLASSES {
-        let base = |cores, mem_gib, rotational, iteration| facts(workload, cores, mem_gib, rotational, iteration);
+        let base = |cores, mem_gib, rotational, iteration| {
+            facts(workload, cores, mem_gib, rotational, iteration)
+        };
         for cores in [None, Some(1), Some(3), Some(4)] {
             out.push(base(cores, Some(4.0), Some(true), 1));
         }
@@ -83,7 +95,12 @@ fn dump() -> String {
         )
         .unwrap();
         for r in recommend(&f) {
-            writeln!(out, "  {}={} | {} | {}", r.name, r.value, r.priority, r.rationale).unwrap();
+            writeln!(
+                out,
+                "  {}={} | {} | {}",
+                r.name, r.value, r.priority, r.rationale
+            )
+            .unwrap();
         }
     }
     out
@@ -100,13 +117,20 @@ fn the_advice_matches_its_fixture() {
     for (at, (got, want)) in dump.lines().zip(fixture.lines()).enumerate() {
         assert_eq!(got, want, "line {} of fixtures/RECOMMEND.pr40", at + 1);
     }
-    assert_eq!(dump, fixture, "same lines, different line count or trailing bytes");
+    assert_eq!(
+        dump, fixture,
+        "same lines, different line count or trailing bytes"
+    );
 }
 
 #[test]
 fn every_rule_names_a_registered_option() {
     for rule in RULES {
-        assert!(find_option(rule.option).is_some(), "{} is not registered", rule.option);
+        assert!(
+            find_option(rule.option).is_some(),
+            "{} is not registered",
+            rule.option
+        );
     }
 }
 
@@ -134,7 +158,10 @@ fn unread_options() -> BTreeSet<&'static str> {
         .split('`')
         .skip(1)
         .step_by(2)
-        .filter(|word| word.bytes().all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'_'))
+        .filter(|word| {
+            word.bytes()
+                .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'_')
+        })
         .collect()
 }
 
@@ -143,8 +170,18 @@ fn unread_options() -> BTreeSet<&'static str> {
 #[test]
 fn exactly_two_rules_name_options_the_engine_does_not_read() {
     let unread = unread_options();
-    let advised: Vec<&str> = RULES.iter().map(|rule| rule.option).filter(|o| unread.contains(o)).collect();
-    assert_eq!(advised, ["dump_malloc_stats", "pin_l0_filter_and_index_blocks_in_cache"]);
+    let advised: Vec<&str> = RULES
+        .iter()
+        .map(|rule| rule.option)
+        .filter(|o| unread.contains(o))
+        .collect();
+    assert_eq!(
+        advised,
+        [
+            "dump_malloc_stats",
+            "pin_l0_filter_and_index_blocks_in_cache"
+        ]
+    );
 }
 
 /// Prints the table's shape: its rows, those whose value moves with the
@@ -166,9 +203,15 @@ fn the_table_in_numbers() {
             })
         })
         .count();
-    let later = RULES.iter().filter(|rule| rule.when.from_iteration > 1).count();
+    let later = RULES
+        .iter()
+        .filter(|rule| rule.when.from_iteration > 1)
+        .count();
     let unread = unread_options();
-    let unread = RULES.iter().filter(|rule| unread.contains(rule.option)).count();
+    let unread = RULES
+        .iter()
+        .filter(|rule| unread.contains(rule.option))
+        .count();
     println!(
         "expert rules: {} rows, {by_iteration} take their value from the iteration, \
          {later} fire from an iteration on, {unread} name unread options",
