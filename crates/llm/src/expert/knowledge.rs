@@ -400,6 +400,35 @@ mod tests {
     }
 
     #[test]
+    fn note_claims_no_fit_when_the_buffers_alone_exceed_the_budget() {
+        let f = facts(WorkloadClass::Mixed, 4, 4.0, false, 1);
+        let mut recs = vec![
+            rec("write_buffer_size", "1024MB", "", 9),
+            rec("max_write_buffer_number", "4", "", 8),
+            rec("block_cache_size", "1024MB", "", 10),
+        ];
+        let note = enforce_memory_budget(&f, &mut recs).unwrap();
+        // The cache floors at 64 MB: 4,096 + 64 MiB against a 2,457 MiB budget.
+        assert_eq!(recs[2].value, "64MB");
+        assert!(!note.contains("fit within"), "{note}");
+        assert!(note.contains("write buffers (4x1024MB) alone exceed 60% of RAM"), "{note}");
+    }
+
+    #[test]
+    fn note_claims_a_fit_only_when_buffers_and_the_new_cache_fit() {
+        let f = facts(WorkloadClass::Mixed, 4, 4.0, false, 1);
+        let mut recs = vec![
+            rec("write_buffer_size", "512MB", "", 9),
+            rec("max_write_buffer_number", "4", "", 8),
+            rec("block_cache_size", "2048MB", "", 10),
+        ];
+        let note = enforce_memory_budget(&f, &mut recs).unwrap();
+        // 2,048 MiB of buffers plus the new 409 MiB cache fit the 2,457 MiB budget.
+        assert_eq!(recs[2].value, "409MB");
+        assert!(note.contains("plus block cache fit within 60% of RAM"), "{note}");
+    }
+
+    #[test]
     fn no_note_when_no_cache_value_changed() {
         let f = facts(WorkloadClass::WriteHeavy, 4, 4.0, false, 1);
         let mut recs = vec![
