@@ -260,7 +260,9 @@ pub fn recommend(facts: &PromptFacts) -> Vec<Recommendation> {
 /// Applies the "memory budget" discipline the paper highlights: shrink
 /// the block cache if buffers + cache would exceed ~60% of RAM. Each
 /// size is the recommended value, else the prompt's current one, else
-/// the engine's default. Returns a note when a cache value changed.
+/// the engine's default. Returns a note when a cache value changed; it
+/// claims a fit only when the buffers plus the new cache are within
+/// budget.
 pub fn enforce_memory_budget(facts: &PromptFacts, recs: &mut [Recommendation]) -> Option<String> {
     let mem_bytes = (Situation::of(facts).mem_gib * (1u64 << 30) as f64) as u64;
     let budget = (mem_bytes as f64 * 0.6) as u64;
@@ -279,12 +281,19 @@ pub fn enforce_memory_budget(facts: &PromptFacts, recs: &mut [Recommendation]) -
     if buffers.saturating_add(size_of("block_cache_size")) <= budget {
         return None;
     }
-    let new_value = format!("{}MB", budget.saturating_sub(buffers).max(64 << 20) >> 20);
+    let new_cache = budget.saturating_sub(buffers).max(64 << 20);
+    let new_value = format!("{}MB", new_cache >> 20);
     let cache = recs.iter_mut().find(|r| r.name == "block_cache_size" && r.value != new_value)?;
     cache.value = new_value;
     cache.rationale = "block cache reduced to keep memtables + cache inside the memory budget".to_string();
+    // The cache never shrinks below 64 MB, so the two may still overrun.
+    let verdict = if buffers.saturating_add(new_cache) <= budget {
+        "plus block cache fit within"
+    } else {
+        "alone exceed"
+    };
     Some(format!(
-        "Keeping the total memory budget in check: write buffers ({}x{}MB) plus block cache fit within 60% of RAM.",
+        "Keeping the total memory budget in check: write buffers ({}x{}MB) {verdict} 60% of RAM.",
         nbuf,
         wbs >> 20
     ))
