@@ -318,5 +318,11 @@ echo "==> perf gate: the benchmark harness builds against the crates, passes its
 cargo build --release --offline --manifest-path perf/Cargo.toml
 timeout 600 cargo test --release --offline --manifest-path perf/Cargo.toml
 timeout 300 ./perf/target/release/perf run --smoke
+# ...and the read-only promise is checked: a dependency edit under crates/
+# rewrites perf/Cargo.lock, for one. Outside a git work tree there is
+# nothing to compare with.
+if git rev-parse --is-inside-work-tree > /dev/null 2>&1; then
+    git diff --exit-code -- perf BENCHMARK.json
+fi
 
 echo "CI OK"

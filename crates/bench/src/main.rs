@@ -6,18 +6,17 @@
 //! repro [--scale <f64>] [--iters <n>] [--out <dir>] [--seed <n>] <experiment>
 //! ```
 //!
-//! | Experiment  | Content |
-//! |-------------|---------|
-//! | `table1`    | FR throughput, default vs tuned, {2,4}c x {4,8}GiB, NVMe |
-//! | `table2`    | FR p99 latency, same matrix |
-//! | `table3`    | Throughput across FR/RR/RRWR/Mixgraph, 4c+4GiB NVMe |
-//! | `table4`    | p99 latency (read/write) across workloads |
-//! | `table5`    | Option changes over iterations (FR, 2c+4GiB, HDD) |
-//! | `fig3`      | Per-iteration tput/p99w/p99r for FR/Mixgraph/RRWR on HDD |
-//! | `fig4`      | Same on NVMe SSD |
-//! | `all`       | The seven above; each distinct session runs once |
-//! | `ablate`    | Safeguards, change cap, prompt budget, RR read levers |
-//! | `calibrate` | Untuned baselines with wall time (not deterministic) |
+//! | Experiment | Content |
+//! |------------|---------|
+//! | `table1`   | FR throughput, default vs tuned, {2,4}c x {4,8}GiB, NVMe |
+//! | `table2`   | FR p99 latency, same matrix |
+//! | `table3`   | Throughput across FR/RR/RRWR/Mixgraph, 4c+4GiB NVMe |
+//! | `table4`   | p99 latency (read/write) across workloads |
+//! | `table5`   | Option changes over iterations (FR, 2c+4GiB, HDD) |
+//! | `fig3`     | Per-iteration tput/p99w/p99r for FR/Mixgraph/RRWR on HDD |
+//! | `fig4`     | Same on NVMe SSD |
+//! | `all`      | The seven above; each distinct session runs once |
+//! | `ablate`   | Safeguards, change cap, prompt budget, RR read levers |
 //!
 //! Results go to stdout and are a function of `(--scale, --iters,
 //! --seed)` alone — `results/golden/` pins them; one progress line per
@@ -218,9 +217,8 @@ impl Driver<'_> {
             "fig4" => self.figure("fig4", DeviceModel::nvme_ssd()),
             "all" => PAPER.iter().try_for_each(|arm| self.experiment(arm)),
             "ablate" => self.ablate(),
-            "calibrate" => self.calibrate(),
             "" => Err(format!(
-                "usage: repro [--scale f] [--iters n] [--out dir] [--seed n] <{}|all|ablate|calibrate>",
+                "usage: repro [--scale f] [--iters n] [--out dir] [--seed n] <{}|all|ablate>",
                 PAPER.join("|")
             )
             .into()),
@@ -433,36 +431,6 @@ impl Driver<'_> {
             r.throughput_improvement(),
             r.final_options.disable_wal,
         )?;
-        Ok(())
-    }
-
-    fn calibrate(&mut self) -> Result<(), Error> {
-        let scale = self.config.scale.max(0.001);
-        let (nvme, hdd) = (env(4, 4, DeviceModel::nvme_ssd()), env(2, 4, DeviceModel::sata_hdd()));
-        for (name, spec, env) in [
-            ("FR/nvme/4c4g", BenchmarkSpec::fillrandom(scale), &nvme),
-            ("RR/nvme/4c4g", BenchmarkSpec::readrandom(scale), &nvme),
-            ("RRWR/nvme/4c4g", BenchmarkSpec::readrandomwriterandom(scale), &nvme),
-            ("MIX/nvme/4c4g", BenchmarkSpec::mixgraph(scale), &nvme),
-            ("FR/hdd/2c4g", BenchmarkSpec::fillrandom(scale), &hdd),
-            ("MIX/hdd/2c4g", BenchmarkSpec::mixgraph(scale), &hdd),
-        ] {
-            let wall = std::time::Instant::now();
-            let hw = env.build();
-            let db = Db::builder(Options::default()).env(&hw).open()?;
-            let report = run_benchmark(&db, &hw, &spec, None)?;
-            writeln!(
-                self.out,
-                "{name:16} ops={:8} tput={:9.0} ops/s  p99w={:8.2}us p99r={:8.2}us  sim={:7.1}s wall={:5.1}s",
-                report.ops,
-                report.ops_per_sec,
-                report.p99_write_micros(),
-                report.p99_read_micros(),
-                report.duration.as_secs_f64(),
-                wall.elapsed().as_secs_f64(),
-            )?;
-            self.out.flush()?;
-        }
         Ok(())
     }
 }

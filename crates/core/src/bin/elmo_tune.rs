@@ -43,14 +43,7 @@ fn run(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         };
         match args[i].as_str() {
             "--workload" => workload = take(&mut i)?,
-            "--device" => {
-                device = match take(&mut i)?.as_str() {
-                    "nvme" => DeviceModel::nvme_ssd(),
-                    "ssd" | "sata_ssd" => DeviceModel::sata_ssd(),
-                    "hdd" => DeviceModel::sata_hdd(),
-                    other => return Err(format!("unknown device: {other}").into()),
-                }
-            }
+            "--device" => device = take(&mut i)?.parse()?,
             "--cores" => cores = take(&mut i)?.parse()?,
             "--mem-gib" => mem_gib = take(&mut i)?.parse()?,
             "--iters" => iters = take(&mut i)?.parse()?,

@@ -213,22 +213,6 @@ impl TuningReport {
         self.best.ops_per_sec / self.baseline.ops_per_sec
     }
 
-    /// Default-over-tuned p99 factor (write side), >1 means improvement.
-    pub fn p99_write_improvement(&self) -> Option<f64> {
-        match (self.baseline.p99_write_us, self.best.p99_write_us) {
-            (Some(b), Some(t)) if t > 0.0 => Some(b / t),
-            _ => None,
-        }
-    }
-
-    /// Default-over-tuned p99 factor (read side).
-    pub fn p99_read_improvement(&self) -> Option<f64> {
-        match (self.baseline.p99_read_us, self.best.p99_read_us) {
-            (Some(b), Some(t)) if t > 0.0 => Some(b / t),
-            _ => None,
-        }
-    }
-
     /// The Table-5-style matrix: for every option ever changed, its value
     /// per iteration (None = unchanged that iteration).
     pub fn option_change_matrix(&self) -> Vec<(String, Vec<Option<String>>)> {

@@ -43,17 +43,12 @@ struct CpuState {
 #[derive(Debug)]
 pub struct CpuPool {
     num_cores: usize,
-    /// Per-core speed factor relative to the reference core used to derive
-    /// CPU costs (1.0 = reference speed).
-    speed_factor: f64,
     state: Mutex<CpuState>,
 }
 
 /// Placement of one background job on the pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CpuSlot {
-    /// Core index the job ran on.
-    pub core: usize,
     /// When the job began executing (>= submission time).
     pub start: SimTime,
     /// When the job finished.
@@ -61,30 +56,15 @@ pub struct CpuSlot {
 }
 
 impl CpuPool {
-    /// Creates a pool of `num_cores` reference-speed cores.
+    /// Creates a pool of `num_cores` cores.
     ///
     /// # Panics
     ///
     /// Panics if `num_cores` is zero.
     pub fn new(num_cores: usize) -> Self {
-        Self::with_speed(num_cores, 1.0)
-    }
-
-    /// Creates a pool whose cores run at `speed_factor` times reference
-    /// speed (0.5 = half speed, so CPU costs double).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_cores` is zero or `speed_factor` is not positive.
-    pub fn with_speed(num_cores: usize, speed_factor: f64) -> Self {
         assert!(num_cores > 0, "a CPU pool needs at least one core");
-        assert!(
-            speed_factor > 0.0 && speed_factor.is_finite(),
-            "speed factor must be positive"
-        );
         CpuPool {
             num_cores,
-            speed_factor,
             state: Mutex::new(CpuState {
                 cores: vec![SimTime::ZERO; num_cores],
                 counters: CpuCounters::default(),
@@ -97,10 +77,9 @@ impl CpuPool {
         self.num_cores
     }
 
-    /// Schedules a job costing `cpu_cost` (at reference speed) on the
-    /// earliest-available core, returning its placement.
+    /// Schedules a job costing `cpu_cost` on the earliest-available
+    /// core, returning its placement.
     pub fn run(&self, now: SimTime, cpu_cost: SimDuration) -> CpuSlot {
-        let scaled = cpu_cost.mul_f64(1.0 / self.speed_factor);
         let mut st = self.state.lock();
         let core = st
             .cores
@@ -110,17 +89,11 @@ impl CpuPool {
             .map(|(i, _)| i)
             .expect("pool has at least one core");
         let start = st.cores[core].max(now);
-        let end = start + scaled;
+        let end = start + cpu_cost;
         st.cores[core] = end;
         st.counters.jobs += 1;
-        st.counters.busy_nanos = st.counters.busy_nanos.saturating_add(scaled.as_nanos());
-        CpuSlot { core, start, end }
-    }
-
-    /// The instant at which at least one core becomes idle.
-    pub fn earliest_idle(&self) -> SimTime {
-        let st = self.state.lock();
-        st.cores.iter().copied().min().unwrap_or(SimTime::ZERO)
+        st.counters.busy_nanos = st.counters.busy_nanos.saturating_add(cpu_cost.as_nanos());
+        CpuSlot { start, end }
     }
 
     /// Number of cores still busy at `now`.
@@ -145,15 +118,6 @@ impl CpuPool {
     pub fn counters(&self) -> CpuCounters {
         self.state.lock().counters
     }
-
-    /// Resets all cores to idle and clears counters.
-    pub fn reset(&self) {
-        let mut st = self.state.lock();
-        for c in st.cores.iter_mut() {
-            *c = SimTime::ZERO;
-        }
-        st.counters = CpuCounters::default();
-    }
 }
 
 #[cfg(test)]
@@ -177,16 +141,6 @@ mod tests {
     }
 
     #[test]
-    fn slower_cores_stretch_jobs() {
-        let fast = CpuPool::new(1);
-        let slow = CpuPool::with_speed(1, 0.5);
-        let d = SimDuration::from_millis(2);
-        let f = fast.run(SimTime::ZERO, d);
-        let s = slow.run(SimTime::ZERO, d);
-        assert_eq!(s.end.as_nanos(), 2 * f.end.as_nanos());
-    }
-
-    #[test]
     fn utilization_reflects_busy_fraction() {
         let pool = CpuPool::new(2);
         pool.run(SimTime::ZERO, SimDuration::from_secs(1));
@@ -202,14 +156,5 @@ mod tests {
         pool.run(SimTime::ZERO, SimDuration::from_millis(5));
         assert_eq!(pool.busy_cores(SimTime::from_nanos(1_000_000)), 2);
         assert_eq!(pool.busy_cores(SimTime::from_nanos(10_000_000)), 0);
-    }
-
-    #[test]
-    fn reset_returns_pool_to_idle() {
-        let pool = CpuPool::new(1);
-        pool.run(SimTime::ZERO, SimDuration::from_secs(5));
-        pool.reset();
-        assert_eq!(pool.earliest_idle(), SimTime::ZERO);
-        assert_eq!(pool.counters(), CpuCounters::default());
     }
 }

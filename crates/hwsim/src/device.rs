@@ -9,6 +9,7 @@
 //! monitoring and prompt generation.
 
 use std::fmt;
+use std::str::FromStr;
 
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -180,6 +181,21 @@ impl DeviceModel {
     }
 }
 
+/// The device names the command-line tools accept: `nvme` or `nvme_ssd`,
+/// `ssd` or `sata_ssd`, `hdd` or `sata_hdd`.
+impl FromStr for DeviceModel {
+    type Err = String;
+
+    fn from_str(name: &str) -> Result<Self, String> {
+        match name {
+            "nvme" | "nvme_ssd" => Ok(DeviceModel::nvme_ssd()),
+            "ssd" | "sata_ssd" => Ok(DeviceModel::sata_ssd()),
+            "hdd" | "sata_hdd" => Ok(DeviceModel::sata_hdd()),
+            other => Err(format!("unknown device: {other}")),
+        }
+    }
+}
+
 /// Cumulative I/O accounting for a device, in the spirit of
 /// `/proc/diskstats`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -281,15 +297,6 @@ impl Device {
         self.state.lock().counters
     }
 
-    /// Resets queue state and counters (used between benchmark iterations).
-    pub fn reset(&self) {
-        let mut st = self.state.lock();
-        for c in st.channels.iter_mut() {
-            *c = SimTime::ZERO;
-        }
-        st.counters = IoCounters::default();
-    }
-
     fn enqueue(st: &mut DeviceState, now: SimTime, cost: SimDuration) -> SimTime {
         let ch = st
             .channels
@@ -363,8 +370,27 @@ mod tests {
         assert_eq!((c.reads, c.writes, c.syncs), (1, 1, 1));
         assert_eq!((c.read_bytes, c.write_bytes), (100, 200));
         assert!(c.busy.as_duration() > SimDuration::ZERO);
-        dev.reset();
-        assert_eq!(dev.counters(), IoCounters::default());
+    }
+
+    #[test]
+    fn every_device_spelling_parses_to_its_model() {
+        for (names, class) in [
+            (["nvme", "nvme_ssd"], DeviceClass::NvmeSsd),
+            (["ssd", "sata_ssd"], DeviceClass::SataSsd),
+            (["hdd", "sata_hdd"], DeviceClass::SataHdd),
+        ] {
+            for name in names {
+                assert_eq!(
+                    name.parse::<DeviceModel>().map(|d| d.class),
+                    Ok(class),
+                    "{name}"
+                );
+            }
+        }
+        assert_eq!(
+            "floppy".parse::<DeviceModel>(),
+            Err("unknown device: floppy".to_string())
+        );
     }
 
     #[test]

@@ -67,14 +67,6 @@ impl HardwareEnv {
     pub fn description(&self) -> &str {
         &self.description
     }
-
-    /// Resets device queues, CPU cores, and memory tracking (not the
-    /// clock) between benchmark iterations.
-    pub fn reset_usage(&self) {
-        self.device.reset();
-        self.cpu.reset();
-        self.memory.reset();
-    }
 }
 
 /// Builder for [`HardwareEnv`]. See [`HardwareEnv::builder`].
@@ -105,12 +97,6 @@ impl HardwareEnvBuilder {
     /// Sets RAM in gibibytes.
     pub fn memory_gib(mut self, gib: u64) -> Self {
         self.memory_bytes = gib << 30;
-        self
-    }
-
-    /// Sets RAM in bytes.
-    pub fn memory_bytes(mut self, bytes: u64) -> Self {
-        self.memory_bytes = bytes;
         self
     }
 
@@ -147,24 +133,6 @@ impl HardwareEnvBuilder {
     }
 }
 
-/// The 2x2 hardware matrix evaluated in the paper's Tables 1 and 2
-/// ({2,4} cores x {4,8} GiB), on the given device.
-pub fn paper_hardware_matrix(device: DeviceModel) -> Vec<HardwareEnv> {
-    let mut envs = Vec::new();
-    for &cores in &[2usize, 4] {
-        for &gib in &[4u64, 8] {
-            envs.push(
-                HardwareEnv::builder()
-                    .cores(cores)
-                    .memory_gib(gib)
-                    .device(device.clone())
-                    .build_sim(),
-            );
-        }
-    }
-    envs
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,28 +146,5 @@ mod tests {
             .build_sim();
         assert_eq!(env.description(), "2 cores / 4 GiB / SATA HDD");
         assert_eq!(env.memory().total(), 4 << 30);
-    }
-
-    #[test]
-    fn paper_matrix_has_four_configs() {
-        let envs = paper_hardware_matrix(DeviceModel::nvme_ssd());
-        assert_eq!(envs.len(), 4);
-        let descs: Vec<_> = envs.iter().map(|e| e.description().to_string()).collect();
-        assert!(descs.contains(&"2 cores / 4 GiB / NVMe SSD".to_string()));
-        assert!(descs.contains(&"4 cores / 8 GiB / NVMe SSD".to_string()));
-    }
-
-    #[test]
-    fn reset_usage_clears_components() {
-        use crate::device::AccessPattern;
-        use crate::memory::MemoryUser;
-        use crate::time::{SimDuration, SimTime};
-        let env = HardwareEnv::builder().build_sim();
-        env.device().submit_read(SimTime::ZERO, 100, AccessPattern::Random);
-        env.cpu().run(SimTime::ZERO, SimDuration::from_secs(1));
-        env.memory().reserve(MemoryUser::Misc, 100);
-        env.reset_usage();
-        assert_eq!(env.device().counters().reads, 0);
-        assert_eq!(env.memory().used(), 0);
     }
 }

@@ -42,7 +42,7 @@ mod time;
 
 pub use cpu::{CpuCounters, CpuPool, CpuSlot};
 pub use device::{AccessPattern, Device, DeviceClass, DeviceModel, IoCounters, SimDurationCounter};
-pub use env::{paper_hardware_matrix, HardwareEnv, HardwareEnvBuilder};
+pub use env::{HardwareEnv, HardwareEnvBuilder};
 pub use memory::{MemoryBudget, MemoryUser};
 pub use monitor::{DeviceProbe, SystemSnapshot};
 pub use time::{Clock, SimDuration, SimTime};

@@ -103,15 +103,6 @@ impl MemoryBudget {
         st.used[user_index(user)] = st.used[user_index(user)].saturating_sub(bytes);
     }
 
-    /// Sets the absolute usage of `user` (useful for caches that know
-    /// their exact occupancy).
-    pub fn set_usage(&self, user: MemoryUser, bytes: u64) {
-        let mut st = self.state.lock();
-        st.used[user_index(user)] = bytes;
-        let total: u64 = st.used.iter().sum();
-        st.peak = st.peak.max(total);
-    }
-
     /// Current total engine usage in bytes.
     pub fn used(&self) -> u64 {
         self.state.lock().used.iter().sum()
@@ -146,12 +137,6 @@ impl MemoryBudget {
             (1.0 + (p - 0.9) * 14.0).min(16.0)
         }
     }
-
-    /// Clears all usage and peak tracking.
-    pub fn reset(&self) {
-        let mut st = self.state.lock();
-        *st = MemState::default();
-    }
 }
 
 #[cfg(test)]
@@ -174,9 +159,9 @@ mod tests {
     fn penalty_kicks_in_over_budget() {
         let mem = MemoryBudget::gib(4);
         assert_eq!(mem.penalty_factor(), 1.0);
-        mem.set_usage(MemoryUser::BlockCache, mem.available_to_engine());
+        mem.reserve(MemoryUser::BlockCache, mem.available_to_engine());
         assert!(mem.penalty_factor() > 2.0);
-        mem.set_usage(MemoryUser::BlockCache, 3 * mem.available_to_engine());
+        mem.reserve(MemoryUser::BlockCache, 2 * mem.available_to_engine());
         assert_eq!(mem.penalty_factor(), 16.0, "penalty is capped");
     }
 
@@ -194,14 +179,5 @@ mod tests {
         let mem = MemoryBudget::gib(4);
         assert!(mem.available_to_engine() < mem.total());
         assert!(mem.available_to_engine() > mem.total() / 2);
-    }
-
-    #[test]
-    fn reset_clears_everything() {
-        let mem = MemoryBudget::gib(1);
-        mem.reserve(MemoryUser::TableCache, 1 << 20);
-        mem.reset();
-        assert_eq!(mem.used(), 0);
-        assert_eq!(mem.peak(), 0);
     }
 }

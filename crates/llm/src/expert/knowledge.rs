@@ -289,8 +289,10 @@ pub fn enforce_memory_budget(facts: &PromptFacts, recs: &mut [Recommendation]) -
     // The cache never shrinks below 64 MB, so the two may still overrun.
     let verdict = if buffers.saturating_add(new_cache) <= budget {
         "plus block cache fit within"
-    } else {
+    } else if buffers > budget {
         "alone exceed"
+    } else {
+        "plus the 64MB minimum block cache exceed"
     };
     Some(format!(
         "Keeping the total memory budget in check: write buffers ({}x{}MB) {verdict} 60% of RAM.",
@@ -388,13 +390,13 @@ mod tests {
             rec("max_write_buffer_number", "4", "", 8),
             rec("block_cache_size", "2048MB", "", 10),
         ];
-        let note = enforce_memory_budget(&f, &mut recs);
-        assert!(note.is_some());
+        let note = enforce_memory_budget(&f, &mut recs).unwrap();
         let cache = recs.iter().find(|r| r.name == "block_cache_size").unwrap();
         let new = lsm_kvs::options::registry::parse_size(&cache.value).unwrap();
         assert!(new < 2048 << 20);
         // 60% of 4 GiB minus 2 GiB of buffers.
         assert!(new >= 64 << 20);
+        assert!(note.contains("(4x512MB) plus block cache fit within 60% of RAM"), "{note}");
     }
 
     #[test]
@@ -410,31 +412,24 @@ mod tests {
 
     #[test]
     fn note_claims_no_fit_when_the_buffers_alone_exceed_the_budget() {
-        let f = facts(WorkloadClass::Mixed, 4, 4.0, false, 1);
-        let mut recs = vec![
-            rec("write_buffer_size", "1024MB", "", 9),
-            rec("max_write_buffer_number", "4", "", 8),
-            rec("block_cache_size", "1024MB", "", 10),
-        ];
-        let note = enforce_memory_budget(&f, &mut recs).unwrap();
-        // The cache floors at 64 MB: 4,096 + 64 MiB against a 2,457 MiB budget.
-        assert_eq!(recs[2].value, "64MB");
-        assert!(!note.contains("fit within"), "{note}");
-        assert!(note.contains("write buffers (4x1024MB) alone exceed 60% of RAM"), "{note}");
-    }
-
-    #[test]
-    fn note_claims_a_fit_only_when_buffers_and_the_new_cache_fit() {
-        let f = facts(WorkloadClass::Mixed, 4, 4.0, false, 1);
-        let mut recs = vec![
-            rec("write_buffer_size", "512MB", "", 9),
-            rec("max_write_buffer_number", "4", "", 8),
-            rec("block_cache_size", "2048MB", "", 10),
-        ];
-        let note = enforce_memory_budget(&f, &mut recs).unwrap();
-        // 2,048 MiB of buffers plus the new 409 MiB cache fit the 2,457 MiB budget.
-        assert_eq!(recs[2].value, "409MB");
-        assert!(note.contains("plus block cache fit within 60% of RAM"), "{note}");
+        // The cache floors at 64 MB; the budget is 60% of 4 GiB, 2,457.6 MiB.
+        for (buffer, verdict) in [
+            // 4,096 MiB of buffers.
+            ("1024MB", "(4x1024MB) alone exceed 60% of RAM"),
+            // 2,400 MiB of buffers fit, but not with the 64 MiB floor.
+            ("600MB", "(4x600MB) plus the 64MB minimum block cache exceed 60% of RAM"),
+        ] {
+            let f = facts(WorkloadClass::Mixed, 4, 4.0, false, 1);
+            let mut recs = vec![
+                rec("write_buffer_size", buffer, "", 9),
+                rec("max_write_buffer_number", "4", "", 8),
+                rec("block_cache_size", "1024MB", "", 10),
+            ];
+            let note = enforce_memory_budget(&f, &mut recs).unwrap();
+            assert_eq!(recs[2].value, "64MB");
+            assert!(!note.contains("fit within"), "{note}");
+            assert!(note.contains(verdict), "{note}");
+        }
     }
 
     #[test]

@@ -96,13 +96,6 @@ impl DbInner {
     /// commits the whole group; everyone else waits on the condvar for
     /// their id to pass the completion watermark.
     fn write_queued(&self, rt: &Runtime, batch: WriteBatch, sync: bool) -> Result<()> {
-        // Without concurrent memtable writes, commit strictly one batch
-        // at a time (the queue still serializes leaders).
-        let max_group = if self.opts().allow_concurrent_memtable_write {
-            MAX_GROUP_BATCHES
-        } else {
-            1
-        };
         let mut queue = rt.commit.lock();
         let id = queue.next_id;
         queue.next_id += 1;
@@ -125,7 +118,7 @@ impl DbInner {
             // one; only a larger group is collected into a vector.
             queue.leader_active = true;
             let (mut one, mut many);
-            let group: &mut [QueuedWrite] = match queue.pending.len().min(max_group) {
+            let group: &mut [QueuedWrite] = match queue.pending.len().min(MAX_GROUP_BATCHES) {
                 1 => {
                     one = queue.pending.pop_front().expect("the leader's write is queued");
                     std::slice::from_mut(&mut one)

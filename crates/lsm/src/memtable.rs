@@ -299,9 +299,12 @@ impl Entries {
         };
         let node = self.keys.get_mut(key);
         let newest = self.arena.tag(&node.newest, node.len);
-        // Sequences arrive in order from a `Db`: the new entry displaces
-        // the newest into the log. Concurrent appliers may land an older
-        // one later, which is linked in below the newer ones.
+        // Sequences arrive in order from a `Db`'s writes: the new entry
+        // displaces the newest into the log. Recovery may land an older
+        // one later: an open cut after it synced the re-logged WAL but
+        // before CURRENT names the new manifest leaves the old logs
+        // beside the re-logged one, and the next open replays both, so
+        // the re-logged records arrive below newer versions of their key.
         if tag > newest {
             let displaced = self.older.push(node.newest);
             node.newest = Entry { older: displaced, ..entry };
@@ -556,8 +559,9 @@ pub struct MemTable {
     /// `memtable_prefix_bloom_size_ratio > 0`.
     bloom: Option<MemTableBloom>,
     approximate_bytes: AtomicUsize,
-    /// `u64::MAX` = no entry yet; kept with `fetch_min` so concurrent
-    /// appliers agree on the smallest sequence.
+    /// `u64::MAX` = no entry yet; kept with `fetch_min` because a
+    /// recovery that replays the old WALs and then the re-logged one
+    /// inserts smaller sequences after larger ones.
     first_seq: AtomicU64,
     last_seq: AtomicU64,
 }

@@ -257,9 +257,11 @@ options_table! {
         /// synced before it becomes reader-visible.
         enable_pipelined_write: bool = true, Db, -, reopen,
             "Pipeline WAL append and memtable insert stages of the write path";
+        /// Read by the simulator's write cost only: real mode applies a
+        /// commit group's memtable inserts on one thread, under the state
+        /// lock, whatever the value.
         allow_concurrent_memtable_write: bool = true, Db, -, reopen,
-            "Allow multiple writers to insert into the memtable concurrently \
-             (real mode: off caps commit groups at a single batch)";
+            "Allow multiple writers to insert into the memtable concurrently";
         use_direct_reads: bool = false, Db, -, reopen,
             "Bypass the OS page cache for user reads";
         use_direct_io_for_flush_and_compaction: bool = false, Db, -, reopen,

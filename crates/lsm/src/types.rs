@@ -51,11 +51,6 @@ impl ValueType {
             b => ValueType::from_u8(b),
         }
     }
-
-    /// Whether this entry carries user data (as opposed to a tombstone).
-    pub fn is_value(self) -> bool {
-        !matches!(self, ValueType::Deletion)
-    }
 }
 
 /// The type used in seek targets: the numerically largest [`ValueType`],

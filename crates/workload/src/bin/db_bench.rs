@@ -118,14 +118,7 @@ fn run(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             "--scale" => scale = take(&mut i)?.parse()?,
             "--cores" => cores = take(&mut i)?.parse()?,
             "--mem-gib" => mem_gib = take(&mut i)?.parse()?,
-            "--device" => {
-                device = match take(&mut i)?.as_str() {
-                    "nvme" | "nvme_ssd" => DeviceModel::nvme_ssd(),
-                    "sata_ssd" | "ssd" => DeviceModel::sata_ssd(),
-                    "hdd" | "sata_hdd" => DeviceModel::sata_hdd(),
-                    other => return Err(format!("unknown device: {other}").into()),
-                }
-            }
+            "--device" => device = take(&mut i)?.parse()?,
             "--option" => {
                 let kv = take(&mut i)?;
                 let (k, v) = kv
