@@ -1033,6 +1033,120 @@ mod tests {
         }
     }
 
+    /// One row per size of the bucket array, taken when the keys reach
+    /// it (load factor 1, the add before it doubles): the size, the key
+    /// nodes the `add`s since the last doubling visited, the nodes as
+    /// many absent-key `get`s as there are buckets visited, and how many
+    /// chains hold 0, 1, 2, ... keys.
+    fn probe_rows(keys: &[Vec<u8>], absent: impl Fn(usize) -> Vec<u8>) -> Vec<ProbeRow> {
+        let mt = MemTable::new(0);
+        let mut rows = Vec::new();
+        let mut adds = 0;
+        for (seq, key) in keys.iter().enumerate() {
+            adds += visits(|| mt.add(seq as u64 + 1, ValueType::Value, key, b"")).1 .0;
+            let entries = mt.entries.read();
+            let buckets = entries.buckets.len();
+            if entries.keys.len < buckets {
+                continue;
+            }
+            let mut chains = vec![0; 1];
+            for &head in &entries.buckets {
+                let (mut len, mut link) = (0, head);
+                while link != 0 {
+                    (len, link) = (len + 1, entries.keys.get(link - 1).next);
+                }
+                chains.resize(chains.len().max(len + 1), 0);
+                chains[len] += 1;
+            }
+            drop(entries);
+            let absent: Vec<Vec<u8>> = (0..buckets).map(&absent).collect();
+            let (found, (misses, examined)) =
+                visits(|| absent.iter().filter(|k| mt.get(k, MAX_SEQUENCE).is_some()).count());
+            assert_eq!((found, examined), (0, 0), "absent keys examine no entry");
+            rows.push((buckets, adds, misses, chains));
+            adds = 0;
+        }
+        rows
+    }
+
+    type ProbeRow = (usize, usize, usize, Vec<usize>);
+
+    /// What an `add` and a miss examine on the hash index, pinned for two
+    /// key streams: `db_bench`'s 16-byte zero-padded decimal keys (the
+    /// ones `tune_sim`'s sessions write) in shuffled order, and
+    /// `tests/put_allocs.rs`'s `key-{i:08}` keys in order. A miss visits
+    /// under one node on average over the doublings (0.44 and 0.84; 1.47
+    /// and 1.22 at the worst one): a filter in front of the index has
+    /// little to spare it. The decimal stream's adds do not: `hash_key`
+    /// leaves each 8-byte word's top byte out of the bucket until the
+    /// array has 2^19 buckets, so keys that differ only in their last
+    /// digit share a chain (ten to a chain at 64 Ki buckets) and an add
+    /// visits about five nodes.
+    #[test]
+    fn memtable_probes_per_add_and_miss() {
+        const DECIMAL: usize = 1 << 16;
+        let mut decimal: Vec<Vec<u8>> = (0..DECIMAL).map(|i| format!("{i:016}").into_bytes()).collect();
+        let mut rng = testkit::Rng(0x9e37_79b9_7f4a_7c15);
+        for i in (1..decimal.len()).rev() {
+            decimal.swap(i, rng.below(i + 1));
+        }
+        let decimal = probe_rows(&decimal, |i| format!("{:016}", DECIMAL + i).into_bytes());
+        let put_allocs: Vec<Vec<u8>> = (0..6_000).map(|i| format!("key-{i:08}").into_bytes()).collect();
+        let put_allocs = probe_rows(&put_allocs, |i| format!("key-{:08}", 6_000 + i).into_bytes());
+
+        let summary = |rows: &[ProbeRow]| {
+            let keys = rows.last().map_or(0, |row| row.0);
+            let adds: usize = rows.iter().map(|row| row.1).sum();
+            let misses: usize = rows.iter().map(|row| row.2).sum();
+            let probes: usize = rows.iter().map(|row| row.0).sum();
+            let worst = rows.iter().map(|row| row.2 as f64 / row.0 as f64).fold(0.0, f64::max);
+            let longest = rows.iter().map(|row| row.3.len() - 1).max().unwrap_or(0);
+            format!(
+                "{keys} keys, {:.3} nodes per add, {:.3} per miss at load 1 (worst doubling {worst:.3}), longest chain {longest}",
+                adds as f64 / keys as f64,
+                misses as f64 / probes as f64,
+            )
+        };
+        println!(
+            "memtable probes: 16-byte decimal, shuffled: {}; put_allocs keys: {}",
+            summary(&decimal),
+            summary(&put_allocs)
+        );
+
+        let pinned = |rows: &[(usize, usize, usize, &[usize])]| -> Vec<ProbeRow> {
+            rows.iter().map(|&(buckets, adds, misses, chains)| (buckets, adds, misses, chains.to_vec())).collect()
+        };
+        assert_eq!(
+            decimal,
+            pinned(&[
+                (256, 171, 376, &[108, 79, 47, 9, 11, 1, 0, 1]),
+                (512, 273, 396, &[231, 147, 72, 41, 11, 7, 2, 1]),
+                (1024, 747, 1144, &[558, 163, 152, 91, 33, 16, 6, 4, 1]),
+                (2048, 1547, 1584, &[1137, 322, 264, 191, 78, 35, 13, 6, 1, 0, 1]),
+                (4096, 2994, 2744, &[2261, 645, 573, 335, 164, 73, 37, 7, 1]),
+                (8192, 6444, 4820, &[4518, 1379, 1117, 600, 305, 155, 70, 24, 20, 4]),
+                (16384, 16073, 8110, &[10616, 1092, 1598, 1428, 910, 460, 163, 70, 29, 11, 5, 1, 1]),
+                (
+                    32768,
+                    61698,
+                    13472,
+                    &[26563, 43, 267, 674, 1203, 1488, 1227, 687, 304, 114, 60, 44, 43, 33, 13, 4, 0, 1],
+                ),
+                (65536, 231668, 25424, &[59120, 0, 0, 0, 0, 0, 1, 0, 0, 0, 6277, 0, 0, 0, 0, 0, 0, 0, 0, 0, 138]),
+            ])
+        );
+        assert_eq!(
+            put_allocs,
+            pinned(&[
+                (256, 96, 312, &[87, 91, 69, 9]),
+                (512, 223, 324, &[224, 132, 98, 48, 10]),
+                (1024, 655, 564, &[502, 228, 152, 93, 33, 15, 1]),
+                (2048, 1792, 2481, &[1220, 309, 192, 130, 92, 54, 35, 11, 5]),
+                (4096, 2514, 2943, &[2119, 860, 533, 298, 180, 84, 18, 4]),
+            ])
+        );
+    }
+
     /// More keys than one run holds, arriving in a shuffled order with
     /// cursor seeks in between, leave a few runs, and the view and a cursor
     /// still walk every entry in internal-key order.
