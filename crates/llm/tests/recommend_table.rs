@@ -165,10 +165,10 @@ fn unread_options() -> BTreeSet<&'static str> {
         .collect()
 }
 
-/// Two rows advise options the engine accepts but never reads; the
+/// Three rows advise options the engine accepts but never reads; the
 /// advice stays, as a blog would give it, and is named here.
 #[test]
-fn exactly_two_rules_name_options_the_engine_does_not_read() {
+fn exactly_three_rules_name_options_the_engine_does_not_read() {
     let unread = unread_options();
     let advised: Vec<&str> = RULES
         .iter()
@@ -179,7 +179,8 @@ fn exactly_two_rules_name_options_the_engine_does_not_read() {
         advised,
         [
             "dump_malloc_stats",
-            "pin_l0_filter_and_index_blocks_in_cache"
+            "pin_l0_filter_and_index_blocks_in_cache",
+            "memtable_prefix_bloom_size_ratio"
         ]
     );
 }

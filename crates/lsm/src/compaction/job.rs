@@ -119,7 +119,7 @@ mod tests {
         number: u64,
         entries: &[(&str, u64, ValueType, &str)],
     ) -> Arc<FileMetadata> {
-        let mt = MemTable::new(0);
+        let mt = MemTable::new();
         for (k, seq, ty, v) in entries {
             mt.add(*seq, *ty, k.as_bytes(), v.as_bytes());
         }

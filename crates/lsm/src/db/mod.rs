@@ -236,9 +236,6 @@ impl WriteOptions {
 /// use the defaults.
 #[derive(Debug, Clone, Copy)]
 pub struct ReadOptions {
-    /// Verify block checksums on every read that misses the block cache.
-    /// Disabling trades integrity checking for CPU.
-    pub verify_checksums: bool,
     /// Insert blocks read on a cache miss into the block cache. Disable
     /// for one-off scans that would wipe the working set.
     pub fill_cache: bool,
@@ -251,7 +248,6 @@ pub struct ReadOptions {
 impl Default for ReadOptions {
     fn default() -> Self {
         ReadOptions {
-            verify_checksums: true,
             fill_cache: true,
             snapshot_seq: None,
         }

@@ -16,7 +16,7 @@ use crate::compaction::pending_compaction_bytes;
 use crate::error::{Error, Result};
 use crate::listener::EventListener;
 use crate::memtable::MemTable;
-use crate::options::{ini, MemtableRep, Options};
+use crate::options::{ini, Options};
 use crate::runtime::{JobBudget, Runtime};
 use crate::stats::Statistics;
 use crate::version::{Version, VersionEdit};
@@ -55,18 +55,6 @@ pub(super) fn write_options_file(vfs: &dyn Vfs, opts: &Options) -> Result<()> {
     tmp.finish()?;
     drop(tmp);
     vfs.rename(OPTIONS_TMP_FILE, OPTIONS_FILE)
-}
-
-/// Builds a fresh active memtable from the current options: bloom sized
-/// off the write buffer. Entry count is estimated at ~128 bytes/entry so
-/// the derived probe count tracks the actual bits-per-key budget.
-pub(super) fn new_memtable(opts: &Options) -> MemTable {
-    MemTable::with_config(
-        MemtableRep::default(),
-        (opts.write_buffer_size as f64 * opts.memtable_prefix_bloom_size_ratio) as usize,
-        (opts.write_buffer_size / 128).max(16) as usize,
-        0,
-    )
 }
 
 /// Fluent constructor for [`Db`], created by [`Db::builder`].
@@ -305,7 +293,7 @@ fn create_fresh(opts: &Options, vfs: &dyn Vfs) -> Result<DbState> {
         Some(WalWriter::new(vfs.create(&wal_file_name(wal_number))?))
     };
     Ok(DbState::new(
-        new_memtable(opts),
+        MemTable::new(),
         wal_number,
         Version::empty(opts.num_levels as usize),
         wal,
@@ -344,7 +332,7 @@ fn recover(opts: &Options, vfs: &dyn Vfs) -> Result<DbState> {
     // also kept, as the batch it is, so it can be re-logged into the new
     // WAL below — otherwise a second crash before the next flush would
     // lose the recovered entries (their old logs are garbage-collected).
-    let mem = new_memtable(opts);
+    let mem = MemTable::new();
     let mut replayed: Vec<WriteBatch> = Vec::new();
     let mut wal_numbers: Vec<u64> = vfs
         .list("")?

@@ -331,7 +331,7 @@ impl DbInner {
             self.stats.tickers().inc(Ticker::BlockCacheMiss);
         }
         let started = self.clock.now();
-        let fetch = reader.read_block(handle, ropts.verify_checksums)?;
+        let fetch = reader.read_block(handle)?;
         self.note_table_read(started, &[fetch.io_bytes]);
         if fetch.was_compressed {
             *cpu += decompress_cpu_cost(self.opts().compression, fetch.data.len());
@@ -563,7 +563,7 @@ mod tests {
     }
 
     #[test]
-    fn read_options_fill_cache_and_checksum_skip() {
+    fn read_options_fill_cache() {
         let env = env();
         let db = Db::builder(small_opts()).env(&env).open().unwrap();
         for i in 0..2_000 {
@@ -584,14 +584,6 @@ mod tests {
         assert_eq!(db.get_opt(&no_fill, b"key-00042").unwrap(), Some(b"v".to_vec()));
         let miss2 = db.stats().tickers.get(Ticker::BlockCacheMiss);
         assert!(miss2 > miss1, "no-fill read did not populate the cache");
-
-        // Checksum-skipping reads return the same data.
-        let no_verify = ReadOptions {
-            verify_checksums: false,
-            ..ReadOptions::default()
-        };
-        assert_eq!(db.get_opt(&no_verify, b"key-01234").unwrap(), Some(b"v".to_vec()));
-        assert_eq!(db.scan_opt(&no_verify, b"key-00000", 3).unwrap().len(), 3);
     }
 
     /// `ttl_seconds` set at open is accepted for option-file

@@ -14,12 +14,12 @@ use std::time::Instant;
 use hw_sim::{SimDuration, SimTime};
 use parking_lot::MutexGuard;
 
-use super::open::new_memtable;
 use super::{
     wal_file_name, Db, DbInner, DbState, ImmEntry, Mode, WriteOptions, MAX_GROUP_BATCHES,
     PACE_GRANULARITY, STALL_TIMEOUT, WAL_SYNC_RETRIES,
 };
 use crate::batch::WriteBatch;
+use crate::memtable::MemTable;
 use crate::error::{Error, Result};
 use crate::options::Options;
 use crate::runtime::{QueuedWrite, Runtime};
@@ -387,7 +387,7 @@ impl DbInner {
         let opts = self.opts();
         // Readers hold their own `Arc` to the old memtable; swapping the
         // state pointer never blocks them.
-        let old = std::mem::replace(&mut state.mem, std::sync::Arc::new(new_memtable(&opts)));
+        let old = std::mem::replace(&mut state.mem, std::sync::Arc::new(MemTable::new()));
         state.imm.push(ImmEntry {
             mem: old,
             wal_number: state.mem_wal_number,

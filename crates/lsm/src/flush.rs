@@ -62,7 +62,7 @@ mod tests {
     #[test]
     fn single_memtable_flush() {
         let vfs = MemVfs::new();
-        let mt = MemTable::new(0);
+        let mt = MemTable::new();
         for i in 0..100 {
             mt.add(i + 1, ValueType::Value, format!("k{i:03}").as_bytes(), b"v");
         }
@@ -84,10 +84,10 @@ mod tests {
     #[test]
     fn merge_multiple_memtables_newest_wins() {
         let vfs = MemVfs::new();
-        let old = MemTable::new(0);
+        let old = MemTable::new();
         old.add(1, ValueType::Value, b"dup", b"old");
         old.add(2, ValueType::Value, b"only-old", b"x");
-        let new = MemTable::new(0);
+        let new = MemTable::new();
         new.add(10, ValueType::Value, b"dup", b"new");
         new.add(11, ValueType::Value, b"only-new", b"y");
         let out = build_l0_table(
@@ -109,7 +109,7 @@ mod tests {
     #[test]
     fn tombstones_survive_flush() {
         let vfs = MemVfs::new();
-        let mt = MemTable::new(0);
+        let mt = MemTable::new();
         mt.add(1, ValueType::Value, b"k", b"v");
         mt.add(2, ValueType::Deletion, b"k", b"");
         let _ = build_l0_table(
@@ -128,7 +128,7 @@ mod tests {
     #[test]
     fn pinned_snapshot_keeps_shadowed_version() {
         let vfs = MemVfs::new();
-        let mt = MemTable::new(0);
+        let mt = MemTable::new();
         mt.add(3, ValueType::Value, b"k", b"v3");
         mt.add(7, ValueType::Value, b"k", b"v7");
         // A snapshot at seq 5 still resolves `k` to the version at seq 3.
@@ -151,9 +151,9 @@ mod tests {
     #[test]
     fn smallest_largest_span_all_inputs() {
         let vfs = MemVfs::new();
-        let a = MemTable::new(0);
+        let a = MemTable::new();
         a.add(1, ValueType::Value, b"mmm", b"");
-        let b = MemTable::new(0);
+        let b = MemTable::new();
         b.add(2, ValueType::Value, b"aaa", b"");
         b.add(3, ValueType::Value, b"zzz", b"");
         let fin = build_l0_table(

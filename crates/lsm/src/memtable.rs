@@ -555,9 +555,6 @@ pub struct MemTable {
     entries: RwLock<Entries>,
     /// Taken before `entries` by whoever builds order.
     order: Mutex<Order>,
-    /// Optional bloom filter over user keys, enabled by
-    /// `memtable_prefix_bloom_size_ratio > 0`.
-    bloom: Option<MemTableBloom>,
     approximate_bytes: AtomicUsize,
     /// `u64::MAX` = no entry yet; kept with `fetch_min` because a
     /// recovery that replays the old WALs and then the re-logged one
@@ -566,97 +563,31 @@ pub struct MemTable {
     last_seq: AtomicU64,
 }
 
-struct MemTableBloom {
-    bits: Vec<AtomicU64>,
-    num_probes: u32,
-}
-
-impl MemTableBloom {
-    /// Sizes the bit array from `size_bytes` (rounded up to a power of
-    /// two) and derives the probe count from the actual bits-per-key the
-    /// caller expects, exactly like [`BloomFilter::build`] does — a fixed
-    /// probe count saturates small filters and short-circuits nothing.
-    fn new(size_bytes: usize, expected_entries: usize) -> Self {
-        let bits = (size_bytes.max(64) * 8).next_power_of_two();
-        let bits_per_key = bits as f64 / expected_entries.max(1) as f64;
-        let num_probes =
-            ((bits_per_key * std::f64::consts::LN_2).round() as u32).clamp(1, 6);
-        MemTableBloom {
-            bits: (0..bits / 64).map(|_| AtomicU64::new(0)).collect(),
-            num_probes,
-        }
-    }
-
-    fn add(&self, key: &[u8]) {
-        let (mut h, delta) = bloom_hashes(key);
-        let nbits = self.bits.len() * 64;
-        for _ in 0..self.num_probes {
-            let bit = (h as usize) % nbits;
-            self.bits[bit / 64].fetch_or(1u64 << (bit % 64), AtomicOrdering::Relaxed);
-            h = h.wrapping_add(delta);
-        }
-    }
-
-    fn may_contain(&self, key: &[u8]) -> bool {
-        let (mut h, delta) = bloom_hashes(key);
-        let nbits = self.bits.len() * 64;
-        for _ in 0..self.num_probes {
-            let bit = (h as usize) % nbits;
-            if self.bits[bit / 64].load(AtomicOrdering::Relaxed) & (1u64 << (bit % 64)) == 0 {
-                return false;
-            }
-            h = h.wrapping_add(delta);
-        }
-        true
-    }
-}
-
-fn bloom_hashes(key: &[u8]) -> (u64, u64) {
-    let h = crate::util::fnv1a(key);
-    (h, h.rotate_right(17) | 1)
-}
-
 const ENTRY_OVERHEAD: usize = 48;
 
 impl MemTable {
-    /// Creates an empty memtable. `bloom_bytes > 0` enables the in-memory
-    /// bloom filter at roughly that size, sized for ~1 entry per filter
-    /// byte (which lands on the historical 6 probes).
-    pub fn new(bloom_bytes: usize) -> Self {
-        Self::with_config(MemtableRep::default(), bloom_bytes, bloom_bytes, 0)
-    }
-
-    /// Creates an empty memtable with explicit bloom sizing (`bloom_bytes`
-    /// of filter for roughly `expected_entries` keys). The first and last
-    /// parameters are ignored: `perf/src/ladder.rs` passes four arguments
-    /// and is frozen.
-    pub fn with_config(
-        _rep: MemtableRep,
-        bloom_bytes: usize,
-        expected_entries: usize,
-        _unused: usize,
-    ) -> Self {
+    /// Creates an empty memtable.
+    pub fn new() -> Self {
         MemTable {
             entries: RwLock::new(Entries::new()),
             order: Mutex::default(),
-            bloom: if bloom_bytes > 0 {
-                Some(MemTableBloom::new(bloom_bytes, expected_entries))
-            } else {
-                None
-            },
             approximate_bytes: AtomicUsize::new(0),
             first_seq: AtomicU64::new(u64::MAX),
             last_seq: AtomicU64::new(0),
         }
     }
 
+    /// Creates an empty memtable, as [`MemTable::new`] does: every
+    /// parameter is ignored. `perf/src/ladder.rs` passes four arguments
+    /// and is frozen.
+    pub fn with_config(_rep: MemtableRep, _: usize, _: usize, _: usize) -> Self {
+        Self::new()
+    }
+
     /// Inserts a value or tombstone. The entry's bytes are appended to
     /// the arena and its record to the log; neither allocates unless it
     /// starts a chunk.
     pub fn add(&self, seq: SequenceNumber, ty: ValueType, user_key: &[u8], value: &[u8]) {
-        if let Some(bloom) = &self.bloom {
-            bloom.add(user_key);
-        }
         let hash = hash_key(user_key);
         let charged = user_key.len() + 8 + value.len() + ENTRY_OVERHEAD;
         self.entries.write().insert(user_key, hash, (seq << 8) | ty as u64, value);
@@ -672,11 +603,6 @@ impl MemTable {
     /// snapshot the first one decides, and an older snapshot walks past
     /// the versions written after it.
     pub fn get(&self, user_key: &[u8], snapshot: SequenceNumber) -> Option<(ValueType, Vec<u8>)> {
-        if let Some(bloom) = &self.bloom {
-            if !bloom.may_contain(user_key) {
-                return None;
-            }
-        }
         let seek_tag = (snapshot.min(MAX_SEQUENCE) << 8) | VALUE_TYPE_FOR_SEEK as u64;
         let hash = hash_key(user_key);
         let entries = self.entries.read();
@@ -690,7 +616,6 @@ impl MemTable {
     /// Approximate memory footprint in bytes.
     pub fn approximate_memory_usage(&self) -> usize {
         self.approximate_bytes.load(AtomicOrdering::Relaxed)
-            + self.bloom.as_ref().map_or(0, |b| b.bits.len() * 8)
     }
 
     /// Number of entries (including tombstones and shadowed versions).
@@ -725,6 +650,12 @@ impl MemTable {
         let entries = self.entries.read();
         let runs = order.runs(&entries).to_vec();
         MemTableView { entries, runs }
+    }
+}
+
+impl Default for MemTable {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -949,7 +880,7 @@ mod tests {
     #[test]
     fn get_examines_one_chain_and_the_versions_it_needs() {
         const VERSIONS: u64 = 10_000;
-        let mt = MemTable::new(0);
+        let mt = MemTable::new();
         for i in 0..1_000u64 {
             mt.add(i + 1, ValueType::Value, format!("key-{i:04}").as_bytes(), b"v");
         }
@@ -993,7 +924,7 @@ mod tests {
     /// log: not to the moved entry again, nor to the new one behind it.
     #[test]
     fn cursor_steps_past_an_entry_a_newer_version_displaced() {
-        let mt = Arc::new(MemTable::new(0));
+        let mt = Arc::new(MemTable::new());
         mt.add(1, ValueType::Value, b"a", b"a1");
         mt.add(2, ValueType::Value, b"b", b"b2");
         let start = crate::types::lookup_key(b"a", MAX_SEQUENCE);
@@ -1010,7 +941,7 @@ mod tests {
     /// engine never writes it, but `add` takes any `ValueType`.
     #[test]
     fn get_returns_the_type_add_was_given() {
-        let mt = MemTable::new(0);
+        let mt = MemTable::new();
         for (seq, ty) in [(1, ValueType::Deletion), (2, ValueType::Value), (3, ValueType::TtlValue)] {
             mt.add(seq, ty, b"k", b"v");
             assert_eq!(mt.get(b"k", seq), Some((ty, b"v".to_vec())));
@@ -1021,7 +952,7 @@ mod tests {
     /// every key is still found.
     #[test]
     fn index_doubles_with_the_keys() {
-        let mt = MemTable::new(0);
+        let mt = MemTable::new();
         assert_eq!(mt.entries.read().buckets.len(), MIN_BUCKETS);
         for i in 0..5_000u64 {
             mt.add(i + 1, ValueType::Value, format!("{i}").as_bytes(), &i.to_le_bytes());
@@ -1039,7 +970,7 @@ mod tests {
     /// many absent-key `get`s as there are buckets visited, and how many
     /// chains hold 0, 1, 2, ... keys.
     fn probe_rows(keys: &[Vec<u8>], absent: impl Fn(usize) -> Vec<u8>) -> Vec<ProbeRow> {
-        let mt = MemTable::new(0);
+        let mt = MemTable::new();
         let mut rows = Vec::new();
         let mut adds = 0;
         for (seq, key) in keys.iter().enumerate() {
@@ -1158,7 +1089,7 @@ mod tests {
         for i in (1..ids.len()).rev() {
             ids.swap(i, rng.below(i + 1));
         }
-        let mt = Arc::new(MemTable::new(0));
+        let mt = Arc::new(MemTable::new());
         let first = crate::types::lookup_key(b"", MAX_SEQUENCE);
         for (seq, &id) in ids.iter().enumerate() {
             mt.add(seq as u64 + 1, ValueType::Value, format!("{id:09}").as_bytes(), b"");
@@ -1191,7 +1122,7 @@ mod tests {
 
     #[test]
     fn put_then_get() {
-        let mt = MemTable::new(0);
+        let mt = MemTable::new();
         mt.add(1, ValueType::Value, b"alpha", b"1");
         mt.add(2, ValueType::Value, b"beta", b"2");
         assert_eq!(mt.get(b"alpha", 100), Some((ValueType::Value, b"1".to_vec())));
@@ -1200,7 +1131,7 @@ mod tests {
 
     #[test]
     fn newer_version_shadows_older() {
-        let mt = MemTable::new(0);
+        let mt = MemTable::new();
         mt.add(1, ValueType::Value, b"k", b"old");
         mt.add(5, ValueType::Value, b"k", b"new");
         assert_eq!(mt.get(b"k", 100), Some((ValueType::Value, b"new".to_vec())));
@@ -1210,7 +1141,7 @@ mod tests {
 
     #[test]
     fn deletion_is_visible() {
-        let mt = MemTable::new(0);
+        let mt = MemTable::new();
         mt.add(1, ValueType::Value, b"k", b"v");
         mt.add(2, ValueType::Deletion, b"k", b"");
         assert_eq!(mt.get(b"k", 100), Some((ValueType::Deletion, Vec::new())));
@@ -1219,14 +1150,14 @@ mod tests {
 
     #[test]
     fn snapshot_before_any_version_sees_nothing() {
-        let mt = MemTable::new(0);
+        let mt = MemTable::new();
         mt.add(10, ValueType::Value, b"k", b"v");
         assert_eq!(mt.get(b"k", 5), None);
     }
 
     #[test]
     fn iteration_is_sorted_by_user_key() {
-        let mt = MemTable::new(0);
+        let mt = MemTable::new();
         mt.add(1, ValueType::Value, b"c", b"");
         mt.add(2, ValueType::Value, b"a", b"");
         mt.add(3, ValueType::Value, b"b", b"");
@@ -1240,71 +1171,15 @@ mod tests {
 
     #[test]
     fn memory_usage_grows() {
-        let mt = MemTable::new(0);
+        let mt = MemTable::new();
         let before = mt.approximate_memory_usage();
         mt.add(1, ValueType::Value, b"key", &[0u8; 100]);
         assert!(mt.approximate_memory_usage() >= before + 100);
     }
 
     #[test]
-    fn bloom_filters_absent_keys() {
-        let mt = MemTable::new(4096);
-        for i in 0..100 {
-            mt.add(i + 1, ValueType::Value, format!("key-{i}").as_bytes(), b"v");
-        }
-        assert_eq!(mt.get(b"key-42", 1000), Some((ValueType::Value, b"v".to_vec())));
-        // Bloom short-circuits most absent lookups; correctness-wise all
-        // must return NotFound.
-        for i in 200..300 {
-            assert_eq!(mt.get(format!("key-{i}").as_bytes(), 1000), None);
-        }
-    }
-
-    #[test]
-    fn bloom_probe_count_tracks_bits_per_key() {
-        // Generous filter: probes land at the classic bpk*ln2 (clamped 6).
-        let roomy = MemTableBloom::new(1 << 16, 1000);
-        assert_eq!(roomy.num_probes, 6);
-        // Starved filter (more keys than bits): a single probe, where the
-        // old hardcoded 6 would saturate the array.
-        let starved = MemTableBloom::new(64, 100_000);
-        assert_eq!(starved.num_probes, 1);
-    }
-
-    #[test]
-    fn starved_bloom_still_rejects_some_absent_keys() {
-        // Regression for the hardcoded num_probes=6: a filter with ~1 bit
-        // per key saturates at 6 probes (FP rate ~98%) but stays useful at
-        // the derived 1 probe (FP rate ~63%).
-        let bloom = MemTableBloom::new(64, 512);
-        let nbits = bloom.bits.len() * 64;
-        assert_eq!(nbits, 512);
-        for i in 0..512 {
-            bloom.add(format!("present-{i}").as_bytes());
-        }
-        let fp = (0..2000)
-            .filter(|i| bloom.may_contain(format!("absent-{i}").as_bytes()))
-            .count();
-        let rate = fp as f64 / 2000.0;
-        assert!(rate < 0.8, "saturated filter: fp rate {rate}");
-    }
-
-    #[test]
-    fn roomy_bloom_keeps_low_fp_rate() {
-        let bloom = MemTableBloom::new(1 << 14, 1000);
-        for i in 0..1000 {
-            bloom.add(format!("present-{i}").as_bytes());
-        }
-        let fp = (0..5000)
-            .filter(|i| bloom.may_contain(format!("absent-{i}").as_bytes()))
-            .count();
-        let rate = fp as f64 / 5000.0;
-        assert!(rate < 0.02, "roomy filter: fp rate {rate}");
-    }
-
-    #[test]
     fn sequences_tracked() {
-        let mt = MemTable::new(0);
+        let mt = MemTable::new();
         assert_eq!(mt.first_sequence(), None);
         mt.add(7, ValueType::Value, b"a", b"");
         mt.add(9, ValueType::Value, b"b", b"");
@@ -1314,7 +1189,7 @@ mod tests {
 
     #[test]
     fn cursor_steps_in_order() {
-        let mt = Arc::new(MemTable::new(0));
+        let mt = Arc::new(MemTable::new());
         for i in 0..100u64 {
             mt.add(i + 1, ValueType::Value, format!("k{:03}", 99 - i).as_bytes(), b"v");
         }
@@ -1336,7 +1211,7 @@ mod tests {
 
     #[test]
     fn cursor_survives_concurrent_inserts() {
-        let mt = Arc::new(MemTable::new(0));
+        let mt = Arc::new(MemTable::new());
         for i in 0..1000u64 {
             mt.add(i + 1, ValueType::Value, format!("k{:06}", i * 2).as_bytes(), b"v");
         }
@@ -1398,7 +1273,7 @@ mod tests {
         let all = comparator_user_keys();
         let long: Vec<Vec<u8>> = all.iter().filter(|k| k.starts_with(&[0x80; 16])).cloned().collect();
         for (keys, shared) in [(all, 0), (long, 16)] {
-            let mt = MemTable::new(0);
+            let mt = MemTable::new();
             for (seq, user) in keys.iter().enumerate() {
                 mt.add(seq as u64 + 1, ValueType::Value, user, b"");
             }
@@ -1418,7 +1293,7 @@ mod tests {
 
     #[test]
     fn cursor_walk_is_the_internal_key_order() {
-        let mt = Arc::new(MemTable::new(0));
+        let mt = Arc::new(MemTable::new());
         let mut expected = Vec::new();
         let mut seq = 0;
         for user in comparator_user_keys() {

@@ -270,7 +270,7 @@ mod tests {
             pins in vec(0u64..130, 0..4),
         ) {
             // One op per sequence number; `cut == 0` rotates the memtable.
-            let mut mems = vec![MemTable::new(0)];
+            let mut mems = vec![MemTable::new()];
             for (i, (key, value, kind, cut)) in ops.iter().enumerate() {
                 let (ty, value) = match kind {
                     0 => (ValueType::Deletion, Vec::new()),
@@ -279,7 +279,7 @@ mod tests {
                 let mem = mems.last().expect("never empty");
                 mem.add(i as u64 + 1, ty, &[b'k', *key], &value);
                 if *cut == 0 {
-                    mems.push(MemTable::new(0));
+                    mems.push(MemTable::new());
                 }
             }
             let mems: Vec<Arc<MemTable>> =

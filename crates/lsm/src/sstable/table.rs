@@ -412,16 +412,16 @@ impl TableReader {
             BlockHandle::decode(&footer[32..48]).ok_or_else(|| Error::corruption("bad handle"))?;
 
         let mut bytes_read = FOOTER_SIZE as u64;
-        let index = Arc::new(Block::parse(fetch_block(file.as_ref(), index_handle, true)?.data)?);
+        let index = Arc::new(Block::parse(fetch_block(file.as_ref(), index_handle)?.data)?);
         bytes_read += index_handle.stored_len();
 
-        let props_raw = fetch_block(file.as_ref(), props_handle, true)?.data;
+        let props_raw = fetch_block(file.as_ref(), props_handle)?.data;
         bytes_read += props_handle.stored_len();
         let properties = TableProperties::decode(&props_raw)
             .ok_or_else(|| Error::corruption("bad properties block"))?;
 
         let filter = if filter_handle.size > 0 {
-            let raw = fetch_block(file.as_ref(), filter_handle, true)?.data;
+            let raw = fetch_block(file.as_ref(), filter_handle)?.data;
             bytes_read += filter_handle.stored_len();
             Some(BloomFilter::decode(&raw).ok_or_else(|| Error::corruption("bad filter block"))?)
         } else {
@@ -466,10 +466,8 @@ impl TableReader {
         index_handle(entry.value()).map(Some)
     }
 
-    /// Reads and decompresses a data block, verifying its checksum unless
-    /// `verify_checksums` is off (`ReadOptions::verify_checksums`);
-    /// structural validation (bounds, length, compression flag, decode)
-    /// always runs.
+    /// Reads and decompresses a data block, verifying its checksum and
+    /// its structure (bounds, length, compression flag, decode).
     ///
     /// Returns the uncompressed payload plus the number of bytes that hit
     /// storage (for I/O accounting) and whether decompression ran (for
@@ -477,10 +475,10 @@ impl TableReader {
     ///
     /// # Errors
     ///
-    /// Returns [`ErrorKind::Corruption`](crate::ErrorKind) on checksum (when
-    /// verifying) or decode failures.
-    pub fn read_block(&self, handle: BlockHandle, verify_checksums: bool) -> Result<BlockFetch> {
-        fetch_block(self.file.as_ref(), handle, verify_checksums)
+    /// Returns [`ErrorKind::Corruption`](crate::ErrorKind) on checksum or
+    /// decode failures.
+    pub fn read_block(&self, handle: BlockHandle) -> Result<BlockFetch> {
+        fetch_block(self.file.as_ref(), handle)
     }
 
     /// The index block: the outer level of a [`table_cursor`].
@@ -516,11 +514,7 @@ thread_local! {
 /// after. A handle that does not lie wholly before the footer is refused
 /// before any byte is read or allocated for it: footer handles carry no
 /// checksum of their own, so a flipped bit there must not size a buffer.
-fn fetch_block(
-    file: &dyn RandomAccessFile,
-    handle: BlockHandle,
-    verify_checksums: bool,
-) -> Result<BlockFetch> {
+fn fetch_block(file: &dyn RandomAccessFile, handle: BlockHandle) -> Result<BlockFetch> {
     let blocks_end = file.len().saturating_sub(FOOTER_SIZE as u64);
     let end = handle
         .size
@@ -530,7 +524,7 @@ fn fetch_block(
         return Err(Error::corruption("block handle points outside the table"));
     }
     READ_BUFFERS.with_borrow_mut(|buffers| {
-        let fetched = read_stored(file, handle, verify_checksums, buffers);
+        let fetched = read_stored(file, handle, buffers);
         for buf in [&mut buffers.stored, &mut buffers.scratch] {
             if buf.capacity() > SCRATCH_KEEP {
                 *buf = Vec::new();
@@ -544,7 +538,6 @@ fn fetch_block(
 fn read_stored(
     file: &dyn RandomAccessFile,
     handle: BlockHandle,
-    verify_checksums: bool,
     ReadBuffers { stored, scratch }: &mut ReadBuffers,
 ) -> Result<BlockFetch> {
     let stored_len = handle.stored_len();
@@ -555,7 +548,7 @@ fn read_stored(
     let (payload, trailer) = stored.split_at(handle.size as usize);
     let flag = trailer[0];
     let crc_stored = get_fixed32(trailer, 1).ok_or_else(|| Error::corruption("short crc"))?;
-    if verify_checksums && crc32c_extend(crc32c(payload), &[flag]) != crc_stored {
+    if crc32c_extend(crc32c(payload), &[flag]) != crc_stored {
         return Err(Error::corruption("block checksum mismatch"));
     }
     let (data, was_compressed) = match flag {
@@ -651,7 +644,7 @@ impl<C: Cursor> Cursor for Unstamped<C> {
 /// Propagates read failures and corruption.
 pub(crate) fn direct_cursor(reader: TableReader) -> Result<impl Cursor> {
     let index = reader.index();
-    let fetch = move |handle| Ok(Arc::new(Block::parse(reader.read_block(handle, true)?.data)?));
+    let fetch = move |handle| Ok(Arc::new(Block::parse(reader.read_block(handle)?.data)?));
     table_cursor(index, fetch, None)
 }
 
@@ -703,7 +696,7 @@ mod tests {
     fn get(reader: &TableReader, user_key: &[u8]) -> Option<Vec<u8>> {
         let target = lookup_key(user_key, u64::MAX);
         let handle = reader.find_block(target.encoded()).unwrap()?;
-        let fetch = reader.read_block(handle, true).unwrap();
+        let fetch = reader.read_block(handle).unwrap();
         let block = Block::parse(fetch.data).unwrap();
         let (k, v) = block.seek(target.encoded()).unwrap()?;
         let ik = InternalKey::decode(&k).unwrap();
@@ -804,10 +797,8 @@ mod tests {
         let (reader, _) = TableReader::open(vfs.open("t.sst").unwrap()).unwrap();
         let first = reader.find_block(lookup_key(b"", u64::MAX).encoded()).unwrap().unwrap();
         assert_eq!(first.offset, 0);
-        let err = reader.read_block(first, true).unwrap_err();
+        let err = reader.read_block(first).unwrap_err();
         assert!(err.is_corruption());
-        // Skipping the checksum skips only the checksum.
-        reader.read_block(first, false).unwrap();
     }
 
     #[test]
@@ -856,7 +847,7 @@ mod tests {
             let (reader, _) = TableReader::open(vfs.open("t.sst").unwrap()).unwrap();
             let (stored, scratch) = kept_after(|| {
                 let first = reader.find_block(lookup_key(b"", u64::MAX).encoded()).unwrap().unwrap();
-                let block = reader.read_block(first, true).unwrap().data;
+                let block = reader.read_block(first).unwrap().data;
                 assert!(block.len() > 2 * SCRATCH_KEEP, "{compression:?}: {}", block.len());
                 assert_eq!(block.capacity(), block.len(), "{compression:?}");
             });
@@ -987,7 +978,7 @@ mod tests {
             let mut named = index.iter();
             while named.advance().unwrap() {
                 let handle = index_handle(named.value()).unwrap();
-                let block = Block::parse(reader.read_block(handle, true).unwrap().data).unwrap();
+                let block = Block::parse(reader.read_block(handle).unwrap().data).unwrap();
                 let mut it = block.iter();
                 while it.advance().unwrap() {
                     entries.push((it.key().to_vec(), it.value().to_vec()));
@@ -1015,7 +1006,7 @@ mod tests {
             let fetched = std::cell::RefCell::new(Vec::new());
             let fetch = |handle| {
                 fetched.borrow_mut().push(handle);
-                Ok(Arc::new(Block::parse(self.reader.read_block(handle, true)?.data)?))
+                Ok(Arc::new(Block::parse(self.reader.read_block(handle)?.data)?))
             };
             let mut cursor = table_cursor(self.reader.index(), fetch, target).unwrap();
             assert_eq!(*fetched.borrow(), spanned[..spanned.len().min(1)], "{what}: to open");
@@ -1094,7 +1085,7 @@ mod tests {
             let Ok(index) = Block::parse(mutant).map(Arc::new) else { return 0 };
             let mut walked = 0;
             for target in targets {
-                let fetch = |handle| Ok(Arc::new(Block::parse(fetch_block(&guarded, handle, true)?.data)?));
+                let fetch = |handle| Ok(Arc::new(Block::parse(fetch_block(&guarded, handle)?.data)?));
                 let walk = || -> Result<usize> {
                     let mut cursor = table_cursor(Arc::clone(&index), fetch, target)?;
                     let mut steps = 0;

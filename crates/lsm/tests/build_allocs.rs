@@ -42,7 +42,7 @@ fn table_builds_allocate_per_block_not_per_entry() {
     // db_bench's shape: 16-byte decimal keys, 100-byte values of which
     // half compresses. Table `t` holds the keys congruent to `t` mod 2.
     let memtable = |t: u64| {
-        let mem = MemTable::new(0);
+        let mem = MemTable::new();
         let mut x = 0x9e37_79b9_7f4a_7c15u64 ^ t;
         for i in 0..N {
             let mut value = [0u8; 100];
@@ -127,7 +127,7 @@ fn memtable_fill_and_view_allocate_in_fixed_chunks() {
     let value = [0x5a_u8; 100];
 
     let (filled, spent) = watched(|| {
-        let mem = MemTable::new(0);
+        let mem = MemTable::new();
         let mut added = 0;
         while mem.approximate_memory_usage() < BUDGET {
             mem.add(added as u64 + 1, ValueType::Value, &keys[added], &value);

@@ -190,7 +190,7 @@ proptest! {
 
         use lsm_kvs::{InternalKey, MemTableCursor};
 
-        let mem = Arc::new(MemTable::new(0));
+        let mem = Arc::new(MemTable::new());
         // (user key, newest sequence first) -> (type, value): internal-key
         // order, spelled with std's own comparators.
         let mut model = BTreeMap::new();
@@ -287,7 +287,7 @@ fn hot_key_versions_inserted_out_of_order_read_at_every_snapshot() {
     let ty_of = |seq: u64| if deleted(seq) { ValueType::Deletion } else { ValueType::Value };
     let value_of = |seq: u64| if deleted(seq) { Vec::new() } else { seq.to_le_bytes().to_vec() };
 
-    let mem = MemTable::new(0);
+    let mem = MemTable::new();
     // A neighbour on each side, so a lookup that strays off the hot key
     // finds something else instead of nothing.
     mem.add(VERSIONS + 1, ValueType::Value, b"hot", b"before");
@@ -340,7 +340,7 @@ fn cursor_steps_while_a_writer_inserts_ahead_and_behind() {
     // The value names its key and sequence, so a torn entry shows.
     let value = |k: &[u8], seq: u64| [k, b"@", seq.to_string().as_bytes()].concat();
 
-    let mem = Arc::new(MemTable::new(0));
+    let mem = Arc::new(MemTable::new());
     let mut seq = 0;
     let mut present = BTreeSet::new();
     for i in (0..KEYS).step_by(3) {

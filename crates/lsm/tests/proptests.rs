@@ -105,7 +105,7 @@ proptest! {
             })
             .collect();
 
-        let mt = Arc::new(MemTable::new(0));
+        let mt = Arc::new(MemTable::new());
         let mut model = MemtableModel::new();
         let mut charged = 0usize;
         for (i, &(key, ty, size, fill)) in ops.iter().enumerate() {
@@ -201,7 +201,7 @@ proptest! {
         for i in (1..order.len()).rev() {
             order.swap(i, rng.below(i + 1));
         }
-        let mt = Arc::new(MemTable::new(0));
+        let mt = Arc::new(MemTable::new());
         let mut model = MemtableModel::new();
         for &i in &order {
             let (key, deleted) = ops[i];

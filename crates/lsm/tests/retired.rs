@@ -113,7 +113,7 @@ fn db_refuses_a_table_holding_a_stamped_entry() {
     assert_eq!(tables.len(), 1, "one L0 file: {tables:?}");
     let number = FileNumber(tables[0].trim_end_matches(".sst").parse().unwrap());
     // The same entry as an older build with TTL on wrote it.
-    let mem = MemTable::new(0);
+    let mem = MemTable::new();
     mem.add(1, ValueType::TtlValue, b"key", &[&b"value"[..], &0u64.to_le_bytes()].concat());
     let (config, pins) = (TableConfig::default(), FilterContext::default());
     build_l0_table(&*vfs, number, &[Arc::new(mem)], &config, &pins).unwrap();
