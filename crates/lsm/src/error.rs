@@ -126,11 +126,6 @@ impl Error {
     pub fn is_shutting_down(&self) -> bool {
         self.kind == ErrorKind::ShuttingDown
     }
-
-    /// True for busy/resource-exhaustion errors.
-    pub fn is_busy(&self) -> bool {
-        self.kind == ErrorKind::Busy
-    }
 }
 
 impl fmt::Display for Error {
@@ -207,7 +202,6 @@ mod tests {
         assert_eq!(Error::io("x").kind(), ErrorKind::Io);
         assert!(Error::corruption("x").is_corruption());
         assert!(Error::shutting_down().is_shutting_down());
-        assert!(Error::busy("x").is_busy());
         assert_eq!(Error::not_supported("x").kind(), ErrorKind::NotSupported);
     }
 }

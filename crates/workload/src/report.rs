@@ -62,11 +62,6 @@ pub struct BenchReport {
 }
 
 impl BenchReport {
-    /// p99 write latency in microseconds (0 when absent).
-    pub fn p99_write_micros(&self) -> f64 {
-        self.write_latency.map(|h| h.p99.as_micros_f64()).unwrap_or(0.0)
-    }
-
     /// p99 read latency in microseconds (0 when absent).
     pub fn p99_read_micros(&self) -> f64 {
         self.read_latency.map(|h| h.p99.as_micros_f64()).unwrap_or(0.0)
@@ -261,7 +256,6 @@ mod tests {
     #[test]
     fn helper_metrics() {
         let mut r = report();
-        assert_eq!(r.p99_write_micros(), 6.0);
         assert_eq!(r.p99_read_micros(), 0.0);
         r.tickers.values[0] = 75; // block_cache_hit
         r.tickers.values[1] = 25; // block_cache_miss

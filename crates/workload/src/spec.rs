@@ -302,11 +302,6 @@ impl BenchmarkSpec {
         }
     }
 
-    /// All six YCSB mixes at a common scale, A through F.
-    pub fn ycsb_suite(scale: f64) -> Vec<BenchmarkSpec> {
-        YcsbMix::ALL.iter().map(|m| Self::ycsb(*m, scale)).collect()
-    }
-
     /// All four paper workloads at a common scale.
     pub fn paper_suite(scale: f64) -> Vec<BenchmarkSpec> {
         vec![
@@ -446,7 +441,8 @@ mod tests {
 
     #[test]
     fn ycsb_suite_covers_all_six_mixes() {
-        let suite = BenchmarkSpec::ycsb_suite(0.001);
+        // What `db_bench --ycsb all` walks.
+        let suite = YcsbMix::ALL.map(|m| BenchmarkSpec::ycsb(m, 0.001));
         assert_eq!(suite.len(), 6);
         let names: Vec<&str> = suite.iter().map(|s| s.workload.name()).collect();
         assert_eq!(names, ["ycsb_a", "ycsb_b", "ycsb_c", "ycsb_d", "ycsb_e", "ycsb_f"]);
