@@ -124,6 +124,69 @@ fn follower_bootstraps_from_checkpoint_then_streams() {
     drop(listener);
 }
 
+/// Bootstrapping a follower reads the whole store once, and that one-off
+/// scan leaves the leader's block cache as it found it: a hot set that
+/// hit before the bootstrap still hits after it, with a store eight
+/// times the cache.
+#[test]
+fn bootstrap_leaves_the_leaders_block_cache_alone() {
+    let env = wall_env();
+    let hub = Arc::new(ReplicationHub::new());
+    let opts = Options { block_cache_size: 256 << 10, ..Options::default() };
+    let leader = Arc::new(
+        Db::builder(opts)
+            .env(&env)
+            .vfs(Arc::new(MemVfs::new()))
+            .wal_sink(Arc::clone(&hub) as Arc<dyn WalSink>)
+            .open()
+            .unwrap(),
+    );
+    let listener = serve_replicas_here(&hub, &leader);
+
+    // About 2 MiB of incompressible values, flushed to one table.
+    let mut noise = 0x2545_f491_4f6c_dd1d_u64;
+    for i in 0..4_000u32 {
+        let value: Vec<u8> = (0..512)
+            .map(|_| {
+                noise = noise.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                (noise >> 56) as u8
+            })
+            .collect();
+        leader.put(format!("key{i:05}").as_bytes(), &value).unwrap();
+    }
+    leader.flush().unwrap();
+    leader.wait_background_idle().unwrap();
+
+    let hot: Vec<Vec<u8>> = (2_000..2_004u32).map(|i| format!("key{i:05}").into_bytes()).collect();
+    let misses = || leader.stats().tickers.get(lsm_kvs::Ticker::BlockCacheMiss);
+    let read_hot = || {
+        for key in &hot {
+            assert!(leader.get(key).unwrap().is_some());
+        }
+    };
+    read_hot();
+    let warm = misses();
+    read_hot();
+    assert_eq!(misses(), warm, "the hot set hits once it has been read");
+
+    let (follower, fh) = start_follower_db(
+        Arc::new(MemVfs::new()),
+        &listener.local_addr().to_string(),
+    );
+    let target = leader.snapshot_seq();
+    assert!(
+        wait_until(Duration::from_secs(10), || follower.snapshot_seq() >= target),
+        "follower never caught up: {} < {target}",
+        follower.snapshot_seq()
+    );
+    let after_bootstrap = misses();
+    assert!(after_bootstrap > warm, "the bootstrap read the store's blocks");
+    read_hot();
+    assert_eq!(misses(), after_bootstrap, "the bootstrap evicted the hot set");
+    drop(fh);
+    drop(listener);
+}
+
 /// A follower's client port serves reads at the applied sequence but
 /// rejects writes until a Promote request flips it — which also tears
 /// down its replication stream via the promote hook.
