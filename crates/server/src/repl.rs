@@ -521,9 +521,10 @@ fn serve_one_follower(
 
 /// Streams the pinned checkpoint: `SnapshotChunk` frames then
 /// `SnapshotDone { seq: s0 }`. Returns false on any transport or scan
-/// error.
+/// error. The scan reads every block once, so it leaves the block cache
+/// to the leader's own working set.
 fn send_checkpoint(db: &Db, mut stream: &TcpStream, s0: u64) -> bool {
-    let ropts = ReadOptions { snapshot_seq: Some(s0), ..ReadOptions::default() };
+    let ropts = ReadOptions { snapshot_seq: Some(s0), fill_cache: false };
     let mut start: Vec<u8> = Vec::new();
     loop {
         let batch = match db.scan_opt(&ropts, &start, SNAPSHOT_CHUNK_ENTRIES) {
