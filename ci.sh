@@ -66,7 +66,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo doc -D warnings (every intra-doc link resolves, nothing public links a private item)"
 RUSTDOCFLAGS='-D warnings' cargo doc --no-deps --workspace
 
-echo "==> house rules: non-test and test lines, option counts, allocations per put, get, scanned entry and built entry, decoder tallies, crash loop, expert rules"
+echo "==> house rules: non-test and test lines, option counts, allocations per put, get, scanned entry and built entry, memtable probes, decoder tallies, crash loop, expert rules"
 # The two line counts every PR reports the delta of, computed one way:
 # each file cut at its first #[cfg(test)], the rule
 # crates/lsm/tests/retired.rs applies to the sources it scans. Test lines
@@ -85,9 +85,10 @@ find crates/*/src crates/*/tests -name '*.rs' -print0 | sort -z | xargs -0 awk '
 # And the figures PRs report, as their tests (already run and gated
 # above) print them: the registered, read and unread options; the
 # allocations of puts and ten-op writes, warm and cold gets and the scan
-# (ROADMAP 3(b)), flush and merge (the table build); each decoder
-# loop's refused/accepted tally; how many streams pinned the block
-# decoder's copy paths; what the wall-clock crash loop of
+# (ROADMAP 3(b)), flush and merge (the table build); the key nodes the
+# memtable's hash index visits per add and per miss, and its longest
+# chain (ROADMAP 4(d)); each decoder loop's refused/accepted tally; how
+# many streams pinned the block decoder's copy paths; what the wall-clock crash loop of
 # crates/lsm/tests/crash_recovery.rs ran (cycles, writes, keys verified,
 # injected errors, torn reboots); and the shape of the expert's rule
 # table (rows, values taken from the iteration, rows that fire from an
@@ -97,10 +98,10 @@ find crates/*/src crates/*/tests -name '*.rs' -print0 | sort -z | xargs -0 awk '
         --test build_allocs --test batch_fuzz --test block_fuzz --test recovery_fuzz -- --nocapture
     cargo test -q -p lsm-kvs --test crash_recovery -- --nocapture wall_clock
     cargo test -q -p lsm-kvs --lib -- --nocapture mutated_streams mutated_index \
-        overlapping_and_adjacent_matches
+        overlapping_and_adjacent_matches memtable_probes_per_add_and_miss
     cargo test -q -p lsm-server --test decode_fuzz -- --nocapture
     cargo test -q -p llm-client --test recommend_table -- --nocapture
-} 2>&1 | grep -E 'options: [0-9]+ registered|allocations: .* puts|allocations over .* gets|allocations per (scanned entry|entry)|refused [0-9]+|copy paths: |crash loop: [0-9]+ cycles|expert rules: ' \
+} 2>&1 | grep -E 'options: [0-9]+ registered|allocations: .* puts|allocations over .* gets|allocations per (scanned entry|entry)|memtable probes: |refused [0-9]+|copy paths: |crash loop: [0-9]+ cycles|expert rules: ' \
     | sed 's/^[.]*//' || true
 
 echo "==> sharding gate: --shards 1 must be byte-identical to no flag"
