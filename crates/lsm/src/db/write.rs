@@ -19,8 +19,8 @@ use super::{
     PACE_GRANULARITY, STALL_TIMEOUT, WAL_SYNC_RETRIES,
 };
 use crate::batch::WriteBatch;
-use crate::memtable::MemTable;
 use crate::error::{Error, Result};
+use crate::memtable::MemTable;
 use crate::options::Options;
 use crate::runtime::{QueuedWrite, Runtime};
 use crate::stats::{HistogramKind, Ticker};

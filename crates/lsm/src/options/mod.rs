@@ -349,9 +349,7 @@ options_table! {
         disable_auto_compactions: bool = false, Cf, -, online,
             "Disable automatic compactions (manual compaction only)";
         /// Registered so RocksDB option files and the expert's advice
-        /// parse; the memtable's hash index answers a miss with one chain
-        /// walk, so the engine has no memtable bloom and reads this
-        /// nowhere.
+        /// parse; the engine reads it nowhere.
         memtable_prefix_bloom_size_ratio: f64 = 0.0, Cf, (0.0, 0.25), online,
             "Memtable bloom filter size as a fraction of write_buffer_size: accepted \
              for option-file compatibility; the engine has no memtable bloom";
