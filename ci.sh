@@ -66,7 +66,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo doc -D warnings (every intra-doc link resolves, nothing public links a private item)"
 RUSTDOCFLAGS='-D warnings' cargo doc --no-deps --workspace
 
-echo "==> house rules: non-test and test lines, option counts, allocations per put, get, scanned entry and built entry, memtable probes, decoder tallies, crash loop, expert rules"
+echo "==> house rules: non-test and test lines, option counts, allocations per put, get, scanned entry and built entry, memtable probes, decoder tallies, crash loop, expert rules, format fixtures"
 # The two line counts every PR reports the delta of, computed one way:
 # each file cut at its first #[cfg(test)], the rule
 # crates/lsm/tests/retired.rs applies to the sources it scans. Test lines
@@ -103,6 +103,13 @@ find crates/*/src crates/*/tests -name '*.rs' -print0 | sort -z | xargs -0 awk '
     cargo test -q -p llm-client --test recommend_table -- --nocapture
 } 2>&1 | grep -E 'options: [0-9]+ registered|allocations: .* puts|allocations over .* gets|allocations per (scanned entry|entry)|memtable probes: |refused [0-9]+|copy paths: |crash loop: [0-9]+ cycles|expert rules: ' \
     | sed 's/^[.]*//' || true
+# How many manifest edits and wire frames the format fixtures pin byte for
+# byte (crates/lsm/tests/fixtures/EDITS.pr49, crates/server/tests/fixtures/
+# FRAMES.pr49), as their backward tests print them, on one line.
+{
+    cargo test -q -p lsm-kvs --test format_fixtures -- --nocapture
+    cargo test -q -p lsm-server --test format_fixtures -- --nocapture
+} 2>&1 | sed -n 's/^.*format fixtures: //p' | paste -sd, | sed 's/,/, /; s/^/format fixtures: /' || true
 
 echo "==> sharding gate: --shards 1 must be byte-identical to no flag"
 ./target/release/db_bench --benchmarks fillrandom --num 20000 > /tmp/ci-noshard.txt

@@ -1,8 +1,9 @@
 //! What the workspace's test suites share, written once: a global
 //! allocator that counts per thread ([`tally_allocations!`], [`watched`]),
 //! the seeded generator ([`Rng`]), the decoder mutation loop
-//! ([`for_each_mutant`]) and a scratch directory removed on drop
-//! ([`TempDir`]). Dev-only, and the workspace's one `unsafe impl`.
+//! ([`for_each_mutant`]), a scratch directory removed on drop
+//! ([`TempDir`]) and committed byte fixtures ([`read_byte_fixture`],
+//! [`assert_byte_fixture`]). Dev-only, and the workspace's one `unsafe impl`.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
@@ -175,6 +176,48 @@ impl Drop for TempDir {
     fn drop(&mut self) {
         let _ = std::fs::remove_dir_all(&self.path);
     }
+}
+
+/// A committed byte fixture: one `name hex` line per encoded value (a bare
+/// `name` for no bytes), in order. Read by a format's *backward* test,
+/// which decodes each line to the value it names.
+pub fn read_byte_fixture(path: &str) -> Vec<(String, Vec<u8>)> {
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    text.lines()
+        .map(|line| {
+            let (name, hex) = line.split_once(' ').unwrap_or((line, ""));
+            assert!(hex.len() % 2 == 0, "{path}: {name}: odd hex length");
+            let bytes = (0..hex.len())
+                .step_by(2)
+                .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap_or_else(|e| panic!("{path}: {name}: {e}")))
+                .collect();
+            (name.to_string(), bytes)
+        })
+        .collect()
+}
+
+/// A format's *forward* test: the encoder's bytes for each named value,
+/// as fixture lines, equal the committed file line for line. With
+/// `WRITE_FORMAT_FIXTURES=1` set the file is written first; a format that
+/// means to move says so and rewrites it on purpose.
+pub fn assert_byte_fixture(path: &str, encoded: &[(String, Vec<u8>)]) {
+    let mut text = String::new();
+    for (name, bytes) in encoded {
+        text.push_str(name);
+        if !bytes.is_empty() {
+            text.push(' ');
+            text.extend(bytes.iter().map(|b| format!("{b:02x}")));
+        }
+        text.push('\n');
+    }
+    if std::env::var_os("WRITE_FORMAT_FIXTURES").is_some() {
+        std::fs::write(path, &text).unwrap();
+    }
+    let fixture = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    for (at, (got, want)) in text.lines().zip(fixture.lines()).enumerate() {
+        assert_eq!(got, want, "line {} of {path}", at + 1);
+    }
+    assert_eq!(text, fixture, "same lines, different line count or trailing bytes");
 }
 
 #[cfg(test)]
