@@ -283,3 +283,31 @@ fn a_scan_touches_the_blocks_it_reads_wherever_it_starts() {
         "{chunks} chunks over {blocks} blocks touched {touched}"
     );
 }
+
+/// A block cache smaller than sixteen blocks still caches: one key read
+/// five times from a flushed table misses its block once and hits it four
+/// times, at 32 KiB and 64 KiB as at 128 KiB and 1 MiB. A cache cut into
+/// shards smaller than a 4 KiB block would drop every block it is handed.
+#[test]
+fn a_small_block_cache_still_caches() {
+    for block_cache_size in [32 << 10, 64 << 10, 128 << 10, 1 << 20] {
+        let opts = Options { block_cache_size, ..Options::default() };
+        let db = Db::builder(opts).env(&sim_env()).open().unwrap();
+        let key = |i: u32| format!("key-{i:06}").into_bytes();
+        for i in 0..2_000 {
+            db.put(&key(i), &[7u8; 200]).unwrap();
+        }
+        db.flush().unwrap();
+        let before = db.stats().tickers;
+        for _ in 0..5 {
+            assert_eq!(db.get(&key(1_000)).unwrap(), Some(vec![7u8; 200]));
+        }
+        let after = db.stats().tickers;
+        let delta = |t| after.get(t) - before.get(t);
+        assert_eq!(
+            (delta(Ticker::BlockCacheHit), delta(Ticker::BlockCacheMiss)),
+            (4, 1),
+            "hits and misses at a {block_cache_size}-byte block cache"
+        );
+    }
+}
