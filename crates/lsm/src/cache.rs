@@ -190,7 +190,7 @@ impl<K: Copy + Eq + Hash, V: Clone> Lru<K, V> {
 /// use lsm_kvs::{BlockCache, FileNumber};
 /// use std::sync::Arc;
 ///
-/// let cache = BlockCache::new(1 << 20, 4);
+/// let cache = BlockCache::new(1 << 20);
 /// let key = lsm_kvs::cache_key(FileNumber(1), 0);
 /// assert!(cache.get(&key).is_none());
 /// cache.insert(key, std::sync::Arc::new(lsm_kvs::Block::sentinel(4096)));
@@ -206,11 +206,22 @@ pub fn cache_key(file: FileNumber, offset: u64) -> BlockKey {
     BlockKey { file, offset }
 }
 
+/// The most shards a block cache has, and the least a shard holds
+/// (RocksDB's minimum shard size): a smaller cache has fewer shards, so
+/// that each can still hold a block.
+const MAX_SHARDS: u64 = 16;
+const MIN_SHARD_BYTES: u64 = 512 << 10;
+
 impl BlockCache {
-    /// Creates a cache with `capacity` bytes across `2^shard_bits` shards.
-    pub fn new(capacity: u64, shard_bits: u32) -> Self {
-        let num_shards = 1usize << shard_bits.min(8);
-        let per_shard = (capacity / num_shards as u64).max(1);
+    /// Creates a cache with `capacity` bytes. It has 16 shards, halved
+    /// while a shard would hold under 512 KiB, and at least one: a cache
+    /// of 8 MiB or more has 16.
+    pub fn new(capacity: u64) -> Self {
+        let mut num_shards = MAX_SHARDS;
+        while num_shards > 1 && capacity / num_shards < MIN_SHARD_BYTES {
+            num_shards /= 2;
+        }
+        let per_shard = (capacity / num_shards).max(1);
         BlockCache {
             shards: (0..num_shards)
                 .map(|_| Mutex::new(Lru::new(per_shard)))
@@ -316,7 +327,7 @@ mod tests {
 
     #[test]
     fn get_after_insert_hits() {
-        let c = BlockCache::new(1 << 20, 2);
+        let c = BlockCache::new(1 << 20);
         c.insert(key(1, 0), block(100));
         assert!(c.get(&key(1, 0)).is_some());
         assert!(c.get(&key(1, 4096)).is_none());
@@ -324,8 +335,8 @@ mod tests {
 
     #[test]
     fn capacity_evicts_lru() {
-        // Single shard for deterministic eviction order.
-        let c = BlockCache::new(4096, 0);
+        // A cache this small has one shard: a deterministic eviction order.
+        let c = BlockCache::new(4096);
         c.insert(key(1, 0), block(1500));
         c.insert(key(1, 1), block(1500));
         // Touch the first entry so the second becomes LRU.
@@ -338,7 +349,7 @@ mod tests {
 
     #[test]
     fn an_evicted_block_is_released() {
-        let c = BlockCache::new(4096, 0);
+        let c = BlockCache::new(4096);
         let first = block(3000);
         let weak = Arc::downgrade(&first);
         c.insert(key(1, 0), first);
@@ -349,7 +360,7 @@ mod tests {
 
     #[test]
     fn oversized_blocks_bypass() {
-        let c = BlockCache::new(1024, 0);
+        let c = BlockCache::new(1024);
         c.insert(key(1, 0), block(10_000));
         assert!(c.get(&key(1, 0)).is_none());
         assert_eq!(c.used_bytes(), 0);
@@ -357,7 +368,7 @@ mod tests {
 
     #[test]
     fn used_bytes_tracks_contents() {
-        let c = BlockCache::new(1 << 20, 2);
+        let c = BlockCache::new(1 << 20);
         c.insert(key(1, 0), block(1000));
         c.insert(key(2, 0), block(2000));
         assert_eq!(c.used_bytes(), 3000 + 2 * 64, "each block charged its bytes + 64");
@@ -366,11 +377,22 @@ mod tests {
 
     #[test]
     fn reinsert_same_key_replaces() {
-        let c = BlockCache::new(1 << 20, 0);
+        let c = BlockCache::new(1 << 20);
         c.insert(key(1, 0), block(1000));
         c.insert(key(1, 0), block(500));
         assert_eq!(c.get(&key(1, 0)).unwrap().data_len(), 500);
         assert!(c.used_bytes() < 1000);
+    }
+
+    /// Sixteen shards from 8 MiB up, halved while a shard would hold
+    /// under 512 KiB, and one below 1 MiB.
+    #[test]
+    fn shard_count_follows_capacity() {
+        for (capacity, shards) in
+            [(0, 1), (64 << 10, 1), ((1 << 20) - 1, 1), (1 << 20, 2), (2 << 20, 4), (4 << 20, 8), (8 << 20, 16), (1 << 34, 16)]
+        {
+            assert_eq!(BlockCache::new(capacity).shards.len(), shards, "{capacity} bytes");
+        }
     }
 
     #[test]

@@ -178,7 +178,7 @@ impl DbBuilder {
         let block_cache = if opts.no_block_cache {
             None
         } else {
-            Some(Arc::new(BlockCache::new(opts.block_cache_size.max(1), 4)))
+            Some(Arc::new(BlockCache::new(opts.block_cache_size)))
         };
         let table_cache = TableCache::new(opts.max_open_files);
 

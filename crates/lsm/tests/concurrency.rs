@@ -424,7 +424,8 @@ fn cache_snapshot_invariant_holds_under_concurrent_inserts() {
 
     // 936-byte blocks are charged 936 + 64 bookkeeping = 1000 bytes.
     const CHARGE: u64 = 1000;
-    let cache = Arc::new(BlockCache::new(50 * CHARGE, 2));
+    // 2 MiB is four shards of 512 KiB: the fewest bytes with four.
+    let cache = Arc::new(BlockCache::new(2 << 20));
     let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
 
     std::thread::scope(|scope| {
@@ -467,7 +468,7 @@ fn cache_snapshot_invariant_holds_under_concurrent_inserts() {
         assert!(observations > 0, "checker never observed a snapshot");
     });
 
-    // Four shards of 12,500 bytes hold 12 blocks each: 8,000 distinct
+    // Four shards of 524,288 bytes hold 524 blocks each: 8,000 distinct
     // inserts left every shard full.
-    assert_eq!(cache.used_bytes(), 48 * CHARGE, "capacity forced evictions");
+    assert_eq!(cache.used_bytes(), 4 * 524 * CHARGE, "capacity forced evictions");
 }
