@@ -1002,6 +1002,31 @@ mod tests {
 
     type ProbeRow = (usize, usize, usize, Vec<usize>);
 
+    /// [`probe_rows`] over `db_bench`'s 16-byte zero-padded decimal keys,
+    /// 64 Ki of them in shuffled order, and as many absent ones after them.
+    fn decimal_probe_rows() -> Vec<ProbeRow> {
+        const DECIMAL: usize = 1 << 16;
+        let mut decimal: Vec<Vec<u8>> = (0..DECIMAL).map(|i| format!("{i:016}").into_bytes()).collect();
+        let mut rng = testkit::Rng(0x9e37_79b9_7f4a_7c15);
+        for i in (1..decimal.len()).rev() {
+            decimal.swap(i, rng.below(i + 1));
+        }
+        probe_rows(&decimal, |i| format!("{:016}", DECIMAL + i).into_bytes())
+    }
+
+    /// At every doubling of the index, an add of `db_bench`'s decimal
+    /// keys visits fewer than two key nodes on average: keys that differ
+    /// only in their last digit land in different buckets.
+    #[test]
+    fn decimal_key_adds_visit_under_two_nodes_at_every_doubling() {
+        let mut keys = 0;
+        for (buckets, adds, ..) in decimal_probe_rows() {
+            let added = buckets - keys;
+            keys = buckets;
+            assert!(adds < 2 * added, "{adds} key nodes for {added} adds up to {buckets} buckets");
+        }
+    }
+
     /// What an `add` and a miss examine on the hash index, pinned for two
     /// key streams: `db_bench`'s 16-byte zero-padded decimal keys (the
     /// ones `tune_sim`'s sessions write) in shuffled order, and
@@ -1015,13 +1040,7 @@ mod tests {
     /// visits about five nodes.
     #[test]
     fn memtable_probes_per_add_and_miss() {
-        const DECIMAL: usize = 1 << 16;
-        let mut decimal: Vec<Vec<u8>> = (0..DECIMAL).map(|i| format!("{i:016}").into_bytes()).collect();
-        let mut rng = testkit::Rng(0x9e37_79b9_7f4a_7c15);
-        for i in (1..decimal.len()).rev() {
-            decimal.swap(i, rng.below(i + 1));
-        }
-        let decimal = probe_rows(&decimal, |i| format!("{:016}", DECIMAL + i).into_bytes());
+        let decimal = decimal_probe_rows();
         let put_allocs: Vec<Vec<u8>> = (0..6_000).map(|i| format!("key-{i:08}").into_bytes()).collect();
         let put_allocs = probe_rows(&put_allocs, |i| format!("key-{:08}", 6_000 + i).into_bytes());
 
