@@ -36,9 +36,12 @@ impl Hasher for IntHasher {
     }
 
     fn finish(&self) -> u64 {
-        // The product's high bits mix all of its input; the table indexes
-        // with the low ones.
-        self.0.rotate_left(26)
+        // A product's high bits mix all of its input, but a word's top
+        // byte reaches only the top byte of its product; the tables index
+        // with the low bits. So the high half is folded into the low one
+        // and multiplied again, and that product's high bits, rotated
+        // down, mix every bit written.
+        (self.0 ^ (self.0 >> 32)).wrapping_mul(0xf135_7aea_2e62_a9c5).rotate_left(26)
     }
 }
 

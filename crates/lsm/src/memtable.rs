@@ -1030,14 +1030,14 @@ mod tests {
     /// What an `add` and a miss examine on the hash index, pinned for two
     /// key streams: `db_bench`'s 16-byte zero-padded decimal keys (the
     /// ones `tune_sim`'s sessions write) in shuffled order, and
-    /// `tests/put_allocs.rs`'s `key-{i:08}` keys in order. A miss visits
-    /// under one node on average over the doublings (0.44 and 0.84; 1.47
-    /// and 1.22 at the worst one): a filter in front of the index has
-    /// little to spare it. The decimal stream's adds do not: `hash_key`
-    /// leaves each 8-byte word's top byte out of the bucket until the
-    /// array has 2^19 buckets, so keys that differ only in their last
-    /// digit share a chain (ten to a chain at 64 Ki buckets) and an add
-    /// visits about five nodes.
+    /// `tests/put_allocs.rs`'s `key-{i:08}` keys in order. The chains are
+    /// what a uniform hash gives at load 1: an add visits 0.75 nodes on
+    /// average for both streams, a miss one (1.05 and 1.03 at the worst
+    /// doubling), and no chain holds more than eight keys. Before the
+    /// hash's finish folded its high half down, each 8-byte word's top
+    /// byte stayed out of the bucket below 2^19 buckets, decimal keys that
+    /// differed only in their last digit shared a chain, and an add
+    /// visited 4.9 nodes.
     #[test]
     fn memtable_probes_per_add_and_miss() {
         let decimal = decimal_probe_rows();
@@ -1069,30 +1069,25 @@ mod tests {
         assert_eq!(
             decimal,
             pinned(&[
-                (256, 171, 376, &[108, 79, 47, 9, 11, 1, 0, 1]),
-                (512, 273, 396, &[231, 147, 72, 41, 11, 7, 2, 1]),
-                (1024, 747, 1144, &[558, 163, 152, 91, 33, 16, 6, 4, 1]),
-                (2048, 1547, 1584, &[1137, 322, 264, 191, 78, 35, 13, 6, 1, 0, 1]),
-                (4096, 2994, 2744, &[2261, 645, 573, 335, 164, 73, 37, 7, 1]),
-                (8192, 6444, 4820, &[4518, 1379, 1117, 600, 305, 155, 70, 24, 20, 4]),
-                (16384, 16073, 8110, &[10616, 1092, 1598, 1428, 910, 460, 163, 70, 29, 11, 5, 1, 1]),
-                (
-                    32768,
-                    61698,
-                    13472,
-                    &[26563, 43, 267, 674, 1203, 1488, 1227, 687, 304, 114, 60, 44, 43, 33, 13, 4, 0, 1],
-                ),
-                (65536, 231668, 25424, &[59120, 0, 0, 0, 0, 0, 1, 0, 0, 0, 6277, 0, 0, 0, 0, 0, 0, 0, 0, 0, 138]),
+                (256, 135, 263, &[96, 94, 43, 18, 3, 2]),
+                (512, 200, 501, &[189, 187, 95, 32, 7, 1, 1]),
+                (1024, 398, 1075, &[392, 353, 192, 64, 20, 3]),
+                (2048, 742, 2040, &[755, 740, 390, 130, 27, 6]),
+                (4096, 1551, 4054, &[1523, 1473, 768, 258, 59, 13, 2]),
+                (8192, 2980, 8117, &[2975, 3054, 1535, 479, 119, 25, 5]),
+                (16384, 6153, 16409, &[5999, 6055, 3051, 970, 237, 64, 7, 1]),
+                (32768, 12385, 32659, &[12037, 12174, 5895, 2003, 523, 115, 20, 0, 1]),
+                (65536, 24566, 65511, &[24221, 23908, 12125, 4023, 1021, 209, 24, 4, 1]),
             ])
         );
         assert_eq!(
             put_allocs,
             pinned(&[
-                (256, 96, 312, &[87, 91, 69, 9]),
-                (512, 223, 324, &[224, 132, 98, 48, 10]),
-                (1024, 655, 564, &[502, 228, 152, 93, 33, 15, 1]),
-                (2048, 1792, 2481, &[1220, 309, 192, 130, 92, 54, 35, 11, 5]),
-                (4096, 2514, 2943, &[2119, 860, 533, 298, 180, 84, 18, 4]),
+                (256, 129, 232, &[91, 101, 45, 13, 5, 0, 1]),
+                (512, 183, 487, &[184, 198, 89, 31, 7, 3]),
+                (1024, 413, 1002, &[376, 392, 171, 56, 24, 4, 1]),
+                (2048, 777, 2037, &[774, 712, 403, 121, 25, 11, 2]),
+                (4096, 1524, 4231, &[1503, 1522, 730, 268, 60, 8, 5]),
             ])
         );
     }
