@@ -11,7 +11,7 @@
 use crate::error::{Error, Result};
 use crate::memtable::MemTable;
 use crate::types::{refuse_stamped, SequenceNumber, ValueType};
-use crate::util::{get_fixed32, get_fixed64, get_varint32, put_varint32};
+use crate::util::{get_fixed32, get_fixed64, put_varint32, Reader};
 
 /// `fixed64 first_seq | fixed32 count`.
 const HEADER: usize = 12;
@@ -51,55 +51,31 @@ impl PartialEq for WriteBatch {
 
 impl Eq for WriteBatch {}
 
-/// The one reader of the entry layout: a cursor over the entries that
-/// follow a record's header.
-struct Walker<'a> {
-    data: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Walker<'a> {
-    fn next_entry(&mut self) -> Result<(ValueType, &'a [u8], &'a [u8])> {
-        let ty = *self
-            .data
-            .get(self.pos)
-            .ok_or_else(|| Error::corruption("batch: missing type byte"))?;
-        refuse_stamped(ty)?;
-        let ty = ValueType::from_u8(ty)
-            .ok_or_else(|| Error::corruption(format!("batch: bad value type {ty}")))?;
-        self.pos += 1;
-        let key = self.length_prefixed("key")?;
-        let value = self.length_prefixed("value")?;
-        Ok((ty, key, value))
-    }
-
-    fn length_prefixed(&mut self, what: &str) -> Result<&'a [u8]> {
-        let (len, n) = get_varint32(&self.data[self.pos..])
-            .ok_or_else(|| Error::corruption(format!("batch: bad {what} length")))?;
-        let start = self.pos + n;
-        let bytes = start
-            .checked_add(len as usize)
-            .and_then(|end| self.data.get(start..end))
-            .ok_or_else(|| Error::corruption(format!("batch: {what} past end")))?;
-        self.pos = start + bytes.len();
-        Ok(bytes)
-    }
+/// The one reader of the entry layout: the entry at the front of
+/// `entries`.
+#[inline]
+fn next_entry<'a>(entries: &mut Reader<'a>) -> Result<(ValueType, &'a [u8], &'a [u8])> {
+    let ty = entries.u8()?;
+    refuse_stamped(ty)?;
+    let ty = ValueType::from_u8(ty).ok_or_else(|| Error::corruption(format!("batch: bad value type {ty}")))?;
+    let key_len = entries.varint32()? as usize;
+    let key = entries.take(key_len)?;
+    let value_len = entries.varint32()? as usize;
+    Ok((ty, key, entries.take(value_len)?))
 }
 
 /// Checks that `record` is a header followed by exactly `count` entries
 /// and nothing else; returns their total key + value bytes. Nothing is
 /// sized from the count: a count the record cannot hold runs off the end.
 fn validate(record: &[u8]) -> Result<usize> {
-    let count = get_fixed32(record, 8).ok_or_else(|| Error::corruption("batch: short header"))?;
-    let mut walker = Walker { data: record, pos: HEADER };
+    let mut r = Reader::new(record, "batch");
+    r.fixed64()?;
     let mut payload_bytes = 0;
-    for _ in 0..count {
-        let (_, key, value) = walker.next_entry()?;
+    for _ in 0..r.fixed32()? {
+        let (_, key, value) = next_entry(&mut r)?;
         payload_bytes += key.len() + value.len();
     }
-    if walker.pos != record.len() {
-        return Err(Error::corruption("batch: trailing bytes"));
-    }
+    r.done()?;
     Ok(payload_bytes)
 }
 
@@ -200,8 +176,8 @@ impl WriteBatch {
 
     /// Iterates `(type, key, value)` in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = (ValueType, &[u8], &[u8])> {
-        let mut walker = Walker { data: &self.rep, pos: HEADER };
-        (0..self.len()).map(move |_| walker.next_entry().expect("a batch holds validated bytes"))
+        let mut entries = Reader::new(&self.record()[HEADER..], "batch");
+        (0..self.len()).map(move |_| next_entry(&mut entries).expect("a batch holds validated bytes"))
     }
 
     /// The batch as a WAL record: what the log, the replication stream

@@ -79,6 +79,7 @@ pub use stats::{
     Tickers, HISTOGRAM_NAMES, NUM_HISTOGRAMS, TICKER_NAMES,
 };
 pub use types::{FileNumber, InternalKey, SequenceNumber, ValueType, MAX_SEQUENCE};
+pub use util::{put_fixed32, put_fixed64, Reader};
 pub use version::{CompactionLevelStats, FileMetadata, Version, VersionEdit};
 pub use vfs::{MemVfs, NamespaceVfs, RandomAccessFile, StdVfs, Vfs, WritableFile};
 pub use write_controller::{WriteController, WritePressure, WriteRegime};

@@ -1,4 +1,7 @@
-//! Small utilities: varint coding, CRC32C, prefix matching, and hashing.
+//! Small utilities: varint and fixed-width coding, the bounds-checked
+//! [`Reader`], CRC32C, prefix matching, and hashing.
+
+use crate::error::{Error, Result};
 
 /// Appends a u32 in LEB128 varint encoding.
 pub fn put_varint32(dst: &mut Vec<u8>, mut v: u32) {
@@ -61,11 +64,13 @@ fn get_varint64_long(src: &[u8]) -> Option<(u64, usize)> {
 }
 
 /// Appends a fixed little-endian u32.
+#[inline]
 pub fn put_fixed32(dst: &mut Vec<u8>, v: u32) {
     dst.extend_from_slice(&v.to_le_bytes());
 }
 
 /// Appends a fixed little-endian u64.
+#[inline]
 pub fn put_fixed64(dst: &mut Vec<u8>, v: u64) {
     dst.extend_from_slice(&v.to_le_bytes());
 }
@@ -80,6 +85,90 @@ pub fn get_fixed32(src: &[u8], offset: usize) -> Option<u32> {
 pub fn get_fixed64(src: &[u8], offset: usize) -> Option<u64> {
     src.get(offset..offset + 8)
         .map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")))
+}
+
+/// A bounds-checked cursor over encoded bytes: the one reader of the
+/// manifest's edits, the write batch's record and the wire's frames.
+/// Every read first checks that the input still holds what it asks for,
+/// so a length field that promises more bytes than there are is refused
+/// before anything is copied or allocated: a length-prefixed field is a
+/// [`take`](Self::take) of the decoded length. Every error is
+/// `Corruption`, its message led by the reader's subject (`edit`,
+/// `batch`, `frame`).
+#[derive(Debug)]
+pub struct Reader<'a> {
+    rest: &'a [u8],
+    subject: &'static str,
+}
+
+impl<'a> Reader<'a> {
+    /// A reader at the start of `input`, naming `subject` in its errors.
+    #[inline]
+    pub fn new(input: &'a [u8], subject: &'static str) -> Self {
+        Reader { rest: input, subject }
+    }
+
+    /// The next `n` bytes; none are consumed if fewer remain.
+    #[inline]
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8]> {
+        let (head, rest) = self.rest.split_at_checked(n).ok_or_else(|| self.error("truncated"))?;
+        self.rest = rest;
+        Ok(head)
+    }
+
+    /// The next byte.
+    #[inline]
+    pub fn u8(&mut self) -> Result<u8> {
+        Ok(self.take(1)?[0])
+    }
+
+    /// The next fixed little-endian u32.
+    #[inline]
+    pub fn fixed32(&mut self) -> Result<u32> {
+        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
+    }
+
+    /// The next fixed little-endian u64.
+    #[inline]
+    pub fn fixed64(&mut self) -> Result<u64> {
+        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
+    }
+
+    /// The next u32 varint; one cut off or past `u32::MAX` is refused.
+    #[inline]
+    pub fn varint32(&mut self) -> Result<u32> {
+        let (v, n) = get_varint32(self.rest).ok_or_else(|| self.error("bad varint"))?;
+        self.rest = &self.rest[n..];
+        Ok(v)
+    }
+
+    /// Everything not yet read.
+    #[inline]
+    pub fn rest(&mut self) -> &'a [u8] {
+        std::mem::take(&mut self.rest)
+    }
+
+    /// Whether everything has been read.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.rest.is_empty()
+    }
+
+    /// Refuses the input if anything is left unread.
+    #[inline]
+    pub fn done(&self) -> Result<()> {
+        if self.rest.is_empty() {
+            Ok(())
+        } else {
+            Err(self.error("trailing bytes"))
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn error(&self, what: &str) -> Error {
+        Error::corruption(format!("{}: {what}", self.subject))
+    }
 }
 
 /// CRC32C (Castagnoli) checksum, table-driven.
@@ -292,6 +381,39 @@ mod tests {
         assert_eq!(get_fixed32(&buf, 0), Some(0xdead_beef));
         assert_eq!(get_fixed64(&buf, 4), Some(0x0123_4567_89ab_cdef));
         assert_eq!(get_fixed32(&buf, 9), None);
+    }
+
+    /// Each read checks its own bounds and consumes nothing it refuses;
+    /// a length-prefixed field is a `take` of the decoded length.
+    #[test]
+    fn reader_reads_in_bounds_and_refuses_past_them() {
+        let mut buf = vec![7];
+        put_fixed32(&mut buf, 0xdead_beef);
+        put_fixed64(&mut buf, 0x0123_4567_89ab_cdef);
+        put_varint32(&mut buf, 300);
+        put_varint32(&mut buf, 3);
+        buf.extend_from_slice(b"abc!");
+        let mut r = Reader::new(&buf, "test");
+        assert_eq!(r.u8().unwrap(), 7);
+        assert_eq!(r.fixed32().unwrap(), 0xdead_beef);
+        assert_eq!(r.fixed64().unwrap(), 0x0123_4567_89ab_cdef);
+        assert_eq!(r.varint32().unwrap(), 300);
+        let len = r.varint32().unwrap() as usize;
+        assert_eq!(r.take(len).unwrap(), b"abc");
+        let err = r.take(2).unwrap_err();
+        assert_eq!((err.kind(), err.message()), (crate::ErrorKind::Corruption, "test: truncated"));
+        assert_eq!(r.done().unwrap_err().message(), "test: trailing bytes");
+        assert!(!r.is_empty());
+        assert_eq!(r.rest(), b"!");
+        assert!(r.is_empty() && r.done().is_ok());
+        for read in [Reader::u8, |r: &mut Reader<'_>| r.fixed32().map(|_| 0), |r: &mut Reader<'_>| r.fixed64().map(|_| 0)] {
+            assert!(read(&mut r).is_err());
+        }
+        assert_eq!(Reader::new(&[0x80], "test").varint32().unwrap_err().message(), "test: bad varint");
+        let mut past = Reader::new(&[0xff, 0xff, 0xff, 0xff, 0x10], "test");
+        assert!(past.varint32().is_err(), "a varint past u32::MAX");
+        assert_eq!(past.take(usize::MAX).unwrap_err().message(), "test: truncated");
+        assert_eq!(past.rest().len(), 5, "a refused read consumes nothing");
     }
 
     /// The byte-at-a-time loop the table-driven kernels replaced.

@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use crate::error::{Error, Result};
 use crate::types::{FileNumber, InternalKey, SequenceNumber};
-use crate::util::{get_fixed64, get_varint32, put_fixed64, put_varint32};
+use crate::util::{put_fixed64, put_varint32, Reader};
 
 /// Metadata for one SST file.
 #[derive(Debug)]
@@ -295,79 +295,34 @@ impl VersionEdit {
     /// Returns [`ErrorKind::Corruption`](crate::ErrorKind) on malformed input.
     pub fn decode(data: &[u8]) -> Result<VersionEdit> {
         let mut edit = VersionEdit::default();
-        let mut pos = 0usize;
-        while pos < data.len() {
-            let tag = data[pos];
-            pos += 1;
-            match tag {
-                TAG_LOG_NUMBER | TAG_NEXT_FILE | TAG_LAST_SEQ => {
-                    let v = get_fixed64(data, pos)
-                        .ok_or_else(|| Error::corruption("edit: short fixed64"))?;
-                    pos += 8;
-                    match tag {
-                        TAG_LOG_NUMBER => edit.log_number = Some(v),
-                        TAG_NEXT_FILE => edit.next_file_number = Some(v),
-                        _ => edit.last_sequence = Some(v),
-                    }
-                }
+        let mut r = Reader::new(data, "edit");
+        while !r.is_empty() {
+            match r.u8()? {
+                TAG_LOG_NUMBER => edit.log_number = Some(r.fixed64()?),
+                TAG_NEXT_FILE => edit.next_file_number = Some(r.fixed64()?),
+                TAG_LAST_SEQ => edit.last_sequence = Some(r.fixed64()?),
                 TAG_ADD_FILE => {
-                    let (level, n) = get_varint32(&data[pos..])
-                        .ok_or_else(|| Error::corruption("edit: bad level"))?;
-                    pos += n;
-                    let number = get_fixed64(data, pos)
-                        .ok_or_else(|| Error::corruption("edit: short file number"))?;
-                    pos += 8;
-                    let size = get_fixed64(data, pos)
-                        .ok_or_else(|| Error::corruption("edit: short size"))?;
-                    pos += 8;
-                    let entries = get_fixed64(data, pos)
-                        .ok_or_else(|| Error::corruption("edit: short entries"))?;
-                    pos += 8;
-                    let (klen, n) = get_varint32(&data[pos..])
-                        .ok_or_else(|| Error::corruption("edit: bad smallest len"))?;
-                    pos += n;
-                    let smallest = InternalKey::decode(
-                        data.get(pos..pos + klen as usize)
-                            .ok_or_else(|| Error::corruption("edit: smallest past end"))?,
-                    )
-                    .ok_or_else(|| Error::corruption("edit: bad smallest key"))?;
-                    pos += klen as usize;
-                    let (klen, n) = get_varint32(&data[pos..])
-                        .ok_or_else(|| Error::corruption("edit: bad largest len"))?;
-                    pos += n;
-                    let largest = InternalKey::decode(
-                        data.get(pos..pos + klen as usize)
-                            .ok_or_else(|| Error::corruption("edit: largest past end"))?,
-                    )
-                    .ok_or_else(|| Error::corruption("edit: bad largest key"))?;
-                    pos += klen as usize;
-                    edit.added_files.push((
-                        level as usize,
-                        Arc::new(FileMetadata::new(
-                            FileNumber(number),
-                            size,
-                            smallest,
-                            largest,
-                            entries,
-                        )),
-                    ));
+                    let level = r.varint32()? as usize;
+                    let (number, size, entries) = (r.fixed64()?, r.fixed64()?, r.fixed64()?);
+                    let (smallest, largest) = (internal_key(&mut r)?, internal_key(&mut r)?);
+                    let file = FileMetadata::new(FileNumber(number), size, smallest, largest, entries);
+                    edit.added_files.push((level, Arc::new(file)));
                 }
                 TAG_DELETE_FILE => {
-                    let (level, n) = get_varint32(&data[pos..])
-                        .ok_or_else(|| Error::corruption("edit: bad level"))?;
-                    pos += n;
-                    let number = get_fixed64(data, pos)
-                        .ok_or_else(|| Error::corruption("edit: short file number"))?;
-                    pos += 8;
-                    edit.deleted_files.push((level as usize, FileNumber(number)));
+                    let level = r.varint32()? as usize;
+                    edit.deleted_files.push((level, FileNumber(r.fixed64()?)));
                 }
-                other => {
-                    return Err(Error::corruption(format!("edit: unknown tag {other}")));
-                }
+                other => return Err(Error::corruption(format!("edit: unknown tag {other}"))),
             }
         }
         Ok(edit)
     }
+}
+
+/// A length-prefixed internal key of an added file.
+fn internal_key(r: &mut Reader<'_>) -> Result<InternalKey> {
+    let len = r.varint32()? as usize;
+    InternalKey::decode(r.take(len)?).ok_or_else(|| Error::corruption("edit: internal key shorter than its tag"))
 }
 
 #[cfg(test)]

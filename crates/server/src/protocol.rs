@@ -21,7 +21,10 @@
 
 use std::io::{self, Read, Write};
 
-use lsm_kvs::{DbStats, Error, ErrorKind, Result, TickerSnapshot, WriteBatch, TICKER_NAMES};
+use lsm_kvs::{
+    put_fixed32, put_fixed64, DbStats, Error, ErrorKind, Reader, Result, TickerSnapshot, WriteBatch,
+    TICKER_NAMES,
+};
 
 /// Upper bound on one frame's payload. Large enough for a sizable
 /// write batch, small enough that a corrupt length prefix cannot make
@@ -252,81 +255,19 @@ pub enum Response {
 }
 
 // ---------------------------------------------------------------------------
-// Primitive readers/writers
+// Length-prefixed fields
 // ---------------------------------------------------------------------------
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
 fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
-    put_u32(out, b.len() as u32);
+    put_fixed32(out, b.len() as u32);
     out.extend_from_slice(b);
 }
 
-/// Cursor over a payload; every read is bounds-checked so truncated or
-/// malicious frames surface as decode errors, never panics.
-struct Cur<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cur<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Cur { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| Error::corruption("truncated frame"))?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn bytes(&mut self) -> Result<Vec<u8>> {
-        let n = self.u32()? as usize;
-        // A length field cannot promise more than the frame holds;
-        // checking first avoids attacker-controlled huge allocations.
-        if n > self.buf.len() - self.pos {
-            return Err(Error::corruption("length field exceeds frame"));
-        }
-        Ok(self.take(n)?.to_vec())
-    }
-
-    /// Everything not yet read.
-    fn rest(&mut self) -> &'a [u8] {
-        let s = &self.buf[self.pos..];
-        self.pos = self.buf.len();
-        s
-    }
-
-    fn done(&self) -> Result<()> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(Error::corruption("trailing bytes in frame"))
-        }
-    }
+/// A length-prefixed field, copied out: the reader refuses a length the
+/// frame does not hold before anything is allocated.
+fn bytes(r: &mut Reader<'_>) -> Result<Vec<u8>> {
+    let len = r.fixed32()? as usize;
+    Ok(r.take(len)?.to_vec())
 }
 
 // ---------------------------------------------------------------------------
@@ -361,7 +302,7 @@ impl Request {
             Request::Scan { start, count } => {
                 out.push(op::SCAN);
                 put_bytes(&mut out, start);
-                put_u32(&mut out, *count);
+                put_fixed32(&mut out, *count);
             }
             Request::Flush => out.push(op::FLUSH),
             Request::Stats => out.push(op::STATS),
@@ -370,14 +311,14 @@ impl Request {
             Request::Shutdown => out.push(op::SHUTDOWN),
             Request::MultiGet { keys } => {
                 out.push(op::MULTI_GET);
-                put_u32(&mut out, keys.len() as u32);
+                put_fixed32(&mut out, keys.len() as u32);
                 for key in keys {
                     put_bytes(&mut out, key);
                 }
             }
             Request::SetOptions { changes } => {
                 out.push(op::SET_OPTIONS);
-                put_u32(&mut out, changes.len() as u32);
+                put_fixed32(&mut out, changes.len() as u32);
                 for (name, value) in changes {
                     put_bytes(&mut out, name.as_bytes());
                     put_bytes(&mut out, value.as_bytes());
@@ -386,24 +327,24 @@ impl Request {
             Request::GetOptions => out.push(op::GET_OPTIONS),
             Request::ReplicaHello { have_seq } => {
                 out.push(op::REPLICA_HELLO);
-                put_u64(&mut out, *have_seq);
+                put_fixed64(&mut out, *have_seq);
             }
             Request::Replicate { first_seq, sync, records } => {
                 out.push(op::REPLICATE);
-                put_u64(&mut out, *first_seq);
+                put_fixed64(&mut out, *first_seq);
                 out.push(u8::from(*sync));
-                put_u32(&mut out, records.len() as u32);
+                put_fixed32(&mut out, records.len() as u32);
                 for r in records {
                     put_bytes(&mut out, r);
                 }
             }
             Request::ReplicaAck { seq } => {
                 out.push(op::REPLICA_ACK);
-                put_u64(&mut out, *seq);
+                put_fixed64(&mut out, *seq);
             }
             Request::SnapshotChunk { entries } => {
                 out.push(op::SNAPSHOT_CHUNK);
-                put_u32(&mut out, entries.len() as u32);
+                put_fixed32(&mut out, entries.len() as u32);
                 for (k, v) in entries {
                     put_bytes(&mut out, k);
                     put_bytes(&mut out, v);
@@ -411,7 +352,7 @@ impl Request {
             }
             Request::SnapshotDone { seq } => {
                 out.push(op::SNAPSHOT_DONE);
-                put_u64(&mut out, *seq);
+                put_fixed64(&mut out, *seq);
             }
             Request::Promote => out.push(op::PROMOTE),
             Request::ReplicaReject => out.push(op::REPLICA_REJECT),
@@ -430,17 +371,17 @@ impl Request {
     /// [`ErrorKind::Corruption`] on truncation, trailing bytes, or an
     /// unknown opcode.
     pub fn decode(payload: &[u8]) -> Result<Request> {
-        let mut c = Cur::new(payload);
+        let mut c = Reader::new(payload, "frame");
         let op = c.u8()?;
         let req = match op {
-            op::GET => Request::Get { key: c.bytes()? },
+            op::GET => Request::Get { key: bytes(&mut c)? },
             op::PUT => {
                 let sync = c.u8()? & FLAG_SYNC != 0;
-                Request::Put { sync, key: c.bytes()?, value: c.bytes()? }
+                Request::Put { sync, key: bytes(&mut c)?, value: bytes(&mut c)? }
             }
             op::DELETE => {
                 let sync = c.u8()? & FLAG_SYNC != 0;
-                Request::Delete { sync, key: c.bytes()? }
+                Request::Delete { sync, key: bytes(&mut c)? }
             }
             op::BATCH => {
                 let sync = c.u8()? & FLAG_SYNC != 0;
@@ -454,14 +395,14 @@ impl Request {
                     op::BATCH
                 )))
             }
-            op::SCAN => Request::Scan { start: c.bytes()?, count: c.u32()? },
+            op::SCAN => Request::Scan { start: bytes(&mut c)?, count: c.fixed32()? },
             op::FLUSH => Request::Flush,
             op::STATS => Request::Stats,
             op::WAIT_IDLE => Request::WaitIdle,
             op::PING => Request::Ping,
             op::SHUTDOWN => Request::Shutdown,
             op::MULTI_GET => {
-                let n = c.u32()? as usize;
+                let n = c.fixed32()? as usize;
                 // Each key costs at least a length prefix; a count the
                 // frame cannot hold is a lie, not an allocation request.
                 if n > payload.len() / 4 {
@@ -469,12 +410,12 @@ impl Request {
                 }
                 let mut keys = Vec::with_capacity(n);
                 for _ in 0..n {
-                    keys.push(c.bytes()?);
+                    keys.push(bytes(&mut c)?);
                 }
                 Request::MultiGet { keys }
             }
             op::SET_OPTIONS => {
-                let n = c.u32()? as usize;
+                let n = c.fixed32()? as usize;
                 // Each pair costs at least two length prefixes; a count
                 // the frame cannot hold is a lie, not an allocation hint.
                 if n > payload.len() / 8 {
@@ -482,24 +423,24 @@ impl Request {
                 }
                 let mut changes = Vec::with_capacity(n);
                 for _ in 0..n {
-                    let name = String::from_utf8(c.bytes()?)
+                    let name = String::from_utf8(bytes(&mut c)?)
                         .map_err(|_| Error::corruption("option name is not utf-8"))?;
-                    let value = String::from_utf8(c.bytes()?)
+                    let value = String::from_utf8(bytes(&mut c)?)
                         .map_err(|_| Error::corruption("option value is not utf-8"))?;
                     changes.push((name, value));
                 }
                 Request::SetOptions { changes }
             }
             op::GET_OPTIONS => Request::GetOptions,
-            op::REPLICA_HELLO => Request::ReplicaHello { have_seq: c.u64()? },
+            op::REPLICA_HELLO => Request::ReplicaHello { have_seq: c.fixed64()? },
             op::REPLICATE => {
-                let first_seq = c.u64()?;
+                let first_seq = c.fixed64()?;
                 let sync = match c.u8()? {
                     0 => false,
                     1 => true,
                     other => return Err(Error::corruption(format!("bad sync flag {other}"))),
                 };
-                let n = c.u32()? as usize;
+                let n = c.fixed32()? as usize;
                 // Each record costs at least a length prefix; a count the
                 // frame cannot hold is a lie, not an allocation request.
                 if n > payload.len() / 4 {
@@ -507,30 +448,30 @@ impl Request {
                 }
                 let mut records = Vec::with_capacity(n);
                 for _ in 0..n {
-                    records.push(c.bytes()?);
+                    records.push(bytes(&mut c)?);
                 }
                 Request::Replicate { first_seq, sync, records }
             }
-            op::REPLICA_ACK => Request::ReplicaAck { seq: c.u64()? },
+            op::REPLICA_ACK => Request::ReplicaAck { seq: c.fixed64()? },
             op::SNAPSHOT_CHUNK => {
-                let n = c.u32()? as usize;
+                let n = c.fixed32()? as usize;
                 // Each entry costs at least two length prefixes.
                 if n > payload.len() / 8 {
                     return Err(Error::corruption("snapshot chunk count exceeds frame"));
                 }
                 let mut entries = Vec::with_capacity(n);
                 for _ in 0..n {
-                    let k = c.bytes()?;
-                    let v = c.bytes()?;
+                    let k = bytes(&mut c)?;
+                    let v = bytes(&mut c)?;
                     entries.push((k, v));
                 }
                 Request::SnapshotChunk { entries }
             }
-            op::SNAPSHOT_DONE => Request::SnapshotDone { seq: c.u64()? },
+            op::SNAPSHOT_DONE => Request::SnapshotDone { seq: c.fixed64()? },
             op::PROMOTE => Request::Promote,
             op::REPLICA_REJECT => Request::ReplicaReject,
             op::CHECKPOINT => Request::Checkpoint {
-                dir: String::from_utf8(c.bytes()?)
+                dir: String::from_utf8(bytes(&mut c)?)
                     .map_err(|_| Error::corruption("checkpoint dir is not utf-8"))?,
             },
             other => return Err(Error::corruption(format!("unknown opcode {other}"))),
@@ -581,10 +522,10 @@ fn error_kind_code(kind: ErrorKind) -> u8 {
     }
 }
 
-fn decode_error(c: &mut Cur<'_>) -> Result<Error> {
+fn decode_error(c: &mut Reader<'_>) -> Result<Error> {
     let kind = c.u8()?;
     let retryable = c.u8()? != 0;
-    let msg = String::from_utf8_lossy(&c.bytes()?).into_owned();
+    let msg = String::from_utf8_lossy(&bytes(c)?).into_owned();
     let e = match kind {
         0 => Error::io(msg),
         1 => Error::corruption(msg),
@@ -611,7 +552,7 @@ impl Response {
             Response::ScanChunk { entries, has_more } => {
                 out.push(status::OK);
                 out.push(u8::from(*has_more));
-                put_u32(&mut out, entries.len() as u32);
+                put_fixed32(&mut out, entries.len() as u32);
                 for (k, v) in entries {
                     put_bytes(&mut out, k);
                     put_bytes(&mut out, v);
@@ -619,7 +560,7 @@ impl Response {
             }
             Response::Values(values) => {
                 out.push(status::OK);
-                put_u32(&mut out, values.len() as u32);
+                put_fixed32(&mut out, values.len() as u32);
                 for v in values {
                     match v {
                         Some(v) => {
@@ -651,12 +592,12 @@ impl Response {
     ///
     /// [`ErrorKind::Corruption`] on truncation or malformed bodies.
     pub fn decode(req: &Request, payload: &[u8]) -> Result<Response> {
-        let mut c = Cur::new(payload);
+        let mut c = Reader::new(payload, "frame");
         let resp = match c.u8()? {
             status::NOT_FOUND => Response::NotFound,
             status::ERR => Response::Err(decode_error(&mut c)?),
             status::OK => match req {
-                Request::Get { .. } => Response::Value(c.bytes()?),
+                Request::Get { .. } => Response::Value(bytes(&mut c)?),
                 Request::Scan { .. } => {
                     let has_more = match c.u8()? {
                         0 => false,
@@ -665,20 +606,20 @@ impl Response {
                             return Err(Error::corruption(format!("bad has_more flag {other}")))
                         }
                     };
-                    let n = c.u32()? as usize;
+                    let n = c.fixed32()? as usize;
                     if n > SCAN_CHUNK_MAX_ENTRIES {
                         return Err(Error::corruption("scan chunk exceeds entry bound"));
                     }
                     let mut entries = Vec::new();
                     for _ in 0..n {
-                        let k = c.bytes()?;
-                        let v = c.bytes()?;
+                        let k = bytes(&mut c)?;
+                        let v = bytes(&mut c)?;
                         entries.push((k, v));
                     }
                     Response::ScanChunk { entries, has_more }
                 }
                 Request::MultiGet { keys } => {
-                    let n = c.u32()? as usize;
+                    let n = c.fixed32()? as usize;
                     if n != keys.len() {
                         return Err(Error::corruption(format!(
                             "multiget answered {n} values for {} keys",
@@ -689,7 +630,7 @@ impl Response {
                     for _ in 0..n {
                         values.push(match c.u8()? {
                             0 => None,
-                            1 => Some(c.bytes()?),
+                            1 => Some(bytes(&mut c)?),
                             other => {
                                 return Err(Error::corruption(format!(
                                     "bad value presence flag {other}"
@@ -700,12 +641,12 @@ impl Response {
                     Response::Values(values)
                 }
                 Request::Stats => {
-                    let text = String::from_utf8_lossy(&c.bytes()?).into_owned();
+                    let text = String::from_utf8_lossy(&bytes(&mut c)?).into_owned();
                     let stats = Box::new(decode_db_stats(&mut c)?);
                     Response::Stats { text, stats }
                 }
                 Request::GetOptions => {
-                    Response::OptionsIni(String::from_utf8_lossy(&c.bytes()?).into_owned())
+                    Response::OptionsIni(String::from_utf8_lossy(&bytes(&mut c)?).into_owned())
                 }
                 _ => Response::Ok,
             },
@@ -721,25 +662,25 @@ impl Response {
 // ---------------------------------------------------------------------------
 
 fn encode_db_stats(out: &mut Vec<u8>, s: &DbStats) {
-    put_u32(out, TICKER_NAMES.len() as u32);
+    put_fixed32(out, TICKER_NAMES.len() as u32);
     for v in &s.tickers.values {
-        put_u64(out, *v);
+        put_fixed64(out, *v);
     }
-    put_u32(out, s.levels.len() as u32);
+    put_fixed32(out, s.levels.len() as u32);
     for (files, bytes) in &s.levels {
-        put_u64(out, *files as u64);
-        put_u64(out, *bytes);
+        put_fixed64(out, *files as u64);
+        put_fixed64(out, *bytes);
     }
-    put_u64(out, s.memtable_bytes);
-    put_u64(out, s.immutable_memtables as u64);
-    put_u64(out, s.block_cache_capacity);
-    put_u64(out, s.pending_compaction_bytes);
-    put_u64(out, s.running_background_jobs as u64);
-    put_u64(out, s.last_sequence);
+    put_fixed64(out, s.memtable_bytes);
+    put_fixed64(out, s.immutable_memtables as u64);
+    put_fixed64(out, s.block_cache_capacity);
+    put_fixed64(out, s.pending_compaction_bytes);
+    put_fixed64(out, s.running_background_jobs as u64);
+    put_fixed64(out, s.last_sequence);
 }
 
-fn decode_db_stats(c: &mut Cur<'_>) -> Result<DbStats> {
-    let n = c.u32()? as usize;
+fn decode_db_stats(c: &mut Reader<'_>) -> Result<DbStats> {
+    let n = c.fixed32()? as usize;
     if n != TICKER_NAMES.len() {
         return Err(Error::corruption(format!(
             "peer has {n} tickers, this build has {}",
@@ -748,27 +689,27 @@ fn decode_db_stats(c: &mut Cur<'_>) -> Result<DbStats> {
     }
     let mut tickers = TickerSnapshot { values: [0; TICKER_NAMES.len()] };
     for v in tickers.values.iter_mut() {
-        *v = c.u64()?;
+        *v = c.fixed64()?;
     }
-    let levels_n = c.u32()? as usize;
+    let levels_n = c.fixed32()? as usize;
     if levels_n > 64 {
         return Err(Error::corruption("implausible level count"));
     }
     let mut levels = Vec::with_capacity(levels_n);
     for _ in 0..levels_n {
-        let files = c.u64()? as usize;
-        let bytes = c.u64()?;
+        let files = c.fixed64()? as usize;
+        let bytes = c.fixed64()?;
         levels.push((files, bytes));
     }
     Ok(DbStats {
         tickers,
         levels,
-        memtable_bytes: c.u64()?,
-        immutable_memtables: c.u64()? as usize,
-        block_cache_capacity: c.u64()?,
-        pending_compaction_bytes: c.u64()?,
-        running_background_jobs: c.u64()? as usize,
-        last_sequence: c.u64()?,
+        memtable_bytes: c.fixed64()?,
+        immutable_memtables: c.fixed64()? as usize,
+        block_cache_capacity: c.fixed64()?,
+        pending_compaction_bytes: c.fixed64()?,
+        running_background_jobs: c.fixed64()? as usize,
+        last_sequence: c.fixed64()?,
     })
 }
 
@@ -779,7 +720,7 @@ fn decode_db_stats(c: &mut Cur<'_>) -> Result<DbStats> {
 /// Prepends the length prefix to a payload.
 pub fn frame(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(4 + payload.len());
-    put_u32(&mut out, payload.len() as u32);
+    put_fixed32(&mut out, payload.len() as u32);
     out.extend_from_slice(payload);
     out
 }
