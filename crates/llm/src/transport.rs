@@ -14,12 +14,14 @@ use serde::Deserialize;
 
 use crate::api::{ChatRequest, ChatResponse, LanguageModel, LlmError, Usage};
 
+/// The request path of every chat completion.
+const PATH: &str = "/v1/chat/completions";
+
 /// An OpenAI-compatible chat-completions client over plain HTTP.
 #[derive(Debug, Clone)]
 pub struct HttpChatModel {
     host: String,
     port: u16,
-    path: String,
     api_key: Option<String>,
     timeout: Duration,
     name: String,
@@ -33,7 +35,6 @@ impl HttpChatModel {
             name: format!("openai-compatible@{host}:{port}"),
             host,
             port,
-            path: "/v1/chat/completions".to_string(),
             api_key: None,
             timeout: Duration::from_secs(120),
         }
@@ -42,12 +43,6 @@ impl HttpChatModel {
     /// Sets a bearer token sent as `Authorization`.
     pub fn with_api_key(mut self, key: impl Into<String>) -> Self {
         self.api_key = Some(key.into());
-        self
-    }
-
-    /// Overrides the request path.
-    pub fn with_path(mut self, path: impl Into<String>) -> Self {
-        self.path = path.into();
         self
     }
 
@@ -71,8 +66,7 @@ impl HttpChatModel {
             .map(|k| format!("Authorization: Bearer {k}\r\n"))
             .unwrap_or_default();
         let request = format!(
-            "POST {} HTTP/1.1\r\nHost: {}\r\nContent-Type: application/json\r\n{}Content-Length: {}\r\nConnection: close\r\n\r\n{}",
-            self.path,
+            "POST {PATH} HTTP/1.1\r\nHost: {}\r\nContent-Type: application/json\r\n{}Content-Length: {}\r\nConnection: close\r\n\r\n{}",
             self.host,
             auth,
             body.len(),

@@ -39,7 +39,7 @@ use crate::merge::FilterContext;
 use crate::options::Options;
 use crate::runtime::{JobBudget, Runtime};
 use crate::sstable::table::{TableConfig, TableReader};
-use crate::stats::{Statistics, Ticker, TickerSnapshot};
+use crate::stats::{Statistics, TickerSnapshot};
 use crate::types::{FileNumber, SequenceNumber};
 use crate::version::{FileMetadata, Version};
 use crate::vfs::Vfs;
@@ -180,15 +180,6 @@ pub struct DbStats {
 }
 
 impl DbStats {
-    /// Write amplification so far: total bytes written by flush+compaction
-    /// per byte of user data written.
-    pub fn write_amplification(&self) -> f64 {
-        let user = self.tickers.get(Ticker::BytesWritten).max(1);
-        let physical = self.tickers.get(Ticker::FlushBytesWritten)
-            + self.tickers.get(Ticker::CompactionBytesWritten);
-        physical as f64 / user as f64
-    }
-
     /// Folds in the statistics of another database serving a different
     /// key range: counters, level shapes, debt and block cache capacity
     /// (each database has its own) sum, `last_sequence` takes the larger.

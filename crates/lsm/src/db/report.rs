@@ -260,7 +260,6 @@ mod tests {
         let stats = db.stats();
         assert_eq!(stats.levels.len(), 7);
         assert!(stats.levels.iter().map(|(n, _)| n).sum::<usize>() > 0);
-        assert!(stats.write_amplification() > 0.0);
         assert!(stats.last_sequence >= 2_000);
     }
 }

@@ -28,16 +28,15 @@
 //!   runs together, so scans between inserts do not re-sort the table.
 //!
 //! All of it sits behind one reader-writer lock, mutated through `&self`;
-//! the runs sit behind a second lock of their own. Accounting
-//! (approximate bytes, first/last sequence) sits beside them as atomics
-//! and charges each entry its user key + 8 + value + 48 bytes, whatever
-//! the layout. `memtable_factory` is still a recognised option, but
+//! the runs sit behind a second lock of their own. The approximate
+//! byte count sits beside them as an atomic and charges each entry its
+//! user key + 8 + value + 48 bytes, whatever the layout. `memtable_factory` is still a recognised option, but
 //! nothing here reads it.
 
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::Hasher;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering as AtomicOrdering};
+use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock, RwLockReadGuard};
@@ -556,11 +555,6 @@ pub struct MemTable {
     /// Taken before `entries` by whoever builds order.
     order: Mutex<Order>,
     approximate_bytes: AtomicUsize,
-    /// `u64::MAX` = no entry yet; kept with `fetch_min` because a
-    /// recovery that replays the old WALs and then the re-logged one
-    /// inserts smaller sequences after larger ones.
-    first_seq: AtomicU64,
-    last_seq: AtomicU64,
 }
 
 const ENTRY_OVERHEAD: usize = 48;
@@ -572,8 +566,6 @@ impl MemTable {
             entries: RwLock::new(Entries::new()),
             order: Mutex::default(),
             approximate_bytes: AtomicUsize::new(0),
-            first_seq: AtomicU64::new(u64::MAX),
-            last_seq: AtomicU64::new(0),
         }
     }
 
@@ -592,8 +584,6 @@ impl MemTable {
         let charged = user_key.len() + 8 + value.len() + ENTRY_OVERHEAD;
         self.entries.write().insert(user_key, hash, (seq << 8) | ty as u64, value);
         self.approximate_bytes.fetch_add(charged, AtomicOrdering::Relaxed);
-        self.first_seq.fetch_min(seq, AtomicOrdering::Relaxed);
-        self.last_seq.fetch_max(seq, AtomicOrdering::Relaxed);
     }
 
     /// Looks up the newest entry for `user_key` visible at `snapshot`: its
@@ -626,17 +616,6 @@ impl MemTable {
     /// Whether the memtable holds no entries.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Smallest sequence number inserted, if any.
-    pub fn first_sequence(&self) -> Option<SequenceNumber> {
-        let v = self.first_seq.load(AtomicOrdering::Relaxed);
-        (v != u64::MAX).then_some(v)
-    }
-
-    /// Largest sequence number inserted.
-    pub fn last_sequence(&self) -> SequenceNumber {
-        self.last_seq.load(AtomicOrdering::Relaxed)
     }
 
     /// A stable iteration view over the entries, in internal-key order.
@@ -1189,16 +1168,6 @@ mod tests {
         let before = mt.approximate_memory_usage();
         mt.add(1, ValueType::Value, b"key", &[0u8; 100]);
         assert!(mt.approximate_memory_usage() >= before + 100);
-    }
-
-    #[test]
-    fn sequences_tracked() {
-        let mt = MemTable::new();
-        assert_eq!(mt.first_sequence(), None);
-        mt.add(7, ValueType::Value, b"a", b"");
-        mt.add(9, ValueType::Value, b"b", b"");
-        assert_eq!(mt.first_sequence(), Some(7));
-        assert_eq!(mt.last_sequence(), 9);
     }
 
     #[test]

@@ -43,11 +43,6 @@ impl BloomFilter {
         true
     }
 
-    /// Size of the filter in bytes (bit array only).
-    pub fn size_bytes(&self) -> usize {
-        self.bits.len()
-    }
-
     /// Serializes to `bits ++ fixed32(num_probes)`.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = self.bits.clone();

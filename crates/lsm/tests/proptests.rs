@@ -130,8 +130,6 @@ proptest! {
         }
         prop_assert_eq!(mt.len(), model.len());
         prop_assert_eq!(mt.approximate_memory_usage(), charged);
-        prop_assert_eq!(mt.first_sequence(), Some(1));
-        prop_assert_eq!(mt.last_sequence(), ops.len() as u64);
 
         let expected: Vec<(Vec<u8>, Vec<u8>)> = model
             .iter()
