@@ -1012,11 +1012,7 @@ mod tests {
     /// `tests/put_allocs.rs`'s `key-{i:08}` keys in order. The chains are
     /// what a uniform hash gives at load 1: an add visits 0.75 nodes on
     /// average for both streams, a miss one (1.05 and 1.03 at the worst
-    /// doubling), and no chain holds more than eight keys. Before the
-    /// hash's finish folded its high half down, each 8-byte word's top
-    /// byte stayed out of the bucket below 2^19 buckets, decimal keys that
-    /// differed only in their last digit shared a chain, and an add
-    /// visited 4.9 nodes.
+    /// doubling), and no chain holds more than eight keys.
     #[test]
     fn memtable_probes_per_add_and_miss() {
         let decimal = decimal_probe_rows();
